@@ -14,6 +14,14 @@ With resource eta = (1/sqrt d) sum_k |k> X|k> and measurement basis
 |phi_x> = (1/sqrt d) sum_i |i> (U_x X)^T |i>, result x leaves Bob's half in
 M_x sigma M_x+ with the unitary M_x = X (U_x X)+, and every result is
 equiprobable.  An aligned correction U_x then restores sigma exactly.
+
+Accumulation
+------------
+Every qubit unitary is a phase times su2_matrix(w) for a unit quaternion w,
+and its conjugation superoperator kron(conj U(w), U(w)) is quadratic in w.
+Net protocol unitaries are therefore composed as quaternions, and a batch's
+superoperator sum is one fixed linear map of its 4x4 second moment
+sum_n w_n w_n^T.
 """
 from __future__ import annotations
 
@@ -25,9 +33,8 @@ from numpy.random import Generator
 
 from . import encoding as enc
 from . import groups
-from ._kernels import conj_superop_sums
-from .groups import HaarStream, Representation, canonical_sign, quat_conj, \
-    quat_mul
+from .groups import HaarStream, Representation, quat_conj, quat_mul, \
+    su2_matrix, unitary_quat
 from .qmat import DensityMatrix, Superoperator, UnitaryMatrix, choi, \
     linear_map_purity, map_purity
 from .ueb import EquivarianceData, UnitaryErrorBasis
@@ -45,12 +52,18 @@ __all__ = [
     "perfect_channel",
     "finite_group_check",
     "single_shot_simulate",
-    "mc_engine",
 ]
 
 _BATCH = 1 << 17
 _N_BLOCKS = 64
 _N_BOOT = 64
+
+# Row 4j + k is kron(conj M_j, M_k), column-stacked, with M_j the SU(2)
+# matrix of the j-th unit quaternion; contracting a second moment with it
+# gives the superoperator sum.
+_BASIS = su2_matrix(np.eye(4))
+_MOMENT_TO_SUPEROP = np.einsum("jab,kcd->jkacbd", _BASIS.conj(),
+                               _BASIS).reshape(16, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +247,26 @@ def _finish_mc(block_sums: np.ndarray, block_norms: np.ndarray, samples: int,
                            seed, stderr, pre_norm_deviation, reps)
 
 
+def _moment(w: np.ndarray) -> np.ndarray:
+    """Second moment sum_n w_n w_n^T of a quaternion batch (n, 4)."""
+    return w.T @ w
+
+
+def _moment_superop(moments: np.ndarray) -> np.ndarray:
+    """Map second moments (..., 4, 4) to the sums of the conjugation
+    superoperators of the quaternions they were taken over."""
+    flat = moments.reshape(moments.shape[:-2] + (16,))
+    return (flat @ _MOMENT_TO_SUPEROP).reshape(moments.shape)
+
+
 def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.ndarray | None]],
                    samples: int, stream: HaarStream) -> tuple[np.ndarray, np.ndarray, int]:
-    """Accumulate conjugation superoperators of batch-sampled unitaries into
-    _N_BLOCKS block sums.  sample_fn returns (unitaries (m,2,2), accept mask
-    or None)."""
-    block_sums = np.zeros((_N_BLOCKS, 4, 4), dtype=np.complex128)
-    block_norms = np.zeros(_N_BLOCKS, dtype=np.float64)
+    """Accumulate the conjugation superoperators of batch-sampled net
+    quaternions into _N_BLOCKS block sums over contiguous ranges of the
+    sample index.  sample_fn returns (quaternions of the accepted draws
+    (k, 4), accept mask over the m draws or None)."""
+    moments = np.zeros((_N_BLOCKS, 4, 4))
+    block_norms = np.zeros(_N_BLOCKS)
     accepted = 0
     done = 0
     s = stream
@@ -248,36 +274,48 @@ def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.nd
         m = min(_BATCH, samples - done)
         rng = s.generator()
         s = s.advance()
-        mats, accept = sample_fn(rng, m)
+        w, accept = sample_fn(rng, m)
         idx = np.arange(done, done + m)
         if accept is not None:
-            mats = mats[accept]
             idx = idx[accept]
-        buckets = idx * _N_BLOCKS // samples
-        sums, counts = conj_superop_sums(mats, buckets, _N_BLOCKS)
-        block_sums += sums
-        block_norms += counts
-        accepted += len(mats)
+        # Buckets ascend with the sample index, so each block is one slice.
+        edges = np.searchsorted(idx * _N_BLOCKS // samples,
+                                np.arange(_N_BLOCKS + 1))
+        for b in np.flatnonzero(np.diff(edges)):
+            moments[b] += _moment(w[edges[b]:edges[b + 1]])
+            block_norms[b] += edges[b + 1] - edges[b]
+        accepted += len(w)
         done += m
-    return block_sums, block_norms, accepted
+    return _moment_superop(moments), block_norms, accepted
 
 
-def _conj_superop_average(mats: np.ndarray,
-                          weights: np.ndarray | None = None) -> np.ndarray:
-    """(Weighted) mean of kron(conj(W), W) over a batch of 2x2 unitaries."""
-    if weights is None:
-        k = np.einsum("nab,ncd->acbd", mats.conj(), mats)
-        return k.reshape(4, 4) / len(mats)
-    k = np.einsum("n,nab,ncd->acbd", weights, mats.conj(), mats)
-    return k.reshape(4, 4) / weights.sum()
+def _quadrature_superop(net: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
+                        group: str) -> np.ndarray:
+    """Circle-group average of conjugation superoperators; net(theta) returns
+    (quaternions (n, 4), weights (n,) or None)."""
+    def integrand(theta):
+        w, p = net(theta)
+        pw = w if p is None else p[:, None] * w
+        return pw[:, :, None] * w[:, None, :]
+
+    return _moment_superop(groups.quadrature_average(integrand, group))
 
 
-def _channel_unitaries(spec: TeleportationSpec, payloads, result: int
-                       ) -> np.ndarray:
-    """W(g) = rho(g)+ U_i rho(g) U_i+ for a batch of group payloads."""
-    r = spec.rep(payloads)
-    u = spec.basis.mats[result]
-    return np.einsum("...ba,bc,...cd,ed->...ae", r.conj(), u, r, u.conj())
+def _conjugated(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Quaternion of rho(g)+ U rho(g) from the quaternions of rho(g) and U."""
+    return quat_mul(quat_mul(quat_conj(g), u), g)
+
+
+def _channel_quats(spec: TeleportationSpec, payloads, result: int
+                   ) -> np.ndarray:
+    """Quaternions of W(g) = rho(g)+ U_i rho(g) U_i+ for a batch of group
+    payloads."""
+    g = spec.rep.quat(payloads)
+    u = spec.basis.quats[result]
+    # x -> U_i x U_i+ is linear; row k of its matrix is U_i e_k U_i+.
+    conj_by_u = quat_mul(quat_mul(u, np.eye(4)), quat_conj(u))
+    # einsum rather than matmul: multithreaded BLAS is slow on (n, 4) x (4, 4).
+    return quat_mul(quat_conj(g), np.einsum("nj,jk->nk", g, conj_by_u))
 
 
 # ---------------------------------------------------------------------------
@@ -302,32 +340,18 @@ def conventional_channel(spec: TeleportationSpec, group: str,
         if group not in ("u1", "u1r"):
             raise ValueError("quadrature path requires the circle group")
 
-        def integrand(theta):
-            w = _channel_unitaries(spec, theta, i)
-            return np.einsum("nab,ncd->nacbd", w.conj(), w).reshape(-1, 4, 4)
-
-        mat = groups.quadrature_average(integrand, group)
+        mat = _quadrature_superop(
+            lambda theta: (_channel_quats(spec, theta, i), None), group)
         return _exact_estimate(mat)
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     stream = HaarStream(group, seed)
 
     def sample_fn(rng, m):
-        payloads = _group_batch(group, rng, m)
-        return _channel_unitaries(spec, payloads, i), None
+        return _channel_quats(spec, groups.haar_batch(group, rng, m), i), None
 
     sums, norms, _ = _mc_accumulate(sample_fn, samples, stream)
     return _finish_mc(sums, norms, samples, seed, 0.0)
-
-
-def _group_batch(group: str, rng: Generator, m: int) -> np.ndarray:
-    if group == "u1":
-        return rng.random(m) * 2 * np.pi
-    if group == "u1r":
-        return rng.random(m) * np.pi
-    if group == "su2":
-        return groups.sample_su2(rng, m)
-    raise ValueError(f"no sampler for group {group!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +450,9 @@ def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
         if group not in ("u1", "u1r"):
             raise ValueError("quadrature path requires the circle group")
         weight_fn = _circle_overlap_weight(scheme)
-
-        def integrand(theta):
-            w = _channel_unitaries(spec, theta, b)
-            p = weight_fn(theta)
-            k = np.einsum("n,nab,ncd->nacbd", p, w.conj(), w)
-            return k.reshape(-1, 4, 4)
-
-        mat = groups.quadrature_average(integrand, "u1")
+        mat = _quadrature_superop(
+            lambda theta: (_channel_quats(spec, theta, b), weight_fn(theta)),
+            "u1")
         scale = len(scheme.indices) / scheme.region_measure
         mat = mat * scale
         tr = np.trace(Superoperator(mat)._choi_mat()).real
@@ -444,13 +463,13 @@ def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
     stream = HaarStream(group, seed)
 
     def sample_fn(rng, m):
-        payloads = _group_batch(group, rng, m)
+        payloads = groups.haar_batch(group, rng, m)
         if g_transform is not None:
             payloads = g_transform(payloads)
         x = scheme.sample_fn(b, rng, m)
         y = scheme.space.act(payloads, x)
         accept = enc.decode_batch(scheme, y) == b
-        return _channel_unitaries(spec, payloads, b), accept
+        return _channel_quats(spec, payloads[accept], b), accept
 
     sums, norms, accepted = _mc_accumulate(sample_fn, samples, stream)
     # The un-normalized theorem estimator has Choi trace |I_k| N_acc / N,
@@ -510,35 +529,27 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
     stream = HaarStream(group, seed)
 
     def sample_fn(rng, m):
-        payloads = _group_batch(group, rng, m)
+        payloads = groups.haar_batch(group, rng, m)
         x = scheme.sample_fn(result, rng, m)
-        w = _perfect_net_unitaries(spec, scheme, payloads, x, result)
-        return w, None
+        y = scheme.space.act(payloads, x)
+        corr = _reconstructed_corrections(spec, scheme, payloads, y,
+                                          enc.decode_batch(scheme, y))
+        return quat_mul(corr, quat_conj(spec.basis.quats[result])), None
 
     sums, norms, _ = _mc_accumulate(sample_fn, samples, stream)
     return _finish_mc(sums, norms, samples, seed, 0.0)
 
 
-def _perfect_net_unitaries(spec: TeleportationSpec, scheme: enc.EncodingScheme,
-                           payloads: np.ndarray, x: np.ndarray,
-                           result: int) -> np.ndarray:
-    """Net protocol unitaries rho(g)+ C_B rho(g) U_i+ where Bob reconstructs
-    the alignment from the received reading and corrects accordingly."""
-    y = scheme.space.act(payloads, x)
-    decoded = enc.decode_batch(scheme, y)
-    ghat = _reconstruct_alignment(scheme, y, decoded)
-    rg = spec.rep(payloads)
-    rhat = spec.rep(ghat)
-    corr = np.empty_like(rg)
-    for j in scheme.indices:
-        mask = decoded == j
-        if not np.any(mask):
-            continue
-        u = spec.basis.mats[j]
-        corr[mask] = np.einsum("nab,bc,ndc->nad", rhat[mask], u,
-                               rhat[mask].conj())
-    u_i = spec.basis.mats[result]
-    return np.einsum("nba,nbc,ncd,ed->nae", rg.conj(), corr, rg, u_i.conj())
+def _reconstructed_corrections(spec: TeleportationSpec,
+                               scheme: enc.EncodingScheme, payloads,
+                               y: np.ndarray, decoded: np.ndarray
+                               ) -> np.ndarray:
+    """Quaternions of rho(g)+ C_B rho(g), where Bob reconstructs the
+    alignment ghat from the received reading y and corrects with
+    C_B = rho(ghat) U_j rho(ghat)+ for the decoded index j."""
+    ghat = spec.rep.quat(_reconstruct_alignment(scheme, y, decoded))
+    bob = _conjugated(quat_conj(ghat), spec.basis.quats[decoded])
+    return _conjugated(spec.rep.quat(payloads), bob)
 
 
 def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
@@ -565,16 +576,14 @@ def _rod_point_stabilizer_channel(spec: TeleportationSpec,
                                   result: int) -> ChannelEstimate:
     axis = np.asarray(scheme.points[result][0], dtype=np.float64)
 
-    def integrand(theta):
+    def net(theta):
         quats = np.stack([np.cos(theta / 2),
                           np.sin(theta / 2) * axis[0],
                           np.sin(theta / 2) * axis[1],
                           np.sin(theta / 2) * axis[2]], axis=-1)
-        w = _channel_unitaries(spec, quats, result)
-        return np.einsum("nab,ncd->nacbd", w.conj(), w).reshape(-1, 4, 4)
+        return _channel_quats(spec, quats, result), None
 
-    mat = groups.quadrature_average(integrand, "u1")
-    return _exact_estimate(mat)
+    return _exact_estimate(_quadrature_superop(net, "u1"))
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +653,16 @@ def single_shot_simulate(spec: TeleportationSpec,
         g_payloads = restrict.payloads[
             rng_results.integers(0, restrict.order, size=shots)]
     else:
-        g_payloads = _group_batch(group, rng_results, shots)
+        g_payloads = groups.haar_batch(group, rng_results, shots)
 
-    pre = np.stack([spec.premeasurement_unitary(x) for x in range(n_res)])
-    rg = spec.rep(g_payloads)
+    pre = unitary_quat(np.stack([spec.premeasurement_unitary(x)
+                                 for x in range(n_res)]))
+    g = spec.rep.quat(g_payloads)
 
     readings = None
     decoded = np.copy(results)
     if scheme is None:
-        corr_index = results
-        corr = _misaligned_corrections(spec, rg, corr_index)
+        corr = _misaligned_corrections(spec, g, results)
     else:
         readings = np.empty((shots,) + _reading_shape(scheme), dtype=np.float64)
         rng_read = stream.advance(1 << 40).generator()
@@ -671,33 +680,16 @@ def single_shot_simulate(spec: TeleportationSpec,
         dec = enc.decode_batch(scheme, received)
         decoded = np.where(in_orbit, dec, results)
         if scheme.kind == "perfect":
-            corr = np.empty((shots, d, d), dtype=np.complex128)
-            if np.any(in_orbit):
-                ghat = _reconstruct_alignment(scheme, received[in_orbit],
-                                              decoded[in_orbit])
-                rhat = spec.rep(ghat)
-                sub = decoded[in_orbit]
-                c = np.empty((int(in_orbit.sum()), d, d), dtype=np.complex128)
-                for j in scheme.indices:
-                    m = sub == j
-                    if np.any(m):
-                        c[m] = np.einsum("nab,bc,ndc->nad", rhat[m],
-                                         spec.basis.mats[j], rhat[m].conj())
-                bob_corr = c
-                corr[in_orbit] = np.einsum("nba,nbc,ncd->nad",
-                                           rg[in_orbit].conj(), bob_corr,
-                                           rg[in_orbit])
-            if np.any(~in_orbit):
-                corr[~in_orbit] = _misaligned_corrections(
-                    spec, rg[~in_orbit], results[~in_orbit])
+            corr = _misaligned_corrections(spec, g, results)
+            corr[in_orbit] = _reconstructed_corrections(
+                spec, scheme, g_payloads[in_orbit], received[in_orbit],
+                decoded[in_orbit])
         else:
-            corr = _misaligned_corrections(spec, rg, decoded)
+            corr = _misaligned_corrections(spec, g, decoded)
 
-    # Net shot unitaries V = C_A M_x; ensemble mean via the superop kernel.
-    net = np.einsum("nab,nbc->nac", corr, pre[results])
-    buckets = np.zeros(shots, dtype=np.int64)
-    sums, counts = conj_superop_sums(net, buckets, 1)
-    mean_superop = Superoperator(sums[0] / counts[0])
+    # Net shot unitaries V = C_A M_x and their mean conjugation superoperator.
+    net = quat_mul(corr, pre[results])
+    mean_superop = Superoperator(_moment_superop(_moment(net)) / shots)
     out = mean_superop.apply(sigma.mat)
     out = 0.5 * (out + out.conj().T)
     out = out / np.trace(out).real
@@ -719,11 +711,11 @@ def _project_first(joint: np.ndarray, phi: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("a,abcd,c->bd", phi.conj(), j, phi)
 
 
-def _misaligned_corrections(spec: TeleportationSpec, rg: np.ndarray,
+def _misaligned_corrections(spec: TeleportationSpec, g: np.ndarray,
                             indices: np.ndarray) -> np.ndarray:
-    """rho(g)+ U_j rho(g) batch for per-shot correction indices j."""
-    u = spec.basis.mats[indices]
-    return np.einsum("nba,nbc,ncd->nad", rg.conj(), u, rg)
+    """Quaternions of rho(g)+ U_j rho(g) for per-shot correction indices j,
+    given the quaternions g of rho(g)."""
+    return _conjugated(g, spec.basis.quats[indices])
 
 
 def _reading_shape(scheme: enc.EncodingScheme) -> tuple:
@@ -732,36 +724,3 @@ def _reading_shape(scheme: enc.EncodingScheme) -> tuple:
     if scheme.space.group == "so3":
         return (4,)
     return ()
-
-
-# ---------------------------------------------------------------------------
-# Generic MC engine
-# ---------------------------------------------------------------------------
-
-def mc_engine(samples: int, stream: HaarStream,
-              integrand: Callable[[Generator, int], np.ndarray]
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of a vectorized integrand over the stream's
-    Haar measure.  integrand(rng, m) returns m sample values (any trailing
-    shape); the reduction is an associative sum over counter-partitioned
-    batches, so parallel workers produce identical results."""
-    if samples < 1000:
-        raise ValueError("samples must be at least 1e3")
-    total = None
-    total_sq = None
-    done = 0
-    s = stream
-    while done < samples:
-        m = min(_BATCH, samples - done)
-        rng = s.generator()
-        s = s.advance()
-        vals = np.asarray(integrand(rng, m))
-        batch_sum = vals.sum(axis=0)
-        batch_sq = (np.abs(vals) ** 2).sum(axis=0)
-        total = batch_sum if total is None else total + batch_sum
-        total_sq = batch_sq if total_sq is None else total_sq + batch_sq
-        done += m
-    mean = total / samples
-    var = (total_sq / samples - np.abs(mean) ** 2) * samples / (samples - 1)
-    stderr = np.sqrt(np.maximum(var, 0.0) / samples)
-    return mean, stderr

@@ -46,7 +46,7 @@ def build_id() -> str:
     """Short content hash of the package sources."""
     pkg = Path(__file__).resolve().parent
     digest = hashlib.sha1()
-    for path in sorted(pkg.rglob("*.py")) + sorted(pkg.rglob("*.pyx")):
+    for path in sorted(pkg.rglob("*.py")):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:12]
@@ -303,6 +303,18 @@ def _estimate(bundle: SchemeBundle, result, method: str, samples: int,
                               bundle.group, res, method, samples, seed)
 
 
+def _tight_averaged(bundle: SchemeBundle, method: str, samples: int,
+                    seed: int) -> tuple[dict, ch.ChannelEstimate]:
+    """Per-result tight channels from one base integral, and their equal
+    mix (the result-averaged channel)."""
+    per_result = ch.tight_result_estimates(bundle.spec, bundle.eq,
+                                           bundle.scheme, bundle.group,
+                                           method, samples, seed)
+    n = bundle.spec.basis.size
+    return per_result, ch.mix_estimates([(1.0 / n, per_result[i])
+                                         for i in range(n)])
+
+
 def _default_method(bundle: SchemeBundle) -> str:
     return "quadrature" if bundle.group in ("u1", "u1r") else "mc"
 
@@ -314,7 +326,12 @@ def cmd_channel(args) -> int:
     if result != "averaged":
         result = int(result)
     t0 = time.perf_counter()
-    est = _estimate(bundle, result, method, args.samples, args.seed)
+    per_result = None
+    if bundle.variant == "tight" and result == "averaged":
+        per_result, est = _tight_averaged(bundle, method, args.samples,
+                                          args.seed)
+    else:
+        est = _estimate(bundle, result, method, args.samples, args.seed)
     seconds = time.perf_counter() - t0
     purity, p_err = est.map_purity_with_error()
     linear, _ = est.linear_purity_with_error()
@@ -334,10 +351,7 @@ def cmd_channel(args) -> int:
         "samples": est.samples,
         "seconds": seconds,
     }
-    if bundle.variant == "tight" and result == "averaged":
-        per_result = ch.tight_result_estimates(
-            bundle.spec, bundle.eq, bundle.scheme, bundle.group, method,
-            args.samples, args.seed)
+    if per_result is not None:
         mean_p, mean_err = ch.mean_result_purity(per_result)
         payload["mean_result_purity"] = mean_p
         payload["mean_result_purity_stderr"] = mean_err
@@ -386,11 +400,8 @@ def cmd_table1(args) -> int:
     for name in ("su2-matched-tight", "su2-rod-tight"):
         bundle = _bundle(name)
         t0 = time.perf_counter()
-        per_result = ch.tight_result_estimates(
-            bundle.spec, bundle.eq, bundle.scheme, "su2", "mc", args.samples,
-            args.seed)
-        n = bundle.spec.basis.size
-        mixed = ch.mix_estimates([(1.0 / n, per_result[i]) for i in range(n)])
+        per_result, mixed = _tight_averaged(bundle, "mc", args.samples,
+                                            args.seed)
         seconds = time.perf_counter() - t0
         add(name, "mixed-channel", mixed, seconds)
         add(name, "mean-result-purity", mixed, seconds,

@@ -35,7 +35,6 @@ __all__ = [
     "polarisation_axis_space",
     "rod_axis_space",
     "frame_torsor_space",
-    "act",
     "decode",
     "decode_batch",
     "sample_encoding",
@@ -108,12 +107,6 @@ def frame_torsor_space(reduced: str) -> ReadingSpace:
     if reduced not in ("u1r", "so3"):
         raise ValueError(f"torsor must be over a reduced group, got {reduced!r}")
     return ReadingSpace("frame-torsor", reduced)
-
-
-def act(space: ReadingSpace, g, x):
-    """Module-level action wrapper accepting GroupElement or raw payload."""
-    payload = g.payload if isinstance(g, groups.GroupElement) else g
-    return space.act(payload, x)
 
 
 @dataclass(frozen=True)

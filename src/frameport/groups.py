@@ -1,8 +1,7 @@
 """Reference-frame transformation groups.
 
 Parametrizations, Haar sampling, unitary representations, finite subgroups
-with multiplication tables, invariant distance, and fundamental-domain
-membership.
+with multiplication tables, and invariant distance.
 
 Conventions
 -----------
@@ -19,6 +18,9 @@ The physical U(1) representation on the polarisation qubit is
 rho(theta) = diag(1, exp(-2i theta)); its kernel is {0, pi}, so the reduced
 group has period pi and the reduced representation diag(1, exp(-2i t)) is
 faithful on t in [0, pi).
+
+Every qubit unitary is a phase times U(q) for a unit quaternion q, unique up
+to sign; rho(theta) = exp(-i theta) U(cos theta, 0, 0, -sin theta).
 """
 from __future__ import annotations
 
@@ -36,13 +38,13 @@ __all__ = [
     "Representation",
     "FiniteSubgroup",
     "HaarStream",
-    "ReducedGroup",
     "QuadratureError",
     "quat_mul",
     "quat_conj",
     "quat_rotate",
     "axis_angle_quat",
     "su2_matrix",
+    "unitary_quat",
     "u1_physical_rep",
     "u1_reduced_rep",
     "su2_defining_rep",
@@ -51,12 +53,11 @@ __all__ = [
     "binary_octahedral",
     "binary_tetrahedral",
     "tetrahedral",
+    "haar_batch",
     "haar_sample",
     "quadrature_average",
     "frobenius_distance",
     "nearest_subgroup_element",
-    "in_fundamental_domain",
-    "reduced_group",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -139,6 +140,16 @@ def su2_matrix(q: np.ndarray) -> np.ndarray:
     return mat
 
 
+def unitary_quat(mat: np.ndarray) -> np.ndarray:
+    """Unit quaternion(s) q (..., 4) with mat = exp(i phi) su2_matrix(q) for
+    2x2 unitaries (..., 2, 2); the sign of q is arbitrary."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+    v = mat * np.exp(-0.5j * np.angle(det))[..., None, None]
+    return np.stack([v[..., 0, 0].real, -v[..., 1, 0].imag,
+                     v[..., 1, 0].real, -v[..., 0, 0].imag], axis=-1)
+
+
 def u1_matrix(theta) -> np.ndarray:
     """Physical-representation matrix diag(1, exp(-2i theta)), vectorized."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -146,6 +157,15 @@ def u1_matrix(theta) -> np.ndarray:
     mat[..., 0, 0] = 1.0
     mat[..., 1, 1] = np.exp(-2j * theta)
     return mat
+
+
+def u1_quat(theta) -> np.ndarray:
+    """Quaternion(s) (..., 4) of u1_matrix(theta) up to its phase."""
+    theta = np.asarray(theta, dtype=np.float64)
+    q = np.zeros(theta.shape + (4,))
+    q[..., 0] = np.cos(theta)
+    q[..., 3] = -np.sin(theta)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +205,16 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class Representation:
-    """Unitary representation: group tag, dimension, evaluation rule, and a
-    kernel descriptor ("trivial" or a list of kernel angles)."""
+    """Unitary qubit representation: group tag, dimension, evaluation rule,
+    kernel descriptor ("trivial" or a list of kernel angles), and the
+    quaternion q of rho(g) = phase * su2_matrix(q), vectorized over
+    payloads."""
 
     group: str
     dim: int
     matrix: Callable[[object], np.ndarray]
     kernel: tuple
+    quat: Callable[[object], np.ndarray]
 
     def __call__(self, g) -> np.ndarray:
         """Evaluate on a GroupElement or a raw payload (vectorized)."""
@@ -203,15 +226,19 @@ class Representation:
 
 
 def u1_physical_rep() -> Representation:
-    return Representation("u1", 2, u1_matrix, kernel=(0.0, np.pi))
+    return Representation("u1", 2, u1_matrix, (0.0, np.pi), u1_quat)
 
 
 def u1_reduced_rep() -> Representation:
-    return Representation("u1r", 2, u1_matrix, kernel=())
+    return Representation("u1r", 2, u1_matrix, (), u1_quat)
+
+
+def _su2_quat(q) -> np.ndarray:
+    return np.asarray(q, dtype=np.float64)
 
 
 def su2_defining_rep() -> Representation:
-    return Representation("su2", 2, su2_matrix, kernel=())
+    return Representation("su2", 2, su2_matrix, (), _su2_quat)
 
 
 # ---------------------------------------------------------------------------
@@ -418,40 +445,29 @@ class HaarStream:
         return replace(self, counter=(self.counter << 16) + i + 1)
 
 
-@functools.cache
-def _theta_cdf_table() -> tuple[np.ndarray, np.ndarray]:
-    # Inverse-CDF table for the polar density proportional to sin^2(theta).
-    grid = np.linspace(0.0, np.pi, 2 ** 16 + 1)
-    cdf = (grid - np.sin(grid) * np.cos(grid)) / np.pi
-    return cdf, grid
-
-
 def sample_su2(rng: Generator, n: int) -> np.ndarray:
-    """n Haar-uniform unit quaternions via hyperspherical inverse-CDF."""
-    cdf, grid = _theta_cdf_table()
-    theta = np.interp(rng.random(n), cdf, grid)
-    psi = np.arccos(1.0 - 2.0 * rng.random(n))
-    phi = rng.random(n) * 2 * np.pi
-    st = np.sin(theta)
-    return np.stack([
-        np.cos(theta),
-        st * np.sin(psi) * np.cos(phi),
-        st * np.sin(psi) * np.sin(phi),
-        st * np.cos(psi),
-    ], axis=-1)
+    """n Haar-uniform unit quaternions: normalized standard-normal 4-vectors,
+    which are exactly uniform on S^3 (Muller 1959; Marsaglia 1972)."""
+    v = rng.standard_normal((n, 4))
+    return v / np.sqrt(np.einsum("ni,ni->n", v, v))[:, None]
+
+
+def haar_batch(group: str, rng: Generator, n: int) -> np.ndarray:
+    """n i.i.d. Haar payloads of a group drawn from rng: (n,) angles or
+    (n, 4) quaternions."""
+    if group == "u1":
+        return rng.random(n) * 2 * np.pi
+    if group == "u1r":
+        return rng.random(n) * np.pi
+    if group in ("su2", "so3"):
+        q = sample_su2(rng, n)
+        return canonical_sign(q) if group == "so3" else q
+    raise ValueError(f"no Haar sampler for group {group!r}")
 
 
 def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
-    """Raw i.i.d. Haar payload array: (n,) angles or (n, 4) quaternions."""
-    rng = stream.generator()
-    if stream.group == "u1":
-        return rng.random(n) * 2 * np.pi
-    if stream.group == "u1r":
-        return rng.random(n) * np.pi
-    if stream.group in ("su2", "so3"):
-        q = sample_su2(rng, n)
-        return canonical_sign(q) if stream.group == "so3" else q
-    raise ValueError(f"no Haar sampler for group {stream.group!r}")
+    """Raw i.i.d. Haar payload array of the stream's group and counter."""
+    return haar_batch(stream.group, stream.generator(), n)
 
 
 def haar_sample(stream: HaarStream, n: int) -> list[GroupElement]:
@@ -460,7 +476,7 @@ def haar_sample(stream: HaarStream, n: int) -> list[GroupElement]:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature, distance, fundamental domains
+# Quadrature and distance
 # ---------------------------------------------------------------------------
 
 def quadrature_average(f: Callable[[np.ndarray], np.ndarray], group: str = "u1",
@@ -524,30 +540,3 @@ def nearest_subgroup_element(g: GroupElement, sub: FiniteSubgroup,
         else np.asarray([g.payload])
     idx, ties = nearest_indices(payload, sub, sign_insensitive)
     return sub.element(int(idx[0])), int(ties[0])
-
-
-def in_fundamental_domain(g: GroupElement, sub: FiniteSubgroup,
-                          sign_insensitive: bool = False) -> bool:
-    """True iff g lies in the Voronoi cell of the identity element."""
-    payload = np.asarray(g.payload)[None] if sub.ambient in ("su2", "so3") \
-        else np.asarray([g.payload])
-    idx, _ = nearest_indices(payload, sub, sign_insensitive)
-    return int(idx[0]) == sub.identity
-
-
-@dataclass(frozen=True)
-class ReducedGroup:
-    """Reduced group of a representation: tag plus payload projection."""
-
-    group: str
-    project: Callable[[object], object]
-
-
-def reduced_group(rep: Representation) -> ReducedGroup:
-    if rep.group == "u1":
-        # Kernel {0, pi}: the reduced group halves the period.
-        return ReducedGroup("u1r", lambda theta: np.asarray(theta) % np.pi)
-    if rep.group == "su2":
-        # Faithful, but the conjugation action factors through SO(3).
-        return ReducedGroup("so3", canonical_sign)
-    raise ValueError(f"unsupported representation group {rep.group!r}")

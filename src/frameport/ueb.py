@@ -10,10 +10,12 @@ throughout (|normalized trace overlap| = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteSubgroup, Representation, PAULI_X, PAULI_Y, PAULI_Z
+from .groups import FiniteSubgroup, Representation, PAULI_X, PAULI_Y, \
+    PAULI_Z, unitary_quat
 from .qmat import UnitaryMatrix
 
 __all__ = [
@@ -52,6 +54,11 @@ class UnitaryErrorBasis:
 
     def unitary(self, i: int) -> UnitaryMatrix:
         return UnitaryMatrix(self.mats[i])
+
+    @cached_property
+    def quats(self) -> np.ndarray:
+        """(d^2, 4) quaternions of the qubit elements, up to phase."""
+        return unitary_quat(self.mats)
 
 
 class NotEquivariantError(ValueError):

@@ -1,5 +1,5 @@
 """Channel-assembly tests: conventional, tight, perfect; the single-shot
-simulator; the Monte Carlo engine."""
+simulator; the quaternion moment accumulator."""
 from __future__ import annotations
 
 import numpy as np
@@ -213,7 +213,62 @@ def test_finite_group_check_passes_for_u1():
 
 
 # ---------------------------------------------------------------------------
-# Single-shot simulator and engine
+# Quaternion moment accumulator
+# ---------------------------------------------------------------------------
+
+def _direct_block_sums(spec, payloads, result, accept):
+    """Reference: per-block sums of kron(conj W, W) for the 2x2 unitaries
+    W = rho(g)+ U_i rho(g) U_i+, bucketed by sample index."""
+    r = spec.rep(payloads)
+    u = spec.basis.mats[result]
+    w = np.einsum("nba,bc,ncd,ed->nae", r.conj(), u, r, u.conj())
+    kron = np.einsum("nab,ncd->nacbd", w.conj(), w).reshape(-1, 4, 4)
+    n = len(payloads)
+    buckets = (np.arange(n) * ch._N_BLOCKS // n)[accept]
+    sums = np.zeros((ch._N_BLOCKS, 4, 4), dtype=np.complex128)
+    np.add.at(sums, buckets, kron[accept])
+    return sums, np.bincount(buckets, minlength=ch._N_BLOCKS)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("case", ["su2-pauli", "su2-tetrahedral", "u1"])
+def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
+                                                         masked):
+    # 3001 samples split unevenly into the 64 blocks, and a small batch size
+    # so that blocks straddle batch boundaries.
+    monkeypatch.setattr(ch, "_BATCH", 1000)
+    samples = 3001
+    rng = np.random.default_rng(17)
+    if case == "u1":
+        spec = ch.u1_teleportation_spec(pauli_ueb())
+        payloads = rng.random(samples) * 2 * np.pi
+    else:
+        basis = tetrahedral_ueb() if case == "su2-tetrahedral" else pauli_ueb()
+        spec = ch.su2_teleportation_spec(basis)
+        payloads = groups.sample_su2(rng, samples)
+    accept = rng.random(samples) < 0.4 if masked else \
+        np.ones(samples, dtype=bool)
+
+    for result in range(4):
+        pos = [0]
+
+        def sample_fn(_, m):
+            lo, pos[0] = pos[0], pos[0] + m
+            keep = accept[lo:lo + m]
+            quats = ch._channel_quats(spec, payloads[lo:lo + m][keep], result)
+            return quats, keep if masked else None
+
+        sums, norms, accepted = ch._mc_accumulate(sample_fn, samples,
+                                                  HaarStream("u1", 0))
+        ref_sums, ref_norms = _direct_block_sums(spec, payloads, result,
+                                                 accept)
+        assert accepted == accept.sum()
+        assert np.array_equal(norms, ref_norms)
+        assert np.max(np.abs(sums - ref_sums)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Single-shot simulator
 # ---------------------------------------------------------------------------
 
 def test_single_shot_conventional_matches_channel():
@@ -238,21 +293,6 @@ def test_single_shot_perfect_reconstructs_exactly():
     out, _ = ch.single_shot_simulate(spec, scheme, "su2", sigma,
                                      HaarStream("su2", 22), shots=500)
     assert np.max(np.abs(out.mat - sigma.mat)) < 1e-9
-
-
-def test_mc_engine_deterministic_and_correct():
-    stream = HaarStream("u1", 13)
-    mean1, err1 = ch.mc_engine(50000, stream,
-                               lambda rng, m: np.cos(rng.random(m) * 2 * np.pi) ** 2)
-    mean2, _ = ch.mc_engine(50000, HaarStream("u1", 13),
-                            lambda rng, m: np.cos(rng.random(m) * 2 * np.pi) ** 2)
-    assert mean1 == mean2
-    assert abs(mean1 - 0.5) < 4 * err1
-
-
-def test_mc_engine_rejects_tiny_sample_counts():
-    with pytest.raises(ValueError):
-        ch.mc_engine(10, HaarStream("u1", 0), lambda rng, m: np.ones(m))
 
 
 def test_mc_channel_estimates_are_seed_deterministic():

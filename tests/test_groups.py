@@ -12,7 +12,7 @@ from frameport.groups import (
     canonical_sign, frobenius_distance, haar_payloads, nearest_indices,
     nearest_subgroup_element, quadrature_average, quat_conj, quat_mul,
     quat_rotate, sample_su2, su2_matrix, subgroup_by_name, tetrahedral,
-    u1_matrix, z4_reduced, z8_physical,
+    u1_matrix, unitary_quat, z4_reduced, z8_physical,
 )
 
 RNG = np.random.default_rng(7)
@@ -34,6 +34,13 @@ def test_su2_matrix_is_a_homomorphism(seed):
     a, b = random_quat(rng), random_quat(rng)
     assert np.allclose(su2_matrix(quat_mul(a, b)),
                        su2_matrix(a) @ su2_matrix(b), atol=1e-12)
+
+
+def test_unitary_quat_inverts_su2_matrix_up_to_phase():
+    q = random_quat(n=50)
+    phases = np.exp(1j * RNG.uniform(0, 2 * np.pi, size=50))
+    got = unitary_quat(phases[:, None, None] * su2_matrix(q))
+    assert np.allclose(np.abs(np.sum(got * q, axis=1)), 1.0, atol=1e-12)
 
 
 def test_quat_conj_is_inverse():
@@ -129,6 +136,21 @@ def test_sample_su2_moments():
     q = sample_su2(np.random.default_rng(0), 200000)
     assert np.allclose(q.mean(axis=0), 0.0, atol=0.01)
     assert np.allclose((q ** 2).mean(axis=0), 0.25, atol=0.01)
+
+
+def test_sample_su2_fourth_moments_are_exact_haar():
+    # Uniform on S^(d-1) with d = 4: E[q_i^4] = 3 / (d (d + 2)) = 1/8 for
+    # every component.  The standard error of each mean is 3.1e-4.
+    q = sample_su2(np.random.default_rng(1), 400000)
+    assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
+    assert np.allclose((q ** 4).mean(axis=0), 1 / 8, atol=1.5e-3)
+
+
+def test_sample_su2_trace_fourth_moment_is_catalan():
+    # E |Tr U|^4 = C_2 = 2 over Haar SU(2); the standard error is 5e-3.
+    q = sample_su2(np.random.default_rng(2), 400000)
+    tr = np.trace(su2_matrix(q), axis1=-2, axis2=-1)
+    assert (np.abs(tr) ** 4).mean() == pytest.approx(2.0, abs=0.025)
 
 
 def test_quadrature_average_exact_on_trig_polynomial():
