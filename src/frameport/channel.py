@@ -368,9 +368,10 @@ def tight_channel(spec: TeleportationSpec, eq: EquivarianceData,
 
     For a result in the scheme's orbit this is
     (|I_k| / mu(E_b)) [rho(c_i)] o integral of p(g) [rho(g)+ U_b rho(g) U_b+]
-    o [rho(c_i)+], with the overlap weight p(g) realized by joint rejection
-    sampling of (g, x in E_b) (MC) or by the exact arc-overlap function
-    (circle-group quadrature).  Results outside the scheme's orbit sit in
+    o [rho(c_i)+].  The overlap weight p(g) is realized (MC) by drawing g
+    from Haar and x directly from E_b and rejecting only the (g, x) pairs
+    whose transported reading leaves E_b, or (circle-group quadrature) by
+    the exact arc-overlap function.  Results outside the scheme's orbit sit in
     singleton orbits whose label is transmitted speakably, so they receive
     the plain conventional integral.  "averaged" mixes all d^2 results
     equally.
@@ -516,8 +517,10 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
     On a matched (free) space the stabilizer is trivial and the channel is
     the identity; the quadrature path returns it exactly, while the MC path
     simulates the reconstruction honestly (sample g and x, decode, realign,
-    accumulate the net conjugation).  On the rod space with point encoding
-    the stabilizer is the axial rotation circle, integrated by quadrature.
+    accumulate the net conjugation); as in tight_channel, a result outside
+    the scheme's orbit gets the plain conventional integral there.  On the
+    rod space with point encoding the stabilizer is the axial rotation
+    circle, integrated by quadrature.
     """
     if scheme.kind != "perfect":
         raise ValueError("perfect_channel requires a perfect scheme")
@@ -526,6 +529,9 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
     if method == "quadrature":
         # Free action: trivial stabilizer, identity channel.
         return _exact_estimate(np.eye(4, dtype=np.complex128))
+    if result not in scheme.indices:
+        # Singleton orbit: the label is transmitted speakably.
+        return conventional_channel(spec, group, result, "mc", samples, seed)
     stream = HaarStream(group, seed)
 
     def sample_fn(rng, m):

@@ -128,6 +128,9 @@ def _bundle(name: str) -> SchemeBundle:
 SCHEME_NAMES = ("u1-conventional", "u1-tight", "u1-perfect",
                 "su2-conventional", "su2-matched-tight", "su2-rod-tight",
                 "su2-btet-perfect")
+# The schemes that carry an encoding, and so have scheme-level checks.
+ENCODED_SCHEMES = ("u1-tight", "u1-perfect", "su2-matched-tight",
+                   "su2-rod-tight", "su2-btet-perfect")
 
 _UEBS: dict[str, Callable[[], ueb_mod.UnitaryErrorBasis]] = {
     "pauli": ueb_mod.pauli_ueb,
@@ -186,7 +189,11 @@ def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
+        try:
+            Path(args.out).write_text(text if text.endswith("\n")
+                                      else text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -251,8 +258,7 @@ def _verify_equivariance(report: dict, pairs=_EQ_PAIRS) -> bool:
 
 def _verify_schemes(report: dict, names=None) -> bool:
     ok = True
-    for name in names or ("u1-tight", "u1-perfect", "su2-matched-tight",
-                          "su2-rod-tight", "su2-btet-perfect"):
+    for name in names or ENCODED_SCHEMES:
         bundle = _bundle(name)
         stream = groups.HaarStream(bundle.group, 7)
         passed, info = enc.compatibility_check(bundle.scheme, bundle.eq,
@@ -319,12 +325,29 @@ def _default_method(bundle: SchemeBundle) -> str:
     return "quadrature" if bundle.group in ("u1", "u1r") else "mc"
 
 
+def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
+    """A command-line index into a scheme bundle's range(size)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < size:
+        raise ConfigError(f"{option} must be {alternative}an index in "
+                          f"0..{size - 1}, got {text!r}")
+    return value
+
+
 def cmd_channel(args) -> int:
     bundle = _bundle(args.scheme)
     method = args.method or _default_method(bundle)
+    if (method == "quadrature" and bundle.group not in ("u1", "u1r")
+            and bundle.variant != "perfect"):
+        raise ConfigError(f"{bundle.name} has no quadrature path; "
+                          "use --method mc")
     result = args.result
     if result != "averaged":
-        result = int(result)
+        result = _index_arg("--result", result, bundle.spec.basis.size,
+                            "'averaged' or ")
     t0 = time.perf_counter()
     per_result = None
     if bundle.variant == "tight" and result == "averaged":
@@ -348,6 +371,7 @@ def cmd_channel(args) -> int:
         "map_purity": purity,
         "map_purity_stderr": p_err,
         "linear_purity": linear,
+        "pre_norm_deviation": est.pre_norm_deviation,
         "samples": est.samples,
         "seconds": seconds,
     }
@@ -418,6 +442,7 @@ def cmd_table1(args) -> int:
 def cmd_simulate(args) -> int:
     bundle = _bundle(args.scheme)
     d = bundle.spec.dim
+    _index_arg("--input", args.input, d)
     sigma = np.zeros((d, d), dtype=np.complex128)
     sigma[args.input, args.input] = 1.0
     stream = groups.HaarStream(bundle.group, args.seed)
@@ -473,24 +498,52 @@ def cmd_optimize(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ConfigError, so that they exit 2 with a
+    one-line message like every other configuration error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _bounded_int(low: int, below: int | None = None) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (below is not None and value >= below):
+            bound = f"in [{low}, {below})" if below is not None \
+                else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
+# Seeds key Philox streams, whose keys must lie in [0, 2^128); offsets
+# derived from a seed stay inside that range below 2^64.
+_SEED_LIMIT = 1 << 64
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frameport",
         description="Teleportation channels under reference-frame "
                     "uncertainty.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--samples", type=int, default=10 ** 6)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=_bounded_int(1000),
+                       default=10 ** 6)
+        p.add_argument("--seed", type=_bounded_int(0, _SEED_LIMIT),
+                       default=0)
         p.add_argument("--method", choices=("mc", "quadrature"), default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_bounded_int(1), default=1)
 
     p = sub.add_parser("verify", help="structural verification suites")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--scheme", choices=SCHEME_NAMES, default=None)
+    p.add_argument("--scheme", choices=ENCODED_SCHEMES, default=None)
     p.add_argument("--ueb", choices=tuple(_UEBS), default=None)
     p.add_argument("--subgroup", choices=tuple(_REPS), default=None)
     common(p)
@@ -509,7 +562,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="single-shot protocol simulation")
     p.add_argument("--scheme", required=True)
-    p.add_argument("--shots", type=int, default=1000)
+    p.add_argument("--shots", type=_bounded_int(1), default=1000)
     p.add_argument("--input", type=int, default=0,
                    help="computational basis state index")
     common(p)
@@ -523,11 +576,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    if getattr(args, "samples", 1000) < 1000:
-        print("error: samples must be at least 1e3", file=sys.stderr)
-        return 2
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -243,19 +243,24 @@ def _project_equivariance(eq: EquivarianceData, reduced_sub: FiniteSubgroup
                             eq.orbits, stabilizers, coset_reps)
 
 
-def _voronoi_decode(spec: MatchedSchemeSpec) -> Callable[[np.ndarray], np.ndarray]:
-    sub = spec.subgroup
-    labels = spec.labels
-
-    def decode_fn(x: np.ndarray) -> np.ndarray:
-        if sub.ambient in ("su2", "so3"):
-            lifted = canonical_sign(np.asarray(x))
-            idx, _ = groups.nearest_indices(lifted, sub, sign_insensitive=True)
-        else:
-            idx, _ = groups.nearest_indices(np.asarray(x) % np.pi, sub)
-        return labels[idx]
-
-    return decode_fn
+def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """Map readings to values[k], k the index of the subgroup element
+    nearest under the invariant metric (lowest index on ties)."""
+    if sub.ambient in ("su2", "so3"):
+        # The metric is bi-invariant and decreasing in |x.h|, and +-h are one
+        # rotation, so only the lower-index lift of each rotation is scored;
+        # argmax keeps the lowest-index tie-break with no sign convention
+        # on x.
+        lifts = np.flatnonzero([
+            not np.any(np.abs(sub.payloads[:k] @ q) > 1.0 - 1e-9)
+            for k, q in enumerate(sub.payloads)])
+        h_t = np.ascontiguousarray(sub.payloads[lifts].T)
+        lifted = values[lifts]
+        return lambda x: lifted[np.argmax(np.abs(np.asarray(x) @ h_t),
+                                          axis=-1)]
+    return lambda x: values[
+        groups.nearest_indices(np.asarray(x) % np.pi, sub)[0]]
 
 
 def _torsor_space(spec: MatchedSchemeSpec) -> ReadingSpace:
@@ -270,21 +275,28 @@ def tight_matched_scheme(spec: MatchedSchemeSpec, label: str = "tight-matched"
     """Tight matched scheme: D_i = E_i = union of R_{l c_i} over l in L,
     each of measure 1/|I_k|."""
     space = _torsor_space(spec)
-    decode_fn = _voronoi_decode(spec)
+    sub = spec.subgroup
+    # Inverse of each reading's nearest element.
+    nearest_inverse = _nearest_lookup(sub, sub.inverse)
+    cells = {i: np.array([sub.mul(l, spec.coset_reps[i])
+                          for l in spec.stabilizer])
+             for i in spec.indices}
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
-        # Rejection sampling of the uniform measure conditioned on E_i.
-        out = []
-        got = 0
-        while got < n:
-            cand = space.sample(rng, max(4 * (n - got), 64))
-            keep = cand[decode_fn(cand) == i]
-            out.append(keep)
-            got += len(keep)
-        return np.concatenate(out)[:n]
+        # Direct sampling of the uniform measure on E_i.  For uniform f with
+        # nearest element m, m^{-1} f is uniform on the identity's Voronoi
+        # cell (the metric is bi-invariant), and (l c_i) m^{-1} f is uniform
+        # on R_{l c_i}; with l uniform on L the cells of E_i are equally
+        # likely.
+        f = space.sample(rng, n)
+        l = rng.integers(0, len(spec.stabilizer), size=n)
+        h = sub.payloads[sub.table[cells[i][l], nearest_inverse(f)]]
+        if sub.ambient == "u1r":
+            return (h + f) % np.pi
+        return canonical_sign(quat_mul(h, f))
 
-    return EncodingScheme(label, space, spec.subgroup, spec.indices, "tight",
-                          decode_fn, sample_fn,
+    return EncodingScheme(label, space, sub, spec.indices, "tight",
+                          _nearest_lookup(sub, spec.labels), sample_fn,
                           region_measure=1.0 / len(spec.indices),
                           coset_payloads=_coset_payloads(spec))
 
@@ -294,7 +306,7 @@ def perfect_matched_scheme(spec: MatchedSchemeSpec,
     """Perfect matched scheme: E_i is the finite set X_i = {l c_i}; decoding
     subsets are the same Voronoi regions as the tight scheme."""
     space = _torsor_space(spec)
-    decode_fn = _voronoi_decode(spec)
+    decode_fn = _nearest_lookup(spec.subgroup, spec.labels)
     points: dict[int, np.ndarray] = {}
     for i in spec.indices:
         payloads = spec.subgroup.payloads[
@@ -333,14 +345,16 @@ def rod_scheme(label: str = "rod") -> EncodingScheme:
         return np.argmax(np.abs(np.asarray(x)), axis=-1) + 1
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
-        out = []
-        got = 0
-        while got < n:
-            cand = space.sample(rng, max(4 * (n - got), 64))
-            keep = cand[decode_fn(cand) == i]
-            out.append(keep)
-            got += len(keep)
-        return np.concatenate(out)[:n]
+        # Swapping the dominant coordinate j of a uniform axis with
+        # coordinate i-1 maps E_j isometrically onto E_i, so the result is
+        # uniform on E_i.
+        v = space.sample(rng, n)
+        rows = np.arange(n)
+        j = np.argmax(np.abs(v), axis=-1)
+        x = v.copy()
+        x[rows, i - 1] = v[rows, j]
+        x[rows, j] = v[rows, i - 1]
+        return x
 
     sub = groups.binary_octahedral()
     return EncodingScheme(label, space, sub, (1, 2, 3), "tight",

@@ -1,11 +1,15 @@
 """Command-line interface tests."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameport import cli
 
@@ -130,6 +134,66 @@ def test_unknown_scheme_is_config_error(capsys):
 def test_tiny_sample_budget_is_config_error():
     assert run(["channel", "--scheme", "su2-conventional",
                 "--samples", "10"]) == 2
+
+
+def test_channel_reports_pre_norm_deviation(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["channel", "--scheme", "su2-rod-tight", *SAMPLES,
+                "--out", str(out)]) == 0
+    # |I_k| N_acc / N of the tight estimator, before TP rescaling.
+    assert 0.0 < read_json(out)["pre_norm_deviation"] < 0.05
+    assert run(["channel", "--scheme", "su2-conventional", *SAMPLES,
+                "--out", str(out)]) == 0
+    assert read_json(out)["pre_norm_deviation"] == 0.0
+
+
+def test_perfect_scheme_mc_outside_orbit_is_identity(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["channel", "--scheme", "u1-perfect", "--method", "mc",
+                *SAMPLES, "--out", str(out)]) == 0
+    assert read_json(out)["map_purity"] == pytest.approx(1.0, abs=1e-9)
+
+
+_NEGATIVE = st.integers(max_value=-1)
+_WORDS = st.text("abcxyz._", min_size=1, max_size=4)
+
+
+def _cases():
+    seed = st.one_of(_NEGATIVE, st.integers(min_value=2 ** 64)).map(
+        lambda v: ["channel", "--scheme", "u1-conventional", "--seed", str(v)])
+    result = st.tuples(
+        st.sampled_from(cli.SCHEME_NAMES),
+        st.one_of(_NEGATIVE, st.integers(min_value=4), _WORDS)).map(
+        lambda c: ["channel", "--scheme", c[0], "--result", str(c[1])])
+    inputs = st.tuples(
+        st.sampled_from(cli.SCHEME_NAMES),
+        st.one_of(_NEGATIVE, st.integers(min_value=2))).map(
+        lambda c: ["simulate", "--scheme", c[0], "--input", str(c[1])])
+    shots = st.integers(max_value=0).map(
+        lambda v: ["simulate", "--scheme", "u1-tight", "--shots", str(v)])
+    quadrature = st.sampled_from(
+        ["su2-conventional", "su2-matched-tight", "su2-rod-tight"]).map(
+        lambda name: ["channel", "--scheme", name, "--method", "quadrature"])
+    samples = st.integers(max_value=999).map(
+        lambda v: ["channel", "--scheme", "u1-conventional",
+                   "--samples", str(v)])
+    threads = st.integers(max_value=0).map(
+        lambda v: ["optimize", "--group", "u1", "--threads", str(v)])
+    scheme = _WORDS.map(lambda w: ["channel", "--scheme", w])
+    return st.one_of(seed, result, inputs, shots, quadrature, samples,
+                     threads, scheme)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cases())
+def test_invalid_arguments_exit_2_with_one_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from frameport import encoding as enc
 from frameport import groups
@@ -159,6 +160,86 @@ def test_rod_scheme_decode_and_measure():
     labels = enc.decode_batch(scheme, scheme.space.sample(rng, 60000))
     for i in (1, 2, 3):
         assert np.mean(labels == i) == pytest.approx(1 / 3, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# Decoder and direct samplers against the distance decode and rejection
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: (enc.matched_scheme_spec(boct_equivariance(), 1),
+             enc.tight_matched_scheme),
+    lambda: (enc.matched_scheme_spec(btet_equivariance(), 0),
+             enc.perfect_matched_scheme),
+])
+def test_decoder_matches_nearest_element_search(make):
+    spec, ctor = make()
+    scheme = ctor(spec)
+    sub = spec.subgroup
+    q = groups.sample_su2(np.random.default_rng(6), 100_000)
+    for x in (q, -q, sub.payloads, -sub.payloads):
+        idx, _ = groups.nearest_indices(groups.canonical_sign(x), sub,
+                                        sign_insensitive=True)
+        assert np.array_equal(scheme.decode_fn(x), spec.labels[idx])
+    assert np.array_equal(scheme.decode_fn(sub.payloads), spec.labels)
+
+
+def rejection_sample(scheme, i, rng, n):
+    """Reference sampler: uniform readings conditioned on decoding to i."""
+    out, got = [], 0
+    while got < n:
+        cand = scheme.space.sample(rng, 4 * n)
+        keep = cand[scheme.decode_fn(cand) == i]
+        out.append(keep)
+        got += len(keep)
+    return np.concatenate(out)[:n]
+
+
+def voronoi_cells(scheme, x):
+    """Cell of each reading inside its region: the nearest subgroup rotation
+    (matched schemes), or the sign of the dominant coordinate and which other
+    coordinate is larger (rod scheme: four equal parts of a face pair)."""
+    if scheme.space.kind == "rod-axis":
+        order = np.argsort(np.abs(x), axis=1)
+        dominant = order[:, 2]
+        sign = x[np.arange(len(x)), dominant] > 0
+        return 2 * sign + (order[:, 1] > order[:, 0])
+    sub = scheme.subgroup
+    if sub.ambient == "u1r":
+        idx, _ = groups.nearest_indices(x, sub)
+        return idx
+    idx, _ = groups.nearest_indices(x, sub, sign_insensitive=True)
+    # +-h are one rotation: name each cell by its canonical lift.
+    lifts = groups.canonical_sign(sub.payloads)
+    return np.unique(np.round(lifts, 9), axis=0,
+                     return_inverse=True)[1].ravel()[idx]
+
+
+SAMPLER_CASES = [
+    ("boct", lambda: enc.tight_matched_scheme(enc.matched_scheme_spec(
+        boct_equivariance(), 1)), 8),
+    ("u1", lambda: enc.tight_matched_scheme(enc.matched_scheme_spec(
+        u1_equivariance(), 1)), 2),
+    ("rod", enc.rod_scheme, 4),
+]
+
+
+@pytest.mark.parametrize("name,make,n_cells", SAMPLER_CASES,
+                         ids=[c[0] for c in SAMPLER_CASES])
+def test_direct_sampler_is_uniform_on_region(name, make, n_cells):
+    scheme = make()
+    n = 20_000
+    for i in scheme.indices:
+        x = scheme.sample_fn(i, np.random.default_rng(10 + i), n)
+        assert np.all(scheme.decode_fn(x) == i)
+        counts = np.unique(voronoi_cells(scheme, x), return_counts=True)[1]
+        assert len(counts) == n_cells
+        assert stats.chisquare(counts).pvalue > 1e-3
+        ref = rejection_sample(scheme, i, np.random.default_rng(20 + i), n)
+        for k in range(1 if x.ndim == 1 else x.shape[1]):
+            a = x if x.ndim == 1 else x[:, k]
+            b = ref if ref.ndim == 1 else ref[:, k]
+            assert stats.ks_2samp(a, b).pvalue > 1e-3, (i, k)
 
 
 # ---------------------------------------------------------------------------
