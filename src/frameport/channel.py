@@ -291,10 +291,11 @@ def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.nd
 
 def _quadrature_superop(net: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
                         group: str) -> np.ndarray:
-    """Circle-group average of conjugation superoperators; net(theta) returns
-    (quaternions (n, 4), weights (n,) or None)."""
-    def integrand(theta):
-        w, p = net(theta)
+    """Haar average of conjugation superoperators by the group's fixed
+    quadrature rule; net(payloads) returns (quaternions (n, 4), weights (n,)
+    or None)."""
+    def integrand(payloads):
+        w, p = net(payloads)
         pw = w if p is None else p[:, None] * w
         return pw[:, :, None] * w[:, None, :]
 
@@ -337,11 +338,8 @@ def conventional_channel(spec: TeleportationSpec, group: str,
         return mix_estimates(parts)
     i = int(result)
     if method == "quadrature":
-        if group not in ("u1", "u1r"):
-            raise ValueError("quadrature path requires the circle group")
-
         mat = _quadrature_superop(
-            lambda theta: (_channel_quats(spec, theta, i), None), group)
+            lambda payloads: (_channel_quats(spec, payloads, i), None), group)
         return _exact_estimate(mat)
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
@@ -373,8 +371,8 @@ def tight_channel(spec: TeleportationSpec, eq: EquivarianceData,
     whose transported reading leaves E_b, or (circle-group quadrature) by
     the exact arc-overlap function.  Results outside the scheme's orbit sit in
     singleton orbits whose label is transmitted speakably, so they receive
-    the plain conventional integral.  "averaged" mixes all d^2 results
-    equally.
+    the plain conventional integral, computed exactly by quadrature whatever
+    the method.  "averaged" mixes all d^2 results equally.
 
     g_transform optionally pre-composes each sampled misalignment with a
     fixed group element (used to test invariance under g -> h g).
@@ -386,9 +384,7 @@ def tight_channel(spec: TeleportationSpec, eq: EquivarianceData,
         return mix_estimates([(1.0 / n, per_result[i]) for i in range(n)])
     i = int(result)
     if i not in scheme.indices:
-        return conventional_channel(spec, group, i,
-                                    method if group in ("u1", "u1r") else "mc",
-                                    samples, seed)
+        return conventional_channel(spec, group, i, "quadrature")
     base = _tight_base_channel(spec, eq, scheme, group, method, samples, seed,
                                g_transform)
     return _conjugated_orbit_channel(spec, scheme, eq, base, i)
@@ -402,7 +398,7 @@ def tight_result_estimates(spec: TeleportationSpec, eq: EquivarianceData,
                            ) -> dict[int, ChannelEstimate]:
     """Per-result tight-scheme channels, computing the shared base integral
     only once.  Orbit results are unitary conjugates of the base channel and
-    therefore share its spectrum; singleton-orbit results get the plain
+    therefore share its spectrum; singleton-orbit results get the exact
     conventional integral (identity for a commuting basis element)."""
     base = _tight_base_channel(spec, eq, scheme, group, method, samples,
                                seed, g_transform)
@@ -411,9 +407,7 @@ def tight_result_estimates(spec: TeleportationSpec, eq: EquivarianceData,
         if i in scheme.indices:
             out[i] = _conjugated_orbit_channel(spec, scheme, eq, base, i)
         else:
-            out[i] = conventional_channel(
-                spec, group, i, method if group in ("u1", "u1r") else "mc",
-                samples, seed + 1000 + i)
+            out[i] = conventional_channel(spec, group, i, "quadrature")
     return out
 
 
@@ -448,8 +442,6 @@ def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
                         g_transform: Callable | None) -> ChannelEstimate:
     b = min(scheme.indices)
     if method == "quadrature":
-        if group not in ("u1", "u1r"):
-            raise ValueError("quadrature path requires the circle group")
         weight_fn = _circle_overlap_weight(scheme)
         mat = _quadrature_superop(
             lambda theta: (_channel_quats(spec, theta, b), weight_fn(theta)),
@@ -487,6 +479,12 @@ def _circle_overlap_weight(scheme: enc.EncodingScheme) -> Callable:
         raise ValueError("arc-overlap weight needs a circle-torsor scheme")
     b = min(scheme.indices)
     order = spec_sub.order
+    # The weight is piecewise linear with kinks at multiples of the arc width
+    # pi/order; the circle quadrature is exact only if they fall on its
+    # segment edges, the multiples of 2 pi/QUADRATURE_SEGMENTS.
+    if groups.QUADRATURE_SEGMENTS % (2 * order):
+        raise ValueError(f"arc width pi/{order} is not a multiple of the "
+                         "quadrature segment width")
     half_width = np.pi / (2 * order)
     # Arc centers of E_b: the subgroup elements whose Voronoi cells carry
     # label b.
@@ -518,7 +516,7 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
     the identity; the quadrature path returns it exactly, while the MC path
     simulates the reconstruction honestly (sample g and x, decode, realign,
     accumulate the net conjugation); as in tight_channel, a result outside
-    the scheme's orbit gets the plain conventional integral there.  On the
+    the scheme's orbit gets the exact conventional integral there.  On the
     rod space with point encoding the stabilizer is the axial rotation
     circle, integrated by quadrature.
     """
@@ -531,7 +529,7 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
         return _exact_estimate(np.eye(4, dtype=np.complex128))
     if result not in scheme.indices:
         # Singleton orbit: the label is transmitted speakably.
-        return conventional_channel(spec, group, result, "mc", samples, seed)
+        return conventional_channel(spec, group, result, "quadrature")
     stream = HaarStream(group, seed)
 
     def sample_fn(rng, m):

@@ -340,8 +340,8 @@ def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
 def cmd_channel(args) -> int:
     bundle = _bundle(args.scheme)
     method = args.method or _default_method(bundle)
-    if (method == "quadrature" and bundle.group not in ("u1", "u1r")
-            and bundle.variant != "perfect"):
+    if (method == "quadrature" and bundle.group == "su2"
+            and bundle.variant == "tight"):
         raise ConfigError(f"{bundle.name} has no quadrature path; "
                           "use --method mc")
     result = args.result
@@ -539,7 +539,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=("mc", "quadrature"), default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=_bounded_int(1), default=1)
+        p.add_argument("--threads", type=_bounded_int(1), default=1,
+                       help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("verify", help="structural verification suites")
     p.add_argument("--all", action="store_true")

@@ -1,7 +1,8 @@
 """Reference-frame transformation groups.
 
 Parametrizations, Haar sampling, unitary representations, finite subgroups
-with multiplication tables, and invariant distance.
+with multiplication tables, fixed quadrature rules and nearest-element
+search.
 
 Conventions
 -----------
@@ -38,7 +39,6 @@ __all__ = [
     "Representation",
     "FiniteSubgroup",
     "HaarStream",
-    "QuadratureError",
     "quat_mul",
     "quat_conj",
     "quat_rotate",
@@ -56,8 +56,6 @@ __all__ = [
     "haar_batch",
     "haar_sample",
     "quadrature_average",
-    "frobenius_distance",
-    "nearest_subgroup_element",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -71,10 +69,6 @@ TET_VERTICES = np.array([
     [-np.sqrt(2.0) / 3.0, np.sqrt(6.0) / 3.0, -1.0 / 3.0],
     [-np.sqrt(2.0) / 3.0, -np.sqrt(6.0) / 3.0, -1.0 / 3.0],
 ])
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to converge; carries the last two estimates."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +116,9 @@ def canonical_sign(q: np.ndarray) -> np.ndarray:
     absolute value is positive (antipodal representative for SO(3))."""
     q = np.asarray(q, dtype=np.float64)
     flat = np.atleast_2d(q)
-    keys = np.where(np.abs(flat) > 1e-9, np.sign(flat), 0.0)
-    first = keys[np.arange(len(flat)), np.argmax(np.abs(keys) > 0, axis=1)]
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
+    # An all-zero row has no leading component; it maps to zero.
+    first = np.where(np.abs(lead) > 1e-9, np.sign(lead), 0.0)
     out = flat * first[:, None]
     return out.reshape(q.shape)
 
@@ -476,37 +471,43 @@ def haar_sample(stream: HaarStream, n: int) -> list[GroupElement]:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature and distance
+# Quadrature and nearest-element search
 # ---------------------------------------------------------------------------
 
-def quadrature_average(f: Callable[[np.ndarray], np.ndarray], group: str = "u1",
-                       tol: float = 1e-8, start: int = 2 ** 12,
-                       max_points: int = 2 ** 20):
-    """Trapezoid average of a vectorized integrand over the circle group.
+# The circle rule splits the period into QUADRATURE_SEGMENTS equal segments
+# with 8 Gauss-Legendre nodes each.  A piecewise-smooth integrand is
+# integrated exactly only if its kinks fall on segment edges.
+QUADRATURE_SEGMENTS = 8
 
-    On a periodic domain the trapezoid rule is a plain mean over a uniform
-    grid; the grid is doubled until successive estimates differ by < tol.
+
+@functools.cache
+def _circle_rule(period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (summing to 1) of the composite circle rule."""
+    # Imported on first use: numpy.polynomial adds to the package import.
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(8)
+    width = period / QUADRATURE_SEGMENTS
+    left = np.arange(QUADRATURE_SEGMENTS) * width
+    nodes = (left[:, None] + (x + 1.0) * (width / 2.0)).ravel()
+    weights = np.tile(w / (2.0 * QUADRATURE_SEGMENTS), QUADRATURE_SEGMENTS)
+    return nodes, weights
+
+
+def quadrature_average(f: Callable[[np.ndarray], np.ndarray],
+                       group: str = "u1"):
+    """Haar average of a vectorized integrand by a fixed rule.
+
+    "u1"/"u1r": composite Gauss-Legendre on the circle (64 angles), exact to
+    rounding for trigonometric polynomials of low degree, also times a
+    piecewise-linear weight whose kinks lie on segment edges.  "su2": the
+    mean over the 24 elements of the binary tetrahedral group, a spherical
+    5-design on S^3 (Delsarte, Goethals & Seidel 1977), so exact for every
+    polynomial of degree <= 5 in the quaternion.
     """
-    period = {"u1": 2 * np.pi, "u1r": np.pi}[group]
-    n = start
-    theta = np.linspace(0.0, period, n, endpoint=False)
-    prev = np.mean(np.asarray(f(theta)), axis=0)
-    while n <= max_points:
-        n *= 2
-        theta = np.linspace(0.0, period, n, endpoint=False)
-        cur = np.mean(np.asarray(f(theta)), axis=0)
-        if np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(f"no convergence at {n} points", prev, cur)
-
-
-def frobenius_distance(g1: GroupElement, g2: GroupElement) -> float:
-    """sqrt((1/d) Tr[(M1-M2)+(M1-M2)]) on SU(2); equals sqrt(2 - 2 q1.q2)."""
-    if g1.group != "su2" or g2.group != "su2":
-        raise ValueError("frobenius_distance requires SU(2) elements")
-    dot = float(np.dot(g1.quaternion(), g2.quaternion()))
-    return float(np.sqrt(max(2.0 - 2.0 * dot, 0.0)))
+    if group == "su2":
+        return np.mean(np.asarray(f(binary_tetrahedral().payloads)), axis=0)
+    nodes, weights = _circle_rule({"u1": 2 * np.pi, "u1r": np.pi}[group])
+    return np.tensordot(weights, np.asarray(f(nodes)), axes=1)
 
 
 def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,
@@ -531,12 +532,3 @@ def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,
     idx = np.argmax(near, axis=-1)
     ties = np.sum(near, axis=-1) - 1
     return idx, ties
-
-
-def nearest_subgroup_element(g: GroupElement, sub: FiniteSubgroup,
-                             sign_insensitive: bool = False
-                             ) -> tuple[GroupElement, int]:
-    payload = np.asarray(g.payload)[None] if sub.ambient in ("su2", "so3") \
-        else np.asarray([g.payload])
-    idx, ties = nearest_indices(payload, sub, sign_insensitive)
-    return sub.element(int(idx[0])), int(ties[0])

@@ -9,20 +9,16 @@ outperformed.
 
 Conventions:
   - All optimizers MAXIMIZE their objective.
-  - Objectives are deterministic given (parameters, seed); Monte Carlo
-    objectives reuse one frozen sample set across evaluations (common random
-    numbers) so the simplex sees a fixed landscape.
+  - Objectives are exact quadratures, deterministic given the parameters.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import HaarStream, sample_su2, su2_matrix
-from .qmat import ensemble_linear_purity
+from .groups import quadrature_average, quat_conj, quat_mul
 
 __all__ = [
     "SimplexState",
@@ -157,15 +153,19 @@ def _unit_vector(psi: float, phi: float) -> np.ndarray:
                      np.cos(psi)])
 
 
-def _bloch_rotation(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """SU(2) lift exp(-i angle/2 axis.sigma) of the Bloch rotation, for a
-    batch of angles."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=np.float64))
-    half = angles / 2.0
-    w = np.cos(half)
-    s = np.sin(half)
-    q = np.stack([w, s * axis[0], s * axis[1], s * axis[2]], axis=-1)
-    return su2_matrix(q)
+def _rotation_quats(axis: np.ndarray, angles) -> np.ndarray:
+    """Unit quaternions (n, 4) of the SU(2) lifts exp(-i angle/2 axis.sigma)
+    of the Bloch rotations, for a batch of angles."""
+    half = np.atleast_1d(np.asarray(angles, dtype=np.float64)) / 2.0
+    return np.concatenate([np.cos(half)[:, None],
+                           np.sin(half)[:, None] * axis], axis=1)
+
+
+def _pair_purity(m: np.ndarray) -> float:
+    """(1/4) E |Tr(A+ A')|^2 over independent A, A' from an SU(2) ensemble
+    whose quaternions have second moment m = E[a a^T].  For unit quaternions
+    (1/4) |Tr(A+ A')|^2 = (a.a')^2, so the pair average is ||m||_F^2."""
+    return float(np.sum(m * m))
 
 
 def _pi_rotated(i: int, v: np.ndarray) -> np.ndarray:
@@ -183,52 +183,45 @@ def u1_conventional_purity(angles: Sequence[float],
     determined by unit vectors x(psi_x, phi_x), y(psi_y, phi_y).
 
     The phase-insensitive channel unitaries are W_i(t) = R_x(t) R_{X_i(y)}(-t)
-    with t uniform on the circle, so the purity is the double average of
-    (1/4) |Tr(W_i(t1)+ W_j(t2))|^2 over results and angles.  The integrand is
-    a trigonometric polynomial of low degree in each angle, so a uniform grid
-    evaluates the average exactly.
+    with t uniform on the circle, so the purity is the pair average of
+    (1/4) |Tr(W_i(t1)+ W_j(t2))|^2 over results and angles.  The second
+    moment of their quaternions is a trigonometric polynomial of low degree
+    in t, so a uniform grid evaluates it exactly.
     """
     psi_x, psi_y, phi_x, phi_y = angles
     xhat = _unit_vector(psi_x, phi_x)
     yhat = _unit_vector(psi_y, phi_y)
     ts = np.arange(grid) * (2 * np.pi / grid)
-    rx = _bloch_rotation(xhat, ts)                      # (grid, 2, 2)
-    ws = np.stack([np.einsum("tab,tbc->tac", rx,
-                             _bloch_rotation(_pi_rotated(i, yhat), -ts))
-                   for i in range(4)])                   # (4, grid, 2, 2)
-    traces = np.einsum("isab,jtab->isjt", ws.conj(), ws)
-    return float(np.mean(np.abs(traces) ** 2) / 4.0)
+    rx = _rotation_quats(xhat, ts)
+    w = np.concatenate([quat_mul(rx, _rotation_quats(_pi_rotated(i, yhat), -ts))
+                        for i in range(4)])             # (4 grid, 4)
+    return _pair_purity(np.einsum("nk,nl->kl", w, w) / len(w))
 
 
 # ---------------------------------------------------------------------------
 # Rotation-group conventional objective
 # ---------------------------------------------------------------------------
 
-def su2_conventional_purity(angles: Sequence[float],
-                            samples: int = 2 * 10 ** 5,
-                            seed: int = 0) -> tuple[float, float]:
-    """Linear map purity (with standard error) of the rotation-group
+def su2_conventional_purity(angles: Sequence[float]) -> tuple[float, float]:
+    """Linear map purity (with its standard error, 0) of the rotation-group
     conventional channel for the UEB {U-tilde X_i} with
     U-tilde = R_axis(psi, phi)(omega), angles = (psi, phi, omega).
 
     The ensemble members are A_i(Y) = X_i Y X_i U Y+ over Haar Y and uniform
-    i; the purity is (1/4) E |Tr(A_i(Y1)+ A_j(Y2))|^2.  The Haar sample set is
-    frozen by the seed so different parameter points see common random
-    numbers.
+    i; the purity is (1/4) E |Tr(A_i(Y1)+ A_j(Y2))|^2.  The second moment
+    of the quaternions of A is quartic in the quaternion of Y, so the SU(2)
+    quadrature rule gives it exactly.
     """
     psi, phi, omega = angles
-    u = _bloch_rotation(_unit_vector(psi, phi), np.array([omega]))[0]
-    rng = HaarStream("su2", seed).generator()
-    ys = su2_matrix(sample_su2(rng, 2 * samples))
-    idx = rng.integers(0, 4, size=2 * samples)
-    paulis = np.stack([np.eye(2),
-                       np.array([[0, 1], [1, 0]]),
-                       np.array([[0, -1j], [1j, 0]]),
-                       np.array([[1, 0], [0, -1]])]).astype(np.complex128)
-    xs = paulis[idx]
-    a = np.einsum("nab,nbc,ncd,de,nfe->naf",
-                  xs, ys, xs, u, ys.conj())
-    return ensemble_linear_purity(a[:samples], a[samples:])
+    u = _rotation_quats(_unit_vector(psi, phi), omega)[0]
+    paulis = np.eye(4)[:, None, :]                      # X_i up to phase
+
+    def second_moment(y):
+        a = quat_mul(quat_mul(quat_mul(paulis, y), quat_conj(paulis)),
+                     quat_mul(u, quat_conj(y)))         # (4, n, 4)
+        return np.einsum("iyk,iyl->ykl", a, a) / 4
+
+    return _pair_purity(quadrature_average(second_moment, "su2")), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -285,46 +278,31 @@ def optimize_conventional_ueb(group: str, samples: int = 2 * 10 ** 5,
     purity beating the Pauli basis.
 
     Circle group: Nelder-Mead over the four angles with `restarts` seeded
-    random starts (exact grid objective, stderr 0).  Rotation group: evaluate
-    `scan` seeded random angle triples plus the Pauli point, all sharing one
-    frozen Haar sample set.
+    random starts.  Rotation group: evaluate `scan` seeded random angle
+    triples plus the Pauli point.  Both objectives are exact (stderr 0).
+    `samples` and `threads` are accepted and unused.
     """
     rng = np.random.default_rng(seed)
     if group in ("u1", "u1r"):
         baseline = OptimizationRow("pauli", (0.0, 0.0, 0.0, 0.0),
                                    u1_conventional_purity((0, 0, 0, 0)), 0.0)
         starts = [rng.random(4) * _U1_BOX for _ in range(restarts)]
-
-        def run(k_x0):
-            k, x0 = k_x0
+        rows = []
+        for k, x0 in enumerate(starts):
             res = nelder_mead(u1_conventional_purity, x0)
-            return OptimizationRow(f"restart-{k}", tuple(res.x),
-                                   res.value, 0.0)
-
-        rows = _map(run, list(enumerate(starts)), threads)
+            rows.append(OptimizationRow(f"restart-{k}", tuple(res.x),
+                                        res.value, 0.0))
     elif group == "su2":
-        baseline = OptimizationRow(
-            "pauli", (0.0, 0.0, 0.0),
-            *su2_conventional_purity((0, 0, 0), samples, seed))
+        baseline = OptimizationRow("pauli", (0.0, 0.0, 0.0),
+                                   *su2_conventional_purity((0, 0, 0)))
         triples = rng.random((scan, 3)) * np.array([np.pi, 2 * np.pi,
                                                     2 * np.pi])
-
-        def run(k_x):
-            k, x = k_x
-            return OptimizationRow(f"triple-{k}", tuple(x),
-                                   *su2_conventional_purity(x, samples, seed))
-
-        rows = _map(run, list(enumerate(triples)), threads)
+        rows = [OptimizationRow(f"triple-{k}", tuple(x),
+                                *su2_conventional_purity(x))
+                for k, x in enumerate(triples)]
     else:
         raise ValueError(f"unknown group {group!r}")
 
     rows = sorted(rows + [baseline],
                   key=lambda r: -r.linear_purity)
     return OptimizationReport(group, tuple(rows), baseline)
-
-
-def _map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -29,7 +29,6 @@ __all__ = [
     "von_neumann_entropy",
     "map_purity",
     "linear_map_purity",
-    "ensemble_linear_purity",
 ]
 
 _ATOL_UNITARY = 1e-12
@@ -219,24 +218,3 @@ def map_purity(S: Superoperator) -> float:
 def linear_map_purity(S: Superoperator) -> float:
     """Linear Choi purity Tr(rho_T^2)."""
     return choi(S).rho.purity()
-
-
-def ensemble_linear_purity(pairs_a: Sequence[np.ndarray],
-                           pairs_b: Sequence[np.ndarray]) -> tuple[float, float]:
-    """Monte Carlo estimate of (1/d^2) E |Tr(U+ U')|^2 over i.i.d. unitary
-    pairs drawn from an ensemble.
-
-    Returns (estimate, standard error).  Converges to the linear map purity of
-    the mixed channel formed by the ensemble.
-    """
-    a = np.asarray(pairs_a, dtype=np.complex128)
-    b = np.asarray(pairs_b, dtype=np.complex128)
-    if a.size == 0 or b.size == 0:
-        raise InvariantViolation("empty sample set")
-    d = a.shape[-1]
-    traces = np.einsum("nij,nij->n", a.conj(), b)
-    stats = np.abs(traces) ** 2 / (d * d)
-    n = stats.shape[0]
-    mean = float(np.mean(stats))
-    stderr = float(np.std(stats, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr

@@ -63,7 +63,7 @@ def test_u1_conventional_averaged_is_half_dephasing():
     spec, _ = u1_bundle()
     est = ch.conventional_channel(spec, "u1", "averaged", "quadrature")
     expected = np.diag([1.0, 0.5, 0.5, 1.0]).astype(np.complex128)
-    assert np.max(np.abs(est.superop.mat - expected)) < 1e-9
+    assert np.max(np.abs(est.superop.mat - expected)) < 1e-14
     assert map_purity(est.superop) == pytest.approx(0.5943609377704335,
                                                     abs=1e-9)
 
@@ -84,11 +84,15 @@ def test_su2_conventional_result1_spectrum():
 
 
 def test_conventional_mc_agrees_with_quadrature():
-    spec, _ = u1_bundle()
-    exact = ch.conventional_channel(spec, "u1", 1, "quadrature")
-    mc = ch.conventional_channel(spec, "u1", 1, "mc", samples=SAMPLES)
-    tol = 3 * np.maximum(mc.stderr, 1e-4)
-    assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
+    # Every result of both groups: the circle rule and the 24-point SU(2)
+    # design against MC, within 3 sigma per entry.
+    for group, (spec, _) in (("u1", u1_bundle()), ("su2", su2_bundle())):
+        for i in range(4):
+            exact = ch.conventional_channel(spec, group, i, "quadrature")
+            mc = ch.conventional_channel(spec, group, i, "mc",
+                                         samples=SAMPLES)
+            tol = 3 * np.maximum(mc.stderr, 1e-4)
+            assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +108,18 @@ def test_u1_tight_quadrature_off_diagonal():
     scheme = u1_tight_scheme(eq)
     est = ch.tight_channel(spec, eq, scheme, "u1", "averaged", "quadrature")
     target = 2 / np.pi ** 2 + 0.5
-    assert est.superop.mat[1, 1].real == pytest.approx(target, abs=1e-6)
-    assert est.superop.mat[2, 2].real == pytest.approx(target, abs=1e-6)
+    assert est.superop.mat[1, 1].real == pytest.approx(target, abs=1e-12)
+    assert est.superop.mat[2, 2].real == pytest.approx(target, abs=1e-12)
+    assert est.pre_norm_deviation <= 1e-12
+
+
+def test_u1_tight_quadrature_rejects_kinks_inside_segments(monkeypatch):
+    # The arc-overlap weight kinks at multiples of pi/4; with 3 segments
+    # they fall inside segments, where the rule is not exact.
+    spec, eq = u1_bundle()
+    monkeypatch.setattr(groups, "QUADRATURE_SEGMENTS", 3)
+    with pytest.raises(ValueError, match="segment width"):
+        ch.tight_channel(spec, eq, u1_tight_scheme(eq), "u1", 1, "quadrature")
 
 
 def test_u1_tight_mc_agrees_with_quadrature():
@@ -121,8 +135,10 @@ def test_tight_singleton_orbit_is_identity():
     spec, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
     for i in (0, 3):
-        est = ch.tight_channel(spec, eq, scheme, "u1", i, "quadrature")
-        assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
+        for method in ("quadrature", "mc"):
+            est = ch.tight_channel(spec, eq, scheme, "u1", i, method)
+            assert est.method == "quadrature"
+            assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-14
 
 
 def test_su2_tight_orbit_channels_share_spectrum():
@@ -133,7 +149,9 @@ def test_su2_tight_orbit_channels_share_spectrum():
     spectra = [sorted(ests[i].choi_spectrum()) for i in (1, 2, 3)]
     assert np.allclose(spectra[0], spectra[1], atol=1e-9)
     assert np.allclose(spectra[0], spectra[2], atol=1e-9)
-    assert np.max(np.abs(ests[0].superop.mat - np.eye(4))) < 1e-9
+    # The singleton-orbit result is the exact conventional integral.
+    assert ests[0].method == "quadrature"
+    assert np.max(np.abs(ests[0].superop.mat - np.eye(4))) < 1e-14
 
 
 def test_su2_tight_invariant_under_left_stabilizer_shift():

@@ -55,7 +55,8 @@ def test_channel_u1_tight_quadrature_values(tmp_path):
     mat = np.array([[complex(a, b) for a, b in row]
                     for row in payload["superoperator"]])
     target = 2 / np.pi ** 2 + 0.5
-    assert mat[1, 1].real == pytest.approx(target, abs=1e-6)
+    assert mat[1, 1].real == pytest.approx(target, abs=1e-12)
+    assert payload["pre_norm_deviation"] <= 1e-12
     assert payload["map_purity"] == pytest.approx(0.696738, abs=1e-4)
     assert payload["mean_result_purity"] == pytest.approx(0.780491, abs=1e-4)
 
@@ -67,6 +68,16 @@ def test_channel_result_specific(tmp_path):
     payload = read_json(out)
     assert payload["interpretation"] == "result-0"
     assert payload["map_purity"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_channel_su2_conventional_quadrature(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["channel", "--scheme", "su2-conventional", "--method",
+                "quadrature", "--result", "1", "--out", str(out)]) == 0
+    payload = read_json(out)
+    spectrum = sorted(payload["choi_spectrum"], reverse=True)
+    assert np.allclose(spectrum, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
+    assert payload["map_purity_stderr"] == 0.0
 
 
 def test_channel_csv_header_and_rows(tmp_path):
@@ -172,7 +183,7 @@ def _cases():
     shots = st.integers(max_value=0).map(
         lambda v: ["simulate", "--scheme", "u1-tight", "--shots", str(v)])
     quadrature = st.sampled_from(
-        ["su2-conventional", "su2-matched-tight", "su2-rod-tight"]).map(
+        ["su2-matched-tight", "su2-rod-tight"]).map(
         lambda name: ["channel", "--scheme", name, "--method", "quadrature"])
     samples = st.integers(max_value=999).map(
         lambda v: ["channel", "--scheme", "u1-conventional",

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from frameport import groups
 from frameport.groups import (
     HaarStream, axis_angle_quat, binary_octahedral, binary_tetrahedral,
-    canonical_sign, frobenius_distance, haar_payloads, nearest_indices,
-    nearest_subgroup_element, quadrature_average, quat_conj, quat_mul,
-    quat_rotate, sample_su2, su2_matrix, subgroup_by_name, tetrahedral,
+    canonical_sign, haar_payloads, nearest_indices, quadrature_average,
+    quat_conj, quat_mul, quat_rotate, sample_su2, su2_matrix,
+    subgroup_by_name, tetrahedral,
     u1_matrix, unitary_quat, z4_reduced, z8_physical,
 )
 
@@ -66,9 +66,26 @@ def test_axis_angle_quat():
     assert np.allclose(quat_rotate(q, [1, 0, 0]), [0, 1, 0], atol=1e-12)
 
 
+def _canonical_sign_reference(q):
+    out = np.zeros_like(q)
+    for k, row in enumerate(q):
+        lead = next((c for c in row if abs(c) > 1e-9), 0.0)
+        if lead:
+            out[k] = row * np.sign(lead)
+    return out
+
+
 def test_canonical_sign_fixes_antipodes():
-    q = random_quat()
+    q = np.concatenate([random_quat(n=20), [
+        [0.0, 0.0, -0.6, 0.8],          # zero leading components
+        [1e-12, -0.6, 0.0, 0.8],        # a tiny leading component
+        [-1e-10, 1e-12, 0.0, -1.0],
+        [0.0, 0.0, 0.0, 0.0],           # all zero
+        [1e-12, -1e-12, 0.0, 0.0],      # all tiny
+    ]])
     assert np.allclose(canonical_sign(q), canonical_sign(-q))
+    assert np.array_equal(canonical_sign(q), _canonical_sign_reference(q))
+    assert np.array_equal(canonical_sign(q[3]), canonical_sign(q[3:4])[0])
 
 
 def test_u1_matrix_physical_rep():
@@ -155,16 +172,31 @@ def test_sample_su2_trace_fourth_moment_is_catalan():
 
 def test_quadrature_average_exact_on_trig_polynomial():
     val = quadrature_average(lambda t: np.cos(t) ** 2, "u1")
-    assert val == pytest.approx(0.5, abs=1e-9)
+    assert val == pytest.approx(0.5, abs=1e-15)
+    assert quadrature_average(lambda t: np.sin(t) ** 2, "u1r") == \
+        pytest.approx(0.5, abs=1e-15)
+
+    # A kinked integrand: the overlap of an arc of width pi/4 with its
+    # translate by t (mod pi), the shape the tight scheme's weight sums, times
+    # cos^2 t.  Its kinks at multiples of pi/4 fall on segment edges.  The
+    # closed form is (2/2pi) * 2 int_0^(pi/4) (pi/4 - t) cos^2 t dt.
+    def kinked(t):
+        dist = np.abs((t + np.pi / 2) % np.pi - np.pi / 2)
+        return np.maximum(np.pi / 4 - dist, 0.0) * np.cos(t) ** 2
+    exact = np.pi / 32 + 1 / (4 * np.pi)
+    assert quadrature_average(kinked, "u1") == pytest.approx(exact,
+                                                             abs=1e-15)
 
 
 def test_quadrature_average_su2_character_orthogonality():
-    # E |Tr U|^2 = 1 over Haar SU(2).
-    def f(q):
-        return np.abs(np.trace(su2_matrix(q), axis1=-2, axis2=-1)) ** 2
-    rng = np.random.default_rng(11)
-    q = sample_su2(rng, 400000)
-    assert f(q).mean() == pytest.approx(1.0, abs=0.01)
+    # E |Tr U|^2 = 1 and E |Tr U|^4 = 2 over Haar SU(2); the 24-point rule
+    # is exact for both.
+    def moments(q):
+        tr = np.abs(np.trace(su2_matrix(q), axis1=-2, axis2=-1))
+        return np.stack([tr ** 2, tr ** 4], axis=-1)
+    second, fourth = quadrature_average(moments, "su2")
+    assert second == pytest.approx(1.0, abs=1e-14)
+    assert fourth == pytest.approx(2.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +216,6 @@ def test_nearest_indices_tie_breaks_to_lowest_index():
     mid = (sub.payloads[0] + sub.payloads[1]) / 2
     idx, _ = nearest_indices(np.array([mid]), sub)
     assert idx[0] == 0
-
-
-def test_nearest_subgroup_element_sign_insensitive():
-    sub = binary_octahedral()
-    g = groups.GroupElement("su2", -sub.payloads[7])
-    el, ties = nearest_subgroup_element(g, sub, sign_insensitive=True)
-    # Both lifts of the rotation sit at distance zero.
-    assert ties == 1
-    assert np.allclose(np.abs(el.payload), np.abs(sub.payloads[7]), atol=1e-9)
-
-
-def test_frobenius_distance_bi_invariance():
-    a, b, c = (groups.GroupElement("su2", random_quat()) for _ in range(3))
-    ca = groups.GroupElement("su2", quat_mul(c.payload, a.payload))
-    cb = groups.GroupElement("su2", quat_mul(c.payload, b.payload))
-    assert frobenius_distance(ca, cb) == pytest.approx(
-        frobenius_distance(a, b), abs=1e-12)
 
 
 def test_tetrahedral_is_boct_quotient_size():

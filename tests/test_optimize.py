@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from frameport import optimize as opt
+from frameport.groups import sample_su2, su2_matrix
 from frameport.qmat import linear_map_purity
 from frameport.ueb import pauli_ueb
 from frameport import channel as ch
@@ -75,15 +76,33 @@ def test_nelder_mead_reaches_pauli_value_from_offset_start():
 # ---------------------------------------------------------------------------
 
 def test_su2_objective_at_pauli_point():
-    val, err = opt.su2_conventional_purity((0.0, 0.0, 0.0),
-                                           samples=2 * 10 ** 5, seed=0)
-    assert val == pytest.approx(1 / 3, abs=4 * err + 2e-3)
+    # The result-averaged Pauli channel has Choi spectrum (1/2, 1/6, 1/6, 1/6).
+    val, err = opt.su2_conventional_purity((0.0, 0.0, 0.0))
+    assert val == pytest.approx(1 / 3, abs=1e-14)
+    assert err == 0.0
 
 
 def test_su2_objective_is_seed_deterministic():
-    a = opt.su2_conventional_purity((0.5, 1.0, 2.0), samples=10 ** 4, seed=3)
-    b = opt.su2_conventional_purity((0.5, 1.0, 2.0), samples=10 ** 4, seed=3)
+    a = opt.su2_conventional_purity((0.5, 1.0, 2.0))
+    b = opt.su2_conventional_purity((0.5, 1.0, 2.0))
     assert a == b
+
+
+def test_su2_objective_matches_monte_carlo():
+    # Reference: (1/4) |Tr(A+ A')|^2 over independent Haar pairs, with
+    # A = X_i Y X_i U Y+ built from matrices.
+    angles = (0.5, 1.0, 2.0)
+    psi, phi, omega = angles
+    u = su2_matrix(opt._rotation_quats(opt._unit_vector(psi, phi), omega))[0]
+    rng = np.random.default_rng(4)
+    n = 10 ** 5
+    ys = su2_matrix(sample_su2(rng, 2 * n))
+    xs = su2_matrix(np.eye(4))[rng.integers(0, 4, size=2 * n)]
+    a = xs @ ys @ xs @ u @ ys.conj().transpose(0, 2, 1)
+    stats = np.abs(np.einsum("nij,nij->n", a[:n].conj(), a[n:])) ** 2 / 4
+    err = stats.std(ddof=1) / np.sqrt(n)
+    val, _ = opt.su2_conventional_purity(angles)
+    assert val == pytest.approx(stats.mean(), abs=4 * err)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from frameport.qmat import (
     ChoiState, DensityMatrix, InvariantViolation, Superoperator,
-    UnitaryMatrix, choi, conjugation_superoperator, ensemble_linear_purity,
-    linear_map_purity, map_purity, mix, von_neumann_entropy,
+    UnitaryMatrix, choi, conjugation_superoperator, linear_map_purity,
+    map_purity, mix, von_neumann_entropy,
 )
 
 RNG = np.random.default_rng(42)
@@ -91,26 +91,6 @@ def test_von_neumann_entropy_limits():
         == pytest.approx(0.0, abs=1e-12)
     assert von_neumann_entropy(DensityMatrix(np.eye(4) / 4)) \
         == pytest.approx(np.log(4), abs=1e-12)
-
-
-def test_ensemble_linear_purity_identity_ensemble():
-    mats = np.stack([np.eye(2)] * 100)
-    mean, err = ensemble_linear_purity(mats, mats)
-    assert mean == pytest.approx(1.0, abs=1e-12)
-    assert err == pytest.approx(0.0, abs=1e-12)
-
-
-def test_ensemble_linear_purity_matches_pauli_mix():
-    # Uniform Pauli ensemble: linear purity of the depolarizing channel 1/4.
-    paulis = np.stack([np.eye(2),
-                       np.array([[0, 1], [1, 0]]),
-                       np.array([[0, -1j], [1j, 0]]),
-                       np.array([[1, 0], [0, -1]])]).astype(np.complex128)
-    rng = np.random.default_rng(1)
-    a = paulis[rng.integers(0, 4, size=4000)]
-    b = paulis[rng.integers(0, 4, size=4000)]
-    mean, err = ensemble_linear_purity(a, b)
-    assert mean == pytest.approx(0.25, abs=4 * err + 1e-9)
 
 
 @settings(max_examples=25, deadline=None)
