@@ -22,6 +22,15 @@ and its conjugation superoperator kron(conj U(w), U(w)) is quadratic in w.
 Net protocol unitaries are therefore composed as quaternions, and a batch's
 superoperator sum is one fixed linear map of its 4x4 second moment
 sum_n w_n w_n^T.
+
+The same moment is the channel's Choi state: (1 (x) U(w))|Phi+> has the
+real coordinates w in the Bell basis |Phi+>, -i (1 (x) sigma_k)|Phi+>
+(k = x, y, z), so the Choi state of E[U(w) . U(w)+] is M / tr M with
+M = E[w w^T].  Conjugating the channel by U(r) maps M to Q M Q^T, with Q
+the orthogonal matrix of w -> r w r-bar.  Every estimate therefore carries
+its trace-1 moment and its bootstrap moments: spectra, purities, error
+bars, mixtures and orbit conjugates are real 4x4 array operations, and the
+superoperator is formed only for output.
 """
 from __future__ import annotations
 
@@ -35,8 +44,8 @@ from . import encoding as enc
 from . import groups
 from .groups import HaarStream, Representation, quat_conj, quat_mul, \
     su2_matrix, unitary_quat
-from .qmat import DensityMatrix, Superoperator, UnitaryMatrix, choi, \
-    linear_map_purity, map_purity
+from .qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
+    clamped_eigenvalues, spectrum_purities
 from .ueb import EquivarianceData, UnitaryErrorBasis
 
 __all__ = [
@@ -77,7 +86,6 @@ class TeleportationSpec:
     basis: UnitaryErrorBasis
     rep: Representation
     resource: UnitaryMatrix          # the X of the resource (1 (x) X)|Phi+>
-    invariant_resource: bool = False
 
     def __post_init__(self):
         basis = self.measurement_basis()
@@ -111,7 +119,7 @@ class TeleportationSpec:
         """Max deviation of (g (x) g) eta from eta up to phase, over samples."""
         eta = self.resource_state()
         worst = 0.0
-        for g in groups.haar_sample(stream, n):
+        for g in groups.haar_payloads(stream, n):
             r = self.rep(g)
             vec = np.kron(r, r) @ eta
             overlap = np.vdot(eta, vec)
@@ -121,15 +129,14 @@ class TeleportationSpec:
 
 def u1_teleportation_spec(basis: UnitaryErrorBasis) -> TeleportationSpec:
     return TeleportationSpec(basis, groups.u1_physical_rep(),
-                             UnitaryMatrix(np.eye(2)), invariant_resource=False)
+                             UnitaryMatrix(np.eye(2)))
 
 
 def su2_teleportation_spec(basis: UnitaryErrorBasis) -> TeleportationSpec:
     # The singlet resource: X = -iY is the unique choice invariant under
     # g (x) g up to phase.
     singlet_x = UnitaryMatrix(-1j * groups.PAULI_Y)
-    return TeleportationSpec(basis, groups.su2_defining_rep(), singlet_x,
-                             invariant_resource=True)
+    return TeleportationSpec(basis, groups.su2_defining_rep(), singlet_x)
 
 
 # ---------------------------------------------------------------------------
@@ -138,51 +145,56 @@ def su2_teleportation_spec(basis: UnitaryErrorBasis) -> TeleportationSpec:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """A superoperator with provenance: method, sample count, per-entry
-    standard errors, and bootstrap replicates for purity error bars."""
+    """A qubit channel held as the second moment M = E[w w^T] of its net
+    unit quaternions (real, PSD, trace 1), with provenance: method, sample
+    count, and bootstrap replicate moments for error bars."""
 
-    superop: Superoperator
+    moment: np.ndarray                # (4, 4)
     method: str                       # "quadrature" | "monte-carlo"
     samples: int
     seed: int | None
-    stderr: np.ndarray | None         # (d^2, d^2) per-entry standard error
     pre_norm_deviation: float = 0.0
-    replicates: np.ndarray | None = None   # (B, d^2, d^2) bootstrap superops
+    replicates: np.ndarray | None = None   # (B, 4, 4) bootstrap moments
+
+    @property
+    def superop(self) -> Superoperator:
+        return Superoperator(_moment_superop(self.moment))
+
+    @property
+    def stderr(self) -> np.ndarray | None:
+        """(d^2, d^2) per-entry bootstrap standard error of superop."""
+        if self.replicates is None:
+            return None
+        return np.std(_moment_superop(self.replicates), axis=0, ddof=1)
 
     def map_purity_with_error(self) -> tuple[float, float]:
-        return self._with_error(map_purity)
+        return self._with_error(0)
 
     def linear_purity_with_error(self) -> tuple[float, float]:
-        return self._with_error(linear_map_purity)
+        return self._with_error(1)
 
-    def _with_error(self, metric) -> tuple[float, float]:
-        value = metric(self.superop)
+    def _with_error(self, which: int) -> tuple[float, float]:
+        value = float(spectrum_purities(self.choi_spectrum())[which])
         if self.replicates is None:
             return value, 0.0
-        vals = [metric(Superoperator(m)) for m in self.replicates]
-        return value, float(np.std(vals, ddof=1))
+        reps = spectrum_purities(clamped_eigenvalues(self.replicates))[which]
+        return value, float(np.std(reps, ddof=1))
 
     def choi_spectrum(self) -> np.ndarray:
-        return choi(self.superop).rho.eigenvalues()
+        return clamped_eigenvalues(self.moment)
 
-    def transformed(self, conj_rep_mat: np.ndarray) -> "ChannelEstimate":
-        """Pre/post-compose with conjugation by a unitary R:
+    def transformed(self, r: np.ndarray) -> "ChannelEstimate":
+        """Pre/post-compose with conjugation by R = su2_matrix(r):
         T -> [R] o T o [R+]."""
-        k = np.kron(conj_rep_mat.conj(), conj_rep_mat)
-        kinv = k.conj().T
-        sup = Superoperator(k @ self.superop.mat @ kinv,
-                            tp=self.superop.tp, cp=self.superop.cp)
+        c = _conjugation_map(r)
         reps = None if self.replicates is None else \
-            np.einsum("ab,nbc,cd->nad", k, self.replicates, kinv)
-        stderr = None if reps is None else np.std(reps, axis=0, ddof=1)
-        return replace(self, superop=sup, replicates=reps, stderr=stderr)
+            c.T @ self.replicates @ c
+        return replace(self, moment=c.T @ self.moment @ c, replicates=reps)
 
 
-def _exact_estimate(mat: np.ndarray, method: str = "quadrature",
-                    samples: int = 0, seed: int | None = None
+def _exact_estimate(moment: np.ndarray, pre_norm_deviation: float = 0.0
                     ) -> ChannelEstimate:
-    return ChannelEstimate(Superoperator(mat, tp=True, cp=True), method,
-                           samples, seed, None)
+    return ChannelEstimate(moment, "quadrature", 0, None, pre_norm_deviation)
 
 
 def mix_estimates(parts: list[tuple[float, ChannelEstimate]]) -> ChannelEstimate:
@@ -195,56 +207,34 @@ def mix_estimates(parts: list[tuple[float, ChannelEstimate]]) -> ChannelEstimate
     weights = [w for w, _ in parts]
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1")
-    mat = sum(w * e.superop.mat for w, e in parts)
-    sup = Superoperator(mat, tp=all(e.superop.tp for _, e in parts),
-                        cp=all(e.superop.cp for _, e in parts))
-    have_reps = [(w, e) for w, e in parts if e.replicates is not None]
     reps = None
-    if have_reps:
-        n_rep = have_reps[0][1].replicates.shape[0]
-        reps = np.zeros((n_rep,) + mat.shape, dtype=np.complex128)
-        for w, e in parts:
-            reps += w * (e.replicates if e.replicates is not None
-                         else e.superop.mat[None])
-    stderr = None
-    if reps is not None:
-        stderr = np.std(reps, axis=0, ddof=1)
+    if any(e.replicates is not None for _, e in parts):
+        reps = sum(w * (e.moment if e.replicates is None else e.replicates)
+                   for w, e in parts)
     method = "quadrature" if all(e.method == "quadrature" for _, e in parts) \
         else "monte-carlo"
-    return ChannelEstimate(sup, method, max(e.samples for _, e in parts),
+    return ChannelEstimate(sum(w * e.moment for w, e in parts), method,
+                           max(e.samples for _, e in parts),
                            next((e.seed for _, e in parts if e.seed is not None),
                                 None),
-                           stderr,
                            max(e.pre_norm_deviation for _, e in parts), reps)
 
 
-def _finish_mc(block_sums: np.ndarray, block_norms: np.ndarray, samples: int,
-               seed: int, pre_norm_deviation: float) -> ChannelEstimate:
-    """Turn per-block accumulator sums into a TP-normalized estimate with
-    block-bootstrap replicates."""
-    total = block_sums.sum(axis=0)
-    norm = float(block_norms.sum())
+def _finish_mc(moments: np.ndarray, samples: int, seed: int,
+               pre_norm_deviation: float) -> ChannelEstimate:
+    """Normalize per-block moments to a trace-1 estimate with block-bootstrap
+    replicates; a block's trace is its count of accepted draws."""
+    total = moments.sum(axis=0)
+    norm = np.trace(total)
     if norm <= 0:
         raise RuntimeError("no accepted Monte Carlo samples")
-    mat = total / norm
-    # Exact TP normalization: a mean of conjugation superoperators has Choi
-    # trace equal to its weight, so scaling restores trace preservation.
-    sup = Superoperator(mat)
-    tr = np.trace(sup._choi_mat()).real
-    mat = mat / tr
     rng = Generator(np.random.Philox(key=seed ^ 0x5EED_B007))
-    n_blocks = block_sums.shape[0]
+    n_blocks = moments.shape[0]
     picks = rng.integers(0, n_blocks, size=(_N_BOOT, n_blocks))
-    reps = np.empty((_N_BOOT,) + mat.shape, dtype=np.complex128)
-    for r in range(_N_BOOT):
-        bs = block_sums[picks[r]].sum(axis=0)
-        bn = float(block_norms[picks[r]].sum())
-        m = bs / max(bn, 1.0)
-        m = m / np.trace(Superoperator(m)._choi_mat()).real
-        reps[r] = m
-    stderr = np.std(reps, axis=0, ddof=1)
-    return ChannelEstimate(Superoperator(mat, tp=True), "monte-carlo", samples,
-                           seed, stderr, pre_norm_deviation, reps)
+    reps = moments[picks].sum(axis=1)
+    reps /= np.trace(reps, axis1=1, axis2=2)[:, None, None]
+    return ChannelEstimate(total / norm, "monte-carlo", samples, seed,
+                           pre_norm_deviation, reps)
 
 
 def _moment(w: np.ndarray) -> np.ndarray:
@@ -260,13 +250,12 @@ def _moment_superop(moments: np.ndarray) -> np.ndarray:
 
 
 def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.ndarray | None]],
-                   samples: int, stream: HaarStream) -> tuple[np.ndarray, np.ndarray, int]:
-    """Accumulate the conjugation superoperators of batch-sampled net
-    quaternions into _N_BLOCKS block sums over contiguous ranges of the
-    sample index.  sample_fn returns (quaternions of the accepted draws
-    (k, 4), accept mask over the m draws or None)."""
+                   samples: int, stream: HaarStream) -> tuple[np.ndarray, int]:
+    """Accumulate the second moments of batch-sampled net quaternions into
+    _N_BLOCKS block moments over contiguous ranges of the sample index, and
+    count the accepted draws.  sample_fn returns (quaternions of the accepted
+    draws (k, 4), accept mask over the m draws or None)."""
     moments = np.zeros((_N_BLOCKS, 4, 4))
-    block_norms = np.zeros(_N_BLOCKS)
     accepted = 0
     done = 0
     s = stream
@@ -283,23 +272,22 @@ def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.nd
                                 np.arange(_N_BLOCKS + 1))
         for b in np.flatnonzero(np.diff(edges)):
             moments[b] += _moment(w[edges[b]:edges[b + 1]])
-            block_norms[b] += edges[b + 1] - edges[b]
         accepted += len(w)
         done += m
-    return _moment_superop(moments), block_norms, accepted
+    return moments, accepted
 
 
-def _quadrature_superop(net: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
-                        group: str) -> np.ndarray:
-    """Haar average of conjugation superoperators by the group's fixed
-    quadrature rule; net(payloads) returns (quaternions (n, 4), weights (n,)
-    or None)."""
+def _quadrature_moment(net: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
+                       group: str) -> np.ndarray:
+    """Haar average of the second moment w w^T of net quaternions by the
+    group's fixed quadrature rule; net(payloads) returns (quaternions (n, 4),
+    weights (n,) or None)."""
     def integrand(payloads):
         w, p = net(payloads)
         pw = w if p is None else p[:, None] * w
         return pw[:, :, None] * w[:, None, :]
 
-    return _moment_superop(groups.quadrature_average(integrand, group))
+    return groups.quadrature_average(integrand, group)
 
 
 def _conjugated(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -307,14 +295,18 @@ def _conjugated(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return quat_mul(quat_mul(quat_conj(g), u), g)
 
 
+def _conjugation_map(u: np.ndarray) -> np.ndarray:
+    """The orthogonal C with w @ C = u w u-bar for quaternion rows w: row k
+    of C is u e_k u-bar."""
+    return quat_mul(quat_mul(u, np.eye(4)), quat_conj(u))
+
+
 def _channel_quats(spec: TeleportationSpec, payloads, result: int
                    ) -> np.ndarray:
     """Quaternions of W(g) = rho(g)+ U_i rho(g) U_i+ for a batch of group
     payloads."""
     g = spec.rep.quat(payloads)
-    u = spec.basis.quats[result]
-    # x -> U_i x U_i+ is linear; row k of its matrix is U_i e_k U_i+.
-    conj_by_u = quat_mul(quat_mul(u, np.eye(4)), quat_conj(u))
+    conj_by_u = _conjugation_map(spec.basis.quats[result])
     # einsum rather than matmul: multithreaded BLAS is slow on (n, 4) x (4, 4).
     return quat_mul(quat_conj(g), np.einsum("nj,jk->nk", g, conj_by_u))
 
@@ -338,9 +330,8 @@ def conventional_channel(spec: TeleportationSpec, group: str,
         return mix_estimates(parts)
     i = int(result)
     if method == "quadrature":
-        mat = _quadrature_superop(
-            lambda payloads: (_channel_quats(spec, payloads, i), None), group)
-        return _exact_estimate(mat)
+        return _exact_estimate(_quadrature_moment(
+            lambda payloads: (_channel_quats(spec, payloads, i), None), group))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     stream = HaarStream(group, seed)
@@ -348,8 +339,8 @@ def conventional_channel(spec: TeleportationSpec, group: str,
     def sample_fn(rng, m):
         return _channel_quats(spec, groups.haar_batch(group, rng, m), i), None
 
-    sums, norms, _ = _mc_accumulate(sample_fn, samples, stream)
-    return _finish_mc(sums, norms, samples, seed, 0.0)
+    moments, _ = _mc_accumulate(sample_fn, samples, stream)
+    return _finish_mc(moments, samples, seed, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +424,7 @@ def _conjugated_orbit_channel(spec: TeleportationSpec,
         c_payload = scheme.coset_payloads[i]
     else:
         c_payload = eq.subgroup.payloads[eq.coset_reps[i]]
-    return base.transformed(spec.rep(c_payload))
+    return base.transformed(spec.rep.quat(c_payload))
 
 
 def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
@@ -443,14 +434,13 @@ def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
     b = min(scheme.indices)
     if method == "quadrature":
         weight_fn = _circle_overlap_weight(scheme)
-        mat = _quadrature_superop(
+        moment = _quadrature_moment(
             lambda theta: (_channel_quats(spec, theta, b), weight_fn(theta)),
-            "u1")
-        scale = len(scheme.indices) / scheme.region_measure
-        mat = mat * scale
-        tr = np.trace(Superoperator(mat)._choi_mat()).real
-        dev = abs(tr - 1.0)
-        return replace(_exact_estimate(mat / tr), pre_norm_deviation=dev)
+            "u1") * (len(scheme.indices) / scheme.region_measure)
+        # The theorem's normalization makes the trace 1; report how far the
+        # computed integral is from it before rescaling.
+        tr = np.trace(moment)
+        return _exact_estimate(moment / tr, abs(tr - 1.0))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     stream = HaarStream(group, seed)
@@ -464,11 +454,11 @@ def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
         accept = enc.decode_batch(scheme, y) == b
         return _channel_quats(spec, payloads[accept], b), accept
 
-    sums, norms, accepted = _mc_accumulate(sample_fn, samples, stream)
+    moments, accepted = _mc_accumulate(sample_fn, samples, stream)
     # The un-normalized theorem estimator has Choi trace |I_k| N_acc / N,
     # which should be 1; report its deviation before exact TP rescaling.
     dev = abs(len(scheme.indices) * accepted / samples - 1.0)
-    return _finish_mc(sums, norms, samples, seed, dev)
+    return _finish_mc(moments, samples, seed, dev)
 
 
 def _circle_overlap_weight(scheme: enc.EncodingScheme) -> Callable:
@@ -525,8 +515,9 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
     if scheme.space.kind == "rod-axis":
         return _rod_point_stabilizer_channel(spec, scheme, result)
     if method == "quadrature":
-        # Free action: trivial stabilizer, identity channel.
-        return _exact_estimate(np.eye(4, dtype=np.complex128))
+        # Free action: trivial stabilizer, identity channel (the moment of
+        # the identity quaternion).
+        return _exact_estimate(np.diag([1.0, 0.0, 0.0, 0.0]))
     if result not in scheme.indices:
         # Singleton orbit: the label is transmitted speakably.
         return conventional_channel(spec, group, result, "quadrature")
@@ -540,8 +531,8 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
                                           enc.decode_batch(scheme, y))
         return quat_mul(corr, quat_conj(spec.basis.quats[result])), None
 
-    sums, norms, _ = _mc_accumulate(sample_fn, samples, stream)
-    return _finish_mc(sums, norms, samples, seed, 0.0)
+    moments, _ = _mc_accumulate(sample_fn, samples, stream)
+    return _finish_mc(moments, samples, seed, 0.0)
 
 
 def _reconstructed_corrections(spec: TeleportationSpec,
@@ -587,7 +578,7 @@ def _rod_point_stabilizer_channel(spec: TeleportationSpec,
                           np.sin(theta / 2) * axis[2]], axis=-1)
         return _channel_quats(spec, quats, result), None
 
-    return _exact_estimate(_quadrature_superop(net, "u1"))
+    return _exact_estimate(_quadrature_moment(net, "u1"))
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +621,14 @@ def finite_group_check(spec: TeleportationSpec, eq: EquivarianceData,
 def single_shot_simulate(spec: TeleportationSpec,
                          scheme: enc.EncodingScheme | None,
                          group: str, sigma: DensityMatrix,
-                         stream: HaarStream, shots: int = 1,
-                         restrict: groups.FiniteSubgroup | None = None
+                         stream: HaarStream, shots: int = 1
                          ) -> tuple[DensityMatrix, dict]:
     """End-to-end protocol simulation.
 
-    Each shot samples a misalignment (Haar on the group, or uniform on
-    `restrict`), Alice's measurement result by Born probabilities, the
-    transmitted reading, Bob's decode and correction, and returns the
-    ensemble-mean output in Alice's frame together with a transcript.
+    Each shot samples a Haar misalignment, Alice's measurement result by
+    Born probabilities, the transmitted reading, Bob's decode and
+    correction, and returns the ensemble-mean output in Alice's frame
+    together with a transcript.
     """
     d = spec.dim
     n_res = spec.basis.size
@@ -653,11 +643,7 @@ def single_shot_simulate(spec: TeleportationSpec,
 
     rng_results = stream.generator()
     results = rng_results.choice(n_res, size=shots, p=probs)
-    if restrict is not None:
-        g_payloads = restrict.payloads[
-            rng_results.integers(0, restrict.order, size=shots)]
-    else:
-        g_payloads = groups.haar_batch(group, rng_results, shots)
+    g_payloads = groups.haar_batch(group, rng_results, shots)
 
     pre = unitary_quat(np.stack([spec.premeasurement_unitary(x)
                                  for x in range(n_res)]))

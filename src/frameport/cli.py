@@ -400,24 +400,16 @@ def cmd_table1(args) -> int:
         rows.append(_purity_row(name, interpretation, purity, err, linear,
                                 est.samples, args.seed, seconds))
 
-    # Circle group: exact quadrature.
-    for name in ("u1-conventional", "u1-tight"):
-        bundle = _bundle(name)
+    # Exact quadrature: the circle-group schemes, and the rotation-group
+    # conventional scheme in both interpretations.
+    for name, result in (("u1-conventional", "averaged"),
+                         ("u1-tight", "averaged"), ("su2-conventional", 1),
+                         ("su2-conventional", "averaged")):
         t0 = time.perf_counter()
-        est = _estimate(bundle, "averaged", "quadrature", args.samples,
+        est = _estimate(_bundle(name), result, "quadrature", args.samples,
                         args.seed)
-        add(name, "result-averaged", est, time.perf_counter() - t0)
-
-    # Rotation group conventional: both interpretations.
-    bundle = _bundle("su2-conventional")
-    t0 = time.perf_counter()
-    per = ch.conventional_channel(bundle.spec, "su2", 1, "mc", args.samples,
-                                  args.seed)
-    add("su2-conventional", "result-1", per, time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    avg = ch.conventional_channel(bundle.spec, "su2", "averaged", "mc",
-                                  args.samples, args.seed)
-    add("su2-conventional", "result-averaged", avg, time.perf_counter() - t0)
+        add(name, "result-averaged" if result == "averaged"
+            else f"result-{result}", est, time.perf_counter() - t0)
 
     # Rotation group tight schemes: mixed channel and mean of the per-result
     # purities (the latter matches the published table's averaging).

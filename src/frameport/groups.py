@@ -32,10 +32,7 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .qmat import UnitaryMatrix
-
 __all__ = [
-    "GroupElement",
     "Representation",
     "FiniteSubgroup",
     "HaarStream",
@@ -54,7 +51,6 @@ __all__ = [
     "binary_tetrahedral",
     "tetrahedral",
     "haar_batch",
-    "haar_sample",
     "quadrature_average",
 ]
 
@@ -164,68 +160,31 @@ def u1_quat(theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Elements and representations
+# Representations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A point of U(1), SU(2), SO(3), or a finite subgroup.
-
-    Payload: angle for "u1"/"u1r", unit quaternion for "su2"/"so3", table
-    index for finite subgroups.
-    """
-
-    group: str
-    payload: object
-
-    def __post_init__(self):
-        if self.group in ("su2", "so3"):
-            q = np.asarray(self.payload, dtype=np.float64)
-            if abs(np.linalg.norm(q) - 1.0) > 1e-12:
-                raise ValueError("quaternion payload is not normalized")
-            if self.group == "so3":
-                q = canonical_sign(q)
-            object.__setattr__(self, "payload", q)
-
-    def angle(self) -> float:
-        if self.group not in ("u1", "u1r"):
-            raise ValueError(f"no angle payload for group {self.group}")
-        return float(self.payload)
-
-    def quaternion(self) -> np.ndarray:
-        if self.group not in ("su2", "so3"):
-            raise ValueError(f"no quaternion payload for group {self.group}")
-        return np.asarray(self.payload)
-
 
 @dataclass(frozen=True)
 class Representation:
     """Unitary qubit representation: group tag, dimension, evaluation rule,
-    kernel descriptor ("trivial" or a list of kernel angles), and the
-    quaternion q of rho(g) = phase * su2_matrix(q), vectorized over
-    payloads."""
+    and the quaternion q of rho(g) = phase * su2_matrix(q), both vectorized
+    over payloads (angles for "u1"/"u1r", unit quaternions for "su2")."""
 
     group: str
     dim: int
     matrix: Callable[[object], np.ndarray]
-    kernel: tuple
     quat: Callable[[object], np.ndarray]
 
-    def __call__(self, g) -> np.ndarray:
-        """Evaluate on a GroupElement or a raw payload (vectorized)."""
-        payload = g.payload if isinstance(g, GroupElement) else g
+    def __call__(self, payload) -> np.ndarray:
+        """Evaluate on a payload or a payload array (vectorized)."""
         return self.matrix(payload)
-
-    def unitary(self, g) -> UnitaryMatrix:
-        return UnitaryMatrix(self(g))
 
 
 def u1_physical_rep() -> Representation:
-    return Representation("u1", 2, u1_matrix, (0.0, np.pi), u1_quat)
+    return Representation("u1", 2, u1_matrix, u1_quat)
 
 
 def u1_reduced_rep() -> Representation:
-    return Representation("u1r", 2, u1_matrix, (), u1_quat)
+    return Representation("u1r", 2, u1_matrix, u1_quat)
 
 
 def _su2_quat(q) -> np.ndarray:
@@ -233,7 +192,7 @@ def _su2_quat(q) -> np.ndarray:
 
 
 def su2_defining_rep() -> Representation:
-    return Representation("su2", 2, su2_matrix, (), _su2_quat)
+    return Representation("su2", 2, su2_matrix, _su2_quat)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +217,6 @@ class FiniteSubgroup:
     @property
     def order(self) -> int:
         return len(self.payloads)
-
-    def element(self, idx: int) -> GroupElement:
-        return GroupElement(self.ambient, self.payloads[idx])
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -423,8 +379,9 @@ def subgroup_by_name(name: str) -> FiniteSubgroup:
 @dataclass(frozen=True)
 class HaarStream:
     """Counter-based random stream: identical (seed, counter) always yields
-    identical draws.  Parallel workers derive disjoint counter ranges from
-    one base seed via child()."""
+    identical draws.  advance(n) moves the counter n steps on; child(i)
+    derives the i-th substream of the same seed, at counter
+    (counter << 16) + i + 1."""
 
     group: str
     seed: int
@@ -463,11 +420,6 @@ def haar_batch(group: str, rng: Generator, n: int) -> np.ndarray:
 def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
     """Raw i.i.d. Haar payload array of the stream's group and counter."""
     return haar_batch(stream.group, stream.generator(), n)
-
-
-def haar_sample(stream: HaarStream, n: int) -> list[GroupElement]:
-    payloads = haar_payloads(stream, n)
-    return [GroupElement(stream.group, p) for p in payloads]
 
 
 # ---------------------------------------------------------------------------

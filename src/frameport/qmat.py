@@ -27,6 +27,8 @@ __all__ = [
     "mix",
     "choi",
     "von_neumann_entropy",
+    "clamped_eigenvalues",
+    "spectrum_purities",
     "map_purity",
     "linear_map_purity",
 ]
@@ -65,12 +67,6 @@ class UnitaryMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.mat.conj().T)
-
-    def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
-        return UnitaryMatrix(self.mat @ other.mat)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -95,8 +91,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Clamped spectrum, ascending."""
-        vals = np.linalg.eigvalsh(self.mat)
-        return np.where(vals < _EIG_FLOOR, 0.0, vals)
+        return clamped_eigenvalues(self.mat)
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
@@ -133,11 +128,6 @@ class Superoperator:
         d = self.dim
         vec = np.asarray(sigma, dtype=np.complex128).flatten(order="F")
         return (self.mat @ vec).reshape(d, d, order="F")
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other."""
-        return Superoperator(self.mat @ other.mat,
-                             tp=self.tp and other.tp, cp=self.cp and other.cp)
 
     def _choi_mat(self) -> np.ndarray:
         # C[(i,k),(j,l)] = (1/d) S[(l,k),(j,i)] in column-stacking convention.
@@ -202,19 +192,35 @@ def choi(S: Superoperator) -> ChoiState:
     return ChoiState(DensityMatrix(c))
 
 
+def _entropy(vals: np.ndarray) -> np.ndarray:
+    """-sum lambda ln lambda over the last axis in nats, with 0 ln 0 := 0."""
+    return -np.sum(vals * np.log(np.where(vals > 0, vals, 1.0)), axis=-1)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda ln lambda in nats, with 0 ln 0 := 0."""
-    vals = rho.eigenvalues()
-    vals = vals[vals > 0]
-    return float(-np.sum(vals * np.log(vals)))
+    return float(_entropy(rho.eigenvalues()))
+
+
+def clamped_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Ascending spectra of Hermitian matrices (..., n, n), with eigenvalues
+    below 1e-14 read as 0."""
+    vals = np.linalg.eigvalsh(mats)
+    return np.where(vals < _EIG_FLOOR, 0.0, vals)
+
+
+def spectrum_purities(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized purity 1 - S/ln(n) and linear purity sum lambda^2 of
+    unit-trace clamped spectra (..., n), such as Choi spectra (n = d^2)."""
+    return (1.0 - _entropy(vals) / np.log(vals.shape[-1]),
+            np.sum(vals * vals, axis=-1))
 
 
 def map_purity(S: Superoperator) -> float:
     """Normalized Choi purity 1 - S(rho_T)/ln(d^2)."""
-    d = S.dim
-    return 1.0 - von_neumann_entropy(choi(S).rho) / np.log(d * d)
+    return float(spectrum_purities(choi(S).rho.eigenvalues())[0])
 
 
 def linear_map_purity(S: Superoperator) -> float:
     """Linear Choi purity Tr(rho_T^2)."""
-    return choi(S).rho.purity()
+    return float(spectrum_purities(choi(S).rho.eigenvalues())[1])

@@ -52,9 +52,6 @@ class UnitaryErrorBasis:
     def size(self) -> int:
         return self.mats.shape[0]
 
-    def unitary(self, i: int) -> UnitaryMatrix:
-        return UnitaryMatrix(self.mats[i])
-
     @cached_property
     def quats(self) -> np.ndarray:
         """(d^2, 4) quaternions of the qubit elements, up to phase."""
@@ -95,9 +92,6 @@ class EquivarianceData:
             if i in orb:
                 return orb
         raise KeyError(i)
-
-    def base_of(self, i: int) -> int:
-        return min(self.orbit_of(i))
 
     def sigma_inv(self, h: int, i: int) -> int:
         """The index j with sigma(j, h) = i, i.e. sigma(i, h^{-1})."""
@@ -179,7 +173,7 @@ def equivariance_analysis(basis: UnitaryErrorBasis, sub: FiniteSubgroup,
     sigma = np.empty((n, order), dtype=np.int64)
     alpha = np.empty((n, order), dtype=np.complex128)
     for h in range(order):
-        r = rep(sub.element(h))
+        r = rep(sub.payloads[h])
         conj = np.einsum("ab,nbc,cd->nad", r.conj().T, mats, r)
         # overlaps[i, j] = (1/d) Tr(U_j+ rho+ U_i rho)
         overlaps = np.einsum("iab,jab->ij", conj, mats.conj()) / d

@@ -2,6 +2,8 @@
 simulator; the quaternion moment accumulator."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from frameport import channel as ch
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream
-from frameport.qmat import DensityMatrix, Superoperator, map_purity
+from frameport.qmat import DensityMatrix, Superoperator, choi, \
+    clamped_eigenvalues, linear_map_purity, map_purity, spectrum_purities
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
@@ -276,13 +279,106 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
             quats = ch._channel_quats(spec, payloads[lo:lo + m][keep], result)
             return quats, keep if masked else None
 
-        sums, norms, accepted = ch._mc_accumulate(sample_fn, samples,
-                                                  HaarStream("u1", 0))
+        moments, accepted = ch._mc_accumulate(sample_fn, samples,
+                                              HaarStream("u1", 0))
         ref_sums, ref_norms = _direct_block_sums(spec, payloads, result,
                                                  accept)
         assert accepted == accept.sum()
-        assert np.array_equal(norms, ref_norms)
-        assert np.max(np.abs(sums - ref_sums)) <= 1e-12
+        traces = np.trace(moments, axis1=1, axis2=2)
+        assert np.max(np.abs(traces - ref_norms)) <= 1e-12
+        assert np.max(np.abs(ch._moment_superop(moments) - ref_sums)) <= 1e-12
+
+
+def _moment_estimate(case):
+    if case == "perfect-identity":
+        spec, eq = u1_bundle()
+        scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 1))
+        return ch.perfect_channel(spec, eq, scheme, "u1", 1, "quadrature")
+    if case == "u1-tight-quadrature":
+        spec, eq = u1_bundle()
+        return ch.tight_channel(spec, eq, u1_tight_scheme(eq), "u1", 1,
+                                "quadrature")
+    spec, eq = su2_bundle()
+    if case == "conventional-mc":
+        return ch.conventional_channel(spec, "su2", 1, "mc", samples=1 << 14)
+    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
+    # Result 1 is the base channel; result 2 its orbit conjugate.
+    result = {"tight-base-mc": 1, "tight-orbit-mc": 2}[case]
+    return ch.tight_channel(spec, eq, scheme, "su2", result, "mc",
+                            samples=1 << 14)
+
+
+@pytest.mark.parametrize("case", ["conventional-mc", "tight-base-mc",
+                                  "tight-orbit-mc", "u1-tight-quadrature",
+                                  "perfect-identity"])
+def test_moment_estimator_matches_superoperator_reference(case):
+    # The Choi spectrum, purities and bootstrap errors computed from the
+    # 4x4 moments equal those of the superoperators they stand for.
+    est = _moment_estimate(case)
+    sup = est.superop
+    p, p_err = est.map_purity_with_error()
+    lin, lin_err = est.linear_purity_with_error()
+    assert abs(p - map_purity(sup)) <= 1e-14
+    assert abs(lin - linear_map_purity(sup)) <= 1e-14
+    assert np.max(np.abs(est.choi_spectrum()
+                         - choi(sup).rho.eigenvalues())) <= 1e-14
+    # Orbit conjugation Q M Q^T is T -> [R] o T o [R+] on superoperators.
+    r = groups.axis_angle_quat([1.0, 2.0, 2.0], 0.7)
+    k = np.kron(groups.su2_matrix(r).conj(), groups.su2_matrix(r))
+    moved = est.transformed(r)
+    assert np.max(np.abs(moved.superop.mat
+                         - k @ sup.mat @ k.conj().T)) <= 1e-14
+    if est.replicates is None:
+        assert p_err == lin_err == 0.0
+        return
+    rep_sups = [Superoperator(ch._moment_superop(m)) for m in est.replicates]
+    ref_p = np.array([map_purity(s) for s in rep_sups])
+    ref_lin = np.array([linear_map_purity(s) for s in rep_sups])
+    got_p, got_lin = spectrum_purities(clamped_eigenvalues(est.replicates))
+    assert np.max(np.abs(got_p - ref_p)) <= 1e-14
+    assert np.max(np.abs(got_lin - ref_lin)) <= 1e-14
+    assert abs(p_err - np.std(ref_p, ddof=1)) <= 1e-14
+    assert abs(lin_err - np.std(ref_lin, ddof=1)) <= 1e-14
+    moved_reps = [k @ s.mat @ k.conj().T for s in rep_sups]
+    assert np.max(np.abs(moved.stderr
+                         - np.std(moved_reps, axis=0, ddof=1))) <= 1e-14
+
+
+def test_bootstrap_error_bars_are_calibrated():
+    """Over 40 held-out seeds at 2^14 samples, the MC purity lies within 2
+    sigma of the exact quadrature value about 95% of the time: the counts
+    must not fall in the binomial(40, 0.95) lower tail below p = 0.01."""
+    seeds = range(1000, 1040)
+    samples = 1 << 14
+    spec, _ = su2_bundle()
+    u1_spec, eq = u1_bundle()
+    scheme = u1_tight_scheme(eq)
+    exact = {
+        "su2-result-1": ch.conventional_channel(
+            spec, "su2", 1, "quadrature").map_purity_with_error()[0],
+        "su2-averaged": ch.conventional_channel(
+            spec, "su2", "averaged", "quadrature").map_purity_with_error()[0],
+        "u1-tight-mean": ch.mean_result_purity(ch.tight_result_estimates(
+            u1_spec, eq, scheme, "u1", "quadrature"))[0],
+    }
+    inside = dict.fromkeys(exact, 0)
+    for seed in seeds:
+        got = {
+            "su2-result-1": ch.conventional_channel(
+                spec, "su2", 1, "mc", samples, seed).map_purity_with_error(),
+            "su2-averaged": ch.conventional_channel(
+                spec, "su2", "averaged", "mc", samples,
+                seed).map_purity_with_error(),
+            "u1-tight-mean": ch.mean_result_purity(ch.tight_result_estimates(
+                u1_spec, eq, scheme, "u1", "mc", samples, seed)),
+        }
+        for key, (value, err) in got.items():
+            inside[key] += abs(value - exact[key]) <= 2 * err
+    n = len(seeds)
+    for key, count in inside.items():
+        tail = sum(math.comb(n, k) * 0.95 ** k * 0.05 ** (n - k)
+                   for k in range(count + 1))
+        assert tail >= 0.01, (key, count, tail)
 
 
 # ---------------------------------------------------------------------------

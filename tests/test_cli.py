@@ -99,6 +99,46 @@ def test_scheme_alias_matches_canonical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# table1
+# ---------------------------------------------------------------------------
+
+def test_table1_rows_and_exact_su2_conventional(tmp_path, monkeypatch):
+    # The JSON rows print six decimals; capture the full-precision values
+    # each row is formatted from.
+    values = {}
+    real_row = cli._purity_row
+
+    def capture(name, interpretation, purity, stderr, *rest):
+        values[(name, interpretation)] = (purity, stderr)
+        return real_row(name, interpretation, purity, stderr, *rest)
+
+    monkeypatch.setattr(cli, "_purity_row", capture)
+    out = tmp_path / "t.json"
+    assert run(["table1", "--samples", "1000", "--out", str(out)]) == 0
+    rows = [(r["scheme"], r["interpretation"])
+            for r in read_json(out)["table"]]
+    assert rows == [
+        ("u1-conventional", "result-averaged"),
+        ("u1-tight", "result-averaged"),
+        ("su2-conventional", "result-1"),
+        ("su2-conventional", "result-averaged"),
+        ("su2-matched-tight", "mixed-channel"),
+        ("su2-matched-tight", "mean-result-purity"),
+        ("su2-rod-tight", "mixed-channel"),
+        ("su2-rod-tight", "mean-result-purity"),
+    ]
+    averaged = np.array([1 / 2, 1 / 6, 1 / 6, 1 / 6])
+    expected = {
+        "result-1": 1 - np.log(3) / np.log(4),
+        "result-averaged": 1 + np.sum(averaged * np.log(averaged)) / np.log(4),
+    }
+    for interpretation, purity in expected.items():
+        got, err = values[("su2-conventional", interpretation)]
+        assert got == pytest.approx(purity, abs=1e-12)
+        assert err == 0.0
+
+
+# ---------------------------------------------------------------------------
 # simulate / optimize
 # ---------------------------------------------------------------------------
 
