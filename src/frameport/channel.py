@@ -551,17 +551,13 @@ def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
                            decoded: np.ndarray) -> np.ndarray:
     """Bob's alignment estimate: the group element carrying the canonical
     point of the decoded set onto the received reading."""
+    first = np.zeros((max(scheme.indices) + 1,)
+                     + np.shape(scheme.points[scheme.indices[0]][0]))
+    first[list(scheme.indices)] = [scheme.points[j][0] for j in scheme.indices]
+    xhat = first[decoded]               # the first point of the decoded X_j
     if scheme.space.group == "u1r" or scheme.space.kind == "polarisation-axis":
-        xhat = np.empty_like(np.asarray(y, dtype=np.float64))
-        for j in scheme.indices:
-            mask = decoded == j
-            xhat[mask] = scheme.points[j][0]
         # y = xhat + ghat mod pi
         return (np.asarray(y) - xhat) % np.pi
-    xhat = np.empty(np.asarray(y).shape, dtype=np.float64)
-    for j in scheme.indices:
-        mask = decoded == j
-        xhat[mask] = scheme.points[j][0]
     # y = xhat ghat^{-1}  =>  ghat = y^{-1} xhat
     return quat_mul(quat_conj(y), xhat)
 
@@ -592,25 +588,28 @@ def finite_group_check(spec: TeleportationSpec, eq: EquivarianceData,
     """Exhaustive table check that the protocol is exact whenever the
     misalignment lies in H: for every h and result i, the composite
     correction rho(h)+ U_j rho(h) with j decoded from a transported E_i
-    reading is proportional to U_i."""
+    reading is proportional to U_i (one batch of readings per index i)."""
     sub = eq.subgroup
-    d = spec.dim
     stream = stream or HaarStream(scheme.space.group, 0)
-    s = stream
-    for h in range(sub.order):
-        r = spec.rep(sub.payloads[h])
-        for i in scheme.indices:
-            x = enc.sample_encoding(scheme, i, s, points_per_case)
-            s = s.advance()
-            decoded = np.unique(enc.decode_batch(
-                scheme, scheme.space.act(sub.payloads[h], x)))
-            if len(decoded) != 1:
-                return False, {"h": h, "i": i, "reason": "ambiguous decode"}
-            j = int(decoded[0])
-            composite = r.conj().T @ spec.basis.mats[j] @ r
-            overlap = abs(np.trace(spec.basis.mats[i].conj().T @ composite)) / d
-            if abs(overlap - 1.0) > 1e-9:
-                return False, {"h": h, "i": i, "j": j, "overlap": overlap}
+    hs = np.repeat(np.arange(sub.order), points_per_case)
+    r = spec.rep(sub.payloads)                          # (order, d, d)
+    for pos, i in enumerate(scheme.indices):
+        x = enc.sample_encoding(scheme, i, stream.advance(pos), len(hs))
+        decoded = enc.decode_batch(scheme, scheme.space.act(
+            sub.payloads[hs], x)).reshape(sub.order, points_per_case)
+        ambiguous = np.any(decoded != decoded[:, :1], axis=1)
+        if np.any(ambiguous):
+            return False, {"h": int(np.argmax(ambiguous)), "i": i,
+                           "reason": "ambiguous decode"}
+        j = decoded[:, 0]
+        composite = r.conj().transpose(0, 2, 1) @ spec.basis.mats[j] @ r
+        overlap = np.abs(np.einsum("ab,hab->h", spec.basis.mats[i].conj(),
+                                   composite)) / spec.dim
+        bad = np.abs(overlap - 1.0) > 1e-9
+        if np.any(bad):
+            h = int(np.argmax(bad))
+            return False, {"h": h, "i": i, "j": int(j[h]),
+                           "overlap": float(overlap[h])}
     return True, {"cases": sub.order * len(scheme.indices)}
 
 

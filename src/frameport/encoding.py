@@ -150,9 +150,7 @@ def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:
 
 def decode(scheme: EncodingScheme, x) -> int:
     """Index of the decoding subset containing reading x."""
-    batch = np.asarray(x)[None] if scheme.space.kind == "rod-axis" \
-        or scheme.space.group == "so3" else np.asarray([x])
-    return int(decode_batch(scheme, batch)[0])
+    return int(decode_batch(scheme, np.asarray([x]))[0])
 
 
 def sample_encoding(scheme: EncodingScheme, i: int, stream: HaarStream,
@@ -371,23 +369,20 @@ def compatibility_check(scheme: EncodingScheme, eq: EquivarianceData,
     """Sampled verification that decoding inverts the index action:
     decode(act(h, x)) = sigma(i, h^{-1}) for x drawn from E_i.
 
+    All cases of the k-th index share one batch, drawn from stream.advance(k).
     Returns (ok, report); on failure the report carries a counterexample.
     """
     sub = eq.subgroup
-    s = stream
-    for h in range(sub.order):
-        payload = sub.payloads[h]
-        expected = {i: eq.sigma_inv(h, i) for i in scheme.indices}
-        for i in scheme.indices:
-            x = sample_encoding(scheme, i, s, samples_per_case)
-            s = s.advance()
-            got = decode_batch(scheme, scheme.space.act(payload, x))
-            bad = got != expected[i]
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                return False, {
-                    "h": h, "i": i, "x": np.asarray(x)[k].tolist(),
-                    "expected": expected[i], "got": int(got[k]),
-                }
+    hs = np.repeat(np.arange(sub.order), samples_per_case)
+    for pos, i in enumerate(scheme.indices):
+        x = sample_encoding(scheme, i, stream.advance(pos), len(hs))
+        expected = eq.sigma_inv(hs, i)
+        got = decode_batch(scheme, scheme.space.act(sub.payloads[hs], x))
+        bad = got != expected
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            return False, {"h": int(hs[k]), "i": i,
+                           "x": np.asarray(x)[k].tolist(),
+                           "expected": int(expected[k]), "got": int(got[k])}
     return True, {"cases": sub.order * len(scheme.indices),
                   "samples_per_case": samples_per_case}

@@ -221,9 +221,6 @@ class FiniteSubgroup:
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def inv(self, i: int) -> int:
-        return int(self.inverse[i])
-
     def check_axioms(self) -> None:
         """Exact group-axiom checks on the index tables."""
         n = self.order

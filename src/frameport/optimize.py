@@ -9,7 +9,7 @@ outperformed.
 
 Conventions:
   - All optimizers MAXIMIZE their objective.
-  - Objectives are exact quadratures, deterministic given the parameters.
+  - Objectives are exact: a closed form (circle), a quadrature (rotation).
 """
 from __future__ import annotations
 
@@ -168,34 +168,34 @@ def _pair_purity(m: np.ndarray) -> float:
     return float(np.sum(m * m))
 
 
-def _pi_rotated(i: int, v: np.ndarray) -> np.ndarray:
-    """Rotate v by pi about the x, y, or z axis (i = 1, 2, 3); i = 0 is the
-    identity rotation."""
-    if i == 0:
-        return v
-    e = np.eye(3)[i - 1]
-    return 2.0 * np.dot(v, e) * e - v
+def u1_conventional_purity(angles: Sequence[float]) -> float:
+    """Closed-form linear map purity of the circle-group conventional channel
+    for the UEB determined by unit vectors x(psi_x, phi_x), y(psi_y, phi_y).
 
+    The channel unitaries are W_i(t) = R_x(t) R_{y_i}(-t), with t uniform on
+    the circle and y_i the pi-rotation of y about axis i (y_0 = y).  The
+    purity is the pair average of (1/4) |Tr(W+ W')|^2, which is ||M||_F^2
+    for the second moment M = E[w w^T] of their quaternions w.  With
+    c = cos(t/2), s = sin(t/2) and the 4x3 map L y = (x.y, -x cross y),
 
-def u1_conventional_purity(angles: Sequence[float],
-                           grid: int = 32) -> float:
-    """Linear map purity of the circle-group conventional channel for the UEB
-    determined by unit vectors x(psi_x, phi_x), y(psi_y, phi_y).
+        w_i(t) = c^2 e_0 + s^2 L y_i + c s (0, x - y_i).
 
-    The phase-insensitive channel unitaries are W_i(t) = R_x(t) R_{X_i(y)}(-t)
-    with t uniform on the circle, so the purity is the pair average of
-    (1/4) |Tr(W_i(t1)+ W_j(t2))|^2 over results and angles.  The second
-    moment of their quaternions is a trigonometric polynomial of low degree
-    in t, so a uniform grid evaluates it exactly.
+    On the circle E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8 and odd moments
+    vanish; sum_i y_i = 0 and (1/4) sum_i y_i y_i^T = D = diag(y^2).  So
+
+        M = (3/8) e_0 e_0^T + (3/8) L D L^T + (1/8) (0 (+) (x x^T + D)),
+
+    exactly, which gives 0.625 at the Pauli point.
     """
     psi_x, psi_y, phi_x, phi_y = angles
-    xhat = _unit_vector(psi_x, phi_x)
-    yhat = _unit_vector(psi_y, phi_y)
-    ts = np.arange(grid) * (2 * np.pi / grid)
-    rx = _rotation_quats(xhat, ts)
-    w = np.concatenate([quat_mul(rx, _rotation_quats(_pi_rotated(i, yhat), -ts))
-                        for i in range(4)])             # (4 grid, 4)
-    return _pair_purity(np.einsum("nk,nl->kl", w, w) / len(w))
+    x = _unit_vector(psi_x, phi_x)
+    d = _unit_vector(psi_y, phi_y) ** 2
+    x1, x2, x3 = x
+    lmap = np.array([x, [0.0, x3, -x2], [-x3, 0.0, x1], [x2, -x1, 0.0]])
+    m = 0.375 * (lmap * d) @ lmap.T
+    m[0, 0] += 0.375
+    m[1:, 1:] += 0.125 * (np.outer(x, x) + np.diag(d))
+    return _pair_purity(m)
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,9 @@ class EquivarianceData:
                 return orb
         raise KeyError(i)
 
-    def sigma_inv(self, h: int, i: int) -> int:
-        """The index j with sigma(j, h) = i, i.e. sigma(i, h^{-1})."""
-        return int(self.sigma[i, self.subgroup.inv(h)])
+    def sigma_inv(self, h, i: int):
+        """j with sigma(j, h) = i, i.e. sigma(i, h^{-1}); vectorized over h."""
+        return self.sigma[i, self.subgroup.inverse[h]]
 
     def to_json(self) -> dict:
         return {

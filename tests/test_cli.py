@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frameport import channel as ch
 from frameport import cli
 
 SAMPLES = ["--samples", "40000"]
@@ -98,6 +99,26 @@ def test_scheme_alias_matches_canonical(tmp_path):
     assert read_json(a)["map_purity"] == read_json(b)["map_purity"]
 
 
+def test_mean_result_row_reports_mean_linear_purity(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(["channel", "--scheme", "su2-matched-tight", "--samples",
+                "20000", "--seed", "0", "--format", "csv",
+                "--out", str(out)]) == 0
+    header, *rows = out.read_text().strip().splitlines()[1:]
+    rows = {r["interpretation"]: r
+            for r in (dict(zip(header.split(","), line.split(",")))
+                      for line in rows)}
+    bundle = cli.builtin_scheme("su2-matched-tight")
+    per_result = ch.tight_result_estimates(bundle.spec, bundle.eq,
+                                           bundle.scheme, bundle.group,
+                                           "mc", 20000, 0)
+    mean = np.mean([e.linear_purity_with_error()[0]
+                    for e in per_result.values()])
+    linear = float(rows["mean-result-purity"]["linear_purity"])
+    assert linear == pytest.approx(mean, abs=5e-7)
+    assert abs(linear - float(rows["result-averaged"]["linear_purity"])) > 0.01
+
+
 # ---------------------------------------------------------------------------
 # table1
 # ---------------------------------------------------------------------------
@@ -108,9 +129,9 @@ def test_table1_rows_and_exact_su2_conventional(tmp_path, monkeypatch):
     values = {}
     real_row = cli._purity_row
 
-    def capture(name, interpretation, purity, stderr, *rest):
-        values[(name, interpretation)] = (purity, stderr)
-        return real_row(name, interpretation, purity, stderr, *rest)
+    def capture(name, interpretation, purity, stderr, linear, *rest):
+        values[(name, interpretation)] = (purity, stderr, linear)
+        return real_row(name, interpretation, purity, stderr, linear, *rest)
 
     monkeypatch.setattr(cli, "_purity_row", capture)
     out = tmp_path / "t.json"
@@ -133,9 +154,14 @@ def test_table1_rows_and_exact_su2_conventional(tmp_path, monkeypatch):
         "result-averaged": 1 + np.sum(averaged * np.log(averaged)) / np.log(4),
     }
     for interpretation, purity in expected.items():
-        got, err = values[("su2-conventional", interpretation)]
+        got, err, _ = values[("su2-conventional", interpretation)]
         assert got == pytest.approx(purity, abs=1e-12)
         assert err == 0.0
+    # Linear purity is convex in the channel, so the mean over the distinct
+    # per-result channels exceeds that of their mix.
+    for name in ("su2-matched-tight", "su2-rod-tight"):
+        assert (values[(name, "mean-result-purity")][2]
+                > values[(name, "mixed-channel")][2] + 0.01)
 
 
 # ---------------------------------------------------------------------------

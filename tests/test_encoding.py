@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from frameport import channel as ch
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream
@@ -264,18 +265,50 @@ def test_compatibility(maker):
     assert ok, report
 
 
-def test_compatibility_detects_scrambled_decoder():
+def _scrambled_boct_scheme(where=lambda x, decoded: True):
+    """The BOct tight matched scheme with its decoded indices cycled where
+    where(readings, decoded) holds (everywhere by default)."""
     eq = boct_equivariance()
     good = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
     swap = {1: 2, 2: 3, 3: 1}
 
     def bad_decode(x):
-        return np.vectorize(swap.get)(good.decode_fn(x))
+        decoded = good.decode_fn(x)
+        return np.where(where(x, decoded), np.vectorize(swap.get)(decoded),
+                        decoded)
 
     bad = enc.EncodingScheme(
         "bad", good.space, good.subgroup, good.indices, "tight", bad_decode,
         good.sample_fn, region_measure=good.region_measure,
         coset_payloads=good.coset_payloads)
-    ok, report = enc.compatibility_check(bad, eq, HaarStream("su2", 11),
-                                         samples_per_case=50)
-    assert not ok and "expected" in report
+    return bad, eq
+
+
+def test_compatibility_detects_scrambled_decoder():
+    # Cycling only some readings decoded to 3 puts the first counterexample
+    # at a case with h != identity, inside its run of readings.
+    for bad, eq in (_scrambled_boct_scheme(), _scrambled_boct_scheme(
+            lambda x, d: (d == 3) & (x[:, 1] > 0.5))):
+        ok, report = enc.compatibility_check(bad, eq, HaarStream("su2", 11),
+                                             samples_per_case=50)
+        assert not ok and "expected" in report
+        # The counterexample is real: its transported reading decodes to
+        # `got`, and `expected` is sigma(i, h^-1).
+        received = bad.space.act(eq.subgroup.payloads[report["h"]],
+                                 np.asarray(report["x"]))
+        assert enc.decode(bad, received) == report["got"] != report["expected"]
+        assert report["expected"] == eq.sigma_inv(report["h"], report["i"])
+
+
+def test_finite_group_check_detects_scrambled_decoder():
+    bad, eq = _scrambled_boct_scheme()
+    spec = ch.su2_teleportation_spec(pauli_ueb())
+    ok, report = ch.finite_group_check(spec, eq, bad)
+    assert not ok
+    assert 0 <= report["h"] < eq.subgroup.order and report["i"] in bad.indices
+    assert report["j"] in bad.indices and report["overlap"] < 1.0 - 1e-9
+    # Cycling some readings of a case makes its decode ambiguous.
+    bad, eq = _scrambled_boct_scheme(lambda x, d: x[:, 1] > 0.5)
+    ok, report = ch.finite_group_check(spec, eq, bad)
+    assert not ok and report["reason"] == "ambiguous decode"
+    assert 0 <= report["h"] < eq.subgroup.order and report["i"] in bad.indices

@@ -57,12 +57,32 @@ def test_u1_objective_at_pauli_point():
     assert val == pytest.approx(0.625, abs=1e-12)
 
 
-def test_u1_objective_grid_is_exact():
-    # Doubling the grid should not change the value (trig polynomial of
-    # bounded degree).
-    angles = (0.4, 1.1, 2.0, 0.7)
-    assert opt.u1_conventional_purity(angles, grid=32) == pytest.approx(
-        opt.u1_conventional_purity(angles, grid=64), abs=1e-12)
+def _u1_pair_purity_reference(angles, grid=64):
+    """(1/4) |Tr(W+ W')|^2 averaged over all pairs of the 2x2 matrices
+    W_i(t) = R_x(t) X_i R_y(-t) X_i+ on a uniform grid of t (exact for these
+    trigonometric polynomials), with R_n(t) = exp(-i t/2 n.sigma)."""
+    psi_x, psi_y, phi_x, phi_y = angles
+    paulis = su2_matrix(np.eye(4))              # I, -i X, -i Y, -i Z
+    ts = np.arange(grid) * (2 * np.pi / grid)
+
+    def rotations(n, t):
+        n_sigma = np.einsum("k,kab->ab", n, 1j * paulis[1:])
+        return (np.cos(t / 2)[:, None, None] * np.eye(2)
+                - 1j * np.sin(t / 2)[:, None, None] * n_sigma)
+
+    rx = rotations(opt._unit_vector(psi_x, phi_x), ts)
+    ry = rotations(opt._unit_vector(psi_y, phi_y), -ts)
+    w = np.concatenate([rx @ p @ ry @ p.conj().T for p in paulis])
+    overlaps = np.einsum("mab,nab->mn", w.conj(), w)
+    return float(np.mean(np.abs(overlaps) ** 2) / 4)
+
+
+def test_u1_objective_closed_form_matches_matrix_reference():
+    rng = np.random.default_rng(8)
+    box = np.array([np.pi, np.pi, 2 * np.pi, 2 * np.pi])
+    for angles in [np.zeros(4)] + [rng.random(4) * box for _ in range(24)]:
+        assert opt.u1_conventional_purity(angles) == pytest.approx(
+            _u1_pair_purity_reference(angles), abs=1e-13)
 
 
 def test_nelder_mead_reaches_pauli_value_from_offset_start():
