@@ -167,6 +167,12 @@ class ChannelEstimate:
             return None
         return np.std(_moment_superop(self.replicates), axis=0, ddof=1)
 
+    def map_purity(self) -> float:
+        return float(spectrum_purities(self.choi_spectrum())[0])
+
+    def linear_purity(self) -> float:
+        return float(spectrum_purities(self.choi_spectrum())[1])
+
     def map_purity_with_error(self) -> tuple[float, float]:
         return self._with_error(0)
 

@@ -323,8 +323,7 @@ def _tight_averaged(bundle: SchemeBundle, method: str, samples: int,
 
 def _mean_linear_purity(per_result: dict[int, ch.ChannelEstimate]) -> float:
     """Mean of the per-result linear purities."""
-    return float(np.mean([e.linear_purity_with_error()[0]
-                          for e in per_result.values()]))
+    return float(np.mean([e.linear_purity() for e in per_result.values()]))
 
 
 def _default_method(bundle: SchemeBundle) -> str:
@@ -363,7 +362,7 @@ def cmd_channel(args) -> int:
         est = _estimate(bundle, result, method, args.samples, args.seed)
     seconds = time.perf_counter() - t0
     purity, p_err = est.map_purity_with_error()
-    linear, _ = est.linear_purity_with_error()
+    linear = est.linear_purity()
     interpretation = ("result-averaged" if result == "averaged"
                       else f"result-{result}")
     rows = [_purity_row(bundle.name, interpretation, purity, p_err, linear,
@@ -402,7 +401,7 @@ def cmd_table1(args) -> int:
     def add(name: str, interpretation: str, est: ch.ChannelEstimate,
             seconds: float):
         purity, err = est.map_purity_with_error()
-        linear, _ = est.linear_purity_with_error()
+        linear = est.linear_purity()
         rows.append(_purity_row(name, interpretation, purity, err, linear,
                                 est.samples, args.seed, seconds))
 

@@ -26,7 +26,7 @@ from numpy.random import Generator
 from . import groups
 from .groups import FiniteSubgroup, HaarStream, canonical_sign, quat_conj, \
     quat_mul, quat_rotate, sample_su2
-from .ueb import EquivarianceData
+from .ueb import EquivarianceData, index_action
 
 __all__ = [
     "ReadingSpace",
@@ -220,25 +220,13 @@ def _project_equivariance(eq: EquivarianceData, reduced_sub: FiniteSubgroup
                           ) -> EquivarianceData:
     """Re-index an equivariance table over a physical circle subgroup onto
     its reduced projection (the index action factors through the kernel)."""
-    n = eq.sigma.shape[0]
-    order = reduced_sub.order
-    sigma = np.empty((n, order), dtype=np.int64)
-    alpha = np.empty((n, order), dtype=np.complex128)
-    for h_old in range(eq.subgroup.order):
-        angle = float(eq.subgroup.payloads[h_old]) % np.pi
-        h_new = groups._match_index(reduced_sub.payloads, angle, "u1r")
-        sigma[:, h_new] = eq.sigma[:, h_old]
-        alpha[:, h_new] = eq.alpha[:, h_old]
-    stabilizers = {}
-    coset_reps: dict[int, int] = {}
-    for orbit in eq.orbits:
-        base = orbit[0]
-        stabilizers[base] = tuple(
-            int(h) for h in range(order) if sigma[base, h] == base)
-        for i in orbit:
-            coset_reps[i] = int(np.argmax(sigma[base] == i))
-    return EquivarianceData(eq.basis, reduced_sub, eq.rep, sigma, alpha,
-                            eq.orbits, stabilizers, coset_reps)
+    h_new = groups._match_indices(reduced_sub.payloads,
+                                  eq.subgroup.payloads % np.pi, "u1r")
+    sigma = np.empty((len(eq.sigma), reduced_sub.order), dtype=np.int64)
+    alpha = np.empty(sigma.shape, dtype=np.complex128)
+    sigma[:, h_new] = eq.sigma
+    alpha[:, h_new] = eq.alpha
+    return index_action(eq.basis, reduced_sub, eq.rep, sigma, alpha)
 
 
 def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
@@ -250,9 +238,7 @@ def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
         # rotation, so only the lower-index lift of each rotation is scored;
         # argmax keeps the lowest-index tie-break with no sign convention
         # on x.
-        lifts = np.flatnonzero([
-            not np.any(np.abs(sub.payloads[:k] @ q) > 1.0 - 1e-9)
-            for k, q in enumerate(sub.payloads)])
+        lifts = groups.first_lifts(sub.payloads)
         h_t = np.ascontiguousarray(sub.payloads[lifts].T)
         lifted = values[lifts]
         return lambda x: lifted[np.argmax(np.abs(np.asarray(x) @ h_t),
@@ -311,10 +297,13 @@ def perfect_matched_scheme(spec: MatchedSchemeSpec,
             [spec.subgroup.mul(l, spec.coset_reps[i]) for l in spec.stabilizer]]
         if spec.subgroup.ambient in ("su2", "so3"):
             # Distinct SO(3) readings only: fold antipodal quaternion pairs.
-            points[i] = np.unique(np.round(canonical_sign(payloads), 12), axis=0)
+            q = canonical_sign(payloads)
+            q = q[groups.first_lifts(q)]
+            points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
         else:
-            # Distinct readings only (the circle torsor has period pi).
-            points[i] = np.unique(np.round(payloads % np.pi, 12))
+            # Distinct elements of the reduced group are distinct readings
+            # (the circle torsor has period pi).
+            points[i] = np.sort(payloads % np.pi)
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
         pts = points[i]

@@ -28,6 +28,7 @@ __all__ = [
     "general_qubit_ueb",
     "check_ueb",
     "equivariance_analysis",
+    "index_action",
 ]
 
 
@@ -166,44 +167,36 @@ def equivariance_analysis(basis: UnitaryErrorBasis, sub: FiniteSubgroup,
                           rep: Representation) -> EquivarianceData:
     """Extract the index action sigma, phases alpha, orbits, stabilizers,
     and coset representatives of H acting on the UEB by conjugation."""
-    n = basis.size
     d = basis.dim
     mats = basis.mats
-    order = sub.order
-    sigma = np.empty((n, order), dtype=np.int64)
-    alpha = np.empty((n, order), dtype=np.complex128)
-    for h in range(order):
-        r = rep(sub.payloads[h])
-        conj = np.einsum("ab,nbc,cd->nad", r.conj().T, mats, r)
-        # overlaps[i, j] = (1/d) Tr(U_j+ rho+ U_i rho)
-        overlaps = np.einsum("iab,jab->ij", conj, mats.conj()) / d
-        mags = np.abs(overlaps)
-        js = np.argmax(mags, axis=1)
-        for i in range(n):
-            if abs(mags[i, js[i]] - 1.0) > 1e-9:
-                raise NotEquivariantError(i, h, float(mags[i, js[i]]))
-            sigma[i, h] = js[i]
-            alpha[i, h] = overlaps[i, js[i]]
+    r = rep(sub.payloads)
+    conj = np.einsum("hba,nbc,hcd->hnad", r.conj(), mats, r)
+    # overlaps[h, i, j] = (1/d) Tr(U_j+ rho(h)+ U_i rho(h))
+    overlaps = np.einsum("hiab,jab->hij", conj, mats.conj()) / d
+    mags = np.abs(overlaps)
+    js = np.argmax(mags, axis=2)
+    best = np.take_along_axis(mags, js[..., None], axis=2)[..., 0]
+    bad = np.abs(best - 1.0) > 1e-9
+    if bad.any():
+        # The first failure in h-major order.
+        h, i = np.argwhere(bad)[0]
+        raise NotEquivariantError(int(i), int(h), float(best[h, i]))
+    sigma = np.ascontiguousarray(js.T)
+    alpha = np.ascontiguousarray(
+        np.take_along_axis(overlaps, js[..., None], axis=2)[..., 0].T)
+    return index_action(basis, sub, rep, sigma, alpha)
 
-    # Orbits under the right action.
-    seen = [False] * n
-    orbits = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        orbit = sorted(set(int(j) for j in sigma[i]))
-        for j in orbit:
-            seen[j] = True
-        orbits.append(tuple(orbit))
 
-    stabilizers = {}
-    coset_reps: dict[int, int] = {}
-    for orbit in orbits:
-        base = orbit[0]
-        stabilizers[base] = tuple(
-            int(h) for h in range(order) if sigma[base, h] == base)
-        for i in orbit:
-            coset_reps[i] = int(np.argmax(sigma[base] == i))
-
-    return EquivarianceData(basis, sub, rep, sigma, alpha, tuple(orbits),
+def index_action(basis: UnitaryErrorBasis, sub: FiniteSubgroup,
+                 rep: Representation, sigma: np.ndarray, alpha: np.ndarray
+                 ) -> EquivarianceData:
+    """Equivariance data of a right action sigma with phases alpha: the
+    orbits (each the set of a row of sigma) with their stabilizers and
+    coset representatives."""
+    orbits = tuple(sorted({tuple(sorted(set(row.tolist()))) for row in sigma}))
+    stabilizers = {o[0]: tuple(np.flatnonzero(sigma[o[0]] == o[0]).tolist())
+                   for o in orbits}
+    coset_reps = {i: int(np.argmax(sigma[o[0]] == i))
+                  for o in orbits for i in o}
+    return EquivarianceData(basis, sub, rep, sigma, alpha, orbits,
                             stabilizers, coset_reps)

@@ -318,6 +318,7 @@ def test_moment_estimator_matches_superoperator_reference(case):
     sup = est.superop
     p, p_err = est.map_purity_with_error()
     lin, lin_err = est.linear_purity_with_error()
+    assert est.map_purity() == p and est.linear_purity() == lin
     assert abs(p - map_purity(sup)) <= 1e-14
     assert abs(lin - linear_map_purity(sup)) <= 1e-14
     assert np.max(np.abs(est.choi_spectrum()

@@ -9,7 +9,7 @@ from scipy import stats
 from frameport import channel as ch
 from frameport import encoding as enc
 from frameport import groups
-from frameport.groups import HaarStream
+from frameport.groups import HaarStream, canonical_sign
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
 
 STREAM = HaarStream("su2", 5)
@@ -150,6 +150,14 @@ def test_btet_perfect_points_structure():
     dots = np.abs(all_points @ all_points.T)
     distinct = np.sum(dots > 1 - 1e-9, axis=1)
     assert np.all(distinct == 1)
+    # The points are canonical-signed group elements themselves, in the
+    # lexicographic order of their 12-decimal roundings.
+    elements = canonical_sign(groups.binary_tetrahedral().payloads)
+    assert np.max(np.abs(np.linalg.norm(all_points, axis=1) - 1.0)) <= 1e-15
+    assert all(np.any(np.all(elements == q, axis=1)) for q in all_points)
+    for pts in scheme.points.values():
+        order = np.lexsort(np.round(pts.T, 12)[::-1])
+        assert np.array_equal(order, np.arange(len(pts)))
 
 
 def test_rod_scheme_decode_and_measure():

@@ -2,6 +2,9 @@
 quadrature, nearest-element search."""
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +106,56 @@ def test_subgroup_orders_and_axioms(name, order):
     sub = subgroup_by_name(name)
     assert sub.order == order
     sub.check_axioms()     # raises on failure
+    # Every table entry names the product itself (up to sign on SO(3)).
+    p = sub.payloads
+    named = p[sub.table]
+    if sub.ambient in ("u1", "u1r"):
+        period = 2 * np.pi if sub.ambient == "u1" else np.pi
+        gap = (p[:, None] + p[None, :] - named + period / 2) % period
+        assert np.max(np.abs(gap - period / 2)) <= 1e-14
+        return
+    prod = quat_mul(p[:, None], p[None, :])
+    gap = np.abs(prod - named).max(axis=-1)
+    if sub.ambient == "so3":
+        gap = np.minimum(gap, np.abs(prod + named).max(axis=-1))
+    assert gap.max() <= 1e-14
+    assert np.max(np.abs(np.linalg.norm(p, axis=1) - 1.0)) <= 1e-15
+
+
+def test_boct_is_the_closed_form_group():
+    # The 8 +-e_k, the 16 (+-1/2, +-1/2, +-1/2, +-1/2) and the 24
+    # (+-1, +-1, 0, 0)/sqrt 2 permutations, in lexicographic order.
+    exact = [s * e for e in np.eye(4) for s in (1.0, -1.0)]
+    exact += [np.where(signs, -0.5, 0.5) for signs in np.ndindex(2, 2, 2, 2)]
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((1.0, -1.0), repeat=2):
+            v = np.zeros(4)
+            v[i], v[j] = si / np.sqrt(2), sj / np.sqrt(2)
+            exact.append(v)
+    exact = np.array(exact)
+    exact = exact[np.lexsort(exact.T[::-1])]
+    assert len(exact) == 48
+    assert np.max(np.abs(binary_octahedral().payloads - exact)) <= 1e-15
+
+
+def test_build_subgroup_rejects_a_missing_element():
+    with pytest.raises(ValueError, match="not in element list"):
+        groups._build_subgroup("btet", "su2", binary_tetrahedral().payloads[1:])
+    with pytest.raises(ValueError, match="not in element list"):
+        groups._build_subgroup("z8", "u1", z8_physical().payloads[:-1])
+
+
+def test_check_axioms_rejects_swapped_entries():
+    # Two entries of one row, away from the identity and inverse entries,
+    # so only associativity can catch the swap.
+    sub = binary_tetrahedral()
+    i = 0 if sub.identity else 1
+    j, k = [h for h in range(sub.order)
+            if sub.identity not in (h, sub.table[i, h])][:2]
+    table = sub.table.copy()
+    table[i, j], table[i, k] = table[i, k], table[i, j]
+    with pytest.raises(ValueError, match="associativity fails at"):
+        replace(sub, table=table).check_axioms()
 
 
 def test_btet_preserves_tetrahedron():

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from frameport import groups
+from frameport import cli, groups
 from frameport.qmat import UnitaryMatrix
 from frameport.ueb import (
     NotEquivariantError, UnitaryErrorBasis, check_ueb, equivariance_analysis,
@@ -140,6 +140,59 @@ def test_sigma_inv_inverts_the_action():
     for h in range(eq.subgroup.order):
         for i in range(4):
             assert eq.sigma[eq.sigma_inv(h, i), h] == i
+
+
+def _equivariance_reference(basis, sub, rep):
+    """One element h at a time: (sigma, alpha, orbits, stabilizers,
+    coset_reps), raising at the first failing (h, i) in h-major order."""
+    n, d = basis.size, basis.dim
+    sigma = np.empty((n, sub.order), dtype=np.int64)
+    alpha = np.empty((n, sub.order), dtype=np.complex128)
+    for h in range(sub.order):
+        r = rep(sub.payloads[h])
+        conj = np.einsum("ab,nbc,cd->nad", r.conj().T, basis.mats, r)
+        overlaps = np.einsum("iab,jab->ij", conj, basis.mats.conj()) / d
+        for i in range(n):
+            j = int(np.argmax(np.abs(overlaps[i])))
+            if abs(abs(overlaps[i, j]) - 1.0) > 1e-9:
+                raise NotEquivariantError(i, h, abs(overlaps[i, j]))
+            sigma[i, h], alpha[i, h] = j, overlaps[i, j]
+    orbits = []
+    for i in range(n):
+        if not any(i in orbit for orbit in orbits):
+            orbits.append(tuple(sorted(set(sigma[i].tolist()))))
+    stabilizers = {o[0]: tuple(h for h in range(sub.order)
+                               if sigma[o[0], h] == o[0]) for o in orbits}
+    coset_reps = {i: next(h for h in range(sub.order) if sigma[o[0], h] == i)
+                  for o in orbits for i in o}
+    return sigma, alpha, tuple(orbits), stabilizers, coset_reps
+
+
+@pytest.mark.parametrize("ueb_name,sub_name", cli._EQ_PAIRS)
+def test_equivariance_analysis_matches_per_element_reference(ueb_name,
+                                                             sub_name):
+    basis, sub = cli._UEBS[ueb_name](), groups.subgroup_by_name(sub_name)
+    rep = cli._REPS[sub_name]()
+    eq = equivariance_analysis(basis, sub, rep)
+    sigma, alpha, orbits, stabilizers, coset_reps = \
+        _equivariance_reference(basis, sub, rep)
+    assert np.array_equal(eq.sigma, sigma)
+    assert np.max(np.abs(eq.alpha - alpha)) <= 1e-15
+    assert eq.orbits == orbits
+    assert eq.stabilizers == stabilizers
+    assert eq.coset_reps == coset_reps
+
+
+def test_equivariance_failure_names_the_first_element():
+    basis, sub = tetrahedral_ueb(), groups.binary_octahedral()
+    rep = groups.su2_defining_rep()
+    with pytest.raises(NotEquivariantError) as want:
+        _equivariance_reference(basis, sub, rep)
+    with pytest.raises(NotEquivariantError) as got:
+        equivariance_analysis(basis, sub, rep)
+    assert (got.value.i, got.value.h) == (want.value.i, want.value.h)
+    assert got.value.best_overlap == pytest.approx(want.value.best_overlap,
+                                                   abs=1e-14)
 
 
 def test_random_ueb_not_boct_equivariant():
