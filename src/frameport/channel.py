@@ -426,11 +426,8 @@ def _conjugated_orbit_channel(spec: TeleportationSpec,
     b = min(scheme.indices)
     if i == b:
         return base
-    if scheme.coset_payloads is not None:
-        c_payload = scheme.coset_payloads[i]
-    else:
-        c_payload = eq.subgroup.payloads[eq.coset_reps[i]]
-    return base.transformed(spec.rep.quat(c_payload))
+    return base.transformed(spec.rep.quat(
+        eq.subgroup.payloads[eq.coset_reps[i]]))
 
 
 def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
@@ -470,22 +467,22 @@ def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
 def _circle_overlap_weight(scheme: enc.EncodingScheme) -> Callable:
     """Exact normalized overlap measure s -> mu(E_b intersect (E_b + s)) for
     a circle-torsor region scheme (a union of equal arcs)."""
-    spec_sub = scheme.subgroup
-    if spec_sub.ambient != "u1r":
+    sub = scheme.subgroup
+    if sub.ambient != "u1":
         raise ValueError("arc-overlap weight needs a circle-torsor scheme")
     b = min(scheme.indices)
-    order = spec_sub.order
+    # One arc per distinct reading of the subgroup.
+    readings = sub.payloads[enc._reading_lifts(sub, sub.payloads)]
+    arcs = len(readings)
     # The weight is piecewise linear with kinks at multiples of the arc width
-    # pi/order; the circle quadrature is exact only if they fall on its
+    # pi/arcs; the circle quadrature is exact only if they fall on its
     # segment edges, the multiples of 2 pi/QUADRATURE_SEGMENTS.
-    if groups.QUADRATURE_SEGMENTS % (2 * order):
-        raise ValueError(f"arc width pi/{order} is not a multiple of the "
+    if groups.QUADRATURE_SEGMENTS % (2 * arcs):
+        raise ValueError(f"arc width pi/{arcs} is not a multiple of the "
                          "quadrature segment width")
-    half_width = np.pi / (2 * order)
-    # Arc centers of E_b: the subgroup elements whose Voronoi cells carry
-    # label b.
-    labels = enc.decode_batch(scheme, spec_sub.payloads)
-    centers = spec_sub.payloads[labels == b]
+    half_width = np.pi / (2 * arcs)
+    # Arc centers of E_b: the readings whose Voronoi cells carry label b.
+    centers = readings[enc.decode_batch(scheme, readings) == b]
 
     def weight(theta):
         s = np.asarray(theta)[..., None, None]
@@ -561,7 +558,7 @@ def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
                      + np.shape(scheme.points[scheme.indices[0]][0]))
     first[list(scheme.indices)] = [scheme.points[j][0] for j in scheme.indices]
     xhat = first[decoded]               # the first point of the decoded X_j
-    if scheme.space.group == "u1r" or scheme.space.kind == "polarisation-axis":
+    if scheme.space.kind == "polarisation-axis":
         # y = xhat + ghat mod pi
         return (np.asarray(y) - xhat) % np.pi
     # y = xhat ghat^{-1}  =>  ghat = y^{-1} xhat

@@ -66,71 +66,47 @@ class SchemeBundle:
     scheme: enc.EncodingScheme | None
 
 
-def _u1_equivariance() -> ueb_mod.EquivarianceData:
-    return ueb_mod.equivariance_analysis(
-        ueb_mod.pauli_ueb(), groups.z8_physical(), groups.u1_physical_rep())
+# name: (misalignment group, variant, UEB, frame subgroup, orbit base).  An
+# encoded scheme is built on its subgroup for the orbit of its base index;
+# an orbit base of None there means the rod scheme.
+_SCHEMES = {
+    "u1-conventional": ("u1", "conventional", "pauli", None, None),
+    "u1-tight": ("u1", "tight", "pauli", "z8", 1),
+    "u1-perfect": ("u1", "perfect", "pauli", "z8", 1),
+    "su2-conventional": ("su2", "conventional", "pauli", None, None),
+    "su2-matched-tight": ("su2", "tight", "pauli", "boct", 1),
+    "su2-rod-tight": ("su2", "tight", "pauli", "boct", None),
+    "su2-btet-perfect": ("su2", "perfect", "tetrahedral", "btet", 0),
+}
+_ALIASES = {"su2-boct-tight": "su2-matched-tight"}
 
-
-def _boct_equivariance() -> ueb_mod.EquivarianceData:
-    return ueb_mod.equivariance_analysis(
-        ueb_mod.pauli_ueb(), groups.binary_octahedral(),
-        groups.su2_defining_rep())
-
-
-def _btet_equivariance() -> ueb_mod.EquivarianceData:
-    return ueb_mod.equivariance_analysis(
-        ueb_mod.tetrahedral_ueb(), groups.binary_tetrahedral(),
-        groups.su2_defining_rep())
+SCHEME_NAMES = tuple(_SCHEMES)
+# The schemes that carry an encoding, and so have scheme-level checks.
+ENCODED_SCHEMES = tuple(name for name, row in _SCHEMES.items()
+                        if row[3] is not None)
 
 
 def _bundle(name: str) -> SchemeBundle:
-    pauli = ueb_mod.pauli_ueb()
-    if name == "u1-conventional":
-        return SchemeBundle(name, "u1", "conventional",
-                            ch.u1_teleportation_spec(pauli), None, None)
-    if name == "u1-tight":
-        eq = _u1_equivariance()
-        scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1),
-                                          label=name)
-        return SchemeBundle(name, "u1", "tight",
-                            ch.u1_teleportation_spec(pauli), eq, scheme)
-    if name == "u1-perfect":
-        eq = _u1_equivariance()
-        scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 1),
-                                            label=name)
-        return SchemeBundle(name, "u1", "perfect",
-                            ch.u1_teleportation_spec(pauli), eq, scheme)
-    if name == "su2-conventional":
-        return SchemeBundle(name, "su2", "conventional",
-                            ch.su2_teleportation_spec(pauli), None, None)
-    if name in ("su2-matched-tight", "su2-boct-tight"):
-        eq = _boct_equivariance()
-        scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1),
-                                          label="su2-matched-tight")
-        return SchemeBundle("su2-matched-tight", "su2", "tight",
-                            ch.su2_teleportation_spec(pauli), eq, scheme)
-    if name == "su2-rod-tight":
-        eq = _boct_equivariance()
-        return SchemeBundle(name, "su2", "tight",
-                            ch.su2_teleportation_spec(pauli), eq,
-                            enc.rod_scheme(label=name))
-    if name == "su2-btet-perfect":
-        eq = _btet_equivariance()
-        scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 0),
-                                            label=name)
-        return SchemeBundle(name, "su2", "perfect",
-                            ch.su2_teleportation_spec(ueb_mod.tetrahedral_ueb()),
-                            eq, scheme)
-    raise ConfigError(
-        f"unknown scheme {name!r}; available: {', '.join(SCHEME_NAMES)}")
+    name = _ALIASES.get(name, name)
+    if name not in _SCHEMES:
+        raise ConfigError(
+            f"unknown scheme {name!r}; available: {', '.join(SCHEME_NAMES)}")
+    group, variant, ueb_name, sub_name, base = _SCHEMES[name]
+    basis = _UEBS[ueb_name]()
+    spec = (ch.u1_teleportation_spec if group == "u1"
+            else ch.su2_teleportation_spec)(basis)
+    if sub_name is None:
+        return SchemeBundle(name, group, variant, spec, None, None)
+    eq = ueb_mod.equivariance_analysis(
+        basis, groups.subgroup_by_name(sub_name), _REPS[sub_name]())
+    if base is None:
+        scheme = enc.rod_scheme(label=name)
+    else:
+        matched = (enc.tight_matched_scheme if variant == "tight"
+                   else enc.perfect_matched_scheme)
+        scheme = matched(enc.matched_scheme_spec(eq, base), label=name)
+    return SchemeBundle(name, group, variant, spec, eq, scheme)
 
-
-SCHEME_NAMES = ("u1-conventional", "u1-tight", "u1-perfect",
-                "su2-conventional", "su2-matched-tight", "su2-rod-tight",
-                "su2-btet-perfect")
-# The schemes that carry an encoding, and so have scheme-level checks.
-ENCODED_SCHEMES = ("u1-tight", "u1-perfect", "su2-matched-tight",
-                   "su2-rod-tight", "su2-btet-perfect")
 
 _UEBS: dict[str, Callable[[], ueb_mod.UnitaryErrorBasis]] = {
     "pauli": ueb_mod.pauli_ueb,
@@ -304,9 +280,8 @@ def _estimate(bundle: SchemeBundle, result, method: str, samples: int,
     if bundle.variant == "tight":
         return ch.tight_channel(bundle.spec, bundle.eq, bundle.scheme,
                                 bundle.group, result, method, samples, seed)
-    res = 0 if result == "averaged" else int(result)
     return ch.perfect_channel(bundle.spec, bundle.eq, bundle.scheme,
-                              bundle.group, res, method, samples, seed)
+                              bundle.group, int(result), method, samples, seed)
 
 
 def _tight_averaged(bundle: SchemeBundle, method: str, samples: int,
@@ -327,7 +302,7 @@ def _mean_linear_purity(per_result: dict[int, ch.ChannelEstimate]) -> float:
 
 
 def _default_method(bundle: SchemeBundle) -> str:
-    return "quadrature" if bundle.group in ("u1", "u1r") else "mc"
+    return "quadrature" if bundle.group == "u1" else "mc"
 
 
 def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
@@ -350,7 +325,11 @@ def cmd_channel(args) -> int:
         raise ConfigError(f"{bundle.name} has no quadrature path; "
                           "use --method mc")
     result = args.result
-    if result != "averaged":
+    if result == "averaged" and bundle.variant == "perfect":
+        # A perfect scheme's channel is computed for one result; the
+        # default is result 0, and it is labelled so.
+        result = 0
+    elif result != "averaged":
         result = _index_arg("--result", result, bundle.spec.basis.size,
                             "'averaged' or ")
     t0 = time.perf_counter()

@@ -7,13 +7,21 @@ Reading space kinds
   rotation group acts by angle addition; the pi rotation acts trivially.
 - "rod-axis": orientation axes, unit vectors with antipodal identification.
   SU(2) acts through its rotation; +-g act identically.
-- "frame-torsor": elements of the reduced group itself.  Over the reduced
-  circle the action is angle addition; over SO(3) a physical g sends the
-  label f to f g^{-1} (a left action on labels, matching how two parties'
-  frame labellings transform into each other).
+- "frame-torsor": rotations, unit quaternions up to sign.  A physical g
+  sends the label f to f g^{-1} (a left action on labels, matching how two
+  parties' frame labellings transform into each other).
 
-Decoding is everywhere deterministic with lowest-index tie-break; tie sets
-have measure zero.
+A matched scheme is built on its frame subgroup H itself (Z8 on the circle,
+BOct or BTet on SU(2)).  The kernel of the action on readings ({0, pi} on
+the circle, +-1 on SU(2)) is folded only where readings are compared or
+produced: the two elements of a kernel pair give one reading, so the decoder
+scores, and the perfect points list, only the first of each pair.  Angles
+are embedded as unit vectors (cos h, sin h), so on both groups the element
+nearest to a reading x is the one maximising |x . h|.
+
+Decoding is everywhere deterministic: exactly equal scores go to the lowest
+element index.  Such ties occur only on cell boundaries, a set of measure
+zero.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ from numpy.random import Generator
 from . import groups
 from .groups import FiniteSubgroup, HaarStream, canonical_sign, quat_conj, \
     quat_mul, quat_rotate, sample_su2
-from .ueb import EquivarianceData, index_action
+from .ueb import EquivarianceData
 
 __all__ = [
     "ReadingSpace",
@@ -61,8 +69,6 @@ class ReadingSpace:
             return (np.asarray(x) + np.asarray(g_payload)) % np.pi
         if self.kind == "rod-axis":
             return quat_rotate(np.asarray(g_payload), np.asarray(x))
-        if self.kind == "frame-torsor" and self.group == "u1r":
-            return (np.asarray(x) + np.asarray(g_payload)) % np.pi
         if self.kind == "frame-torsor":
             return canonical_sign(quat_mul(np.asarray(x),
                                            quat_conj(np.asarray(g_payload))))
@@ -70,7 +76,7 @@ class ReadingSpace:
 
     def sample(self, rng: Generator, n: int) -> np.ndarray:
         """n uniform readings."""
-        if self.kind in ("polarisation-axis",) or self.group == "u1r":
+        if self.kind == "polarisation-axis":
             return rng.random(n) * np.pi
         if self.kind == "rod-axis":
             vec = rng.normal(size=(n, 3))
@@ -81,7 +87,7 @@ class ReadingSpace:
         """Assign readings to one of n_bins equal-measure bins (for
         uniformity tests)."""
         x = np.asarray(x)
-        if self.kind in ("polarisation-axis",) or self.group == "u1r":
+        if self.kind == "polarisation-axis":
             return np.minimum((x / np.pi * n_bins).astype(int), n_bins - 1)
         if self.kind == "rod-axis":
             side = int(round(np.sqrt(n_bins)))
@@ -104,8 +110,8 @@ def rod_axis_space() -> ReadingSpace:
 
 
 def frame_torsor_space(reduced: str) -> ReadingSpace:
-    if reduced not in ("u1r", "so3"):
-        raise ValueError(f"torsor must be over a reduced group, got {reduced!r}")
+    if reduced != "so3":
+        raise ValueError(f"torsor must be over SO(3), got {reduced!r}")
     return ReadingSpace("frame-torsor", reduced)
 
 
@@ -126,7 +132,6 @@ class EncodingScheme:
     sample_fn: Callable[[int, Generator, int], np.ndarray]
     points: dict[int, np.ndarray] | None = None  # X_i for perfect schemes
     region_measure: float | None = None          # mu(E_i) for tight schemes
-    coset_payloads: dict[int, object] | None = None  # c_i ambient payloads
 
     def to_json(self) -> dict:
         out = {
@@ -167,13 +172,15 @@ def sample_encoding(scheme: EncodingScheme, i: int, stream: HaarStream,
 
 @dataclass(frozen=True)
 class MatchedSchemeSpec:
-    """Inputs of the matched-scheme construction: finite subgroup H of the
-    reduced group acting on itself, the orbit's stabilizer L, coset
-    representatives c_i, and the coset label of each H element.
+    """Inputs of the matched-scheme construction: the finite frame subgroup
+    H acting on itself, the orbit's stabilizer L, coset representatives
+    c_i, and the coset label of each H element.
 
     The fundamental domain is the Voronoi cell of the identity; the regions
     R_h are its right translates (the Voronoi cells of the elements), so
-    membership tests reduce to nearest-element search.
+    membership tests reduce to nearest-element search.  H contains the
+    kernel of the action on readings, which lies in L, so both elements of
+    a kernel pair carry the same label.
     """
 
     subgroup: FiniteSubgroup
@@ -186,69 +193,65 @@ class MatchedSchemeSpec:
         if len(self.stabilizer) * len(self.indices) != self.subgroup.order:
             raise ValueError("|L| * |I_k| != |H|")
 
+    def coset(self, i: int) -> np.ndarray:
+        """Indices of the elements l c_i, in the order of L."""
+        return self.subgroup.table[list(self.stabilizer), self.coset_reps[i]]
+
 
 def matched_scheme_spec(eq: EquivarianceData, orbit_base: int) -> MatchedSchemeSpec:
     """Build the matched-scheme data for the orbit containing orbit_base,
-    over the subgroup of the equivariance data projected to the reduced
-    group if necessary."""
+    over the subgroup of the equivariance data."""
     sub = eq.subgroup
-    if sub.ambient == "u1":
-        # Regions live in the reduced group; project the subgroup.
-        reduced_angles = sorted(set(round(float(a) % np.pi, 12)
-                                    for a in sub.payloads))
-        sub = groups._build_subgroup(sub.name + "-reduced", "u1r", reduced_angles)
-        eq_sub = _project_equivariance(eq, sub)
-    else:
-        eq_sub = eq
-    orbit = eq_sub.orbit_of(orbit_base)
-    base = min(orbit)
-    stab = eq_sub.stabilizers[base]
-    reps = {i: eq_sub.coset_reps[i] for i in orbit}
-    labels = np.full(sub.order, -1, dtype=np.int64)
+    if sub.ambient not in ("u1", "su2", "so3"):
+        raise ValueError(f"no matched scheme over a {sub.ambient!r} subgroup")
+    orbit = eq.orbit_of(orbit_base)
+    spec = MatchedSchemeSpec(sub, tuple(orbit), eq.stabilizers[min(orbit)],
+                             {i: eq.coset_reps[i] for i in orbit},
+                             np.full(sub.order, -1, dtype=np.int64))
     for i in orbit:
-        for l in stab:
-            h = sub.mul(l, reps[i])
-            if labels[h] != -1:
-                raise ValueError("coset decomposition is not disjoint")
-            labels[h] = i
-    if np.any(labels < 0):
+        cell = spec.coset(i)
+        if np.any(spec.labels[cell] != -1):
+            raise ValueError("coset decomposition is not disjoint")
+        spec.labels[cell] = i
+    if np.any(spec.labels < 0):
         raise ValueError("cosets do not cover the subgroup")
-    return MatchedSchemeSpec(sub, tuple(orbit), tuple(stab), reps, labels)
+    return spec
 
 
-def _project_equivariance(eq: EquivarianceData, reduced_sub: FiniteSubgroup
-                          ) -> EquivarianceData:
-    """Re-index an equivariance table over a physical circle subgroup onto
-    its reduced projection (the index action factors through the kernel)."""
-    h_new = groups._match_indices(reduced_sub.payloads,
-                                  eq.subgroup.payloads % np.pi, "u1r")
-    sigma = np.empty((len(eq.sigma), reduced_sub.order), dtype=np.int64)
-    alpha = np.empty(sigma.shape, dtype=np.complex128)
-    sigma[:, h_new] = eq.sigma
-    alpha[:, h_new] = eq.alpha
-    return index_action(eq.basis, reduced_sub, eq.rep, sigma, alpha)
+def _embedded(sub: FiniteSubgroup, x) -> np.ndarray:
+    """Readings or elements as unit vectors whose |dot| decreases with the
+    distance of their readings: angles h as (cos h, sin h), quaternions as
+    they are.  The two elements of a kernel pair are each other's
+    negatives."""
+    x = np.asarray(x)
+    if sub.ambient == "u1":
+        return np.stack([np.cos(x), np.sin(x)], axis=-1)
+    return x
+
+
+def _reading_lifts(sub: FiniteSubgroup, payloads: np.ndarray) -> np.ndarray:
+    """Mask of the first of each kernel pair in a list of elements of H: one
+    element per distinct reading."""
+    return groups.first_lifts(_embedded(sub, payloads))
 
 
 def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
                     ) -> Callable[[np.ndarray], np.ndarray]:
     """Map readings to values[k], k the index of the subgroup element
     nearest under the invariant metric (lowest index on ties)."""
-    if sub.ambient in ("su2", "so3"):
-        # The metric is bi-invariant and decreasing in |x.h|, and +-h are one
-        # rotation, so only the lower-index lift of each rotation is scored;
-        # argmax keeps the lowest-index tie-break with no sign convention
-        # on x.
-        lifts = groups.first_lifts(sub.payloads)
-        h_t = np.ascontiguousarray(sub.payloads[lifts].T)
-        lifted = values[lifts]
-        return lambda x: lifted[np.argmax(np.abs(np.asarray(x) @ h_t),
-                                          axis=-1)]
-    return lambda x: values[
-        groups.nearest_indices(np.asarray(x) % np.pi, sub)[0]]
+    # The metric is bi-invariant and decreasing in |x.h|, and both elements
+    # of a kernel pair give one reading, so only the first lift of each
+    # reading is scored; argmax keeps the lowest-index tie-break with no
+    # sign convention on x.
+    lifts = _reading_lifts(sub, sub.payloads)
+    h_t = np.ascontiguousarray(_embedded(sub, sub.payloads[lifts]).T)
+    lifted = values[lifts]
+    return lambda x: lifted[np.argmax(np.abs(_embedded(sub, x) @ h_t),
+                                      axis=-1)]
 
 
 def _torsor_space(spec: MatchedSchemeSpec) -> ReadingSpace:
-    if spec.subgroup.ambient == "u1r":
+    if spec.subgroup.ambient == "u1":
         # The circle torsor coincides with the polarisation-axis space.
         return polarisation_axis_space()
     return frame_torsor_space("so3")
@@ -262,9 +265,7 @@ def tight_matched_scheme(spec: MatchedSchemeSpec, label: str = "tight-matched"
     sub = spec.subgroup
     # Inverse of each reading's nearest element.
     nearest_inverse = _nearest_lookup(sub, sub.inverse)
-    cells = {i: np.array([sub.mul(l, spec.coset_reps[i])
-                          for l in spec.stabilizer])
-             for i in spec.indices}
+    cells = {i: spec.coset(i) for i in spec.indices}
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
         # Direct sampling of the uniform measure on E_i.  For uniform f with
@@ -275,48 +276,38 @@ def tight_matched_scheme(spec: MatchedSchemeSpec, label: str = "tight-matched"
         f = space.sample(rng, n)
         l = rng.integers(0, len(spec.stabilizer), size=n)
         h = sub.payloads[sub.table[cells[i][l], nearest_inverse(f)]]
-        if sub.ambient == "u1r":
+        if sub.ambient == "u1":
             return (h + f) % np.pi
         return canonical_sign(quat_mul(h, f))
 
     return EncodingScheme(label, space, sub, spec.indices, "tight",
                           _nearest_lookup(sub, spec.labels), sample_fn,
-                          region_measure=1.0 / len(spec.indices),
-                          coset_payloads=_coset_payloads(spec))
+                          region_measure=1.0 / len(spec.indices))
 
 
 def perfect_matched_scheme(spec: MatchedSchemeSpec,
                            label: str = "perfect-matched") -> EncodingScheme:
-    """Perfect matched scheme: E_i is the finite set X_i = {l c_i}; decoding
-    subsets are the same Voronoi regions as the tight scheme."""
-    space = _torsor_space(spec)
-    decode_fn = _nearest_lookup(spec.subgroup, spec.labels)
+    """Perfect matched scheme: E_i is the finite set X_i of the distinct
+    readings of {l c_i}; decoding subsets are the same Voronoi regions as
+    the tight scheme."""
+    sub = spec.subgroup
     points: dict[int, np.ndarray] = {}
     for i in spec.indices:
-        payloads = spec.subgroup.payloads[
-            [spec.subgroup.mul(l, spec.coset_reps[i]) for l in spec.stabilizer]]
-        if spec.subgroup.ambient in ("su2", "so3"):
-            # Distinct SO(3) readings only: fold antipodal quaternion pairs.
-            q = canonical_sign(payloads)
-            q = q[groups.first_lifts(q)]
-            points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
-        else:
-            # Distinct elements of the reduced group are distinct readings
-            # (the circle torsor has period pi).
+        payloads = sub.payloads[spec.coset(i)]
+        payloads = payloads[_reading_lifts(sub, payloads)]
+        if sub.ambient == "u1":
             points[i] = np.sort(payloads % np.pi)
+        else:
+            q = canonical_sign(payloads)
+            points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
         pts = points[i]
         return pts[rng.integers(0, len(pts), size=n)]
 
-    return EncodingScheme(label, space, spec.subgroup, spec.indices, "perfect",
-                          decode_fn, sample_fn, points=points,
-                          coset_payloads=_coset_payloads(spec))
-
-
-def _coset_payloads(spec: MatchedSchemeSpec) -> dict[int, object]:
-    return {i: spec.subgroup.payloads[spec.coset_reps[i]]
-            for i in spec.indices}
+    return EncodingScheme(label, _torsor_space(spec), sub, spec.indices,
+                          "perfect", _nearest_lookup(sub, spec.labels),
+                          sample_fn, points=points)
 
 
 # ---------------------------------------------------------------------------

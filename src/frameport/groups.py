@@ -9,7 +9,9 @@ Conventions
 Group tags: "u1" (physical polarisation rotations, angle mod 2pi), "u1r" (the
 reduced group, angle mod pi), "su2" (unit quaternions), "so3" (quaternions up
 to sign, canonicalized so the first nonzero component is positive), and the
-names of the finite subgroups below.
+names of the finite subgroups below.  "u1r" serves only Z4 and its
+representation, for the equivariance checks; the U(1) matched schemes are
+built on Z8 itself.
 
 A quaternion q = (w, x, y, z) maps to the special unitary
 U(q) = w I - i (x X + y Y + z Z), so the rotation by angle a about unit axis n

@@ -28,7 +28,6 @@ __all__ = [
     "general_qubit_ueb",
     "check_ueb",
     "equivariance_analysis",
-    "index_action",
 ]
 
 
@@ -184,15 +183,6 @@ def equivariance_analysis(basis: UnitaryErrorBasis, sub: FiniteSubgroup,
     sigma = np.ascontiguousarray(js.T)
     alpha = np.ascontiguousarray(
         np.take_along_axis(overlaps, js[..., None], axis=2)[..., 0].T)
-    return index_action(basis, sub, rep, sigma, alpha)
-
-
-def index_action(basis: UnitaryErrorBasis, sub: FiniteSubgroup,
-                 rep: Representation, sigma: np.ndarray, alpha: np.ndarray
-                 ) -> EquivarianceData:
-    """Equivariance data of a right action sigma with phases alpha: the
-    orbits (each the set of a row of sigma) with their stabilizers and
-    coset representatives."""
     orbits = tuple(sorted({tuple(sorted(set(row.tolist()))) for row in sigma}))
     stabilizers = {o[0]: tuple(np.flatnonzero(sigma[o[0]] == o[0]).tolist())
                    for o in orbits}

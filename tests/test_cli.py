@@ -4,7 +4,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,18 @@ def test_verify_single_scheme(tmp_path):
     payload = read_json(out)
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"].values())
+
+
+def test_verify_all_does_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency; a fresh process shows what the
+    # package itself imports.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = str(tmp_path / "v.json")
+    code = ("import sys\nfrom frameport import cli\n"
+            f"assert cli.main(['verify', '--all', '--out', {out!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=os.environ | {"PYTHONPATH": src})
 
 
 def test_verify_subgroup_and_ueb(tmp_path):
@@ -229,6 +245,28 @@ def test_perfect_scheme_mc_outside_orbit_is_identity(tmp_path):
     assert run(["channel", "--scheme", "u1-perfect", "--method", "mc",
                 *SAMPLES, "--out", str(out)]) == 0
     assert read_json(out)["map_purity"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_perfect_scheme_default_result_is_labelled_result_0(tmp_path):
+    # A perfect scheme's channel is computed for result 0 unless another
+    # result is asked for, and the output says so in JSON and CSV.  For
+    # u1-perfect, result 0 lies outside the orbit: an exact identity.
+    out = tmp_path / "c.json"
+    assert run(["channel", "--scheme", "su2-btet-perfect", "--method", "mc",
+                *SAMPLES, "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["interpretation"] == "result-0"
+    assert (payload["method"], payload["samples"]) == ("monte-carlo", 40000)
+    assert run(["channel", "--scheme", "u1-perfect", "--method", "mc",
+                *SAMPLES, "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["interpretation"] == "result-0"
+    assert (payload["method"], payload["samples"]) == ("quadrature", 0)
+    csv_out = tmp_path / "c.csv"
+    assert run(["channel", "--scheme", "u1-perfect", "--format", "csv",
+                "--out", str(csv_out)]) == 0
+    assert csv_out.read_text().splitlines()[2].startswith(
+        "u1-perfect,result-0,")
 
 
 _NEGATIVE = st.integers(max_value=-1)

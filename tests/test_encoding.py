@@ -73,11 +73,13 @@ def test_uniform_bins_cover_and_balance():
 # ---------------------------------------------------------------------------
 
 def test_u1_matched_scheme_spec_structure():
+    # The scheme is built on Z8 itself; its stabilizer holds the kernel
+    # {0, pi} of the action on readings.
     spec = enc.matched_scheme_spec(u1_equivariance(), 1)
+    assert spec.subgroup is groups.z8_physical()
     assert spec.indices == (1, 2)
-    assert len(spec.stabilizer) == 2
-    assert spec.subgroup.order == 4
-    assert spec.subgroup.ambient == "u1r"
+    assert len(spec.stabilizer) == 4
+    assert spec.labels.tolist() == [1, 2] * 4
 
 
 def test_u1_tight_scheme_decodes_known_angles():
@@ -107,6 +109,17 @@ def test_u1_perfect_points():
     assert np.allclose(sorted(scheme.points[1]), [0.0, np.pi / 2], atol=1e-9)
     assert np.allclose(sorted(scheme.points[2]), [np.pi / 4, 3 * np.pi / 4],
                        atol=1e-9)
+
+
+def test_u1_perfect_points_are_exact_group_elements():
+    scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(
+        u1_equivariance(), 1))
+    z8 = groups.z8_physical().payloads
+    assert np.array_equal(scheme.points[1], z8[[0, 2]])
+    assert np.array_equal(scheme.points[2], z8[[1, 3]])
+    assert np.max(np.abs(scheme.points[1] - [0.0, np.pi / 2])) <= 1e-15
+    assert np.max(np.abs(scheme.points[2] - [np.pi / 4, 3 * np.pi / 4])) \
+        <= 1e-15
 
 
 def test_sample_encoding_lands_in_region():
@@ -180,15 +193,25 @@ def test_rod_scheme_decode_and_measure():
              enc.tight_matched_scheme),
     lambda: (enc.matched_scheme_spec(btet_equivariance(), 0),
              enc.perfect_matched_scheme),
+    lambda: (enc.matched_scheme_spec(u1_equivariance(), 1),
+             enc.tight_matched_scheme),
 ])
 def test_decoder_matches_nearest_element_search(make):
     spec, ctor = make()
     scheme = ctor(spec)
     sub = spec.subgroup
-    q = groups.sample_su2(np.random.default_rng(6), 100_000)
-    for x in (q, -q, sub.payloads, -sub.payloads):
-        idx, _ = groups.nearest_indices(groups.canonical_sign(x), sub,
-                                        sign_insensitive=True)
+    rng = np.random.default_rng(6)
+    if sub.ambient == "u1":
+        # Angles in [pi, 2 pi) are the same readings as in [0, pi); the
+        # nearest Z8 element on the full circle carries the same label.
+        a = rng.random(100_000) * np.pi
+        cases = [(x, x) for x in (a, a + np.pi, sub.payloads)]
+    else:
+        q = groups.sample_su2(rng, 100_000)
+        cases = [(x, groups.canonical_sign(x))
+                 for x in (q, -q, sub.payloads, -sub.payloads)]
+    for x, ref in cases:
+        idx, _ = groups.nearest_indices(ref, sub, sign_insensitive=True)
         assert np.array_equal(scheme.decode_fn(x), spec.labels[idx])
     assert np.array_equal(scheme.decode_fn(sub.payloads), spec.labels)
 
@@ -214,9 +237,9 @@ def voronoi_cells(scheme, x):
         sign = x[np.arange(len(x)), dominant] > 0
         return 2 * sign + (order[:, 1] > order[:, 0])
     sub = scheme.subgroup
-    if sub.ambient == "u1r":
-        idx, _ = groups.nearest_indices(x, sub)
-        return idx
+    if sub.ambient == "u1":
+        # Z8 elements k and k + 4 differ by pi: one reading, one cell.
+        return groups.nearest_indices(x, sub)[0] % 4
     idx, _ = groups.nearest_indices(x, sub, sign_insensitive=True)
     # +-h are one rotation: name each cell by its canonical lift.
     lifts = groups.canonical_sign(sub.payloads)
@@ -287,8 +310,7 @@ def _scrambled_boct_scheme(where=lambda x, decoded: True):
 
     bad = enc.EncodingScheme(
         "bad", good.space, good.subgroup, good.indices, "tight", bad_decode,
-        good.sample_fn, region_measure=good.region_measure,
-        coset_payloads=good.coset_payloads)
+        good.sample_fn, region_measure=good.region_measure)
     return bad, eq
 
 
