@@ -4,8 +4,10 @@ protocol simulator for cross-validation.
 
 Frame conventions
 -----------------
-The misalignment g relates the two parties' frames: an operator with matrix M
-in Bob's frame has matrix rho(g)+ M rho(g) in Alice's frame.  Input and
+The misalignment g, a unit quaternion on either frame group, relates the two
+parties' frames: an operator with matrix M in Bob's frame has matrix
+rho(g)+ M rho(g) in Alice's frame.  rho(g) is su2_matrix(g) up to a phase
+that cancels here, so g enters every formula as a quaternion.  Input and
 output states are both expressed in Alice's frame; the entangled resource is
 shared in Alice's frame (for the SU(2) schemes it is the invariant singlet,
 so the choice is immaterial up to phase).
@@ -31,6 +33,18 @@ the orthogonal matrix of w -> r w r-bar.  Every estimate therefore carries
 its trace-1 moment and its bootstrap moments: spectra, purities, error
 bars, mixtures and orbit conjugates are real 4x4 array operations, and the
 superoperator is formed only for output.
+
+Tight quadrature
+----------------
+A tight base channel is M = E[w(g) w(g)^T] over the misalignments g = y-bar x
+with x and y independent and uniform on the encoding region E_b: those are
+the (g, x) pairs whose transported reading x g-bar = y stays in E_b (the
+pair identity).  On the circle, E_b is a union of arcs, the left translates
+h C_0 of the identity cell C_0 = {u1_quat(t) : |t| <= pi/(2m)} by the m
+distinct readings of H labelled b; 8-node Gauss-Legendre on each arc and the
+weighted mean over node pairs give M to rounding, as w(g) w(g)^T is a
+low-degree trigonometric polynomial on each pair of arcs.  The SU(2) tight
+channels are computed by Monte Carlo.
 """
 from __future__ import annotations
 
@@ -42,8 +56,8 @@ from numpy.random import Generator
 
 from . import encoding as enc
 from . import groups
-from .groups import HaarStream, Representation, quat_conj, quat_mul, \
-    su2_matrix, unitary_quat
+from .groups import HaarStream, quat_conj, quat_mul, su2_matrix, \
+    unitary_quat
 from .qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
     clamped_eigenvalues, spectrum_purities
 from .ueb import EquivarianceData, UnitaryErrorBasis
@@ -81,10 +95,9 @@ _MOMENT_TO_SUPEROP = np.einsum("jab,kcd->jkacbd", _BASIS.conj(),
 
 @dataclass(frozen=True)
 class TeleportationSpec:
-    """UEB, frame representation, and entangled-resource choice."""
+    """UEB and entangled-resource choice."""
 
     basis: UnitaryErrorBasis
-    rep: Representation
     resource: UnitaryMatrix          # the X of the resource (1 (x) X)|Phi+>
 
     def __post_init__(self):
@@ -120,7 +133,7 @@ class TeleportationSpec:
         eta = self.resource_state()
         worst = 0.0
         for g in groups.haar_payloads(stream, n):
-            r = self.rep(g)
+            r = su2_matrix(g)
             vec = np.kron(r, r) @ eta
             overlap = np.vdot(eta, vec)
             worst = max(worst, float(np.linalg.norm(vec - overlap * eta)))
@@ -128,15 +141,14 @@ class TeleportationSpec:
 
 
 def u1_teleportation_spec(basis: UnitaryErrorBasis) -> TeleportationSpec:
-    return TeleportationSpec(basis, groups.u1_physical_rep(),
-                             UnitaryMatrix(np.eye(2)))
+    return TeleportationSpec(basis, UnitaryMatrix(np.eye(2)))
 
 
 def su2_teleportation_spec(basis: UnitaryErrorBasis) -> TeleportationSpec:
     # The singlet resource: X = -iY is the unique choice invariant under
     # g (x) g up to phase.
     singlet_x = UnitaryMatrix(-1j * groups.PAULI_Y)
-    return TeleportationSpec(basis, groups.su2_defining_rep(), singlet_x)
+    return TeleportationSpec(basis, singlet_x)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +295,14 @@ def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.nd
     return moments, accepted
 
 
-def _quadrature_moment(net: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
+def _quadrature_moment(net: Callable[[np.ndarray], np.ndarray],
                        group: str) -> np.ndarray:
     """Haar average of the second moment w w^T of net quaternions by the
-    group's fixed quadrature rule; net(payloads) returns (quaternions (n, 4),
-    weights (n,) or None)."""
-    def integrand(payloads):
-        w, p = net(payloads)
-        pw = w if p is None else p[:, None] * w
-        return pw[:, :, None] * w[:, None, :]
+    group's fixed quadrature rule; net maps group quaternions (n, 4) to net
+    quaternions (n, 4)."""
+    def integrand(g):
+        w = net(g)
+        return w[:, :, None] * w[:, None, :]
 
     return groups.quadrature_average(integrand, group)
 
@@ -307,11 +318,10 @@ def _conjugation_map(u: np.ndarray) -> np.ndarray:
     return quat_mul(quat_mul(u, np.eye(4)), quat_conj(u))
 
 
-def _channel_quats(spec: TeleportationSpec, payloads, result: int
+def _channel_quats(spec: TeleportationSpec, g: np.ndarray, result: int
                    ) -> np.ndarray:
     """Quaternions of W(g) = rho(g)+ U_i rho(g) U_i+ for a batch of group
-    payloads."""
-    g = spec.rep.quat(payloads)
+    quaternions g (n, 4)."""
     conj_by_u = _conjugation_map(spec.basis.quats[result])
     # einsum rather than matmul: multithreaded BLAS is slow on (n, 4) x (4, 4).
     return quat_mul(quat_conj(g), np.einsum("nj,jk->nk", g, conj_by_u))
@@ -337,7 +347,7 @@ def conventional_channel(spec: TeleportationSpec, group: str,
     i = int(result)
     if method == "quadrature":
         return _exact_estimate(_quadrature_moment(
-            lambda payloads: (_channel_quats(spec, payloads, i), None), group))
+            lambda g: _channel_quats(spec, g, i), group))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     stream = HaarStream(group, seed)
@@ -357,8 +367,7 @@ def tight_channel(spec: TeleportationSpec, eq: EquivarianceData,
                   scheme: enc.EncodingScheme, group: str,
                   result: int | str = "averaged",
                   method: str = "mc", samples: int = 10 ** 6,
-                  seed: int = 0,
-                  g_transform: Callable | None = None) -> ChannelEstimate:
+                  seed: int = 0) -> ChannelEstimate:
     """Channel of the tight scheme.
 
     For a result in the scheme's orbit this is
@@ -366,43 +375,36 @@ def tight_channel(spec: TeleportationSpec, eq: EquivarianceData,
     o [rho(c_i)+].  The overlap weight p(g) is realized (MC) by drawing g
     from Haar and x directly from E_b and rejecting only the (g, x) pairs
     whose transported reading leaves E_b, or (circle-group quadrature) by
-    the exact arc-overlap function.  Results outside the scheme's orbit sit in
+    the pair identity on E_b.  Results outside the scheme's orbit sit in
     singleton orbits whose label is transmitted speakably, so they receive
     the plain conventional integral, computed exactly by quadrature whatever
     the method.  "averaged" mixes all d^2 results equally.
-
-    g_transform optionally pre-composes each sampled misalignment with a
-    fixed group element (used to test invariance under g -> h g).
     """
     if result == "averaged":
         per_result = tight_result_estimates(spec, eq, scheme, group, method,
-                                            samples, seed, g_transform)
+                                            samples, seed)
         n = spec.basis.size
         return mix_estimates([(1.0 / n, per_result[i]) for i in range(n)])
     i = int(result)
     if i not in scheme.indices:
         return conventional_channel(spec, group, i, "quadrature")
-    base = _tight_base_channel(spec, eq, scheme, group, method, samples, seed,
-                               g_transform)
-    return _conjugated_orbit_channel(spec, scheme, eq, base, i)
+    base = _tight_base_channel(spec, scheme, group, method, samples, seed)
+    return _conjugated_orbit_channel(scheme, eq, base, i)
 
 
 def tight_result_estimates(spec: TeleportationSpec, eq: EquivarianceData,
                            scheme: enc.EncodingScheme, group: str,
                            method: str = "mc", samples: int = 10 ** 6,
-                           seed: int = 0,
-                           g_transform: Callable | None = None
-                           ) -> dict[int, ChannelEstimate]:
+                           seed: int = 0) -> dict[int, ChannelEstimate]:
     """Per-result tight-scheme channels, computing the shared base integral
     only once.  Orbit results are unitary conjugates of the base channel and
     therefore share its spectrum; singleton-orbit results get the exact
     conventional integral (identity for a commuting basis element)."""
-    base = _tight_base_channel(spec, eq, scheme, group, method, samples,
-                               seed, g_transform)
+    base = _tight_base_channel(spec, scheme, group, method, samples, seed)
     out: dict[int, ChannelEstimate] = {}
     for i in range(spec.basis.size):
         if i in scheme.indices:
-            out[i] = _conjugated_orbit_channel(spec, scheme, eq, base, i)
+            out[i] = _conjugated_orbit_channel(scheme, eq, base, i)
         else:
             out[i] = conventional_channel(spec, group, i, "quadrature")
     return out
@@ -419,28 +421,22 @@ def mean_result_purity(estimates: dict[int, ChannelEstimate]
     return float(np.mean(purities)), float(np.sum(errors) / n)
 
 
-def _conjugated_orbit_channel(spec: TeleportationSpec,
-                              scheme: enc.EncodingScheme,
+def _conjugated_orbit_channel(scheme: enc.EncodingScheme,
                               eq: EquivarianceData,
                               base: ChannelEstimate, i: int) -> ChannelEstimate:
     b = min(scheme.indices)
     if i == b:
         return base
-    return base.transformed(spec.rep.quat(
-        eq.subgroup.payloads[eq.coset_reps[i]]))
+    return base.transformed(eq.subgroup.payloads[eq.coset_reps[i]])
 
 
-def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
-                        scheme: enc.EncodingScheme, group: str, method: str,
-                        samples: int, seed: int,
-                        g_transform: Callable | None) -> ChannelEstimate:
+def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
+                        group: str, method: str, samples: int, seed: int
+                        ) -> ChannelEstimate:
     b = min(scheme.indices)
     if method == "quadrature":
-        weight_fn = _circle_overlap_weight(scheme)
-        moment = _quadrature_moment(
-            lambda theta: (_channel_quats(spec, theta, b), weight_fn(theta)),
-            "u1") * (len(scheme.indices) / scheme.region_measure)
-        # The theorem's normalization makes the trace 1; report how far the
+        moment = _circle_pair_moment(spec, scheme, b)
+        # The pair weights sum to 1, so the trace is 1; report how far the
         # computed integral is from it before rescaling.
         tr = np.trace(moment)
         return _exact_estimate(moment / tr, abs(tr - 1.0))
@@ -450,8 +446,6 @@ def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
 
     def sample_fn(rng, m):
         payloads = groups.haar_batch(group, rng, m)
-        if g_transform is not None:
-            payloads = g_transform(payloads)
         x = scheme.sample_fn(b, rng, m)
         y = scheme.space.act(payloads, x)
         accept = enc.decode_batch(scheme, y) == b
@@ -464,34 +458,25 @@ def _tight_base_channel(spec: TeleportationSpec, eq: EquivarianceData,
     return _finish_mc(moments, samples, seed, dev)
 
 
-def _circle_overlap_weight(scheme: enc.EncodingScheme) -> Callable:
-    """Exact normalized overlap measure s -> mu(E_b intersect (E_b + s)) for
-    a circle-torsor region scheme (a union of equal arcs)."""
+def _circle_pair_moment(spec: TeleportationSpec, scheme: enc.EncodingScheme,
+                        b: int) -> np.ndarray:
+    """Tight base moment E[w(y-bar x) w(y-bar x)^T] over independent x, y
+    uniform on E_b of a circle-torsor scheme, by Gauss-Legendre on each arc
+    of E_b (the pair identity of the module docstring)."""
     sub = scheme.subgroup
-    if sub.ambient != "u1":
-        raise ValueError("arc-overlap weight needs a circle-torsor scheme")
-    b = min(scheme.indices)
-    # One arc per distinct reading of the subgroup.
-    readings = sub.payloads[enc._reading_lifts(sub, sub.payloads)]
-    arcs = len(readings)
-    # The weight is piecewise linear with kinks at multiples of the arc width
-    # pi/arcs; the circle quadrature is exact only if they fall on its
-    # segment edges, the multiples of 2 pi/QUADRATURE_SEGMENTS.
-    if groups.QUADRATURE_SEGMENTS % (2 * arcs):
-        raise ValueError(f"arc width pi/{arcs} is not a multiple of the "
-                         "quadrature segment width")
-    half_width = np.pi / (2 * arcs)
-    # Arc centers of E_b: the readings whose Voronoi cells carry label b.
+    if scheme.space.group != "u1":
+        raise ValueError("tight quadrature needs a circle-torsor scheme")
+    # One arc per distinct reading of H: the Voronoi cells of a cyclic group
+    # of m readings are arcs of half-width pi/(2m) about them.
+    readings = sub.payloads[groups.first_lifts(sub.payloads)]
+    cell, weights = groups.arc_rule(np.pi / (2 * len(readings)))
     centers = readings[enc.decode_batch(scheme, readings) == b]
-
-    def weight(theta):
-        s = np.asarray(theta)[..., None, None]
-        diff = centers[None, :, None] + s - centers[None, None, :]
-        dist = np.abs((diff + np.pi / 2) % np.pi - np.pi / 2)
-        overlap = np.maximum(2 * half_width - dist, 0.0)
-        return overlap.sum(axis=(-2, -1)) / np.pi
-
-    return weight
+    x = quat_mul(centers[:, None], cell).reshape(-1, 4)
+    p = np.tile(weights, len(centers)) / len(centers)
+    # Row (l, k) of the pair grid is g = y_l-bar x_k.
+    w = _channel_quats(spec, quat_mul(quat_conj(x)[:, None], x).reshape(-1, 4),
+                       b)
+    return (np.outer(p, p).reshape(-1, 1) * w).T @ w
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +530,9 @@ def _reconstructed_corrections(spec: TeleportationSpec,
     """Quaternions of rho(g)+ C_B rho(g), where Bob reconstructs the
     alignment ghat from the received reading y and corrects with
     C_B = rho(ghat) U_j rho(ghat)+ for the decoded index j."""
-    ghat = spec.rep.quat(_reconstruct_alignment(scheme, y, decoded))
+    ghat = _reconstruct_alignment(scheme, y, decoded)
     bob = _conjugated(quat_conj(ghat), spec.basis.quats[decoded])
-    return _conjugated(spec.rep.quat(payloads), bob)
+    return _conjugated(payloads, bob)
 
 
 def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
@@ -558,9 +543,6 @@ def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
                      + np.shape(scheme.points[scheme.indices[0]][0]))
     first[list(scheme.indices)] = [scheme.points[j][0] for j in scheme.indices]
     xhat = first[decoded]               # the first point of the decoded X_j
-    if scheme.space.kind == "polarisation-axis":
-        # y = xhat + ghat mod pi
-        return (np.asarray(y) - xhat) % np.pi
     # y = xhat ghat^{-1}  =>  ghat = y^{-1} xhat
     return quat_mul(quat_conj(y), xhat)
 
@@ -570,12 +552,10 @@ def _rod_point_stabilizer_channel(spec: TeleportationSpec,
                                   result: int) -> ChannelEstimate:
     axis = np.asarray(scheme.points[result][0], dtype=np.float64)
 
-    def net(theta):
-        quats = np.stack([np.cos(theta / 2),
-                          np.sin(theta / 2) * axis[0],
-                          np.sin(theta / 2) * axis[1],
-                          np.sin(theta / 2) * axis[2]], axis=-1)
-        return _channel_quats(spec, quats, result), None
+    def net(q):
+        # The circle's rotations (q0, 0, 0, q3), turned onto the point axis.
+        return _channel_quats(spec, np.concatenate(
+            [q[:, :1], q[:, 3:] * axis], axis=1), result)
 
     return _exact_estimate(_quadrature_moment(net, "u1"))
 
@@ -595,7 +575,6 @@ def finite_group_check(spec: TeleportationSpec, eq: EquivarianceData,
     sub = eq.subgroup
     stream = stream or HaarStream(scheme.space.group, 0)
     hs = np.repeat(np.arange(sub.order), points_per_case)
-    r = spec.rep(sub.payloads)                          # (order, d, d)
     for pos, i in enumerate(scheme.indices):
         x = enc.sample_encoding(scheme, i, stream.advance(pos), len(hs))
         decoded = enc.decode_batch(scheme, scheme.space.act(
@@ -605,9 +584,9 @@ def finite_group_check(spec: TeleportationSpec, eq: EquivarianceData,
             return False, {"h": int(np.argmax(ambiguous)), "i": i,
                            "reason": "ambiguous decode"}
         j = decoded[:, 0]
-        composite = r.conj().transpose(0, 2, 1) @ spec.basis.mats[j] @ r
-        overlap = np.abs(np.einsum("ab,hab->h", spec.basis.mats[i].conj(),
-                                   composite)) / spec.dim
+        # |(1/2) Tr(A+ B)| = |a . b| for the quaternions a, b of A and B.
+        composite = _conjugated(sub.payloads, spec.basis.quats[j])
+        overlap = np.abs(composite @ spec.basis.quats[i])
         bad = np.abs(overlap - 1.0) > 1e-9
         if np.any(bad):
             h = int(np.argmax(bad))
@@ -645,18 +624,18 @@ def single_shot_simulate(spec: TeleportationSpec,
 
     rng_results = stream.generator()
     results = rng_results.choice(n_res, size=shots, p=probs)
-    g_payloads = groups.haar_batch(group, rng_results, shots)
+    g = groups.haar_batch(group, rng_results, shots)
 
     pre = unitary_quat(np.stack([spec.premeasurement_unitary(x)
                                  for x in range(n_res)]))
-    g = spec.rep.quat(g_payloads)
 
     readings = None
     decoded = np.copy(results)
     if scheme is None:
         corr = _misaligned_corrections(spec, g, results)
     else:
-        readings = np.empty((shots,) + _reading_shape(scheme), dtype=np.float64)
+        readings = np.empty((shots, 3 if scheme.space.kind == "rod-axis"
+                             else 4))
         rng_read = stream.advance(1 << 40).generator()
         in_orbit = np.isin(results, scheme.indices)
         for i in scheme.indices:
@@ -668,14 +647,12 @@ def single_shot_simulate(spec: TeleportationSpec,
         if np.any(~in_orbit):
             readings[~in_orbit] = scheme.space.sample(rng_read,
                                                       int((~in_orbit).sum()))
-        received = scheme.space.act(g_payloads, readings)
-        dec = enc.decode_batch(scheme, received)
-        decoded = np.where(in_orbit, dec, results)
+        received = scheme.space.act(g[in_orbit], readings[in_orbit])
+        decoded[in_orbit] = enc.decode_batch(scheme, received)
         if scheme.kind == "perfect":
             corr = _misaligned_corrections(spec, g, results)
             corr[in_orbit] = _reconstructed_corrections(
-                spec, scheme, g_payloads[in_orbit], received[in_orbit],
-                decoded[in_orbit])
+                spec, scheme, g[in_orbit], received, decoded[in_orbit])
         else:
             corr = _misaligned_corrections(spec, g, decoded)
 
@@ -687,7 +664,7 @@ def single_shot_simulate(spec: TeleportationSpec,
     out = out / np.trace(out).real
     transcript = {
         "seed": stream.seed,
-        "g": g_payloads,
+        "g": g,
         "result": results,
         "decoded": decoded,
         "readings": readings,
@@ -709,10 +686,3 @@ def _misaligned_corrections(spec: TeleportationSpec, g: np.ndarray,
     given the quaternions g of rho(g)."""
     return _conjugated(g, spec.basis.quats[indices])
 
-
-def _reading_shape(scheme: enc.EncodingScheme) -> tuple:
-    if scheme.space.kind == "rod-axis":
-        return (3,)
-    if scheme.space.group == "so3":
-        return (4,)
-    return ()

@@ -97,8 +97,8 @@ def _bundle(name: str) -> SchemeBundle:
             else ch.su2_teleportation_spec)(basis)
     if sub_name is None:
         return SchemeBundle(name, group, variant, spec, None, None)
-    eq = ueb_mod.equivariance_analysis(
-        basis, groups.subgroup_by_name(sub_name), _REPS[sub_name]())
+    eq = ueb_mod.equivariance_analysis(basis,
+                                       groups.subgroup_by_name(sub_name))
     if base is None:
         scheme = enc.rod_scheme(label=name)
     else:
@@ -112,15 +112,6 @@ _UEBS: dict[str, Callable[[], ueb_mod.UnitaryErrorBasis]] = {
     "pauli": ueb_mod.pauli_ueb,
     "tetrahedral": ueb_mod.tetrahedral_ueb,
 }
-
-_REPS: dict[str, Callable[[], groups.Representation]] = {
-    "z4": groups.u1_reduced_rep,
-    "z8": groups.u1_physical_rep,
-    "boct": groups.su2_defining_rep,
-    "btet": groups.su2_defining_rep,
-    "tet": groups.su2_defining_rep,
-}
-
 
 def builtin_scheme(name: str) -> SchemeBundle:
     return _bundle(name)
@@ -211,6 +202,9 @@ def _verify_uebs(report: dict) -> bool:
 
 _EQ_PAIRS = (("pauli", "z4"), ("pauli", "z8"),
              ("pauli", "boct"), ("tetrahedral", "btet"))
+# A UEB's default subgroup is its last pair above: BOct for the Pauli basis,
+# BTet for the tetrahedral one.
+_DEFAULT_SUBGROUP = dict(_EQ_PAIRS)
 
 
 def _verify_equivariance(report: dict, pairs=_EQ_PAIRS) -> bool:
@@ -219,8 +213,7 @@ def _verify_equivariance(report: dict, pairs=_EQ_PAIRS) -> bool:
         key = f"equivariance:{ueb_name}/{sub_name}"
         try:
             eq = ueb_mod.equivariance_analysis(
-                _UEBS[ueb_name](), groups.subgroup_by_name(sub_name),
-                _REPS[sub_name]())
+                _UEBS[ueb_name](), groups.subgroup_by_name(sub_name))
             report[key] = {"ok": True,
                            "orbits": [list(o) for o in eq.orbits],
                            "stabilizer_orders": {
@@ -255,7 +248,7 @@ def cmd_verify(args) -> int:
         ok = _verify_schemes(report, [args.scheme]) and ok
     elif args.ueb or args.subgroup:
         ueb_name = args.ueb or "pauli"
-        sub_name = args.subgroup or "boct"
+        sub_name = args.subgroup or _DEFAULT_SUBGROUP[ueb_name]
         ok = _verify_uebs(report) and ok
         ok = _verify_equivariance(report, [(ueb_name, sub_name)]) and ok
     else:
@@ -524,7 +517,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--scheme", choices=ENCODED_SCHEMES, default=None)
     p.add_argument("--ueb", choices=tuple(_UEBS), default=None)
-    p.add_argument("--subgroup", choices=tuple(_REPS), default=None)
+    p.add_argument("--subgroup", choices=tuple(groups.SUBGROUPS),
+                   default=None)
     common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -3,21 +3,22 @@ tight/perfect matched-scheme constructors.
 
 Reading space kinds
 -------------------
-- "polarisation-axis": linear polarisation axes, angle mod pi.  The physical
-  rotation group acts by angle addition; the pi rotation acts trivially.
+- "frame-torsor": frame labels, canonical-signed unit quaternions.  A
+  physical g sends the label f to f g^{-1} (a left action on labels, matching
+  how two parties' frame labellings transform into each other); -1 acts
+  trivially.  Two reading kinds share this action and differ only in their
+  uniform measure:
+  - over "u1": polarisation axes, the circle u1_quat(t) with t mod pi;
+  - over "su2": rotations, all unit quaternions up to sign.
 - "rod-axis": orientation axes, unit vectors with antipodal identification.
   SU(2) acts through its rotation; +-g act identically.
-- "frame-torsor": rotations, unit quaternions up to sign.  A physical g
-  sends the label f to f g^{-1} (a left action on labels, matching how two
-  parties' frame labellings transform into each other).
 
 A matched scheme is built on its frame subgroup H itself (Z8 on the circle,
-BOct or BTet on SU(2)).  The kernel of the action on readings ({0, pi} on
-the circle, +-1 on SU(2)) is folded only where readings are compared or
-produced: the two elements of a kernel pair give one reading, so the decoder
-scores, and the perfect points list, only the first of each pair.  Angles
-are embedded as unit vectors (cos h, sin h), so on both groups the element
-nearest to a reading x is the one maximising |x . h|.
+BOct or BTet on SU(2)).  The kernel +-1 of the action on readings is folded
+only where readings are compared or produced: the two elements of a kernel
+pair give one reading, so the decoder scores, and the perfect points list,
+only the first of each pair, and the element nearest to a reading x is the
+one maximising |x . h|.
 
 Decoding is everywhere deterministic: exactly equal scores go to the lowest
 element index.  Such ties occur only on cell boundaries, a set of measure
@@ -33,14 +34,13 @@ from numpy.random import Generator
 
 from . import groups
 from .groups import FiniteSubgroup, HaarStream, canonical_sign, quat_conj, \
-    quat_mul, quat_rotate, sample_su2
+    quat_mul, quat_rotate
 from .ueb import EquivarianceData
 
 __all__ = [
     "ReadingSpace",
     "EncodingScheme",
     "MatchedSchemeSpec",
-    "polarisation_axis_space",
     "rod_axis_space",
     "frame_torsor_space",
     "decode",
@@ -60,13 +60,11 @@ class ReadingSpace:
     normalized invariant measure."""
 
     kind: str
-    group: str          # tag of group payloads accepted by the action
+    group: str          # tag of the frame group whose quaternions act
 
     def act(self, g_payload, x: np.ndarray) -> np.ndarray:
         """Apply the action, vectorized over readings (and over g if its
         leading shape matches x)."""
-        if self.kind == "polarisation-axis":
-            return (np.asarray(x) + np.asarray(g_payload)) % np.pi
         if self.kind == "rod-axis":
             return quat_rotate(np.asarray(g_payload), np.asarray(x))
         if self.kind == "frame-torsor":
@@ -76,19 +74,19 @@ class ReadingSpace:
 
     def sample(self, rng: Generator, n: int) -> np.ndarray:
         """n uniform readings."""
-        if self.kind == "polarisation-axis":
-            return rng.random(n) * np.pi
         if self.kind == "rod-axis":
             vec = rng.normal(size=(n, 3))
             return vec / np.linalg.norm(vec, axis=1, keepdims=True)
-        return canonical_sign(sample_su2(rng, n))
+        return canonical_sign(groups.haar_batch(self.group, rng, n))
 
     def uniform_bins(self, x: np.ndarray, n_bins: int = 64) -> np.ndarray:
         """Assign readings to one of n_bins equal-measure bins (for
         uniformity tests)."""
         x = np.asarray(x)
-        if self.kind == "polarisation-axis":
-            return np.minimum((x / np.pi * n_bins).astype(int), n_bins - 1)
+        if self.group == "u1":
+            # Equal arcs of the axis angle t of u1_quat(t), mod pi.
+            t = np.arctan2(-x[..., 3], x[..., 0]) % np.pi
+            return np.minimum((t / np.pi * n_bins).astype(int), n_bins - 1)
         if self.kind == "rod-axis":
             side = int(round(np.sqrt(n_bins)))
             # Fold to the upper hemisphere; equal-area bands in |z| times
@@ -101,18 +99,16 @@ class ReadingSpace:
         raise ValueError(f"no binning rule for {self.kind!r}")
 
 
-def polarisation_axis_space() -> ReadingSpace:
-    return ReadingSpace("polarisation-axis", "u1")
-
-
 def rod_axis_space() -> ReadingSpace:
     return ReadingSpace("rod-axis", "su2")
 
 
-def frame_torsor_space(reduced: str) -> ReadingSpace:
-    if reduced != "so3":
-        raise ValueError(f"torsor must be over SO(3), got {reduced!r}")
-    return ReadingSpace("frame-torsor", reduced)
+def frame_torsor_space(group: str) -> ReadingSpace:
+    """The label torsor of a frame group: "u1" (the circle), "su2" or
+    "so3"."""
+    if group not in ("u1", "su2", "so3"):
+        raise ValueError(f"no frame torsor over {group!r}")
+    return ReadingSpace("frame-torsor", group)
 
 
 @dataclass(frozen=True)
@@ -132,21 +128,6 @@ class EncodingScheme:
     sample_fn: Callable[[int, Generator, int], np.ndarray]
     points: dict[int, np.ndarray] | None = None  # X_i for perfect schemes
     region_measure: float | None = None          # mu(E_i) for tight schemes
-
-    def to_json(self) -> dict:
-        out = {
-            "label": self.label,
-            "kind": self.kind,
-            "space": self.space.kind,
-            "subgroup": self.subgroup.name,
-            "indices": list(self.indices),
-        }
-        if self.points is not None:
-            out["points"] = {str(i): np.asarray(p).tolist()
-                             for i, p in self.points.items()}
-        if self.region_measure is not None:
-            out["region_measure"] = self.region_measure
-        return out
 
 
 def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:
@@ -202,8 +183,6 @@ def matched_scheme_spec(eq: EquivarianceData, orbit_base: int) -> MatchedSchemeS
     """Build the matched-scheme data for the orbit containing orbit_base,
     over the subgroup of the equivariance data."""
     sub = eq.subgroup
-    if sub.ambient not in ("u1", "su2", "so3"):
-        raise ValueError(f"no matched scheme over a {sub.ambient!r} subgroup")
     orbit = eq.orbit_of(orbit_base)
     spec = MatchedSchemeSpec(sub, tuple(orbit), eq.stabilizers[min(orbit)],
                              {i: eq.coset_reps[i] for i in orbit},
@@ -218,23 +197,6 @@ def matched_scheme_spec(eq: EquivarianceData, orbit_base: int) -> MatchedSchemeS
     return spec
 
 
-def _embedded(sub: FiniteSubgroup, x) -> np.ndarray:
-    """Readings or elements as unit vectors whose |dot| decreases with the
-    distance of their readings: angles h as (cos h, sin h), quaternions as
-    they are.  The two elements of a kernel pair are each other's
-    negatives."""
-    x = np.asarray(x)
-    if sub.ambient == "u1":
-        return np.stack([np.cos(x), np.sin(x)], axis=-1)
-    return x
-
-
-def _reading_lifts(sub: FiniteSubgroup, payloads: np.ndarray) -> np.ndarray:
-    """Mask of the first of each kernel pair in a list of elements of H: one
-    element per distinct reading."""
-    return groups.first_lifts(_embedded(sub, payloads))
-
-
 def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
                     ) -> Callable[[np.ndarray], np.ndarray]:
     """Map readings to values[k], k the index of the subgroup element
@@ -243,26 +205,18 @@ def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
     # of a kernel pair give one reading, so only the first lift of each
     # reading is scored; argmax keeps the lowest-index tie-break with no
     # sign convention on x.
-    lifts = _reading_lifts(sub, sub.payloads)
-    h_t = np.ascontiguousarray(_embedded(sub, sub.payloads[lifts]).T)
+    lifts = groups.first_lifts(sub.payloads)
+    h_t = np.ascontiguousarray(sub.payloads[lifts].T)
     lifted = values[lifts]
-    return lambda x: lifted[np.argmax(np.abs(_embedded(sub, x) @ h_t),
-                                      axis=-1)]
-
-
-def _torsor_space(spec: MatchedSchemeSpec) -> ReadingSpace:
-    if spec.subgroup.ambient == "u1":
-        # The circle torsor coincides with the polarisation-axis space.
-        return polarisation_axis_space()
-    return frame_torsor_space("so3")
+    return lambda x: lifted[np.argmax(np.abs(x @ h_t), axis=-1)]
 
 
 def tight_matched_scheme(spec: MatchedSchemeSpec, label: str = "tight-matched"
                          ) -> EncodingScheme:
     """Tight matched scheme: D_i = E_i = union of R_{l c_i} over l in L,
     each of measure 1/|I_k|."""
-    space = _torsor_space(spec)
     sub = spec.subgroup
+    space = frame_torsor_space(sub.ambient)
     # Inverse of each reading's nearest element.
     nearest_inverse = _nearest_lookup(sub, sub.inverse)
     cells = {i: spec.coset(i) for i in spec.indices}
@@ -276,8 +230,6 @@ def tight_matched_scheme(spec: MatchedSchemeSpec, label: str = "tight-matched"
         f = space.sample(rng, n)
         l = rng.integers(0, len(spec.stabilizer), size=n)
         h = sub.payloads[sub.table[cells[i][l], nearest_inverse(f)]]
-        if sub.ambient == "u1":
-            return (h + f) % np.pi
         return canonical_sign(quat_mul(h, f))
 
     return EncodingScheme(label, space, sub, spec.indices, "tight",
@@ -294,20 +246,17 @@ def perfect_matched_scheme(spec: MatchedSchemeSpec,
     points: dict[int, np.ndarray] = {}
     for i in spec.indices:
         payloads = sub.payloads[spec.coset(i)]
-        payloads = payloads[_reading_lifts(sub, payloads)]
-        if sub.ambient == "u1":
-            points[i] = np.sort(payloads % np.pi)
-        else:
-            q = canonical_sign(payloads)
-            points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
+        q = canonical_sign(payloads[groups.first_lifts(payloads)])
+        points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
         pts = points[i]
         return pts[rng.integers(0, len(pts), size=n)]
 
-    return EncodingScheme(label, _torsor_space(spec), sub, spec.indices,
-                          "perfect", _nearest_lookup(sub, spec.labels),
-                          sample_fn, points=points)
+    return EncodingScheme(label, frame_torsor_space(sub.ambient), sub,
+                          spec.indices, "perfect",
+                          _nearest_lookup(sub, spec.labels), sample_fn,
+                          points=points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,29 @@
 """Reference-frame transformation groups.
 
-Parametrizations, Haar sampling, unitary representations, finite subgroups
-with multiplication tables, fixed quadrature rules and nearest-element
-search.
+Quaternion algebra, Haar sampling, finite subgroups with multiplication
+tables, fixed quadrature rules and nearest-element search.
 
 Conventions
 -----------
-Group tags: "u1" (physical polarisation rotations, angle mod 2pi), "u1r" (the
-reduced group, angle mod pi), "su2" (unit quaternions), "so3" (quaternions up
-to sign, canonicalized so the first nonzero component is positive), and the
-names of the finite subgroups below.  "u1r" serves only Z4 and its
-representation, for the equivariance checks; the U(1) matched schemes are
-built on Z8 itself.
-
-A quaternion q = (w, x, y, z) maps to the special unitary
+Every group element is a unit quaternion q = (w, x, y, z): one payload type
+for both frame groups.  It maps to the special unitary
 U(q) = w I - i (x X + y Y + z Z), so the rotation by angle a about unit axis n
 is (cos(a/2), sin(a/2) n).
 
+Group tags: "u1" (the z-axis circle u1_quat(theta) inside SU(2)), "su2"
+(unit quaternions), "so3" (quaternions up to sign, canonicalized so the
+first nonzero component is positive), and the names of the finite subgroups
+below.
+
 The physical U(1) representation on the polarisation qubit is
-rho(theta) = diag(1, exp(-2i theta)); its kernel is {0, pi}, so the reduced
-group has period pi and the reduced representation diag(1, exp(-2i t)) is
-faithful on t in [0, pi).
+rho(theta) = diag(1, exp(-2i theta)) = exp(-i theta) U(u1_quat(theta)) with
+u1_quat(theta) = (cos theta, 0, 0, -sin theta).  The phase cancels in every
+conjugation rho(g)+ M rho(g), the only use the package makes of rho, so the
+matrix of any element is su2_matrix(q).  The kernel {0, pi} of the action
+on polarisation axes is the sign pair +-1, as on SU(2).
 
 Every qubit unitary is a phase times U(q) for a unit quaternion q, unique up
-to sign; rho(theta) = exp(-i theta) U(cos theta, 0, 0, -sin theta).
+to sign.
 
 Finite subgroups are built with array operations: the quaternion groups by
 a layer-by-layer closure of their generators (each layer renormalised, so
@@ -41,7 +41,6 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 __all__ = [
-    "Representation",
     "FiniteSubgroup",
     "HaarStream",
     "quat_mul",
@@ -50,9 +49,7 @@ __all__ = [
     "axis_angle_quat",
     "su2_matrix",
     "unitary_quat",
-    "u1_physical_rep",
-    "u1_reduced_rep",
-    "su2_defining_rep",
+    "u1_quat",
     "z4_reduced",
     "z8_physical",
     "binary_octahedral",
@@ -149,58 +146,14 @@ def unitary_quat(mat: np.ndarray) -> np.ndarray:
                      v[..., 1, 0].real, -v[..., 0, 0].imag], axis=-1)
 
 
-def u1_matrix(theta) -> np.ndarray:
-    """Physical-representation matrix diag(1, exp(-2i theta)), vectorized."""
-    theta = np.asarray(theta, dtype=np.float64)
-    mat = np.zeros(theta.shape + (2, 2), dtype=np.complex128)
-    mat[..., 0, 0] = 1.0
-    mat[..., 1, 1] = np.exp(-2j * theta)
-    return mat
-
-
 def u1_quat(theta) -> np.ndarray:
-    """Quaternion(s) (..., 4) of u1_matrix(theta) up to its phase."""
+    """Quaternion(s) (..., 4) of the polarisation rotation(s) by theta: the
+    z-axis circle, with diag(1, exp(-2i theta)) = exp(-i theta) U(q)."""
     theta = np.asarray(theta, dtype=np.float64)
     q = np.zeros(theta.shape + (4,))
     q[..., 0] = np.cos(theta)
     q[..., 3] = -np.sin(theta)
     return q
-
-
-# ---------------------------------------------------------------------------
-# Representations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Representation:
-    """Unitary qubit representation: group tag, dimension, evaluation rule,
-    and the quaternion q of rho(g) = phase * su2_matrix(q), both vectorized
-    over payloads (angles for "u1"/"u1r", unit quaternions for "su2")."""
-
-    group: str
-    dim: int
-    matrix: Callable[[object], np.ndarray]
-    quat: Callable[[object], np.ndarray]
-
-    def __call__(self, payload) -> np.ndarray:
-        """Evaluate on a payload or a payload array (vectorized)."""
-        return self.matrix(payload)
-
-
-def u1_physical_rep() -> Representation:
-    return Representation("u1", 2, u1_matrix, u1_quat)
-
-
-def u1_reduced_rep() -> Representation:
-    return Representation("u1r", 2, u1_matrix, u1_quat)
-
-
-def _su2_quat(q) -> np.ndarray:
-    return np.asarray(q, dtype=np.float64)
-
-
-def su2_defining_rep() -> Representation:
-    return Representation("su2", 2, su2_matrix, _su2_quat)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +169,8 @@ class FiniteSubgroup:
     """
 
     name: str
-    ambient: str
-    payloads: np.ndarray            # (n,) angles or (n, 4) quaternions
+    ambient: str                    # group tag; on "so3" elements are up to sign
+    payloads: np.ndarray            # (n, 4) unit quaternions
     table: np.ndarray               # (n, n) index multiplication table
     inverse: np.ndarray             # (n,) index inverse table
     identity: int
@@ -258,20 +211,13 @@ class FiniteSubgroup:
 
 
 def _match_indices(payloads: np.ndarray, items, ambient: str) -> np.ndarray:
-    """Index of each item (angles or quaternions) in the element list, -1
-    where no element lies within 1e-9."""
-    if ambient in ("u1", "u1r"):
-        period = 2 * np.pi if ambient == "u1" else np.pi
-        items = np.reshape(items, (-1, 1))
-        dist = np.abs((payloads - items + period / 2) % period - period / 2)
-        idx = np.argmin(dist, axis=1)
-        found = dist[np.arange(len(idx)), idx] <= 1e-9
-    else:
-        dots = np.reshape(items, (-1, 4)) @ payloads.T
-        if ambient == "so3":
-            dots = np.abs(dots)
-        idx = np.argmax(dots, axis=1)
-        found = dots[np.arange(len(idx)), idx] >= 1.0 - 1e-9
+    """Index of each quaternion item in the element list (up to sign on
+    SO(3)), -1 where no element lies within 1e-9."""
+    dots = np.reshape(items, (-1, 4)) @ payloads.T
+    if ambient == "so3":
+        dots = np.abs(dots)
+    idx = np.argmax(dots, axis=1)
+    found = dots[np.arange(len(idx)), idx] >= 1.0 - 1e-9
     return np.where(found, idx, -1)
 
 
@@ -284,16 +230,13 @@ def first_lifts(quats: np.ndarray) -> np.ndarray:
 
 def _build_subgroup(name: str, ambient: str, payloads) -> FiniteSubgroup:
     payloads = np.asarray(payloads, dtype=np.float64)
-    order = np.lexsort(np.round(np.atleast_2d(payloads.T), 12)[::-1])
+    order = np.lexsort(np.round(payloads.T, 12)[::-1])
     payloads = payloads[order]
     n = len(payloads)
     # All n^2 products at once; on SO(3) the |dot| match makes the sign of
     # a product irrelevant.
-    if ambient in ("u1", "u1r"):
-        products, unit = payloads[:, None] + payloads[None, :], 0.0
-    else:
-        products = quat_mul(payloads[:, None], payloads[None, :])
-        unit = np.array([1.0, 0, 0, 0])
+    products = quat_mul(payloads[:, None], payloads[None, :])
+    unit = np.array([1.0, 0, 0, 0])
     table = _match_indices(payloads, products, ambient).reshape(n, n)
     if np.any(table < 0):
         i, j = np.argwhere(table < 0)[0]
@@ -323,13 +266,17 @@ def _closure(generators: list[np.ndarray]) -> np.ndarray:
 
 
 @functools.cache
-def z4_reduced() -> FiniteSubgroup:
-    return _build_subgroup("z4", "u1r", [k * np.pi / 4 for k in range(4)])
+def z8_physical() -> FiniteSubgroup:
+    return _build_subgroup("z8", "u1", u1_quat(np.arange(8) * np.pi / 4))
 
 
 @functools.cache
-def z8_physical() -> FiniteSubgroup:
-    return _build_subgroup("z8", "u1", [k * np.pi / 4 for k in range(8)])
+def z4_reduced() -> FiniteSubgroup:
+    """Z8 modulo the kernel +-1 of its action on polarisation axes."""
+    quats = canonical_sign(z8_physical().payloads)
+    unique = quats[first_lifts(quats)]
+    assert len(unique) == 4
+    return _build_subgroup("z4", "so3", unique)
 
 
 @functools.cache
@@ -358,7 +305,7 @@ def tetrahedral() -> FiniteSubgroup:
     return _build_subgroup("tet", "so3", unique)
 
 
-_SUBGROUPS = {
+SUBGROUPS = {
     "z4": z4_reduced,
     "z8": z8_physical,
     "boct": binary_octahedral,
@@ -369,9 +316,9 @@ _SUBGROUPS = {
 
 def subgroup_by_name(name: str) -> FiniteSubgroup:
     try:
-        return _SUBGROUPS[name]()
+        return SUBGROUPS[name]()
     except KeyError:
-        raise KeyError(f"unknown subgroup {name!r}; available: {sorted(_SUBGROUPS)}")
+        raise KeyError(f"unknown subgroup {name!r}; available: {sorted(SUBGROUPS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +354,9 @@ def sample_su2(rng: Generator, n: int) -> np.ndarray:
 
 
 def haar_batch(group: str, rng: Generator, n: int) -> np.ndarray:
-    """n i.i.d. Haar payloads of a group drawn from rng: (n,) angles or
-    (n, 4) quaternions."""
+    """n i.i.d. Haar quaternions (n, 4) of a group drawn from rng."""
     if group == "u1":
-        return rng.random(n) * 2 * np.pi
-    if group == "u1r":
-        return rng.random(n) * np.pi
+        return u1_quat(rng.random(n) * 2 * np.pi)
     if group in ("su2", "so3"):
         q = sample_su2(rng, n)
         return canonical_sign(q) if group == "so3" else q
@@ -435,33 +379,50 @@ QUADRATURE_SEGMENTS = 8
 
 
 @functools.cache
-def _circle_rule(period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (summing to 1) of the composite circle rule."""
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """8-node Gauss-Legendre nodes on [-1, 1] and weights summing to 1."""
     # Imported on first use: numpy.polynomial adds to the package import.
     from numpy.polynomial.legendre import leggauss
     x, w = leggauss(8)
-    width = period / QUADRATURE_SEGMENTS
+    return x, w / 2.0
+
+
+@functools.cache
+def _circle_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Angles and weights (summing to 1) of the composite circle rule."""
+    x, w = _legendre_rule()
+    width = 2 * np.pi / QUADRATURE_SEGMENTS
     left = np.arange(QUADRATURE_SEGMENTS) * width
     nodes = (left[:, None] + (x + 1.0) * (width / 2.0)).ravel()
-    weights = np.tile(w / (2.0 * QUADRATURE_SEGMENTS), QUADRATURE_SEGMENTS)
+    weights = np.tile(w / QUADRATURE_SEGMENTS, QUADRATURE_SEGMENTS)
     return nodes, weights
+
+
+def arc_rule(half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """8-node Gauss-Legendre rule on the arc u1_quat(t), |t| <= half_width:
+    quaternions (8, 4) and weights summing to 1."""
+    x, w = _legendre_rule()
+    return u1_quat(half_width * x), w
 
 
 def quadrature_average(f: Callable[[np.ndarray], np.ndarray],
                        group: str = "u1"):
-    """Haar average of a vectorized integrand by a fixed rule.
+    """Haar average of a vectorized integrand of quaternions (n, 4) by a
+    fixed rule.
 
-    "u1"/"u1r": composite Gauss-Legendre on the circle (64 angles), exact to
-    rounding for trigonometric polynomials of low degree, also times a
-    piecewise-linear weight whose kinks lie on segment edges.  "su2": the
-    mean over the 24 elements of the binary tetrahedral group, a spherical
-    5-design on S^3 (Delsarte, Goethals & Seidel 1977), so exact for every
-    polynomial of degree <= 5 in the quaternion.
+    "u1": composite Gauss-Legendre on the circle (u1_quat of 64 angles),
+    exact to rounding for trigonometric polynomials of low degree in the
+    angle, also times a piecewise-linear weight whose kinks lie on segment
+    edges.  "su2": the mean over the 24 elements of the binary tetrahedral
+    group, a spherical 5-design on S^3 (Delsarte, Goethals & Seidel 1977),
+    so exact for every polynomial of degree <= 5 in the quaternion.
     """
     if group == "su2":
         return np.mean(np.asarray(f(binary_tetrahedral().payloads)), axis=0)
-    nodes, weights = _circle_rule({"u1": 2 * np.pi, "u1r": np.pi}[group])
-    return np.tensordot(weights, np.asarray(f(nodes)), axes=1)
+    if group != "u1":
+        raise ValueError(f"no quadrature rule for group {group!r}")
+    nodes, weights = _circle_rule()
+    return np.tensordot(weights, np.asarray(f(u1_quat(nodes))), axes=1)
 
 
 def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,
@@ -471,16 +432,10 @@ def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,
     Returns (indices, tie counts beyond the winner).  Ties (within 1e-9 of
     the winning distance) are broken by lowest element index.
     """
-    payloads = np.asarray(payloads)
-    if sub.ambient in ("u1", "u1r"):
-        period = 2 * np.pi if sub.ambient == "u1" else np.pi
-        diff = payloads[..., None] - sub.payloads
-        dist = np.abs((diff + period / 2) % period - period / 2)
-    else:
-        dots = payloads @ sub.payloads.T
-        if sign_insensitive or sub.ambient == "so3":
-            dots = np.abs(dots)
-        dist = np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))
+    dots = np.asarray(payloads) @ sub.payloads.T
+    if sign_insensitive or sub.ambient == "so3":
+        dots = np.abs(dots)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))
     best = np.min(dist, axis=-1)
     near = dist <= best[..., None] + 1e-9
     idx = np.argmax(near, axis=-1)

@@ -283,7 +283,7 @@ def optimize_conventional_ueb(group: str, samples: int = 2 * 10 ** 5,
     `samples` and `threads` are accepted and unused.
     """
     rng = np.random.default_rng(seed)
-    if group in ("u1", "u1r"):
+    if group == "u1":
         baseline = OptimizationRow("pauli", (0.0, 0.0, 0.0, 0.0),
                                    u1_conventional_purity((0, 0, 0, 0)), 0.0)
         starts = [rng.random(4) * _U1_BOX for _ in range(restarts)]

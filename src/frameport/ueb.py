@@ -3,7 +3,8 @@
 A UEB is a set of d^2 unitaries orthonormal under the normalized
 Hilbert-Schmidt inner product (1/d) Tr(U_i+ U_j).  A finite subgroup H of the
 frame group acts on an equivariant UEB by conjugation:
-rho(h)+ U_i rho(h) = alpha(i, h) U_{sigma(i, h)}, where sigma is a right
+U(h)+ U_i U(h) = alpha(i, h) U_{sigma(i, h)}, with U(h) = su2_matrix(h) (the
+frame representation up to a phase that cancels), where sigma is a right
 action on the index set.  Matching of unitaries is global-phase-insensitive
 throughout (|normalized trace overlap| = 1).
 """
@@ -14,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteSubgroup, Representation, PAULI_X, PAULI_Y, \
-    PAULI_Z, unitary_quat
+from .groups import FiniteSubgroup, PAULI_X, PAULI_Y, PAULI_Z, su2_matrix, \
+    unitary_quat
 from .qmat import UnitaryMatrix
 
 __all__ = [
@@ -59,7 +60,7 @@ class UnitaryErrorBasis:
 
 
 class NotEquivariantError(ValueError):
-    """Conjugation by some rho(h) left the basis (up to phase)."""
+    """Conjugation by some U(h) left the basis (up to phase)."""
 
     def __init__(self, i: int, h: int, best_overlap: float):
         self.i, self.h, self.best_overlap = i, h, best_overlap
@@ -73,14 +74,13 @@ class EquivarianceData:
     """Index action of a finite subgroup on an equivariant UEB.
 
     sigma[i, h] = j and alpha[i, h] the phase with
-    rho(h)+ U_i rho(h) = alpha U_j.  Orbits partition the index set; each
+    U(h)+ U_i U(h) = alpha U_j.  Orbits partition the index set; each
     orbit's stabilizer L fixes the base element (lowest index in the orbit)
     and coset_reps[i] is the lowest-index H-element carrying base -> i.
     """
 
     basis: UnitaryErrorBasis
     subgroup: FiniteSubgroup
-    rep: Representation
     sigma: np.ndarray           # (d^2, |H|) int
     alpha: np.ndarray           # (d^2, |H|) complex, unit modulus
     orbits: tuple[tuple[int, ...], ...]
@@ -162,15 +162,15 @@ def check_ueb(mats, tol: float = 1e-9) -> tuple[bool, float]:
     return dev <= tol, dev
 
 
-def equivariance_analysis(basis: UnitaryErrorBasis, sub: FiniteSubgroup,
-                          rep: Representation) -> EquivarianceData:
+def equivariance_analysis(basis: UnitaryErrorBasis, sub: FiniteSubgroup
+                          ) -> EquivarianceData:
     """Extract the index action sigma, phases alpha, orbits, stabilizers,
     and coset representatives of H acting on the UEB by conjugation."""
     d = basis.dim
     mats = basis.mats
-    r = rep(sub.payloads)
+    r = su2_matrix(sub.payloads)
     conj = np.einsum("hba,nbc,hcd->hnad", r.conj(), mats, r)
-    # overlaps[h, i, j] = (1/d) Tr(U_j+ rho(h)+ U_i rho(h))
+    # overlaps[h, i, j] = (1/d) Tr(U_j+ U(h)+ U_i U(h))
     overlaps = np.einsum("hiab,jab->hij", conj, mats.conj()) / d
     mags = np.abs(overlaps)
     js = np.argmax(mags, axis=2)
@@ -188,5 +188,5 @@ def equivariance_analysis(basis: UnitaryErrorBasis, sub: FiniteSubgroup,
                    for o in orbits}
     coset_reps = {i: int(np.argmax(sigma[o[0]] == i))
                   for o in orbits for i in o}
-    return EquivarianceData(basis, sub, rep, sigma, alpha, orbits,
+    return EquivarianceData(basis, sub, sigma, alpha, orbits,
                             stabilizers, coset_reps)

@@ -38,24 +38,21 @@ def report(n: int, ok: bool, detail: str = "") -> None:
 def u1_bundle():
     basis = pauli_ueb()
     spec = ch.u1_teleportation_spec(basis)
-    eq = equivariance_analysis(basis, groups.z8_physical(),
-                               groups.u1_physical_rep())
+    eq = equivariance_analysis(basis, groups.z8_physical())
     return spec, eq
 
 
 def su2_bundle():
     basis = pauli_ueb()
     spec = ch.su2_teleportation_spec(basis)
-    eq = equivariance_analysis(basis, groups.binary_octahedral(),
-                               groups.su2_defining_rep())
+    eq = equivariance_analysis(basis, groups.binary_octahedral())
     return spec, eq
 
 
 def btet_bundle():
     basis = tetrahedral_ueb()
     spec = ch.su2_teleportation_spec(basis)
-    eq = equivariance_analysis(basis, groups.binary_tetrahedral(),
-                               groups.su2_defining_rep())
+    eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     return spec, eq
 
 
@@ -74,16 +71,13 @@ def test_acceptance_1_structural():
     for basis in (pauli_ueb(), tetrahedral_ueb()):
         passed, dev = ueb_mod.check_ueb(basis.mats, tol=1e-12)
         ok = ok and passed
-    pairs = [(pauli_ueb(), "z4", groups.u1_reduced_rep()),
-             (pauli_ueb(), "z8", groups.u1_physical_rep()),
-             (pauli_ueb(), "boct", groups.su2_defining_rep()),
-             (tetrahedral_ueb(), "btet", groups.su2_defining_rep())]
-    for basis, sub_name, rep in pairs:
-        eq = equivariance_analysis(basis, groups.subgroup_by_name(sub_name),
-                                   rep)
+    pairs = [(pauli_ueb(), "z4"), (pauli_ueb(), "z8"),
+             (pauli_ueb(), "boct"), (tetrahedral_ueb(), "btet")]
+    for basis, sub_name in pairs:
+        eq = equivariance_analysis(basis, groups.subgroup_by_name(sub_name))
         # Exhaustive table check: the conjugation identity for every (h, i).
         for h in range(eq.subgroup.order):
-            r = rep(eq.subgroup.payloads[h])
+            r = groups.su2_matrix(eq.subgroup.payloads[h])
             for i in range(basis.size):
                 lhs = r.conj().T @ basis.mats[i] @ r
                 rhs = eq.alpha[i, h] * basis.mats[eq.sigma[i, h]]

@@ -21,16 +21,14 @@ SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 def u1_bundle():
     basis = pauli_ueb()
     spec = ch.u1_teleportation_spec(basis)
-    eq = equivariance_analysis(basis, groups.z8_physical(),
-                               groups.u1_physical_rep())
+    eq = equivariance_analysis(basis, groups.z8_physical())
     return spec, eq
 
 
 def su2_bundle(basis=None):
     basis = basis or pauli_ueb()
     spec = ch.su2_teleportation_spec(basis)
-    eq = equivariance_analysis(basis, groups.binary_octahedral(),
-                               groups.su2_defining_rep())
+    eq = equivariance_analysis(basis, groups.binary_octahedral())
     return spec, eq
 
 
@@ -116,15 +114,6 @@ def test_u1_tight_quadrature_off_diagonal():
     assert est.pre_norm_deviation <= 1e-12
 
 
-def test_u1_tight_quadrature_rejects_kinks_inside_segments(monkeypatch):
-    # The arc-overlap weight kinks at multiples of pi/4; with 3 segments
-    # they fall inside segments, where the rule is not exact.
-    spec, eq = u1_bundle()
-    monkeypatch.setattr(groups, "QUADRATURE_SEGMENTS", 3)
-    with pytest.raises(ValueError, match="segment width"):
-        ch.tight_channel(spec, eq, u1_tight_scheme(eq), "u1", 1, "quadrature")
-
-
 def test_u1_tight_mc_agrees_with_quadrature():
     spec, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
@@ -157,7 +146,7 @@ def test_su2_tight_orbit_channels_share_spectrum():
     assert np.max(np.abs(ests[0].superop.mat - np.eye(4))) < 1e-14
 
 
-def test_su2_tight_invariant_under_left_stabilizer_shift():
+def test_su2_tight_invariant_under_left_stabilizer_shift(monkeypatch):
     """The base integrand is invariant under g -> h g for h stabilizing the
     base element, so shifting the sampled misalignments leaves the channel
     unchanged up to Monte Carlo error."""
@@ -166,9 +155,13 @@ def test_su2_tight_invariant_under_left_stabilizer_shift():
     h = eq.subgroup.payloads[eq.stabilizers[1][3]]
     plain = ch.tight_channel(spec, eq, scheme, "su2", 1, "mc",
                              samples=SAMPLES, seed=0)
+    # Pre-compose every Haar draw with h.  The readings' sampler draws
+    # through haar_batch too, which leaves them uniform.
+    haar_batch = groups.haar_batch
+    monkeypatch.setattr(groups, "haar_batch", lambda *a: groups.quat_mul(
+        h, haar_batch(*a)))
     shifted = ch.tight_channel(spec, eq, scheme, "su2", 1, "mc",
-                               samples=SAMPLES, seed=1,
-                               g_transform=lambda g: groups.quat_mul(h, g))
+                               samples=SAMPLES, seed=1)
     p1, e1 = plain.map_purity_with_error()
     p2, e2 = shifted.map_purity_with_error()
     assert abs(p1 - p2) < 4 * np.hypot(e1, e2) + 5e-3
@@ -203,8 +196,7 @@ def test_u1_perfect_is_identity():
 def test_btet_perfect_mc_is_identity():
     basis = tetrahedral_ueb()
     spec = ch.su2_teleportation_spec(basis)
-    eq = equivariance_analysis(basis, groups.binary_tetrahedral(),
-                               groups.su2_defining_rep())
+    eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 0))
     est = ch.perfect_channel(spec, eq, scheme, "su2", 1, "mc",
                              samples=SAMPLES)
@@ -237,14 +229,14 @@ def test_finite_group_check_passes_for_u1():
 # Quaternion moment accumulator
 # ---------------------------------------------------------------------------
 
-def _direct_block_sums(spec, payloads, result, accept):
+def _direct_block_sums(spec, r, result, accept):
     """Reference: per-block sums of kron(conj W, W) for the 2x2 unitaries
-    W = rho(g)+ U_i rho(g) U_i+, bucketed by sample index."""
-    r = spec.rep(payloads)
+    W = rho(g)+ U_i rho(g) U_i+ of the frame matrices r = rho(g), bucketed by
+    sample index."""
     u = spec.basis.mats[result]
     w = np.einsum("nba,bc,ncd,ed->nae", r.conj(), u, r, u.conj())
     kron = np.einsum("nab,ncd->nacbd", w.conj(), w).reshape(-1, 4, 4)
-    n = len(payloads)
+    n = len(r)
     buckets = (np.arange(n) * ch._N_BLOCKS // n)[accept]
     sums = np.zeros((ch._N_BLOCKS, 4, 4), dtype=np.complex128)
     np.add.at(sums, buckets, kron[accept])
@@ -262,11 +254,16 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
     rng = np.random.default_rng(17)
     if case == "u1":
         spec = ch.u1_teleportation_spec(pauli_ueb())
-        payloads = rng.random(samples) * 2 * np.pi
+        theta = rng.random(samples) * 2 * np.pi
+        payloads = groups.u1_quat(theta)
+        # The physical matrices diag(1, exp(-2i theta)), phase included.
+        r = np.zeros((samples, 2, 2), dtype=np.complex128)
+        r[:, 0, 0], r[:, 1, 1] = 1.0, np.exp(-2j * theta)
     else:
         basis = tetrahedral_ueb() if case == "su2-tetrahedral" else pauli_ueb()
         spec = ch.su2_teleportation_spec(basis)
         payloads = groups.sample_su2(rng, samples)
+        r = groups.su2_matrix(payloads)
     accept = rng.random(samples) < 0.4 if masked else \
         np.ones(samples, dtype=bool)
 
@@ -281,8 +278,7 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
 
         moments, accepted = ch._mc_accumulate(sample_fn, samples,
                                               HaarStream("u1", 0))
-        ref_sums, ref_norms = _direct_block_sums(spec, payloads, result,
-                                                 accept)
+        ref_sums, ref_norms = _direct_block_sums(spec, r, result, accept)
         assert accepted == accept.sum()
         traces = np.trace(moments, axis1=1, axis2=2)
         assert np.max(np.abs(traces - ref_norms)) <= 1e-12
@@ -401,8 +397,7 @@ def test_single_shot_conventional_matches_channel():
 def test_single_shot_perfect_reconstructs_exactly():
     basis = tetrahedral_ueb()
     spec = ch.su2_teleportation_spec(basis)
-    eq = equivariance_analysis(basis, groups.binary_tetrahedral(),
-                               groups.su2_defining_rep())
+    eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 0))
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     out, _ = ch.single_shot_simulate(spec, scheme, "su2", sigma,

@@ -42,13 +42,15 @@ def test_verify_single_scheme(tmp_path):
 
 
 def test_verify_all_does_not_import_scipy(tmp_path):
-    # scipy is a test-only dependency; a fresh process shows what the
-    # package itself imports.
+    # scipy is a test-only dependency, and the Gauss-Legendre nodes of
+    # numpy.polynomial are imported on first use; a fresh process shows what
+    # the package itself imports.
     src = str(Path(cli.__file__).resolve().parents[1])
     out = str(tmp_path / "v.json")
     code = ("import sys\nfrom frameport import cli\n"
             f"assert cli.main(['verify', '--all', '--out', {out!r}]) == 0\n"
-            "assert 'scipy' not in sys.modules\n")
+            "assert 'scipy' not in sys.modules\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=os.environ | {"PYTHONPATH": src})
 
@@ -58,6 +60,18 @@ def test_verify_subgroup_and_ueb(tmp_path):
     assert run(["verify", "--subgroup", "boct", "--ueb", "pauli",
                 "--out", str(out)]) == 0
     assert read_json(out)["ok"] is True
+
+
+def test_verify_ueb_defaults_to_its_own_subgroup(tmp_path):
+    # With no --subgroup, a UEB is checked against the subgroup it is
+    # equivariant for: BOct for the Pauli basis, BTet for the tetrahedral
+    # one (which is not BOct-equivariant).
+    out = tmp_path / "v.json"
+    for ueb, sub in (("pauli", "boct"), ("tetrahedral", "btet")):
+        assert run(["verify", "--ueb", ueb, "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["ok"] is True
+        assert f"equivariance:{ueb}/{sub}" in payload["checks"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,36 +9,28 @@ from scipy import stats
 from frameport import channel as ch
 from frameport import encoding as enc
 from frameport import groups
-from frameport.groups import HaarStream, canonical_sign
+from frameport.groups import HaarStream, canonical_sign, u1_quat
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
 
 STREAM = HaarStream("su2", 5)
 
 
 def u1_equivariance():
-    return equivariance_analysis(pauli_ueb(), groups.z8_physical(),
-                                 groups.u1_physical_rep())
+    return equivariance_analysis(pauli_ueb(), groups.z8_physical())
 
 
 def boct_equivariance():
-    return equivariance_analysis(pauli_ueb(), groups.binary_octahedral(),
-                                 groups.su2_defining_rep())
+    return equivariance_analysis(pauli_ueb(), groups.binary_octahedral())
 
 
 def btet_equivariance():
-    return equivariance_analysis(tetrahedral_ueb(), groups.binary_tetrahedral(),
-                                 groups.su2_defining_rep())
+    return equivariance_analysis(tetrahedral_ueb(),
+                                 groups.binary_tetrahedral())
 
 
 # ---------------------------------------------------------------------------
 # Reading spaces
 # ---------------------------------------------------------------------------
-
-def test_polarisation_axis_action_is_mod_pi():
-    sp = enc.polarisation_axis_space()
-    assert sp.act(np.pi, 0.3) == pytest.approx(0.3)
-    assert sp.act(np.pi / 2, 3.0) == pytest.approx((3.0 + np.pi / 2) % np.pi)
-
 
 def test_rod_axis_action_is_rotation():
     sp = enc.rod_axis_space()
@@ -58,9 +50,25 @@ def test_torsor_action_composition():
     assert min(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs + rhs)) < 1e-9
 
 
+def test_circle_torsor_action():
+    # The circle torsor acts as on SU(2): composition holds, x and -x are
+    # one reading, and g = u1_quat(theta) moves the axis angle t of
+    # u1_quat(t) to t - theta mod pi.
+    sp = enc.frame_torsor_space("u1")
+    x, g1, g2 = u1_quat(np.random.default_rng(0).random(3) * 2 * np.pi)
+    lhs = sp.act(g2, sp.act(g1, x))
+    rhs = sp.act(groups.quat_mul(g2, g1), x)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    assert np.array_equal(sp.act(g1, x), sp.act(g1, -x))
+    assert np.allclose(sp.act(u1_quat(np.pi / 2), u1_quat(3.0)),
+                       canonical_sign(u1_quat(3.0 - np.pi / 2)), atol=1e-12)
+    assert np.allclose(sp.act(u1_quat(np.pi), u1_quat(0.3)),
+                       canonical_sign(u1_quat(0.3)), atol=1e-12)
+
+
 def test_uniform_bins_cover_and_balance():
     rng = np.random.default_rng(1)
-    for sp in (enc.polarisation_axis_space(), enc.rod_axis_space()):
+    for sp in (enc.frame_torsor_space("u1"), enc.rod_axis_space()):
         x = sp.sample(rng, 64000)
         bins = sp.uniform_bins(x, 64)
         counts = np.bincount(bins, minlength=64)
@@ -79,7 +87,10 @@ def test_u1_matched_scheme_spec_structure():
     assert spec.subgroup is groups.z8_physical()
     assert spec.indices == (1, 2)
     assert len(spec.stabilizer) == 4
-    assert spec.labels.tolist() == [1, 2] * 4
+    # Label 1 on the even multiples of pi/4, label 2 on the odd ones.
+    q = spec.subgroup.payloads
+    odd = np.rint(np.arctan2(-q[:, 3], q[:, 0]) / (np.pi / 4)) % 2
+    assert spec.labels.tolist() == (1 + odd).astype(int).tolist()
 
 
 def test_u1_tight_scheme_decodes_known_angles():
@@ -87,17 +98,17 @@ def test_u1_tight_scheme_decodes_known_angles():
         u1_equivariance(), 1))
     # Regions are pi/4-wide arcs around {0, pi/4, pi/2, 3pi/4} with labels
     # 1, 2, 1, 2.
-    assert enc.decode(scheme, 0.01) == 1
-    assert enc.decode(scheme, np.pi / 4) == 2
-    assert enc.decode(scheme, np.pi / 2 - 0.01) == 1
-    assert enc.decode(scheme, 3 * np.pi / 4 + 0.05) == 2
+    assert enc.decode(scheme, u1_quat(0.01)) == 1
+    assert enc.decode(scheme, u1_quat(np.pi / 4)) == 2
+    assert enc.decode(scheme, u1_quat(np.pi / 2 - 0.01)) == 1
+    assert enc.decode(scheme, u1_quat(3 * np.pi / 4 + 0.05)) == 2
 
 
 def test_u1_region_measures():
     scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(
         u1_equivariance(), 1))
     rng = np.random.default_rng(2)
-    labels = enc.decode_batch(scheme, rng.random(100000) * np.pi)
+    labels = enc.decode_batch(scheme, u1_quat(rng.random(100000) * np.pi))
     frac = np.mean(labels == 1)
     assert frac == pytest.approx(0.5, abs=0.01)
     assert scheme.region_measure == pytest.approx(0.5)
@@ -106,20 +117,22 @@ def test_u1_region_measures():
 def test_u1_perfect_points():
     scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(
         u1_equivariance(), 1))
-    assert np.allclose(sorted(scheme.points[1]), [0.0, np.pi / 2], atol=1e-9)
-    assert np.allclose(sorted(scheme.points[2]), [np.pi / 4, 3 * np.pi / 4],
-                       atol=1e-9)
+    for i, angles in ((1, [0.0, np.pi / 2]), (2, [np.pi / 4, 3 * np.pi / 4])):
+        dots = np.abs(scheme.points[i] @ u1_quat(angles).T)
+        assert np.allclose(np.sort(dots.max(axis=0)), [1.0, 1.0], atol=1e-9)
 
 
 def test_u1_perfect_points_are_exact_group_elements():
     scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(
         u1_equivariance(), 1))
-    z8 = groups.z8_physical().payloads
-    assert np.array_equal(scheme.points[1], z8[[0, 2]])
-    assert np.array_equal(scheme.points[2], z8[[1, 3]])
-    assert np.max(np.abs(scheme.points[1] - [0.0, np.pi / 2])) <= 1e-15
-    assert np.max(np.abs(scheme.points[2] - [np.pi / 4, 3 * np.pi / 4])) \
-        <= 1e-15
+    # Each point is a canonical-signed Z8 element itself, within 1e-15 of
+    # its closed form.
+    z8 = canonical_sign(groups.z8_physical().payloads)
+    for i, angles in ((1, [0.0, np.pi / 2]), (2, [np.pi / 4, 3 * np.pi / 4])):
+        assert all(np.any(np.all(z8 == q, axis=1)) for q in scheme.points[i])
+        exact = canonical_sign(u1_quat(angles))
+        dev = np.abs(scheme.points[i][:, None] - exact[None]).max(axis=-1)
+        assert np.max(dev.min(axis=1)) <= 1e-15
 
 
 def test_sample_encoding_lands_in_region():
@@ -201,15 +214,9 @@ def test_decoder_matches_nearest_element_search(make):
     scheme = ctor(spec)
     sub = spec.subgroup
     rng = np.random.default_rng(6)
-    if sub.ambient == "u1":
-        # Angles in [pi, 2 pi) are the same readings as in [0, pi); the
-        # nearest Z8 element on the full circle carries the same label.
-        a = rng.random(100_000) * np.pi
-        cases = [(x, x) for x in (a, a + np.pi, sub.payloads)]
-    else:
-        q = groups.sample_su2(rng, 100_000)
-        cases = [(x, groups.canonical_sign(x))
-                 for x in (q, -q, sub.payloads, -sub.payloads)]
+    q = groups.haar_batch(sub.ambient, rng, 100_000)
+    cases = [(x, groups.canonical_sign(x))
+             for x in (q, -q, sub.payloads, -sub.payloads)]
     for x, ref in cases:
         idx, _ = groups.nearest_indices(ref, sub, sign_insensitive=True)
         assert np.array_equal(scheme.decode_fn(x), spec.labels[idx])
@@ -237,9 +244,6 @@ def voronoi_cells(scheme, x):
         sign = x[np.arange(len(x)), dominant] > 0
         return 2 * sign + (order[:, 1] > order[:, 0])
     sub = scheme.subgroup
-    if sub.ambient == "u1":
-        # Z8 elements k and k + 4 differ by pi: one reading, one cell.
-        return groups.nearest_indices(x, sub)[0] % 4
     idx, _ = groups.nearest_indices(x, sub, sign_insensitive=True)
     # +-h are one rotation: name each cell by its canonical lift.
     lifts = groups.canonical_sign(sub.payloads)

@@ -14,8 +14,8 @@ from frameport.groups import (
     HaarStream, axis_angle_quat, binary_octahedral, binary_tetrahedral,
     canonical_sign, haar_payloads, nearest_indices, quadrature_average,
     quat_conj, quat_mul, quat_rotate, sample_su2, su2_matrix,
-    subgroup_by_name, tetrahedral,
-    u1_matrix, unitary_quat, z4_reduced, z8_physical,
+    subgroup_by_name, tetrahedral, u1_quat, unitary_quat, z4_reduced,
+    z8_physical,
 )
 
 RNG = np.random.default_rng(7)
@@ -92,7 +92,8 @@ def test_canonical_sign_fixes_antipodes():
 
 
 def test_u1_matrix_physical_rep():
-    m = u1_matrix(np.pi / 3)
+    # The physical matrix is exp(-i theta) U(u1_quat(theta)).
+    m = np.exp(-1j * np.pi / 3) * su2_matrix(u1_quat(np.pi / 3))
     assert np.allclose(m, np.diag([1.0, np.exp(-2j * np.pi / 3)]), atol=1e-12)
 
 
@@ -109,11 +110,6 @@ def test_subgroup_orders_and_axioms(name, order):
     # Every table entry names the product itself (up to sign on SO(3)).
     p = sub.payloads
     named = p[sub.table]
-    if sub.ambient in ("u1", "u1r"):
-        period = 2 * np.pi if sub.ambient == "u1" else np.pi
-        gap = (p[:, None] + p[None, :] - named + period / 2) % period
-        assert np.max(np.abs(gap - period / 2)) <= 1e-14
-        return
     prod = quat_mul(p[:, None], p[None, :])
     gap = np.abs(prod - named).max(axis=-1)
     if sub.ambient == "so3":
@@ -224,16 +220,18 @@ def test_sample_su2_trace_fourth_moment_is_catalan():
 
 
 def test_quadrature_average_exact_on_trig_polynomial():
-    val = quadrature_average(lambda t: np.cos(t) ** 2, "u1")
+    # The rule passes u1_quat(t) = (cos t, 0, 0, -sin t).
+    val = quadrature_average(lambda q: q[:, 0] ** 2, "u1")
     assert val == pytest.approx(0.5, abs=1e-15)
-    assert quadrature_average(lambda t: np.sin(t) ** 2, "u1r") == \
+    assert quadrature_average(lambda q: q[:, 3] ** 2, "u1") == \
         pytest.approx(0.5, abs=1e-15)
 
     # A kinked integrand: the overlap of an arc of width pi/4 with its
     # translate by t (mod pi), the shape the tight scheme's weight sums, times
     # cos^2 t.  Its kinks at multiples of pi/4 fall on segment edges.  The
     # closed form is (2/2pi) * 2 int_0^(pi/4) (pi/4 - t) cos^2 t dt.
-    def kinked(t):
+    def kinked(q):
+        t = np.arctan2(-q[:, 3], q[:, 0])
         dist = np.abs((t + np.pi / 2) % np.pi - np.pi / 2)
         return np.maximum(np.pi / 4 - dist, 0.0) * np.cos(t) ** 2
     exact = np.pi / 32 + 1 / (4 * np.pi)
@@ -265,8 +263,9 @@ def test_nearest_indices_identity_cell():
 
 def test_nearest_indices_tie_breaks_to_lowest_index():
     sub = z4_reduced()
-    # Midpoint between elements 0 and 1 is equidistant.
-    mid = (sub.payloads[0] + sub.payloads[1]) / 2
+    # Midpoint between elements 0 and 1 (as rotations) is equidistant.
+    a, b = sub.payloads[:2]
+    mid = (a + np.sign(a @ b) * b) / 2
     idx, _ = nearest_indices(np.array([mid]), sub)
     assert idx[0] == 0
 
