@@ -113,9 +113,8 @@ class TeleportationSpec:
     def measurement_basis(self) -> np.ndarray:
         """Columns |phi_x> = (1/sqrt d) sum_i |i> (U_x X)^T |i>."""
         d = self.dim
-        cols = [np.einsum("ik->ik", (self.basis.mats[x] @ self.resource.mat)
-                          ).reshape(d * d) / np.sqrt(d)
-                for x in range(self.basis.size)]
+        cols = [(self.basis.mats[x] @ self.resource.mat).reshape(d * d)
+                / np.sqrt(d) for x in range(self.basis.size)]
         return np.stack(cols, axis=1)
 
     def resource_state(self) -> np.ndarray:
@@ -295,18 +294,6 @@ def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.nd
     return moments, accepted
 
 
-def _quadrature_moment(net: Callable[[np.ndarray], np.ndarray],
-                       group: str) -> np.ndarray:
-    """Haar average of the second moment w w^T of net quaternions by the
-    group's fixed quadrature rule; net maps group quaternions (n, 4) to net
-    quaternions (n, 4)."""
-    def integrand(g):
-        w = net(g)
-        return w[:, :, None] * w[:, None, :]
-
-    return groups.quadrature_average(integrand, group)
-
-
 def _conjugated(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Quaternion of rho(g)+ U rho(g) from the quaternions of rho(g) and U."""
     return quat_mul(quat_mul(quat_conj(g), u), g)
@@ -346,8 +333,10 @@ def conventional_channel(spec: TeleportationSpec, group: str,
         return mix_estimates(parts)
     i = int(result)
     if method == "quadrature":
-        return _exact_estimate(_quadrature_moment(
-            lambda g: _channel_quats(spec, g, i), group))
+        # w w^T is quadratic in the quaternions of g, so the mean over the
+        # design subgroup is the Haar average.
+        w = _channel_quats(spec, groups.design_subgroup(group).payloads, i)
+        return _exact_estimate(_moment(w) / len(w))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     stream = HaarStream(group, seed)
@@ -494,14 +483,10 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
     the identity; the quadrature path returns it exactly, while the MC path
     simulates the reconstruction honestly (sample g and x, decode, realign,
     accumulate the net conjugation); as in tight_channel, a result outside
-    the scheme's orbit gets the exact conventional integral there.  On the
-    rod space with point encoding the stabilizer is the axial rotation
-    circle, integrated by quadrature.
+    the scheme's orbit gets the exact conventional integral there.
     """
     if scheme.kind != "perfect":
         raise ValueError("perfect_channel requires a perfect scheme")
-    if scheme.space.kind == "rod-axis":
-        return _rod_point_stabilizer_channel(spec, scheme, result)
     if method == "quadrature":
         # Free action: trivial stabilizer, identity channel (the moment of
         # the identity quaternion).
@@ -545,19 +530,6 @@ def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
     xhat = first[decoded]               # the first point of the decoded X_j
     # y = xhat ghat^{-1}  =>  ghat = y^{-1} xhat
     return quat_mul(quat_conj(y), xhat)
-
-
-def _rod_point_stabilizer_channel(spec: TeleportationSpec,
-                                  scheme: enc.EncodingScheme,
-                                  result: int) -> ChannelEstimate:
-    axis = np.asarray(scheme.points[result][0], dtype=np.float64)
-
-    def net(q):
-        # The circle's rotations (q0, 0, 0, q3), turned onto the point axis.
-        return _channel_quats(spec, np.concatenate(
-            [q[:, :1], q[:, 3:] * axis], axis=1), result)
-
-    return _exact_estimate(_quadrature_moment(net, "u1"))
 
 
 # ---------------------------------------------------------------------------
@@ -629,25 +601,21 @@ def single_shot_simulate(spec: TeleportationSpec,
     pre = unitary_quat(np.stack([spec.premeasurement_unitary(x)
                                  for x in range(n_res)]))
 
-    readings = None
     decoded = np.copy(results)
     if scheme is None:
         corr = _misaligned_corrections(spec, g, results)
     else:
-        readings = np.empty((shots, 3 if scheme.space.kind == "rod-axis"
-                             else 4))
         rng_read = stream.advance(1 << 40).generator()
+        # Singleton-orbit results carry a speakable label and send no reading.
         in_orbit = np.isin(results, scheme.indices)
+        sent = results[in_orbit]
+        readings = np.empty((len(sent), 3 if scheme.space.kind == "rod-axis"
+                             else 4))
         for i in scheme.indices:
-            mask = results == i
+            mask = sent == i
             if np.any(mask):
                 readings[mask] = scheme.sample_fn(i, rng_read, int(mask.sum()))
-        # Singleton-orbit results carry a speakable label; fill a dummy
-        # reading for the transcript.
-        if np.any(~in_orbit):
-            readings[~in_orbit] = scheme.space.sample(rng_read,
-                                                      int((~in_orbit).sum()))
-        received = scheme.space.act(g[in_orbit], readings[in_orbit])
+        received = scheme.space.act(g[in_orbit], readings)
         decoded[in_orbit] = enc.decode_batch(scheme, received)
         if scheme.kind == "perfect":
             corr = _misaligned_corrections(spec, g, results)
@@ -667,7 +635,6 @@ def single_shot_simulate(spec: TeleportationSpec,
         "g": g,
         "result": results,
         "decoded": decoded,
-        "readings": readings,
         "probs": probs,
         "mean_superop": mean_superop,
     }

@@ -86,7 +86,7 @@ ENCODED_SCHEMES = tuple(name for name, row in _SCHEMES.items()
                         if row[3] is not None)
 
 
-def _bundle(name: str) -> SchemeBundle:
+def builtin_scheme(name: str) -> SchemeBundle:
     name = _ALIASES.get(name, name)
     if name not in _SCHEMES:
         raise ConfigError(
@@ -100,11 +100,11 @@ def _bundle(name: str) -> SchemeBundle:
     eq = ueb_mod.equivariance_analysis(basis,
                                        groups.subgroup_by_name(sub_name))
     if base is None:
-        scheme = enc.rod_scheme(label=name)
+        scheme = enc.rod_scheme()
     else:
         matched = (enc.tight_matched_scheme if variant == "tight"
                    else enc.perfect_matched_scheme)
-        scheme = matched(enc.matched_scheme_spec(eq, base), label=name)
+        scheme = matched(enc.matched_scheme_spec(eq, base))
     return SchemeBundle(name, group, variant, spec, eq, scheme)
 
 
@@ -112,9 +112,6 @@ _UEBS: dict[str, Callable[[], ueb_mod.UnitaryErrorBasis]] = {
     "pauli": ueb_mod.pauli_ueb,
     "tetrahedral": ueb_mod.tetrahedral_ueb,
 }
-
-def builtin_scheme(name: str) -> SchemeBundle:
-    return _bundle(name)
 
 
 class ConfigError(ValueError):
@@ -228,7 +225,7 @@ def _verify_equivariance(report: dict, pairs=_EQ_PAIRS) -> bool:
 def _verify_schemes(report: dict, names=None) -> bool:
     ok = True
     for name in names or ENCODED_SCHEMES:
-        bundle = _bundle(name)
+        bundle = builtin_scheme(name)
         stream = groups.HaarStream(bundle.group, 7)
         passed, info = enc.compatibility_check(bundle.scheme, bundle.eq,
                                                stream, samples_per_case=200)
@@ -311,7 +308,7 @@ def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
 
 
 def cmd_channel(args) -> int:
-    bundle = _bundle(args.scheme)
+    bundle = builtin_scheme(args.scheme)
     method = args.method or _default_method(bundle)
     if (method == "quadrature" and bundle.group == "su2"
             and bundle.variant == "tight"):
@@ -383,15 +380,15 @@ def cmd_table1(args) -> int:
                          ("u1-tight", "averaged"), ("su2-conventional", 1),
                          ("su2-conventional", "averaged")):
         t0 = time.perf_counter()
-        est = _estimate(_bundle(name), result, "quadrature", args.samples,
-                        args.seed)
+        est = _estimate(builtin_scheme(name), result, "quadrature",
+                        args.samples, args.seed)
         add(name, "result-averaged" if result == "averaged"
             else f"result-{result}", est, time.perf_counter() - t0)
 
     # Rotation group tight schemes: mixed channel and mean of the per-result
     # purities (the latter matches the published table's averaging).
     for name in ("su2-matched-tight", "su2-rod-tight"):
-        bundle = _bundle(name)
+        bundle = builtin_scheme(name)
         t0 = time.perf_counter()
         per_result, mixed = _tight_averaged(bundle, "mc", args.samples,
                                             args.seed)
@@ -411,7 +408,7 @@ def cmd_table1(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    bundle = _bundle(args.scheme)
+    bundle = builtin_scheme(args.scheme)
     d = bundle.spec.dim
     _index_arg("--input", args.input, d)
     sigma = np.zeros((d, d), dtype=np.complex128)

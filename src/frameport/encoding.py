@@ -119,7 +119,6 @@ class EncodingScheme:
     uniform readings from E_i (region schemes) or X_i (perfect schemes).
     """
 
-    label: str
     space: ReadingSpace
     subgroup: FiniteSubgroup
     indices: tuple[int, ...]
@@ -211,8 +210,7 @@ def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
     return lambda x: lifted[np.argmax(np.abs(x @ h_t), axis=-1)]
 
 
-def tight_matched_scheme(spec: MatchedSchemeSpec, label: str = "tight-matched"
-                         ) -> EncodingScheme:
+def tight_matched_scheme(spec: MatchedSchemeSpec) -> EncodingScheme:
     """Tight matched scheme: D_i = E_i = union of R_{l c_i} over l in L,
     each of measure 1/|I_k|."""
     sub = spec.subgroup
@@ -232,13 +230,12 @@ def tight_matched_scheme(spec: MatchedSchemeSpec, label: str = "tight-matched"
         h = sub.payloads[sub.table[cells[i][l], nearest_inverse(f)]]
         return canonical_sign(quat_mul(h, f))
 
-    return EncodingScheme(label, space, sub, spec.indices, "tight",
+    return EncodingScheme(space, sub, spec.indices, "tight",
                           _nearest_lookup(sub, spec.labels), sample_fn,
                           region_measure=1.0 / len(spec.indices))
 
 
-def perfect_matched_scheme(spec: MatchedSchemeSpec,
-                           label: str = "perfect-matched") -> EncodingScheme:
+def perfect_matched_scheme(spec: MatchedSchemeSpec) -> EncodingScheme:
     """Perfect matched scheme: E_i is the finite set X_i of the distinct
     readings of {l c_i}; decoding subsets are the same Voronoi regions as
     the tight scheme."""
@@ -253,7 +250,7 @@ def perfect_matched_scheme(spec: MatchedSchemeSpec,
         pts = points[i]
         return pts[rng.integers(0, len(pts), size=n)]
 
-    return EncodingScheme(label, frame_torsor_space(sub.ambient), sub,
+    return EncodingScheme(frame_torsor_space(sub.ambient), sub,
                           spec.indices, "perfect",
                           _nearest_lookup(sub, spec.labels), sample_fn,
                           points=points)
@@ -263,7 +260,7 @@ def perfect_matched_scheme(spec: MatchedSchemeSpec,
 # Rod scheme
 # ---------------------------------------------------------------------------
 
-def rod_scheme(label: str = "rod") -> EncodingScheme:
+def rod_scheme() -> EncodingScheme:
     """Rod-orientation scheme: axes sorted by dominant |component|; the axis
     through the a-faces of the axis-aligned cube decodes to UEB index a."""
     space = rod_axis_space()
@@ -284,7 +281,7 @@ def rod_scheme(label: str = "rod") -> EncodingScheme:
         return x
 
     sub = groups.binary_octahedral()
-    return EncodingScheme(label, space, sub, (1, 2, 3), "tight",
+    return EncodingScheme(space, sub, (1, 2, 3), "tight",
                           decode_fn, sample_fn, region_measure=1.0 / 3.0)
 
 

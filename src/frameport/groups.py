@@ -1,7 +1,8 @@
 """Reference-frame transformation groups.
 
 Quaternion algebra, Haar sampling, finite subgroups with multiplication
-tables, fixed quadrature rules and nearest-element search.
+tables, quadrature as the mean over a design subgroup (Z8 on the circle,
+BTet on SU(2)), the Gauss-Legendre arc rule and nearest-element search.
 
 Conventions
 -----------
@@ -56,6 +57,7 @@ __all__ = [
     "binary_tetrahedral",
     "tetrahedral",
     "haar_batch",
+    "design_subgroup",
     "quadrature_average",
 ]
 
@@ -199,15 +201,6 @@ class FiniteSubgroup:
         bad = np.any(t[t] != t[:, t], axis=(1, 2))
         if bad.any():
             raise ValueError(f"associativity fails at {int(np.argmax(bad))}")
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ambient": self.ambient,
-            "order": self.order,
-            "elements": np.asarray(self.payloads).tolist(),
-            "table": self.table.tolist(),
-        }
 
 
 def _match_indices(payloads: np.ndarray, items, ambient: str) -> np.ndarray:
@@ -372,12 +365,6 @@ def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
 # Quadrature and nearest-element search
 # ---------------------------------------------------------------------------
 
-# The circle rule splits the period into QUADRATURE_SEGMENTS equal segments
-# with 8 Gauss-Legendre nodes each.  A piecewise-smooth integrand is
-# integrated exactly only if its kinks fall on segment edges.
-QUADRATURE_SEGMENTS = 8
-
-
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     """8-node Gauss-Legendre nodes on [-1, 1] and weights summing to 1."""
@@ -387,17 +374,6 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return x, w / 2.0
 
 
-@functools.cache
-def _circle_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Angles and weights (summing to 1) of the composite circle rule."""
-    x, w = _legendre_rule()
-    width = 2 * np.pi / QUADRATURE_SEGMENTS
-    left = np.arange(QUADRATURE_SEGMENTS) * width
-    nodes = (left[:, None] + (x + 1.0) * (width / 2.0)).ravel()
-    weights = np.tile(w / QUADRATURE_SEGMENTS, QUADRATURE_SEGMENTS)
-    return nodes, weights
-
-
 def arc_rule(half_width: float) -> tuple[np.ndarray, np.ndarray]:
     """8-node Gauss-Legendre rule on the arc u1_quat(t), |t| <= half_width:
     quaternions (8, 4) and weights summing to 1."""
@@ -405,24 +381,24 @@ def arc_rule(half_width: float) -> tuple[np.ndarray, np.ndarray]:
     return u1_quat(half_width * x), w
 
 
+def design_subgroup(group: str) -> FiniteSubgroup:
+    """The group's design subgroup, whose element mean is the Haar average
+    of every polynomial of low degree in the quaternion: Z8 on "u1" (exact
+    for trigonometric polynomials of degree <= 7 in the angle of u1_quat),
+    BTet on "su2" (a spherical 5-design on S^3, Delsarte, Goethals & Seidel
+    1977, exact for degree <= 5)."""
+    if group == "u1":
+        return z8_physical()
+    if group == "su2":
+        return binary_tetrahedral()
+    raise ValueError(f"no quadrature rule for group {group!r}")
+
+
 def quadrature_average(f: Callable[[np.ndarray], np.ndarray],
                        group: str = "u1"):
-    """Haar average of a vectorized integrand of quaternions (n, 4) by a
-    fixed rule.
-
-    "u1": composite Gauss-Legendre on the circle (u1_quat of 64 angles),
-    exact to rounding for trigonometric polynomials of low degree in the
-    angle, also times a piecewise-linear weight whose kinks lie on segment
-    edges.  "su2": the mean over the 24 elements of the binary tetrahedral
-    group, a spherical 5-design on S^3 (Delsarte, Goethals & Seidel 1977),
-    so exact for every polynomial of degree <= 5 in the quaternion.
-    """
-    if group == "su2":
-        return np.mean(np.asarray(f(binary_tetrahedral().payloads)), axis=0)
-    if group != "u1":
-        raise ValueError(f"no quadrature rule for group {group!r}")
-    nodes, weights = _circle_rule()
-    return np.tensordot(weights, np.asarray(f(u1_quat(nodes))), axes=1)
+    """Haar average of a vectorized integrand of quaternions (n, 4): the
+    mean over the elements of the group's design subgroup."""
+    return np.mean(np.asarray(f(design_subgroup(group).payloads)), axis=0)
 
 
 def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,

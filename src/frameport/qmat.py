@@ -23,14 +23,11 @@ __all__ = [
     "DensityMatrix",
     "Superoperator",
     "ChoiState",
-    "conjugation_superoperator",
     "mix",
     "choi",
-    "von_neumann_entropy",
     "clamped_eigenvalues",
     "spectrum_purities",
     "map_purity",
-    "linear_map_purity",
 ]
 
 _ATOL_UNITARY = 1e-12
@@ -161,12 +158,6 @@ class ChoiState:
         return int(round(np.sqrt(self.rho.dim)))
 
 
-def conjugation_superoperator(U: UnitaryMatrix) -> Superoperator:
-    """Superoperator of sigma -> U sigma U+."""
-    m = U.mat
-    return Superoperator(np.kron(m.conj(), m), tp=True, cp=True)
-
-
 def mix(channels: Sequence[tuple[float, Superoperator]]) -> Superoperator:
     """Convex combination of superoperators; weights must sum to 1."""
     if not channels:
@@ -197,11 +188,6 @@ def _entropy(vals: np.ndarray) -> np.ndarray:
     return -np.sum(vals * np.log(np.where(vals > 0, vals, 1.0)), axis=-1)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda ln lambda in nats, with 0 ln 0 := 0."""
-    return float(_entropy(rho.eigenvalues()))
-
-
 def clamped_eigenvalues(mats: np.ndarray) -> np.ndarray:
     """Ascending spectra of Hermitian matrices (..., n, n), with eigenvalues
     below 1e-14 read as 0."""
@@ -219,8 +205,3 @@ def spectrum_purities(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def map_purity(S: Superoperator) -> float:
     """Normalized Choi purity 1 - S(rho_T)/ln(d^2)."""
     return float(spectrum_purities(choi(S).rho.eigenvalues())[0])
-
-
-def linear_map_purity(S: Superoperator) -> float:
-    """Linear Choi purity Tr(rho_T^2)."""
-    return float(spectrum_purities(choi(S).rho.eigenvalues())[1])

@@ -97,16 +97,6 @@ class EquivarianceData:
         """j with sigma(j, h) = i, i.e. sigma(i, h^{-1}); vectorized over h."""
         return self.sigma[i, self.subgroup.inverse[h]]
 
-    def to_json(self) -> dict:
-        return {
-            "subgroup": self.subgroup.name,
-            "sigma": self.sigma.tolist(),
-            "alpha": [[[z.real, z.imag] for z in row] for row in self.alpha],
-            "orbits": [list(o) for o in self.orbits],
-            "stabilizers": {str(b): list(s) for b, s in self.stabilizers.items()},
-            "coset_reps": {str(i): int(c) for i, c in self.coset_reps.items()},
-        }
-
 
 def pauli_ueb() -> UnitaryErrorBasis:
     """{I, X, Y, Z} in that order."""

@@ -11,9 +11,11 @@ from frameport import channel as ch
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream
-from frameport.qmat import DensityMatrix, Superoperator, choi, \
-    clamped_eigenvalues, linear_map_purity, map_purity, spectrum_purities
-from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
+from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
+    choi, clamped_eigenvalues, map_purity, spectrum_purities
+from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
+    pauli_ueb, tetrahedral_ueb
+from qmat_reference import linear_map_purity
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
@@ -67,6 +69,24 @@ def test_u1_conventional_averaged_is_half_dephasing():
     assert np.max(np.abs(est.superop.mat - expected)) < 1e-14
     assert map_purity(est.superop) == pytest.approx(0.5943609377704335,
                                                     abs=1e-9)
+
+
+def test_u1_conventional_quadrature_matches_fine_grid():
+    # Reference: the mean of kron(conj W, W), W = rho+ U_i rho U_i+ with
+    # rho = diag(1, exp(-2i t)), over 101 equally spaced angles, exact for
+    # trigonometric polynomials in t of degree <= 100.
+    t = np.arange(101) * 2 * np.pi / 101
+    rho = np.zeros((len(t), 2, 2), dtype=np.complex128)
+    rho[:, 0, 0], rho[:, 1, 1] = 1.0, np.exp(-2j * t)
+    u, v = (UnitaryMatrix(groups.su2_matrix(q))
+            for q in groups.sample_su2(np.random.default_rng(9), 2))
+    for basis in (pauli_ueb(), general_qubit_ueb(u, v)):
+        spec = ch.u1_teleportation_spec(basis)
+        for i, m in enumerate(basis.mats):
+            w = np.einsum("nba,bc,ncd,ed->nae", rho.conj(), m, rho, m.conj())
+            ref = np.einsum("nab,ncd->acbd", w.conj(), w).reshape(4, 4)
+            est = ch.conventional_channel(spec, "u1", i, "quadrature")
+            assert np.max(np.abs(est.superop.mat - ref / len(t))) <= 1e-15
 
 
 def test_su2_conventional_result0_is_identity():
@@ -205,13 +225,23 @@ def test_btet_perfect_mc_is_identity():
 
 
 def test_rod_point_encoding_is_perfectly_correctable():
-    """A single encoding point per index pins down the frame exactly, so the
-    perfect-reconstruction channel is the identity for every result."""
+    """A single encoding point per index pins down the frame up to the
+    rotations about that axis, which commute with the Pauli element of the
+    index, so the perfect-reconstruction channel is the identity for every
+    result."""
     spec, eq = su2_bundle()
+    t = np.random.default_rng(8).random(64) * 2 * np.pi
+    for i in (1, 2, 3):
+        # The stabilizer of axis i acts trivially: each net quaternion of
+        # rho(s)+ U_i rho(s) U_i+ is +-1.
+        s = np.zeros((len(t), 4))
+        s[:, 0], s[:, i] = np.cos(t), np.sin(t)
+        w = ch._channel_quats(spec, s, i)
+        assert np.max(np.abs(np.abs(w[:, 0]) - 1.0)) < 1e-12
     rod = enc.rod_scheme()
     points = {i: np.eye(3)[i - 1][None] for i in (1, 2, 3)}
-    scheme = enc.EncodingScheme("rod-points", rod.space, rod.subgroup,
-                                (1, 2, 3), "perfect", rod.decode_fn,
+    scheme = enc.EncodingScheme(rod.space, rod.subgroup, (1, 2, 3),
+                                "perfect", rod.decode_fn,
                                 lambda i, rng, n: np.tile(points[i][0], (n, 1)),
                                 points=points)
     for i in (1, 2, 3):

@@ -43,12 +43,15 @@ def test_verify_single_scheme(tmp_path):
 
 def test_verify_all_does_not_import_scipy(tmp_path):
     # scipy is a test-only dependency, and the Gauss-Legendre nodes of
-    # numpy.polynomial are imported on first use; a fresh process shows what
-    # the package itself imports.
+    # numpy.polynomial, which only the U(1) tight quadrature uses, are
+    # imported on first use; a fresh process shows what the package itself
+    # imports, here for verify and for the U(1) conventional quadrature.
     src = str(Path(cli.__file__).resolve().parents[1])
     out = str(tmp_path / "v.json")
     code = ("import sys\nfrom frameport import cli\n"
             f"assert cli.main(['verify', '--all', '--out', {out!r}]) == 0\n"
+            "assert cli.main(['channel', '--scheme', 'u1-conventional', "
+            f"'--out', {out!r}]) == 0\n"
             "assert 'scipy' not in sys.modules\n"
             "assert 'numpy.polynomial' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True,

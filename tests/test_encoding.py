@@ -313,7 +313,7 @@ def _scrambled_boct_scheme(where=lambda x, decoded: True):
                         decoded)
 
     bad = enc.EncodingScheme(
-        "bad", good.space, good.subgroup, good.indices, "tight", bad_decode,
+        good.space, good.subgroup, good.indices, "tight", bad_decode,
         good.sample_fn, region_measure=good.region_measure)
     return bad, eq
 

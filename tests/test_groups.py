@@ -171,11 +171,6 @@ def test_multiplication_table_closure_indices():
                np.linalg.norm(sub.payloads[k] + prod)) < 1e-9
 
 
-def test_subgroup_to_json_roundtrip_fields():
-    js = z4_reduced().to_json()
-    assert js["order"] == 4 and "elements" in js and "table" in js
-
-
 # ---------------------------------------------------------------------------
 # Haar sampling and quadrature
 # ---------------------------------------------------------------------------
@@ -220,23 +215,18 @@ def test_sample_su2_trace_fourth_moment_is_catalan():
 
 
 def test_quadrature_average_exact_on_trig_polynomial():
-    # The rule passes u1_quat(t) = (cos t, 0, 0, -sin t).
+    # The rule is the mean over Z8, u1_quat(t) = (cos t, 0, 0, -sin t) at
+    # t = k pi/4: exact for trigonometric polynomials of degree <= 7 in t.
     val = quadrature_average(lambda q: q[:, 0] ** 2, "u1")
     assert val == pytest.approx(0.5, abs=1e-15)
     assert quadrature_average(lambda q: q[:, 3] ** 2, "u1") == \
         pytest.approx(0.5, abs=1e-15)
-
-    # A kinked integrand: the overlap of an arc of width pi/4 with its
-    # translate by t (mod pi), the shape the tight scheme's weight sums, times
-    # cos^2 t.  Its kinks at multiples of pi/4 fall on segment edges.  The
-    # closed form is (2/2pi) * 2 int_0^(pi/4) (pi/4 - t) cos^2 t dt.
-    def kinked(q):
-        t = np.arctan2(-q[:, 3], q[:, 0])
-        dist = np.abs((t + np.pi / 2) % np.pi - np.pi / 2)
-        return np.maximum(np.pi / 4 - dist, 0.0) * np.cos(t) ** 2
-    exact = np.pi / 32 + 1 / (4 * np.pi)
-    assert quadrature_average(kinked, "u1") == pytest.approx(exact,
-                                                             abs=1e-15)
+    # The reach of the rule: the mean of cos^6 t is exact, while cos^8 t
+    # aliases, giving 9/32 against the true 35/128.
+    assert quadrature_average(lambda q: q[:, 0] ** 6, "u1") == \
+        pytest.approx(5 / 16, abs=1e-15)
+    assert quadrature_average(lambda q: q[:, 0] ** 8, "u1") == \
+        pytest.approx(9 / 32, abs=1e-15)
 
 
 def test_quadrature_average_su2_character_orthogonality():

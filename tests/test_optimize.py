@@ -7,9 +7,9 @@ import pytest
 
 from frameport import optimize as opt
 from frameport.groups import sample_su2, su2_matrix
-from frameport.qmat import linear_map_purity
 from frameport.ueb import pauli_ueb
 from frameport import channel as ch
+from qmat_reference import linear_map_purity
 
 
 # ---------------------------------------------------------------------------

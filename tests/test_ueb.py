@@ -213,10 +213,3 @@ def test_random_ueb_not_boct_equivariant():
     with pytest.raises(NotEquivariantError):
         equivariance_analysis(general_qubit_ueb(u, v),
                               groups.binary_octahedral())
-
-
-def test_to_json_shape():
-    eq = _eq(pauli_ueb(), "z4")
-    js = eq.to_json()
-    assert js["orbits"] == [[0], [1, 2], [3]]
-    assert len(js["sigma"]) == 4 and len(js["sigma"][0]) == 4
