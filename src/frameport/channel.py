@@ -127,17 +127,6 @@ class TeleportationSpec:
         xm = self.resource.mat
         return xm @ (u @ xm).conj().T
 
-    def check_resource_invariance(self, stream: HaarStream, n: int = 32) -> float:
-        """Max deviation of (g (x) g) eta from eta up to phase, over samples."""
-        eta = self.resource_state()
-        worst = 0.0
-        for g in groups.haar_payloads(stream, n):
-            r = su2_matrix(g)
-            vec = np.kron(r, r) @ eta
-            overlap = np.vdot(eta, vec)
-            worst = max(worst, float(np.linalg.norm(vec - overlap * eta)))
-        return worst
-
 
 def u1_teleportation_spec(basis: UnitaryErrorBasis) -> TeleportationSpec:
     return TeleportationSpec(basis, UnitaryMatrix(np.eye(2)))

@@ -153,10 +153,6 @@ class ChoiState:
         if not (1.0 / d2 - 1e-9 <= p <= 1.0 + 1e-9):
             raise InvariantViolation(f"Choi purity {p} outside [1/d^2, 1]")
 
-    @property
-    def channel_dim(self) -> int:
-        return int(round(np.sqrt(self.rho.dim)))
-
 
 def mix(channels: Sequence[tuple[float, Superoperator]]) -> Superoperator:
     """Convex combination of superoperators; weights must sum to 1."""

@@ -18,6 +18,8 @@ from frameport.groups import (
     z8_physical,
 )
 
+from qmat_reference import component_quat_conj, component_quat_mul
+
 RNG = np.random.default_rng(7)
 
 
@@ -37,6 +39,42 @@ def test_su2_matrix_is_a_homomorphism(seed):
     a, b = random_quat(rng), random_quat(rng)
     assert np.allclose(su2_matrix(quat_mul(a, b)),
                        su2_matrix(a) @ su2_matrix(b), atol=1e-12)
+
+
+def _product_cases(rng):
+    """(a, b) pairs of every input layout quat_mul accepts."""
+    a, b = rng.normal(size=(2, 257, 4)) * rng.uniform(0.1, 10, (2, 257, 1))
+    wide = rng.normal(size=(257, 9))
+    yield a, b                                         # contiguous (n, 4)
+    yield wide[:, 1:5], wide[:, 5:9]                   # column slices
+    yield rng.normal(size=(4, 257)).T, b[::-1]         # transposed, reversed
+    yield a[3], b                                      # (4,) x (n, 4)
+    yield a[:31, None], b[None, :17]                   # (n,1,4) x (1,m,4)
+    yield a[0], b[0]                                   # (4,) x (4,)
+    yield [1, 2, 3, 4], np.arange(8).reshape(2, 4)     # list, integers
+
+
+def test_quat_mul_matches_component_formula():
+    """The complex-pair product equals the component formula to a few ulp
+    of |a||b|, in every input layout, and leaves its inputs untouched."""
+    for a, b in _product_cases(np.random.default_rng(11)):
+        before = [np.array(x, copy=True) for x in (a, b)]
+        got = quat_mul(a, b)
+        want = component_quat_mul(a, b)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        scale = (np.linalg.norm(np.asarray(a, float), axis=-1)
+                 * np.linalg.norm(np.asarray(b, float), axis=-1))
+        assert np.all(np.abs(got - want) <= 1e-15 * scale[..., None])
+        for x in (a, b):
+            assert np.array_equal(component_quat_conj(x), quat_conj(x))
+        for x, old in zip((a, b), before):
+            assert np.array_equal(np.asarray(x), old)
+
+
+def test_quat_mul_composes_su2_matrices_to_rounding():
+    a, b = random_quat(n=1000), random_quat(n=1000)
+    assert np.max(np.abs(su2_matrix(quat_mul(a, b))
+                         - su2_matrix(a) @ su2_matrix(b))) < 1e-15
 
 
 def test_unitary_quat_inverts_su2_matrix_up_to_phase():
@@ -165,7 +203,7 @@ def test_btet_preserves_tetrahedron():
 def test_multiplication_table_closure_indices():
     sub = binary_octahedral()
     i, j = 5, 17
-    k = sub.mul(i, j)
+    k = sub.table[i, j]
     prod = quat_mul(sub.payloads[i], sub.payloads[j])
     assert min(np.linalg.norm(sub.payloads[k] - prod),
                np.linalg.norm(sub.payloads[k] + prod)) < 1e-9

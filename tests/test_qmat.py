@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frameport.qmat import (
-    ChoiState, DensityMatrix, InvariantViolation, Superoperator,
+    DensityMatrix, InvariantViolation, Superoperator,
     UnitaryMatrix, choi, map_purity, mix,
 )
 from qmat_reference import conjugation_superoperator, linear_map_purity, \
@@ -113,8 +113,3 @@ def test_random_unitary_mixture_invariants(seed):
     assert np.sum(ev) == pytest.approx(1.0, abs=1e-9)
     assert -1e-12 <= map_purity(s) <= 1 + 1e-12
     assert -1e-12 <= linear_map_purity(s) <= 1 + 1e-12
-
-
-def test_choi_state_channel_dim():
-    s = Superoperator(np.eye(4), tp=True, cp=True)
-    assert ChoiState(choi(s).rho).channel_dim == 2

@@ -134,7 +134,7 @@ def test_sigma_is_a_right_action():
     rng = np.random.default_rng(0)
     for _ in range(50):
         h1, h2 = rng.integers(0, sub.order, size=2)
-        prod = sub.mul(h1, h2)
+        prod = sub.table[h1, h2]
         for i in range(4):
             assert eq.sigma[i, prod] == eq.sigma[eq.sigma[i, h1], h2]
 
