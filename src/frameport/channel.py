@@ -60,7 +60,7 @@ from .groups import HaarStream, quat_conj, quat_mul, su2_matrix, \
     unitary_quat
 from .qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
     clamped_eigenvalues, spectrum_purities
-from .ueb import EquivarianceData, UnitaryErrorBasis
+from .ueb import UnitaryErrorBasis
 
 __all__ = [
     "TeleportationSpec",
@@ -73,7 +73,6 @@ __all__ = [
     "mean_result_purity",
     "mix_estimates",
     "perfect_channel",
-    "finite_group_check",
     "single_shot_simulate",
 ]
 
@@ -203,27 +202,25 @@ def _exact_estimate(moment: np.ndarray, pre_norm_deviation: float = 0.0
     return ChannelEstimate(moment, "quadrature", 0, None, pre_norm_deviation)
 
 
-def mix_estimates(parts: list[tuple[float, ChannelEstimate]]) -> ChannelEstimate:
-    """Convex combination of channel estimates.
+def mix_estimates(parts: list[ChannelEstimate]) -> ChannelEstimate:
+    """Equal-weight mixture of channel estimates.
 
     Caution: replicates are combined index-aligned, which is the correct
     treatment when the parts derive from the same underlying sample stream
     (orbit-mates of one base channel) and conservative otherwise.
     """
-    weights = [w for w, _ in parts]
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1")
+    w = 1.0 / len(parts)
     reps = None
-    if any(e.replicates is not None for _, e in parts):
+    if any(e.replicates is not None for e in parts):
         reps = sum(w * (e.moment if e.replicates is None else e.replicates)
-                   for w, e in parts)
-    method = "quadrature" if all(e.method == "quadrature" for _, e in parts) \
+                   for e in parts)
+    method = "quadrature" if all(e.method == "quadrature" for e in parts) \
         else "monte-carlo"
-    return ChannelEstimate(sum(w * e.moment for w, e in parts), method,
-                           max(e.samples for _, e in parts),
-                           next((e.seed for _, e in parts if e.seed is not None),
+    return ChannelEstimate(sum(w * e.moment for e in parts), method,
+                           max(e.samples for e in parts),
+                           next((e.seed for e in parts if e.seed is not None),
                                 None),
-                           max(e.pre_norm_deviation for _, e in parts), reps)
+                           max(e.pre_norm_deviation for e in parts), reps)
 
 
 def _finish_mc(moments: np.ndarray, samples: int, seed: int,
@@ -315,11 +312,9 @@ def conventional_channel(spec: TeleportationSpec, group: str,
     """Misalignment-averaged channel of the conventional scheme:
     integral over g of [rho(g)+ U_i rho(g) U_i+], or the equal mix over i."""
     if result == "averaged":
-        n = spec.basis.size
-        parts = [(1.0 / n, conventional_channel(spec, group, i, method,
-                                                samples, seed + i))
-                 for i in range(n)]
-        return mix_estimates(parts)
+        return mix_estimates([conventional_channel(spec, group, i, method,
+                                                   samples, seed + i)
+                              for i in range(spec.basis.size)])
     i = int(result)
     if method == "quadrature":
         # w w^T is quadratic in the quaternions of g, so the mean over the
@@ -341,16 +336,17 @@ def conventional_channel(spec: TeleportationSpec, group: str,
 # Tight channel
 # ---------------------------------------------------------------------------
 
-def tight_channel(spec: TeleportationSpec, eq: EquivarianceData,
-                  scheme: enc.EncodingScheme, group: str,
+def tight_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
                   result: int | str = "averaged",
                   method: str = "mc", samples: int = 10 ** 6,
                   seed: int = 0) -> ChannelEstimate:
-    """Channel of the tight scheme.
+    """Channel of the tight scheme over the Haar measure of its reading
+    space's frame group.
 
     For a result in the scheme's orbit this is
     (|I_k| / mu(E_b)) [rho(c_i)] o integral of p(g) [rho(g)+ U_b rho(g) U_b+]
-    o [rho(c_i)+].  The overlap weight p(g) is realized (MC) by drawing g
+    o [rho(c_i)+], with the coset representative c_i of the scheme's
+    equivariance data.  The overlap weight p(g) is realized (MC) by drawing g
     from Haar and x directly from E_b and rejecting only the (g, x) pairs
     whose transported reading leaves E_b, or (circle-group quadrature) by
     the pair identity on E_b.  Results outside the scheme's orbit sit in
@@ -359,32 +355,31 @@ def tight_channel(spec: TeleportationSpec, eq: EquivarianceData,
     the method.  "averaged" mixes all d^2 results equally.
     """
     if result == "averaged":
-        per_result = tight_result_estimates(spec, eq, scheme, group, method,
-                                            samples, seed)
-        n = spec.basis.size
-        return mix_estimates([(1.0 / n, per_result[i]) for i in range(n)])
+        return mix_estimates(list(tight_result_estimates(
+            spec, scheme, method, samples, seed).values()))
     i = int(result)
     if i not in scheme.indices:
-        return conventional_channel(spec, group, i, "quadrature")
-    base = _tight_base_channel(spec, scheme, group, method, samples, seed)
-    return _conjugated_orbit_channel(scheme, eq, base, i)
+        return conventional_channel(spec, scheme.space.group, i, "quadrature")
+    base = _tight_base_channel(spec, scheme, method, samples, seed)
+    return _conjugated_orbit_channel(scheme, base, i)
 
 
-def tight_result_estimates(spec: TeleportationSpec, eq: EquivarianceData,
-                           scheme: enc.EncodingScheme, group: str,
+def tight_result_estimates(spec: TeleportationSpec,
+                           scheme: enc.EncodingScheme,
                            method: str = "mc", samples: int = 10 ** 6,
                            seed: int = 0) -> dict[int, ChannelEstimate]:
     """Per-result tight-scheme channels, computing the shared base integral
     only once.  Orbit results are unitary conjugates of the base channel and
     therefore share its spectrum; singleton-orbit results get the exact
     conventional integral (identity for a commuting basis element)."""
-    base = _tight_base_channel(spec, scheme, group, method, samples, seed)
+    base = _tight_base_channel(spec, scheme, method, samples, seed)
     out: dict[int, ChannelEstimate] = {}
     for i in range(spec.basis.size):
         if i in scheme.indices:
-            out[i] = _conjugated_orbit_channel(scheme, eq, base, i)
+            out[i] = _conjugated_orbit_channel(scheme, base, i)
         else:
-            out[i] = conventional_channel(spec, group, i, "quadrature")
+            out[i] = conventional_channel(spec, scheme.space.group, i,
+                                          "quadrature")
     return out
 
 
@@ -400,16 +395,15 @@ def mean_result_purity(estimates: dict[int, ChannelEstimate]
 
 
 def _conjugated_orbit_channel(scheme: enc.EncodingScheme,
-                              eq: EquivarianceData,
                               base: ChannelEstimate, i: int) -> ChannelEstimate:
     b = min(scheme.indices)
     if i == b:
         return base
-    return base.transformed(eq.subgroup.payloads[eq.coset_reps[i]])
+    return base.transformed(scheme.subgroup.payloads[scheme.eq.coset_reps[i]])
 
 
 def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
-                        group: str, method: str, samples: int, seed: int
+                        method: str, samples: int, seed: int
                         ) -> ChannelEstimate:
     b = min(scheme.indices)
     if method == "quadrature":
@@ -420,6 +414,7 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
         return _exact_estimate(moment / tr, abs(tr - 1.0))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
+    group = scheme.space.group
     stream = HaarStream(group, seed)
 
     def sample_fn(rng, m):
@@ -461,8 +456,7 @@ def _circle_pair_moment(spec: TeleportationSpec, scheme: enc.EncodingScheme,
 # Perfect channel
 # ---------------------------------------------------------------------------
 
-def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
-                    scheme: enc.EncodingScheme, group: str,
+def perfect_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
                     result: int = 0, method: str = "quadrature",
                     samples: int = 10 ** 6, seed: int = 0) -> ChannelEstimate:
     """Channel of the perfect scheme: the integral over the stabilizer of the
@@ -480,6 +474,7 @@ def perfect_channel(spec: TeleportationSpec, eq: EquivarianceData,
         # Free action: trivial stabilizer, identity channel (the moment of
         # the identity quaternion).
         return _exact_estimate(np.diag([1.0, 0.0, 0.0, 0.0]))
+    group = scheme.space.group
     if result not in scheme.indices:
         # Singleton orbit: the label is transmitted speakably.
         return conventional_channel(spec, group, result, "quadrature")
@@ -522,55 +517,19 @@ def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Finite-subgroup perfect teleportation check
-# ---------------------------------------------------------------------------
-
-def finite_group_check(spec: TeleportationSpec, eq: EquivarianceData,
-                       scheme: enc.EncodingScheme,
-                       stream: HaarStream | None = None,
-                       points_per_case: int = 4) -> tuple[bool, dict]:
-    """Exhaustive table check that the protocol is exact whenever the
-    misalignment lies in H: for every h and result i, the composite
-    correction rho(h)+ U_j rho(h) with j decoded from a transported E_i
-    reading is proportional to U_i (one batch of readings per index i)."""
-    sub = eq.subgroup
-    stream = stream or HaarStream(scheme.space.group, 0)
-    hs = np.repeat(np.arange(sub.order), points_per_case)
-    for pos, i in enumerate(scheme.indices):
-        x = enc.sample_encoding(scheme, i, stream.advance(pos), len(hs))
-        decoded = enc.decode_batch(scheme, scheme.space.act(
-            sub.payloads[hs], x)).reshape(sub.order, points_per_case)
-        ambiguous = np.any(decoded != decoded[:, :1], axis=1)
-        if np.any(ambiguous):
-            return False, {"h": int(np.argmax(ambiguous)), "i": i,
-                           "reason": "ambiguous decode"}
-        j = decoded[:, 0]
-        # |(1/2) Tr(A+ B)| = |a . b| for the quaternions a, b of A and B.
-        composite = _conjugated(sub.payloads, spec.basis.quats[j])
-        overlap = np.abs(composite @ spec.basis.quats[i])
-        bad = np.abs(overlap - 1.0) > 1e-9
-        if np.any(bad):
-            h = int(np.argmax(bad))
-            return False, {"h": h, "i": i, "j": int(j[h]),
-                           "overlap": float(overlap[h])}
-    return True, {"cases": sub.order * len(scheme.indices)}
-
-
-# ---------------------------------------------------------------------------
 # Single-shot simulator
 # ---------------------------------------------------------------------------
 
 def single_shot_simulate(spec: TeleportationSpec,
                          scheme: enc.EncodingScheme | None,
-                         group: str, sigma: DensityMatrix,
-                         stream: HaarStream, shots: int = 1
-                         ) -> tuple[DensityMatrix, dict]:
+                         sigma: DensityMatrix, stream: HaarStream,
+                         shots: int = 1) -> tuple[DensityMatrix, dict]:
     """End-to-end protocol simulation.
 
-    Each shot samples a Haar misalignment, Alice's measurement result by
-    Born probabilities, the transmitted reading, Bob's decode and
-    correction, and returns the ensemble-mean output in Alice's frame
-    together with a transcript.
+    Each shot samples a Haar misalignment on the stream's group, Alice's
+    measurement result by Born probabilities, the transmitted reading, Bob's
+    decode and correction, and returns the ensemble-mean output in Alice's
+    frame together with a transcript.
     """
     d = spec.dim
     n_res = spec.basis.size
@@ -585,7 +544,7 @@ def single_shot_simulate(spec: TeleportationSpec,
 
     rng_results = stream.generator()
     results = rng_results.choice(n_res, size=shots, p=probs)
-    g = groups.haar_batch(group, rng_results, shots)
+    g = groups.haar_batch(stream.group, rng_results, shots)
 
     pre = unitary_quat(np.stack([spec.premeasurement_unitary(x)
                                  for x in range(n_res)]))
@@ -607,7 +566,10 @@ def single_shot_simulate(spec: TeleportationSpec,
         received = scheme.space.act(g[in_orbit], readings)
         decoded[in_orbit] = enc.decode_batch(scheme, received)
         if scheme.kind == "perfect":
-            corr = _misaligned_corrections(spec, g, results)
+            corr = np.empty_like(g)
+            speakable = ~in_orbit
+            corr[speakable] = _misaligned_corrections(spec, g[speakable],
+                                                      results[speakable])
             corr[in_orbit] = _reconstructed_corrections(
                 spec, scheme, g[in_orbit], received, decoded[in_orbit])
         else:

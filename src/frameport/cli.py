@@ -62,13 +62,13 @@ class SchemeBundle:
     group: str                  # misalignment group to integrate over
     variant: str                # conventional | tight | perfect
     spec: ch.TeleportationSpec
-    eq: ueb_mod.EquivarianceData | None
     scheme: enc.EncodingScheme | None
 
 
 # name: (misalignment group, variant, UEB, frame subgroup, orbit base).  An
 # encoded scheme is built on its subgroup for the orbit of its base index;
-# an orbit base of None there means the rod scheme.
+# an orbit base of None there means the rod scheme, which builds its own
+# Pauli x BOct data.
 _SCHEMES = {
     "u1-conventional": ("u1", "conventional", "pauli", None, None),
     "u1-tight": ("u1", "tight", "pauli", "z8", 1),
@@ -96,16 +96,14 @@ def builtin_scheme(name: str) -> SchemeBundle:
     spec = (ch.u1_teleportation_spec if group == "u1"
             else ch.su2_teleportation_spec)(basis)
     if sub_name is None:
-        return SchemeBundle(name, group, variant, spec, None, None)
+        return SchemeBundle(name, group, variant, spec, None)
+    if base is None:
+        return SchemeBundle(name, group, variant, spec, enc.rod_scheme())
     eq = ueb_mod.equivariance_analysis(basis,
                                        groups.subgroup_by_name(sub_name))
-    if base is None:
-        scheme = enc.rod_scheme()
-    else:
-        matched = (enc.tight_matched_scheme if variant == "tight"
-                   else enc.perfect_matched_scheme)
-        scheme = matched(enc.matched_scheme_spec(eq, base))
-    return SchemeBundle(name, group, variant, spec, eq, scheme)
+    matched = (enc.tight_matched_scheme if variant == "tight"
+               else enc.perfect_matched_scheme)
+    return SchemeBundle(name, group, variant, spec, matched(eq, base))
 
 
 _UEBS: dict[str, Callable[[], ueb_mod.UnitaryErrorBasis]] = {
@@ -226,15 +224,13 @@ def _verify_schemes(report: dict, names=None) -> bool:
     ok = True
     for name in names or ENCODED_SCHEMES:
         bundle = builtin_scheme(name)
-        stream = groups.HaarStream(bundle.group, 7)
-        passed, info = enc.compatibility_check(bundle.scheme, bundle.eq,
-                                               stream, samples_per_case=200)
-        report[f"compatibility:{name}"] = {"ok": passed} | _jsonable(info)
-        ok = ok and passed
-        passed, info = ch.finite_group_check(bundle.spec, bundle.eq,
-                                             bundle.scheme, stream)
-        report[f"finite-subgroup:{name}"] = {"ok": passed} | _jsonable(info)
-        ok = ok and passed
+        checks = enc.check_scheme(bundle.scheme,
+                                  groups.HaarStream(bundle.group, 7),
+                                  samples_per_case=200)
+        for key, (passed, info) in zip(("compatibility", "finite-subgroup"),
+                                       checks):
+            report[f"{key}:{name}"] = {"ok": passed} | _jsonable(info)
+            ok = ok and passed
     return ok
 
 
@@ -268,22 +264,10 @@ def _estimate(bundle: SchemeBundle, result, method: str, samples: int,
         return ch.conventional_channel(bundle.spec, bundle.group, result,
                                        method, samples, seed)
     if bundle.variant == "tight":
-        return ch.tight_channel(bundle.spec, bundle.eq, bundle.scheme,
-                                bundle.group, result, method, samples, seed)
-    return ch.perfect_channel(bundle.spec, bundle.eq, bundle.scheme,
-                              bundle.group, int(result), method, samples, seed)
-
-
-def _tight_averaged(bundle: SchemeBundle, method: str, samples: int,
-                    seed: int) -> tuple[dict, ch.ChannelEstimate]:
-    """Per-result tight channels from one base integral, and their equal
-    mix (the result-averaged channel)."""
-    per_result = ch.tight_result_estimates(bundle.spec, bundle.eq,
-                                           bundle.scheme, bundle.group,
-                                           method, samples, seed)
-    n = bundle.spec.basis.size
-    return per_result, ch.mix_estimates([(1.0 / n, per_result[i])
-                                         for i in range(n)])
+        return ch.tight_channel(bundle.spec, bundle.scheme, result, method,
+                                samples, seed)
+    return ch.perfect_channel(bundle.spec, bundle.scheme, int(result),
+                              method, samples, seed)
 
 
 def _mean_linear_purity(per_result: dict[int, ch.ChannelEstimate]) -> float:
@@ -325,8 +309,11 @@ def cmd_channel(args) -> int:
     t0 = time.perf_counter()
     per_result = None
     if bundle.variant == "tight" and result == "averaged":
-        per_result, est = _tight_averaged(bundle, method, args.samples,
-                                          args.seed)
+        # Per-result channels from one base integral, and their equal mix.
+        per_result = ch.tight_result_estimates(bundle.spec, bundle.scheme,
+                                               method, args.samples,
+                                               args.seed)
+        est = ch.mix_estimates(list(per_result.values()))
     else:
         est = _estimate(bundle, result, method, args.samples, args.seed)
     seconds = time.perf_counter() - t0
@@ -390,8 +377,9 @@ def cmd_table1(args) -> int:
     for name in ("su2-matched-tight", "su2-rod-tight"):
         bundle = builtin_scheme(name)
         t0 = time.perf_counter()
-        per_result, mixed = _tight_averaged(bundle, "mc", args.samples,
-                                            args.seed)
+        per_result = ch.tight_result_estimates(bundle.spec, bundle.scheme,
+                                               "mc", args.samples, args.seed)
+        mixed = ch.mix_estimates(list(per_result.values()))
         seconds = time.perf_counter() - t0
         add(name, "mixed-channel", mixed, seconds)
         rows.append(_purity_row(name, "mean-result-purity",
@@ -416,8 +404,8 @@ def cmd_simulate(args) -> int:
     stream = groups.HaarStream(bundle.group, args.seed)
     t0 = time.perf_counter()
     out, transcript = ch.single_shot_simulate(
-        bundle.spec, bundle.scheme, bundle.group, DensityMatrix(sigma),
-        stream, shots=args.shots)
+        bundle.spec, bundle.scheme, DensityMatrix(sigma), stream,
+        shots=args.shots)
     seconds = time.perf_counter() - t0
     fidelity = float(out.mat[args.input, args.input].real)
     results, counts = np.unique(transcript["result"], return_counts=True)
@@ -504,7 +492,6 @@ def _parser() -> argparse.ArgumentParser:
                        default=10 ** 6)
         p.add_argument("--seed", type=_bounded_int(0, _SEED_LIMIT),
                        default=0)
-        p.add_argument("--method", choices=("mc", "quadrature"), default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=_bounded_int(1), default=1,
@@ -523,6 +510,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True)
     p.add_argument("--result", default="averaged",
                    help="UEB result index or 'averaged'")
+    p.add_argument("--method", choices=("mc", "quadrature"), default=None)
     common(p)
     p.set_defaults(fn=cmd_channel)
 

@@ -1,5 +1,5 @@
-"""Reading spaces with group actions, encoding/decoding schemes, and the
-tight/perfect matched-scheme constructors.
+"""Reading spaces with group actions, encoding/decoding schemes, the
+tight/perfect matched-scheme constructors, and the sampled scheme checks.
 
 Reading space kinds
 -------------------
@@ -13,12 +13,17 @@ Reading space kinds
 - "rod-axis": orientation axes, unit vectors with antipodal identification.
   SU(2) acts through its rotation; +-g act identically.
 
-A matched scheme is built on its frame subgroup H itself (Z8 on the circle,
-BOct or BTet on SU(2)).  The kernel +-1 of the action on readings is folded
-only where readings are compared or produced: the two elements of a kernel
-pair give one reading, so the decoder scores, and the perfect points list,
-only the first of each pair, and the element nearest to a reading x is the
-one maximising |x . h|.
+Every scheme carries the equivariance data that fixes it: a UEB, a finite
+subgroup H of the frame group and an orbit of H on the UEB indices.  A
+matched scheme is built from that data alone, on H itself (Z8 on the circle,
+BOct or BTet on SU(2)); the rod scheme carries the Pauli x BOct data.  Its
+regions R_h are the Voronoi cells of the elements h, the right translates of
+the identity's cell, and E_i is the union of R_{l c_i} over the stabilizer L
+of the orbit base.  The kernel +-1 of the action on readings lies in L and is
+folded only where readings are compared or produced: the two elements of a
+kernel pair give one reading, so the decoder scores, and the perfect points
+list, only the first of each pair, and the element nearest to a reading x is
+the one maximising |x . h|.
 
 Decoding is everywhere deterministic: exactly equal scores go to the lowest
 element index.  Such ties occur only on cell boundaries, a set of measure
@@ -35,22 +40,20 @@ from numpy.random import Generator
 from . import groups
 from .groups import FiniteSubgroup, HaarStream, canonical_sign, quat_conj, \
     quat_mul, quat_rotate
-from .ueb import EquivarianceData
+from .ueb import EquivarianceData, equivariance_analysis, pauli_ueb
 
 __all__ = [
     "ReadingSpace",
     "EncodingScheme",
-    "MatchedSchemeSpec",
     "rod_axis_space",
     "frame_torsor_space",
     "decode",
     "decode_batch",
     "sample_encoding",
-    "matched_scheme_spec",
     "tight_matched_scheme",
     "perfect_matched_scheme",
     "rod_scheme",
-    "compatibility_check",
+    "check_scheme",
 ]
 
 
@@ -79,25 +82,6 @@ class ReadingSpace:
             return vec / np.linalg.norm(vec, axis=1, keepdims=True)
         return canonical_sign(groups.haar_batch(self.group, rng, n))
 
-    def uniform_bins(self, x: np.ndarray, n_bins: int = 64) -> np.ndarray:
-        """Assign readings to one of n_bins equal-measure bins (for
-        uniformity tests)."""
-        x = np.asarray(x)
-        if self.group == "u1":
-            # Equal arcs of the axis angle t of u1_quat(t), mod pi.
-            t = np.arctan2(-x[..., 3], x[..., 0]) % np.pi
-            return np.minimum((t / np.pi * n_bins).astype(int), n_bins - 1)
-        if self.kind == "rod-axis":
-            side = int(round(np.sqrt(n_bins)))
-            # Fold to the upper hemisphere; equal-area bands in |z| times
-            # azimuthal sectors.
-            v = np.where(x[:, 2:3] < 0, -x, x)
-            band = np.minimum((v[:, 2] * side).astype(int), side - 1)
-            az = (np.arctan2(v[:, 1], v[:, 0]) % (2 * np.pi)) / (2 * np.pi)
-            sector = np.minimum((az * side).astype(int), side - 1)
-            return band * side + sector
-        raise ValueError(f"no binning rule for {self.kind!r}")
-
 
 def rod_axis_space() -> ReadingSpace:
     return ReadingSpace("rod-axis", "su2")
@@ -113,20 +97,25 @@ def frame_torsor_space(group: str) -> ReadingSpace:
 
 @dataclass(frozen=True)
 class EncodingScheme:
-    """Encoding/decoding rule over a reading space for one UEB index orbit.
+    """Encoding/decoding rule over a reading space for one orbit of UEB
+    indices under the subgroup of its equivariance data.
 
     decode_fn maps a batch of readings to UEB indices; sample_fn draws
     uniform readings from E_i (region schemes) or X_i (perfect schemes).
+    Each region E_i of a tight scheme has measure 1/len(indices).
     """
 
     space: ReadingSpace
-    subgroup: FiniteSubgroup
+    eq: EquivarianceData
     indices: tuple[int, ...]
     kind: str                                   # "tight" | "perfect"
     decode_fn: Callable[[np.ndarray], np.ndarray]
     sample_fn: Callable[[int, Generator, int], np.ndarray]
     points: dict[int, np.ndarray] | None = None  # X_i for perfect schemes
-    region_measure: float | None = None          # mu(E_i) for tight schemes
+
+    @property
+    def subgroup(self) -> FiniteSubgroup:
+        return self.eq.subgroup
 
 
 def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:
@@ -150,50 +139,26 @@ def sample_encoding(scheme: EncodingScheme, i: int, stream: HaarStream,
 # Matched schemes (torsor regions from a fundamental domain)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatchedSchemeSpec:
-    """Inputs of the matched-scheme construction: the finite frame subgroup
-    H acting on itself, the orbit's stabilizer L, coset representatives
-    c_i, and the coset label of each H element.
-
-    The fundamental domain is the Voronoi cell of the identity; the regions
-    R_h are its right translates (the Voronoi cells of the elements), so
-    membership tests reduce to nearest-element search.  H contains the
-    kernel of the action on readings, which lies in L, so both elements of
-    a kernel pair carry the same label.
-    """
-
-    subgroup: FiniteSubgroup
-    indices: tuple[int, ...]
-    stabilizer: tuple[int, ...]
-    coset_reps: dict[int, int]
-    labels: np.ndarray          # (|H|,) UEB index of each H element's coset
-
-    def __post_init__(self):
-        if len(self.stabilizer) * len(self.indices) != self.subgroup.order:
-            raise ValueError("|L| * |I_k| != |H|")
-
-    def coset(self, i: int) -> np.ndarray:
-        """Indices of the elements l c_i, in the order of L."""
-        return self.subgroup.table[list(self.stabilizer), self.coset_reps[i]]
-
-
-def matched_scheme_spec(eq: EquivarianceData, orbit_base: int) -> MatchedSchemeSpec:
-    """Build the matched-scheme data for the orbit containing orbit_base,
-    over the subgroup of the equivariance data."""
+def _matched_cosets(eq: EquivarianceData, orbit_base: int
+                    ) -> tuple[tuple[int, ...], dict[int, np.ndarray],
+                               np.ndarray]:
+    """The orbit I_k containing orbit_base, the coset {l c_i : l in L} of
+    each of its indices i (element indices of H, in the order of the
+    stabilizer L), and the UEB index of each H element's coset."""
     sub = eq.subgroup
     orbit = eq.orbit_of(orbit_base)
-    spec = MatchedSchemeSpec(sub, tuple(orbit), eq.stabilizers[min(orbit)],
-                             {i: eq.coset_reps[i] for i in orbit},
-                             np.full(sub.order, -1, dtype=np.int64))
-    for i in orbit:
-        cell = spec.coset(i)
-        if np.any(spec.labels[cell] != -1):
+    stabilizer = list(eq.stabilizers[min(orbit)])
+    if len(stabilizer) * len(orbit) != sub.order:
+        raise ValueError("|L| * |I_k| != |H|")
+    cosets = {i: sub.table[stabilizer, eq.coset_reps[i]] for i in orbit}
+    labels = np.full(sub.order, -1, dtype=np.int64)
+    for i, cell in cosets.items():
+        if np.any(labels[cell] != -1):
             raise ValueError("coset decomposition is not disjoint")
-        spec.labels[cell] = i
-    if np.any(spec.labels < 0):
+        labels[cell] = i
+    if np.any(labels < 0):
         raise ValueError("cosets do not cover the subgroup")
-    return spec
+    return orbit, cosets, labels
 
 
 def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
@@ -210,14 +175,16 @@ def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
     return lambda x: lifted[np.argmax(np.abs(x @ h_t), axis=-1)]
 
 
-def tight_matched_scheme(spec: MatchedSchemeSpec) -> EncodingScheme:
-    """Tight matched scheme: D_i = E_i = union of R_{l c_i} over l in L,
-    each of measure 1/|I_k|."""
-    sub = spec.subgroup
+def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
+                         ) -> EncodingScheme:
+    """Tight matched scheme on the subgroup H of eq for the orbit of
+    orbit_base: D_i = E_i = union of R_{l c_i} over l in L, each of measure
+    1/|I_k|."""
+    orbit, cosets, labels = _matched_cosets(eq, orbit_base)
+    sub = eq.subgroup
     space = frame_torsor_space(sub.ambient)
     # Inverse of each reading's nearest element.
     nearest_inverse = _nearest_lookup(sub, sub.inverse)
-    cells = {i: spec.coset(i) for i in spec.indices}
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
         # Direct sampling of the uniform measure on E_i.  For uniform f with
@@ -226,23 +193,25 @@ def tight_matched_scheme(spec: MatchedSchemeSpec) -> EncodingScheme:
         # on R_{l c_i}; with l uniform on L the cells of E_i are equally
         # likely.
         f = space.sample(rng, n)
-        l = rng.integers(0, len(spec.stabilizer), size=n)
-        h = sub.payloads[sub.table[cells[i][l], nearest_inverse(f)]]
+        l = rng.integers(0, len(cosets[i]), size=n)
+        h = sub.payloads[sub.table[cosets[i][l], nearest_inverse(f)]]
         return canonical_sign(quat_mul(h, f))
 
-    return EncodingScheme(space, sub, spec.indices, "tight",
-                          _nearest_lookup(sub, spec.labels), sample_fn,
-                          region_measure=1.0 / len(spec.indices))
+    return EncodingScheme(space, eq, orbit, "tight",
+                          _nearest_lookup(sub, labels), sample_fn)
 
 
-def perfect_matched_scheme(spec: MatchedSchemeSpec) -> EncodingScheme:
-    """Perfect matched scheme: E_i is the finite set X_i of the distinct
-    readings of {l c_i}; decoding subsets are the same Voronoi regions as
-    the tight scheme."""
-    sub = spec.subgroup
+def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
+                           ) -> EncodingScheme:
+    """Perfect matched scheme on the subgroup H of eq for the orbit of
+    orbit_base: E_i is the finite set X_i of the distinct readings of
+    {l c_i}; decoding subsets are the same Voronoi regions as the tight
+    scheme."""
+    orbit, cosets, labels = _matched_cosets(eq, orbit_base)
+    sub = eq.subgroup
     points: dict[int, np.ndarray] = {}
-    for i in spec.indices:
-        payloads = sub.payloads[spec.coset(i)]
+    for i in orbit:
+        payloads = sub.payloads[cosets[i]]
         q = canonical_sign(payloads[groups.first_lifts(payloads)])
         points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
 
@@ -250,9 +219,8 @@ def perfect_matched_scheme(spec: MatchedSchemeSpec) -> EncodingScheme:
         pts = points[i]
         return pts[rng.integers(0, len(pts), size=n)]
 
-    return EncodingScheme(frame_torsor_space(sub.ambient), sub,
-                          spec.indices, "perfect",
-                          _nearest_lookup(sub, spec.labels), sample_fn,
+    return EncodingScheme(frame_torsor_space(sub.ambient), eq, orbit,
+                          "perfect", _nearest_lookup(sub, labels), sample_fn,
                           points=points)
 
 
@@ -280,35 +248,65 @@ def rod_scheme() -> EncodingScheme:
         x[rows, j] = v[rows, i - 1]
         return x
 
-    sub = groups.binary_octahedral()
-    return EncodingScheme(space, sub, (1, 2, 3), "tight",
-                          decode_fn, sample_fn, region_measure=1.0 / 3.0)
+    eq = equivariance_analysis(pauli_ueb(), groups.binary_octahedral())
+    return EncodingScheme(space, eq, eq.orbit_of(1), "tight", decode_fn,
+                          sample_fn)
 
 
 # ---------------------------------------------------------------------------
-# Compatibility
+# Scheme checks
 # ---------------------------------------------------------------------------
 
-def compatibility_check(scheme: EncodingScheme, eq: EquivarianceData,
-                        stream: HaarStream, samples_per_case: int = 1000
-                        ) -> tuple[bool, dict]:
-    """Sampled verification that decoding inverts the index action:
-    decode(act(h, x)) = sigma(i, h^{-1}) for x drawn from E_i.
-
-    All cases of the k-th index share one batch, drawn from stream.advance(k).
-    Returns (ok, report); on failure the report carries a counterexample.
+def check_scheme(scheme: EncodingScheme, stream: HaarStream,
+                 samples_per_case: int = 1000
+                 ) -> tuple[tuple[bool, dict], tuple[bool, dict]]:
+    """Sampled checks of a scheme against its equivariance data on one
+    batch per orbit index i, drawn from stream.advance(k) for the k-th:
+    samples_per_case readings x from E_i (or X_i) per element h of H,
+    transported by h and decoded.  compatibility: decoding inverts the index
+    action, decode(act(h, x)) = sigma(i, h^{-1}).  finite-subgroup: the
+    protocol is exact for misalignments in H, i.e. each case decodes to one
+    index j with rho(h)+ U_j rho(h) proportional to U_i.  Returns the
+    (ok, report) pair of each check; a failure reports its first
+    counterexample.
     """
-    sub = eq.subgroup
+    eq, sub = scheme.eq, scheme.subgroup
     hs = np.repeat(np.arange(sub.order), samples_per_case)
+    compatibility = finite = None
     for pos, i in enumerate(scheme.indices):
         x = sample_encoding(scheme, i, stream.advance(pos), len(hs))
-        expected = eq.sigma_inv(hs, i)
         got = decode_batch(scheme, scheme.space.act(sub.payloads[hs], x))
+        expected = eq.sigma_inv(hs, i)
         bad = got != expected
-        if np.any(bad):
+        if compatibility is None and np.any(bad):
             k = int(np.argmax(bad))
-            return False, {"h": int(hs[k]), "i": i,
-                           "x": np.asarray(x)[k].tolist(),
-                           "expected": int(expected[k]), "got": int(got[k])}
-    return True, {"cases": sub.order * len(scheme.indices),
-                  "samples_per_case": samples_per_case}
+            compatibility = {"h": int(hs[k]), "i": i,
+                             "x": np.asarray(x)[k].tolist(),
+                             "expected": int(expected[k]), "got": int(got[k])}
+        if finite is None:
+            finite = _finite_subgroup_failure(
+                eq, i, got.reshape(sub.order, samples_per_case))
+    cases = sub.order * len(scheme.indices)
+    return ((compatibility is None, compatibility
+             or {"cases": cases, "samples_per_case": samples_per_case}),
+            (finite is None, finite or {"cases": cases}))
+
+
+def _finite_subgroup_failure(eq: EquivarianceData, i: int,
+                             decoded: np.ndarray) -> dict | None:
+    """The first case h whose decoded indices (one row of the (|H|, n)
+    array per element of H) are ambiguous or give a composite correction
+    not proportional to U_i, or None."""
+    ambiguous = np.any(decoded != decoded[:, :1], axis=1)
+    if np.any(ambiguous):
+        return {"h": int(np.argmax(ambiguous)), "i": i,
+                "reason": "ambiguous decode"}
+    j = decoded[:, 0]
+    h, u = eq.subgroup.payloads, eq.basis.quats
+    # |(1/2) Tr(A+ B)| = |a . b| for the quaternions a, b of A and B.
+    overlap = np.abs(quat_mul(quat_mul(quat_conj(h), u[j]), h) @ u[i])
+    bad = np.abs(overlap - 1.0) > 1e-9
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        return {"h": k, "i": i, "j": int(j[k]), "overlap": float(overlap[k])}
+    return None

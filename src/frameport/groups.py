@@ -2,7 +2,7 @@
 
 Quaternion algebra, Haar sampling, finite subgroups with multiplication
 tables, quadrature as the mean over a design subgroup (Z8 on the circle,
-BTet on SU(2)), the Gauss-Legendre arc rule and nearest-element search.
+BTet on SU(2)) and the Gauss-Legendre arc rule.
 
 Conventions
 -----------
@@ -367,13 +367,8 @@ def haar_batch(group: str, rng: Generator, n: int) -> np.ndarray:
     raise ValueError(f"no Haar sampler for group {group!r}")
 
 
-def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
-    """Raw i.i.d. Haar payload array of the stream's group and counter."""
-    return haar_batch(stream.group, stream.generator(), n)
-
-
 # ---------------------------------------------------------------------------
-# Quadrature and nearest-element search
+# Quadrature
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -410,21 +405,3 @@ def quadrature_average(f: Callable[[np.ndarray], np.ndarray],
     """Haar average of a vectorized integrand of quaternions (n, 4): the
     mean over the elements of the group's design subgroup."""
     return np.mean(np.asarray(f(design_subgroup(group).payloads)), axis=0)
-
-
-def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,
-                    sign_insensitive: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest-element search under the invariant metric.
-
-    Returns (indices, tie counts beyond the winner).  Ties (within 1e-9 of
-    the winning distance) are broken by lowest element index.
-    """
-    dots = np.asarray(payloads) @ sub.payloads.T
-    if sign_insensitive or sub.ambient == "so3":
-        dots = np.abs(dots)
-    dist = np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))
-    best = np.min(dist, axis=-1)
-    near = dist <= best[..., None] + 1e-9
-    idx = np.argmax(near, axis=-1)
-    ties = np.sum(near, axis=-1) - 1
-    return idx, ties

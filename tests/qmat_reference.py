@@ -1,10 +1,14 @@
 """Reference maps that only the tests use: the component formula of the
 quaternion product, the conjugation superoperator of a unitary, the von
-Neumann entropy and the linear Choi purity of a dense superoperator."""
+Neumann entropy and the linear Choi purity of a dense superoperator, raw
+Haar draws of a stream, the distance-based nearest-element search, and
+equal-measure bins of a reading space."""
 from __future__ import annotations
 
 import numpy as np
 
+from frameport.encoding import ReadingSpace
+from frameport.groups import FiniteSubgroup, HaarStream, haar_batch
 from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
     _entropy, choi, spectrum_purities
 
@@ -42,3 +46,47 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def linear_map_purity(S: Superoperator) -> float:
     """Linear Choi purity Tr(rho_T^2)."""
     return float(spectrum_purities(choi(S).rho.eigenvalues())[1])
+
+
+def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
+    """Raw i.i.d. Haar payload array of the stream's group and counter."""
+    return haar_batch(stream.group, stream.generator(), n)
+
+
+def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,
+                    sign_insensitive: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized nearest-element search under the invariant metric.
+
+    Returns (indices, tie counts beyond the winner).  Ties (within 1e-9 of
+    the winning distance) are broken by lowest element index.
+    """
+    dots = np.asarray(payloads) @ sub.payloads.T
+    if sign_insensitive or sub.ambient == "so3":
+        dots = np.abs(dots)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * dots, 0.0))
+    best = np.min(dist, axis=-1)
+    near = dist <= best[..., None] + 1e-9
+    idx = np.argmax(near, axis=-1)
+    ties = np.sum(near, axis=-1) - 1
+    return idx, ties
+
+
+def uniform_bins(space: ReadingSpace, x: np.ndarray, n_bins: int = 64
+                 ) -> np.ndarray:
+    """Assign readings of a space to one of n_bins equal-measure bins (for
+    uniformity tests)."""
+    x = np.asarray(x)
+    if space.group == "u1":
+        # Equal arcs of the axis angle t of u1_quat(t), mod pi.
+        t = np.arctan2(-x[..., 3], x[..., 0]) % np.pi
+        return np.minimum((t / np.pi * n_bins).astype(int), n_bins - 1)
+    if space.kind == "rod-axis":
+        side = int(round(np.sqrt(n_bins)))
+        # Fold to the upper hemisphere; equal-area bands in |z| times
+        # azimuthal sectors.
+        v = np.where(x[:, 2:3] < 0, -x, x)
+        band = np.minimum((v[:, 2] * side).astype(int), side - 1)
+        az = (np.arctan2(v[:, 1], v[:, 0]) % (2 * np.pi)) / (2 * np.pi)
+        sector = np.minimum((az * side).astype(int), side - 1)
+        return band * side + sector
+    raise ValueError(f"no binning rule for {space.kind!r}")

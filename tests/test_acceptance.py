@@ -24,6 +24,7 @@ from frameport import ueb as ueb_mod
 from frameport.groups import HaarStream
 from frameport.qmat import DensityMatrix, map_purity
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
+from qmat_reference import haar_payloads, uniform_bins
 
 FULL = 10 ** 6
 
@@ -94,13 +95,13 @@ def test_acceptance_1_structural():
 
 def test_acceptance_2_perfect_schemes():
     spec, eq = u1_bundle()
-    scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 1))
-    est = ch.perfect_channel(spec, eq, scheme, "u1", 1, "quadrature")
+    scheme = enc.perfect_matched_scheme(eq, 1)
+    est = ch.perfect_channel(spec, scheme, 1, "quadrature")
     ok = np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
     spec2, eq2 = btet_bundle()
-    scheme2 = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq2, 0))
-    est2 = ch.perfect_channel(spec2, eq2, scheme2, "su2", 1, "mc",
+    scheme2 = enc.perfect_matched_scheme(eq2, 0)
+    est2 = ch.perfect_channel(spec2, scheme2, 1, "mc",
                               samples=FULL)
     tol = 3 * np.maximum(est2.stderr, 1e-7)
     ok = ok and bool(np.all(np.abs(est2.superop.mat - np.eye(4)) <= tol))
@@ -129,11 +130,11 @@ def test_acceptance_3_u1_conventional():
 
 def test_acceptance_4_u1_tight():
     spec, eq = u1_bundle()
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
-    exact = ch.tight_channel(spec, eq, scheme, "u1", "averaged", "quadrature")
+    scheme = enc.tight_matched_scheme(eq, 1)
+    exact = ch.tight_channel(spec, scheme, "averaged", "quadrature")
     target = 2 / np.pi ** 2 + 0.5
     ok = abs(exact.superop.mat[1, 1].real - target) < 1e-6
-    mc = ch.tight_channel(spec, eq, scheme, "u1", "averaged", "mc",
+    mc = ch.tight_channel(spec, scheme, "averaged", "mc",
                           samples=FULL)
     tol = 3 * np.maximum(mc.stderr, 1e-4)
     ok = ok and bool(np.all(np.abs(mc.superop.mat - exact.superop.mat)
@@ -176,8 +177,8 @@ def _mean_result_purity(scheme_name: str) -> tuple[float, float]:
     if scheme_name == "rod":
         scheme = enc.rod_scheme()
     else:
-        scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
-    ests = ch.tight_result_estimates(spec, eq, scheme, "su2", "mc",
+        scheme = enc.tight_matched_scheme(eq, 1)
+    ests = ch.tight_result_estimates(spec, scheme, "mc",
                                      samples=FULL)
     return ch.mean_result_purity(ests)
 
@@ -213,25 +214,25 @@ def test_acceptance_7_simulator_cross_validation():
     configs = []
 
     spec, eq = u1_bundle()
-    u1_scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
-    exact = ch.tight_channel(spec, eq, u1_scheme, "u1", "averaged",
+    u1_scheme = enc.tight_matched_scheme(eq, 1)
+    exact = ch.tight_channel(spec, u1_scheme, "averaged",
                              "quadrature")
     configs.append(("u1-tight", spec, u1_scheme, "u1", exact.superop.mat))
 
     spec2, eq2 = su2_bundle()
     rod = enc.rod_scheme()
-    rod_est = ch.tight_channel(spec2, eq2, rod, "su2", "averaged", "mc",
+    rod_est = ch.tight_channel(spec2, rod, "averaged", "mc",
                                samples=FULL)
     configs.append(("su2-rod-tight", spec2, rod, "su2", rod_est.superop.mat))
 
     spec3, eq3 = btet_bundle()
-    perfect = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq3, 0))
+    perfect = enc.perfect_matched_scheme(eq3, 0)
     configs.append(("su2-btet-perfect", spec3, perfect, "su2", np.eye(4)))
 
     ok = True
     for k, (name, spec_k, scheme_k, group, target) in enumerate(configs):
         _, transcript = ch.single_shot_simulate(
-            spec_k, scheme_k, group, sigma, HaarStream(group, 100 + k),
+            spec_k, scheme_k, sigma, HaarStream(group, 100 + k),
             shots=shots)
         got = transcript["mean_superop"].mat
         # Entries are shot-averages of products of unit-modulus terms, so
@@ -252,11 +253,11 @@ def test_acceptance_8_transmission_uniformity():
     pvals = []
 
     spec, eq = u1_bundle()
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
+    scheme = enc.tight_matched_scheme(eq, 1)
     rod = enc.rod_scheme()
     for group, sch, seed in (("u1", scheme, 31), ("su2", rod, 32)):
         stream = HaarStream(group, seed)
-        g = groups.haar_payloads(stream, n)
+        g = haar_payloads(stream, n)
         rng = stream.child(1).generator()
         idx = np.asarray(sch.indices)[rng.integers(0, len(sch.indices),
                                                    size=n)]
@@ -267,7 +268,7 @@ def test_acceptance_8_transmission_uniformity():
         g = g[:len(x)]
         sent = np.stack([sch.space.act(gi, xi) for gi, xi in zip(g, x)]) \
             if group == "su2" else sch.space.act(g, x)
-        labels = sch.space.uniform_bins(np.asarray(sent), bins)
+        labels = uniform_bins(sch.space, np.asarray(sent), bins)
         counts = np.bincount(labels, minlength=bins)
         p = stats.chisquare(counts).pvalue
         pvals.append(p)

@@ -15,7 +15,7 @@ from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
     choi, clamped_eigenvalues, map_purity, spectrum_purities
 from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
     pauli_ueb, tetrahedral_ueb
-from qmat_reference import linear_map_purity
+from qmat_reference import haar_payloads, linear_map_purity
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
@@ -49,7 +49,7 @@ def _resource_invariance(spec, stream, n=32):
     """Max deviation of (g (x) g) eta from eta up to phase, over samples."""
     eta = spec.resource_state()
     worst = 0.0
-    for g in groups.haar_payloads(stream, n):
+    for g in haar_payloads(stream, n):
         r = su2_matrix(g)
         vec = np.kron(r, r) @ eta
         overlap = np.vdot(eta, vec)
@@ -133,13 +133,13 @@ def test_conventional_mc_agrees_with_quadrature():
 # ---------------------------------------------------------------------------
 
 def u1_tight_scheme(eq):
-    return enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
+    return enc.tight_matched_scheme(eq, 1)
 
 
 def test_u1_tight_quadrature_off_diagonal():
     spec, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
-    est = ch.tight_channel(spec, eq, scheme, "u1", "averaged", "quadrature")
+    est = ch.tight_channel(spec, scheme, "averaged", "quadrature")
     target = 2 / np.pi ** 2 + 0.5
     assert est.superop.mat[1, 1].real == pytest.approx(target, abs=1e-12)
     assert est.superop.mat[2, 2].real == pytest.approx(target, abs=1e-12)
@@ -149,8 +149,8 @@ def test_u1_tight_quadrature_off_diagonal():
 def test_u1_tight_mc_agrees_with_quadrature():
     spec, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
-    exact = ch.tight_channel(spec, eq, scheme, "u1", 1, "quadrature")
-    mc = ch.tight_channel(spec, eq, scheme, "u1", 1, "mc", samples=SAMPLES)
+    exact = ch.tight_channel(spec, scheme, 1, "quadrature")
+    mc = ch.tight_channel(spec, scheme, 1, "mc", samples=SAMPLES)
     tol = 3 * np.maximum(mc.stderr, 2e-3)
     assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
 
@@ -160,15 +160,15 @@ def test_tight_singleton_orbit_is_identity():
     scheme = u1_tight_scheme(eq)
     for i in (0, 3):
         for method in ("quadrature", "mc"):
-            est = ch.tight_channel(spec, eq, scheme, "u1", i, method)
+            est = ch.tight_channel(spec, scheme, i, method)
             assert est.method == "quadrature"
             assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-14
 
 
 def test_su2_tight_orbit_channels_share_spectrum():
     spec, eq = su2_bundle()
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
-    ests = ch.tight_result_estimates(spec, eq, scheme, "su2", "mc",
+    scheme = enc.tight_matched_scheme(eq, 1)
+    ests = ch.tight_result_estimates(spec, scheme, "mc",
                                      samples=SAMPLES)
     spectra = [sorted(ests[i].choi_spectrum()) for i in (1, 2, 3)]
     assert np.allclose(spectra[0], spectra[1], atol=1e-9)
@@ -183,16 +183,16 @@ def test_su2_tight_invariant_under_left_stabilizer_shift(monkeypatch):
     base element, so shifting the sampled misalignments leaves the channel
     unchanged up to Monte Carlo error."""
     spec, eq = su2_bundle()
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
+    scheme = enc.tight_matched_scheme(eq, 1)
     h = eq.subgroup.payloads[eq.stabilizers[1][3]]
-    plain = ch.tight_channel(spec, eq, scheme, "su2", 1, "mc",
+    plain = ch.tight_channel(spec, scheme, 1, "mc",
                              samples=SAMPLES, seed=0)
     # Pre-compose every Haar draw with h.  The readings' sampler draws
     # through haar_batch too, which leaves them uniform.
     haar_batch = groups.haar_batch
     monkeypatch.setattr(groups, "haar_batch", lambda *a: groups.quat_mul(
         h, haar_batch(*a)))
-    shifted = ch.tight_channel(spec, eq, scheme, "su2", 1, "mc",
+    shifted = ch.tight_channel(spec, scheme, 1, "mc",
                                samples=SAMPLES, seed=1)
     p1, e1 = plain.map_purity_with_error()
     p2, e2 = shifted.map_purity_with_error()
@@ -204,11 +204,11 @@ def test_rod_and_matched_tight_purities_agree():
     channels (the regions differ, but the stabilizer-averaged overlap weight
     does not)."""
     spec, eq = su2_bundle()
-    matched = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
+    matched = enc.tight_matched_scheme(eq, 1)
     rod = enc.rod_scheme()
-    pm, em = ch.tight_channel(spec, eq, matched, "su2", 1, "mc",
+    pm, em = ch.tight_channel(spec, matched, 1, "mc",
                               samples=SAMPLES).map_purity_with_error()
-    pr, er = ch.tight_channel(spec, eq, rod, "su2", 1, "mc",
+    pr, er = ch.tight_channel(spec, rod, 1, "mc",
                               samples=SAMPLES).map_purity_with_error()
     assert pm == pytest.approx(0.268, abs=0.01)
     assert pr == pytest.approx(0.270, abs=0.01)
@@ -220,8 +220,8 @@ def test_rod_and_matched_tight_purities_agree():
 
 def test_u1_perfect_is_identity():
     spec, eq = u1_bundle()
-    scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 1))
-    est = ch.perfect_channel(spec, eq, scheme, "u1", 1, "quadrature")
+    scheme = enc.perfect_matched_scheme(eq, 1)
+    est = ch.perfect_channel(spec, scheme, 1, "quadrature")
     assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
@@ -229,8 +229,8 @@ def test_btet_perfect_mc_is_identity():
     basis = tetrahedral_ueb()
     spec = ch.su2_teleportation_spec(basis)
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
-    scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 0))
-    est = ch.perfect_channel(spec, eq, scheme, "su2", 1, "mc",
+    scheme = enc.perfect_matched_scheme(eq, 0)
+    est = ch.perfect_channel(spec, scheme, 1, "mc",
                              samples=SAMPLES)
     tol = 3 * np.maximum(est.stderr, 1e-6)
     assert np.all(np.abs(est.superop.mat - np.eye(4)) <= tol)
@@ -252,18 +252,18 @@ def test_rod_point_encoding_is_perfectly_correctable():
         assert np.max(np.abs(np.abs(w[:, 0]) - 1.0)) < 1e-12
     rod = enc.rod_scheme()
     points = {i: np.eye(3)[i - 1][None] for i in (1, 2, 3)}
-    scheme = enc.EncodingScheme(rod.space, rod.subgroup, (1, 2, 3),
+    scheme = enc.EncodingScheme(rod.space, rod.eq, (1, 2, 3),
                                 "perfect", rod.decode_fn,
                                 lambda i, rng, n: np.tile(points[i][0], (n, 1)),
                                 points=points)
     for i in (1, 2, 3):
-        est = ch.perfect_channel(spec, eq, scheme, "su2", i, "quadrature")
+        est = ch.perfect_channel(spec, scheme, i, "quadrature")
         assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
 def test_finite_group_check_passes_for_u1():
     spec, eq = u1_bundle()
-    ok, info = ch.finite_group_check(spec, eq, u1_tight_scheme(eq))
+    _, (ok, info) = enc.check_scheme(u1_tight_scheme(eq), HaarStream("u1", 0))
     assert ok, info
 
 
@@ -330,19 +330,18 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
 def _moment_estimate(case):
     if case == "perfect-identity":
         spec, eq = u1_bundle()
-        scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 1))
-        return ch.perfect_channel(spec, eq, scheme, "u1", 1, "quadrature")
+        scheme = enc.perfect_matched_scheme(eq, 1)
+        return ch.perfect_channel(spec, scheme, 1, "quadrature")
     if case == "u1-tight-quadrature":
         spec, eq = u1_bundle()
-        return ch.tight_channel(spec, eq, u1_tight_scheme(eq), "u1", 1,
-                                "quadrature")
+        return ch.tight_channel(spec, u1_tight_scheme(eq), 1, "quadrature")
     spec, eq = su2_bundle()
     if case == "conventional-mc":
         return ch.conventional_channel(spec, "su2", 1, "mc", samples=1 << 14)
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
+    scheme = enc.tight_matched_scheme(eq, 1)
     # Result 1 is the base channel; result 2 its orbit conjugate.
     result = {"tight-base-mc": 1, "tight-orbit-mc": 2}[case]
-    return ch.tight_channel(spec, eq, scheme, "su2", result, "mc",
+    return ch.tight_channel(spec, scheme, result, "mc",
                             samples=1 << 14)
 
 
@@ -398,7 +397,7 @@ def test_bootstrap_error_bars_are_calibrated():
         "su2-averaged": ch.conventional_channel(
             spec, "su2", "averaged", "quadrature").map_purity_with_error()[0],
         "u1-tight-mean": ch.mean_result_purity(ch.tight_result_estimates(
-            u1_spec, eq, scheme, "u1", "quadrature"))[0],
+            u1_spec, scheme, "quadrature"))[0],
     }
     inside = dict.fromkeys(exact, 0)
     for seed in seeds:
@@ -409,7 +408,7 @@ def test_bootstrap_error_bars_are_calibrated():
                 spec, "su2", "averaged", "mc", samples,
                 seed).map_purity_with_error(),
             "u1-tight-mean": ch.mean_result_purity(ch.tight_result_estimates(
-                u1_spec, eq, scheme, "u1", "mc", samples, seed)),
+                u1_spec, scheme, "mc", samples, seed)),
         }
         for key, (value, err) in got.items():
             inside[key] += abs(value - exact[key]) <= 2 * err
@@ -429,7 +428,7 @@ def test_single_shot_conventional_matches_channel():
     sigma = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]],
                                    dtype=np.complex128))
     out, transcript = ch.single_shot_simulate(
-        spec, None, "u1", sigma, HaarStream("u1", 21), shots=120000)
+        spec, None, sigma, HaarStream("u1", 21), shots=120000)
     exact = ch.conventional_channel(spec, "u1", "averaged", "quadrature")
     expected = exact.superop.apply(sigma.mat)
     assert np.max(np.abs(out.mat - expected)) < 5e-3
@@ -440,11 +439,24 @@ def test_single_shot_perfect_reconstructs_exactly():
     basis = tetrahedral_ueb()
     spec = ch.su2_teleportation_spec(basis)
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
-    scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(eq, 0))
+    scheme = enc.perfect_matched_scheme(eq, 0)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    out, _ = ch.single_shot_simulate(spec, scheme, "su2", sigma,
+    out, _ = ch.single_shot_simulate(spec, scheme, sigma,
                                      HaarStream("su2", 22), shots=500)
     assert np.max(np.abs(out.mat - sigma.mat)) < 1e-9
+
+
+def test_single_shot_u1_perfect_restores_mixed_input():
+    # Results 1 and 2 are reconstructed from their readings; results 0 and
+    # 3 lie outside the orbit and are corrected unaligned, which is exact as
+    # I and Z commute with every U(1) misalignment.
+    spec, eq = u1_bundle()
+    scheme = enc.perfect_matched_scheme(eq, 1)
+    sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    out, transcript = ch.single_shot_simulate(spec, scheme, sigma,
+                                              HaarStream("u1", 23), shots=500)
+    assert set(transcript["result"].tolist()) == {0, 1, 2, 3}
+    assert np.max(np.abs(out.mat - sigma.mat)) <= 1e-12
 
 
 def test_mc_channel_estimates_are_seed_deterministic():

@@ -142,8 +142,7 @@ def test_mean_result_row_reports_mean_linear_purity(tmp_path):
             for r in (dict(zip(header.split(","), line.split(",")))
                       for line in rows)}
     bundle = cli.builtin_scheme("su2-matched-tight")
-    per_result = ch.tight_result_estimates(bundle.spec, bundle.eq,
-                                           bundle.scheme, bundle.group,
+    per_result = ch.tight_result_estimates(bundle.spec, bundle.scheme,
                                            "mc", 20000, 0)
     mean = np.mean([e.linear_purity_with_error()[0]
                     for e in per_result.values()])
@@ -312,8 +311,15 @@ def _cases():
     threads = st.integers(max_value=0).map(
         lambda v: ["optimize", "--group", "u1", "--threads", str(v)])
     scheme = _WORDS.map(lambda w: ["channel", "--scheme", w])
+    # --method belongs to channel alone.
+    method = st.tuples(
+        st.sampled_from([["verify"], ["table1"],
+                         ["simulate", "--scheme", "u1-tight"],
+                         ["optimize", "--group", "u1"]]),
+        st.sampled_from(["mc", "quadrature"])).map(
+        lambda c: c[0] + ["--method", c[1]])
     return st.one_of(seed, result, inputs, shots, quadrature, samples,
-                     threads, scheme)
+                     threads, scheme, method)
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,10 +337,11 @@ def test_invalid_arguments_exit_2_with_one_line(argv):
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
     # Force a check to fail and confirm exit code 1 (not 2).
     from frameport import encoding as enc
-    real = enc.compatibility_check
-    monkeypatch.setattr(enc, "compatibility_check",
-                        lambda *a, **k: (False, {"reason": "forced"}))
+    real = enc.check_scheme
+    monkeypatch.setattr(enc, "check_scheme",
+                        lambda *a, **k: ((False, {"reason": "forced"}),
+                                         (True, {})))
     out = tmp_path / "v.json"
     assert run(["verify", "--scheme", "u1-tight", "--out", str(out)]) == 1
     assert read_json(out)["ok"] is False
-    monkeypatch.setattr(enc, "compatibility_check", real)
+    monkeypatch.setattr(enc, "check_scheme", real)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from frameport import channel as ch
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream, canonical_sign, u1_quat
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
+from qmat_reference import nearest_indices, uniform_bins
 
 STREAM = HaarStream("su2", 5)
 
@@ -70,7 +70,7 @@ def test_uniform_bins_cover_and_balance():
     rng = np.random.default_rng(1)
     for sp in (enc.frame_torsor_space("u1"), enc.rod_axis_space()):
         x = sp.sample(rng, 64000)
-        bins = sp.uniform_bins(x, 64)
+        bins = uniform_bins(sp, x, 64)
         counts = np.bincount(bins, minlength=64)
         assert len(counts) == 64
         assert counts.min() > 700 and counts.max() < 1300
@@ -81,21 +81,35 @@ def test_uniform_bins_cover_and_balance():
 # ---------------------------------------------------------------------------
 
 def test_u1_matched_scheme_spec_structure():
-    # The scheme is built on Z8 itself; its stabilizer holds the kernel
+    # Both schemes are built on Z8 itself; the stabilizer holds the kernel
     # {0, pi} of the action on readings.
-    spec = enc.matched_scheme_spec(u1_equivariance(), 1)
-    assert spec.subgroup is groups.z8_physical()
-    assert spec.indices == (1, 2)
-    assert len(spec.stabilizer) == 4
-    # Label 1 on the even multiples of pi/4, label 2 on the odd ones.
-    q = spec.subgroup.payloads
-    odd = np.rint(np.arctan2(-q[:, 3], q[:, 0]) / (np.pi / 4)) % 2
-    assert spec.labels.tolist() == (1 + odd).astype(int).tolist()
+    eq = u1_equivariance()
+    for ctor in (enc.tight_matched_scheme, enc.perfect_matched_scheme):
+        scheme = ctor(eq, 1)
+        sub = scheme.subgroup
+        assert sub is groups.z8_physical()
+        assert scheme.indices == (1, 2)
+        assert len(eq.stabilizers[1]) == 4
+        assert len(eq.stabilizers[1]) * len(scheme.indices) == sub.order
+        _assert_elements_decode_to_coset_labels(scheme)
+        # Label 1 on the even multiples of pi/4, label 2 on the odd ones.
+        q = sub.payloads
+        odd = np.rint(np.arctan2(-q[:, 3], q[:, 0]) / (np.pi / 4)) % 2
+        assert scheme.decode_fn(q).tolist() == (1 + odd).astype(int).tolist()
+
+
+def _assert_elements_decode_to_coset_labels(scheme):
+    """Each element l c_i of H decodes to i, for l in the stabilizer L of
+    the orbit base and c_i the coset representative of i."""
+    eq, sub = scheme.eq, scheme.subgroup
+    stabilizer = list(eq.stabilizers[min(scheme.indices)])
+    for i in scheme.indices:
+        coset = sub.table[stabilizer, eq.coset_reps[i]]
+        assert np.all(scheme.decode_fn(sub.payloads[coset]) == i)
 
 
 def test_u1_tight_scheme_decodes_known_angles():
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(
-        u1_equivariance(), 1))
+    scheme = enc.tight_matched_scheme(u1_equivariance(), 1)
     # Regions are pi/4-wide arcs around {0, pi/4, pi/2, 3pi/4} with labels
     # 1, 2, 1, 2.
     assert enc.decode(scheme, u1_quat(0.01)) == 1
@@ -105,26 +119,23 @@ def test_u1_tight_scheme_decodes_known_angles():
 
 
 def test_u1_region_measures():
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(
-        u1_equivariance(), 1))
+    scheme = enc.tight_matched_scheme(u1_equivariance(), 1)
     rng = np.random.default_rng(2)
     labels = enc.decode_batch(scheme, u1_quat(rng.random(100000) * np.pi))
     frac = np.mean(labels == 1)
     assert frac == pytest.approx(0.5, abs=0.01)
-    assert scheme.region_measure == pytest.approx(0.5)
+    assert 1 / len(scheme.indices) == pytest.approx(0.5)
 
 
 def test_u1_perfect_points():
-    scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(
-        u1_equivariance(), 1))
+    scheme = enc.perfect_matched_scheme(u1_equivariance(), 1)
     for i, angles in ((1, [0.0, np.pi / 2]), (2, [np.pi / 4, 3 * np.pi / 4])):
         dots = np.abs(scheme.points[i] @ u1_quat(angles).T)
         assert np.allclose(np.sort(dots.max(axis=0)), [1.0, 1.0], atol=1e-9)
 
 
 def test_u1_perfect_points_are_exact_group_elements():
-    scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(
-        u1_equivariance(), 1))
+    scheme = enc.perfect_matched_scheme(u1_equivariance(), 1)
     # Each point is a canonical-signed Z8 element itself, within 1e-15 of
     # its closed form.
     z8 = canonical_sign(groups.z8_physical().payloads)
@@ -136,8 +147,7 @@ def test_u1_perfect_points_are_exact_group_elements():
 
 
 def test_sample_encoding_lands_in_region():
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(
-        u1_equivariance(), 1))
+    scheme = enc.tight_matched_scheme(u1_equivariance(), 1)
     for i in (1, 2):
         x = enc.sample_encoding(scheme, i, HaarStream("u1", 9), 500)
         assert np.all(enc.decode_batch(scheme, x) == i)
@@ -150,15 +160,20 @@ def test_sample_encoding_lands_in_region():
 # ---------------------------------------------------------------------------
 
 def test_boct_matched_scheme_spec_structure():
-    spec = enc.matched_scheme_spec(boct_equivariance(), 1)
-    assert spec.indices == (1, 2, 3)
-    assert len(spec.stabilizer) == 16
-    assert sorted(np.bincount(spec.labels).tolist()) == [0, 16, 16, 16]
+    eq = boct_equivariance()
+    for ctor in (enc.tight_matched_scheme, enc.perfect_matched_scheme):
+        scheme = ctor(eq, 1)
+        sub = scheme.subgroup
+        assert scheme.indices == (1, 2, 3)
+        assert len(eq.stabilizers[1]) == 16
+        assert len(eq.stabilizers[1]) * len(scheme.indices) == sub.order
+        _assert_elements_decode_to_coset_labels(scheme)
+        labels = scheme.decode_fn(sub.payloads)
+        assert sorted(np.bincount(labels).tolist()) == [0, 16, 16, 16]
 
 
 def test_boct_tight_region_measures():
-    scheme = enc.tight_matched_scheme(enc.matched_scheme_spec(
-        boct_equivariance(), 1))
+    scheme = enc.tight_matched_scheme(boct_equivariance(), 1)
     rng = np.random.default_rng(3)
     x = scheme.space.sample(rng, 60000)
     labels = enc.decode_batch(scheme, x)
@@ -167,8 +182,7 @@ def test_boct_tight_region_measures():
 
 
 def test_btet_perfect_points_structure():
-    scheme = enc.perfect_matched_scheme(enc.matched_scheme_spec(
-        btet_equivariance(), 0))
+    scheme = enc.perfect_matched_scheme(btet_equivariance(), 0)
     assert sorted(scheme.points) == [0, 1, 2, 3]
     all_points = np.concatenate([scheme.points[i] for i in range(4)])
     assert all(len(scheme.points[i]) == 3 for i in range(4))
@@ -202,25 +216,24 @@ def test_rod_scheme_decode_and_measure():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
-    lambda: (enc.matched_scheme_spec(boct_equivariance(), 1),
-             enc.tight_matched_scheme),
-    lambda: (enc.matched_scheme_spec(btet_equivariance(), 0),
-             enc.perfect_matched_scheme),
-    lambda: (enc.matched_scheme_spec(u1_equivariance(), 1),
-             enc.tight_matched_scheme),
+    lambda: enc.tight_matched_scheme(boct_equivariance(), 1),
+    lambda: enc.perfect_matched_scheme(btet_equivariance(), 0),
+    lambda: enc.tight_matched_scheme(u1_equivariance(), 1),
 ])
 def test_decoder_matches_nearest_element_search(make):
-    spec, ctor = make()
-    scheme = ctor(spec)
-    sub = spec.subgroup
+    scheme = make()
+    sub = scheme.subgroup
+    # The coset label of h: sigma(b, l c_i) = sigma(b, c_i) = i for the
+    # orbit base b and l in its stabilizer.
+    labels = scheme.eq.sigma[min(scheme.indices)]
     rng = np.random.default_rng(6)
     q = groups.haar_batch(sub.ambient, rng, 100_000)
     cases = [(x, groups.canonical_sign(x))
              for x in (q, -q, sub.payloads, -sub.payloads)]
     for x, ref in cases:
-        idx, _ = groups.nearest_indices(ref, sub, sign_insensitive=True)
-        assert np.array_equal(scheme.decode_fn(x), spec.labels[idx])
-    assert np.array_equal(scheme.decode_fn(sub.payloads), spec.labels)
+        idx, _ = nearest_indices(ref, sub, sign_insensitive=True)
+        assert np.array_equal(scheme.decode_fn(x), labels[idx])
+    assert np.array_equal(scheme.decode_fn(sub.payloads), labels)
 
 
 def rejection_sample(scheme, i, rng, n):
@@ -244,7 +257,7 @@ def voronoi_cells(scheme, x):
         sign = x[np.arange(len(x)), dominant] > 0
         return 2 * sign + (order[:, 1] > order[:, 0])
     sub = scheme.subgroup
-    idx, _ = groups.nearest_indices(x, sub, sign_insensitive=True)
+    idx, _ = nearest_indices(x, sub, sign_insensitive=True)
     # +-h are one rotation: name each cell by its canonical lift.
     lifts = groups.canonical_sign(sub.payloads)
     return np.unique(np.round(lifts, 9), axis=0,
@@ -252,10 +265,8 @@ def voronoi_cells(scheme, x):
 
 
 SAMPLER_CASES = [
-    ("boct", lambda: enc.tight_matched_scheme(enc.matched_scheme_spec(
-        boct_equivariance(), 1)), 8),
-    ("u1", lambda: enc.tight_matched_scheme(enc.matched_scheme_spec(
-        u1_equivariance(), 1)), 2),
+    ("boct", lambda: enc.tight_matched_scheme(boct_equivariance(), 1), 8),
+    ("u1", lambda: enc.tight_matched_scheme(u1_equivariance(), 1), 2),
     ("rod", enc.rod_scheme, 4),
 ]
 
@@ -283,28 +294,25 @@ def test_direct_sampler_is_uniform_on_region(name, make, n_cells):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("maker", [
-    lambda: (enc.tight_matched_scheme(enc.matched_scheme_spec(
-        u1_equivariance(), 1)), u1_equivariance(), "u1"),
-    lambda: (enc.perfect_matched_scheme(enc.matched_scheme_spec(
-        u1_equivariance(), 1)), u1_equivariance(), "u1"),
-    lambda: (enc.tight_matched_scheme(enc.matched_scheme_spec(
-        boct_equivariance(), 1)), boct_equivariance(), "su2"),
-    lambda: (enc.rod_scheme(), boct_equivariance(), "su2"),
-    lambda: (enc.perfect_matched_scheme(enc.matched_scheme_spec(
-        btet_equivariance(), 0)), btet_equivariance(), "su2"),
+    lambda: (enc.tight_matched_scheme(u1_equivariance(), 1), "u1"),
+    lambda: (enc.perfect_matched_scheme(u1_equivariance(), 1), "u1"),
+    lambda: (enc.tight_matched_scheme(boct_equivariance(), 1), "su2"),
+    lambda: (enc.rod_scheme(), "su2"),
+    lambda: (enc.perfect_matched_scheme(btet_equivariance(), 0), "su2"),
 ])
 def test_compatibility(maker):
-    scheme, eq, group = maker()
-    ok, report = enc.compatibility_check(scheme, eq, HaarStream(group, 11),
-                                         samples_per_case=100)
+    scheme, group = maker()
+    (ok, report), (finite_ok, finite_report) = enc.check_scheme(
+        scheme, HaarStream(group, 11), samples_per_case=100)
     assert ok, report
+    assert finite_ok, finite_report
 
 
 def _scrambled_boct_scheme(where=lambda x, decoded: True):
     """The BOct tight matched scheme with its decoded indices cycled where
     where(readings, decoded) holds (everywhere by default)."""
     eq = boct_equivariance()
-    good = enc.tight_matched_scheme(enc.matched_scheme_spec(eq, 1))
+    good = enc.tight_matched_scheme(eq, 1)
     swap = {1: 2, 2: 3, 3: 1}
 
     def bad_decode(x):
@@ -313,8 +321,8 @@ def _scrambled_boct_scheme(where=lambda x, decoded: True):
                         decoded)
 
     bad = enc.EncodingScheme(
-        good.space, good.subgroup, good.indices, "tight", bad_decode,
-        good.sample_fn, region_measure=good.region_measure)
+        good.space, good.eq, good.indices, "tight", bad_decode,
+        good.sample_fn)
     return bad, eq
 
 
@@ -323,8 +331,8 @@ def test_compatibility_detects_scrambled_decoder():
     # at a case with h != identity, inside its run of readings.
     for bad, eq in (_scrambled_boct_scheme(), _scrambled_boct_scheme(
             lambda x, d: (d == 3) & (x[:, 1] > 0.5))):
-        ok, report = enc.compatibility_check(bad, eq, HaarStream("su2", 11),
-                                             samples_per_case=50)
+        (ok, report), _ = enc.check_scheme(bad, HaarStream("su2", 11),
+                                           samples_per_case=50)
         assert not ok and "expected" in report
         # The counterexample is real: its transported reading decodes to
         # `got`, and `expected` is sigma(i, h^-1).
@@ -336,13 +344,12 @@ def test_compatibility_detects_scrambled_decoder():
 
 def test_finite_group_check_detects_scrambled_decoder():
     bad, eq = _scrambled_boct_scheme()
-    spec = ch.su2_teleportation_spec(pauli_ueb())
-    ok, report = ch.finite_group_check(spec, eq, bad)
+    _, (ok, report) = enc.check_scheme(bad, HaarStream("su2", 0))
     assert not ok
     assert 0 <= report["h"] < eq.subgroup.order and report["i"] in bad.indices
     assert report["j"] in bad.indices and report["overlap"] < 1.0 - 1e-9
     # Cycling some readings of a case makes its decode ambiguous.
     bad, eq = _scrambled_boct_scheme(lambda x, d: x[:, 1] > 0.5)
-    ok, report = ch.finite_group_check(spec, eq, bad)
+    _, (ok, report) = enc.check_scheme(bad, HaarStream("su2", 0))
     assert not ok and report["reason"] == "ambiguous decode"
     assert 0 <= report["h"] < eq.subgroup.order and report["i"] in bad.indices

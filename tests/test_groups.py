@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from frameport import groups
 from frameport.groups import (
     HaarStream, axis_angle_quat, binary_octahedral, binary_tetrahedral,
-    canonical_sign, haar_payloads, nearest_indices, quadrature_average,
-    quat_conj, quat_mul, quat_rotate, sample_su2, su2_matrix,
-    subgroup_by_name, tetrahedral, u1_quat, unitary_quat, z4_reduced,
-    z8_physical,
+    canonical_sign, quadrature_average, quat_conj, quat_mul, quat_rotate,
+    sample_su2, su2_matrix, subgroup_by_name, tetrahedral, u1_quat,
+    unitary_quat, z4_reduced, z8_physical,
 )
 
-from qmat_reference import component_quat_conj, component_quat_mul
+from qmat_reference import component_quat_conj, component_quat_mul, \
+    haar_payloads, nearest_indices
 
 RNG = np.random.default_rng(7)
 
