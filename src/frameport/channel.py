@@ -173,16 +173,10 @@ class ChannelEstimate:
         return float(spectrum_purities(self.choi_spectrum())[1])
 
     def map_purity_with_error(self) -> tuple[float, float]:
-        return self._with_error(0)
-
-    def linear_purity_with_error(self) -> tuple[float, float]:
-        return self._with_error(1)
-
-    def _with_error(self, which: int) -> tuple[float, float]:
-        value = float(spectrum_purities(self.choi_spectrum())[which])
+        value = self.map_purity()
         if self.replicates is None:
             return value, 0.0
-        reps = spectrum_purities(clamped_eigenvalues(self.replicates))[which]
+        reps = spectrum_purities(clamped_eigenvalues(self.replicates))[0]
         return value, float(np.std(reps, ddof=1))
 
     def choi_spectrum(self) -> np.ndarray:
@@ -336,6 +330,18 @@ def conventional_channel(spec: TeleportationSpec, group: str,
 # Tight channel
 # ---------------------------------------------------------------------------
 
+def _check_scheme_basis(spec: TeleportationSpec,
+                        scheme: enc.EncodingScheme) -> None:
+    """Raise unless the spec teleports with the UEB the scheme's
+    equivariance data was computed for: its coset conjugations and orbit
+    are meaningless for any other basis.  Matrices are compared within
+    1e-12, since a spec and a scheme may hold separate copies of a basis."""
+    mats, own = spec.basis.mats, scheme.eq.basis.mats
+    if mats.shape != own.shape or np.max(np.abs(mats - own)) > 1e-12:
+        raise ValueError("the spec's UEB is not the basis the scheme was "
+                         "built on")
+
+
 def tight_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
                   result: int | str = "averaged",
                   method: str = "mc", samples: int = 10 ** 6,
@@ -354,6 +360,7 @@ def tight_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     the plain conventional integral, computed exactly by quadrature whatever
     the method.  "averaged" mixes all d^2 results equally.
     """
+    _check_scheme_basis(spec, scheme)
     if result == "averaged":
         return mix_estimates(list(tight_result_estimates(
             spec, scheme, method, samples, seed).values()))
@@ -372,6 +379,7 @@ def tight_result_estimates(spec: TeleportationSpec,
     only once.  Orbit results are unitary conjugates of the base channel and
     therefore share its spectrum; singleton-orbit results get the exact
     conventional integral (identity for a commuting basis element)."""
+    _check_scheme_basis(spec, scheme)
     base = _tight_base_channel(spec, scheme, method, samples, seed)
     out: dict[int, ChannelEstimate] = {}
     for i in range(spec.basis.size):
@@ -470,6 +478,7 @@ def perfect_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     """
     if scheme.kind != "perfect":
         raise ValueError("perfect_channel requires a perfect scheme")
+    _check_scheme_basis(spec, scheme)
     if method == "quadrature":
         # Free action: trivial stabilizer, identity channel (the moment of
         # the identity quaternion).
@@ -531,6 +540,8 @@ def single_shot_simulate(spec: TeleportationSpec,
     decode and correction, and returns the ensemble-mean output in Alice's
     frame together with a transcript.
     """
+    if scheme is not None:
+        _check_scheme_basis(spec, scheme)
     d = spec.dim
     n_res = spec.basis.size
     # Born probabilities of the measurement results.

@@ -47,7 +47,6 @@ __all__ = [
     "EncodingScheme",
     "rod_axis_space",
     "frame_torsor_space",
-    "decode",
     "decode_batch",
     "sample_encoding",
     "tight_matched_scheme",
@@ -120,11 +119,6 @@ class EncodingScheme:
 
 def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:
     return scheme.decode_fn(np.asarray(x))
-
-
-def decode(scheme: EncodingScheme, x) -> int:
-    """Index of the decoding subset containing reading x."""
-    return int(decode_batch(scheme, np.asarray([x]))[0])
 
 
 def sample_encoding(scheme: EncodingScheme, i: int, stream: HaarStream,

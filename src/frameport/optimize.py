@@ -9,10 +9,15 @@ outperformed.
 
 Conventions:
   - All optimizers MAXIMIZE their objective.
-  - Objectives are exact: a closed form (circle), a quadrature (rotation).
+  - Objectives are exact.  Circle: the purity is ||M||_F^2 for a 4x4 second
+    moment M built through an isometry L (L^T L = I), which reduces it to a
+    scalar polynomial in the squared axis components, evaluated on Python
+    floats.  Rotation: the SU(2) design-subgroup quadrature, one call for a
+    whole batch of angle triples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,10 +43,10 @@ _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 
 @dataclass
 class SimplexState:
-    """Current simplex of a Nelder-Mead run.
+    """Final simplex of a Nelder-Mead run, best vertex first.
 
-    Vertices are parameter vectors (radians); values their objective values.
-    The best value is non-decreasing across iterations.
+    Vertices are parameter vectors (radians); values their objective values;
+    iterations and evaluations count the whole run.
     """
 
     vertices: np.ndarray        # (n + 1, n)
@@ -52,21 +57,6 @@ class SimplexState:
     def __post_init__(self):
         if self.vertices.shape[0] != self.vertices.shape[1] + 1:
             raise ValueError("simplex needs dimension + 1 vertices")
-
-    @property
-    def diameter(self) -> float:
-        best = self.vertices[np.argmax(self.values)]
-        return float(np.max(np.linalg.norm(self.vertices - best, axis=1)))
-
-    @property
-    def spread(self) -> float:
-        return float(np.max(self.values) - np.min(self.values))
-
-    def order(self) -> None:
-        # Descending by value: index 0 is the best vertex (maximization).
-        idx = np.argsort(-self.values, kind="stable")
-        self.vertices = self.vertices[idx]
-        self.values = self.values[idx]
 
 
 @dataclass(frozen=True)
@@ -88,85 +78,78 @@ def nelder_mead(objective: Callable[[np.ndarray], float],
     Standard reflect/expand/contract/shrink moves with coefficients
     (1, 2, 0.5, 0.5).  Stops when the simplex diameter falls below
     `diameter_tol`, the value spread below `spread_tol`, or after `max_iter`
-    iterations (the result is then flagged `capped`).
+    iterations (the result is then flagged `capped`).  The simplex is kept
+    as Python floats, since numpy costs more per call than a move on a few
+    vertices; the objective receives each vertex as a float64 array.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = x0.size
-    vertices = np.tile(x0, (n + 1, 1))
+    x0 = np.asarray(x0, dtype=np.float64).tolist()
+    n = len(x0)
+    vertices = [list(x0) for _ in range(n + 1)]
     for k in range(n):
-        vertices[k + 1, k] += step
-    values = np.array([objective(v) for v in vertices])
-    state = SimplexState(vertices, values, evaluations=n + 1)
+        vertices[k + 1][k] += step
+
+    def f(v):
+        return float(objective(np.array(v)))
+
+    values = [f(v) for v in vertices]
+    iterations, evaluations = 0, n + 1
+
+    def order():
+        # Descending by value, stable: index 0 is the best vertex.
+        idx = sorted(range(n + 1), key=lambda i: -values[i])
+        return [vertices[i] for i in idx], [values[i] for i in idx]
 
     capped = True
     for _ in range(max_iter):
-        state.order()
-        if state.diameter < diameter_tol or state.spread < spread_tol:
+        vertices, values = order()
+        best = vertices[0]
+        diameter = max(math.dist(v, best) for v in vertices)
+        if diameter < diameter_tol or values[0] - values[-1] < spread_tol:
             capped = False
             break
-        state.iterations += 1
-        centroid = state.vertices[:-1].mean(axis=0)
-        worst = state.vertices[-1]
-        f_best, f_second, f_worst = (state.values[0], state.values[-2],
-                                     state.values[-1])
+        iterations += 1
+        centroid = [sum(col) / n for col in zip(*vertices[:-1])]
+        worst = vertices[-1]
+        f_best, f_second, f_worst = values[0], values[-2], values[-1]
 
-        reflected = centroid + _ALPHA * (centroid - worst)
-        f_r = objective(reflected)
-        state.evaluations += 1
+        reflected = [c + _ALPHA * (c - w) for c, w in zip(centroid, worst)]
+        f_r = f(reflected)
+        evaluations += 1
         if f_second < f_r <= f_best:
-            state.vertices[-1], state.values[-1] = reflected, f_r
+            vertices[-1], values[-1] = reflected, f_r
             continue
         if f_r > f_best:
-            expanded = centroid + _GAMMA * (reflected - centroid)
-            f_e = objective(expanded)
-            state.evaluations += 1
+            expanded = [c + _GAMMA * (r - c)
+                        for c, r in zip(centroid, reflected)]
+            f_e = f(expanded)
+            evaluations += 1
             if f_e > f_r:
-                state.vertices[-1], state.values[-1] = expanded, f_e
+                vertices[-1], values[-1] = expanded, f_e
             else:
-                state.vertices[-1], state.values[-1] = reflected, f_r
+                vertices[-1], values[-1] = reflected, f_r
             continue
-        contracted = centroid + _RHO * (worst - centroid)
-        f_c = objective(contracted)
-        state.evaluations += 1
+        contracted = [c + _RHO * (w - c) for c, w in zip(centroid, worst)]
+        f_c = f(contracted)
+        evaluations += 1
         if f_c > f_worst:
-            state.vertices[-1], state.values[-1] = contracted, f_c
+            vertices[-1], values[-1] = contracted, f_c
             continue
         # Shrink toward the best vertex.
-        state.vertices[1:] = (state.vertices[0]
-                              + _SIGMA * (state.vertices[1:]
-                                          - state.vertices[0]))
-        state.values[1:] = [objective(v) for v in state.vertices[1:]]
-        state.evaluations += n
+        vertices[1:] = [[b + _SIGMA * (v - b) for b, v in zip(best, vertex)]
+                        for vertex in vertices[1:]]
+        values[1:] = [f(v) for v in vertices[1:]]
+        evaluations += n
 
-    state.order()
-    return NelderMeadResult(state.vertices[0].copy(),
-                            float(state.values[0]), state, capped)
+    vertices, values = order()
+    state = SimplexState(np.array(vertices), np.array(values), iterations,
+                         evaluations)
+    return NelderMeadResult(state.vertices[0].copy(), values[0], state,
+                            capped)
 
 
 # ---------------------------------------------------------------------------
 # Circle-group conventional objective
 # ---------------------------------------------------------------------------
-
-def _unit_vector(psi: float, phi: float) -> np.ndarray:
-    return np.array([np.sin(psi) * np.cos(phi),
-                     np.sin(psi) * np.sin(phi),
-                     np.cos(psi)])
-
-
-def _rotation_quats(axis: np.ndarray, angles) -> np.ndarray:
-    """Unit quaternions (n, 4) of the SU(2) lifts exp(-i angle/2 axis.sigma)
-    of the Bloch rotations, for a batch of angles."""
-    half = np.atleast_1d(np.asarray(angles, dtype=np.float64)) / 2.0
-    return np.concatenate([np.cos(half)[:, None],
-                           np.sin(half)[:, None] * axis], axis=1)
-
-
-def _pair_purity(m: np.ndarray) -> float:
-    """(1/4) E |Tr(A+ A')|^2 over independent A, A' from an SU(2) ensemble
-    whose quaternions have second moment m = E[a a^T].  For unit quaternions
-    (1/4) |Tr(A+ A')|^2 = (a.a')^2, so the pair average is ||m||_F^2."""
-    return float(np.sum(m * m))
-
 
 def u1_conventional_purity(angles: Sequence[float]) -> float:
     """Closed-form linear map purity of the circle-group conventional channel
@@ -181,47 +164,69 @@ def u1_conventional_purity(angles: Sequence[float]) -> float:
         w_i(t) = c^2 e_0 + s^2 L y_i + c s (0, x - y_i).
 
     On the circle E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8 and odd moments
-    vanish; sum_i y_i = 0 and (1/4) sum_i y_i y_i^T = D = diag(y^2).  So
+    vanish; sum_i y_i = 0 and (1/4) sum_i y_i y_i^T = D = diag(d), d = y*y.
+    So
 
-        M = (3/8) e_0 e_0^T + (3/8) L D L^T + (1/8) (0 (+) (x x^T + D)),
+        M = (3/8) e_0 e_0^T + (3/8) L D L^T + (1/8) (0 (+) (x x^T + D)).
 
-    exactly, which gives 0.625 at the Pauli point.
+    L is an isometry (L^T L = x x^T + [x]_x^T [x]_x = I), its first row is
+    x^T, and its last three rows -[x]_x annihilate x.  Expanding the
+    Frobenius norm term by term then leaves
+
+        ||M||_F^2 = (10 + 10 s + 20 q + 12 c) / 64,
+        s = sum_k d_k^2,  q = sum_k x_k^2 d_k,
+        c = x_3^2 d_1 d_2 + x_1^2 d_2 d_3 + x_2^2 d_1 d_3,
+
+    exactly, which gives 0.625 at the Pauli point (x = y = e_z).
     """
     psi_x, psi_y, phi_x, phi_y = angles
-    x = _unit_vector(psi_x, phi_x)
-    d = _unit_vector(psi_y, phi_y) ** 2
-    x1, x2, x3 = x
-    lmap = np.array([x, [0.0, x3, -x2], [-x3, 0.0, x1], [x2, -x1, 0.0]])
-    m = 0.375 * (lmap * d) @ lmap.T
-    m[0, 0] += 0.375
-    m[1:, 1:] += 0.125 * (np.outer(x, x) + np.diag(d))
-    return _pair_purity(m)
+    # x1, x2, x3 are the squared components of x; d1, d2, d3 those of y.
+    sx, sy = math.sin(psi_x), math.sin(psi_y)
+    x1 = (sx * math.cos(phi_x)) ** 2
+    x2 = (sx * math.sin(phi_x)) ** 2
+    x3 = math.cos(psi_x) ** 2
+    d1 = (sy * math.cos(phi_y)) ** 2
+    d2 = (sy * math.sin(phi_y)) ** 2
+    d3 = math.cos(psi_y) ** 2
+    s = d1 * d1 + d2 * d2 + d3 * d3
+    q = x1 * d1 + x2 * d2 + x3 * d3
+    c = x3 * d1 * d2 + x1 * d2 * d3 + x2 * d1 * d3
+    return (10 + 10 * s + 20 * q + 12 * c) / 64
 
 
 # ---------------------------------------------------------------------------
 # Rotation-group conventional objective
 # ---------------------------------------------------------------------------
 
-def su2_conventional_purity(angles: Sequence[float]) -> tuple[float, float]:
-    """Linear map purity (with its standard error, 0) of the rotation-group
-    conventional channel for the UEB {U-tilde X_i} with
-    U-tilde = R_axis(psi, phi)(omega), angles = (psi, phi, omega).
+def su2_conventional_purity(angles) -> np.ndarray:
+    """Linear map purities (...) of the rotation-group conventional channel
+    for the UEBs {U-tilde X_i} of angle triples (..., 3) = (psi, phi, omega),
+    U-tilde = R_n(omega) = exp(-i omega/2 n.sigma) about the axis
+    n = (sin psi cos phi, sin psi sin phi, cos psi).
 
     The ensemble members are A_i(Y) = X_i Y X_i U Y+ over Haar Y and uniform
-    i; the purity is (1/4) E |Tr(A_i(Y1)+ A_j(Y2))|^2.  The second moment
-    of the quaternions of A is quartic in the quaternion of Y, so the SU(2)
-    quadrature rule gives it exactly.
+    i; the purity is (1/4) E |Tr(A_i(Y1)+ A_j(Y2))|^2 = ||M||_F^2 for the
+    second moment M of the quaternions of A.  M is quartic in the
+    quaternion of Y, so the SU(2) quadrature rule gives it exactly.  The
+    left factor X_i Y X_i is the same for every triple, so one quadrature
+    call over the design points serves the whole batch.
     """
-    psi, phi, omega = angles
-    u = _rotation_quats(_unit_vector(psi, phi), omega)[0]
+    psi, phi, omega = np.moveaxis(np.asarray(angles, dtype=np.float64), -1, 0)
+    c, s = np.cos(omega / 2), np.sin(omega / 2)
+    u = np.stack([c, s * (np.sin(psi) * np.cos(phi)),
+                  s * (np.sin(psi) * np.sin(phi)), s * np.cos(psi)], axis=-1)
+    shape = u.shape[:-1]
+    u = u.reshape(-1, 4)
     paulis = np.eye(4)[:, None, :]                      # X_i up to phase
 
-    def second_moment(y):
-        a = quat_mul(quat_mul(quat_mul(paulis, y), quat_conj(paulis)),
-                     quat_mul(u, quat_conj(y)))         # (4, n, 4)
-        return np.einsum("iyk,iyl->ykl", a, a) / 4
+    def second_moments(y):
+        left = quat_mul(quat_mul(paulis, y), quat_conj(paulis))   # (4, n, 4)
+        right = quat_mul(u[:, None], quat_conj(y))                # (k, n, 4)
+        a = quat_mul(left, right[:, None])                     # (k, 4, n, 4)
+        return np.einsum("kiya,kiyb->ykab", a, a) / 4
 
-    return _pair_purity(quadrature_average(second_moment, "su2")), 0.0
+    m = quadrature_average(second_moments, "su2")             # (k, 4, 4)
+    return np.sum(m * m, axis=(-2, -1)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +298,13 @@ def optimize_conventional_ueb(group: str, samples: int = 2 * 10 ** 5,
             rows.append(OptimizationRow(f"restart-{k}", tuple(res.x),
                                         res.value, 0.0))
     elif group == "su2":
-        baseline = OptimizationRow("pauli", (0.0, 0.0, 0.0),
-                                   *su2_conventional_purity((0, 0, 0)))
         triples = rng.random((scan, 3)) * np.array([np.pi, 2 * np.pi,
                                                     2 * np.pi])
-        rows = [OptimizationRow(f"triple-{k}", tuple(x),
-                                *su2_conventional_purity(x))
-                for k, x in enumerate(triples)]
+        pauli, *purities = su2_conventional_purity(
+            np.vstack([np.zeros(3), triples])).tolist()
+        baseline = OptimizationRow("pauli", (0.0, 0.0, 0.0), pauli, 0.0)
+        rows = [OptimizationRow(f"triple-{k}", tuple(x), p, 0.0)
+                for k, (x, p) in enumerate(zip(triples, purities))]
     else:
         raise ValueError(f"unknown group {group!r}")
 

@@ -1,16 +1,21 @@
 """Reference maps that only the tests use: the component formula of the
 quaternion product, the conjugation superoperator of a unitary, the von
-Neumann entropy and the linear Choi purity of a dense superoperator, raw
-Haar draws of a stream, the distance-based nearest-element search, and
-equal-measure bins of a reading space."""
+Neumann entropy and the linear Choi purity of a dense superoperator, the
+linear purity of a channel estimate with its bootstrap error, raw Haar
+draws of a stream, the distance-based nearest-element search, the
+single-reading decode, equal-measure bins of a reading space, the
+per-triple and 4x4-matrix forms of the two optimize objectives, and
+Nelder-Mead on numpy arrays."""
 from __future__ import annotations
 
 import numpy as np
 
-from frameport.encoding import ReadingSpace
-from frameport.groups import FiniteSubgroup, HaarStream, haar_batch
+from frameport.channel import ChannelEstimate
+from frameport.encoding import EncodingScheme, ReadingSpace, decode_batch
+from frameport.groups import FiniteSubgroup, HaarStream, haar_batch, \
+    quadrature_average, quat_conj, quat_mul
 from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
-    _entropy, choi, spectrum_purities
+    _entropy, choi, clamped_eigenvalues, spectrum_purities
 
 
 def component_quat_mul(a, b) -> np.ndarray:
@@ -48,6 +53,16 @@ def linear_map_purity(S: Superoperator) -> float:
     return float(spectrum_purities(choi(S).rho.eigenvalues())[1])
 
 
+def linear_purity_with_error(est: ChannelEstimate) -> tuple[float, float]:
+    """Linear Choi purity of an estimate and the standard deviation of its
+    bootstrap replicates (0 for an exact estimate)."""
+    value = float(spectrum_purities(est.choi_spectrum())[1])
+    if est.replicates is None:
+        return value, 0.0
+    reps = spectrum_purities(clamped_eigenvalues(est.replicates))[1]
+    return value, float(np.std(reps, ddof=1))
+
+
 def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
     """Raw i.i.d. Haar payload array of the stream's group and counter."""
     return haar_batch(stream.group, stream.generator(), n)
@@ -71,6 +86,11 @@ def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,
     return idx, ties
 
 
+def decode(scheme: EncodingScheme, x) -> int:
+    """Index of the decoding subset containing the single reading x."""
+    return int(decode_batch(scheme, np.asarray([x]))[0])
+
+
 def uniform_bins(space: ReadingSpace, x: np.ndarray, n_bins: int = 64
                  ) -> np.ndarray:
     """Assign readings of a space to one of n_bins equal-measure bins (for
@@ -90,3 +110,96 @@ def uniform_bins(space: ReadingSpace, x: np.ndarray, n_bins: int = 64
         sector = np.minimum((az * side).astype(int), side - 1)
         return band * side + sector
     raise ValueError(f"no binning rule for {space.kind!r}")
+
+
+def unit_vector(psi: float, phi: float) -> np.ndarray:
+    return np.array([np.sin(psi) * np.cos(phi),
+                     np.sin(psi) * np.sin(phi),
+                     np.cos(psi)])
+
+
+def rotation_quat(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Unit quaternion (4,) of the SU(2) lift exp(-i angle/2 axis.sigma)."""
+    return np.concatenate([[np.cos(angle / 2.0)], np.sin(angle / 2.0) * axis])
+
+
+def u1_matrix_purity(angles) -> float:
+    """The circle-group conventional purity ||M||_F^2 from the 4x4 second
+    moment M = (3/8) e_0 e_0^T + (3/8) L D L^T + (1/8) (0 (+) (x x^T + D))
+    of `optimize.u1_conventional_purity`, built as a matrix."""
+    psi_x, psi_y, phi_x, phi_y = angles
+    x = unit_vector(psi_x, phi_x)
+    d = unit_vector(psi_y, phi_y) ** 2
+    x1, x2, x3 = x
+    lmap = np.array([x, [0.0, x3, -x2], [-x3, 0.0, x1], [x2, -x1, 0.0]])
+    m = 0.375 * (lmap * d) @ lmap.T
+    m[0, 0] += 0.375
+    m[1:, 1:] += 0.125 * (np.outer(x, x) + np.diag(d))
+    return float(np.sum(m * m))
+
+
+def su2_triple_purity(angles) -> float:
+    """The rotation-group conventional purity of one angle triple
+    (psi, phi, omega), with its own quadrature call: ||M||_F^2 for the
+    design-subgroup mean M of the second moments of A_i(Y) = X_i Y X_i U Y+."""
+    psi, phi, omega = angles
+    u = rotation_quat(unit_vector(psi, phi), omega)
+    paulis = np.eye(4)[:, None, :]
+
+    def second_moment(y):
+        a = quat_mul(quat_mul(quat_mul(paulis, y), quat_conj(paulis)),
+                     quat_mul(u, quat_conj(y)))         # (4, n, 4)
+        return np.einsum("iyk,iyl->ykl", a, a) / 4
+
+    m = quadrature_average(second_moment, "su2")
+    return float(np.sum(m * m))
+
+
+def array_nelder_mead(objective, x0, step=0.25, max_iter=10 ** 4,
+                      diameter_tol=1e-6, spread_tol=1e-10):
+    """`optimize.nelder_mead` with the simplex held in numpy arrays: the
+    same moves, coefficients (1, 2, 0.5, 0.5), stopping rules and stable
+    ordering.  Returns (x, value, iterations, evaluations, capped)."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = x0.size
+    vertices = np.tile(x0, (n + 1, 1))
+    vertices[np.arange(n) + 1, np.arange(n)] += step
+    values = np.array([objective(v) for v in vertices])
+    iterations, evaluations, capped = 0, n + 1, True
+    for _ in range(max_iter):
+        idx = np.argsort(-values, kind="stable")
+        vertices, values = vertices[idx], values[idx]
+        diameter = np.max(np.linalg.norm(vertices - vertices[0], axis=1))
+        if diameter < diameter_tol or values[0] - values[-1] < spread_tol:
+            capped = False
+            break
+        iterations += 1
+        centroid = vertices[:-1].mean(axis=0)
+        worst = vertices[-1]
+        reflected = centroid + (centroid - worst)
+        f_r = objective(reflected)
+        evaluations += 1
+        if values[-2] < f_r <= values[0]:
+            vertices[-1], values[-1] = reflected, f_r
+            continue
+        if f_r > values[0]:
+            expanded = centroid + 2.0 * (reflected - centroid)
+            f_e = objective(expanded)
+            evaluations += 1
+            if f_e > f_r:
+                vertices[-1], values[-1] = expanded, f_e
+            else:
+                vertices[-1], values[-1] = reflected, f_r
+            continue
+        contracted = centroid + 0.5 * (worst - centroid)
+        f_c = objective(contracted)
+        evaluations += 1
+        if f_c > values[-1]:
+            vertices[-1], values[-1] = contracted, f_c
+            continue
+        vertices[1:] = vertices[0] + 0.5 * (vertices[1:] - vertices[0])
+        values[1:] = [objective(v) for v in vertices[1:]]
+        evaluations += n
+    idx = np.argsort(-values, kind="stable")
+    return (vertices[idx[0]], float(values[idx[0]]), iterations, evaluations,
+            capped)

@@ -15,7 +15,8 @@ from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
     choi, clamped_eigenvalues, map_purity, spectrum_purities
 from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
     pauli_ueb, tetrahedral_ueb
-from qmat_reference import haar_payloads, linear_map_purity
+from qmat_reference import haar_payloads, linear_map_purity, \
+    linear_purity_with_error
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
@@ -236,6 +237,35 @@ def test_btet_perfect_mc_is_identity():
     assert np.all(np.abs(est.superop.mat - np.eye(4)) <= tol)
 
 
+def test_spec_ueb_must_be_the_scheme_basis():
+    # A scheme's orbit and coset conjugations hold only for the UEB it was
+    # built on; with another basis the channel is meaningless (tetrahedral
+    # spec on rod tight: map purity 0.0085; Pauli spec on BTet perfect:
+    # 0.054).
+    tetrahedral = ch.su2_teleportation_spec(tetrahedral_ueb())
+    pauli = ch.su2_teleportation_spec(pauli_ueb())
+    rod = enc.rod_scheme()
+    btet = enc.perfect_matched_scheme(
+        equivariance_analysis(tetrahedral_ueb(), groups.binary_tetrahedral()),
+        0)
+    with pytest.raises(ValueError, match="UEB"):
+        ch.tight_channel(tetrahedral, rod, "averaged", "mc", 20000, 0)
+    with pytest.raises(ValueError, match="UEB"):
+        ch.tight_channel(tetrahedral, rod, 0, "mc", 20000, 0)
+    with pytest.raises(ValueError, match="UEB"):
+        ch.tight_result_estimates(tetrahedral, rod, "mc", 20000, 0)
+    for method in ("mc", "quadrature"):
+        with pytest.raises(ValueError, match="UEB"):
+            ch.perfect_channel(pauli, btet, 1, method, 20000, 0)
+    # The simulator used to give input fidelity 0.55 here.
+    with pytest.raises(ValueError, match="UEB"):
+        ch.single_shot_simulate(pauli, btet, DensityMatrix(np.diag([1, 0])),
+                                HaarStream("su2", 3), 100)
+    # Separate instances of the scheme's own basis are accepted.
+    est = ch.perfect_channel(tetrahedral, btet, 1, "quadrature")
+    assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-12
+
+
 def test_rod_point_encoding_is_perfectly_correctable():
     """A single encoding point per index pins down the frame up to the
     rotations about that axis, which commute with the Pauli element of the
@@ -354,7 +384,7 @@ def test_moment_estimator_matches_superoperator_reference(case):
     est = _moment_estimate(case)
     sup = est.superop
     p, p_err = est.map_purity_with_error()
-    lin, lin_err = est.linear_purity_with_error()
+    lin, lin_err = linear_purity_with_error(est)
     assert est.map_purity() == p and est.linear_purity() == lin
     assert abs(p - map_purity(sup)) <= 1e-14
     assert abs(lin - linear_map_purity(sup)) <= 1e-14

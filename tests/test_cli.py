@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from frameport import channel as ch
 from frameport import cli
+from qmat_reference import linear_purity_with_error
 
 SAMPLES = ["--samples", "40000"]
 
@@ -144,7 +145,7 @@ def test_mean_result_row_reports_mean_linear_purity(tmp_path):
     bundle = cli.builtin_scheme("su2-matched-tight")
     per_result = ch.tight_result_estimates(bundle.spec, bundle.scheme,
                                            "mc", 20000, 0)
-    mean = np.mean([e.linear_purity_with_error()[0]
+    mean = np.mean([linear_purity_with_error(e)[0]
                     for e in per_result.values()])
     linear = float(rows["mean-result-purity"]["linear_purity"])
     assert linear == pytest.approx(mean, abs=5e-7)

