@@ -34,17 +34,19 @@ its trace-1 moment and its bootstrap moments: spectra, purities, error
 bars, mixtures and orbit conjugates are real 4x4 array operations, and the
 superoperator is formed only for output.
 
-Tight quadrature
-----------------
-A tight base channel is M = E[w(g) w(g)^T] over the misalignments g = y-bar x
-with x and y independent and uniform on the encoding region E_b: those are
-the (g, x) pairs whose transported reading x g-bar = y stays in E_b (the
-pair identity).  On the circle, E_b is a union of arcs, the left translates
-h C_0 of the identity cell C_0 = {u1_quat(t) : |t| <= pi/(2m)} by the m
-distinct readings of H labelled b; 8-node Gauss-Legendre on each arc and the
-weighted mean over node pairs give M to rounding, as w(g) w(g)^T is a
-low-degree trigonometric polynomial on each pair of arcs.  The SU(2) tight
-channels are computed by Monte Carlo.
+Exact integrals
+---------------
+w(g) is quadratic in g, so w w^T is quartic and every exact channel moment
+is one fixed linear image of the fourth moment T4 = E[g (x) g (x) g (x) g]
+of the misalignments the scheme lets through (fourth_moment_map): the Haar
+T4 for a conventional channel, and for a tight base channel the T4 of
+g = y-bar x with x and y independent and uniform on the encoding region E_b.
+Those are the (g, x) pairs whose transported reading x g-bar = y stays in
+E_b (the pair identity).  On the circle, E_b is a union of arcs, the left
+translates h C_0 of the identity cell C_0 = {u1_quat(t) : |t| <= pi/(2m)} by
+the m distinct readings of H labelled b, and the T4 of g is in closed form
+(groups.arc_pair_fourth_moment).  The SU(2) tight channels are computed by
+Monte Carlo.
 """
 from __future__ import annotations
 
@@ -74,6 +76,7 @@ __all__ = [
     "mix_estimates",
     "perfect_channel",
     "single_shot_simulate",
+    "fourth_moment_map",
 ]
 
 _BATCH = 1 << 17
@@ -294,6 +297,25 @@ def _channel_quats(spec: TeleportationSpec, g: np.ndarray, result: int
     return quat_mul(quat_conj(g), np.einsum("nj,jk->nk", g, conj_by_u))
 
 
+def fourth_moment_map(form: np.ndarray, t4: np.ndarray) -> np.ndarray:
+    """Second moments E[w w^T] (..., n, n) of the quadratic forms
+    w_j = sum_ab g_a g_b form[..., a, b, j] (..., 4, 4, n) of a random
+    quaternion g with fourth moment t4 = E[g (x) g (x) g (x) g] (4, 4, 4, 4):
+    F^T T4 F with F the form as a 16 x n matrix."""
+    f = form.reshape(form.shape[:-3] + (16, form.shape[-1]))
+    return np.swapaxes(f, -1, -2) @ t4.reshape(16, 16) @ f
+
+
+def _exact_moment(spec: TeleportationSpec, t4: np.ndarray, result: int
+                  ) -> np.ndarray:
+    """Moment of W(g) = rho(g)+ U_i rho(g) U_i+ over misalignments with fourth
+    moment t4: its quaternion g-bar (g C) is the quadratic form whose row
+    (a, b) is e_a-bar times row b of the conjugation map C."""
+    form = quat_mul(quat_conj(np.eye(4))[:, None],
+                    _conjugation_map(spec.basis.quats[result]))
+    return fourth_moment_map(form, t4)
+
+
 # ---------------------------------------------------------------------------
 # Conventional channel
 # ---------------------------------------------------------------------------
@@ -311,10 +333,8 @@ def conventional_channel(spec: TeleportationSpec, group: str,
                               for i in range(spec.basis.size)])
     i = int(result)
     if method == "quadrature":
-        # w w^T is quadratic in the quaternions of g, so the mean over the
-        # design subgroup is the Haar average.
-        w = _channel_quats(spec, groups.design_subgroup(group).payloads, i)
-        return _exact_estimate(_moment(w) / len(w))
+        return _exact_estimate(_exact_moment(
+            spec, groups.haar_fourth_moment(group), i))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     stream = HaarStream(group, seed)
@@ -358,17 +378,14 @@ def tight_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     the pair identity on E_b.  Results outside the scheme's orbit sit in
     singleton orbits whose label is transmitted speakably, so they receive
     the plain conventional integral, computed exactly by quadrature whatever
-    the method.  "averaged" mixes all d^2 results equally.
+    the method.  "averaged" mixes all d^2 results equally.  Every result is
+    taken from tight_result_estimates, so the base integral is computed
+    whichever result is asked for.
     """
-    _check_scheme_basis(spec, scheme)
+    estimates = tight_result_estimates(spec, scheme, method, samples, seed)
     if result == "averaged":
-        return mix_estimates(list(tight_result_estimates(
-            spec, scheme, method, samples, seed).values()))
-    i = int(result)
-    if i not in scheme.indices:
-        return conventional_channel(spec, scheme.space.group, i, "quadrature")
-    base = _tight_base_channel(spec, scheme, method, samples, seed)
-    return _conjugated_orbit_channel(scheme, base, i)
+        return mix_estimates(list(estimates.values()))
+    return estimates[int(result)]
 
 
 def tight_result_estimates(spec: TeleportationSpec,
@@ -415,9 +432,17 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
                         ) -> ChannelEstimate:
     b = min(scheme.indices)
     if method == "quadrature":
-        moment = _circle_pair_moment(spec, scheme, b)
-        # The pair weights sum to 1, so the trace is 1; report how far the
-        # computed integral is from it before rescaling.
+        if scheme.space.group != "u1":
+            raise ValueError("tight quadrature needs a circle-torsor scheme")
+        # One arc per distinct reading of H: the Voronoi cells of a cyclic
+        # group of m readings are arcs of half-width pi/(2m) about them.
+        sub = scheme.subgroup
+        readings = sub.payloads[groups.first_lifts(sub.payloads)]
+        centers = readings[enc.decode_batch(scheme, readings) == b]
+        moment = _exact_moment(spec, groups.arc_pair_fourth_moment(
+            centers, np.pi / (2 * len(readings))), b)
+        # The trace is E|g|^4 = 1; report how far the computed integral is
+        # from it before rescaling.
         tr = np.trace(moment)
         return _exact_estimate(moment / tr, abs(tr - 1.0))
     if method != "mc":
@@ -437,27 +462,6 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     # which should be 1; report its deviation before exact TP rescaling.
     dev = abs(len(scheme.indices) * accepted / samples - 1.0)
     return _finish_mc(moments, samples, seed, dev)
-
-
-def _circle_pair_moment(spec: TeleportationSpec, scheme: enc.EncodingScheme,
-                        b: int) -> np.ndarray:
-    """Tight base moment E[w(y-bar x) w(y-bar x)^T] over independent x, y
-    uniform on E_b of a circle-torsor scheme, by Gauss-Legendre on each arc
-    of E_b (the pair identity of the module docstring)."""
-    sub = scheme.subgroup
-    if scheme.space.group != "u1":
-        raise ValueError("tight quadrature needs a circle-torsor scheme")
-    # One arc per distinct reading of H: the Voronoi cells of a cyclic group
-    # of m readings are arcs of half-width pi/(2m) about them.
-    readings = sub.payloads[groups.first_lifts(sub.payloads)]
-    cell, weights = groups.arc_rule(np.pi / (2 * len(readings)))
-    centers = readings[enc.decode_batch(scheme, readings) == b]
-    x = quat_mul(centers[:, None], cell).reshape(-1, 4)
-    p = np.tile(weights, len(centers)) / len(centers)
-    # Row (l, k) of the pair grid is g = y_l-bar x_k.
-    w = _channel_quats(spec, quat_mul(quat_conj(x)[:, None], x).reshape(-1, 4),
-                       b)
-    return (np.outer(p, p).reshape(-1, 1) * w).T @ w
 
 
 # ---------------------------------------------------------------------------

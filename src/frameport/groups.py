@@ -1,8 +1,9 @@
 """Reference-frame transformation groups.
 
 Quaternion algebra, Haar sampling, finite subgroups with multiplication
-tables, quadrature as the mean over a design subgroup (Z8 on the circle,
-BTet on SU(2)) and the Gauss-Legendre arc rule.
+tables, and the fourth moments T4 = E[q (x) q (x) q (x) q] that fix every
+exact channel integral: Haar on SU(2) and on the circle, and the pair moment
+of the circle arcs of a tight encoding region.
 
 Conventions
 -----------
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -61,8 +61,9 @@ __all__ = [
     "binary_tetrahedral",
     "tetrahedral",
     "haar_batch",
-    "design_subgroup",
-    "quadrature_average",
+    "haar_fourth_moment",
+    "circle_fourth_moment",
+    "arc_pair_fourth_moment",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -368,40 +369,45 @@ def haar_batch(group: str, rng: Generator, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
+# Fourth moments
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """8-node Gauss-Legendre nodes on [-1, 1] and weights summing to 1."""
-    # Imported on first use: numpy.polynomial adds to the package import.
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(8)
-    return x, w / 2.0
-
-
-def arc_rule(half_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """8-node Gauss-Legendre rule on the arc u1_quat(t), |t| <= half_width:
-    quaternions (8, 4) and weights summing to 1."""
-    x, w = _legendre_rule()
-    return u1_quat(half_width * x), w
-
-
-def design_subgroup(group: str) -> FiniteSubgroup:
-    """The group's design subgroup, whose element mean is the Haar average
-    of every polynomial of low degree in the quaternion: Z8 on "u1" (exact
-    for trigonometric polynomials of degree <= 7 in the angle of u1_quat),
-    BTet on "su2" (a spherical 5-design on S^3, Delsarte, Goethals & Seidel
-    1977, exact for degree <= 5)."""
+def haar_fourth_moment(group: str) -> np.ndarray:
+    """Fourth moment E[q (x) q (x) q (x) q] (4, 4, 4, 4) of Haar quaternions:
+    the isotropic (d_ab d_cd + d_ac d_bd + d_ad d_bc)/24 on "su2", and
+    circle_fourth_moment(0, 0) on "u1"."""
     if group == "u1":
-        return z8_physical()
+        return circle_fourth_moment(0.0, 0.0)
     if group == "su2":
-        return binary_tetrahedral()
-    raise ValueError(f"no quadrature rule for group {group!r}")
+        d = np.eye(4)
+        return (np.einsum("ab,cd->abcd", d, d) + np.einsum("ac,bd->abcd", d, d)
+                + np.einsum("ad,bc->abcd", d, d)) / 24
+    raise ValueError(f"no Haar fourth moment for group {group!r}")
 
 
-def quadrature_average(f: Callable[[np.ndarray], np.ndarray],
-                       group: str = "u1"):
-    """Haar average of a vectorized integrand of quaternions (n, 4): the
-    mean over the elements of the group's design subgroup."""
-    return np.mean(np.asarray(f(design_subgroup(group).payloads)), axis=0)
+def circle_fourth_moment(c2: float, c4: float) -> np.ndarray:
+    """Fourth moment (4, 4, 4, 4) of u1_quat(t) for an angle t distributed
+    symmetrically about 0 with E cos 2t = c2 and E cos 4t = c4 (Haar at
+    c2 = c4 = 0).  Its entries lie on the indices {0, 3} and depend on the
+    number n of 3s: E cos^4 t = (3 + 4 c2 + c4)/8 at n = 0,
+    E cos^2 t sin^2 t = (1 - c4)/8 at n = 2, E sin^4 t = (3 - 4 c2 + c4)/8
+    at n = 4, and 0 at odd n."""
+    by_count = np.array([3 + 4 * c2 + c4, 0, 1 - c4, 0, 3 - 4 * c2 + c4]) / 8
+    t4 = np.zeros((4, 4, 4, 4))
+    t4[np.ix_(*[[0, 3]] * 4)] = by_count[np.indices((2,) * 4).sum(axis=0)]
+    return t4
+
+
+def arc_pair_fourth_moment(centers: np.ndarray, half_width: float
+                           ) -> np.ndarray:
+    """Fourth moment of g = y-bar x for x and y independent and uniform on
+    the union of the arcs u1_quat(t_c + s), |s| <= half_width, about the
+    centres u1_quat(t_c) (m, 4).  The circle is abelian, so g is
+    u1_quat(t_x - t_y) and E cos k(t_x - t_y) = |E exp(i k t_x)|^2, where
+    E exp(i k t_x) is the mean of exp(i k t_c) times sin(k h)/(k h) for the
+    half-width h."""
+    z = centers[:, 0] - 1j * centers[:, 3]            # exp(i t_c)
+    k = np.array([2, 4])
+    c2, c4 = (np.abs(np.mean(z[:, None] ** k, axis=0))
+              * np.sinc(k * half_width / np.pi)) ** 2
+    return circle_fourth_moment(c2, c4)

@@ -12,18 +12,21 @@ Conventions:
   - Objectives are exact.  Circle: the purity is ||M||_F^2 for a 4x4 second
     moment M built through an isometry L (L^T L = I), which reduces it to a
     scalar polynomial in the squared axis components, evaluated on Python
-    floats.  Rotation: the SU(2) design-subgroup quadrature, one call for a
-    whole batch of angle triples.
+    floats.  Rotation: M(u) = K(u, u) for the quaternion u of the basis
+    rotation, with the 4x4x4x4 tensor K built once per process from the Haar
+    fourth moment of SU(2) (channel.fourth_moment_map).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import quadrature_average, quat_conj, quat_mul
+from .channel import fourth_moment_map
+from .groups import haar_fourth_moment, quat_conj, quat_mul
 
 __all__ = [
     "SimplexState",
@@ -198,6 +201,22 @@ def u1_conventional_purity(angles: Sequence[float]) -> float:
 # Rotation-group conventional objective
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _su2_objective_tensor() -> np.ndarray:
+    """K (4, 4, 4, 4) with the second moment M(u)_jk = sum_cd u_c u_d
+    K[c, j, d, k] of the quaternions of A_i(Y) = X_i Y X_i U Y+ over Haar Y
+    and uniform i, for the quaternion u of U.  With X_i the quaternion e_i
+    (a Pauli matrix up to phase), that quaternion is
+    sum y_a y_b u_c (e_i e_a e_i-bar)(e_c e_b-bar): a quadratic form in y
+    with one column per (c, j)."""
+    e = np.eye(4)
+    left = quat_mul(quat_mul(e[:, None], e), quat_conj(e)[:, None])  # (i, a)
+    right = quat_mul(e, quat_conj(e)[:, None])                       # (b, c)
+    form = quat_mul(left[:, :, None, None], right)
+    k = fourth_moment_map(form.reshape(4, 4, 4, 16), haar_fourth_moment("su2"))
+    return k.mean(axis=0).reshape(4, 4, 4, 4)
+
+
 def su2_conventional_purity(angles) -> np.ndarray:
     """Linear map purities (...) of the rotation-group conventional channel
     for the UEBs {U-tilde X_i} of angle triples (..., 3) = (psi, phi, omega),
@@ -207,26 +226,15 @@ def su2_conventional_purity(angles) -> np.ndarray:
     The ensemble members are A_i(Y) = X_i Y X_i U Y+ over Haar Y and uniform
     i; the purity is (1/4) E |Tr(A_i(Y1)+ A_j(Y2))|^2 = ||M||_F^2 for the
     second moment M of the quaternions of A.  M is quartic in the
-    quaternion of Y, so the SU(2) quadrature rule gives it exactly.  The
-    left factor X_i Y X_i is the same for every triple, so one quadrature
-    call over the design points serves the whole batch.
+    quaternion of Y, so the Haar fourth moment gives it exactly, as one
+    fixed tensor K contracted twice with the quaternion of U-tilde.
     """
     psi, phi, omega = np.moveaxis(np.asarray(angles, dtype=np.float64), -1, 0)
     c, s = np.cos(omega / 2), np.sin(omega / 2)
     u = np.stack([c, s * (np.sin(psi) * np.cos(phi)),
                   s * (np.sin(psi) * np.sin(phi)), s * np.cos(psi)], axis=-1)
-    shape = u.shape[:-1]
-    u = u.reshape(-1, 4)
-    paulis = np.eye(4)[:, None, :]                      # X_i up to phase
-
-    def second_moments(y):
-        left = quat_mul(quat_mul(paulis, y), quat_conj(paulis))   # (4, n, 4)
-        right = quat_mul(u[:, None], quat_conj(y))                # (k, n, 4)
-        a = quat_mul(left, right[:, None])                     # (k, 4, n, 4)
-        return np.einsum("kiya,kiyb->ykab", a, a) / 4
-
-    m = quadrature_average(second_moments, "su2")             # (k, 4, 4)
-    return np.sum(m * m, axis=(-2, -1)).reshape(shape)
+    m = np.einsum("...c,cjdk,...d->...jk", u, _su2_objective_tensor(), u)
+    return np.sum(m * m, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

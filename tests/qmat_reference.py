@@ -1,21 +1,24 @@
 """Reference maps that only the tests use: the component formula of the
-quaternion product, the conjugation superoperator of a unitary, the von
-Neumann entropy and the linear Choi purity of a dense superoperator, the
-linear purity of a channel estimate with its bootstrap error, raw Haar
-draws of a stream, the distance-based nearest-element search, the
-single-reading decode, equal-measure bins of a reading space, the
-per-triple and 4x4-matrix forms of the two optimize objectives, and
-Nelder-Mead on numpy arrays."""
+quaternion product, the dense Choi layer (the Choi state of a superoperator,
+its TP/CP validation, mixtures and map purities), the conjugation
+superoperator of a unitary, the von Neumann entropy, the linear purity of a
+channel estimate with its bootstrap error, raw Haar draws of a stream, the
+distance-based nearest-element search, the single-reading decode,
+equal-measure bins of a reading space, the per-triple and 4x4-matrix forms
+of the two optimize objectives, and Nelder-Mead on numpy arrays."""
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from frameport.channel import ChannelEstimate
 from frameport.encoding import EncodingScheme, ReadingSpace, decode_batch
-from frameport.groups import FiniteSubgroup, HaarStream, haar_batch, \
-    quadrature_average, quat_conj, quat_mul
-from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
-    _entropy, choi, clamped_eigenvalues, spectrum_purities
+from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
+    haar_batch, quat_conj, quat_mul
+from frameport.qmat import DensityMatrix, InvariantViolation, Superoperator, \
+    UnitaryMatrix, _entropy, clamped_eigenvalues, spectrum_purities
 
 
 def component_quat_mul(a, b) -> np.ndarray:
@@ -37,20 +40,93 @@ def component_quat_conj(q) -> np.ndarray:
     return np.asarray(q, dtype=np.float64) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def choi_matrix(S: Superoperator) -> np.ndarray:
+    """Choi matrix C[(i,k),(j,l)] = (1/d) S[(l,k),(j,i)] in the
+    column-stacking convention."""
+    d = S.dim
+    s4 = S.mat.reshape(d, d, d, d)
+    return s4.transpose(3, 1, 2, 0).reshape(d * d, d * d) / d
+
+
+def tp_deviation(S: Superoperator) -> float:
+    """Largest deviation of the Choi matrix's partial trace over the output
+    factor from I/d."""
+    d = S.dim
+    c4 = choi_matrix(S).reshape(d, d, d, d)
+    return float(np.max(np.abs(np.einsum("ikjk->ij", c4) - np.eye(d) / d)))
+
+
+def checked_channel(mat) -> Superoperator:
+    """A superoperator validated as trace preserving (within 1e-9) and
+    completely positive (Choi eigenvalues >= -1e-9)."""
+    s = Superoperator(mat)
+    if tp_deviation(s) > 1e-9:
+        raise InvariantViolation(f"not TP: deviates by {tp_deviation(s):.3e}")
+    lo = float(np.min(np.linalg.eigvalsh(choi_matrix(s))))
+    if lo < -1e-9:
+        raise InvariantViolation(f"not CP: Choi eigenvalue {lo:.3e}")
+    return s
+
+
+@dataclass(frozen=True)
+class ChoiState:
+    """Choi-Jamiolkowski state of a channel: a d^2-dimensional density matrix
+    with purity in [1/d^2, 1]."""
+
+    rho: DensityMatrix
+
+    def __post_init__(self):
+        p = float(np.trace(self.rho.mat @ self.rho.mat).real)
+        if not (1.0 / self.rho.dim - 1e-9 <= p <= 1.0 + 1e-9):
+            raise InvariantViolation(f"Choi purity {p} outside [1/d^2, 1]")
+
+    def eigenvalues(self) -> np.ndarray:
+        """Clamped spectrum, ascending."""
+        return clamped_eigenvalues(self.rho.mat)
+
+
+def choi(S: Superoperator) -> ChoiState:
+    """Choi state rho_T = (1/d) sum_ij |i><j| (x) T(|i><j|).
+
+    MC-estimated superoperators are only approximately Hermitian and PSD, so
+    small deviations are symmetrized away before validation.
+    """
+    c = choi_matrix(S)
+    c = 0.5 * (c + c.conj().T)
+    c = c / np.trace(c).real
+    return ChoiState(DensityMatrix(c))
+
+
+def mix(channels: Sequence[tuple[float, Superoperator]]) -> Superoperator:
+    """Convex combination of channels, validated as a channel; weights must
+    sum to 1."""
+    if not channels:
+        raise InvariantViolation("empty channel list")
+    total = sum(w for w, _ in channels)
+    if abs(total - 1.0) > 1e-12:
+        raise InvariantViolation(f"weights sum to {total}, expected 1")
+    return checked_channel(sum(w * s.mat for w, s in channels))
+
+
+def map_purity(S: Superoperator) -> float:
+    """Normalized Choi purity 1 - S(rho_T)/ln(d^2)."""
+    return float(spectrum_purities(choi(S).eigenvalues())[0])
+
+
 def conjugation_superoperator(U: UnitaryMatrix) -> Superoperator:
     """Superoperator of sigma -> U sigma U+."""
     m = U.mat
-    return Superoperator(np.kron(m.conj(), m), tp=True, cp=True)
+    return checked_channel(np.kron(m.conj(), m))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda ln lambda in nats, with 0 ln 0 := 0."""
-    return float(_entropy(rho.eigenvalues()))
+    return float(_entropy(clamped_eigenvalues(rho.mat)))
 
 
 def linear_map_purity(S: Superoperator) -> float:
     """Linear Choi purity Tr(rho_T^2)."""
-    return float(spectrum_purities(choi(S).rho.eigenvalues())[1])
+    return float(spectrum_purities(choi(S).eigenvalues())[1])
 
 
 def linear_purity_with_error(est: ChannelEstimate) -> tuple[float, float]:
@@ -140,8 +216,8 @@ def u1_matrix_purity(angles) -> float:
 
 def su2_triple_purity(angles) -> float:
     """The rotation-group conventional purity of one angle triple
-    (psi, phi, omega), with its own quadrature call: ||M||_F^2 for the
-    design-subgroup mean M of the second moments of A_i(Y) = X_i Y X_i U Y+."""
+    (psi, phi, omega): ||M||_F^2 for the mean M over the 24 elements of BTet,
+    a spherical 5-design, of the second moments of A_i(Y) = X_i Y X_i U Y+."""
     psi, phi, omega = angles
     u = rotation_quat(unit_vector(psi, phi), omega)
     paulis = np.eye(4)[:, None, :]
@@ -151,7 +227,7 @@ def su2_triple_purity(angles) -> float:
                      quat_mul(u, quat_conj(y)))         # (4, n, 4)
         return np.einsum("iyk,iyl->ykl", a, a) / 4
 
-    m = quadrature_average(second_moment, "su2")
+    m = np.mean(second_moment(binary_tetrahedral().payloads), axis=0)
     return float(np.sum(m * m))
 
 

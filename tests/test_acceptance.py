@@ -22,9 +22,9 @@ from frameport import groups
 from frameport import optimize as opt
 from frameport import ueb as ueb_mod
 from frameport.groups import HaarStream
-from frameport.qmat import DensityMatrix, map_purity
+from frameport.qmat import DensityMatrix
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
-from qmat_reference import haar_payloads, uniform_bins
+from qmat_reference import haar_payloads, map_purity, uniform_bins
 
 FULL = 10 ** 6
 

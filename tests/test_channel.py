@@ -6,17 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from frameport import channel as ch
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream, su2_matrix
 from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
-    choi, clamped_eigenvalues, map_purity, spectrum_purities
+    clamped_eigenvalues, spectrum_purities
 from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
     pauli_ueb, tetrahedral_ueb
-from qmat_reference import haar_payloads, linear_map_purity, \
-    linear_purity_with_error
+from qmat_reference import choi, choi_matrix, haar_payloads, \
+    linear_map_purity, linear_purity_with_error, map_purity
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
@@ -145,6 +146,26 @@ def test_u1_tight_quadrature_off_diagonal():
     assert est.superop.mat[1, 1].real == pytest.approx(target, abs=1e-12)
     assert est.superop.mat[2, 2].real == pytest.approx(target, abs=1e-12)
     assert est.pre_norm_deviation <= 1e-12
+
+
+def test_u1_tight_arc_moment_matches_dense_grid():
+    # The closed-form fourth moment of g = y-bar x over x, y uniform on the
+    # arcs of E_b, against a 20-node Gauss-Legendre grid on each arc (exact
+    # for the degree-4 trigonometric integrand) and the mean over all pairs.
+    _, eq = u1_bundle()
+    scheme = u1_tight_scheme(eq)
+    sub = scheme.subgroup
+    readings = sub.payloads[groups.first_lifts(sub.payloads)]
+    centers = readings[enc.decode_batch(scheme, readings) == 1]
+    assert len(readings) == 4 and len(centers) == 2
+    h = np.pi / 8
+    nodes, weights = leggauss(20)
+    x = groups.quat_mul(centers[:, None], groups.u1_quat(h * nodes))
+    x, p = x.reshape(-1, 4), np.tile(weights, 2) / 4
+    g = groups.quat_mul(groups.quat_conj(x)[:, None], x).reshape(-1, 4)
+    ref = np.einsum("n,na,nb,nc,nd->abcd", np.outer(p, p).ravel(), g, g, g, g)
+    t4 = groups.arc_pair_fourth_moment(centers, h)
+    assert np.max(np.abs(t4 - ref)) <= 1e-15
 
 
 def test_u1_tight_mc_agrees_with_quadrature():
@@ -389,7 +410,7 @@ def test_moment_estimator_matches_superoperator_reference(case):
     assert abs(p - map_purity(sup)) <= 1e-14
     assert abs(lin - linear_map_purity(sup)) <= 1e-14
     assert np.max(np.abs(est.choi_spectrum()
-                         - choi(sup).rho.eigenvalues())) <= 1e-14
+                         - choi(sup).eigenvalues())) <= 1e-14
     # Orbit conjugation Q M Q^T is T -> [R] o T o [R+] on superoperators.
     r = groups.axis_angle_quat([1.0, 2.0, 2.0], 0.7)
     k = np.kron(groups.su2_matrix(r).conj(), groups.su2_matrix(r))
@@ -502,6 +523,6 @@ def test_mc_channel_estimates_are_seed_deterministic():
 def test_estimate_invariants():
     spec, _ = su2_bundle()
     est = ch.conventional_channel(spec, "su2", 1, "mc", samples=2 * 10 ** 4)
-    choi = Superoperator(est.superop.mat)._choi_mat()
-    assert np.trace(choi).real == pytest.approx(1.0, abs=1e-9)
-    assert np.min(np.linalg.eigvalsh(choi)) > -1e-6
+    mat = choi_matrix(est.superop)
+    assert np.trace(mat).real == pytest.approx(1.0, abs=1e-9)
+    assert np.min(np.linalg.eigvalsh(mat)) > -1e-6

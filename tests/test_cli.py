@@ -43,18 +43,22 @@ def test_verify_single_scheme(tmp_path):
 
 
 def test_verify_all_does_not_import_scipy(tmp_path):
-    # scipy is a test-only dependency, and the Gauss-Legendre nodes of
-    # numpy.polynomial, which only the U(1) tight quadrature uses, are
-    # imported on first use; a fresh process shows what the package itself
-    # imports, here for verify and for the U(1) conventional quadrature.
+    # scipy is a test-only dependency, and no exact integral in the package
+    # needs numpy.polynomial: every one is a closed-form fourth moment.  A
+    # fresh process shows what the package itself imports, here for verify,
+    # every quadrature channel path and the SU(2) basis scan.
     src = str(Path(cli.__file__).resolve().parents[1])
     out = str(tmp_path / "v.json")
     code = ("import sys\nfrom frameport import cli\n"
-            f"assert cli.main(['verify', '--all', '--out', {out!r}]) == 0\n"
-            "assert cli.main(['channel', '--scheme', 'u1-conventional', "
-            f"'--out', {out!r}]) == 0\n"
-            "assert 'scipy' not in sys.modules\n"
-            "assert 'numpy.polynomial' not in sys.modules\n")
+            f"assert cli.main(['verify', '--all', '--out', {out!r}]) == 0\n")
+    for argv in (["channel", "--scheme", "u1-conventional"],
+                 ["channel", "--scheme", "u1-tight", "--method", "quadrature"],
+                 ["channel", "--scheme", "su2-conventional", "--method",
+                  "quadrature"],
+                 ["optimize", "--group", "su2"]):
+        code += f"assert cli.main({argv + ['--out', out]!r}) == 0\n"
+    code += ("assert 'scipy' not in sys.modules\n"
+             "assert 'numpy.polynomial' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=os.environ | {"PYTHONPATH": src})
 

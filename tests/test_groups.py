@@ -1,5 +1,5 @@
-"""Group-layer tests: quaternions, finite subgroups, Haar streams,
-quadrature, nearest-element search."""
+"""Group-layer tests: quaternions, finite subgroups, Haar streams, fourth
+moments, nearest-element search."""
 from __future__ import annotations
 
 import itertools
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from frameport import groups
 from frameport.groups import (
     HaarStream, axis_angle_quat, binary_octahedral, binary_tetrahedral,
-    canonical_sign, quadrature_average, quat_conj, quat_mul, quat_rotate,
+    canonical_sign, quat_conj, quat_mul, quat_rotate,
     sample_su2, su2_matrix, subgroup_by_name, tetrahedral, u1_quat,
     unitary_quat, z4_reduced, z8_physical,
 )
@@ -252,30 +252,30 @@ def test_sample_su2_trace_fourth_moment_is_catalan():
     assert (np.abs(tr) ** 4).mean() == pytest.approx(2.0, abs=0.025)
 
 
-def test_quadrature_average_exact_on_trig_polynomial():
-    # The rule is the mean over Z8, u1_quat(t) = (cos t, 0, 0, -sin t) at
-    # t = k pi/4: exact for trigonometric polynomials of degree <= 7 in t.
-    val = quadrature_average(lambda q: q[:, 0] ** 2, "u1")
-    assert val == pytest.approx(0.5, abs=1e-15)
-    assert quadrature_average(lambda q: q[:, 3] ** 2, "u1") == \
-        pytest.approx(0.5, abs=1e-15)
-    # The reach of the rule: the mean of cos^6 t is exact, while cos^8 t
-    # aliases, giving 9/32 against the true 35/128.
-    assert quadrature_average(lambda q: q[:, 0] ** 6, "u1") == \
-        pytest.approx(5 / 16, abs=1e-15)
-    assert quadrature_average(lambda q: q[:, 0] ** 8, "u1") == \
-        pytest.approx(9 / 32, abs=1e-15)
+def fourth_power_mean(q):
+    """Mean of q (x) q (x) q (x) q over quaternions q (n, 4)."""
+    return np.einsum("na,nb,nc,nd->abcd", q, q, q, q) / len(q)
 
 
-def test_quadrature_average_su2_character_orthogonality():
-    # E |Tr U|^2 = 1 and E |Tr U|^4 = 2 over Haar SU(2); the 24-point rule
-    # is exact for both.
-    def moments(q):
-        tr = np.abs(np.trace(su2_matrix(q), axis1=-2, axis2=-1))
-        return np.stack([tr ** 2, tr ** 4], axis=-1)
-    second, fourth = quadrature_average(moments, "su2")
-    assert second == pytest.approx(1.0, abs=1e-14)
-    assert fourth == pytest.approx(2.0, abs=1e-14)
+def test_su2_fourth_moment_is_the_btet_mean():
+    # BTet is a spherical 5-design (Delsarte, Goethals & Seidel 1977), so
+    # its element mean of q^(x4) is the Haar fourth moment.
+    t4 = groups.haar_fourth_moment("su2")
+    assert np.max(np.abs(t4 - fourth_power_mean(binary_tetrahedral().payloads))
+                  ) <= 1e-15
+    # E[q_0^4] = 3/24 and E[q_0^2 q_1^2] = 1/24 on S^3; |q| = 1.
+    assert t4[0, 0, 0, 0] == 1 / 8 and t4[0, 0, 1, 1] == 1 / 24
+    assert np.einsum("aabb->", t4) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_circle_fourth_moment_is_the_z8_mean():
+    # Z8 integrates trigonometric polynomials of degree <= 7 in the angle of
+    # u1_quat exactly, and q^(x4) has degree 4.
+    t4 = groups.haar_fourth_moment("u1")
+    assert np.max(np.abs(t4 - fourth_power_mean(z8_physical().payloads))
+                  ) <= 1e-15
+    with pytest.raises(ValueError):
+        groups.haar_fourth_moment("so3")
 
 
 # ---------------------------------------------------------------------------

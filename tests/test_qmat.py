@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frameport.qmat import (
-    DensityMatrix, InvariantViolation, Superoperator,
-    UnitaryMatrix, choi, map_purity, mix,
-)
-from qmat_reference import conjugation_superoperator, linear_map_purity, \
-    von_neumann_entropy
+from frameport.qmat import DensityMatrix, InvariantViolation, UnitaryMatrix
+from qmat_reference import checked_channel, choi, conjugation_superoperator, \
+    linear_map_purity, map_purity, mix, von_neumann_entropy
 
 RNG = np.random.default_rng(42)
 
@@ -39,7 +36,7 @@ def test_conjugation_superoperator_action():
 
 
 def test_identity_channel_choi_is_maximally_entangled():
-    s = Superoperator(np.eye(4), tp=True, cp=True)
+    s = checked_channel(np.eye(4))
     c = choi(s)
     phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
     assert np.allclose(c.rho.mat, np.outer(phi, phi.conj()), atol=1e-12)
@@ -47,7 +44,7 @@ def test_identity_channel_choi_is_maximally_entangled():
 
 def test_unitary_conjugation_choi_is_pure():
     s = conjugation_superoperator(UnitaryMatrix(random_unitary()))
-    ev = choi(s).rho.eigenvalues()
+    ev = choi(s).eigenvalues()
     assert np.max(ev) == pytest.approx(1.0, abs=1e-10)
     assert map_purity(s) == pytest.approx(1.0, abs=1e-10)
     assert linear_map_purity(s) == pytest.approx(1.0, abs=1e-10)
@@ -57,7 +54,7 @@ def test_completely_depolarizing_purity():
     # T(rho) = I/2: superop maps everything onto the identity component.
     mat = np.zeros((4, 4), dtype=np.complex128)
     mat[0, 0] = mat[0, 3] = mat[3, 0] = mat[3, 3] = 0.5
-    s = Superoperator(mat, tp=True, cp=True)
+    s = checked_channel(mat)
     assert map_purity(s) == pytest.approx(0.0, abs=1e-12)
     assert linear_map_purity(s) == pytest.approx(0.25, abs=1e-12)
 
@@ -66,8 +63,8 @@ def test_dephasing_choi_spectrum_and_purity():
     # Off-diagonal shrink by f: Choi eigenvalues (1 + f)/2, (1 - f)/2.
     f = 0.5
     mat = np.diag([1.0, f, f, 1.0]).astype(np.complex128)
-    s = Superoperator(mat, tp=True, cp=True)
-    ev = sorted(choi(s).rho.eigenvalues(), reverse=True)
+    s = checked_channel(mat)
+    ev = sorted(choi(s).eigenvalues(), reverse=True)
     assert ev[0] == pytest.approx((1 + f) / 2, abs=1e-12)
     assert ev[1] == pytest.approx((1 - f) / 2, abs=1e-12)
     expected = 1 - (-(0.75 * np.log(0.75) + 0.25 * np.log(0.25))) / np.log(4)
@@ -108,7 +105,7 @@ def test_random_unitary_mixture_invariants(seed):
              for wi in w]
     s = mix(parts)
     c = choi(s)
-    ev = c.rho.eigenvalues()
+    ev = c.eigenvalues()
     assert np.all(ev >= -1e-9)
     assert np.sum(ev) == pytest.approx(1.0, abs=1e-9)
     assert -1e-12 <= map_purity(s) <= 1 + 1e-12
