@@ -378,10 +378,14 @@ def tight_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     the pair identity on E_b.  Results outside the scheme's orbit sit in
     singleton orbits whose label is transmitted speakably, so they receive
     the plain conventional integral, computed exactly by quadrature whatever
-    the method.  "averaged" mixes all d^2 results equally.  Every result is
-    taken from tight_result_estimates, so the base integral is computed
-    whichever result is asked for.
+    the method.  "averaged" mixes all d^2 results equally.  Orbit results
+    are taken from tight_result_estimates; a singleton-orbit result never
+    computes the base integral.
     """
+    if result != "averaged" and int(result) not in scheme.indices:
+        _check_scheme_basis(spec, scheme)
+        return conventional_channel(spec, scheme.space.group, int(result),
+                                    "quadrature")
     estimates = tight_result_estimates(spec, scheme, method, samples, seed)
     if result == "averaged":
         return mix_estimates(list(estimates.values()))

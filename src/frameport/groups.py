@@ -112,15 +112,35 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
     return out.view(np.float64)
 
 
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cross product of 3-vectors (..., 3) written into out, one component
+    at a time in the operation order of np.cross."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    tmp = np.empty(out.shape[:-1])
+    for k, (p, q, r, s) in enumerate(((a1, b2, a2, b1), (a2, b0, a0, b2),
+                                      (a0, b1, a1, b0))):
+        np.multiply(p, q, out=out[..., k])
+        np.multiply(r, s, out=tmp)
+        out[..., k] -= tmp
+    return out
+
+
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the rotation of quaternion(s) q (..., 4) to vector(s) v (..., 3)."""
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    w = q[..., :1]
     u = q[..., 1:]
-    # Rodrigues form of conjugation by a unit quaternion.
-    cross = np.cross(u, v)
-    return v + 2.0 * w * cross + 2.0 * np.cross(u, cross)
+    shape = np.broadcast_shapes(q.shape[:-1], v.shape[:-1]) + (3,)
+    # Rodrigues form of conjugation by a unit quaternion,
+    # v + 2 w (u x v) + 2 u x (u x v), summed in that order.
+    cross = _cross(u, v, np.empty(shape))
+    out = _cross(u, cross, np.empty(shape))
+    out *= 2.0
+    cross *= 2.0 * q[..., :1]
+    cross += v
+    out += cross
+    return out
 
 
 def axis_angle_quat(axis, angle: float) -> np.ndarray:
@@ -134,9 +154,15 @@ def canonical_sign(q: np.ndarray) -> np.ndarray:
     absolute value is positive (antipodal representative for SO(3))."""
     q = np.asarray(q, dtype=np.float64)
     flat = np.atleast_2d(q)
-    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-9, axis=1)]
+    w = flat[:, 0]
+    first = np.sign(w)
+    # Only rows whose w is not the leading component need the search; they
+    # include finite-group payloads with w = 0.
+    rest = np.flatnonzero(~(np.abs(w) > 1e-9))
+    rows = flat[rest]
+    lead = rows[np.arange(len(rows)), np.argmax(np.abs(rows) > 1e-9, axis=1)]
     # An all-zero row has no leading component; it maps to zero.
-    first = np.where(np.abs(lead) > 1e-9, np.sign(lead), 0.0)
+    first[rest] = np.where(np.abs(lead) > 1e-9, np.sign(lead), 0.0)
     out = flat * first[:, None]
     return out.reshape(q.shape)
 

@@ -1,11 +1,12 @@
 """Reference maps that only the tests use: the component formula of the
-quaternion product, the dense Choi layer (the Choi state of a superoperator,
-its TP/CP validation, mixtures and map purities), the conjugation
-superoperator of a unitary, the von Neumann entropy, the linear purity of a
-channel estimate with its bootstrap error, raw Haar draws of a stream, the
-distance-based nearest-element search, the single-reading decode,
-equal-measure bins of a reading space, the per-triple and 4x4-matrix forms
-of the two optimize objectives, and Nelder-Mead on numpy arrays."""
+quaternion product, the np.cross form of a rotation, the dense Choi layer
+(the Choi state of a superoperator, its TP/CP validation, mixtures and map
+purities), the conjugation superoperator of a unitary, the von Neumann
+entropy, the linear purity of a channel estimate with its bootstrap error,
+raw Haar draws of a stream, the distance-based nearest-element search, the
+one-shot and the single-reading decode, equal-measure bins of a reading
+space, the per-triple and 4x4-matrix forms of the two optimize objectives,
+and Nelder-Mead on numpy arrays."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 from frameport.channel import ChannelEstimate
 from frameport.encoding import EncodingScheme, ReadingSpace, decode_batch
 from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
-    haar_batch, quat_conj, quat_mul
+    first_lifts, haar_batch, quat_conj, quat_mul
 from frameport.qmat import DensityMatrix, InvariantViolation, Superoperator, \
     UnitaryMatrix, _entropy, clamped_eigenvalues, spectrum_purities
 
@@ -38,6 +39,16 @@ def component_quat_mul(a, b) -> np.ndarray:
 def component_quat_conj(q) -> np.ndarray:
     """Quaternion conjugate (w, -x, -y, -z)."""
     return np.asarray(q, dtype=np.float64) * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def cross_quat_rotate(q, v) -> np.ndarray:
+    """Rotation of vector(s) v (..., 3) by quaternion(s) q (..., 4), in the
+    Rodrigues form v + 2 w (u x v) + 2 u x (u x v) with np.cross."""
+    q = np.asarray(q, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    w, u = q[..., :1], q[..., 1:]
+    cross = np.cross(u, v)
+    return v + 2.0 * w * cross + 2.0 * np.cross(u, cross)
 
 
 def choi_matrix(S: Superoperator) -> np.ndarray:
@@ -160,6 +171,17 @@ def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,
     idx = np.argmax(near, axis=-1)
     ties = np.sum(near, axis=-1) - 1
     return idx, ties
+
+
+def one_shot_decode(scheme: EncodingScheme, x) -> np.ndarray:
+    """Labels of a matched scheme's readings x (..., 4), all scored at
+    once: lifted[argmax |x . h|] over the first lift h of each kernel pair,
+    with the lifted labels of the orbit base's coset decomposition."""
+    sub = scheme.subgroup
+    lifts = first_lifts(sub.payloads)
+    lifted = scheme.eq.sigma[min(scheme.indices)][lifts]
+    h_t = np.ascontiguousarray(sub.payloads[lifts].T)
+    return lifted[np.argmax(np.abs(np.asarray(x) @ h_t), axis=-1)]
 
 
 def decode(scheme: EncodingScheme, x) -> int:

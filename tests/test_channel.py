@@ -177,9 +177,14 @@ def test_u1_tight_mc_agrees_with_quadrature():
     assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
 
 
-def test_tight_singleton_orbit_is_identity():
+def test_tight_singleton_orbit_is_identity(monkeypatch):
     spec, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
+
+    def no_base_integral(*args):
+        raise AssertionError("singleton result computed the base integral")
+
+    monkeypatch.setattr(ch, "_tight_base_channel", no_base_integral)
     for i in (0, 3):
         for method in ("quadrature", "mc"):
             est = ch.tight_channel(spec, scheme, i, method)

@@ -10,7 +10,8 @@ from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream, canonical_sign, u1_quat
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
-from qmat_reference import decode, nearest_indices, uniform_bins
+from qmat_reference import decode, nearest_indices, one_shot_decode, \
+    uniform_bins
 
 STREAM = HaarStream("su2", 5)
 
@@ -215,11 +216,14 @@ def test_rod_scheme_decode_and_measure():
 # Decoder and direct samplers against the distance decode and rejection
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make", [
+MATCHED_SCHEMES = [
     lambda: enc.tight_matched_scheme(boct_equivariance(), 1),
     lambda: enc.perfect_matched_scheme(btet_equivariance(), 0),
     lambda: enc.tight_matched_scheme(u1_equivariance(), 1),
-])
+]
+
+
+@pytest.mark.parametrize("make", MATCHED_SCHEMES)
 def test_decoder_matches_nearest_element_search(make):
     scheme = make()
     sub = scheme.subgroup
@@ -234,6 +238,23 @@ def test_decoder_matches_nearest_element_search(make):
         idx, _ = nearest_indices(ref, sub, sign_insensitive=True)
         assert np.array_equal(scheme.decode_fn(x), labels[idx])
     assert np.array_equal(scheme.decode_fn(sub.payloads), labels)
+
+
+@pytest.mark.parametrize("make", MATCHED_SCHEMES,
+                         ids=["boct-tight", "btet-perfect", "z8-tight"])
+def test_blocked_decode_matches_one_shot_decode(make):
+    scheme = make()
+    sub = scheme.subgroup
+    block = enc._DECODE_BLOCK
+    rng = np.random.default_rng(11)
+    q = groups.haar_batch(sub.ambient, rng, 3 * block + 17)
+    q[:sub.order] = sub.payloads      # exact cell centres among the rows
+    for x in (q[:0], q[5], q[:block], q[:block + 1], q, -q):
+        got = scheme.decode_fn(x)
+        ref = one_shot_decode(scheme, x)
+        assert np.shape(got) == np.shape(ref) == x.shape[:-1]
+        assert got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref)
 
 
 def rejection_sample(scheme, i, rng, n):

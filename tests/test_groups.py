@@ -18,7 +18,7 @@ from frameport.groups import (
 )
 
 from qmat_reference import component_quat_conj, component_quat_mul, \
-    haar_payloads, nearest_indices
+    cross_quat_rotate, haar_payloads, nearest_indices
 
 RNG = np.random.default_rng(7)
 
@@ -90,16 +90,24 @@ def test_quat_conj_is_inverse():
 
 
 def test_quat_rotate_matches_matrix_conjugation():
-    q = random_quat()
-    v = RNG.normal(size=3)
-    u = su2_matrix(q)
+    n = 50
+    qs, vs = random_quat(n=n), RNG.normal(size=(n, 3))
+    u = su2_matrix(qs)
     paulis = np.stack([np.array([[0, 1], [1, 0]]),
                        np.array([[0, -1j], [1j, 0]]),
                        np.array([[1, 0], [0, -1]])]).astype(np.complex128)
-    m = np.einsum("i,iab->ab", v, paulis)
-    rotated = quat_rotate(q, v)
-    m2 = np.einsum("i,iab->ab", rotated, paulis)
-    assert np.allclose(u @ m @ u.conj().T, m2, atol=1e-12)
+    m = np.einsum("ni,iab->nab", vs, paulis)
+    rotated = quat_rotate(qs, vs)
+    m2 = np.einsum("ni,iab->nab", rotated, paulis)
+    assert np.allclose(u @ m @ np.swapaxes(u.conj(), 1, 2), m2, atol=1e-12)
+    # Single, batched, broadcast and list inputs round exactly as the
+    # np.cross form does.
+    for q, v in [(qs[0], vs[0]), (qs, vs), (qs[0], vs), (qs, vs[0]),
+                 (qs[:, None], vs[None, :5]),
+                 (qs[0].tolist(), vs[:3].tolist()), ([1, 0, 0, 0], [1, 2, 3])]:
+        got, ref = quat_rotate(q, v), cross_quat_rotate(q, v)
+        assert got.shape == ref.shape and got.dtype == np.float64
+        assert np.array_equal(got, ref)
 
 
 def test_axis_angle_quat():
