@@ -459,7 +459,8 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
         x = scheme.sample_fn(b, rng, m)
         y = scheme.space.act(payloads, x)
         accept = enc.decode_batch(scheme, y) == b
-        return _channel_quats(spec, payloads[accept], b), accept
+        return _channel_quats(spec, np.compress(accept, payloads, axis=0),
+                              b), accept
 
     moments, accepted = _mc_accumulate(sample_fn, samples, stream)
     # The un-normalized theorem estimator has Choi trace |I_k| N_acc / N,
@@ -517,7 +518,8 @@ def _reconstructed_corrections(spec: TeleportationSpec,
     alignment ghat from the received reading y and corrects with
     C_B = rho(ghat) U_j rho(ghat)+ for the decoded index j."""
     ghat = _reconstruct_alignment(scheme, y, decoded)
-    bob = _conjugated(quat_conj(ghat), spec.basis.quats[decoded])
+    bob = _conjugated(quat_conj(ghat),
+                      np.take(spec.basis.quats, decoded, axis=0))
     return _conjugated(payloads, bob)
 
 
@@ -528,7 +530,7 @@ def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
     first = np.zeros((max(scheme.indices) + 1,)
                      + np.shape(scheme.points[scheme.indices[0]][0]))
     first[list(scheme.indices)] = [scheme.points[j][0] for j in scheme.indices]
-    xhat = first[decoded]               # the first point of the decoded X_j
+    xhat = np.take(first, decoded, axis=0)  # the first point of decoded X_j
     # y = xhat ghat^{-1}  =>  ghat = y^{-1} xhat
     return quat_mul(quat_conj(y), xhat)
 
@@ -575,27 +577,30 @@ def single_shot_simulate(spec: TeleportationSpec,
         rng_read = stream.advance(1 << 40).generator()
         # Singleton-orbit results carry a speakable label and send no reading.
         in_orbit = np.isin(results, scheme.indices)
-        sent = results[in_orbit]
+        sent = np.compress(in_orbit, results)
+        g_sent = np.compress(in_orbit, g, axis=0)
         readings = np.empty((len(sent), 3 if scheme.space.kind == "rod-axis"
                              else 4))
         for i in scheme.indices:
             mask = sent == i
             if np.any(mask):
                 readings[mask] = scheme.sample_fn(i, rng_read, int(mask.sum()))
-        received = scheme.space.act(g[in_orbit], readings)
-        decoded[in_orbit] = enc.decode_batch(scheme, received)
+        received = scheme.space.act(g_sent, readings)
+        decoded_sent = enc.decode_batch(scheme, received)
+        decoded[in_orbit] = decoded_sent
         if scheme.kind == "perfect":
             corr = np.empty_like(g)
             speakable = ~in_orbit
-            corr[speakable] = _misaligned_corrections(spec, g[speakable],
-                                                      results[speakable])
+            corr[speakable] = _misaligned_corrections(
+                spec, np.compress(speakable, g, axis=0),
+                np.compress(speakable, results))
             corr[in_orbit] = _reconstructed_corrections(
-                spec, scheme, g[in_orbit], received, decoded[in_orbit])
+                spec, scheme, g_sent, received, decoded_sent)
         else:
             corr = _misaligned_corrections(spec, g, decoded)
 
     # Net shot unitaries V = C_A M_x and their mean conjugation superoperator.
-    net = quat_mul(corr, pre[results])
+    net = quat_mul(corr, np.take(pre, results, axis=0))
     mean_superop = Superoperator(_moment_superop(_moment(net)) / shots)
     out = mean_superop.apply(sigma.mat)
     out = 0.5 * (out + out.conj().T)
@@ -621,5 +626,5 @@ def _misaligned_corrections(spec: TeleportationSpec, g: np.ndarray,
                             indices: np.ndarray) -> np.ndarray:
     """Quaternions of rho(g)+ U_j rho(g) for per-shot correction indices j,
     given the quaternions g of rho(g)."""
-    return _conjugated(g, spec.basis.quats[indices])
+    return _conjugated(g, np.take(spec.basis.quats, indices, axis=0))
 

@@ -209,7 +209,8 @@ def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
         # likely.
         f = space.sample(rng, n)
         l = rng.integers(0, len(cosets[i]), size=n)
-        h = sub.payloads[sub.table[cosets[i][l], nearest_inverse(f)]]
+        h = np.take(sub.payloads, sub.table[cosets[i][l], nearest_inverse(f)],
+                    axis=0)
         return canonical_sign(quat_mul(h, f))
 
     return EncodingScheme(space, eq, orbit, "tight",
@@ -232,7 +233,7 @@ def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
         pts = points[i]
-        return pts[rng.integers(0, len(pts), size=n)]
+        return np.take(pts, rng.integers(0, len(pts), size=n), axis=0)
 
     return EncodingScheme(frame_torsor_space(sub.ambient), eq, orbit,
                           "perfect", _nearest_lookup(sub, labels), sample_fn,
@@ -290,7 +291,8 @@ def check_scheme(scheme: EncodingScheme, stream: HaarStream,
     compatibility = finite = None
     for pos, i in enumerate(scheme.indices):
         x = sample_encoding(scheme, i, stream.advance(pos), len(hs))
-        got = decode_batch(scheme, scheme.space.act(sub.payloads[hs], x))
+        got = decode_batch(scheme, scheme.space.act(
+            np.take(sub.payloads, hs, axis=0), x))
         expected = eq.sigma_inv(hs, i)
         bad = got != expected
         if compatibility is None and np.any(bad):
