@@ -34,6 +34,19 @@ its trace-1 moment and its bootstrap moments: spectra, purities, error
 bars, mixtures and orbit conjugates are real 4x4 array operations, and the
 superoperator is formed only for output.
 
+Monte Carlo draws run in batches of _BATCH = 2^13 samples, each batch
+from its own counter of the seed's Philox stream, and the simulator runs
+its shots in blocks of the same size; an estimate is therefore bit-exact
+per seed for a fixed _BATCH.  A batch's (n, 4) float64 temporaries are
+then 256 KiB each, all of a batch's live ones together under 2 MiB for an
+MC channel (3 MiB for a simulated block), and the heap reuses their pages
+from batch to batch.  At 2^17 samples they were 4 MiB each and were mapped
+and page-faulted afresh on most batches, which cost more than the
+arithmetic on them.  In a sweep of the benchmark, 2^12 was slower on the
+MC and exact-path workloads alike (the fixed Python cost of a batch) and
+2^15 faulted again on the exact paths; 2^14 was as fast as 2^13 there and
+about 4% faster on MC channels, but doubles those working sets.
+
 Exact integrals
 ---------------
 w(g) is quadratic in g, so w w^T is quartic and every exact channel moment
@@ -79,7 +92,7 @@ __all__ = [
     "fourth_moment_map",
 ]
 
-_BATCH = 1 << 17
+_BATCH = 1 << 13
 _N_BLOCKS = 64
 _N_BOOT = 64
 
@@ -518,8 +531,8 @@ def _reconstructed_corrections(spec: TeleportationSpec,
     alignment ghat from the received reading y and corrects with
     C_B = rho(ghat) U_j rho(ghat)+ for the decoded index j."""
     ghat = _reconstruct_alignment(scheme, y, decoded)
-    bob = _conjugated(quat_conj(ghat),
-                      np.take(spec.basis.quats, decoded, axis=0))
+    u = np.take(spec.basis.quats, decoded, axis=0)
+    bob = quat_mul(quat_mul(ghat, u), quat_conj(ghat))
     return _conjugated(payloads, bob)
 
 
@@ -548,7 +561,11 @@ def single_shot_simulate(spec: TeleportationSpec,
     Each shot samples a Haar misalignment on the stream's group, Alice's
     measurement result by Born probabilities, the transmitted reading, Bob's
     decode and correction, and returns the ensemble-mean output in Alice's
-    frame together with a transcript.
+    frame together with a transcript.  Shots run in blocks of _BATCH: each
+    block draws its results and misalignments from one results generator
+    and its readings from one readings generator, writes its part of the
+    transcript and adds the second moment of its net quaternions to the
+    total.
     """
     if scheme is not None:
         _check_scheme_basis(spec, scheme)
@@ -562,46 +579,27 @@ def single_shot_simulate(spec: TeleportationSpec,
         np.trace(_project_first(joint, meas[:, x], d)).real
         for x in range(n_res)])
     probs = probs / probs.sum()
-
-    rng_results = stream.generator()
-    results = rng_results.choice(n_res, size=shots, p=probs)
-    g = groups.haar_batch(stream.group, rng_results, shots)
-
     pre = unitary_quat(np.stack([spec.premeasurement_unitary(x)
                                  for x in range(n_res)]))
 
-    decoded = np.copy(results)
-    if scheme is None:
-        corr = _misaligned_corrections(spec, g, results)
-    else:
-        rng_read = stream.advance(1 << 40).generator()
-        # Singleton-orbit results carry a speakable label and send no reading.
-        in_orbit = np.isin(results, scheme.indices)
-        sent = np.compress(in_orbit, results)
-        g_sent = np.compress(in_orbit, g, axis=0)
-        readings = np.empty((len(sent), 3 if scheme.space.kind == "rod-axis"
-                             else 4))
-        for i in scheme.indices:
-            mask = sent == i
-            if np.any(mask):
-                readings[mask] = scheme.sample_fn(i, rng_read, int(mask.sum()))
-        received = scheme.space.act(g_sent, readings)
-        decoded_sent = enc.decode_batch(scheme, received)
-        decoded[in_orbit] = decoded_sent
-        if scheme.kind == "perfect":
-            corr = np.empty_like(g)
-            speakable = ~in_orbit
-            corr[speakable] = _misaligned_corrections(
-                spec, np.compress(speakable, g, axis=0),
-                np.compress(speakable, results))
-            corr[in_orbit] = _reconstructed_corrections(
-                spec, scheme, g_sent, received, decoded_sent)
-        else:
-            corr = _misaligned_corrections(spec, g, decoded)
+    rng_results = stream.generator()
+    rng_read = stream.advance(1 << 40).generator()
+    g = np.empty((shots, 4))
+    results = np.empty(shots, dtype=np.int64)
+    decoded = np.empty(shots, dtype=np.int64)
+    moment = np.zeros((4, 4))
+    for start in range(0, shots, _BATCH):
+        block = slice(start, min(start + _BATCH, shots))
+        m = block.stop - start
+        results[block] = rng_results.choice(n_res, size=m, p=probs)
+        g[block] = groups.haar_batch(stream.group, rng_results, m)
+        corr = _shot_corrections(spec, scheme, g[block], results[block],
+                                 decoded[block], rng_read)
+        # Net shot unitaries V = C_A M_x.
+        moment += _moment(quat_mul(corr, np.take(pre, results[block],
+                                                 axis=0)))
 
-    # Net shot unitaries V = C_A M_x and their mean conjugation superoperator.
-    net = quat_mul(corr, np.take(pre, results, axis=0))
-    mean_superop = Superoperator(_moment_superop(_moment(net)) / shots)
+    mean_superop = Superoperator(_moment_superop(moment) / shots)
     out = mean_superop.apply(sigma.mat)
     out = 0.5 * (out + out.conj().T)
     out = out / np.trace(out).real
@@ -614,6 +612,41 @@ def single_shot_simulate(spec: TeleportationSpec,
         "mean_superop": mean_superop,
     }
     return DensityMatrix(out), transcript
+
+
+def _shot_corrections(spec: TeleportationSpec,
+                      scheme: enc.EncodingScheme | None, g: np.ndarray,
+                      results: np.ndarray, decoded: np.ndarray,
+                      rng_read: Generator) -> np.ndarray:
+    """Quaternions of Bob's corrections, in Alice's frame, for one block of
+    shots with misalignments g and results; writes each shot's decoded
+    index into decoded."""
+    decoded[:] = results
+    if scheme is None:
+        return _misaligned_corrections(spec, g, results)
+    # Singleton-orbit results carry a speakable label and send no reading.
+    in_orbit = np.isin(results, scheme.indices)
+    sent = np.compress(in_orbit, results)
+    g_sent = np.compress(in_orbit, g, axis=0)
+    readings = np.empty((len(sent), 3 if scheme.space.kind == "rod-axis"
+                         else 4))
+    for i in scheme.indices:
+        mask = sent == i
+        if np.any(mask):
+            readings[mask] = scheme.sample_fn(i, rng_read, int(mask.sum()))
+    received = scheme.space.act(g_sent, readings)
+    decoded_sent = enc.decode_batch(scheme, received)
+    decoded[in_orbit] = decoded_sent
+    if scheme.kind != "perfect":
+        return _misaligned_corrections(spec, g, decoded)
+    corr = np.empty_like(g)
+    speakable = ~in_orbit
+    corr[speakable] = _misaligned_corrections(
+        spec, np.compress(speakable, g, axis=0),
+        np.compress(speakable, results))
+    corr[in_orbit] = _reconstructed_corrections(spec, scheme, g_sent,
+                                                received, decoded_sent)
+    return corr
 
 
 def _project_first(joint: np.ndarray, phi: np.ndarray, d: int) -> np.ndarray:

@@ -359,9 +359,7 @@ def subgroup_by_name(name: str) -> FiniteSubgroup:
 @dataclass(frozen=True)
 class HaarStream:
     """Counter-based random stream: identical (seed, counter) always yields
-    identical draws.  advance(n) moves the counter n steps on; child(i)
-    derives the i-th substream of the same seed, at counter
-    (counter << 16) + i + 1."""
+    identical draws.  advance(n) moves the counter n steps on."""
 
     group: str
     seed: int
@@ -372,9 +370,6 @@ class HaarStream:
 
     def advance(self, n: int = 1) -> "HaarStream":
         return replace(self, counter=self.counter + n)
-
-    def child(self, i: int) -> "HaarStream":
-        return replace(self, counter=(self.counter << 16) + i + 1)
 
 
 def sample_su2(rng: Generator, n: int) -> np.ndarray:

@@ -3,13 +3,13 @@ quaternion product, the np.cross form of a rotation, the dense Choi layer
 (the Choi state of a superoperator, its TP/CP validation, mixtures and map
 purities), the conjugation superoperator of a unitary, the von Neumann
 entropy, the linear purity of a channel estimate with its bootstrap error,
-raw Haar draws of a stream, the distance-based nearest-element search, the
-one-shot and the single-reading decode, equal-measure bins of a reading
-space, the per-triple and 4x4-matrix forms of the two optimize objectives,
-and Nelder-Mead on numpy arrays."""
+raw Haar draws and substreams of a stream, the distance-based
+nearest-element search, the one-shot and the single-reading decode,
+equal-measure bins of a reading space, the per-triple and 4x4-matrix forms
+of the two optimize objectives, and Nelder-Mead on numpy arrays."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -153,6 +153,12 @@ def linear_purity_with_error(est: ChannelEstimate) -> tuple[float, float]:
 def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
     """Raw i.i.d. Haar payload array of the stream's group and counter."""
     return haar_batch(stream.group, stream.generator(), n)
+
+
+def child_stream(stream: HaarStream, i: int) -> HaarStream:
+    """The i-th substream of the stream's seed, at counter
+    (counter << 16) + i + 1."""
+    return replace(stream, counter=(stream.counter << 16) + i + 1)
 
 
 def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,

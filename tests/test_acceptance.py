@@ -24,7 +24,8 @@ from frameport import ueb as ueb_mod
 from frameport.groups import HaarStream
 from frameport.qmat import DensityMatrix
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
-from qmat_reference import haar_payloads, map_purity, uniform_bins
+from qmat_reference import child_stream, haar_payloads, map_purity, \
+    uniform_bins
 
 FULL = 10 ** 6
 
@@ -258,11 +259,11 @@ def test_acceptance_8_transmission_uniformity():
     for group, sch, seed in (("u1", scheme, 31), ("su2", rod, 32)):
         stream = HaarStream(group, seed)
         g = haar_payloads(stream, n)
-        rng = stream.child(1).generator()
+        rng = child_stream(stream, 1).generator()
         idx = np.asarray(sch.indices)[rng.integers(0, len(sch.indices),
                                                    size=n)]
         x = np.concatenate([
-            enc.sample_encoding(sch, i, stream.child(2 + j), int(m))
+            enc.sample_encoding(sch, i, child_stream(stream, 2 + j), int(m))
             for j, (i, m) in enumerate(zip(*np.unique(idx,
                                                       return_counts=True)))])
         g = g[:len(x)]

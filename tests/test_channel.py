@@ -3,6 +3,7 @@ simulator; the quaternion moment accumulator."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,6 +514,99 @@ def test_single_shot_u1_perfect_restores_mixed_input():
                                               HaarStream("u1", 23), shots=500)
     assert set(transcript["result"].tolist()) == {0, 1, 2, 3}
     assert np.max(np.abs(out.mat - sigma.mat)) <= 1e-12
+
+
+def _superop_from_transcript(spec, transcript):
+    """Mean of kron(conj V, V) over all the shots of a transcript at once,
+    with V = rho(g)+ U_j rho(g) M_x for each shot's misalignment g, result x
+    and decoded index j (the correction of a scheme that does not
+    reconstruct the frame), composed as quaternions."""
+    g = transcript["g"]
+    pre = groups.unitary_quat(np.stack([spec.premeasurement_unitary(x)
+                                        for x in range(spec.basis.size)]))
+    corr = groups.quat_mul(groups.quat_mul(
+        groups.quat_conj(g), spec.basis.quats[transcript["decoded"]]), g)
+    v = su2_matrix(groups.quat_mul(corr, pre[transcript["result"]]))
+    # Shots on the last, contiguous axis: numpy then sums them pairwise.
+    terms = np.einsum("nab,ncd->nacbd", v.conj(), v).reshape(len(v), 16)
+    return np.ascontiguousarray(terms.T).sum(axis=1).reshape(4, 4) / len(v)
+
+
+@pytest.mark.parametrize("case", ["u1-conventional", "u1-tight"])
+def test_blocked_simulator_loses_and_repeats_no_shot(case):
+    # Two full blocks and a ragged one.
+    shots = 2 * ch._BATCH + 17
+    spec, eq = u1_bundle()
+    scheme = None if case == "u1-conventional" else \
+        enc.tight_matched_scheme(eq, 1)
+    sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+
+    def run():
+        return ch.single_shot_simulate(spec, scheme, sigma,
+                                       HaarStream("u1", 24), shots)
+
+    out, transcript = run()
+    assert transcript["g"].shape == (shots, 4)
+    assert transcript["result"].shape == transcript["decoded"].shape \
+        == (shots,)
+    assert np.bincount(transcript["result"], minlength=4).sum() == shots
+    # Every shot has its own misalignment: no block was drawn twice.
+    assert len(np.unique(transcript["g"], axis=0)) == shots
+    if scheme is not None:
+        assert np.any(transcript["decoded"] != transcript["result"])
+    dev = np.max(np.abs(transcript["mean_superop"].mat
+                        - _superop_from_transcript(spec, transcript)))
+    assert dev <= 1e-15
+    out2, transcript2 = run()
+    assert np.array_equal(out.mat, out2.mat)
+    for key in ("g", "result", "decoded"):
+        assert np.array_equal(transcript[key], transcript2[key])
+    assert np.array_equal(transcript["mean_superop"].mat,
+                          transcript2["mean_superop"].mat)
+
+
+def _traced_peak(fn):
+    """The peak bytes that numpy and Python allocate while fn runs, and
+    fn's result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["conventional", "matched-tight",
+                                  "rod-tight"])
+def test_mc_memory_does_not_grow_with_samples(case):
+    spec, eq = su2_bundle()
+    if case == "conventional":
+        def run(n):
+            ch.conventional_channel(spec, "su2", 1, "mc", n, 3)
+    else:
+        scheme = enc.rod_scheme() if case == "rod-tight" else \
+            enc.tight_matched_scheme(eq, 1)
+
+        def run(n):
+            ch.tight_result_estimates(spec, scheme, "mc", n, 3)
+    run(1 << 13)                    # builds what the process caches
+    small, _ = _traced_peak(lambda: run(1 << 15))
+    large, _ = _traced_peak(lambda: run(1 << 18))
+    assert large < 4 << 20, large
+    assert abs(large - small) <= 0.1 * small, (small, large)
+
+
+def test_simulator_memory_is_the_transcript_plus_a_block():
+    basis = tetrahedral_ueb()
+    spec = ch.su2_teleportation_spec(basis)
+    eq = equivariance_analysis(basis, groups.binary_tetrahedral())
+    scheme = enc.perfect_matched_scheme(eq, 0)
+    sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
+    ch.single_shot_simulate(spec, scheme, sigma, HaarStream("su2", 25), 100)
+    peak, (_, t) = _traced_peak(lambda: ch.single_shot_simulate(
+        spec, scheme, sigma, HaarStream("su2", 25), 1 << 18))
+    transcript = t["g"].nbytes + t["result"].nbytes + t["decoded"].nbytes
+    assert peak < transcript + (4 << 20), (peak, transcript)
 
 
 def test_mc_channel_estimates_are_seed_deterministic():

@@ -17,8 +17,8 @@ from frameport.groups import (
     unitary_quat, z4_reduced, z8_physical,
 )
 
-from qmat_reference import component_quat_conj, component_quat_mul, \
-    cross_quat_rotate, haar_payloads, nearest_indices
+from qmat_reference import child_stream, component_quat_conj, \
+    component_quat_mul, cross_quat_rotate, haar_payloads, nearest_indices
 
 RNG = np.random.default_rng(7)
 
@@ -234,8 +234,8 @@ def test_haar_stream_advance_changes_draws():
 
 def test_haar_stream_child_streams_differ():
     s = HaarStream("su2", 3)
-    assert not np.array_equal(haar_payloads(s.child(0), 10),
-                              haar_payloads(s.child(1), 10))
+    assert not np.array_equal(haar_payloads(child_stream(s, 0), 10),
+                              haar_payloads(child_stream(s, 1), 10))
 
 
 def test_sample_su2_moments():
