@@ -17,6 +17,15 @@ With resource eta = (1/sqrt d) sum_k |k> X|k> and measurement basis
 M_x sigma M_x+ with the unitary M_x = X (U_x X)+, and every result is
 equiprobable.  An aligned correction U_x then restores sigma exactly.
 
+Per-result channels
+-------------------
+A tight or perfect scheme encodes only the results in the orbit of its
+base index.  A result in a singleton orbit has its label sent speakably,
+so it gets the exact conventional integral, by quadrature whatever the
+method; an orbit result gets the scheme's own twirl (Bartlett, Rudolph and
+Spekkens, Rev. Mod. Phys. 79 (2007)).  result_estimates applies this rule
+for both kinds of scheme and both methods.
+
 Accumulation
 ------------
 Every qubit unitary is a phase times su2_matrix(w) for a unit quaternion w,
@@ -64,7 +73,7 @@ Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.random import Generator
@@ -83,11 +92,9 @@ __all__ = [
     "u1_teleportation_spec",
     "su2_teleportation_spec",
     "conventional_channel",
-    "tight_channel",
-    "tight_result_estimates",
+    "result_estimates",
     "mean_result_purity",
     "mix_estimates",
-    "perfect_channel",
     "single_shot_simulate",
     "fourth_moment_map",
 ]
@@ -301,11 +308,9 @@ def _conjugation_map(u: np.ndarray) -> np.ndarray:
     return quat_mul(quat_mul(u, np.eye(4)), quat_conj(u))
 
 
-def _channel_quats(spec: TeleportationSpec, g: np.ndarray, result: int
-                   ) -> np.ndarray:
+def _channel_quats(g: np.ndarray, conj_by_u: np.ndarray) -> np.ndarray:
     """Quaternions of W(g) = rho(g)+ U_i rho(g) U_i+ for a batch of group
-    quaternions g (n, 4)."""
-    conj_by_u = _conjugation_map(spec.basis.quats[result])
+    quaternions g (n, 4), given the conjugation map of U_i's quaternion."""
     # einsum rather than matmul: multithreaded BLAS is slow on (n, 4) x (4, 4).
     return quat_mul(quat_conj(g), np.einsum("nj,jk->nk", g, conj_by_u))
 
@@ -351,16 +356,18 @@ def conventional_channel(spec: TeleportationSpec, group: str,
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     stream = HaarStream(group, seed)
+    conj_by_u = _conjugation_map(spec.basis.quats[i])
 
     def sample_fn(rng, m):
-        return _channel_quats(spec, groups.haar_batch(group, rng, m), i), None
+        return _channel_quats(groups.haar_batch(group, rng, m),
+                              conj_by_u), None
 
     moments, _ = _mc_accumulate(sample_fn, samples, stream)
     return _finish_mc(moments, samples, seed, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Tight channel
+# Encoded schemes
 # ---------------------------------------------------------------------------
 
 def _check_scheme_basis(spec: TeleportationSpec,
@@ -375,53 +382,38 @@ def _check_scheme_basis(spec: TeleportationSpec,
                          "built on")
 
 
-def tight_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
-                  result: int | str = "averaged",
-                  method: str = "mc", samples: int = 10 ** 6,
-                  seed: int = 0) -> ChannelEstimate:
-    """Channel of the tight scheme over the Haar measure of its reading
-    space's frame group.
+def result_estimates(spec: TeleportationSpec, scheme: enc.EncodingScheme,
+                     results: Iterable[int], method: str = "mc",
+                     samples: int = 10 ** 6, seed: int = 0
+                     ) -> dict[int, ChannelEstimate]:
+    """Channels of a tight or perfect scheme for the given results, over the
+    Haar measure of its reading space's frame group, keyed in the order
+    given; mix_estimates of all d^2 of them is the result-averaged channel.
 
-    For a result in the scheme's orbit this is
-    (|I_k| / mu(E_b)) [rho(c_i)] o integral of p(g) [rho(g)+ U_b rho(g) U_b+]
-    o [rho(c_i)+], with the coset representative c_i of the scheme's
-    equivariance data.  The overlap weight p(g) is realized (MC) by drawing g
-    from Haar and x directly from E_b and rejecting only the (g, x) pairs
-    whose transported reading leaves E_b, or (circle-group quadrature) by
-    the pair identity on E_b.  Results outside the scheme's orbit sit in
-    singleton orbits whose label is transmitted speakably, so they receive
-    the plain conventional integral, computed exactly by quadrature whatever
-    the method.  "averaged" mixes all d^2 results equally.  Orbit results
-    are taken from tight_result_estimates; a singleton-orbit result never
-    computes the base integral.
-    """
-    if result != "averaged" and int(result) not in scheme.indices:
-        _check_scheme_basis(spec, scheme)
-        return conventional_channel(spec, scheme.space.group, int(result),
-                                    "quadrature")
-    estimates = tight_result_estimates(spec, scheme, method, samples, seed)
-    if result == "averaged":
-        return mix_estimates(list(estimates.values()))
-    return estimates[int(result)]
-
-
-def tight_result_estimates(spec: TeleportationSpec,
-                           scheme: enc.EncodingScheme,
-                           method: str = "mc", samples: int = 10 ** 6,
-                           seed: int = 0) -> dict[int, ChannelEstimate]:
-    """Per-result tight-scheme channels, computing the shared base integral
-    only once.  Orbit results are unitary conjugates of the base channel and
-    therefore share its spectrum; singleton-orbit results get the exact
-    conventional integral (identity for a commuting basis element)."""
+    A result outside the scheme's orbit gets the exact conventional
+    integral (Per-result channels, above).  A tight scheme's orbit results
+    are conjugates of one base channel, computed only if one is asked for.
+    A perfect scheme's orbit results each get the integral over the
+    stabilizer of the encoded reading of [rho(s)+ U_i rho(s) U_i+]."""
+    if method not in ("quadrature", "mc"):
+        raise ValueError(f"unknown method {method!r}")
     _check_scheme_basis(spec, scheme)
-    base = _tight_base_channel(spec, scheme, method, samples, seed)
+    base = None
     out: dict[int, ChannelEstimate] = {}
-    for i in range(spec.basis.size):
-        if i in scheme.indices:
-            out[i] = _conjugated_orbit_channel(scheme, base, i)
-        else:
+    for i in results:
+        if i not in scheme.indices:
             out[i] = conventional_channel(spec, scheme.space.group, i,
                                           "quadrature")
+        elif scheme.kind == "perfect":
+            out[i] = _perfect_orbit_channel(spec, scheme, i, method, samples,
+                                            seed)
+        else:
+            if base is None:
+                base = _tight_base_channel(spec, scheme, method, samples,
+                                           seed)
+            # The base channel conjugated by i's coset representative.
+            out[i] = base if i == min(scheme.indices) else base.transformed(
+                scheme.subgroup.payloads[scheme.eq.coset_reps[i]])
     return out
 
 
@@ -430,23 +422,21 @@ def mean_result_purity(estimates: dict[int, ChannelEstimate]
     """Arithmetic mean of the per-result map purities with its standard
     error.  Orbit channels are conjugates sharing one sample set, so their
     purity errors add coherently."""
-    n = len(estimates)
-    purities, errors = zip(*(estimates[i].map_purity_with_error()
-                             for i in range(n)))
-    return float(np.mean(purities)), float(np.sum(errors) / n)
-
-
-def _conjugated_orbit_channel(scheme: enc.EncodingScheme,
-                              base: ChannelEstimate, i: int) -> ChannelEstimate:
-    b = min(scheme.indices)
-    if i == b:
-        return base
-    return base.transformed(scheme.subgroup.payloads[scheme.eq.coset_reps[i]])
+    purities, errors = zip(*(e.map_purity_with_error()
+                             for e in estimates.values()))
+    return float(np.mean(purities)), float(np.sum(errors) / len(errors))
 
 
 def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
                         method: str, samples: int, seed: int
                         ) -> ChannelEstimate:
+    """The tight channel of the orbit base b,
+    (|I_k| / mu(E_b)) integral of p(g) [rho(g)+ U_b rho(g) U_b+]; the orbit
+    result i is its conjugate by the coset representative c_i of the
+    scheme's equivariance data.  The overlap weight p(g) is realized (MC) by
+    drawing g from Haar and x directly from E_b and rejecting only the
+    (g, x) pairs whose transported reading leaves E_b, or (circle-group
+    quadrature) by the pair identity on E_b."""
     b = min(scheme.indices)
     if method == "quadrature":
         if scheme.space.group != "u1":
@@ -462,18 +452,17 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
         # from it before rescaling.
         tr = np.trace(moment)
         return _exact_estimate(moment / tr, abs(tr - 1.0))
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
     group = scheme.space.group
     stream = HaarStream(group, seed)
+    conj_by_u = _conjugation_map(spec.basis.quats[b])
 
     def sample_fn(rng, m):
         payloads = groups.haar_batch(group, rng, m)
         x = scheme.sample_fn(b, rng, m)
         y = scheme.space.act(payloads, x)
         accept = enc.decode_batch(scheme, y) == b
-        return _channel_quats(spec, np.compress(accept, payloads, axis=0),
-                              b), accept
+        return _channel_quats(np.compress(accept, payloads, axis=0),
+                              conj_by_u), accept
 
     moments, accepted = _mc_accumulate(sample_fn, samples, stream)
     # The un-normalized theorem estimator has Choi trace |I_k| N_acc / N,
@@ -482,33 +471,18 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     return _finish_mc(moments, samples, seed, dev)
 
 
-# ---------------------------------------------------------------------------
-# Perfect channel
-# ---------------------------------------------------------------------------
-
-def perfect_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
-                    result: int = 0, method: str = "quadrature",
-                    samples: int = 10 ** 6, seed: int = 0) -> ChannelEstimate:
-    """Channel of the perfect scheme: the integral over the stabilizer of the
-    encoded reading of [rho(s)+ U_i rho(s) U_i+].
-
-    On a matched (free) space the stabilizer is trivial and the channel is
-    the identity; the quadrature path returns it exactly, while the MC path
-    simulates the reconstruction honestly (sample g and x, decode, realign,
-    accumulate the net conjugation); as in tight_channel, a result outside
-    the scheme's orbit gets the exact conventional integral there.
-    """
-    if scheme.kind != "perfect":
-        raise ValueError("perfect_channel requires a perfect scheme")
-    _check_scheme_basis(spec, scheme)
+def _perfect_orbit_channel(spec: TeleportationSpec,
+                           scheme: enc.EncodingScheme, result: int,
+                           method: str, samples: int, seed: int
+                           ) -> ChannelEstimate:
+    """On a matched (free) space the stabilizer is trivial and the channel
+    is the identity: quadrature returns it exactly, while MC simulates the
+    reconstruction honestly (sample g and x, decode, realign, accumulate the
+    net conjugation)."""
     if method == "quadrature":
-        # Free action: trivial stabilizer, identity channel (the moment of
-        # the identity quaternion).
+        # The moment of the identity quaternion.
         return _exact_estimate(np.diag([1.0, 0.0, 0.0, 0.0]))
     group = scheme.space.group
-    if result not in scheme.indices:
-        # Singleton orbit: the label is transmitted speakably.
-        return conventional_channel(spec, group, result, "quadrature")
     stream = HaarStream(group, seed)
 
     def sample_fn(rng, m):
@@ -558,10 +532,11 @@ def single_shot_simulate(spec: TeleportationSpec,
                          shots: int = 1) -> tuple[DensityMatrix, dict]:
     """End-to-end protocol simulation.
 
-    Each shot samples a Haar misalignment on the stream's group, Alice's
-    measurement result by Born probabilities, the transmitted reading, Bob's
-    decode and correction, and returns the ensemble-mean output in Alice's
-    frame together with a transcript.  Shots run in blocks of _BATCH: each
+    Each shot samples a Haar misalignment on the stream's group (which must
+    be the scheme's frame group), Alice's measurement result by Born
+    probabilities, the transmitted reading, Bob's decode and correction,
+    and returns the ensemble-mean output in Alice's frame together with a
+    transcript.  Shots run in blocks of _BATCH: each
     block draws its results and misalignments from one results generator
     and its readings from one readings generator, writes its part of the
     transcript and adds the second moment of its net quaternions to the
@@ -569,6 +544,9 @@ def single_shot_simulate(spec: TeleportationSpec,
     """
     if scheme is not None:
         _check_scheme_basis(spec, scheme)
+        if stream.group != scheme.space.group:
+            raise ValueError(f"stream group {stream.group!r} is not the "
+                             f"scheme's frame group {scheme.space.group!r}")
     d = spec.dim
     n_res = spec.basis.size
     # Born probabilities of the measurement results.

@@ -258,16 +258,26 @@ def cmd_verify(args) -> int:
 # channel
 # ---------------------------------------------------------------------------
 
-def _estimate(bundle: SchemeBundle, result, method: str, samples: int,
-              seed: int) -> ch.ChannelEstimate:
-    if bundle.variant == "conventional":
+def _channel_estimates(bundle: SchemeBundle, result, method: str,
+                       samples: int, seed: int
+                       ) -> tuple[ch.ChannelEstimate,
+                                  dict[int, ch.ChannelEstimate] | None]:
+    """The bundle's channel for one result or "averaged", and for a
+    result-averaged encoded scheme also its per-result channels."""
+    if bundle.scheme is None:
         return ch.conventional_channel(bundle.spec, bundle.group, result,
-                                       method, samples, seed)
-    if bundle.variant == "tight":
-        return ch.tight_channel(bundle.spec, bundle.scheme, result, method,
-                                samples, seed)
-    return ch.perfect_channel(bundle.spec, bundle.scheme, int(result),
-                              method, samples, seed)
+                                       method, samples, seed), None
+    if result != "averaged":
+        return ch.result_estimates(bundle.spec, bundle.scheme, [result],
+                                   method, samples, seed)[result], None
+    per_result = ch.result_estimates(bundle.spec, bundle.scheme,
+                                     range(bundle.spec.basis.size), method,
+                                     samples, seed)
+    return ch.mix_estimates(list(per_result.values())), per_result
+
+
+def _interpretation(result) -> str:
+    return "result-averaged" if result == "averaged" else f"result-{result}"
 
 
 def _mean_linear_purity(per_result: dict[int, ch.ChannelEstimate]) -> float:
@@ -307,20 +317,12 @@ def cmd_channel(args) -> int:
         result = _index_arg("--result", result, bundle.spec.basis.size,
                             "'averaged' or ")
     t0 = time.perf_counter()
-    per_result = None
-    if bundle.variant == "tight" and result == "averaged":
-        # Per-result channels from one base integral, and their equal mix.
-        per_result = ch.tight_result_estimates(bundle.spec, bundle.scheme,
-                                               method, args.samples,
-                                               args.seed)
-        est = ch.mix_estimates(list(per_result.values()))
-    else:
-        est = _estimate(bundle, result, method, args.samples, args.seed)
+    est, per_result = _channel_estimates(bundle, result, method, args.samples,
+                                         args.seed)
     seconds = time.perf_counter() - t0
     purity, p_err = est.map_purity_with_error()
     linear = est.linear_purity()
-    interpretation = ("result-averaged" if result == "averaged"
-                      else f"result-{result}")
+    interpretation = _interpretation(result)
     rows = [_purity_row(bundle.name, interpretation, purity, p_err, linear,
                         est.samples, args.seed, seconds)]
     payload = {
@@ -351,41 +353,37 @@ def cmd_channel(args) -> int:
 # table1
 # ---------------------------------------------------------------------------
 
+# (scheme, result, method): exact quadrature for the circle-group schemes
+# and for the rotation-group conventional scheme in both interpretations, MC
+# for the rotation-group tight schemes.
+_TABLE1_ROWS = (("u1-conventional", "averaged", "quadrature"),
+                ("u1-tight", "averaged", "quadrature"),
+                ("su2-conventional", 1, "quadrature"),
+                ("su2-conventional", "averaged", "quadrature"),
+                ("su2-matched-tight", "averaged", "mc"),
+                ("su2-rod-tight", "averaged", "mc"))
+
+
 def cmd_table1(args) -> int:
     rows: list[dict] = []
-
-    def add(name: str, interpretation: str, est: ch.ChannelEstimate,
-            seconds: float):
-        purity, err = est.map_purity_with_error()
-        linear = est.linear_purity()
-        rows.append(_purity_row(name, interpretation, purity, err, linear,
-                                est.samples, args.seed, seconds))
-
-    # Exact quadrature: the circle-group schemes, and the rotation-group
-    # conventional scheme in both interpretations.
-    for name, result in (("u1-conventional", "averaged"),
-                         ("u1-tight", "averaged"), ("su2-conventional", 1),
-                         ("su2-conventional", "averaged")):
+    for name, result, method in _TABLE1_ROWS:
         t0 = time.perf_counter()
-        est = _estimate(builtin_scheme(name), result, "quadrature",
-                        args.samples, args.seed)
-        add(name, "result-averaged" if result == "averaged"
-            else f"result-{result}", est, time.perf_counter() - t0)
-
-    # Rotation group tight schemes: mixed channel and mean of the per-result
-    # purities (the latter matches the published table's averaging).
-    for name in ("su2-matched-tight", "su2-rod-tight"):
-        bundle = builtin_scheme(name)
-        t0 = time.perf_counter()
-        per_result = ch.tight_result_estimates(bundle.spec, bundle.scheme,
-                                               "mc", args.samples, args.seed)
-        mixed = ch.mix_estimates(list(per_result.values()))
+        est, per_result = _channel_estimates(builtin_scheme(name), result,
+                                             method, args.samples, args.seed)
         seconds = time.perf_counter() - t0
-        add(name, "mixed-channel", mixed, seconds)
-        rows.append(_purity_row(name, "mean-result-purity",
-                                *ch.mean_result_purity(per_result),
-                                _mean_linear_purity(per_result),
-                                mixed.samples, args.seed, seconds))
+        # A tight MC row reports the mixed channel and the mean of the
+        # per-result purities (the latter matches the published table's
+        # averaging).
+        mc = method == "mc"
+        rows.append(_purity_row(
+            name, "mixed-channel" if mc else _interpretation(result),
+            *est.map_purity_with_error(), est.linear_purity(), est.samples,
+            args.seed, seconds))
+        if mc:
+            rows.append(_purity_row(name, "mean-result-purity",
+                                    *ch.mean_result_purity(per_result),
+                                    _mean_linear_purity(per_result),
+                                    est.samples, args.seed, seconds))
 
     _emit(args, {"table": rows}, rows)
     return 0

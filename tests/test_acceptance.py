@@ -58,6 +58,12 @@ def btet_bundle():
     return spec, eq
 
 
+def averaged_channel(spec, scheme, method, **kwargs):
+    """The equal mix of a scheme's channels over all of its results."""
+    return ch.mix_estimates(list(ch.result_estimates(
+        spec, scheme, range(spec.basis.size), method, **kwargs).values()))
+
+
 # ---------------------------------------------------------------------------
 # 1. Structural suite
 # ---------------------------------------------------------------------------
@@ -97,13 +103,13 @@ def test_acceptance_1_structural():
 def test_acceptance_2_perfect_schemes():
     spec, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
-    est = ch.perfect_channel(spec, scheme, 1, "quadrature")
+    est = ch.result_estimates(spec, scheme, [1], "quadrature")[1]
     ok = np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
     spec2, eq2 = btet_bundle()
     scheme2 = enc.perfect_matched_scheme(eq2, 0)
-    est2 = ch.perfect_channel(spec2, scheme2, 1, "mc",
-                              samples=FULL)
+    est2 = ch.result_estimates(spec2, scheme2, [1], "mc",
+                               samples=FULL)[1]
     tol = 3 * np.maximum(est2.stderr, 1e-7)
     ok = ok and bool(np.all(np.abs(est2.superop.mat - np.eye(4)) <= tol))
     report(2, ok)
@@ -132,11 +138,10 @@ def test_acceptance_3_u1_conventional():
 def test_acceptance_4_u1_tight():
     spec, eq = u1_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
-    exact = ch.tight_channel(spec, scheme, "averaged", "quadrature")
+    exact = averaged_channel(spec, scheme, "quadrature")
     target = 2 / np.pi ** 2 + 0.5
     ok = abs(exact.superop.mat[1, 1].real - target) < 1e-6
-    mc = ch.tight_channel(spec, scheme, "averaged", "mc",
-                          samples=FULL)
+    mc = averaged_channel(spec, scheme, "mc", samples=FULL)
     tol = 3 * np.maximum(mc.stderr, 1e-4)
     ok = ok and bool(np.all(np.abs(mc.superop.mat - exact.superop.mat)
                             <= tol))
@@ -179,8 +184,8 @@ def _mean_result_purity(scheme_name: str) -> tuple[float, float]:
         scheme = enc.rod_scheme()
     else:
         scheme = enc.tight_matched_scheme(eq, 1)
-    ests = ch.tight_result_estimates(spec, scheme, "mc",
-                                     samples=FULL)
+    ests = ch.result_estimates(spec, scheme, range(4), "mc",
+                               samples=FULL)
     return ch.mean_result_purity(ests)
 
 
@@ -216,14 +221,12 @@ def test_acceptance_7_simulator_cross_validation():
 
     spec, eq = u1_bundle()
     u1_scheme = enc.tight_matched_scheme(eq, 1)
-    exact = ch.tight_channel(spec, u1_scheme, "averaged",
-                             "quadrature")
+    exact = averaged_channel(spec, u1_scheme, "quadrature")
     configs.append(("u1-tight", spec, u1_scheme, "u1", exact.superop.mat))
 
     spec2, eq2 = su2_bundle()
     rod = enc.rod_scheme()
-    rod_est = ch.tight_channel(spec2, rod, "averaged", "mc",
-                               samples=FULL)
+    rod_est = averaged_channel(spec2, rod, "mc", samples=FULL)
     configs.append(("su2-rod-tight", spec2, rod, "su2", rod_est.superop.mat))
 
     spec3, eq3 = btet_bundle()

@@ -139,10 +139,16 @@ def u1_tight_scheme(eq):
     return enc.tight_matched_scheme(eq, 1)
 
 
+def averaged_channel(spec, scheme, method, *args):
+    """The equal mix of a scheme's channels over all of its results."""
+    return ch.mix_estimates(list(ch.result_estimates(
+        spec, scheme, range(spec.basis.size), method, *args).values()))
+
+
 def test_u1_tight_quadrature_off_diagonal():
     spec, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
-    est = ch.tight_channel(spec, scheme, "averaged", "quadrature")
+    est = averaged_channel(spec, scheme, "quadrature")
     target = 2 / np.pi ** 2 + 0.5
     assert est.superop.mat[1, 1].real == pytest.approx(target, abs=1e-12)
     assert est.superop.mat[2, 2].real == pytest.approx(target, abs=1e-12)
@@ -172,8 +178,8 @@ def test_u1_tight_arc_moment_matches_dense_grid():
 def test_u1_tight_mc_agrees_with_quadrature():
     spec, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
-    exact = ch.tight_channel(spec, scheme, 1, "quadrature")
-    mc = ch.tight_channel(spec, scheme, 1, "mc", samples=SAMPLES)
+    exact = ch.result_estimates(spec, scheme, [1], "quadrature")[1]
+    mc = ch.result_estimates(spec, scheme, [1], "mc", samples=SAMPLES)[1]
     tol = 3 * np.maximum(mc.stderr, 2e-3)
     assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
 
@@ -188,7 +194,7 @@ def test_tight_singleton_orbit_is_identity(monkeypatch):
     monkeypatch.setattr(ch, "_tight_base_channel", no_base_integral)
     for i in (0, 3):
         for method in ("quadrature", "mc"):
-            est = ch.tight_channel(spec, scheme, i, method)
+            est = ch.result_estimates(spec, scheme, [i], method)[i]
             assert est.method == "quadrature"
             assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-14
 
@@ -196,14 +202,25 @@ def test_tight_singleton_orbit_is_identity(monkeypatch):
 def test_su2_tight_orbit_channels_share_spectrum():
     spec, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
-    ests = ch.tight_result_estimates(spec, scheme, "mc",
-                                     samples=SAMPLES)
+    ests = ch.result_estimates(spec, scheme, range(4), "mc",
+                               samples=SAMPLES)
     spectra = [sorted(ests[i].choi_spectrum()) for i in (1, 2, 3)]
     assert np.allclose(spectra[0], spectra[1], atol=1e-9)
     assert np.allclose(spectra[0], spectra[2], atol=1e-9)
     # The singleton-orbit result is the exact conventional integral.
     assert ests[0].method == "quadrature"
     assert np.max(np.abs(ests[0].superop.mat - np.eye(4))) < 1e-14
+
+
+def test_mean_result_purity_of_some_results():
+    # Any subset of results, keyed by result rather than by position.
+    spec, eq = u1_bundle()
+    ests = ch.result_estimates(spec, u1_tight_scheme(eq), [1, 3],
+                               "quadrature")
+    mean, err = ch.mean_result_purity(ests)
+    assert mean == pytest.approx((ests[1].map_purity() + 1.0) / 2,
+                                 abs=1e-12)
+    assert err == 0.0
 
 
 def test_su2_tight_invariant_under_left_stabilizer_shift(monkeypatch):
@@ -213,15 +230,15 @@ def test_su2_tight_invariant_under_left_stabilizer_shift(monkeypatch):
     spec, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
     h = eq.subgroup.payloads[eq.stabilizers[1][3]]
-    plain = ch.tight_channel(spec, scheme, 1, "mc",
-                             samples=SAMPLES, seed=0)
+    plain = ch.result_estimates(spec, scheme, [1], "mc",
+                                samples=SAMPLES, seed=0)[1]
     # Pre-compose every Haar draw with h.  The readings' sampler draws
     # through haar_batch too, which leaves them uniform.
     haar_batch = groups.haar_batch
     monkeypatch.setattr(groups, "haar_batch", lambda *a: groups.quat_mul(
         h, haar_batch(*a)))
-    shifted = ch.tight_channel(spec, scheme, 1, "mc",
-                               samples=SAMPLES, seed=1)
+    shifted = ch.result_estimates(spec, scheme, [1], "mc",
+                                  samples=SAMPLES, seed=1)[1]
     p1, e1 = plain.map_purity_with_error()
     p2, e2 = shifted.map_purity_with_error()
     assert abs(p1 - p2) < 4 * np.hypot(e1, e2) + 5e-3
@@ -234,10 +251,10 @@ def test_rod_and_matched_tight_purities_agree():
     spec, eq = su2_bundle()
     matched = enc.tight_matched_scheme(eq, 1)
     rod = enc.rod_scheme()
-    pm, em = ch.tight_channel(spec, matched, 1, "mc",
-                              samples=SAMPLES).map_purity_with_error()
-    pr, er = ch.tight_channel(spec, rod, 1, "mc",
-                              samples=SAMPLES).map_purity_with_error()
+    pm, em = ch.result_estimates(spec, matched, [1], "mc",
+                                 samples=SAMPLES)[1].map_purity_with_error()
+    pr, er = ch.result_estimates(spec, rod, [1], "mc",
+                                 samples=SAMPLES)[1].map_purity_with_error()
     assert pm == pytest.approx(0.268, abs=0.01)
     assert pr == pytest.approx(0.270, abs=0.01)
 
@@ -249,7 +266,7 @@ def test_rod_and_matched_tight_purities_agree():
 def test_u1_perfect_is_identity():
     spec, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
-    est = ch.perfect_channel(spec, scheme, 1, "quadrature")
+    est = ch.result_estimates(spec, scheme, [1], "quadrature")[1]
     assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
@@ -258,8 +275,8 @@ def test_btet_perfect_mc_is_identity():
     spec = ch.su2_teleportation_spec(basis)
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
-    est = ch.perfect_channel(spec, scheme, 1, "mc",
-                             samples=SAMPLES)
+    est = ch.result_estimates(spec, scheme, [1], "mc",
+                              samples=SAMPLES)[1]
     tol = 3 * np.maximum(est.stderr, 1e-6)
     assert np.all(np.abs(est.superop.mat - np.eye(4)) <= tol)
 
@@ -276,21 +293,63 @@ def test_spec_ueb_must_be_the_scheme_basis():
         equivariance_analysis(tetrahedral_ueb(), groups.binary_tetrahedral()),
         0)
     with pytest.raises(ValueError, match="UEB"):
-        ch.tight_channel(tetrahedral, rod, "averaged", "mc", 20000, 0)
+        averaged_channel(tetrahedral, rod, "mc", 20000, 0)
     with pytest.raises(ValueError, match="UEB"):
-        ch.tight_channel(tetrahedral, rod, 0, "mc", 20000, 0)
+        ch.result_estimates(tetrahedral, rod, [0], "mc", 20000, 0)
     with pytest.raises(ValueError, match="UEB"):
-        ch.tight_result_estimates(tetrahedral, rod, "mc", 20000, 0)
+        ch.result_estimates(tetrahedral, rod, range(4), "mc", 20000, 0)
     for method in ("mc", "quadrature"):
         with pytest.raises(ValueError, match="UEB"):
-            ch.perfect_channel(pauli, btet, 1, method, 20000, 0)
+            ch.result_estimates(pauli, btet, [1], method, 20000, 0)
     # The simulator used to give input fidelity 0.55 here.
     with pytest.raises(ValueError, match="UEB"):
         ch.single_shot_simulate(pauli, btet, DensityMatrix(np.diag([1, 0])),
                                 HaarStream("su2", 3), 100)
     # Separate instances of the scheme's own basis are accepted.
-    est = ch.perfect_channel(tetrahedral, btet, 1, "quadrature")
+    est = ch.result_estimates(tetrahedral, btet, [1], "quadrature")[1]
     assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-12
+
+
+def test_perfect_singleton_result_gets_conventional_integral():
+    # Z4 on the circle fixes every Pauli label, so the perfect scheme's
+    # orbit of 1 is a singleton and result 2 sends its label speakably: it
+    # gets the conventional integral (map purity 0.5) by either method,
+    # not the identity.
+    basis = pauli_ueb()
+    spec = ch.u1_teleportation_spec(basis)
+    z4 = groups._build_subgroup("z4p", "u1",
+                                groups.u1_quat(np.arange(4) * np.pi / 2))
+    eq = equivariance_analysis(basis, z4)
+    assert eq.orbits == ((0,), (1,), (2,), (3,))
+    scheme = enc.perfect_matched_scheme(eq, 1)
+    exact = ch.conventional_channel(spec, "u1", 2, "quadrature")
+    assert exact.map_purity() == pytest.approx(0.5, abs=1e-12)
+    for method in ("quadrature", "mc"):
+        est = ch.result_estimates(spec, scheme, [2], method, 20000, 0)[2]
+        assert est.method == "quadrature"
+        assert np.array_equal(est.moment, exact.moment)
+
+
+def test_unknown_method_is_rejected():
+    spec, eq = u1_bundle()
+    tight = u1_tight_scheme(eq)
+    perfect = enc.perfect_matched_scheme(eq, 1)
+    # Orbit results of both kinds, and the singleton result 0 alone.
+    for scheme, results in ((tight, [1]), (tight, [0]), (perfect, [1]),
+                            (perfect, [0])):
+        with pytest.raises(ValueError, match="unknown method"):
+            ch.result_estimates(spec, scheme, results, "bogus", 20000, 0)
+
+
+def test_simulator_stream_must_be_the_scheme_group():
+    # Drawing SU(2) misalignments for the U(1) tight scheme used to run
+    # silently (input fidelity 0.666 at 20,000 shots, against 1.0).
+    spec, eq = u1_bundle()
+    scheme = u1_tight_scheme(eq)
+    sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
+    with pytest.raises(ValueError, match="frame group"):
+        ch.single_shot_simulate(spec, scheme, sigma, HaarStream("su2", 0),
+                                100)
 
 
 def test_rod_point_encoding_is_perfectly_correctable():
@@ -305,7 +364,7 @@ def test_rod_point_encoding_is_perfectly_correctable():
         # rho(s)+ U_i rho(s) U_i+ is +-1.
         s = np.zeros((len(t), 4))
         s[:, 0], s[:, i] = np.cos(t), np.sin(t)
-        w = ch._channel_quats(spec, s, i)
+        w = ch._channel_quats(s, ch._conjugation_map(spec.basis.quats[i]))
         assert np.max(np.abs(np.abs(w[:, 0]) - 1.0)) < 1e-12
     rod = enc.rod_scheme()
     points = {i: np.eye(3)[i - 1][None] for i in (1, 2, 3)}
@@ -314,7 +373,7 @@ def test_rod_point_encoding_is_perfectly_correctable():
                                 lambda i, rng, n: np.tile(points[i][0], (n, 1)),
                                 points=points)
     for i in (1, 2, 3):
-        est = ch.perfect_channel(spec, scheme, i, "quadrature")
+        est = ch.result_estimates(spec, scheme, [i], "quadrature")[i]
         assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
@@ -368,11 +427,12 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
 
     for result in range(4):
         pos = [0]
+        conj_by_u = ch._conjugation_map(spec.basis.quats[result])
 
         def sample_fn(_, m):
             lo, pos[0] = pos[0], pos[0] + m
             keep = accept[lo:lo + m]
-            quats = ch._channel_quats(spec, payloads[lo:lo + m][keep], result)
+            quats = ch._channel_quats(payloads[lo:lo + m][keep], conj_by_u)
             return quats, keep if masked else None
 
         moments, accepted = ch._mc_accumulate(sample_fn, samples,
@@ -388,18 +448,19 @@ def _moment_estimate(case):
     if case == "perfect-identity":
         spec, eq = u1_bundle()
         scheme = enc.perfect_matched_scheme(eq, 1)
-        return ch.perfect_channel(spec, scheme, 1, "quadrature")
+        return ch.result_estimates(spec, scheme, [1], "quadrature")[1]
     if case == "u1-tight-quadrature":
         spec, eq = u1_bundle()
-        return ch.tight_channel(spec, u1_tight_scheme(eq), 1, "quadrature")
+        return ch.result_estimates(spec, u1_tight_scheme(eq), [1],
+                                   "quadrature")[1]
     spec, eq = su2_bundle()
     if case == "conventional-mc":
         return ch.conventional_channel(spec, "su2", 1, "mc", samples=1 << 14)
     scheme = enc.tight_matched_scheme(eq, 1)
     # Result 1 is the base channel; result 2 its orbit conjugate.
     result = {"tight-base-mc": 1, "tight-orbit-mc": 2}[case]
-    return ch.tight_channel(spec, scheme, result, "mc",
-                            samples=1 << 14)
+    return ch.result_estimates(spec, scheme, [result], "mc",
+                               samples=1 << 14)[result]
 
 
 @pytest.mark.parametrize("case", ["conventional-mc", "tight-base-mc",
@@ -453,8 +514,8 @@ def test_bootstrap_error_bars_are_calibrated():
             spec, "su2", 1, "quadrature").map_purity_with_error()[0],
         "su2-averaged": ch.conventional_channel(
             spec, "su2", "averaged", "quadrature").map_purity_with_error()[0],
-        "u1-tight-mean": ch.mean_result_purity(ch.tight_result_estimates(
-            u1_spec, scheme, "quadrature"))[0],
+        "u1-tight-mean": ch.mean_result_purity(ch.result_estimates(
+            u1_spec, scheme, range(4), "quadrature"))[0],
     }
     inside = dict.fromkeys(exact, 0)
     for seed in seeds:
@@ -464,8 +525,8 @@ def test_bootstrap_error_bars_are_calibrated():
             "su2-averaged": ch.conventional_channel(
                 spec, "su2", "averaged", "mc", samples,
                 seed).map_purity_with_error(),
-            "u1-tight-mean": ch.mean_result_purity(ch.tight_result_estimates(
-                u1_spec, scheme, "mc", samples, seed)),
+            "u1-tight-mean": ch.mean_result_purity(ch.result_estimates(
+                u1_spec, scheme, range(4), "mc", samples, seed)),
         }
         for key, (value, err) in got.items():
             inside[key] += abs(value - exact[key]) <= 2 * err
@@ -588,7 +649,7 @@ def test_mc_memory_does_not_grow_with_samples(case):
             enc.tight_matched_scheme(eq, 1)
 
         def run(n):
-            ch.tight_result_estimates(spec, scheme, "mc", n, 3)
+            ch.result_estimates(spec, scheme, range(4), "mc", n, 3)
     run(1 << 13)                    # builds what the process caches
     small, _ = _traced_peak(lambda: run(1 << 15))
     large, _ = _traced_peak(lambda: run(1 << 18))
