@@ -311,8 +311,7 @@ def _conjugation_map(u: np.ndarray) -> np.ndarray:
 def _channel_quats(g: np.ndarray, conj_by_u: np.ndarray) -> np.ndarray:
     """Quaternions of W(g) = rho(g)+ U_i rho(g) U_i+ for a batch of group
     quaternions g (n, 4), given the conjugation map of U_i's quaternion."""
-    # einsum rather than matmul: multithreaded BLAS is slow on (n, 4) x (4, 4).
-    return quat_mul(quat_conj(g), np.einsum("nj,jk->nk", g, conj_by_u))
+    return quat_mul(quat_conj(g), g @ conj_by_u)
 
 
 def fourth_moment_map(form: np.ndarray, t4: np.ndarray) -> np.ndarray:

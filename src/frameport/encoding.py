@@ -23,13 +23,19 @@ of the orbit base.  The kernel +-1 of the action on readings lies in L and is
 folded only where readings are compared or produced: the two elements of a
 kernel pair give one reading, so the decoder scores, and the perfect points
 list, only the first of each pair, and the element nearest to a reading x is
-the one maximising |x . h|.
+the one maximising |x . h|.  A tight sampler draws a uniform reading, decodes
+it to its region E_j and carries E_j isometrically onto E_i: by the right
+translation c_j^{-1} c_i on a matched scheme, by a coordinate swap on the rod.
 
-Decoding is everywhere deterministic: exactly equal scores go to the lowest
-element index.  Such ties occur only on cell boundaries, a set of measure
-zero.  A batch is decoded in row blocks of _DECODE_BLOCK readings, each
-scored with the same per-row arithmetic and tie-break, so the labels do not
-depend on the batch size.
+A matched decode scores the first lifts, grouped by label, with one matrix
+product per row block and takes each label's maximum score.  A reading whose
+top score is reached, up to rounding, by one label alone decodes to it.
+Decoding is everywhere deterministic: the other readings, whose top scores
+tie across labels, take the label of the lowest-index element with the top
+score, and the rod decode gives ties to the lowest axis.  Such ties occur
+only on cell boundaries, a set of measure zero.  A batch is decoded in row
+blocks of _DECODE_BLOCK readings, each scored with the same per-row
+arithmetic and tie-break, so the labels do not depend on the batch size.
 """
 from __future__ import annotations
 
@@ -57,7 +63,7 @@ __all__ = [
     "check_scheme",
 ]
 
-# Rows scored at once by a nearest-element decode: a (4096, 24) float64
+# Rows scored at once by a nearest-element decode: a (24, 4096) float64
 # score block is 768 KiB, which fits in L2.
 _DECODE_BLOCK = 1 << 12
 
@@ -84,7 +90,8 @@ class ReadingSpace:
         """n uniform readings."""
         if self.kind == "rod-axis":
             vec = rng.normal(size=(n, 3))
-            return vec / np.linalg.norm(vec, axis=1, keepdims=True)
+            x, y, z = vec.T
+            return vec / np.sqrt(x * x + y * y + z * z)[:, None]
         return canonical_sign(groups.haar_batch(self.group, rng, n))
 
 
@@ -161,30 +168,43 @@ def _matched_cosets(eq: EquivarianceData, orbit_base: int
     return orbit, cosets, labels
 
 
-def _nearest_lookup(sub: FiniteSubgroup, values: np.ndarray
+def _nearest_lookup(sub: FiniteSubgroup, labels: np.ndarray
                     ) -> Callable[[np.ndarray], np.ndarray]:
-    """Map readings to values[k], k the index of the subgroup element
+    """Map readings to labels[k], k the index of the subgroup element
     nearest under the invariant metric (lowest index on ties)."""
     # The metric is bi-invariant and decreasing in |x.h|, and both elements
     # of a kernel pair give one reading, so only the first lift of each
-    # reading is scored; argmax keeps the lowest-index tie-break with no
-    # sign convention on x.
-    lifts = groups.first_lifts(sub.payloads)
+    # reading is scored, with no sign convention on x.
+    lifts = np.flatnonzero(groups.first_lifts(sub.payloads))
+    lifted = labels[lifts]
+    names, counts = np.unique(lifted, return_counts=True)
+    # Each label's lifts, cycled up to m rows (a repeat leaves its maximum
+    # unchanged), so that the label maxima are one reduction.
+    m = counts.max()
+    grouped = np.concatenate([np.resize(sub.payloads[lifts[lifted == name]],
+                                        (m, 4)) for name in names])
     h_t = np.ascontiguousarray(sub.payloads[lifts].T)
-    lifted = values[lifts]
 
     def lookup(x: np.ndarray) -> np.ndarray:
-        # Scored in row blocks, so the (block, |lifts|) scores stay in cache
-        # instead of a fresh (n, |lifts|) temporary per call.
         x = np.asarray(x)
         flat = x.reshape(-1, x.shape[-1])
         out = np.empty(len(flat), lifted.dtype)
-        scores = np.empty((min(len(flat), _DECODE_BLOCK), h_t.shape[1]))
+        scores = np.empty(len(grouped) * min(len(flat), _DECODE_BLOCK))
+        # Scored in row blocks, so the (|lifts|, block) scores stay in cache
+        # instead of a fresh (|lifts|, n) temporary per call.
         for start in range(0, len(flat), _DECODE_BLOCK):
             rows = flat[start:start + _DECODE_BLOCK]
-            s = np.matmul(rows, h_t, out=scores[:len(rows)])
-            np.abs(s, out=s)
-            out[start:start + len(rows)] = lifted[np.argmax(s, axis=1)]
+            s = scores[:len(grouped) * len(rows)].reshape(len(grouped), -1)
+            np.abs(np.matmul(grouped, rows.T, out=s), out=s)
+            top = s.reshape(len(names), m, -1).max(axis=1)
+            # A row with one label within rounding of its top score decodes
+            # to that label; the others (ties) take the lowest-index argmax.
+            near = top >= top.max(axis=0) * (1 - 1e-12)
+            label = names @ near
+            tie = np.flatnonzero(near.sum(axis=0) != 1)
+            if tie.size:
+                label[tie] = lifted[np.argmax(np.abs(rows[tie] @ h_t), axis=1)]
+            out[start:start + len(rows)] = label
         return out.reshape(x.shape[:-1])[()]   # a scalar for one reading
 
     return lookup
@@ -195,26 +215,24 @@ def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
     """Tight matched scheme on the subgroup H of eq for the orbit of
     orbit_base: D_i = E_i = union of R_{l c_i} over l in L, each of measure
     1/|I_k|."""
-    orbit, cosets, labels = _matched_cosets(eq, orbit_base)
+    orbit, _, labels = _matched_cosets(eq, orbit_base)
     sub = eq.subgroup
-    space = frame_torsor_space(sub.ambient)
-    # Inverse of each reading's nearest element.
-    nearest_inverse = _nearest_lookup(sub, sub.inverse)
+    decode_fn = _nearest_lookup(sub, labels)
+    # shifts[i][j] = c_j^{-1} c_i for the coset representatives c.
+    reps = np.array([eq.coset_reps.get(j, 0) for j in range(max(orbit) + 1)])
+    shifts = {i: sub.payloads[sub.table[sub.inverse[reps], reps[i]]]
+              for i in orbit}
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
-        # Direct sampling of the uniform measure on E_i.  For uniform f with
-        # nearest element m, m^{-1} f is uniform on the identity's Voronoi
-        # cell (the metric is bi-invariant), and (l c_i) m^{-1} f is uniform
-        # on R_{l c_i}; with l uniform on L the cells of E_i are equally
-        # likely.
-        f = space.sample(rng, n)
-        l = rng.integers(0, len(cosets[i]), size=n)
-        h = np.take(sub.payloads, sub.table[cosets[i][l], nearest_inverse(f)],
-                    axis=0)
-        return canonical_sign(quat_mul(h, f))
+        # A uniform f is uniform on its region E_j, and right translation by
+        # c_j^{-1} c_i carries each cell R_{l c_j} of E_j onto R_{l c_i}
+        # (the metric is bi-invariant), so the result is uniform on E_i.
+        f = groups.haar_batch(sub.ambient, rng, n)
+        return canonical_sign(quat_mul(
+            f, np.take(shifts[i], decode_fn(f), axis=0)))
 
-    return EncodingScheme(space, eq, orbit, "tight",
-                          _nearest_lookup(sub, labels), sample_fn)
+    return EncodingScheme(frame_torsor_space(sub.ambient), eq, orbit,
+                          "tight", decode_fn, sample_fn)
 
 
 def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
@@ -250,18 +268,20 @@ def rod_scheme() -> EncodingScheme:
     space = rod_axis_space()
 
     def decode_fn(x: np.ndarray) -> np.ndarray:
-        return np.argmax(np.abs(np.asarray(x)), axis=-1) + 1
+        # argmax |x_a| + 1 by column comparisons, lowest index on ties.
+        a, b, c = np.moveaxis(np.abs(np.asarray(x)), -1, 0)
+        b_wins = b >= c
+        return np.where(a >= np.where(b_wins, b, c), 1, 3 - b_wins)[()]
 
     def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
         # Swapping the dominant coordinate j of a uniform axis with
         # coordinate i-1 maps E_j isometrically onto E_i, so the result is
         # uniform on E_i.
         v = space.sample(rng, n)
-        rows = np.arange(n)
-        j = np.argmax(np.abs(v), axis=-1)
+        dominant = np.arange(-1, 3 * n - 1, 3) + decode_fn(v)  # flat index
         x = v.copy()
-        x[rows, i - 1] = v[rows, j]
-        x[rows, j] = v[rows, i - 1]
+        x[:, i - 1] = np.take(v, dominant)
+        np.put(x, dominant, v[:, i - 1])
         return x
 
     eq = equivariance_analysis(pauli_ueb(), groups.binary_octahedral())

@@ -537,6 +537,29 @@ def test_bootstrap_error_bars_are_calibrated():
         assert tail >= 0.01, (key, count, tail)
 
 
+def test_tight_error_bars_are_calibrated():
+    """The same binomial test for the result-1 map purity of the SU(2)
+    tight schemes, against exact values computed independently of this
+    code: the fourth-moment contraction of the identity cell's moments for
+    the matched scheme, the 48-node pair rule for the rod."""
+    seeds = range(2000, 2040)
+    samples = 1 << 14
+    spec, eq = su2_bundle()
+    exact = {"matched": (enc.tight_matched_scheme(eq, 1), 0.267531849),
+             "rod": (enc.rod_scheme(), 0.26985667430)}
+    for key, (scheme, want) in exact.items():
+        inside = 0
+        for seed in seeds:
+            value, err = ch.result_estimates(
+                spec, scheme, [1], "mc", samples,
+                seed)[1].map_purity_with_error()
+            inside += abs(value - want) <= 2 * err
+        n = len(seeds)
+        tail = sum(math.comb(n, k) * 0.95 ** k * 0.05 ** (n - k)
+                   for k in range(inside + 1))
+        assert tail >= 0.01, (key, inside, tail)
+
+
 # ---------------------------------------------------------------------------
 # Single-shot simulator
 # ---------------------------------------------------------------------------

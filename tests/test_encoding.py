@@ -2,6 +2,8 @@
 compatibility."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -255,6 +257,42 @@ def test_blocked_decode_matches_one_shot_decode(make):
         assert np.shape(got) == np.shape(ref) == x.shape[:-1]
         assert got.dtype == ref.dtype == np.int64
         assert np.array_equal(got, ref)
+
+
+def _lattice_readings(dim):
+    """The nonzero readings of {-3, ..., 3}^dim / 4, which include exact
+    ties between elements of different labels."""
+    grid = np.array(list(itertools.product(range(-3, 4), repeat=dim))) / 4
+    return grid[np.any(grid != 0, axis=1)]
+
+
+@pytest.mark.parametrize("make", MATCHED_SCHEMES,
+                         ids=["boct-tight", "btet-perfect", "z8-tight"])
+def test_decode_ties_follow_the_lowest_index_rule(make):
+    scheme = make()
+    sub = scheme.subgroup
+    x = _lattice_readings(4)
+    lifts = groups.first_lifts(sub.payloads)
+    labels = scheme.eq.sigma[min(scheme.indices)][lifts]
+    scores = np.abs(x @ sub.payloads[lifts].T)
+    tied = np.array([len(set(labels[row == row.max()])) > 1
+                     for row in scores])
+    assert np.count_nonzero(tied) >= 40
+    assert np.array_equal(scheme.decode_fn(x), one_shot_decode(scheme, x))
+    for reading in x[tied]:
+        assert scheme.decode_fn(reading) == one_shot_decode(scheme, reading)
+
+
+def test_rod_decode_ties_follow_the_lowest_index_rule():
+    decode_fn = enc.rod_scheme().decode_fn
+    x = np.concatenate([_lattice_readings(3), [[0.5, -0.5, 0.25],
+                                               [0.25, -0.5, 0.5],
+                                               [-0.5, 0.5, 0.5]]])
+    got = decode_fn(x)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.argmax(np.abs(x), axis=-1) + 1)
+    assert decode_fn(np.array([0.5, -0.5, 0.25])) == 1
+    assert decode_fn(x.reshape(-1, 1, 3)).shape == (len(x), 1)
 
 
 def rejection_sample(scheme, i, rng, n):
