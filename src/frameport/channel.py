@@ -386,7 +386,7 @@ def result_estimates(spec: TeleportationSpec, scheme: enc.EncodingScheme,
                      samples: int = 10 ** 6, seed: int = 0
                      ) -> dict[int, ChannelEstimate]:
     """Channels of a tight or perfect scheme for the given results, over the
-    Haar measure of its reading space's frame group, keyed in the order
+    Haar measure of its subgroup's ambient frame group, keyed in the order
     given; mix_estimates of all d^2 of them is the result-averaged channel.
 
     A result outside the scheme's orbit gets the exact conventional
@@ -401,7 +401,7 @@ def result_estimates(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     out: dict[int, ChannelEstimate] = {}
     for i in results:
         if i not in scheme.indices:
-            out[i] = conventional_channel(spec, scheme.space.group, i,
+            out[i] = conventional_channel(spec, scheme.subgroup.ambient, i,
                                           "quadrature")
         elif scheme.kind == "perfect":
             out[i] = _perfect_orbit_channel(spec, scheme, i, method, samples,
@@ -438,7 +438,7 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     quadrature) by the pair identity on E_b."""
     b = min(scheme.indices)
     if method == "quadrature":
-        if scheme.space.group != "u1":
+        if scheme.subgroup.ambient != "u1":
             raise ValueError("tight quadrature needs a circle-torsor scheme")
         # One arc per distinct reading of H: the Voronoi cells of a cyclic
         # group of m readings are arcs of half-width pi/(2m) about them.
@@ -451,14 +451,14 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
         # from it before rescaling.
         tr = np.trace(moment)
         return _exact_estimate(moment / tr, abs(tr - 1.0))
-    group = scheme.space.group
+    group = scheme.subgroup.ambient
     stream = HaarStream(group, seed)
     conj_by_u = _conjugation_map(spec.basis.quats[b])
 
     def sample_fn(rng, m):
         payloads = groups.haar_batch(group, rng, m)
         x = scheme.sample_fn(b, rng, m)
-        y = scheme.space.act(payloads, x)
+        y = scheme.act_fn(payloads, x)
         accept = enc.decode_batch(scheme, y) == b
         return _channel_quats(np.compress(accept, payloads, axis=0),
                               conj_by_u), accept
@@ -474,39 +474,39 @@ def _perfect_orbit_channel(spec: TeleportationSpec,
                            scheme: enc.EncodingScheme, result: int,
                            method: str, samples: int, seed: int
                            ) -> ChannelEstimate:
-    """On a matched (free) space the stabilizer is trivial and the channel
-    is the identity: quadrature returns it exactly, while MC simulates the
-    reconstruction honestly (sample g and x, decode, realign, accumulate the
-    net conjugation)."""
+    """On a matched scheme (a free action) the stabilizer is trivial and
+    the channel is the identity: quadrature returns it exactly, while MC
+    simulates the reconstruction honestly (sample g and x, decode, realign,
+    accumulate the net conjugation)."""
     if method == "quadrature":
         # The moment of the identity quaternion.
         return _exact_estimate(np.diag([1.0, 0.0, 0.0, 0.0]))
-    group = scheme.space.group
+    group = scheme.subgroup.ambient
     stream = HaarStream(group, seed)
 
     def sample_fn(rng, m):
         payloads = groups.haar_batch(group, rng, m)
         x = scheme.sample_fn(result, rng, m)
-        y = scheme.space.act(payloads, x)
-        corr = _reconstructed_corrections(spec, scheme, payloads, y,
-                                          enc.decode_batch(scheme, y))
+        y = scheme.act_fn(payloads, x)
+        corr = _conjugated(payloads, _bob_corrections(
+            spec, scheme, y, enc.decode_batch(scheme, y)))
         return quat_mul(corr, quat_conj(spec.basis.quats[result])), None
 
     moments, _ = _mc_accumulate(sample_fn, samples, stream)
     return _finish_mc(moments, samples, seed, 0.0)
 
 
-def _reconstructed_corrections(spec: TeleportationSpec,
-                               scheme: enc.EncodingScheme, payloads,
-                               y: np.ndarray, decoded: np.ndarray
-                               ) -> np.ndarray:
-    """Quaternions of rho(g)+ C_B rho(g), where Bob reconstructs the
-    alignment ghat from the received reading y and corrects with
-    C_B = rho(ghat) U_j rho(ghat)+ for the decoded index j."""
-    ghat = _reconstruct_alignment(scheme, y, decoded)
+def _bob_corrections(spec: TeleportationSpec, scheme: enc.EncodingScheme,
+                     y: np.ndarray, decoded: np.ndarray) -> np.ndarray:
+    """Quaternions of Bob's corrections C_B, in his frame, for received
+    readings y with decoded indices j: U_j for a tight scheme, and for a
+    perfect one rho(ghat) U_j rho(ghat)+ with the alignment ghat he
+    reconstructs from y."""
     u = np.take(spec.basis.quats, decoded, axis=0)
-    bob = quat_mul(quat_mul(ghat, u), quat_conj(ghat))
-    return _conjugated(payloads, bob)
+    if scheme.kind != "perfect":
+        return u
+    ghat = _reconstruct_alignment(scheme, y, decoded)
+    return quat_mul(quat_mul(ghat, u), quat_conj(ghat))
 
 
 def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
@@ -543,9 +543,10 @@ def single_shot_simulate(spec: TeleportationSpec,
     """
     if scheme is not None:
         _check_scheme_basis(spec, scheme)
-        if stream.group != scheme.space.group:
+        group = scheme.subgroup.ambient
+        if stream.group != group:
             raise ValueError(f"stream group {stream.group!r} is not the "
-                             f"scheme's frame group {scheme.space.group!r}")
+                             f"scheme's frame group {group!r}")
     d = spec.dim
     n_res = spec.basis.size
     # Born probabilities of the measurement results.
@@ -597,44 +598,23 @@ def _shot_corrections(spec: TeleportationSpec,
                       rng_read: Generator) -> np.ndarray:
     """Quaternions of Bob's corrections, in Alice's frame, for one block of
     shots with misalignments g and results; writes each shot's decoded
-    index into decoded."""
+    index into decoded.  The shots of each orbit index, in the order of
+    scheme.indices, draw their readings from rng_read."""
     decoded[:] = results
-    if scheme is None:
-        return _misaligned_corrections(spec, g, results)
-    # Singleton-orbit results carry a speakable label and send no reading.
-    in_orbit = np.isin(results, scheme.indices)
-    sent = np.compress(in_orbit, results)
-    g_sent = np.compress(in_orbit, g, axis=0)
-    readings = np.empty((len(sent), 3 if scheme.space.kind == "rod-axis"
-                         else 4))
-    for i in scheme.indices:
-        mask = sent == i
-        if np.any(mask):
-            readings[mask] = scheme.sample_fn(i, rng_read, int(mask.sum()))
-    received = scheme.space.act(g_sent, readings)
-    decoded_sent = enc.decode_batch(scheme, received)
-    decoded[in_orbit] = decoded_sent
-    if scheme.kind != "perfect":
-        return _misaligned_corrections(spec, g, decoded)
-    corr = np.empty_like(g)
-    speakable = ~in_orbit
-    corr[speakable] = _misaligned_corrections(
-        spec, np.compress(speakable, g, axis=0),
-        np.compress(speakable, results))
-    corr[in_orbit] = _reconstructed_corrections(spec, scheme, g_sent,
-                                                received, decoded_sent)
-    return corr
+    # A singleton-orbit result carries a speakable label and sends no
+    # reading, so Bob corrects with its U_x.
+    bob = np.take(spec.basis.quats, results, axis=0)
+    for i in () if scheme is None else scheme.indices:
+        shots = np.flatnonzero(results == i)
+        y = scheme.act_fn(np.take(g, shots, axis=0),
+                          scheme.sample_fn(i, rng_read, len(shots)))
+        j = enc.decode_batch(scheme, y)
+        decoded[shots] = j
+        bob[shots] = _bob_corrections(spec, scheme, y, j)
+    return _conjugated(g, bob)
 
 
 def _project_first(joint: np.ndarray, phi: np.ndarray, d: int) -> np.ndarray:
     """<phi| acting on the first two tensor factors of a (d^2 * d) system."""
     j = joint.reshape(d * d, d, d * d, d)
     return np.einsum("a,abcd,c->bd", phi.conj(), j, phi)
-
-
-def _misaligned_corrections(spec: TeleportationSpec, g: np.ndarray,
-                            indices: np.ndarray) -> np.ndarray:
-    """Quaternions of rho(g)+ U_j rho(g) for per-shot correction indices j,
-    given the quaternions g of rho(g)."""
-    return _conjugated(g, np.take(spec.basis.quats, indices, axis=0))
-

@@ -38,9 +38,6 @@ from .qmat import DensityMatrix
 
 __all__ = ["main", "build_id", "builtin_scheme", "SCHEME_NAMES"]
 
-CSV_COLUMNS = ["scheme", "interpretation", "purity", "stderr",
-               "linear_purity", "samples", "seed", "seconds"]
-
 
 def build_id() -> str:
     """Short content hash of the package sources."""
@@ -429,8 +426,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
-    report = optimize_conventional_ueb(args.group, samples=args.samples,
-                                       seed=args.seed, threads=args.threads)
+    report = optimize_conventional_ueb(args.group, seed=args.seed)
     seconds = time.perf_counter() - t0
     rows = [{"label": r.label,
              "params": " ".join(f"{p:.6f}" for p in r.params),

@@ -1,17 +1,20 @@
-"""Reading spaces with group actions, encoding/decoding schemes, the
-tight/perfect matched-scheme constructors, and the sampled scheme checks.
+"""Encoding/decoding schemes with the action of the frame group on their
+readings, the tight/perfect matched-scheme constructors, and the sampled
+scheme checks.
 
-Reading space kinds
--------------------
-- "frame-torsor": frame labels, canonical-signed unit quaternions.  A
+Reading actions
+---------------
+Each scheme carries act_fn(g, x), the action of frame quaternions g on its
+readings x, vectorized over readings (and over g if its leading shape
+matches x).  Its frame group is the ambient group of its subgroup.
+- A matched scheme reads frame labels, canonical-signed unit quaternions.  A
   physical g sends the label f to f g^{-1} (a left action on labels, matching
   how two parties' frame labellings transform into each other); -1 acts
-  trivially.  Two reading kinds share this action and differ only in their
-  uniform measure:
-  - over "u1": polarisation axes, the circle u1_quat(t) with t mod pi;
-  - over "su2": rotations, all unit quaternions up to sign.
-- "rod-axis": orientation axes, unit vectors with antipodal identification.
-  SU(2) acts through its rotation; +-g act identically.
+  trivially.  On the circle the labels are polarisation axes u1_quat(t) with
+  t mod pi; on SU(2) they are rotations, all unit quaternions up to sign.
+- The rod scheme reads orientation axes, unit vectors with antipodal
+  identification.  SU(2) acts through its rotation (groups.quat_rotate);
+  +-g act identically.
 
 Every scheme carries the equivariance data that fixes it: a UEB, a finite
 subgroup H of the frame group and an orbit of H on the UEB indices.  A
@@ -51,10 +54,7 @@ from .groups import FiniteSubgroup, HaarStream, canonical_sign, quat_conj, \
 from .ueb import EquivarianceData, equivariance_analysis, pauli_ueb
 
 __all__ = [
-    "ReadingSpace",
     "EncodingScheme",
-    "rod_axis_space",
-    "frame_torsor_space",
     "decode_batch",
     "sample_encoding",
     "tight_matched_scheme",
@@ -68,59 +68,26 @@ __all__ = [
 _DECODE_BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class ReadingSpace:
-    """A manifold of classical readings with a physical-group action and a
-    normalized invariant measure."""
-
-    kind: str
-    group: str          # tag of the frame group whose quaternions act
-
-    def act(self, g_payload, x: np.ndarray) -> np.ndarray:
-        """Apply the action, vectorized over readings (and over g if its
-        leading shape matches x)."""
-        if self.kind == "rod-axis":
-            return quat_rotate(np.asarray(g_payload), np.asarray(x))
-        if self.kind == "frame-torsor":
-            return canonical_sign(quat_mul(np.asarray(x),
-                                           quat_conj(np.asarray(g_payload))))
-        raise ValueError(f"unknown space kind {self.kind!r}")
-
-    def sample(self, rng: Generator, n: int) -> np.ndarray:
-        """n uniform readings."""
-        if self.kind == "rod-axis":
-            vec = rng.normal(size=(n, 3))
-            x, y, z = vec.T
-            return vec / np.sqrt(x * x + y * y + z * z)[:, None]
-        return canonical_sign(groups.haar_batch(self.group, rng, n))
-
-
-def rod_axis_space() -> ReadingSpace:
-    return ReadingSpace("rod-axis", "su2")
-
-
-def frame_torsor_space(group: str) -> ReadingSpace:
-    """The label torsor of a frame group: "u1" (the circle), "su2" or
-    "so3"."""
-    if group not in ("u1", "su2", "so3"):
-        raise ValueError(f"no frame torsor over {group!r}")
-    return ReadingSpace("frame-torsor", group)
+def _torsor_act(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The label action x -> x g^{-1} of the matched schemes."""
+    return canonical_sign(quat_mul(x, quat_conj(g)))
 
 
 @dataclass(frozen=True)
 class EncodingScheme:
-    """Encoding/decoding rule over a reading space for one orbit of UEB
-    indices under the subgroup of its equivariance data.
+    """Encoding/decoding rule for one orbit of UEB indices under the
+    subgroup of its equivariance data.
 
-    decode_fn maps a batch of readings to UEB indices; sample_fn draws
-    uniform readings from E_i (region schemes) or X_i (perfect schemes).
-    Each region E_i of a tight scheme has measure 1/len(indices).
+    act_fn(g, x) moves readings x by frame quaternions g; decode_fn maps a
+    batch of readings to UEB indices; sample_fn draws uniform readings from
+    E_i (region schemes) or X_i (perfect schemes).  Each region E_i of a
+    tight scheme has measure 1/len(indices).
     """
 
-    space: ReadingSpace
     eq: EquivarianceData
     indices: tuple[int, ...]
     kind: str                                   # "tight" | "perfect"
+    act_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     decode_fn: Callable[[np.ndarray], np.ndarray]
     sample_fn: Callable[[int, Generator, int], np.ndarray]
     points: dict[int, np.ndarray] | None = None  # X_i for perfect schemes
@@ -231,8 +198,8 @@ def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
         return canonical_sign(quat_mul(
             f, np.take(shifts[i], decode_fn(f), axis=0)))
 
-    return EncodingScheme(frame_torsor_space(sub.ambient), eq, orbit,
-                          "tight", decode_fn, sample_fn)
+    return EncodingScheme(eq, orbit, "tight", _torsor_act, decode_fn,
+                          sample_fn)
 
 
 def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
@@ -253,8 +220,8 @@ def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
         pts = points[i]
         return np.take(pts, rng.integers(0, len(pts), size=n), axis=0)
 
-    return EncodingScheme(frame_torsor_space(sub.ambient), eq, orbit,
-                          "perfect", _nearest_lookup(sub, labels), sample_fn,
+    return EncodingScheme(eq, orbit, "perfect", _torsor_act,
+                          _nearest_lookup(sub, labels), sample_fn,
                           points=points)
 
 
@@ -265,7 +232,6 @@ def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
 def rod_scheme() -> EncodingScheme:
     """Rod-orientation scheme: axes sorted by dominant |component|; the axis
     through the a-faces of the axis-aligned cube decodes to UEB index a."""
-    space = rod_axis_space()
 
     def decode_fn(x: np.ndarray) -> np.ndarray:
         # argmax |x_a| + 1 by column comparisons, lowest index on ties.
@@ -277,7 +243,9 @@ def rod_scheme() -> EncodingScheme:
         # Swapping the dominant coordinate j of a uniform axis with
         # coordinate i-1 maps E_j isometrically onto E_i, so the result is
         # uniform on E_i.
-        v = space.sample(rng, n)
+        v = rng.normal(size=(n, 3))
+        a, b, c = v.T
+        v /= np.sqrt(a * a + b * b + c * c)[:, None]
         dominant = np.arange(-1, 3 * n - 1, 3) + decode_fn(v)  # flat index
         x = v.copy()
         x[:, i - 1] = np.take(v, dominant)
@@ -285,7 +253,7 @@ def rod_scheme() -> EncodingScheme:
         return x
 
     eq = equivariance_analysis(pauli_ueb(), groups.binary_octahedral())
-    return EncodingScheme(space, eq, eq.orbit_of(1), "tight", decode_fn,
+    return EncodingScheme(eq, eq.orbit_of(1), "tight", quat_rotate, decode_fn,
                           sample_fn)
 
 
@@ -311,7 +279,7 @@ def check_scheme(scheme: EncodingScheme, stream: HaarStream,
     compatibility = finite = None
     for pos, i in enumerate(scheme.indices):
         x = sample_encoding(scheme, i, stream.advance(pos), len(hs))
-        got = decode_batch(scheme, scheme.space.act(
+        got = decode_batch(scheme, scheme.act_fn(
             np.take(sub.payloads, hs, axis=0), x))
         expected = eq.sigma_inv(hs, i)
         bad = got != expected

@@ -283,17 +283,14 @@ class OptimizationReport:
 _U1_BOX = np.array([np.pi, np.pi, 2 * np.pi, 2 * np.pi])
 
 
-def optimize_conventional_ueb(group: str, samples: int = 2 * 10 ** 5,
-                              seed: int = 0, restarts: int = 8,
-                              scan: int = 100,
-                              threads: int = 1) -> OptimizationReport:
+def optimize_conventional_ueb(group: str, seed: int = 0, restarts: int = 8,
+                              scan: int = 100) -> OptimizationReport:
     """Search the conventional-scheme UEB parameter space for linear map
     purity beating the Pauli basis.
 
     Circle group: Nelder-Mead over the four angles with `restarts` seeded
     random starts.  Rotation group: evaluate `scan` seeded random angle
     triples plus the Pauli point.  Both objectives are exact (stderr 0).
-    `samples` and `threads` are accepted and unused.
     """
     rng = np.random.default_rng(seed)
     if group == "u1":

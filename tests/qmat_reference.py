@@ -5,8 +5,9 @@ purities), the conjugation superoperator of a unitary, the von Neumann
 entropy, the linear purity of a channel estimate with its bootstrap error,
 raw Haar draws and substreams of a stream, the distance-based
 nearest-element search, the one-shot and the single-reading decode,
-equal-measure bins of a reading space, the per-triple and 4x4-matrix forms
-of the two optimize objectives, and Nelder-Mead on numpy arrays."""
+uniform readings of a scheme and equal-measure bins of them, the
+per-triple and 4x4-matrix forms of the two optimize objectives, and
+Nelder-Mead on numpy arrays."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -15,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from frameport.channel import ChannelEstimate
-from frameport.encoding import EncodingScheme, ReadingSpace, decode_batch
+from frameport.encoding import EncodingScheme, decode_batch
 from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
-    first_lifts, haar_batch, quat_conj, quat_mul
+    canonical_sign, first_lifts, haar_batch, quat_conj, quat_mul, quat_rotate
 from frameport.qmat import DensityMatrix, InvariantViolation, Superoperator, \
     UnitaryMatrix, _entropy, clamped_eigenvalues, spectrum_purities
 
@@ -195,16 +196,31 @@ def decode(scheme: EncodingScheme, x) -> int:
     return int(decode_batch(scheme, np.asarray([x]))[0])
 
 
-def uniform_bins(space: ReadingSpace, x: np.ndarray, n_bins: int = 64
+def is_rod(scheme: EncodingScheme) -> bool:
+    """Whether the scheme reads rod axes rather than frame labels."""
+    return scheme.act_fn is quat_rotate
+
+
+def uniform_readings(scheme: EncodingScheme, rng, n: int) -> np.ndarray:
+    """n uniform readings of a scheme: unit axes for the rod scheme, and
+    canonical-signed Haar labels of its frame group otherwise."""
+    if is_rod(scheme):
+        vec = rng.normal(size=(n, 3))
+        x, y, z = vec.T
+        return vec / np.sqrt(x * x + y * y + z * z)[:, None]
+    return canonical_sign(haar_batch(scheme.subgroup.ambient, rng, n))
+
+
+def uniform_bins(scheme: EncodingScheme, x: np.ndarray, n_bins: int = 64
                  ) -> np.ndarray:
-    """Assign readings of a space to one of n_bins equal-measure bins (for
+    """Assign readings of a scheme to one of n_bins equal-measure bins (for
     uniformity tests)."""
     x = np.asarray(x)
-    if space.group == "u1":
+    if scheme.subgroup.ambient == "u1":
         # Equal arcs of the axis angle t of u1_quat(t), mod pi.
         t = np.arctan2(-x[..., 3], x[..., 0]) % np.pi
         return np.minimum((t / np.pi * n_bins).astype(int), n_bins - 1)
-    if space.kind == "rod-axis":
+    if is_rod(scheme):
         side = int(round(np.sqrt(n_bins)))
         # Fold to the upper hemisphere; equal-area bands in |z| times
         # azimuthal sectors.
@@ -213,7 +229,7 @@ def uniform_bins(space: ReadingSpace, x: np.ndarray, n_bins: int = 64
         az = (np.arctan2(v[:, 1], v[:, 0]) % (2 * np.pi)) / (2 * np.pi)
         sector = np.minimum((az * side).astype(int), side - 1)
         return band * side + sector
-    raise ValueError(f"no binning rule for {space.kind!r}")
+    raise ValueError("no binning rule for SU(2) frame labels")
 
 
 def unit_vector(psi: float, phi: float) -> np.ndarray:

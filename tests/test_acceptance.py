@@ -270,9 +270,9 @@ def test_acceptance_8_transmission_uniformity():
             for j, (i, m) in enumerate(zip(*np.unique(idx,
                                                       return_counts=True)))])
         g = g[:len(x)]
-        sent = np.stack([sch.space.act(gi, xi) for gi, xi in zip(g, x)]) \
-            if group == "su2" else sch.space.act(g, x)
-        labels = uniform_bins(sch.space, np.asarray(sent), bins)
+        sent = np.stack([sch.act_fn(gi, xi) for gi, xi in zip(g, x)]) \
+            if group == "su2" else sch.act_fn(g, x)
+        labels = uniform_bins(sch, np.asarray(sent), bins)
         counts = np.bincount(labels, minlength=bins)
         p = stats.chisquare(counts).pvalue
         pvals.append(p)
@@ -288,8 +288,7 @@ def test_acceptance_8_transmission_uniformity():
 def test_acceptance_9_optimization():
     r1 = opt.optimize_conventional_ueb("u1", restarts=8, seed=0)
     ok = r1.pauli_is_optimal(slack=2e-3)
-    r2 = opt.optimize_conventional_ueb("su2", samples=2 * 10 ** 5, seed=0,
-                                       scan=100, threads=4)
+    r2 = opt.optimize_conventional_ueb("su2", seed=0, scan=100)
     ok = ok and r2.pauli_is_optimal(sigmas=3.0)
     report(9, ok, f"u1 best {r1.best.linear_purity:.4f}, "
                   f"su2 best {r2.best.linear_purity:.4f} "

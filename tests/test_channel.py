@@ -368,8 +368,8 @@ def test_rod_point_encoding_is_perfectly_correctable():
         assert np.max(np.abs(np.abs(w[:, 0]) - 1.0)) < 1e-12
     rod = enc.rod_scheme()
     points = {i: np.eye(3)[i - 1][None] for i in (1, 2, 3)}
-    scheme = enc.EncodingScheme(rod.space, rod.eq, (1, 2, 3),
-                                "perfect", rod.decode_fn,
+    scheme = enc.EncodingScheme(rod.eq, (1, 2, 3), "perfect", rod.act_fn,
+                                rod.decode_fn,
                                 lambda i, rng, n: np.tile(points[i][0], (n, 1)),
                                 points=points)
     for i in (1, 2, 3):

@@ -119,14 +119,27 @@ def test_channel_su2_conventional_quadrature(tmp_path):
     assert payload["map_purity_stderr"] == 0.0
 
 
+CSV_HEADER = ("scheme,interpretation,purity,stderr,linear_purity,samples,"
+              "seed,seconds")
+
+
 def test_channel_csv_header_and_rows(tmp_path):
     out = tmp_path / "c.csv"
     assert run(["channel", "--scheme", "u1-conventional", "--method",
                 "quadrature", "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert re.match(r"# build [0-9a-f]{12} seed 0", lines[0])
-    assert lines[1].startswith("scheme,")
+    assert lines[1] == CSV_HEADER
     assert lines[2].startswith("u1-conventional,result-averaged,")
+    # table1 writes the same header over its 6 table rows and the 2
+    # mean-result rows of the SU(2) tight schemes.
+    assert run(["table1", "--samples", "20000", "--format", "csv",
+                "--out", str(out)]) == 0
+    header, *rows = out.read_text().strip().splitlines()[1:]
+    assert header == CSV_HEADER
+    assert len(rows) == 8
+    interpretations = [row.split(",")[1] for row in rows]
+    assert interpretations.count("mean-result-purity") == 2
 
 
 def test_scheme_alias_matches_canonical(tmp_path):

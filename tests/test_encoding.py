@@ -1,4 +1,4 @@
-"""Encoding-layer tests: reading spaces, matched schemes, rod scheme,
+"""Encoding-layer tests: reading actions, matched schemes, rod scheme,
 compatibility."""
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from frameport import cli
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream, canonical_sign, u1_quat
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
-from qmat_reference import decode, nearest_indices, one_shot_decode, \
-    uniform_bins
+from qmat_reference import decode, is_rod, nearest_indices, one_shot_decode, \
+    uniform_bins, uniform_readings
 
 STREAM = HaarStream("su2", 5)
 
@@ -32,24 +33,26 @@ def btet_equivariance():
 
 
 # ---------------------------------------------------------------------------
-# Reading spaces
+# Reading actions
 # ---------------------------------------------------------------------------
 
 def test_rod_axis_action_is_rotation():
-    sp = enc.rod_axis_space()
+    act = enc.rod_scheme().act_fn
     q = groups.axis_angle_quat([0, 0, 1], np.pi / 2)
-    assert np.allclose(sp.act(q, np.array([1.0, 0, 0])), [0, 1, 0],
-                       atol=1e-12)
+    assert np.allclose(act(q, np.array([1.0, 0, 0])), [0, 1, 0], atol=1e-12)
 
 
-def test_torsor_action_composition():
-    # act(g2, act(g1, x)) == act(g1 g2, x): labels transform contravariantly.
-    sp = enc.frame_torsor_space("so3")
+@pytest.mark.parametrize("name", cli.ENCODED_SCHEMES)
+def test_torsor_action_composition(name):
+    # act(g2, act(g1, x)) == act(g2 g1, x): labels transform contravariantly
+    # and axes covariantly, and both are actions of the frame group.
+    scheme = cli.builtin_scheme(name).scheme
+    act = scheme.act_fn
     rng = np.random.default_rng(0)
-    x, g1, g2 = (groups.canonical_sign(groups.sample_su2(rng, 1)[0])
-                 for _ in range(3))
-    lhs = sp.act(g2, sp.act(g1, x))
-    rhs = sp.act(groups.quat_mul(g2, g1), x)
+    x = uniform_readings(scheme, rng, 1)[0]
+    g1, g2 = groups.haar_batch(scheme.subgroup.ambient, rng, 2)
+    lhs = act(g2, act(g1, x))
+    rhs = act(groups.quat_mul(g2, g1), x)
     assert min(np.linalg.norm(lhs - rhs), np.linalg.norm(lhs + rhs)) < 1e-9
 
 
@@ -57,23 +60,24 @@ def test_circle_torsor_action():
     # The circle torsor acts as on SU(2): composition holds, x and -x are
     # one reading, and g = u1_quat(theta) moves the axis angle t of
     # u1_quat(t) to t - theta mod pi.
-    sp = enc.frame_torsor_space("u1")
+    act = enc.tight_matched_scheme(u1_equivariance(), 1).act_fn
     x, g1, g2 = u1_quat(np.random.default_rng(0).random(3) * 2 * np.pi)
-    lhs = sp.act(g2, sp.act(g1, x))
-    rhs = sp.act(groups.quat_mul(g2, g1), x)
+    lhs = act(g2, act(g1, x))
+    rhs = act(groups.quat_mul(g2, g1), x)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    assert np.array_equal(sp.act(g1, x), sp.act(g1, -x))
-    assert np.allclose(sp.act(u1_quat(np.pi / 2), u1_quat(3.0)),
+    assert np.array_equal(act(g1, x), act(g1, -x))
+    assert np.allclose(act(u1_quat(np.pi / 2), u1_quat(3.0)),
                        canonical_sign(u1_quat(3.0 - np.pi / 2)), atol=1e-12)
-    assert np.allclose(sp.act(u1_quat(np.pi), u1_quat(0.3)),
+    assert np.allclose(act(u1_quat(np.pi), u1_quat(0.3)),
                        canonical_sign(u1_quat(0.3)), atol=1e-12)
 
 
 def test_uniform_bins_cover_and_balance():
     rng = np.random.default_rng(1)
-    for sp in (enc.frame_torsor_space("u1"), enc.rod_axis_space()):
-        x = sp.sample(rng, 64000)
-        bins = uniform_bins(sp, x, 64)
+    for scheme in (enc.tight_matched_scheme(u1_equivariance(), 1),
+                   enc.rod_scheme()):
+        x = uniform_readings(scheme, rng, 64000)
+        bins = uniform_bins(scheme, x, 64)
         counts = np.bincount(bins, minlength=64)
         assert len(counts) == 64
         assert counts.min() > 700 and counts.max() < 1300
@@ -178,7 +182,7 @@ def test_boct_matched_scheme_spec_structure():
 def test_boct_tight_region_measures():
     scheme = enc.tight_matched_scheme(boct_equivariance(), 1)
     rng = np.random.default_rng(3)
-    x = scheme.space.sample(rng, 60000)
+    x = uniform_readings(scheme, rng, 60000)
     labels = enc.decode_batch(scheme, x)
     for i in (1, 2, 3):
         assert np.mean(labels == i) == pytest.approx(1 / 3, abs=0.02)
@@ -209,7 +213,7 @@ def test_rod_scheme_decode_and_measure():
     assert decode(scheme, np.array([0.1, -0.9, 0.2])) == 2
     assert decode(scheme, np.array([0.1, 0.2, 0.9])) == 3
     rng = np.random.default_rng(4)
-    labels = enc.decode_batch(scheme, scheme.space.sample(rng, 60000))
+    labels = enc.decode_batch(scheme, uniform_readings(scheme, rng, 60000))
     for i in (1, 2, 3):
         assert np.mean(labels == i) == pytest.approx(1 / 3, abs=0.02)
 
@@ -299,7 +303,7 @@ def rejection_sample(scheme, i, rng, n):
     """Reference sampler: uniform readings conditioned on decoding to i."""
     out, got = [], 0
     while got < n:
-        cand = scheme.space.sample(rng, 4 * n)
+        cand = uniform_readings(scheme, rng, 4 * n)
         keep = cand[scheme.decode_fn(cand) == i]
         out.append(keep)
         got += len(keep)
@@ -310,7 +314,7 @@ def voronoi_cells(scheme, x):
     """Cell of each reading inside its region: the nearest subgroup rotation
     (matched schemes), or the sign of the dominant coordinate and which other
     coordinate is larger (rod scheme: four equal parts of a face pair)."""
-    if scheme.space.kind == "rod-axis":
+    if is_rod(scheme):
         order = np.argsort(np.abs(x), axis=1)
         dominant = order[:, 2]
         sign = x[np.arange(len(x)), dominant] > 0
@@ -379,9 +383,8 @@ def _scrambled_boct_scheme(where=lambda x, decoded: True):
         return np.where(where(x, decoded), np.vectorize(swap.get)(decoded),
                         decoded)
 
-    bad = enc.EncodingScheme(
-        good.space, good.eq, good.indices, "tight", bad_decode,
-        good.sample_fn)
+    bad = enc.EncodingScheme(good.eq, good.indices, "tight", good.act_fn,
+                             bad_decode, good.sample_fn)
     return bad, eq
 
 
@@ -395,8 +398,8 @@ def test_compatibility_detects_scrambled_decoder():
         assert not ok and "expected" in report
         # The counterexample is real: its transported reading decodes to
         # `got`, and `expected` is sigma(i, h^-1).
-        received = bad.space.act(eq.subgroup.payloads[report["h"]],
-                                 np.asarray(report["x"]))
+        received = bad.act_fn(eq.subgroup.payloads[report["h"]],
+                              np.asarray(report["x"]))
         assert decode(bad, received) == report["got"] != report["expected"]
         assert report["expected"] == eq.sigma_inv(report["h"], report["i"])
 

@@ -182,8 +182,7 @@ def test_u1_report_pauli_is_optimal():
 
 
 def test_su2_report_structure():
-    report = opt.optimize_conventional_ueb("su2", samples=2 * 10 ** 4,
-                                           seed=2, scan=5, threads=2)
+    report = opt.optimize_conventional_ueb("su2", seed=2, scan=5)
     assert len(report.rows) == 6
     purities = [r.linear_purity for r in report.rows]
     assert purities == sorted(purities, reverse=True)
