@@ -43,11 +43,12 @@ its trace-1 moment and its bootstrap moments: spectra, purities, error
 bars, mixtures and orbit conjugates are real 4x4 array operations, and the
 superoperator is formed only for output.
 
-Monte Carlo draws run in batches of _BATCH = 2^13 samples, each batch
-from its own counter of the seed's Philox stream, and the simulator runs
-its shots in blocks of the same size; an estimate is therefore bit-exact
-per seed for a fixed _BATCH.  A batch's (n, 4) float64 temporaries are
-then 256 KiB each, all of a batch's live ones together under 2 MiB for an
+Monte Carlo draws run in batches of _BATCH = 2^13 samples, each from its
+own counter of the seed's HaarStream (conventional result i from i << 48
+on), with bootstrap picks _BOOT_OFFSET counters past the first batch; the
+simulator runs its shots in blocks of the same size.  An estimate is
+therefore bit-exact per seed for a fixed _BATCH.  A batch's (n, 4) float64
+temporaries are 256 KiB each, all of a batch's live ones under 2 MiB for an
 MC channel (3 MiB for a simulated block), and the heap reuses their pages
 from batch to batch.  At 2^17 samples they were 4 MiB each and were mapped
 and page-faulted afresh on most batches, which cost more than the
@@ -102,6 +103,7 @@ __all__ = [
 _BATCH = 1 << 13
 _N_BLOCKS = 64
 _N_BOOT = 64
+_BOOT_OFFSET = 1 << 44
 
 # Row 4j + k is kron(conj M_j, M_k), column-stacked, with M_j the SU(2)
 # matrix of the j-th unit quaternion; contracting a second moment with it
@@ -222,9 +224,9 @@ def _exact_estimate(moment: np.ndarray, pre_norm_deviation: float = 0.0
 def mix_estimates(parts: list[ChannelEstimate]) -> ChannelEstimate:
     """Equal-weight mixture of channel estimates.
 
-    Caution: replicates are combined index-aligned, which is the correct
-    treatment when the parts derive from the same underlying sample stream
-    (orbit-mates of one base channel) and conservative otherwise.
+    Replicates are combined index by index, which is right for parts drawn
+    from one sample stream (orbit-mates of one base channel) and for
+    independent parts (the results of a conventional channel).
     """
     w = 1.0 / len(parts)
     reps = None
@@ -240,7 +242,7 @@ def mix_estimates(parts: list[ChannelEstimate]) -> ChannelEstimate:
                            max(e.pre_norm_deviation for e in parts), reps)
 
 
-def _finish_mc(moments: np.ndarray, samples: int, seed: int,
+def _finish_mc(moments: np.ndarray, samples: int, stream: HaarStream,
                pre_norm_deviation: float) -> ChannelEstimate:
     """Normalize per-block moments to a trace-1 estimate with block-bootstrap
     replicates; a block's trace is its count of accepted draws."""
@@ -248,13 +250,13 @@ def _finish_mc(moments: np.ndarray, samples: int, seed: int,
     norm = np.trace(total)
     if norm <= 0:
         raise RuntimeError("no accepted Monte Carlo samples")
-    rng = Generator(np.random.Philox(key=seed ^ 0x5EED_B007))
+    rng = stream.advance(_BOOT_OFFSET).generator()
     n_blocks = moments.shape[0]
     picks = rng.integers(0, n_blocks, size=(_N_BOOT, n_blocks))
     reps = moments[picks].sum(axis=1)
     reps /= np.trace(reps, axis1=1, axis2=2)[:, None, None]
-    return ChannelEstimate(total / norm, "monte-carlo", samples, seed,
-                           pre_norm_deviation, reps)
+    return ChannelEstimate(total / norm, "monte-carlo", samples,
+                           stream.seed, pre_norm_deviation, reps)
 
 
 def _moment(w: np.ndarray) -> np.ndarray:
@@ -346,7 +348,7 @@ def conventional_channel(spec: TeleportationSpec, group: str,
     integral over g of [rho(g)+ U_i rho(g) U_i+], or the equal mix over i."""
     if result == "averaged":
         return mix_estimates([conventional_channel(spec, group, i, method,
-                                                   samples, seed + i)
+                                                   samples, seed)
                               for i in range(spec.basis.size)])
     i = int(result)
     if method == "quadrature":
@@ -354,7 +356,7 @@ def conventional_channel(spec: TeleportationSpec, group: str,
             spec, groups.haar_fourth_moment(group), i))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
-    stream = HaarStream(group, seed)
+    stream = HaarStream(group, seed).advance(i << 48)
     conj_by_u = _conjugation_map(spec.basis.quats[i])
 
     def sample_fn(rng, m):
@@ -362,7 +364,7 @@ def conventional_channel(spec: TeleportationSpec, group: str,
                               conj_by_u), None
 
     moments, _ = _mc_accumulate(sample_fn, samples, stream)
-    return _finish_mc(moments, samples, seed, 0.0)
+    return _finish_mc(moments, samples, stream, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +469,7 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     # The un-normalized theorem estimator has Choi trace |I_k| N_acc / N,
     # which should be 1; report its deviation before exact TP rescaling.
     dev = abs(len(scheme.indices) * accepted / samples - 1.0)
-    return _finish_mc(moments, samples, seed, dev)
+    return _finish_mc(moments, samples, stream, dev)
 
 
 def _perfect_orbit_channel(spec: TeleportationSpec,
@@ -493,7 +495,7 @@ def _perfect_orbit_channel(spec: TeleportationSpec,
         return quat_mul(corr, quat_conj(spec.basis.quats[result])), None
 
     moments, _ = _mc_accumulate(sample_fn, samples, stream)
-    return _finish_mc(moments, samples, seed, 0.0)
+    return _finish_mc(moments, samples, stream, 0.0)
 
 
 def _bob_corrections(spec: TeleportationSpec, scheme: enc.EncodingScheme,

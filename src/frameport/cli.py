@@ -469,8 +469,8 @@ def _bounded_int(low: int, below: int | None = None) -> Callable[[str], int]:
     return parse
 
 
-# Seeds key Philox streams, whose keys must lie in [0, 2^128); offsets
-# derived from a seed stay inside that range below 2^64.
+# The CLI's seed range.  A seed keys groups.HaarStream, which takes any
+# non-negative integer; the bound keeps seeds to one documented range.
 _SEED_LIMIT = 1 << 64
 
 

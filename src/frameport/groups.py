@@ -43,7 +43,7 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 __all__ = [
     "FiniteSubgroup",
@@ -359,14 +359,17 @@ def subgroup_by_name(name: str) -> FiniteSubgroup:
 @dataclass(frozen=True)
 class HaarStream:
     """Counter-based random stream: identical (seed, counter) always yields
-    identical draws.  advance(n) moves the counter n steps on."""
+    identical draws.  advance(n) moves the counter n steps on.  The pair
+    keys SFC64 by SeedSequence(seed, spawn_key=(counter,)), injective where
+    an entropy list is not ([0, 1] and [2**32, 0] give one stream)."""
 
     group: str
     seed: int
     counter: int = 0
 
     def generator(self) -> Generator:
-        return Generator(Philox(key=self.seed, counter=self.counter << 64))
+        return Generator(SFC64(SeedSequence(self.seed,
+                                            spawn_key=(self.counter,))))
 
     def advance(self, n: int = 1) -> "HaarStream":
         return replace(self, counter=self.counter + n)

@@ -131,6 +131,23 @@ def test_conventional_mc_agrees_with_quadrature():
             assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
 
 
+def test_averaged_conventional_mc_is_the_mix_of_its_results():
+    # Result i draws from the seed's own stream at counter i << 48, so the
+    # averaged estimate at a seed is the mix of that seed's result
+    # estimates, and no result shares its draws with a neighbouring seed.
+    spec, _ = su2_bundle()
+    averaged = ch.conventional_channel(spec, "su2", "averaged", "mc",
+                                       20000, 6)
+    mixed = ch.mix_estimates([ch.conventional_channel(spec, "su2", i, "mc",
+                                                      20000, 6)
+                              for i in range(4)])
+    assert np.array_equal(averaged.moment, mixed.moment)
+    assert np.array_equal(averaged.replicates, mixed.replicates)
+    neighbour = ch.conventional_channel(spec, "su2", 2, "mc", 20000, 7)
+    assert not any(np.array_equal(neighbour.moment, ch.conventional_channel(
+        spec, "su2", i, "mc", 20000, 6).moment) for i in range(4))
+
+
 # ---------------------------------------------------------------------------
 # Tight channel
 # ---------------------------------------------------------------------------

@@ -236,6 +236,16 @@ def test_haar_stream_child_streams_differ():
     s = HaarStream("su2", 3)
     assert not np.array_equal(haar_payloads(child_stream(s, 0), 10),
                               haar_payloads(child_stream(s, 1), 10))
+    # Each (seed, counter) pair keys its own stream.  The pair (0, 1) vs
+    # (2^32, 0) tells a spawn-key key from an entropy-list key, under which
+    # both pairs read as the words [0, 1].
+    key_pairs = [((0, 1), (2 ** 32, 0)), ((3, 0), (3, 1 << 40)),
+                 ((3, 0), (4, 0)), ((2 ** 64 - 2, 5), (2 ** 64 - 1, 5))]
+    for a, b in key_pairs:
+        assert np.array_equal(haar_payloads(HaarStream("su2", *a), 10),
+                              haar_payloads(HaarStream("su2", *a), 10))
+        assert not np.array_equal(haar_payloads(HaarStream("su2", *a), 10),
+                                  haar_payloads(HaarStream("su2", *b), 10))
 
 
 def test_sample_su2_moments():
@@ -245,12 +255,43 @@ def test_sample_su2_moments():
     assert np.allclose((q ** 2).mean(axis=0), 0.25, atol=0.01)
 
 
-def test_sample_su2_fourth_moments_are_exact_haar():
+def fourth_power_mean(q):
+    """Mean of q (x) q (x) q (x) q over quaternions q (n, 4): the Gram
+    matrix of the pair products q_a q_b."""
+    pairs = (q[:, :, None] * q[:, None, :]).reshape(len(q), 16)
+    return (pairs.T @ pairs).reshape(4, 4, 4, 4) / len(q)
+
+
+HAAR_SOURCES = {
+    "default_rng": np.random.default_rng,
+    "stream": lambda seed: HaarStream("su2", seed).generator(),
+}
+
+
+def assert_fourth_moment_is(q, t4):
+    """Every entry of the sample mean of q^(x4) lies within 5 standard
+    errors of t4; an entry's variance is E[q_a^2 q_b^2 q_c^2 q_d^2] less
+    its squared mean, and entries that vanish identically must be 0."""
+    mean = fourth_power_mean(q)
+    stderr = np.sqrt((fourth_power_mean(q * q) - mean ** 2) / len(q))
+    assert np.all(np.abs(mean - t4) <= 5 * stderr), np.max(
+        np.abs(mean - t4) / np.maximum(stderr, 1e-300))
+
+
+@pytest.mark.parametrize("source", HAAR_SOURCES)
+def test_sample_su2_fourth_moments_are_exact_haar(source):
     # Uniform on S^(d-1) with d = 4: E[q_i^4] = 3 / (d (d + 2)) = 1/8 for
     # every component.  The standard error of each mean is 3.1e-4.
-    q = sample_su2(np.random.default_rng(1), 400000)
+    q = sample_su2(HAAR_SOURCES[source](1), 400000)
     assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
     assert np.allclose((q ** 4).mean(axis=0), 1 / 8, atol=1.5e-3)
+    assert_fourth_moment_is(q, groups.haar_fourth_moment("su2"))
+
+
+@pytest.mark.parametrize("source", HAAR_SOURCES)
+def test_haar_batch_u1_fourth_moments_are_exact_haar(source):
+    q = groups.haar_batch("u1", HAAR_SOURCES[source](4), 400000)
+    assert_fourth_moment_is(q, groups.haar_fourth_moment("u1"))
 
 
 def test_sample_su2_trace_fourth_moment_is_catalan():
@@ -258,11 +299,6 @@ def test_sample_su2_trace_fourth_moment_is_catalan():
     q = sample_su2(np.random.default_rng(2), 400000)
     tr = np.trace(su2_matrix(q), axis1=-2, axis2=-1)
     assert (np.abs(tr) ** 4).mean() == pytest.approx(2.0, abs=0.025)
-
-
-def fourth_power_mean(q):
-    """Mean of q (x) q (x) q (x) q over quaternions q (n, 4)."""
-    return np.einsum("na,nb,nc,nd->abcd", q, q, q, q) / len(q)
 
 
 def test_su2_fourth_moment_is_the_btet_mean():
