@@ -46,13 +46,15 @@ superoperator is formed only for output.
 Monte Carlo draws run in batches of _BATCH = 2^13 samples, each from its
 own counter of the seed's HaarStream (conventional result i from i << 48
 on), with bootstrap picks _BOOT_OFFSET counters past the first batch; the
-simulator runs its shots in blocks of the same size.  An estimate is
-therefore bit-exact per seed for a fixed _BATCH.  A batch's (n, 4) float64
-temporaries are 256 KiB each, all of a batch's live ones under 2 MiB for an
-MC channel (3 MiB for a simulated block), and the heap reuses their pages
-from batch to batch.  At 2^17 samples they were 4 MiB each and were mapped
-and page-faulted afresh on most batches, which cost more than the
-arithmetic on them.  In a sweep of the benchmark, 2^12 was slower on the
+simulator runs its shots in blocks of the same size, draws the readings of
+each block's orbit shots, in shot order, in one batch from counter 1 << 40,
+and corrects each shot by one conjugation z-bar W_j z by a per-label table.
+An estimate is therefore bit-exact per seed for a fixed _BATCH.  A batch's
+(n, 4) float64 temporaries are 256 KiB each, all of its live ones under
+2 MiB for an MC channel (3 MiB for a simulated block), and the heap reuses
+their pages from batch to batch.  At 2^17 samples they were 4 MiB each and
+were mapped and page-faulted afresh on most batches, which cost more than
+the arithmetic on them.  In a sweep of the benchmark, 2^12 was slower on the
 MC and exact-path workloads alike (the fixed Python cost of a batch) and
 2^15 faulted again on the exact paths; 2^14 was as fast as 2^13 there and
 about 4% faster on MC channels, but doubles those working sets.
@@ -299,11 +301,6 @@ def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.nd
     return moments, accepted
 
 
-def _conjugated(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Quaternion of rho(g)+ U rho(g) from the quaternions of rho(g) and U."""
-    return quat_mul(quat_mul(quat_conj(g), u), g)
-
-
 def _conjugation_map(u: np.ndarray) -> np.ndarray:
     """The orthogonal C with w @ C = u w u-bar for quaternion rows w: row k
     of C is u e_k u-bar."""
@@ -478,49 +475,59 @@ def _perfect_orbit_channel(spec: TeleportationSpec,
                            ) -> ChannelEstimate:
     """On a matched scheme (a free action) the stabilizer is trivial and
     the channel is the identity: quadrature returns it exactly, while MC
-    simulates the reconstruction honestly (sample g and x, decode, realign,
-    accumulate the net conjugation)."""
+    simulates the reconstruction honestly (sample g and x, decode y = x g-bar
+    to j, accumulate the correction z-bar W_j z with z = y g, times
+    U_result-bar)."""
     if method == "quadrature":
         # The moment of the identity quaternion.
         return _exact_estimate(np.diag([1.0, 0.0, 0.0, 0.0]))
     group = scheme.subgroup.ambient
     stream = HaarStream(group, seed)
+    table = _correction_table(spec, scheme)
+    u_bar = quat_conj(spec.basis.quats[result])
 
     def sample_fn(rng, m):
         payloads = groups.haar_batch(group, rng, m)
-        x = scheme.sample_fn(result, rng, m)
-        y = scheme.act_fn(payloads, x)
-        corr = _conjugated(payloads, _bob_corrections(
-            spec, scheme, y, enc.decode_batch(scheme, y)))
-        return quat_mul(corr, quat_conj(spec.basis.quats[result])), None
+        y = scheme.act_fn(payloads, scheme.sample_fn(result, rng, m))
+        corr = _corrections(table, enc.decode_batch(scheme, y),
+                            quat_mul(y, payloads))
+        return quat_mul(corr, u_bar), None
 
     moments, _ = _mc_accumulate(sample_fn, samples, stream)
     return _finish_mc(moments, samples, stream, 0.0)
 
 
-def _bob_corrections(spec: TeleportationSpec, scheme: enc.EncodingScheme,
-                     y: np.ndarray, decoded: np.ndarray) -> np.ndarray:
-    """Quaternions of Bob's corrections C_B, in his frame, for received
-    readings y with decoded indices j: U_j for a tight scheme, and for a
-    perfect one rho(ghat) U_j rho(ghat)+ with the alignment ghat he
-    reconstructs from y."""
-    u = np.take(spec.basis.quats, decoded, axis=0)
-    if scheme.kind != "perfect":
+def _correction_table(spec: TeleportationSpec,
+                      scheme: enc.EncodingScheme | None) -> np.ndarray:
+    """Quaternions W_j (d^2, 4) by decoded label j of Alice's corrections
+    C_A = z-bar W_j z.  Bob's U_j is g-bar U_j g in her frame: W_j = U_j,
+    z = g.  On a perfect scheme's orbit he corrects with ghat U_j ghat-bar,
+    realigned by ghat = y-bar xhat_j for the first point xhat_j of X_j and
+    the reading y = x g-bar: W_j = xhat_j U_j xhat_j-bar and z = y g."""
+    u = spec.basis.quats
+    if scheme is None or scheme.kind != "perfect":
         return u
-    ghat = _reconstruct_alignment(scheme, y, decoded)
-    return quat_mul(quat_mul(ghat, u), quat_conj(ghat))
+    orbit = list(scheme.indices)
+    xhat = np.array([scheme.points[j][0] for j in orbit])
+    w = u.copy()
+    w[orbit] = quat_mul(quat_mul(xhat, u[orbit]), quat_conj(xhat))
+    return w
 
 
-def _reconstruct_alignment(scheme: enc.EncodingScheme, y: np.ndarray,
-                           decoded: np.ndarray) -> np.ndarray:
-    """Bob's alignment estimate: the group element carrying the canonical
-    point of the decoded set onto the received reading."""
-    first = np.zeros((max(scheme.indices) + 1,)
-                     + np.shape(scheme.points[scheme.indices[0]][0]))
-    first[list(scheme.indices)] = [scheme.points[j][0] for j in scheme.indices]
-    xhat = np.take(first, decoded, axis=0)  # the first point of decoded X_j
-    # y = xhat ghat^{-1}  =>  ghat = y^{-1} xhat
-    return quat_mul(quat_conj(y), xhat)
+def _corrections(table: np.ndarray, decoded: np.ndarray, z: np.ndarray
+                 ) -> np.ndarray:
+    """Alice's corrections z-bar W_j z for decoded labels j (n,) and
+    conjugating quaternions z (n, 4), with W the _correction_table."""
+    return quat_mul(quat_mul(quat_conj(z), np.take(table, decoded, axis=0)),
+                    z)
+
+
+def _born_draw(rng: Generator, p: np.ndarray, m: int) -> np.ndarray:
+    """m inverse-CDF draws of results with probabilities p: the draw that
+    Generator.choice(len(p), size=m, p=p) makes, without its checks of p."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(m), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +544,13 @@ def single_shot_simulate(spec: TeleportationSpec,
     be the scheme's frame group), Alice's measurement result by Born
     probabilities, the transmitted reading, Bob's decode and correction,
     and returns the ensemble-mean output in Alice's frame together with a
-    transcript.  Shots run in blocks of _BATCH: each
-    block draws its results and misalignments from one results generator
-    and its readings from one readings generator, writes its part of the
-    transcript and adds the second moment of its net quaternions to the
-    total.
+    transcript.  Shots run in blocks of _BATCH: each block draws its results
+    and misalignments from one results generator, and the readings of its
+    orbit shots, in shot order, from one readings generator with one sample,
+    act and decode call (a result outside the orbit is sent speakably).
+    Alice's correction is one conjugation z-bar W_j z by the decoded label's
+    row of _correction_table.  Each block writes its part of the transcript
+    and adds the second moment of its net quaternions to the total.
     """
     if scheme is not None:
         _check_scheme_basis(spec, scheme)
@@ -561,6 +570,9 @@ def single_shot_simulate(spec: TeleportationSpec,
     probs = probs / probs.sum()
     pre = unitary_quat(np.stack([spec.premeasurement_unitary(x)
                                  for x in range(n_res)]))
+    table = _correction_table(spec, scheme)
+    in_orbit = np.isin(np.arange(n_res), () if scheme is None
+                       else scheme.indices)
 
     rng_results = stream.generator()
     rng_read = stream.advance(1 << 40).generator()
@@ -571,13 +583,22 @@ def single_shot_simulate(spec: TeleportationSpec,
     for start in range(0, shots, _BATCH):
         block = slice(start, min(start + _BATCH, shots))
         m = block.stop - start
-        results[block] = rng_results.choice(n_res, size=m, p=probs)
-        g[block] = groups.haar_batch(stream.group, rng_results, m)
-        corr = _shot_corrections(spec, scheme, g[block], results[block],
-                                 decoded[block], rng_read)
+        res = results[block] = _born_draw(rng_results, probs, m)
+        # z is a copy of the block's misalignments g, and y g on the orbit
+        # of a perfect scheme.
+        z = g[block] = groups.haar_batch(stream.group, rng_results, m)
+        decoded[block] = res
+        orbit = np.flatnonzero(in_orbit[res])
+        if orbit.size:
+            gs = np.take(z, orbit, axis=0)
+            y = scheme.act_fn(gs, scheme.sample_fn(np.take(res, orbit),
+                                                   rng_read, len(orbit)))
+            decoded[block][orbit] = enc.decode_batch(scheme, y)
+            if scheme.kind == "perfect":
+                z[orbit] = quat_mul(y, gs)
         # Net shot unitaries V = C_A M_x.
-        moment += _moment(quat_mul(corr, np.take(pre, results[block],
-                                                 axis=0)))
+        corr = _corrections(table, decoded[block], z)
+        moment += _moment(quat_mul(corr, np.take(pre, res, axis=0)))
 
     mean_superop = Superoperator(_moment_superop(moment) / shots)
     out = mean_superop.apply(sigma.mat)
@@ -592,28 +613,6 @@ def single_shot_simulate(spec: TeleportationSpec,
         "mean_superop": mean_superop,
     }
     return DensityMatrix(out), transcript
-
-
-def _shot_corrections(spec: TeleportationSpec,
-                      scheme: enc.EncodingScheme | None, g: np.ndarray,
-                      results: np.ndarray, decoded: np.ndarray,
-                      rng_read: Generator) -> np.ndarray:
-    """Quaternions of Bob's corrections, in Alice's frame, for one block of
-    shots with misalignments g and results; writes each shot's decoded
-    index into decoded.  The shots of each orbit index, in the order of
-    scheme.indices, draw their readings from rng_read."""
-    decoded[:] = results
-    # A singleton-orbit result carries a speakable label and sends no
-    # reading, so Bob corrects with its U_x.
-    bob = np.take(spec.basis.quats, results, axis=0)
-    for i in () if scheme is None else scheme.indices:
-        shots = np.flatnonzero(results == i)
-        y = scheme.act_fn(np.take(g, shots, axis=0),
-                          scheme.sample_fn(i, rng_read, len(shots)))
-        j = enc.decode_batch(scheme, y)
-        decoded[shots] = j
-        bob[shots] = _bob_corrections(spec, scheme, y, j)
-    return _conjugated(g, bob)
 
 
 def _project_first(joint: np.ndarray, phi: np.ndarray, d: int) -> np.ndarray:

@@ -29,6 +29,9 @@ list, only the first of each pair, and the element nearest to a reading x is
 the one maximising |x . h|.  A tight sampler draws a uniform reading, decodes
 it to its region E_j and carries E_j isometrically onto E_i: by the right
 translation c_j^{-1} c_i on a matched scheme, by a coordinate swap on the rod.
+Every sampler takes an orbit index i or an (n,) array of them, one per
+reading, and draws the same variates either way: a table row or column is
+picked per reading, so a constant array gives the readings of its scalar.
 
 A matched decode scores the first lifts, grouped by label, with one matrix
 product per row block and takes each label's maximum score.  A reading whose
@@ -79,9 +82,10 @@ class EncodingScheme:
     subgroup of its equivariance data.
 
     act_fn(g, x) moves readings x by frame quaternions g; decode_fn maps a
-    batch of readings to UEB indices; sample_fn draws uniform readings from
-    E_i (region schemes) or X_i (perfect schemes).  Each region E_i of a
-    tight scheme has measure 1/len(indices).
+    batch of readings to UEB indices; sample_fn(i, rng, n) draws n uniform
+    readings from E_i (region schemes) or X_i (perfect schemes), for an
+    index i or an (n,) array of indices, one per reading.  Each region E_i
+    of a tight scheme has measure 1/len(indices).
     """
 
     eq: EquivarianceData
@@ -89,7 +93,7 @@ class EncodingScheme:
     kind: str                                   # "tight" | "perfect"
     act_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     decode_fn: Callable[[np.ndarray], np.ndarray]
-    sample_fn: Callable[[int, Generator, int], np.ndarray]
+    sample_fn: Callable[[int | np.ndarray, Generator, int], np.ndarray]
     points: dict[int, np.ndarray] | None = None  # X_i for perfect schemes
 
     @property
@@ -101,11 +105,13 @@ def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:
     return scheme.decode_fn(np.asarray(x))
 
 
-def sample_encoding(scheme: EncodingScheme, i: int, stream: HaarStream,
+def sample_encoding(scheme: EncodingScheme, i, stream: HaarStream,
                     n: int = 1) -> np.ndarray:
-    """n uniform readings from E_i (or X_i)."""
-    if i not in scheme.indices:
-        raise ValueError(f"index {i} not in orbit {scheme.indices}")
+    """n uniform readings from E_i (or X_i), for an orbit index i or an (n,)
+    array of them, one per reading."""
+    outside = np.extract(~np.isin(i, scheme.indices), i)
+    if outside.size:
+        raise ValueError(f"index {outside[0]} not in orbit {scheme.indices}")
     return scheme.sample_fn(i, stream.generator(), n)
 
 
@@ -185,18 +191,21 @@ def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
     orbit, _, labels = _matched_cosets(eq, orbit_base)
     sub = eq.subgroup
     decode_fn = _nearest_lookup(sub, labels)
-    # shifts[i][j] = c_j^{-1} c_i for the coset representatives c.
-    reps = np.array([eq.coset_reps.get(j, 0) for j in range(max(orbit) + 1)])
-    shifts = {i: sub.payloads[sub.table[sub.inverse[reps], reps[i]]]
-              for i in orbit}
+    # Row i * width + j is c_j^{-1} c_i for the coset representatives c,
+    # NaN for an index i outside the orbit.
+    width = max(orbit) + 1
+    reps = np.array([eq.coset_reps.get(j, 0) for j in range(width)])
+    shifts = sub.payloads[sub.table[sub.inverse[reps], reps[:, None]]]
+    shifts[~np.isin(range(width), orbit)] = np.nan
+    shifts = shifts.reshape(-1, 4)
 
-    def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
+    def sample_fn(i, rng: Generator, n: int) -> np.ndarray:
         # A uniform f is uniform on its region E_j, and right translation by
         # c_j^{-1} c_i carries each cell R_{l c_j} of E_j onto R_{l c_i}
         # (the metric is bi-invariant), so the result is uniform on E_i.
         f = groups.haar_batch(sub.ambient, rng, n)
         return canonical_sign(quat_mul(
-            f, np.take(shifts[i], decode_fn(f), axis=0)))
+            f, np.take(shifts, np.multiply(i, width) + decode_fn(f), axis=0)))
 
     return EncodingScheme(eq, orbit, "tight", _torsor_act, decode_fn,
                           sample_fn)
@@ -215,10 +224,15 @@ def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
         payloads = sub.payloads[cosets[i]]
         q = canonical_sign(payloads[groups.first_lifts(payloads)])
         points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
+    # Row i * size + k is point k of X_i (each has |L|/2), NaN off the orbit.
+    size = len(points[orbit[0]])
+    table = np.full((max(orbit) + 1, size, 4), np.nan)
+    table[list(orbit)] = [points[i] for i in orbit]
+    table = table.reshape(-1, 4)
 
-    def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
-        pts = points[i]
-        return np.take(pts, rng.integers(0, len(pts), size=n), axis=0)
+    def sample_fn(i, rng: Generator, n: int) -> np.ndarray:
+        return np.take(table, np.multiply(i, size)
+                       + rng.integers(0, size, size=n), axis=0)
 
     return EncodingScheme(eq, orbit, "perfect", _torsor_act,
                           _nearest_lookup(sub, labels), sample_fn,
@@ -239,17 +253,19 @@ def rod_scheme() -> EncodingScheme:
         b_wins = b >= c
         return np.where(a >= np.where(b_wins, b, c), 1, 3 - b_wins)[()]
 
-    def sample_fn(i: int, rng: Generator, n: int) -> np.ndarray:
+    def sample_fn(i, rng: Generator, n: int) -> np.ndarray:
         # Swapping the dominant coordinate j of a uniform axis with
         # coordinate i-1 maps E_j isometrically onto E_i, so the result is
         # uniform on E_i.
         v = rng.normal(size=(n, 3))
         a, b, c = v.T
         v /= np.sqrt(a * a + b * b + c * c)[:, None]
-        dominant = np.arange(-1, 3 * n - 1, 3) + decode_fn(v)  # flat index
+        rows = np.arange(-1, 3 * n - 1, 3)
+        dominant, column = rows + decode_fn(v), rows + i   # flat indices
         x = v.copy()
-        x[:, i - 1] = np.take(v, dominant)
-        np.put(x, dominant, v[:, i - 1])
+        flat, src = x.reshape(-1), v.reshape(-1)           # views
+        flat[column] = src[dominant]
+        flat[dominant] = src[column]
         return x
 
     eq = equivariance_analysis(pauli_ueb(), groups.binary_octahedral())
@@ -265,33 +281,33 @@ def check_scheme(scheme: EncodingScheme, stream: HaarStream,
                  samples_per_case: int = 1000
                  ) -> tuple[tuple[bool, dict], tuple[bool, dict]]:
     """Sampled checks of a scheme against its equivariance data on one
-    batch per orbit index i, drawn from stream.advance(k) for the k-th:
-    samples_per_case readings x from E_i (or X_i) per element h of H,
-    transported by h and decoded.  compatibility: decoding inverts the index
-    action, decode(act(h, x)) = sigma(i, h^{-1}).  finite-subgroup: the
-    protocol is exact for misalignments in H, i.e. each case decodes to one
-    index j with rho(h)+ U_j rho(h) proportional to U_i.  Returns the
-    (ok, report) pair of each check; a failure reports its first
-    counterexample.
+    batch drawn from stream: for each orbit index i in turn and each element
+    h of H, samples_per_case readings x from E_i (or X_i), transported by h
+    and decoded.  compatibility: decoding inverts the index action,
+    decode(act(h, x)) = sigma(i, h^{-1}).  finite-subgroup: the protocol is
+    exact for misalignments in H, i.e. each case decodes to one index j with
+    rho(h)+ U_j rho(h) proportional to U_i.  Returns the (ok, report) pair
+    of each check; a failure reports its first counterexample.
     """
     eq, sub = scheme.eq, scheme.subgroup
-    hs = np.repeat(np.arange(sub.order), samples_per_case)
-    compatibility = finite = None
-    for pos, i in enumerate(scheme.indices):
-        x = sample_encoding(scheme, i, stream.advance(pos), len(hs))
-        got = decode_batch(scheme, scheme.act_fn(
-            np.take(sub.payloads, hs, axis=0), x))
-        expected = eq.sigma_inv(hs, i)
-        bad = got != expected
-        if compatibility is None and np.any(bad):
-            k = int(np.argmax(bad))
-            compatibility = {"h": int(hs[k]), "i": i,
-                             "x": np.asarray(x)[k].tolist(),
-                             "expected": int(expected[k]), "got": int(got[k])}
-        if finite is None:
-            finite = _finite_subgroup_failure(
-                eq, i, got.reshape(sub.order, samples_per_case))
     cases = sub.order * len(scheme.indices)
+    hs = np.tile(np.repeat(np.arange(sub.order), samples_per_case),
+                 len(scheme.indices))
+    idx = np.repeat(scheme.indices, sub.order * samples_per_case)
+    x = sample_encoding(scheme, idx, stream, len(hs))
+    got = decode_batch(scheme, scheme.act_fn(
+        np.take(sub.payloads, hs, axis=0), x))
+    expected = eq.sigma_inv(hs, idx)
+    bad = got != expected
+    compatibility = finite = None
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        compatibility = {"h": int(hs[k]), "i": int(idx[k]),
+                         "x": x[k].tolist(),
+                         "expected": int(expected[k]), "got": int(got[k])}
+    for i, decoded in zip(scheme.indices,
+                          got.reshape(-1, sub.order, samples_per_case)):
+        finite = finite or _finite_subgroup_failure(eq, i, decoded)
     return ((compatibility is None, compatibility
              or {"cases": cases, "samples_per_case": samples_per_case}),
             (finite is None, finite or {"cases": cases}))

@@ -194,8 +194,8 @@ def u1_quat(theta) -> np.ndarray:
     z-axis circle, with diag(1, exp(-2i theta)) = exp(-i theta) U(q)."""
     theta = np.asarray(theta, dtype=np.float64)
     q = np.zeros(theta.shape + (4,))
-    q[..., 0] = np.cos(theta)
-    q[..., 3] = -np.sin(theta)
+    np.cos(theta, out=q[..., 0])
+    np.negative(np.sin(theta, out=q[..., 3]), out=q[..., 3])
     return q
 
 

@@ -4,10 +4,10 @@ quaternion product, the np.cross form of a rotation, the dense Choi layer
 purities), the conjugation superoperator of a unitary, the von Neumann
 entropy, the linear purity of a channel estimate with its bootstrap error,
 raw Haar draws and substreams of a stream, the distance-based
-nearest-element search, the one-shot and the single-reading decode,
-uniform readings of a scheme and equal-measure bins of them, the
-per-triple and 4x4-matrix forms of the two optimize objectives, and
-Nelder-Mead on numpy arrays."""
+nearest-element search, the perfect-scheme realignment of a correction, the
+one-shot and the single-reading decode, uniform readings of a scheme and
+equal-measure bins of them, the per-triple and 4x4-matrix forms of the two
+optimize objectives, and Nelder-Mead on numpy arrays."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -189,6 +189,16 @@ def one_shot_decode(scheme: EncodingScheme, x) -> np.ndarray:
     lifted = scheme.eq.sigma[min(scheme.indices)][lifts]
     h_t = np.ascontiguousarray(sub.payloads[lifts].T)
     return lifted[np.argmax(np.abs(np.asarray(x) @ h_t), axis=-1)]
+
+
+def realigned_correction(scheme: EncodingScheme, u_j: np.ndarray,
+                         y: np.ndarray, j: int) -> np.ndarray:
+    """Bob's correction ghat U_j ghat^{-1} on a perfect scheme, in his frame,
+    with the alignment ghat = y^{-1} xhat_j he reconstructs from received
+    readings y (n, 4): the element carrying the first point xhat_j of X_j
+    onto y."""
+    ghat = quat_mul(quat_conj(y), scheme.points[j][0])
+    return quat_mul(quat_mul(ghat, u_j), quat_conj(ghat))
 
 
 def decode(scheme: EncodingScheme, x) -> int:

@@ -18,7 +18,8 @@ from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
 from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
     pauli_ueb, tetrahedral_ueb
 from qmat_reference import choi, choi_matrix, haar_payloads, \
-    linear_map_purity, linear_purity_with_error, map_purity
+    linear_map_purity, linear_purity_with_error, map_purity, \
+    realigned_correction
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
@@ -615,6 +616,70 @@ def test_single_shot_u1_perfect_restores_mixed_input():
                                               HaarStream("u1", 23), shots=500)
     assert set(transcript["result"].tolist()) == {0, 1, 2, 3}
     assert np.max(np.abs(out.mat - sigma.mat)) <= 1e-12
+
+
+def test_born_draw_is_generator_choice():
+    spec, _ = su2_bundle()
+    sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    _, transcript = ch.single_shot_simulate(spec, None, sigma,
+                                            HaarStream("su2", 26), 10)
+    for p in (transcript["probs"], np.array([0.1, 0.45, 0.05, 0.4]),
+              np.array([0.5, 0.0, 0.2, 0.3])):
+        a, b = HaarStream("su2", 27).generator(), \
+            HaarStream("su2", 27).generator()
+        for m in (1, 1000, ch._BATCH):
+            got = ch._born_draw(a, p, m)
+            want = b.choice(len(p), size=m, p=p)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # Both consumed the same variates.
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("case", ["u1", "btet"])
+def test_correction_table_is_the_realigned_correction(case):
+    if case == "u1":
+        spec, eq = u1_bundle()
+        scheme = enc.perfect_matched_scheme(eq, 1)
+    else:
+        spec = ch.su2_teleportation_spec(tetrahedral_ueb())
+        scheme = enc.perfect_matched_scheme(equivariance_analysis(
+            spec.basis, groups.binary_tetrahedral()), 0)
+    table = ch._correction_table(spec, scheme)
+    rng = np.random.default_rng(28)
+    n = 4000
+    idx = rng.choice(scheme.indices, size=n)
+    y = scheme.act_fn(groups.haar_batch(scheme.subgroup.ambient, rng, n),
+                      scheme.sample_fn(idx, rng, n))
+    # Every orbit label, not only the one each reading decodes to.
+    for j in scheme.indices:
+        got = groups.quat_mul(groups.quat_mul(groups.quat_conj(y), table[j]),
+                              y)
+        want = realigned_correction(scheme, spec.basis.quats[j], y, j)
+        dev = np.minimum(np.abs(got - want).max(axis=1),
+                         np.abs(got + want).max(axis=1))
+        assert dev.max() <= 1e-15, (j, dev.max())
+    off = [j for j in range(spec.basis.size) if j not in scheme.indices]
+    assert np.array_equal(table[off], spec.basis.quats[off])
+
+
+def test_simulator_reads_orbit_shots_in_shot_order():
+    # Each block draws the readings of its orbit shots with one sampler
+    # call, in shot order; a result outside the orbit decodes to itself.
+    spec, eq = su2_bundle()
+    scheme = enc.tight_matched_scheme(eq, 1)
+    sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    stream = HaarStream("su2", 29)
+    shots = ch._BATCH + 100
+    _, t = ch.single_shot_simulate(spec, scheme, sigma, stream, shots)
+    rng = stream.advance(1 << 40).generator()
+    for block in (slice(0, ch._BATCH), slice(ch._BATCH, shots)):
+        x, g, decoded = t["result"][block], t["g"][block], t["decoded"][block]
+        orbit = np.isin(x, scheme.indices)
+        y = scheme.act_fn(g[orbit], scheme.sample_fn(x[orbit], rng,
+                                                     orbit.sum()))
+        assert np.array_equal(decoded[orbit], enc.decode_batch(scheme, y))
+        assert np.array_equal(decoded[~orbit], x[~orbit])
+    assert 0 < np.sum(t["decoded"] != t["result"])
 
 
 def _superop_from_transcript(spec, transcript):

@@ -162,6 +162,42 @@ def test_sample_encoding_lands_in_region():
         enc.sample_encoding(scheme, 0, HaarStream("u1", 9))
 
 
+@pytest.mark.parametrize("name", cli.ENCODED_SCHEMES)
+def test_samplers_take_an_index_array(name):
+    scheme = cli.builtin_scheme(name).scheme
+    n = 3000
+    for i in scheme.indices:
+        # From equal generator states a constant array draws, bit for bit,
+        # the readings of its scalar.
+        x = scheme.sample_fn(i, np.random.default_rng(40 + i), n)
+        same = scheme.sample_fn(np.full(n, i), np.random.default_rng(40 + i),
+                                n)
+        assert x.tobytes() == same.tobytes()
+    idx = np.random.default_rng(41).choice(scheme.indices, size=n)
+    x = enc.sample_encoding(scheme, idx, HaarStream(scheme.subgroup.ambient,
+                                                    42), n)
+    if scheme.kind == "perfect":
+        for i in scheme.indices:
+            rows = x[idx == i]
+            assert np.all(np.any(np.all(
+                rows[:, None] == scheme.points[i][None], axis=-1), axis=1))
+    else:
+        assert np.array_equal(enc.decode_batch(scheme, x), idx)
+    size = scheme.eq.basis.size
+    for i in sorted(set(range(size + 1)) - set(scheme.indices)):
+        for bad in (i, np.append(idx[:4], i)):
+            with pytest.raises(ValueError, match=f"index {i} not in orbit"):
+                enc.sample_encoding(scheme, bad, STREAM, np.size(bad))
+        if scheme.kind == "perfect":
+            # A table row off the orbit is NaN or out of range, never a
+            # silent zero reading.
+            try:
+                got = scheme.sample_fn(i, np.random.default_rng(43), 5)
+            except IndexError:
+                continue
+            assert np.all(np.isnan(got))
+
+
 # ---------------------------------------------------------------------------
 # Rotation-group matched schemes
 # ---------------------------------------------------------------------------
