@@ -8,14 +8,15 @@ The misalignment g, a unit quaternion on either frame group, relates the two
 parties' frames: an operator with matrix M in Bob's frame has matrix
 rho(g)+ M rho(g) in Alice's frame.  rho(g) is su2_matrix(g) up to a phase
 that cancels here, so g enters every formula as a quaternion.  Input and
-output states are both expressed in Alice's frame; the entangled resource is
-shared in Alice's frame (for the SU(2) schemes it is the invariant singlet,
-so the choice is immaterial up to phase).
+output states are both expressed in Alice's frame, and the entangled
+resource is shared in it, so the resource cancels from every output.
 
 With resource eta = (1/sqrt d) sum_k |k> X|k> and measurement basis
 |phi_x> = (1/sqrt d) sum_i |i> (U_x X)^T |i>, result x leaves Bob's half in
-M_x sigma M_x+ with the unitary M_x = X (U_x X)+, and every result is
-equiprobable.  An aligned correction U_x then restores sigma exactly.
+M_x sigma M_x+ with M_x = X (U_x X)+ = U_x+, whatever the unitary X, and
+every result has probability 1/d^2 whatever sigma.  So a channel is fixed by
+its UEB alone, or by its scheme, which carries the UEB it was built on; an
+aligned correction U_x restores sigma exactly.
 
 Per-result channels
 -------------------
@@ -83,17 +84,13 @@ from numpy.random import Generator
 
 from . import encoding as enc
 from . import groups
-from .groups import HaarStream, quat_conj, quat_mul, su2_matrix, \
-    unitary_quat
-from .qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
-    clamped_eigenvalues, spectrum_purities
+from .groups import HaarStream, quat_conj, quat_mul, su2_matrix
+from .qmat import DensityMatrix, Superoperator, clamped_eigenvalues, \
+    spectrum_purities
 from .ueb import UnitaryErrorBasis
 
 __all__ = [
-    "TeleportationSpec",
     "ChannelEstimate",
-    "u1_teleportation_spec",
-    "su2_teleportation_spec",
     "conventional_channel",
     "result_estimates",
     "mean_result_purity",
@@ -113,56 +110,6 @@ _BOOT_OFFSET = 1 << 44
 _BASIS = su2_matrix(np.eye(4))
 _MOMENT_TO_SUPEROP = np.einsum("jab,kcd->jkacbd", _BASIS.conj(),
                                _BASIS).reshape(16, 16)
-
-
-# ---------------------------------------------------------------------------
-# Protocol specification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TeleportationSpec:
-    """UEB and entangled-resource choice."""
-
-    basis: UnitaryErrorBasis
-    resource: UnitaryMatrix          # the X of the resource (1 (x) X)|Phi+>
-
-    def __post_init__(self):
-        basis = self.measurement_basis()
-        dev = np.max(np.abs(basis.conj().T @ basis - np.eye(basis.shape[0])))
-        if dev > 1e-12:
-            raise ValueError(f"measurement basis not orthonormal ({dev:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def measurement_basis(self) -> np.ndarray:
-        """Columns |phi_x> = (1/sqrt d) sum_i |i> (U_x X)^T |i>."""
-        d = self.dim
-        cols = [(self.basis.mats[x] @ self.resource.mat).reshape(d * d)
-                / np.sqrt(d) for x in range(self.basis.size)]
-        return np.stack(cols, axis=1)
-
-    def resource_state(self) -> np.ndarray:
-        d = self.dim
-        return (self.resource.mat.T).reshape(d * d) / np.sqrt(d)
-
-    def premeasurement_unitary(self, x: int) -> np.ndarray:
-        """The unitary M_x with Bob's conditional state M_x sigma M_x+."""
-        u = self.basis.mats[x]
-        xm = self.resource.mat
-        return xm @ (u @ xm).conj().T
-
-
-def u1_teleportation_spec(basis: UnitaryErrorBasis) -> TeleportationSpec:
-    return TeleportationSpec(basis, UnitaryMatrix(np.eye(2)))
-
-
-def su2_teleportation_spec(basis: UnitaryErrorBasis) -> TeleportationSpec:
-    # The singlet resource: X = -iY is the unique choice invariant under
-    # g (x) g up to phase.
-    singlet_x = UnitaryMatrix(-1j * groups.PAULI_Y)
-    return TeleportationSpec(basis, singlet_x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +269,12 @@ def fourth_moment_map(form: np.ndarray, t4: np.ndarray) -> np.ndarray:
     return np.swapaxes(f, -1, -2) @ t4.reshape(16, 16) @ f
 
 
-def _exact_moment(spec: TeleportationSpec, t4: np.ndarray, result: int
-                  ) -> np.ndarray:
-    """Moment of W(g) = rho(g)+ U_i rho(g) U_i+ over misalignments with fourth
-    moment t4: its quaternion g-bar (g C) is the quadratic form whose row
-    (a, b) is e_a-bar times row b of the conjugation map C."""
-    form = quat_mul(quat_conj(np.eye(4))[:, None],
-                    _conjugation_map(spec.basis.quats[result]))
+def _exact_moment(u: np.ndarray, t4: np.ndarray) -> np.ndarray:
+    """Moment of W(g) = rho(g)+ U rho(g) U+ over misalignments with fourth
+    moment t4, for the quaternion u of U: the quaternion g-bar (g C) of W is
+    the quadratic form whose row (a, b) is e_a-bar times row b of the
+    conjugation map C of u."""
+    form = quat_mul(quat_conj(np.eye(4))[:, None], _conjugation_map(u))
     return fourth_moment_map(form, t4)
 
 
@@ -336,25 +282,26 @@ def _exact_moment(spec: TeleportationSpec, t4: np.ndarray, result: int
 # Conventional channel
 # ---------------------------------------------------------------------------
 
-def conventional_channel(spec: TeleportationSpec, group: str,
+def conventional_channel(basis: UnitaryErrorBasis, group: str,
                          result: int | str = "averaged",
                          method: str = "quadrature",
                          samples: int = 10 ** 6,
                          seed: int = 0) -> ChannelEstimate:
-    """Misalignment-averaged channel of the conventional scheme:
-    integral over g of [rho(g)+ U_i rho(g) U_i+], or the equal mix over i."""
+    """Misalignment-averaged channel of the conventional scheme with the UEB
+    basis: integral over g of [rho(g)+ U_i rho(g) U_i+], or the equal mix
+    over i."""
     if result == "averaged":
-        return mix_estimates([conventional_channel(spec, group, i, method,
+        return mix_estimates([conventional_channel(basis, group, i, method,
                                                    samples, seed)
-                              for i in range(spec.basis.size)])
+                              for i in range(basis.size)])
     i = int(result)
     if method == "quadrature":
         return _exact_estimate(_exact_moment(
-            spec, groups.haar_fourth_moment(group), i))
+            basis.quats[i], groups.haar_fourth_moment(group)))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     stream = HaarStream(group, seed).advance(i << 48)
-    conj_by_u = _conjugation_map(spec.basis.quats[i])
+    conj_by_u = _conjugation_map(basis.quats[i])
 
     def sample_fn(rng, m):
         return _channel_quats(groups.haar_batch(group, rng, m),
@@ -368,25 +315,13 @@ def conventional_channel(spec: TeleportationSpec, group: str,
 # Encoded schemes
 # ---------------------------------------------------------------------------
 
-def _check_scheme_basis(spec: TeleportationSpec,
-                        scheme: enc.EncodingScheme) -> None:
-    """Raise unless the spec teleports with the UEB the scheme's
-    equivariance data was computed for: its coset conjugations and orbit
-    are meaningless for any other basis.  Matrices are compared within
-    1e-12, since a spec and a scheme may hold separate copies of a basis."""
-    mats, own = spec.basis.mats, scheme.eq.basis.mats
-    if mats.shape != own.shape or np.max(np.abs(mats - own)) > 1e-12:
-        raise ValueError("the spec's UEB is not the basis the scheme was "
-                         "built on")
-
-
-def result_estimates(spec: TeleportationSpec, scheme: enc.EncodingScheme,
-                     results: Iterable[int], method: str = "mc",
-                     samples: int = 10 ** 6, seed: int = 0
-                     ) -> dict[int, ChannelEstimate]:
-    """Channels of a tight or perfect scheme for the given results, over the
-    Haar measure of its subgroup's ambient frame group, keyed in the order
-    given; mix_estimates of all d^2 of them is the result-averaged channel.
+def result_estimates(scheme: enc.EncodingScheme, results: Iterable[int],
+                     method: str = "mc", samples: int = 10 ** 6,
+                     seed: int = 0) -> dict[int, ChannelEstimate]:
+    """Channels of a tight or perfect scheme, teleported with the UEB of its
+    equivariance data, for the given results, over the Haar measure of its
+    subgroup's ambient frame group, keyed in the order given; mix_estimates
+    of all d^2 of them is the result-averaged channel.
 
     A result outside the scheme's orbit gets the exact conventional
     integral (Per-result channels, above).  A tight scheme's orbit results
@@ -395,20 +330,18 @@ def result_estimates(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     stabilizer of the encoded reading of [rho(s)+ U_i rho(s) U_i+]."""
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    _check_scheme_basis(spec, scheme)
     base = None
     out: dict[int, ChannelEstimate] = {}
     for i in results:
         if i not in scheme.indices:
-            out[i] = conventional_channel(spec, scheme.subgroup.ambient, i,
+            out[i] = conventional_channel(scheme.eq.basis,
+                                          scheme.subgroup.ambient, i,
                                           "quadrature")
         elif scheme.kind == "perfect":
-            out[i] = _perfect_orbit_channel(spec, scheme, i, method, samples,
-                                            seed)
+            out[i] = _perfect_orbit_channel(scheme, i, method, samples, seed)
         else:
             if base is None:
-                base = _tight_base_channel(spec, scheme, method, samples,
-                                           seed)
+                base = _tight_base_channel(scheme, method, samples, seed)
             # The base channel conjugated by i's coset representative.
             out[i] = base if i == min(scheme.indices) else base.transformed(
                 scheme.subgroup.payloads[scheme.eq.coset_reps[i]])
@@ -425,9 +358,8 @@ def mean_result_purity(estimates: dict[int, ChannelEstimate]
     return float(np.mean(purities)), float(np.sum(errors) / len(errors))
 
 
-def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
-                        method: str, samples: int, seed: int
-                        ) -> ChannelEstimate:
+def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
+                        samples: int, seed: int) -> ChannelEstimate:
     """The tight channel of the orbit base b,
     (|I_k| / mu(E_b)) integral of p(g) [rho(g)+ U_b rho(g) U_b+]; the orbit
     result i is its conjugate by the coset representative c_i of the
@@ -436,6 +368,7 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     (g, x) pairs whose transported reading leaves E_b, or (circle-group
     quadrature) by the pair identity on E_b."""
     b = min(scheme.indices)
+    u = scheme.eq.basis.quats[b]
     if method == "quadrature":
         if scheme.subgroup.ambient != "u1":
             raise ValueError("tight quadrature needs a circle-torsor scheme")
@@ -444,15 +377,15 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
         sub = scheme.subgroup
         readings = sub.payloads[groups.first_lifts(sub.payloads)]
         centers = readings[enc.decode_batch(scheme, readings) == b]
-        moment = _exact_moment(spec, groups.arc_pair_fourth_moment(
-            centers, np.pi / (2 * len(readings))), b)
+        moment = _exact_moment(u, groups.arc_pair_fourth_moment(
+            centers, np.pi / (2 * len(readings))))
         # The trace is E|g|^4 = 1; report how far the computed integral is
         # from it before rescaling.
         tr = np.trace(moment)
         return _exact_estimate(moment / tr, abs(tr - 1.0))
     group = scheme.subgroup.ambient
     stream = HaarStream(group, seed)
-    conj_by_u = _conjugation_map(spec.basis.quats[b])
+    conj_by_u = _conjugation_map(u)
 
     def sample_fn(rng, m):
         payloads = groups.haar_batch(group, rng, m)
@@ -469,8 +402,7 @@ def _tight_base_channel(spec: TeleportationSpec, scheme: enc.EncodingScheme,
     return _finish_mc(moments, samples, stream, dev)
 
 
-def _perfect_orbit_channel(spec: TeleportationSpec,
-                           scheme: enc.EncodingScheme, result: int,
+def _perfect_orbit_channel(scheme: enc.EncodingScheme, result: int,
                            method: str, samples: int, seed: int
                            ) -> ChannelEstimate:
     """On a matched scheme (a free action) the stabilizer is trivial and
@@ -483,8 +415,8 @@ def _perfect_orbit_channel(spec: TeleportationSpec,
         return _exact_estimate(np.diag([1.0, 0.0, 0.0, 0.0]))
     group = scheme.subgroup.ambient
     stream = HaarStream(group, seed)
-    table = _correction_table(spec, scheme)
-    u_bar = quat_conj(spec.basis.quats[result])
+    table = _correction_table(scheme.eq.basis, scheme)
+    u_bar = quat_conj(scheme.eq.basis.quats[result])
 
     def sample_fn(rng, m):
         payloads = groups.haar_batch(group, rng, m)
@@ -497,14 +429,14 @@ def _perfect_orbit_channel(spec: TeleportationSpec,
     return _finish_mc(moments, samples, stream, 0.0)
 
 
-def _correction_table(spec: TeleportationSpec,
+def _correction_table(basis: UnitaryErrorBasis,
                       scheme: enc.EncodingScheme | None) -> np.ndarray:
     """Quaternions W_j (d^2, 4) by decoded label j of Alice's corrections
     C_A = z-bar W_j z.  Bob's U_j is g-bar U_j g in her frame: W_j = U_j,
     z = g.  On a perfect scheme's orbit he corrects with ghat U_j ghat-bar,
     realigned by ghat = y-bar xhat_j for the first point xhat_j of X_j and
     the reading y = x g-bar: W_j = xhat_j U_j xhat_j-bar and z = y g."""
-    u = spec.basis.quats
+    u = basis.quats
     if scheme is None or scheme.kind != "perfect":
         return u
     orbit = list(scheme.indices)
@@ -522,55 +454,46 @@ def _corrections(table: np.ndarray, decoded: np.ndarray, z: np.ndarray
                     z)
 
 
-def _born_draw(rng: Generator, p: np.ndarray, m: int) -> np.ndarray:
-    """m inverse-CDF draws of results with probabilities p: the draw that
-    Generator.choice(len(p), size=m, p=p) makes, without its checks of p."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(m), side="right")
-
-
 # ---------------------------------------------------------------------------
 # Single-shot simulator
 # ---------------------------------------------------------------------------
 
-def single_shot_simulate(spec: TeleportationSpec,
+def single_shot_simulate(basis: UnitaryErrorBasis,
                          scheme: enc.EncodingScheme | None,
                          sigma: DensityMatrix, stream: HaarStream,
                          shots: int = 1) -> tuple[DensityMatrix, dict]:
-    """End-to-end protocol simulation.
+    """End-to-end protocol simulation with the UEB basis, which must be the
+    one the scheme was built on.
 
     Each shot samples a Haar misalignment on the stream's group (which must
-    be the scheme's frame group), Alice's measurement result by Born
-    probabilities, the transmitted reading, Bob's decode and correction,
-    and returns the ensemble-mean output in Alice's frame together with a
-    transcript.  Shots run in blocks of _BATCH: each block draws its results
-    and misalignments from one results generator, and the readings of its
-    orbit shots, in shot order, from one readings generator with one sample,
-    act and decode call (a result outside the orbit is sent speakably).
-    Alice's correction is one conjugation z-bar W_j z by the decoded label's
-    row of _correction_table.  Each block writes its part of the transcript
-    and adds the second moment of its net quaternions to the total.
+    be the scheme's frame group), Alice's measurement result uniformly (every
+    result is equiprobable), the transmitted reading, Bob's decode and
+    correction, and returns the ensemble-mean output in Alice's frame
+    together with a transcript.  Shots run in blocks of _BATCH: each block
+    draws its results and misalignments from one results generator, and the
+    readings of its orbit shots, in shot order, from one readings generator
+    with one sample, act and decode call (a result outside the orbit is sent
+    speakably).  Alice's correction is one conjugation z-bar W_j z by the
+    decoded label's row of _correction_table.  Each block writes its part of
+    the transcript and adds the second moment of its net quaternions to the
+    total.
     """
     if scheme is not None:
-        _check_scheme_basis(spec, scheme)
+        # A scheme's orbit and coset conjugations hold only for its own UEB;
+        # a separate copy of it is accepted within 1e-12.
+        own = scheme.eq.basis.mats
+        if basis.mats.shape != own.shape or \
+                np.max(np.abs(basis.mats - own)) > 1e-12:
+            raise ValueError("the UEB is not the basis the scheme was built "
+                             "on")
         group = scheme.subgroup.ambient
         if stream.group != group:
             raise ValueError(f"stream group {stream.group!r} is not the "
                              f"scheme's frame group {group!r}")
-    d = spec.dim
-    n_res = spec.basis.size
-    # Born probabilities of the measurement results.
-    eta = spec.resource_state()
-    joint = np.kron(sigma.mat, np.outer(eta, eta.conj()))
-    meas = spec.measurement_basis()
-    probs = np.array([
-        np.trace(_project_first(joint, meas[:, x], d)).real
-        for x in range(n_res)])
-    probs = probs / probs.sum()
-    pre = unitary_quat(np.stack([spec.premeasurement_unitary(x)
-                                 for x in range(n_res)]))
-    table = _correction_table(spec, scheme)
+    n_res = basis.size
+    # Bob's state before correction is M_x sigma M_x+ with M_x = U_x+.
+    pre = quat_conj(basis.quats)
+    table = _correction_table(basis, scheme)
     in_orbit = np.isin(np.arange(n_res), () if scheme is None
                        else scheme.indices)
 
@@ -583,7 +506,10 @@ def single_shot_simulate(spec: TeleportationSpec,
     for start in range(0, shots, _BATCH):
         block = slice(start, min(start + _BATCH, shots))
         m = block.stop - start
-        res = results[block] = _born_draw(rng_results, probs, m)
+        # floor(d^2 u): for d^2 = 4 the scaling is exact, so this is the
+        # inverse-CDF draw of Generator.choice(4, p=[1/4] * 4), bit for bit.
+        res = results[block] = (rng_results.random(m) * n_res).astype(
+            np.int64)
         # z is a copy of the block's misalignments g, and y g on the orbit
         # of a perfect scheme.
         z = g[block] = groups.haar_batch(stream.group, rng_results, m)
@@ -609,13 +535,6 @@ def single_shot_simulate(spec: TeleportationSpec,
         "g": g,
         "result": results,
         "decoded": decoded,
-        "probs": probs,
         "mean_superop": mean_superop,
     }
     return DensityMatrix(out), transcript
-
-
-def _project_first(joint: np.ndarray, phi: np.ndarray, d: int) -> np.ndarray:
-    """<phi| acting on the first two tensor factors of a (d^2 * d) system."""
-    j = joint.reshape(d * d, d, d * d, d)
-    return np.einsum("a,abcd,c->bd", phi.conj(), j, phi)

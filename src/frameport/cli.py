@@ -58,7 +58,7 @@ class SchemeBundle:
     name: str
     group: str                  # misalignment group to integrate over
     variant: str                # conventional | tight | perfect
-    spec: ch.TeleportationSpec
+    basis: ueb_mod.UnitaryErrorBasis
     scheme: enc.EncodingScheme | None
 
 
@@ -90,17 +90,15 @@ def builtin_scheme(name: str) -> SchemeBundle:
             f"unknown scheme {name!r}; available: {', '.join(SCHEME_NAMES)}")
     group, variant, ueb_name, sub_name, base = _SCHEMES[name]
     basis = _UEBS[ueb_name]()
-    spec = (ch.u1_teleportation_spec if group == "u1"
-            else ch.su2_teleportation_spec)(basis)
     if sub_name is None:
-        return SchemeBundle(name, group, variant, spec, None)
+        return SchemeBundle(name, group, variant, basis, None)
     if base is None:
-        return SchemeBundle(name, group, variant, spec, enc.rod_scheme())
+        return SchemeBundle(name, group, variant, basis, enc.rod_scheme())
     eq = ueb_mod.equivariance_analysis(basis,
                                        groups.subgroup_by_name(sub_name))
     matched = (enc.tight_matched_scheme if variant == "tight"
                else enc.perfect_matched_scheme)
-    return SchemeBundle(name, group, variant, spec, matched(eq, base))
+    return SchemeBundle(name, group, variant, basis, matched(eq, base))
 
 
 _UEBS: dict[str, Callable[[], ueb_mod.UnitaryErrorBasis]] = {
@@ -262,14 +260,13 @@ def _channel_estimates(bundle: SchemeBundle, result, method: str,
     """The bundle's channel for one result or "averaged", and for a
     result-averaged encoded scheme also its per-result channels."""
     if bundle.scheme is None:
-        return ch.conventional_channel(bundle.spec, bundle.group, result,
+        return ch.conventional_channel(bundle.basis, bundle.group, result,
                                        method, samples, seed), None
     if result != "averaged":
-        return ch.result_estimates(bundle.spec, bundle.scheme, [result],
-                                   method, samples, seed)[result], None
-    per_result = ch.result_estimates(bundle.spec, bundle.scheme,
-                                     range(bundle.spec.basis.size), method,
-                                     samples, seed)
+        return ch.result_estimates(bundle.scheme, [result], method, samples,
+                                   seed)[result], None
+    per_result = ch.result_estimates(bundle.scheme, range(bundle.basis.size),
+                                     method, samples, seed)
     return ch.mix_estimates(list(per_result.values())), per_result
 
 
@@ -311,7 +308,7 @@ def cmd_channel(args) -> int:
         # default is result 0, and it is labelled so.
         result = 0
     elif result != "averaged":
-        result = _index_arg("--result", result, bundle.spec.basis.size,
+        result = _index_arg("--result", result, bundle.basis.size,
                             "'averaged' or ")
     t0 = time.perf_counter()
     est, per_result = _channel_estimates(bundle, result, method, args.samples,
@@ -392,14 +389,14 @@ def cmd_table1(args) -> int:
 
 def cmd_simulate(args) -> int:
     bundle = builtin_scheme(args.scheme)
-    d = bundle.spec.dim
+    d = bundle.basis.dim
     _index_arg("--input", args.input, d)
     sigma = np.zeros((d, d), dtype=np.complex128)
     sigma[args.input, args.input] = 1.0
     stream = groups.HaarStream(bundle.group, args.seed)
     t0 = time.perf_counter()
     out, transcript = ch.single_shot_simulate(
-        bundle.spec, bundle.scheme, DensityMatrix(sigma), stream,
+        bundle.basis, bundle.scheme, DensityMatrix(sigma), stream,
         shots=args.shots)
     seconds = time.perf_counter() - t0
     fidelity = float(out.mat[args.input, args.input].real)

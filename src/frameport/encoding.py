@@ -32,6 +32,8 @@ translation c_j^{-1} c_i on a matched scheme, by a coordinate swap on the rod.
 Every sampler takes an orbit index i or an (n,) array of them, one per
 reading, and draws the same variates either way: a table row or column is
 picked per reading, so a constant array gives the readings of its scalar.
+An index off the orbit gives NaN rows (or an IndexError past a table), never
+a finite reading; sample_encoding rejects it outright.
 
 A matched decode scores the first lifts, grouped by label, with one matrix
 product per row block and takes each label's maximum score.  A reading whose
@@ -260,12 +262,16 @@ def rod_scheme() -> EncodingScheme:
         v = rng.normal(size=(n, 3))
         a, b, c = v.T
         v /= np.sqrt(a * a + b * b + c * c)[:, None]
+        # An index off the orbit {1, 2, 3} has no column: its rows are NaN.
+        off = np.less(i, 1) | np.greater(i, 3)
         rows = np.arange(-1, 3 * n - 1, 3)
-        dominant, column = rows + decode_fn(v), rows + i   # flat indices
+        dominant = rows + decode_fn(v)                     # flat indices
+        column = rows + np.where(off, 1, i)
         x = v.copy()
         flat, src = x.reshape(-1), v.reshape(-1)           # views
         flat[column] = src[dominant]
         flat[dominant] = src[column]
+        x[off] = np.nan
         return x
 
     eq = equivariance_analysis(pauli_ueb(), groups.binary_octahedral())

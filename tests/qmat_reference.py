@@ -5,9 +5,11 @@ purities), the conjugation superoperator of a unitary, the von Neumann
 entropy, the linear purity of a channel estimate with its bootstrap error,
 raw Haar draws and substreams of a stream, the distance-based
 nearest-element search, the perfect-scheme realignment of a correction, the
-one-shot and the single-reading decode, uniform readings of a scheme and
-equal-measure bins of them, the per-triple and 4x4-matrix forms of the two
-optimize objectives, and Nelder-Mead on numpy arrays."""
+dense teleportation through a resource (measurement basis, Born
+probabilities, pre-correction unitary), the one-shot and the single-reading
+decode, uniform readings of a scheme and equal-measure bins of them, the
+per-triple and 4x4-matrix forms of the two optimize objectives, and
+Nelder-Mead on numpy arrays."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -21,6 +23,7 @@ from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
     canonical_sign, first_lifts, haar_batch, quat_conj, quat_mul, quat_rotate
 from frameport.qmat import DensityMatrix, InvariantViolation, Superoperator, \
     UnitaryMatrix, _entropy, clamped_eigenvalues, spectrum_purities
+from frameport.ueb import UnitaryErrorBasis
 
 
 def component_quat_mul(a, b) -> np.ndarray:
@@ -199,6 +202,36 @@ def realigned_correction(scheme: EncodingScheme, u_j: np.ndarray,
     onto y."""
     ghat = quat_mul(quat_conj(y), scheme.points[j][0])
     return quat_mul(quat_mul(ghat, u_j), quat_conj(ghat))
+
+
+def measurement_basis(basis: UnitaryErrorBasis, x: np.ndarray
+                      ) -> np.ndarray:
+    """Columns |phi_k> = (1/sqrt d) sum_i |i> (U_k X)^T |i> of Alice's
+    measurement with the UEB basis and the resource (1 (x) X)|Phi+>."""
+    d = basis.dim
+    return np.stack([(u @ x).reshape(d * d) / np.sqrt(d)
+                     for u in basis.mats], axis=1)
+
+
+def born_probabilities(basis: UnitaryErrorBasis, x: np.ndarray,
+                       sigma: np.ndarray) -> np.ndarray:
+    """Probabilities of Alice's results on sigma (x) eta, with the resource
+    state eta = (1/sqrt d) sum_k |k> X|k>, from the dense joint state:
+    the trace of <phi_k| on its first two factors."""
+    d = basis.dim
+    eta = x.T.reshape(d * d) / np.sqrt(d)
+    joint = np.kron(sigma, np.outer(eta, eta.conj())).reshape(
+        d * d, d, d * d, d)
+    meas = measurement_basis(basis, x)
+    return np.array([np.einsum("a,abcb,c->", phi.conj(), joint, phi).real
+                     for phi in meas.T])
+
+
+def premeasurement_unitary(basis: UnitaryErrorBasis, x: np.ndarray, k: int
+                           ) -> np.ndarray:
+    """The unitary M_k = X (U_k X)+ with Bob's state M_k sigma M_k+ after
+    result k, before his correction."""
+    return x @ (basis.mats[k] @ x).conj().T
 
 
 def decode(scheme: EncodingScheme, x) -> int:

@@ -17,61 +17,49 @@ from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
     clamped_eigenvalues, spectrum_purities
 from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
     pauli_ueb, tetrahedral_ueb
-from qmat_reference import choi, choi_matrix, haar_payloads, \
+from qmat_reference import born_probabilities, choi, choi_matrix, \
     linear_map_purity, linear_purity_with_error, map_purity, \
-    realigned_correction
+    measurement_basis, premeasurement_unitary, realigned_correction
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
 
 def u1_bundle():
     basis = pauli_ueb()
-    spec = ch.u1_teleportation_spec(basis)
     eq = equivariance_analysis(basis, groups.z8_physical())
-    return spec, eq
+    return basis, eq
 
 
 def su2_bundle(basis=None):
     basis = basis or pauli_ueb()
-    spec = ch.su2_teleportation_spec(basis)
     eq = equivariance_analysis(basis, groups.binary_octahedral())
-    return spec, eq
+    return basis, eq
 
 
 # ---------------------------------------------------------------------------
-# Protocol specification
+# Teleportation through a resource
 # ---------------------------------------------------------------------------
 
-def test_measurement_basis_is_orthonormal():
-    for spec, _ in (u1_bundle(), su2_bundle()):
-        basis = spec.measurement_basis()
-        gram = basis.conj().T @ basis
-        assert np.allclose(gram, np.eye(4), atol=1e-12)
-
-
-def _resource_invariance(spec, stream, n=32):
-    """Max deviation of (g (x) g) eta from eta up to phase, over samples."""
-    eta = spec.resource_state()
-    worst = 0.0
-    for g in haar_payloads(stream, n):
-        r = su2_matrix(g)
-        vec = np.kron(r, r) @ eta
-        overlap = np.vdot(eta, vec)
-        worst = max(worst, float(np.linalg.norm(vec - overlap * eta)))
-    return worst
-
-
-def test_su2_resource_is_invariant():
-    spec, _ = su2_bundle()
-    dev = _resource_invariance(spec, HaarStream("su2", 0))
-    assert dev < 1e-9
-
-
-def test_premeasurement_unitary_is_unitary():
-    spec, _ = su2_bundle()
-    for x in range(4):
-        m = spec.premeasurement_unitary(x)
-        assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
+def test_resource_cancels_from_every_result():
+    # The dense protocol with the resource (1 (x) X)|Phi+>, for X = I and
+    # the singlet's X = -iY: every result has probability 1/4 whatever sigma,
+    # and Bob's pre-correction unitary X (U_x X)+ is U_x+ up to phase.  The
+    # simulator and every channel assume both.
+    rng = np.random.default_rng(30)
+    for x in (np.eye(2), -1j * groups.PAULI_Y):
+        for basis in (pauli_ueb(), tetrahedral_ueb()):
+            meas = measurement_basis(basis, x)
+            assert np.max(np.abs(meas.conj().T @ meas - np.eye(4))) <= 1e-15
+            for _ in range(8):
+                a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                sigma = a @ a.conj().T / np.trace(a @ a.conj().T)
+                p = born_probabilities(basis, x, sigma)
+                assert np.max(np.abs(p - 0.25)) <= 1e-15, p
+            for k, u in enumerate(basis.mats):
+                m = premeasurement_unitary(basis, x, k)
+                phase = np.trace(u @ m) / 2
+                assert abs(abs(phase) - 1.0) <= 1e-15
+                assert np.max(np.abs(m - phase * u.conj().T)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +67,8 @@ def test_premeasurement_unitary_is_unitary():
 # ---------------------------------------------------------------------------
 
 def test_u1_conventional_averaged_is_half_dephasing():
-    spec, _ = u1_bundle()
-    est = ch.conventional_channel(spec, "u1", "averaged", "quadrature")
+    basis, _ = u1_bundle()
+    est = ch.conventional_channel(basis, "u1", "averaged", "quadrature")
     expected = np.diag([1.0, 0.5, 0.5, 1.0]).astype(np.complex128)
     assert np.max(np.abs(est.superop.mat - expected)) < 1e-14
     assert map_purity(est.superop) == pytest.approx(0.5943609377704335,
@@ -97,23 +85,22 @@ def test_u1_conventional_quadrature_matches_fine_grid():
     u, v = (UnitaryMatrix(groups.su2_matrix(q))
             for q in groups.sample_su2(np.random.default_rng(9), 2))
     for basis in (pauli_ueb(), general_qubit_ueb(u, v)):
-        spec = ch.u1_teleportation_spec(basis)
         for i, m in enumerate(basis.mats):
             w = np.einsum("nba,bc,ncd,ed->nae", rho.conj(), m, rho, m.conj())
             ref = np.einsum("nab,ncd->acbd", w.conj(), w).reshape(4, 4)
-            est = ch.conventional_channel(spec, "u1", i, "quadrature")
+            est = ch.conventional_channel(basis, "u1", i, "quadrature")
             assert np.max(np.abs(est.superop.mat - ref / len(t))) <= 1e-15
 
 
 def test_su2_conventional_result0_is_identity():
-    spec, _ = su2_bundle()
-    est = ch.conventional_channel(spec, "su2", 0, "mc", samples=10 ** 4)
+    basis, _ = su2_bundle()
+    est = ch.conventional_channel(basis, "su2", 0, "mc", samples=10 ** 4)
     assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
 def test_su2_conventional_result1_spectrum():
-    spec, _ = su2_bundle()
-    est = ch.conventional_channel(spec, "su2", 1, "mc", samples=SAMPLES)
+    basis, _ = su2_bundle()
+    est = ch.conventional_channel(basis, "su2", 1, "mc", samples=SAMPLES)
     ev = sorted(est.choi_spectrum(), reverse=True)
     assert np.allclose(ev, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=0.02)
     p, err = est.map_purity_with_error()
@@ -123,10 +110,10 @@ def test_su2_conventional_result1_spectrum():
 def test_conventional_mc_agrees_with_quadrature():
     # Every result of both groups: the circle rule and the 24-point SU(2)
     # design against MC, within 3 sigma per entry.
-    for group, (spec, _) in (("u1", u1_bundle()), ("su2", su2_bundle())):
+    for group, (basis, _) in (("u1", u1_bundle()), ("su2", su2_bundle())):
         for i in range(4):
-            exact = ch.conventional_channel(spec, group, i, "quadrature")
-            mc = ch.conventional_channel(spec, group, i, "mc",
+            exact = ch.conventional_channel(basis, group, i, "quadrature")
+            mc = ch.conventional_channel(basis, group, i, "mc",
                                          samples=SAMPLES)
             tol = 3 * np.maximum(mc.stderr, 1e-4)
             assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
@@ -136,17 +123,17 @@ def test_averaged_conventional_mc_is_the_mix_of_its_results():
     # Result i draws from the seed's own stream at counter i << 48, so the
     # averaged estimate at a seed is the mix of that seed's result
     # estimates, and no result shares its draws with a neighbouring seed.
-    spec, _ = su2_bundle()
-    averaged = ch.conventional_channel(spec, "su2", "averaged", "mc",
+    basis, _ = su2_bundle()
+    averaged = ch.conventional_channel(basis, "su2", "averaged", "mc",
                                        20000, 6)
-    mixed = ch.mix_estimates([ch.conventional_channel(spec, "su2", i, "mc",
+    mixed = ch.mix_estimates([ch.conventional_channel(basis, "su2", i, "mc",
                                                       20000, 6)
                               for i in range(4)])
     assert np.array_equal(averaged.moment, mixed.moment)
     assert np.array_equal(averaged.replicates, mixed.replicates)
-    neighbour = ch.conventional_channel(spec, "su2", 2, "mc", 20000, 7)
+    neighbour = ch.conventional_channel(basis, "su2", 2, "mc", 20000, 7)
     assert not any(np.array_equal(neighbour.moment, ch.conventional_channel(
-        spec, "su2", i, "mc", 20000, 6).moment) for i in range(4))
+        basis, "su2", i, "mc", 20000, 6).moment) for i in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +144,16 @@ def u1_tight_scheme(eq):
     return enc.tight_matched_scheme(eq, 1)
 
 
-def averaged_channel(spec, scheme, method, *args):
+def averaged_channel(scheme, method, *args):
     """The equal mix of a scheme's channels over all of its results."""
     return ch.mix_estimates(list(ch.result_estimates(
-        spec, scheme, range(spec.basis.size), method, *args).values()))
+        scheme, range(scheme.eq.basis.size), method, *args).values()))
 
 
 def test_u1_tight_quadrature_off_diagonal():
-    spec, eq = u1_bundle()
+    _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
-    est = averaged_channel(spec, scheme, "quadrature")
+    est = averaged_channel(scheme, "quadrature")
     target = 2 / np.pi ** 2 + 0.5
     assert est.superop.mat[1, 1].real == pytest.approx(target, abs=1e-12)
     assert est.superop.mat[2, 2].real == pytest.approx(target, abs=1e-12)
@@ -194,16 +181,16 @@ def test_u1_tight_arc_moment_matches_dense_grid():
 
 
 def test_u1_tight_mc_agrees_with_quadrature():
-    spec, eq = u1_bundle()
+    _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
-    exact = ch.result_estimates(spec, scheme, [1], "quadrature")[1]
-    mc = ch.result_estimates(spec, scheme, [1], "mc", samples=SAMPLES)[1]
+    exact = ch.result_estimates(scheme, [1], "quadrature")[1]
+    mc = ch.result_estimates(scheme, [1], "mc", samples=SAMPLES)[1]
     tol = 3 * np.maximum(mc.stderr, 2e-3)
     assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
 
 
 def test_tight_singleton_orbit_is_identity(monkeypatch):
-    spec, eq = u1_bundle()
+    _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
 
     def no_base_integral(*args):
@@ -212,15 +199,15 @@ def test_tight_singleton_orbit_is_identity(monkeypatch):
     monkeypatch.setattr(ch, "_tight_base_channel", no_base_integral)
     for i in (0, 3):
         for method in ("quadrature", "mc"):
-            est = ch.result_estimates(spec, scheme, [i], method)[i]
+            est = ch.result_estimates(scheme, [i], method)[i]
             assert est.method == "quadrature"
             assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-14
 
 
 def test_su2_tight_orbit_channels_share_spectrum():
-    spec, eq = su2_bundle()
+    _, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
-    ests = ch.result_estimates(spec, scheme, range(4), "mc",
+    ests = ch.result_estimates(scheme, range(4), "mc",
                                samples=SAMPLES)
     spectra = [sorted(ests[i].choi_spectrum()) for i in (1, 2, 3)]
     assert np.allclose(spectra[0], spectra[1], atol=1e-9)
@@ -232,8 +219,8 @@ def test_su2_tight_orbit_channels_share_spectrum():
 
 def test_mean_result_purity_of_some_results():
     # Any subset of results, keyed by result rather than by position.
-    spec, eq = u1_bundle()
-    ests = ch.result_estimates(spec, u1_tight_scheme(eq), [1, 3],
+    _, eq = u1_bundle()
+    ests = ch.result_estimates(u1_tight_scheme(eq), [1, 3],
                                "quadrature")
     mean, err = ch.mean_result_purity(ests)
     assert mean == pytest.approx((ests[1].map_purity() + 1.0) / 2,
@@ -245,17 +232,17 @@ def test_su2_tight_invariant_under_left_stabilizer_shift(monkeypatch):
     """The base integrand is invariant under g -> h g for h stabilizing the
     base element, so shifting the sampled misalignments leaves the channel
     unchanged up to Monte Carlo error."""
-    spec, eq = su2_bundle()
+    _, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
     h = eq.subgroup.payloads[eq.stabilizers[1][3]]
-    plain = ch.result_estimates(spec, scheme, [1], "mc",
+    plain = ch.result_estimates(scheme, [1], "mc",
                                 samples=SAMPLES, seed=0)[1]
     # Pre-compose every Haar draw with h.  The readings' sampler draws
     # through haar_batch too, which leaves them uniform.
     haar_batch = groups.haar_batch
     monkeypatch.setattr(groups, "haar_batch", lambda *a: groups.quat_mul(
         h, haar_batch(*a)))
-    shifted = ch.result_estimates(spec, scheme, [1], "mc",
+    shifted = ch.result_estimates(scheme, [1], "mc",
                                   samples=SAMPLES, seed=1)[1]
     p1, e1 = plain.map_purity_with_error()
     p2, e2 = shifted.map_purity_with_error()
@@ -266,12 +253,12 @@ def test_rod_and_matched_tight_purities_agree():
     """The two rotation-group tight schemes yield nearly identical per-result
     channels (the regions differ, but the stabilizer-averaged overlap weight
     does not)."""
-    spec, eq = su2_bundle()
+    _, eq = su2_bundle()
     matched = enc.tight_matched_scheme(eq, 1)
     rod = enc.rod_scheme()
-    pm, em = ch.result_estimates(spec, matched, [1], "mc",
+    pm, em = ch.result_estimates(matched, [1], "mc",
                                  samples=SAMPLES)[1].map_purity_with_error()
-    pr, er = ch.result_estimates(spec, rod, [1], "mc",
+    pr, er = ch.result_estimates(rod, [1], "mc",
                                  samples=SAMPLES)[1].map_purity_with_error()
     assert pm == pytest.approx(0.268, abs=0.01)
     assert pr == pytest.approx(0.270, abs=0.01)
@@ -282,50 +269,37 @@ def test_rod_and_matched_tight_purities_agree():
 # ---------------------------------------------------------------------------
 
 def test_u1_perfect_is_identity():
-    spec, eq = u1_bundle()
+    _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
-    est = ch.result_estimates(spec, scheme, [1], "quadrature")[1]
+    est = ch.result_estimates(scheme, [1], "quadrature")[1]
     assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
 def test_btet_perfect_mc_is_identity():
     basis = tetrahedral_ueb()
-    spec = ch.su2_teleportation_spec(basis)
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
-    est = ch.result_estimates(spec, scheme, [1], "mc",
+    est = ch.result_estimates(scheme, [1], "mc",
                               samples=SAMPLES)[1]
     tol = 3 * np.maximum(est.stderr, 1e-6)
     assert np.all(np.abs(est.superop.mat - np.eye(4)) <= tol)
 
 
 def test_spec_ueb_must_be_the_scheme_basis():
-    # A scheme's orbit and coset conjugations hold only for the UEB it was
-    # built on; with another basis the channel is meaningless (tetrahedral
-    # spec on rod tight: map purity 0.0085; Pauli spec on BTet perfect:
-    # 0.054).
-    tetrahedral = ch.su2_teleportation_spec(tetrahedral_ueb())
-    pauli = ch.su2_teleportation_spec(pauli_ueb())
-    rod = enc.rod_scheme()
+    # The simulator is the one entry that takes a UEB beside a scheme, whose
+    # orbit and coset conjugations hold only for the UEB it was built on.
+    # With the Pauli UEB on BTet perfect it used to give input fidelity 0.55.
     btet = enc.perfect_matched_scheme(
         equivariance_analysis(tetrahedral_ueb(), groups.binary_tetrahedral()),
         0)
+    sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
     with pytest.raises(ValueError, match="UEB"):
-        averaged_channel(tetrahedral, rod, "mc", 20000, 0)
-    with pytest.raises(ValueError, match="UEB"):
-        ch.result_estimates(tetrahedral, rod, [0], "mc", 20000, 0)
-    with pytest.raises(ValueError, match="UEB"):
-        ch.result_estimates(tetrahedral, rod, range(4), "mc", 20000, 0)
-    for method in ("mc", "quadrature"):
-        with pytest.raises(ValueError, match="UEB"):
-            ch.result_estimates(pauli, btet, [1], method, 20000, 0)
-    # The simulator used to give input fidelity 0.55 here.
-    with pytest.raises(ValueError, match="UEB"):
-        ch.single_shot_simulate(pauli, btet, DensityMatrix(np.diag([1, 0])),
+        ch.single_shot_simulate(pauli_ueb(), btet, sigma,
                                 HaarStream("su2", 3), 100)
-    # Separate instances of the scheme's own basis are accepted.
-    est = ch.result_estimates(tetrahedral, btet, [1], "quadrature")[1]
-    assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-12
+    # A separate instance of the scheme's own basis is accepted.
+    out, _ = ch.single_shot_simulate(tetrahedral_ueb(), btet, sigma,
+                                     HaarStream("su2", 3), 100)
+    assert np.max(np.abs(out.mat - sigma.mat)) < 1e-12
 
 
 def test_perfect_singleton_result_gets_conventional_integral():
@@ -334,39 +308,38 @@ def test_perfect_singleton_result_gets_conventional_integral():
     # gets the conventional integral (map purity 0.5) by either method,
     # not the identity.
     basis = pauli_ueb()
-    spec = ch.u1_teleportation_spec(basis)
     z4 = groups._build_subgroup("z4p", "u1",
                                 groups.u1_quat(np.arange(4) * np.pi / 2))
     eq = equivariance_analysis(basis, z4)
     assert eq.orbits == ((0,), (1,), (2,), (3,))
     scheme = enc.perfect_matched_scheme(eq, 1)
-    exact = ch.conventional_channel(spec, "u1", 2, "quadrature")
+    exact = ch.conventional_channel(basis, "u1", 2, "quadrature")
     assert exact.map_purity() == pytest.approx(0.5, abs=1e-12)
     for method in ("quadrature", "mc"):
-        est = ch.result_estimates(spec, scheme, [2], method, 20000, 0)[2]
+        est = ch.result_estimates(scheme, [2], method, 20000, 0)[2]
         assert est.method == "quadrature"
         assert np.array_equal(est.moment, exact.moment)
 
 
 def test_unknown_method_is_rejected():
-    spec, eq = u1_bundle()
+    _, eq = u1_bundle()
     tight = u1_tight_scheme(eq)
     perfect = enc.perfect_matched_scheme(eq, 1)
     # Orbit results of both kinds, and the singleton result 0 alone.
     for scheme, results in ((tight, [1]), (tight, [0]), (perfect, [1]),
                             (perfect, [0])):
         with pytest.raises(ValueError, match="unknown method"):
-            ch.result_estimates(spec, scheme, results, "bogus", 20000, 0)
+            ch.result_estimates(scheme, results, "bogus", 20000, 0)
 
 
 def test_simulator_stream_must_be_the_scheme_group():
     # Drawing SU(2) misalignments for the U(1) tight scheme used to run
     # silently (input fidelity 0.666 at 20,000 shots, against 1.0).
-    spec, eq = u1_bundle()
+    basis, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
     sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
     with pytest.raises(ValueError, match="frame group"):
-        ch.single_shot_simulate(spec, scheme, sigma, HaarStream("su2", 0),
+        ch.single_shot_simulate(basis, scheme, sigma, HaarStream("su2", 0),
                                 100)
 
 
@@ -375,14 +348,14 @@ def test_rod_point_encoding_is_perfectly_correctable():
     rotations about that axis, which commute with the Pauli element of the
     index, so the perfect-reconstruction channel is the identity for every
     result."""
-    spec, eq = su2_bundle()
+    basis, eq = su2_bundle()
     t = np.random.default_rng(8).random(64) * 2 * np.pi
     for i in (1, 2, 3):
         # The stabilizer of axis i acts trivially: each net quaternion of
         # rho(s)+ U_i rho(s) U_i+ is +-1.
         s = np.zeros((len(t), 4))
         s[:, 0], s[:, i] = np.cos(t), np.sin(t)
-        w = ch._channel_quats(s, ch._conjugation_map(spec.basis.quats[i]))
+        w = ch._channel_quats(s, ch._conjugation_map(basis.quats[i]))
         assert np.max(np.abs(np.abs(w[:, 0]) - 1.0)) < 1e-12
     rod = enc.rod_scheme()
     points = {i: np.eye(3)[i - 1][None] for i in (1, 2, 3)}
@@ -391,12 +364,12 @@ def test_rod_point_encoding_is_perfectly_correctable():
                                 lambda i, rng, n: np.tile(points[i][0], (n, 1)),
                                 points=points)
     for i in (1, 2, 3):
-        est = ch.result_estimates(spec, scheme, [i], "quadrature")[i]
+        est = ch.result_estimates(scheme, [i], "quadrature")[i]
         assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
 def test_finite_group_check_passes_for_u1():
-    spec, eq = u1_bundle()
+    _, eq = u1_bundle()
     _, (ok, info) = enc.check_scheme(u1_tight_scheme(eq), HaarStream("u1", 0))
     assert ok, info
 
@@ -405,11 +378,11 @@ def test_finite_group_check_passes_for_u1():
 # Quaternion moment accumulator
 # ---------------------------------------------------------------------------
 
-def _direct_block_sums(spec, r, result, accept):
+def _direct_block_sums(basis, r, result, accept):
     """Reference: per-block sums of kron(conj W, W) for the 2x2 unitaries
     W = rho(g)+ U_i rho(g) U_i+ of the frame matrices r = rho(g), bucketed by
     sample index."""
-    u = spec.basis.mats[result]
+    u = basis.mats[result]
     w = np.einsum("nba,bc,ncd,ed->nae", r.conj(), u, r, u.conj())
     kron = np.einsum("nab,ncd->nacbd", w.conj(), w).reshape(-1, 4, 4)
     n = len(r)
@@ -429,7 +402,7 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
     samples = 3001
     rng = np.random.default_rng(17)
     if case == "u1":
-        spec = ch.u1_teleportation_spec(pauli_ueb())
+        basis = pauli_ueb()
         theta = rng.random(samples) * 2 * np.pi
         payloads = groups.u1_quat(theta)
         # The physical matrices diag(1, exp(-2i theta)), phase included.
@@ -437,7 +410,6 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
         r[:, 0, 0], r[:, 1, 1] = 1.0, np.exp(-2j * theta)
     else:
         basis = tetrahedral_ueb() if case == "su2-tetrahedral" else pauli_ueb()
-        spec = ch.su2_teleportation_spec(basis)
         payloads = groups.sample_su2(rng, samples)
         r = groups.su2_matrix(payloads)
     accept = rng.random(samples) < 0.4 if masked else \
@@ -445,7 +417,7 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
 
     for result in range(4):
         pos = [0]
-        conj_by_u = ch._conjugation_map(spec.basis.quats[result])
+        conj_by_u = ch._conjugation_map(basis.quats[result])
 
         def sample_fn(_, m):
             lo, pos[0] = pos[0], pos[0] + m
@@ -455,7 +427,7 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
 
         moments, accepted = ch._mc_accumulate(sample_fn, samples,
                                               HaarStream("u1", 0))
-        ref_sums, ref_norms = _direct_block_sums(spec, r, result, accept)
+        ref_sums, ref_norms = _direct_block_sums(basis, r, result, accept)
         assert accepted == accept.sum()
         traces = np.trace(moments, axis1=1, axis2=2)
         assert np.max(np.abs(traces - ref_norms)) <= 1e-12
@@ -464,20 +436,19 @@ def test_moment_accumulator_matches_direct_superop_sums(monkeypatch, case,
 
 def _moment_estimate(case):
     if case == "perfect-identity":
-        spec, eq = u1_bundle()
+        _, eq = u1_bundle()
         scheme = enc.perfect_matched_scheme(eq, 1)
-        return ch.result_estimates(spec, scheme, [1], "quadrature")[1]
+        return ch.result_estimates(scheme, [1], "quadrature")[1]
     if case == "u1-tight-quadrature":
-        spec, eq = u1_bundle()
-        return ch.result_estimates(spec, u1_tight_scheme(eq), [1],
-                                   "quadrature")[1]
-    spec, eq = su2_bundle()
+        _, eq = u1_bundle()
+        return ch.result_estimates(u1_tight_scheme(eq), [1], "quadrature")[1]
+    basis, eq = su2_bundle()
     if case == "conventional-mc":
-        return ch.conventional_channel(spec, "su2", 1, "mc", samples=1 << 14)
+        return ch.conventional_channel(basis, "su2", 1, "mc", samples=1 << 14)
     scheme = enc.tight_matched_scheme(eq, 1)
     # Result 1 is the base channel; result 2 its orbit conjugate.
     result = {"tight-base-mc": 1, "tight-orbit-mc": 2}[case]
-    return ch.result_estimates(spec, scheme, [result], "mc",
+    return ch.result_estimates(scheme, [result], "mc",
                                samples=1 << 14)[result]
 
 
@@ -524,27 +495,27 @@ def test_bootstrap_error_bars_are_calibrated():
     must not fall in the binomial(40, 0.95) lower tail below p = 0.01."""
     seeds = range(1000, 1040)
     samples = 1 << 14
-    spec, _ = su2_bundle()
-    u1_spec, eq = u1_bundle()
+    basis, _ = su2_bundle()
+    _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
     exact = {
         "su2-result-1": ch.conventional_channel(
-            spec, "su2", 1, "quadrature").map_purity_with_error()[0],
+            basis, "su2", 1, "quadrature").map_purity_with_error()[0],
         "su2-averaged": ch.conventional_channel(
-            spec, "su2", "averaged", "quadrature").map_purity_with_error()[0],
+            basis, "su2", "averaged", "quadrature").map_purity_with_error()[0],
         "u1-tight-mean": ch.mean_result_purity(ch.result_estimates(
-            u1_spec, scheme, range(4), "quadrature"))[0],
+            scheme, range(4), "quadrature"))[0],
     }
     inside = dict.fromkeys(exact, 0)
     for seed in seeds:
         got = {
             "su2-result-1": ch.conventional_channel(
-                spec, "su2", 1, "mc", samples, seed).map_purity_with_error(),
+                basis, "su2", 1, "mc", samples, seed).map_purity_with_error(),
             "su2-averaged": ch.conventional_channel(
-                spec, "su2", "averaged", "mc", samples,
+                basis, "su2", "averaged", "mc", samples,
                 seed).map_purity_with_error(),
             "u1-tight-mean": ch.mean_result_purity(ch.result_estimates(
-                u1_spec, scheme, range(4), "mc", samples, seed)),
+                scheme, range(4), "mc", samples, seed)),
         }
         for key, (value, err) in got.items():
             inside[key] += abs(value - exact[key]) <= 2 * err
@@ -562,14 +533,14 @@ def test_tight_error_bars_are_calibrated():
     the matched scheme, the 48-node pair rule for the rod."""
     seeds = range(2000, 2040)
     samples = 1 << 14
-    spec, eq = su2_bundle()
+    _, eq = su2_bundle()
     exact = {"matched": (enc.tight_matched_scheme(eq, 1), 0.267531849),
              "rod": (enc.rod_scheme(), 0.26985667430)}
     for key, (scheme, want) in exact.items():
         inside = 0
         for seed in seeds:
             value, err = ch.result_estimates(
-                spec, scheme, [1], "mc", samples,
+                scheme, [1], "mc", samples,
                 seed)[1].map_purity_with_error()
             inside += abs(value - want) <= 2 * err
         n = len(seeds)
@@ -583,24 +554,22 @@ def test_tight_error_bars_are_calibrated():
 # ---------------------------------------------------------------------------
 
 def test_single_shot_conventional_matches_channel():
-    spec, _ = u1_bundle()
+    basis, _ = u1_bundle()
     sigma = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]],
                                    dtype=np.complex128))
     out, transcript = ch.single_shot_simulate(
-        spec, None, sigma, HaarStream("u1", 21), shots=120000)
-    exact = ch.conventional_channel(spec, "u1", "averaged", "quadrature")
+        basis, None, sigma, HaarStream("u1", 21), shots=120000)
+    exact = ch.conventional_channel(basis, "u1", "averaged", "quadrature")
     expected = exact.superop.apply(sigma.mat)
     assert np.max(np.abs(out.mat - expected)) < 5e-3
-    assert np.allclose(transcript["probs"], 0.25, atol=1e-9)
 
 
 def test_single_shot_perfect_reconstructs_exactly():
     basis = tetrahedral_ueb()
-    spec = ch.su2_teleportation_spec(basis)
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    out, _ = ch.single_shot_simulate(spec, scheme, sigma,
+    out, _ = ch.single_shot_simulate(basis, scheme, sigma,
                                      HaarStream("su2", 22), shots=500)
     assert np.max(np.abs(out.mat - sigma.mat)) < 1e-9
 
@@ -609,42 +578,46 @@ def test_single_shot_u1_perfect_restores_mixed_input():
     # Results 1 and 2 are reconstructed from their readings; results 0 and
     # 3 lie outside the orbit and are corrected unaligned, which is exact as
     # I and Z commute with every U(1) misalignment.
-    spec, eq = u1_bundle()
+    basis, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    out, transcript = ch.single_shot_simulate(spec, scheme, sigma,
+    out, transcript = ch.single_shot_simulate(basis, scheme, sigma,
                                               HaarStream("u1", 23), shots=500)
     assert set(transcript["result"].tolist()) == {0, 1, 2, 3}
     assert np.max(np.abs(out.mat - sigma.mat)) <= 1e-12
 
 
 def test_born_draw_is_generator_choice():
-    spec, _ = su2_bundle()
+    # Every result is equiprobable, and each block draws its results as
+    # Generator.choice(4, p=[1/4] * 4) would, bit for bit and leaving the
+    # generator in the same state: the block's misalignments, drawn next
+    # from it, match too.
+    basis, _ = su2_bundle()
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    _, transcript = ch.single_shot_simulate(spec, None, sigma,
-                                            HaarStream("su2", 26), 10)
-    for p in (transcript["probs"], np.array([0.1, 0.45, 0.05, 0.4]),
-              np.array([0.5, 0.0, 0.2, 0.3])):
-        a, b = HaarStream("su2", 27).generator(), \
-            HaarStream("su2", 27).generator()
-        for m in (1, 1000, ch._BATCH):
-            got = ch._born_draw(a, p, m)
-            want = b.choice(len(p), size=m, p=p)
+    for shots in (1, 7, 1001, ch._BATCH, ch._BATCH + 3):
+        _, t = ch.single_shot_simulate(basis, None, sigma,
+                                       HaarStream("su2", 27), shots)
+        rng = HaarStream("su2", 27).generator()
+        for start in range(0, shots, ch._BATCH):
+            block = slice(start, min(start + ch._BATCH, shots))
+            m = block.stop - start
+            want = rng.choice(4, size=m, p=[0.25] * 4)
+            got = t["result"][block]
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        # Both consumed the same variates.
-        assert a.random() == b.random()
+            assert np.array_equal(t["g"][block],
+                                  groups.haar_batch("su2", rng, m))
 
 
 @pytest.mark.parametrize("case", ["u1", "btet"])
 def test_correction_table_is_the_realigned_correction(case):
     if case == "u1":
-        spec, eq = u1_bundle()
+        basis, eq = u1_bundle()
         scheme = enc.perfect_matched_scheme(eq, 1)
     else:
-        spec = ch.su2_teleportation_spec(tetrahedral_ueb())
+        basis = tetrahedral_ueb()
         scheme = enc.perfect_matched_scheme(equivariance_analysis(
-            spec.basis, groups.binary_tetrahedral()), 0)
-    table = ch._correction_table(spec, scheme)
+            basis, groups.binary_tetrahedral()), 0)
+    table = ch._correction_table(basis, scheme)
     rng = np.random.default_rng(28)
     n = 4000
     idx = rng.choice(scheme.indices, size=n)
@@ -654,23 +627,23 @@ def test_correction_table_is_the_realigned_correction(case):
     for j in scheme.indices:
         got = groups.quat_mul(groups.quat_mul(groups.quat_conj(y), table[j]),
                               y)
-        want = realigned_correction(scheme, spec.basis.quats[j], y, j)
+        want = realigned_correction(scheme, basis.quats[j], y, j)
         dev = np.minimum(np.abs(got - want).max(axis=1),
                          np.abs(got + want).max(axis=1))
         assert dev.max() <= 1e-15, (j, dev.max())
-    off = [j for j in range(spec.basis.size) if j not in scheme.indices]
-    assert np.array_equal(table[off], spec.basis.quats[off])
+    off = [j for j in range(basis.size) if j not in scheme.indices]
+    assert np.array_equal(table[off], basis.quats[off])
 
 
 def test_simulator_reads_orbit_shots_in_shot_order():
     # Each block draws the readings of its orbit shots with one sampler
     # call, in shot order; a result outside the orbit decodes to itself.
-    spec, eq = su2_bundle()
+    basis, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     stream = HaarStream("su2", 29)
     shots = ch._BATCH + 100
-    _, t = ch.single_shot_simulate(spec, scheme, sigma, stream, shots)
+    _, t = ch.single_shot_simulate(basis, scheme, sigma, stream, shots)
     rng = stream.advance(1 << 40).generator()
     for block in (slice(0, ch._BATCH), slice(ch._BATCH, shots)):
         x, g, decoded = t["result"][block], t["g"][block], t["decoded"][block]
@@ -682,16 +655,18 @@ def test_simulator_reads_orbit_shots_in_shot_order():
     assert 0 < np.sum(t["decoded"] != t["result"])
 
 
-def _superop_from_transcript(spec, transcript):
+def _superop_from_transcript(basis, transcript):
     """Mean of kron(conj V, V) over all the shots of a transcript at once,
     with V = rho(g)+ U_j rho(g) M_x for each shot's misalignment g, result x
     and decoded index j (the correction of a scheme that does not
-    reconstruct the frame), composed as quaternions."""
+    reconstruct the frame), composed as quaternions; M_x is the dense
+    pre-correction unitary of the resource X = I."""
     g = transcript["g"]
-    pre = groups.unitary_quat(np.stack([spec.premeasurement_unitary(x)
-                                        for x in range(spec.basis.size)]))
+    pre = groups.unitary_quat(np.stack([
+        premeasurement_unitary(basis, np.eye(2), x)
+        for x in range(basis.size)]))
     corr = groups.quat_mul(groups.quat_mul(
-        groups.quat_conj(g), spec.basis.quats[transcript["decoded"]]), g)
+        groups.quat_conj(g), basis.quats[transcript["decoded"]]), g)
     v = su2_matrix(groups.quat_mul(corr, pre[transcript["result"]]))
     # Shots on the last, contiguous axis: numpy then sums them pairwise.
     terms = np.einsum("nab,ncd->nacbd", v.conj(), v).reshape(len(v), 16)
@@ -702,13 +677,13 @@ def _superop_from_transcript(spec, transcript):
 def test_blocked_simulator_loses_and_repeats_no_shot(case):
     # Two full blocks and a ragged one.
     shots = 2 * ch._BATCH + 17
-    spec, eq = u1_bundle()
+    basis, eq = u1_bundle()
     scheme = None if case == "u1-conventional" else \
         enc.tight_matched_scheme(eq, 1)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
 
     def run():
-        return ch.single_shot_simulate(spec, scheme, sigma,
+        return ch.single_shot_simulate(basis, scheme, sigma,
                                        HaarStream("u1", 24), shots)
 
     out, transcript = run()
@@ -721,7 +696,7 @@ def test_blocked_simulator_loses_and_repeats_no_shot(case):
     if scheme is not None:
         assert np.any(transcript["decoded"] != transcript["result"])
     dev = np.max(np.abs(transcript["mean_superop"].mat
-                        - _superop_from_transcript(spec, transcript)))
+                        - _superop_from_transcript(basis, transcript)))
     assert dev <= 1e-15
     out2, transcript2 = run()
     assert np.array_equal(out.mat, out2.mat)
@@ -745,16 +720,16 @@ def _traced_peak(fn):
 @pytest.mark.parametrize("case", ["conventional", "matched-tight",
                                   "rod-tight"])
 def test_mc_memory_does_not_grow_with_samples(case):
-    spec, eq = su2_bundle()
+    basis, eq = su2_bundle()
     if case == "conventional":
         def run(n):
-            ch.conventional_channel(spec, "su2", 1, "mc", n, 3)
+            ch.conventional_channel(basis, "su2", 1, "mc", n, 3)
     else:
         scheme = enc.rod_scheme() if case == "rod-tight" else \
             enc.tight_matched_scheme(eq, 1)
 
         def run(n):
-            ch.result_estimates(spec, scheme, range(4), "mc", n, 3)
+            ch.result_estimates(scheme, range(4), "mc", n, 3)
     run(1 << 13)                    # builds what the process caches
     small, _ = _traced_peak(lambda: run(1 << 15))
     large, _ = _traced_peak(lambda: run(1 << 18))
@@ -764,30 +739,29 @@ def test_mc_memory_does_not_grow_with_samples(case):
 
 def test_simulator_memory_is_the_transcript_plus_a_block():
     basis = tetrahedral_ueb()
-    spec = ch.su2_teleportation_spec(basis)
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
     sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
-    ch.single_shot_simulate(spec, scheme, sigma, HaarStream("su2", 25), 100)
+    ch.single_shot_simulate(basis, scheme, sigma, HaarStream("su2", 25), 100)
     peak, (_, t) = _traced_peak(lambda: ch.single_shot_simulate(
-        spec, scheme, sigma, HaarStream("su2", 25), 1 << 18))
+        basis, scheme, sigma, HaarStream("su2", 25), 1 << 18))
     transcript = t["g"].nbytes + t["result"].nbytes + t["decoded"].nbytes
     assert peak < transcript + (4 << 20), (peak, transcript)
 
 
 def test_mc_channel_estimates_are_seed_deterministic():
-    spec, _ = su2_bundle()
-    a = ch.conventional_channel(spec, "su2", 1, "mc", samples=2 * 10 ** 4,
+    basis, _ = su2_bundle()
+    a = ch.conventional_channel(basis, "su2", 1, "mc", samples=2 * 10 ** 4,
                                 seed=5)
-    b = ch.conventional_channel(spec, "su2", 1, "mc", samples=2 * 10 ** 4,
+    b = ch.conventional_channel(basis, "su2", 1, "mc", samples=2 * 10 ** 4,
                                 seed=5)
     assert np.array_equal(a.superop.mat, b.superop.mat)
     assert np.array_equal(a.replicates, b.replicates)
 
 
 def test_estimate_invariants():
-    spec, _ = su2_bundle()
-    est = ch.conventional_channel(spec, "su2", 1, "mc", samples=2 * 10 ** 4)
+    basis, _ = su2_bundle()
+    est = ch.conventional_channel(basis, "su2", 1, "mc", samples=2 * 10 ** 4)
     mat = choi_matrix(est.superop)
     assert np.trace(mat).real == pytest.approx(1.0, abs=1e-9)
     assert np.min(np.linalg.eigvalsh(mat)) > -1e-6

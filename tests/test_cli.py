@@ -160,7 +160,7 @@ def test_mean_result_row_reports_mean_linear_purity(tmp_path):
             for r in (dict(zip(header.split(","), line.split(",")))
                       for line in rows)}
     bundle = cli.builtin_scheme("su2-matched-tight")
-    per_result = ch.result_estimates(bundle.spec, bundle.scheme, range(4),
+    per_result = ch.result_estimates(bundle.scheme, range(4),
                                      "mc", 20000, 0)
     mean = np.mean([linear_purity_with_error(e)[0]
                     for e in per_result.values()])

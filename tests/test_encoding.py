@@ -188,14 +188,16 @@ def test_samplers_take_an_index_array(name):
         for bad in (i, np.append(idx[:4], i)):
             with pytest.raises(ValueError, match=f"index {i} not in orbit"):
                 enc.sample_encoding(scheme, bad, STREAM, np.size(bad))
-        if scheme.kind == "perfect":
-            # A table row off the orbit is NaN or out of range, never a
-            # silent zero reading.
+        # A direct sampler call off the orbit, for a scalar index or inside
+        # an array, gives NaN rows or fails on a table's range: never a
+        # finite reading.
+        for bad in (i, np.append(idx[:4], i)):
             try:
-                got = scheme.sample_fn(i, np.random.default_rng(43), 5)
+                got = scheme.sample_fn(bad, np.random.default_rng(43),
+                                       np.size(bad))
             except IndexError:
                 continue
-            assert np.all(np.isnan(got))
+            assert np.all(np.isnan(got[np.asarray(bad) == i]))
 
 
 # ---------------------------------------------------------------------------

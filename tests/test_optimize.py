@@ -68,8 +68,7 @@ def test_nelder_mead_never_below_start():
 def test_u1_objective_at_pauli_point():
     # Must equal the linear map purity of the averaged conventional channel.
     val = opt.u1_conventional_purity((0.0, 0.0, 0.0, 0.0))
-    spec = ch.u1_teleportation_spec(pauli_ueb())
-    est = ch.conventional_channel(spec, "u1", "averaged", "quadrature")
+    est = ch.conventional_channel(pauli_ueb(), "u1", "averaged", "quadrature")
     assert val == pytest.approx(linear_map_purity(est.superop), abs=1e-9)
     assert val == pytest.approx(0.625, abs=1e-12)
 
