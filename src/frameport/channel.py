@@ -66,13 +66,15 @@ w(g) is quadratic in g, so w w^T is quartic and every exact channel moment
 is one fixed linear image of the fourth moment T4 = E[g (x) g (x) g (x) g]
 of the misalignments the scheme lets through (fourth_moment_map): the Haar
 T4 for a conventional channel, and for a tight base channel the T4 of
-g = y-bar x with x and y independent and uniform on the encoding region E_b.
-Those are the (g, x) pairs whose transported reading x g-bar = y stays in
-E_b (the pair identity).  On the circle, E_b is a union of arcs, the left
-translates h C_0 of the identity cell C_0 = {u1_quat(t) : |t| <= pi/(2m)} by
-the m distinct readings of H labelled b, and the T4 of g is in closed form
-(groups.arc_pair_fourth_moment).  The SU(2) tight channels are computed by
-Monte Carlo.
+g = y-bar x for x and y independent with the fourth moment of the scheme's
+moment_fn (groups.pair_fourth_moment).  On a matched scheme x and y are
+uniform on E_b, as the pairs kept are those whose reading x g-bar = y stays
+in E_b, and E_b's moment is the equal mix of its cells C_0 h, h labelled b.
+On the rod x = h-bar, h uniform on the lift {h : R(h) e_z in E_b}.  Averaged
+over the fibre of the axis R(h) e_z, the quartic in h depends on the axis
+only through its second moments, and BOct's 8 lifts of an axis integrate
+the fibre exactly, so the lift's moment is that of BOct's 48 elements with
+c/16 on the 16 whose axis is +-e_b, (1 - c)/32 on the others, c = E n_b^2.
 """
 from __future__ import annotations
 
@@ -365,20 +367,13 @@ def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
     result i is its conjugate by the coset representative c_i of the
     scheme's equivariance data.  The overlap weight p(g) is realized (MC) by
     drawing g from Haar and x directly from E_b and rejecting only the
-    (g, x) pairs whose transported reading leaves E_b, or (circle-group
-    quadrature) by the pair identity on E_b."""
+    (g, x) pairs whose transported reading leaves E_b, or (quadrature) by
+    the pair identity, as the pair contraction of the scheme's moment_fn."""
     b = min(scheme.indices)
     u = scheme.eq.basis.quats[b]
     if method == "quadrature":
-        if scheme.subgroup.ambient != "u1":
-            raise ValueError("tight quadrature needs a circle-torsor scheme")
-        # One arc per distinct reading of H: the Voronoi cells of a cyclic
-        # group of m readings are arcs of half-width pi/(2m) about them.
-        sub = scheme.subgroup
-        readings = sub.payloads[groups.first_lifts(sub.payloads)]
-        centers = readings[enc.decode_batch(scheme, readings) == b]
-        moment = _exact_moment(u, groups.arc_pair_fourth_moment(
-            centers, np.pi / (2 * len(readings))))
+        moment = _exact_moment(u, groups.pair_fourth_moment(
+            scheme.moment_fn()))
         # The trace is E|g|^4 = 1; report how far the computed integral is
         # from it before rescaling.
         tr = np.trace(moment)
@@ -521,7 +516,9 @@ def single_shot_simulate(basis: UnitaryErrorBasis,
                                                    rng_read, len(orbit)))
             decoded[block][orbit] = enc.decode_batch(scheme, y)
             if scheme.kind == "perfect":
-                z[orbit] = quat_mul(y, gs)
+                # np.put copies whole 32-byte rows, unlike z[orbit] = ...
+                np.put(z.view("V32")[:, 0], orbit,
+                       quat_mul(y, gs).view("V32"))
         # Net shot unitaries V = C_A M_x.
         corr = _corrections(table, decoded[block], z)
         moment += _moment(quat_mul(corr, np.take(pre, res, axis=0)))

@@ -115,27 +115,20 @@ class ConfigError(ValueError):
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
+def _to_json(obj):
+    """JSON form of complex numbers and of numpy arrays and scalars."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
     meta = {"seed": args.seed, "samples": getattr(args, "samples", None),
             "build": build_id()}
     if args.format == "json":
-        text = json.dumps(_jsonable({"meta": meta} | payload), indent=2)
+        text = json.dumps({"meta": meta} | payload, indent=2, default=_to_json)
     else:
         if rows is None:
             raise ConfigError("this command has no CSV form; use --format json")
@@ -224,7 +217,7 @@ def _verify_schemes(report: dict, names=None) -> bool:
                                   samples_per_case=200)
         for key, (passed, info) in zip(("compatibility", "finite-subgroup"),
                                        checks):
-            report[f"{key}:{name}"] = {"ok": passed} | _jsonable(info)
+            report[f"{key}:{name}"] = {"ok": passed} | info
             ok = ok and passed
     return ok
 
@@ -298,10 +291,6 @@ def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
 def cmd_channel(args) -> int:
     bundle = builtin_scheme(args.scheme)
     method = args.method or _default_method(bundle)
-    if (method == "quadrature" and bundle.group == "su2"
-            and bundle.variant == "tight"):
-        raise ConfigError(f"{bundle.name} has no quadrature path; "
-                          "use --method mc")
     result = args.result
     if result == "averaged" and bundle.variant == "perfect":
         # A perfect scheme's channel is computed for one result; the

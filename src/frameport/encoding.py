@@ -87,7 +87,8 @@ class EncodingScheme:
     batch of readings to UEB indices; sample_fn(i, rng, n) draws n uniform
     readings from E_i (region schemes) or X_i (perfect schemes), for an
     index i or an (n,) array of indices, one per reading.  Each region E_i
-    of a tight scheme has measure 1/len(indices).
+    of a tight scheme has measure 1/len(indices); moment_fn() is the fourth
+    moment of the x whose pairs y-bar x pass its orbit base (channel).
     """
 
     eq: EquivarianceData
@@ -97,6 +98,7 @@ class EncodingScheme:
     decode_fn: Callable[[np.ndarray], np.ndarray]
     sample_fn: Callable[[int | np.ndarray, Generator, int], np.ndarray]
     points: dict[int, np.ndarray] | None = None  # X_i for perfect schemes
+    moment_fn: Callable[[], np.ndarray] | None = None  # tight schemes
 
     @property
     def subgroup(self) -> FiniteSubgroup:
@@ -200,6 +202,12 @@ def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
     shifts = sub.payloads[sub.table[sub.inverse[reps], reps[:, None]]]
     shifts[~np.isin(range(width), orbit)] = np.nan
     shifts = shifts.reshape(-1, 4)
+    cells = sub.payloads[labels == min(orbit)]
+
+    def moment_fn() -> np.ndarray:
+        return groups.translated_fourth_moment(
+            groups.cell_fourth_moment(sub), cells,
+            np.full(len(cells), 1 / len(cells)))
 
     def sample_fn(i, rng: Generator, n: int) -> np.ndarray:
         # A uniform f is uniform on its region E_j, and right translation by
@@ -210,7 +218,7 @@ def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
             f, np.take(shifts, np.multiply(i, width) + decode_fn(f), axis=0)))
 
     return EncodingScheme(eq, orbit, "tight", _torsor_act, decode_fn,
-                          sample_fn)
+                          sample_fn, moment_fn=moment_fn)
 
 
 def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
@@ -274,9 +282,18 @@ def rod_scheme() -> EncodingScheme:
         x[off] = np.nan
         return x
 
+    def moment_fn() -> np.ndarray:
+        # h-bar for h in BOct, weighted by its axis R(h) e_z (see channel).
+        h = groups.binary_octahedral().payloads
+        c = 1 / 3 + 2 / (np.pi * np.sqrt(3))
+        w = np.where(decode_fn(quat_rotate(h, [0.0, 0.0, 1.0])) == 1,
+                     c / 16, (1 - c) / 32)
+        return groups.translated_fourth_moment(
+            groups.circle_fourth_moment(1.0, 1.0), quat_conj(h), w)
+
     eq = equivariance_analysis(pauli_ueb(), groups.binary_octahedral())
     return EncodingScheme(eq, eq.orbit_of(1), "tight", quat_rotate, decode_fn,
-                          sample_fn)
+                          sample_fn, moment_fn=moment_fn)
 
 
 # ---------------------------------------------------------------------------

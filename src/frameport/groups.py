@@ -2,8 +2,9 @@
 
 Quaternion algebra, Haar sampling, finite subgroups with multiplication
 tables, and the fourth moments T4 = E[q (x) q (x) q (x) q] that fix every
-exact channel integral: Haar on SU(2) and on the circle, and the pair moment
-of the circle arcs of a tight encoding region.
+exact channel integral: Haar on SU(2) and on the circle, and for a tight
+region weighted right translates of a cell moment (Delsarte, Goethals and
+Seidel, Geom. Dedicata 6 (1977)) and the pair moment of y-bar x.
 
 Conventions
 -----------
@@ -63,7 +64,9 @@ __all__ = [
     "haar_batch",
     "haar_fourth_moment",
     "circle_fourth_moment",
-    "arc_pair_fourth_moment",
+    "cell_fourth_moment",
+    "translated_fourth_moment",
+    "pair_fourth_moment",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -422,16 +425,49 @@ def circle_fourth_moment(c2: float, c4: float) -> np.ndarray:
     return t4
 
 
-def arc_pair_fourth_moment(centers: np.ndarray, half_width: float
-                           ) -> np.ndarray:
-    """Fourth moment of g = y-bar x for x and y independent and uniform on
-    the union of the arcs u1_quat(t_c + s), |s| <= half_width, about the
-    centres u1_quat(t_c) (m, 4).  The circle is abelian, so g is
-    u1_quat(t_x - t_y) and E cos k(t_x - t_y) = |E exp(i k t_x)|^2, where
-    E exp(i k t_x) is the mean of exp(i k t_c) times sin(k h)/(k h) for the
-    half-width h."""
-    z = centers[:, 0] - 1j * centers[:, 3]            # exp(i t_c)
-    k = np.array([2, 4])
-    c2, c4 = (np.abs(np.mean(z[:, None] ** k, axis=0))
-              * np.sinc(k * half_width / np.pi)) ** 2
-    return circle_fourth_moment(c2, c4)
+# E x0^4, E x0^2 x1^2, E x1^4, E x1^2 x2^2 on BOct's identity cell, the
+# truncated cube {|r_i| <= sqrt 2 - 1, |r|_1 <= 1} of r = (x1, x2, x3)/x0
+# (Rodrigues; Frank, Metall. Trans. A 19 (1988)), density (1 + |r|^2)^-2.
+_BOCT_CELL_MOMENTS = (0.7627764981003, 0.0361778412010, 0.00341080568075,
+                      0.00165400627524)
+
+
+def cell_fourth_moment(sub: FiniteSubgroup) -> np.ndarray:
+    """Fourth moment of a uniform element of the identity's Voronoi cell in
+    a finite subgroup: for a circle subgroup of order n the arc of
+    half-width pi/n; for BOct the four _BOCT_CELL_MOMENTS, placed by the
+    cell's signed-permutation symmetry (0 where an index count is odd)."""
+    if sub.ambient == "u1":
+        return circle_fourth_moment(np.sinc(2 / sub.order),
+                                    np.sinc(4 / sub.order))
+    if sub.name != "boct":
+        raise ValueError(f"no cell fourth moment for subgroup {sub.name!r}")
+    n = np.stack([np.sum(np.indices((4,) * 4) == k, axis=0) for k in range(4)])
+    value = np.select([n[0] == 4, n[0] == 2, n.max(axis=0) == 4],
+                      _BOCT_CELL_MOMENTS[:3], _BOCT_CELL_MOMENTS[3])
+    return np.where(np.all(n % 2 == 0, axis=0), value, 0.0)
+
+
+def translated_fourth_moment(t4: np.ndarray, q: np.ndarray, w: np.ndarray
+                             ) -> np.ndarray:
+    """Fourth moment of the mix, with weights w (n,), of the right translates
+    x q_k of an x with fourth moment t4: sum_k w_k (R_k (x) R_k)^T T
+    (R_k (x) R_k), T the (16, 16) view of t4, R_k the matrix of x -> x q_k."""
+    r = quat_mul(np.eye(4), q[:, None])                  # row i: e_i q_k
+    rr = np.einsum("nij,nkl->nikjl", r, r).reshape(-1, 16, 16)
+    t = np.swapaxes(rr, 1, 2) @ t4.reshape(16, 16) @ rr
+    return np.tensordot(w, t, axes=1).reshape((4,) * 4)
+
+
+# Column (i, k, j, l) picks the entry (a, b) of g (x) g, g = y-bar x, that
+# y_i y_k x_j x_l adds to, with sign: e_i-bar e_j is +-e_a for one a.
+_PAIR = quat_mul(quat_conj(np.eye(4))[:, None], np.eye(4))      # [i, j, a]
+_PAIR_SELECTION = np.einsum("ija,klb->abikjl", _PAIR, _PAIR).reshape(16, 256)
+
+
+def pair_fourth_moment(t4: np.ndarray) -> np.ndarray:
+    """Fourth moment of g = y-bar x for x, y independent with fourth moment
+    t4: a signed selection of kron(T, T), T the (16, 16) view of t4."""
+    t = t4.reshape(16, 16)
+    return (_PAIR_SELECTION @ np.kron(t, t)
+            @ _PAIR_SELECTION.T).reshape((4,) * 4)

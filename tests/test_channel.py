@@ -161,9 +161,10 @@ def test_u1_tight_quadrature_off_diagonal():
 
 
 def test_u1_tight_arc_moment_matches_dense_grid():
-    # The closed-form fourth moment of g = y-bar x over x, y uniform on the
-    # arcs of E_b, against a 20-node Gauss-Legendre grid on each arc (exact
-    # for the degree-4 trigonometric integrand) and the mean over all pairs.
+    # The pair contraction of the scheme's region moment, the fourth moment
+    # of g = y-bar x over x, y uniform on the arcs of E_b, against a 20-node
+    # Gauss-Legendre grid on each arc (exact for the degree-4 trigonometric
+    # integrand) and the mean over all pairs.
     _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
     sub = scheme.subgroup
@@ -176,7 +177,7 @@ def test_u1_tight_arc_moment_matches_dense_grid():
     x, p = x.reshape(-1, 4), np.tile(weights, 2) / 4
     g = groups.quat_mul(groups.quat_conj(x)[:, None], x).reshape(-1, 4)
     ref = np.einsum("n,na,nb,nc,nd->abcd", np.outer(p, p).ravel(), g, g, g, g)
-    t4 = groups.arc_pair_fourth_moment(centers, h)
+    t4 = groups.pair_fourth_moment(scheme.moment_fn())
     assert np.max(np.abs(t4 - ref)) <= 1e-15
 
 
@@ -187,6 +188,40 @@ def test_u1_tight_mc_agrees_with_quadrature():
     mc = ch.result_estimates(scheme, [1], "mc", samples=SAMPLES)[1]
     tol = 3 * np.maximum(mc.stderr, 2e-3)
     assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
+
+
+def su2_tight_schemes():
+    _, eq = su2_bundle()
+    return {"matched": enc.tight_matched_scheme(eq, 1),
+            "rod": enc.rod_scheme()}
+
+
+def test_su2_tight_quadrature_values():
+    # The exact channels, as contracted from each region's moment: base
+    # (result 1) purity and mean-result purity, which is (1 + 3 p_base)/4
+    # since result 0 gives the identity.  DECISIONS.md compares them with
+    # the published figures.
+    want = {"matched": (0.267531849036, 0.450648886777),
+            "rod": (0.269856674296, 0.4523925057222)}
+    for key, scheme in su2_tight_schemes().items():
+        ests = ch.result_estimates(scheme, range(4), "quadrature")
+        base, mean = want[key]
+        assert ests[1].method == "quadrature" and ests[1].samples == 0
+        assert abs(ests[1].map_purity() - base) <= 1e-12
+        assert abs(ch.mean_result_purity(ests)[0] - mean) <= 1e-12
+        assert ests[1].pre_norm_deviation <= 1e-13
+
+
+def test_su2_tight_mc_agrees_with_exact():
+    # On held-out seeds the MC mean-result purity lies within 3 sigma of
+    # the exact value.
+    for key, scheme in su2_tight_schemes().items():
+        exact, _ = ch.mean_result_purity(ch.result_estimates(
+            scheme, range(4), "quadrature"))
+        for seed in (9001, 9002):
+            value, err = ch.mean_result_purity(ch.result_estimates(
+                scheme, range(4), "mc", SAMPLES, seed))
+            assert abs(value - exact) <= 3 * err, (key, seed, value, err)
 
 
 def test_tight_singleton_orbit_is_identity(monkeypatch):
@@ -528,15 +563,11 @@ def test_bootstrap_error_bars_are_calibrated():
 
 def test_tight_error_bars_are_calibrated():
     """The same binomial test for the result-1 map purity of the SU(2)
-    tight schemes, against exact values computed independently of this
-    code: the fourth-moment contraction of the identity cell's moments for
-    the matched scheme, the 48-node pair rule for the rod."""
+    tight schemes, against their exact quadrature values."""
     seeds = range(2000, 2040)
     samples = 1 << 14
-    _, eq = su2_bundle()
-    exact = {"matched": (enc.tight_matched_scheme(eq, 1), 0.267531849),
-             "rod": (enc.rod_scheme(), 0.26985667430)}
-    for key, (scheme, want) in exact.items():
+    for key, scheme in su2_tight_schemes().items():
+        want = ch.result_estimates(scheme, [1], "quadrature")[1].map_purity()
         inside = 0
         for seed in seeds:
             value, err = ch.result_estimates(

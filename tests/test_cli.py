@@ -51,10 +51,12 @@ def test_verify_all_does_not_import_scipy(tmp_path):
     out = str(tmp_path / "v.json")
     code = ("import sys\nfrom frameport import cli\n"
             f"assert cli.main(['verify', '--all', '--out', {out!r}]) == 0\n")
+    quadrature = ["--method", "quadrature"]
     for argv in (["channel", "--scheme", "u1-conventional"],
-                 ["channel", "--scheme", "u1-tight", "--method", "quadrature"],
-                 ["channel", "--scheme", "su2-conventional", "--method",
-                  "quadrature"],
+                 ["channel", "--scheme", "u1-tight"] + quadrature,
+                 ["channel", "--scheme", "su2-conventional"] + quadrature,
+                 ["channel", "--scheme", "su2-matched-tight"] + quadrature,
+                 ["channel", "--scheme", "su2-rod-tight"] + quadrature,
                  ["optimize", "--group", "su2"]):
         code += f"assert cli.main({argv + ['--out', out]!r}) == 0\n"
     code += ("assert 'scipy' not in sys.modules\n"
@@ -98,6 +100,24 @@ def test_channel_u1_tight_quadrature_values(tmp_path):
     assert payload["pre_norm_deviation"] <= 1e-12
     assert payload["map_purity"] == pytest.approx(0.696738, abs=1e-4)
     assert payload["mean_result_purity"] == pytest.approx(0.780491, abs=1e-4)
+
+
+def test_every_scheme_has_a_quadrature_channel(tmp_path):
+    # Every builtin scheme has an exact path, so it reports no samples and
+    # no error bar; the SU(2) tight schemes give their exact mean-result
+    # purities.
+    out = tmp_path / "c.json"
+    mean = {}
+    for name in cli.SCHEME_NAMES:
+        assert run(["channel", "--scheme", name, "--method", "quadrature",
+                    "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert (payload["method"], payload["samples"],
+                payload["map_purity_stderr"]) == ("quadrature", 0, 0.0)
+        mean[name] = payload.get("mean_result_purity")
+    assert mean["su2-matched-tight"] == pytest.approx(0.450648886777,
+                                                      abs=1e-12)
+    assert mean["su2-rod-tight"] == pytest.approx(0.4523925057222, abs=1e-12)
 
 
 def test_channel_result_specific(tmp_path):
@@ -320,9 +340,8 @@ def _cases():
         lambda c: ["simulate", "--scheme", c[0], "--input", str(c[1])])
     shots = st.integers(max_value=0).map(
         lambda v: ["simulate", "--scheme", "u1-tight", "--shots", str(v)])
-    quadrature = st.sampled_from(
-        ["su2-matched-tight", "su2-rod-tight"]).map(
-        lambda name: ["channel", "--scheme", name, "--method", "quadrature"])
+    unknown_method = st.tuples(st.sampled_from(cli.SCHEME_NAMES), _WORDS).map(
+        lambda c: ["channel", "--scheme", c[0], "--method", c[1]])
     samples = st.integers(max_value=999).map(
         lambda v: ["channel", "--scheme", "u1-conventional",
                    "--samples", str(v)])
@@ -336,7 +355,7 @@ def _cases():
                          ["optimize", "--group", "u1"]]),
         st.sampled_from(["mc", "quadrature"])).map(
         lambda c: c[0] + ["--method", c[1]])
-    return st.one_of(seed, result, inputs, shots, quadrature, samples,
+    return st.one_of(seed, result, inputs, shots, unknown_method, samples,
                      threads, scheme, method)
 
 

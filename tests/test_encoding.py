@@ -6,12 +6,14 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
 from frameport import cli
 from frameport import encoding as enc
 from frameport import groups
-from frameport.groups import HaarStream, canonical_sign, u1_quat
+from frameport.groups import HaarStream, axis_angle_quat, canonical_sign, \
+    quat_conj, quat_mul, quat_rotate, u1_quat
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
 from qmat_reference import decode, is_rod, nearest_indices, one_shot_decode, \
     uniform_bins, uniform_readings
@@ -254,6 +256,37 @@ def test_rod_scheme_decode_and_measure():
     labels = enc.decode_batch(scheme, uniform_readings(scheme, rng, 60000))
     for i in (1, 2, 3):
         assert np.mean(labels == i) == pytest.approx(1 / 3, abs=0.02)
+
+
+def test_rod_moment_is_the_axis_and_fibre_rule():
+    # The lift {h : R(h) e_z in E_1} of the rod's base region by a rule
+    # built here: the 6 cube axes, with mass c/2 on +-e_x and (1 - c)/4 on
+    # each other one, c = E n_x^2 on E_1, each with 8 fibre points at
+    # half-angles k pi/8 about e_z, twice BOct's 4 per axis up to sign.  It
+    # integrates the quartic exactly, and c is recomputed here.
+    nodes, weights = leggauss(40)
+    # E_1 seen from the cube face x = 1: n = (1, u, v)/|(1, u, v)|, with
+    # solid angle (1 + u^2 + v^2)^(-3/2) du dv.
+    s = 1 + nodes[:, None] ** 2 + nodes ** 2
+    w = np.outer(weights, weights)
+    c = np.sum(w * s ** -2.5) / np.sum(w * s ** -1.5)
+    assert c == pytest.approx(1 / 3 + 2 / (np.pi * np.sqrt(3)), abs=1e-14)
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    mass = np.where(np.abs(axes[:, 0]) == 1, c / 2, (1 - c) / 4)
+    # A lift of each axis n: 1 for e_z, a half turn about e_x for -e_z, and
+    # otherwise a quarter turn about e_z x n.
+    lifts = np.array([[1.0, 0, 0, 0] if n[2] == 1 else [0.0, 1, 0, 0]
+                      if n[2] == -1 else axis_angle_quat(
+                          np.cross([0, 0, 1], n), np.pi / 2) for n in axes])
+    psi = np.arange(8) * np.pi / 8
+    fibre = np.stack([np.cos(psi), 0 * psi, 0 * psi, np.sin(psi)], axis=1)
+    h = quat_mul(lifts[:, None], fibre).reshape(-1, 4)
+    assert np.max(np.abs(quat_rotate(h, [0.0, 0, 1])
+                         - np.repeat(axes, 8, axis=0))) <= 1e-15
+    hb = quat_conj(h)
+    ref = np.einsum("n,na,nb,nc,nd->abcd", np.repeat(mass / 8, 8),
+                    hb, hb, hb, hb)
+    assert np.max(np.abs(enc.rod_scheme().moment_fn() - ref)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from frameport import groups
 from frameport.groups import (
@@ -320,6 +321,109 @@ def test_circle_fourth_moment_is_the_z8_mean():
                   ) <= 1e-15
     with pytest.raises(ValueError):
         groups.haar_fourth_moment("so3")
+
+
+def _rodrigues_cell_moments(n):
+    """E x0^4, E x0^2 x1^2, E x1^4 and E x1^2 x2^2 on BOct's identity cell
+    by n-point Gauss-Legendre rules nested in the Rodrigues coordinates
+    r = (x1, x2, x3)/x0 of its positive octant {0 <= r_i <= t, sum r <= 1},
+    t = sqrt 2 - 1, under the Haar density (1 + |r|^2)^-2.  Splitting at
+    r1 = 1 - 2t and at r2 = 1 - t - r1 leaves three pieces, each with a
+    smooth integrand."""
+    t = np.sqrt(2.0) - 1
+    nodes, weights = leggauss(n)
+
+    def rule(lo, hi):
+        lo, hi = np.broadcast_arrays(lo, hi)
+        half = (hi - lo)[..., None] / 2
+        return lo[..., None] + half * (nodes + 1), half * weights
+
+    pieces = (  # r1 range, then r2's and r3's bounds
+        (0, 1 - 2 * t, lambda r1: 0 * r1, lambda r1: t + 0 * r1,
+         lambda r1, r2: t + 0 * r2),
+        (1 - 2 * t, t, lambda r1: 0 * r1, lambda r1: 1 - t - r1,
+         lambda r1, r2: t + 0 * r2),
+        (1 - 2 * t, t, lambda r1: 1 - t - r1, lambda r1: t + 0 * r1,
+         lambda r1, r2: 1 - r1 - r2))
+    sums = np.zeros(5)
+    for lo, hi, r2_lo, r2_hi, r3_hi in pieces:
+        r1, w1 = rule(np.float64(lo), np.float64(hi))       # (n,)
+        r2, w2 = rule(r2_lo(r1), r2_hi(r1))                 # (n, n)
+        r3, w3 = rule(0 * r2, r3_hi(r1[:, None], r2))       # (n, n, n)
+        r1, r2 = r1[:, None, None], r2[..., None]
+        s = 1 + r1 ** 2 + r2 ** 2 + r3 ** 2
+        w = w1[:, None, None] * w2[..., None] * w3 / s ** 2
+        x0, x1, x2 = (1 / np.sqrt(s), r1 / np.sqrt(s), r2 / np.sqrt(s))
+        sums += [np.sum(w * f) for f in (1, x0 ** 4, x0 ** 2 * x1 ** 2,
+                                         x1 ** 4, x1 ** 2 * x2 ** 2)]
+    return sums[1:] / sums[0]
+
+
+def test_boct_cell_moments_by_nested_gauss_legendre():
+    t4 = groups.cell_fourth_moment(binary_octahedral())
+    filled = [t4[0, 0, 0, 0], t4[0, 0, 1, 1], t4[1, 1, 1, 1], t4[1, 1, 2, 2]]
+    for n in (8, 12, 16):
+        assert np.max(np.abs(_rodrigues_cell_moments(n) - filled)) <= 1e-13
+
+
+def _transform(t4, c):
+    """Fourth moment of x @ c for an x with fourth moment t4."""
+    return np.einsum("abcd,ai,bj,ck,dl->ijkl", t4, c, c, c, c)
+
+
+def test_boct_cell_fourth_moment_has_the_cell_symmetries():
+    # Conjugation by an element h of BOct maps the identity's cell onto
+    # itself (the metric is bi-invariant), and so does x -> x-bar.  Both
+    # act by signed permutations, exact once the elements' rounding is
+    # removed.
+    sub = binary_octahedral()
+    t4 = groups.cell_fourth_moment(sub)
+    for h in sub.payloads:
+        c = quat_mul(quat_mul(h, np.eye(4)), quat_conj(h))   # h e_i h-bar
+        assert np.max(np.abs(c - np.round(c))) <= 1e-14
+        assert np.array_equal(_transform(t4, np.round(c)), t4)
+    assert np.array_equal(_transform(t4, np.diag([1.0, -1, -1, -1])), t4)
+    assert np.einsum("aabb->", t4) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_circle_cell_fourth_moment_is_the_arc():
+    # Z8's identity cell is the arc |t| <= pi/8 of u1_quat(t); a 20-node
+    # Gauss-Legendre rule is exact for its degree-4 trigonometric moment.
+    nodes, weights = leggauss(20)
+    q = u1_quat(np.pi / 8 * nodes)
+    ref = np.einsum("n,na,nb,nc,nd->abcd", weights / 2, q, q, q, q)
+    t4 = groups.cell_fourth_moment(z8_physical())
+    assert np.max(np.abs(t4 - ref)) <= 1e-15
+    for sub in (binary_tetrahedral(), tetrahedral(), z4_reduced()):
+        with pytest.raises(ValueError, match="no cell fourth moment"):
+            groups.cell_fourth_moment(sub)
+
+
+def test_translated_and_pair_moments_match_weighted_point_sets():
+    # Point masses at p_i (weights v) translated by q_k (weights w) are the
+    # points p_i q_k with weights v_i w_k; the pairs y-bar x of that set
+    # carry the products of their weights.
+    rng = np.random.default_rng(12)
+    p, q = random_quat(rng, 3), random_quat(rng, 5)
+    v, w = rng.random(3), rng.random(5)
+    v, w = v / v.sum(), w / w.sum()
+    point = groups.circle_fourth_moment(1.0, 1.0)        # mass at 1
+    assert point[0, 0, 0, 0] == 1 and np.sum(np.abs(point)) == 1
+    t4 = groups.translated_fourth_moment(
+        groups.translated_fourth_moment(point, p, v), q, w)
+    x = quat_mul(p[:, None], q[None]).reshape(-1, 4)
+    xw = np.outer(v, w).ravel()
+    assert np.max(np.abs(t4 - np.einsum("n,na,nb,nc,nd->abcd",
+                                        xw, x, x, x, x))) <= 1e-15
+    g = quat_mul(quat_conj(x)[:, None], x[None]).reshape(-1, 4)
+    ref = np.einsum("n,na,nb,nc,nd->abcd", np.outer(xw, xw).ravel(),
+                    g, g, g, g)
+    assert np.max(np.abs(groups.pair_fourth_moment(t4) - ref)) <= 1e-15
+    # y-bar x is Haar when x and y are.
+    for group in ("u1", "su2"):
+        haar = groups.haar_fourth_moment(group)
+        assert np.max(np.abs(groups.pair_fourth_moment(haar) - haar)
+                      ) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
