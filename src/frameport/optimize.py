@@ -1,37 +1,22 @@
-"""Derivative-free search for high-purity unitary error bases.
+"""Exact extremes of the conventional-scheme purity over qubit unitary error
+bases.
 
 The conventional-scheme channel is a random unitary channel whose linear map
-purity is (1/d^2) E |Tr(W+ W')|^2 over independent pairs from the unitary
-ensemble.  For qubits the choice of UEB reduces to a handful of angle
-parameters; a Nelder-Mead simplex (circle group) or a seeded random scan
-(rotation group) over those parameters confirms that the Pauli basis is not
-outperformed.
-
-Conventions:
-  - All optimizers MAXIMIZE their objective.
-  - Objectives are exact.  Circle: the purity is ||M||_F^2 for a 4x4 second
-    moment M built through an isometry L (L^T L = I), which reduces it to a
-    scalar polynomial in the squared axis components, evaluated on Python
-    floats.  Rotation: M(u) = K(u, u) for the quaternion u of the basis
-    rotation, with the 4x4x4x4 tensor K built once per process from the Haar
-    fourth moment of SU(2) (channel.fourth_moment_map).
+purity is ||M||_F^2 for the 4x4 second moment M of the quaternions of its
+unitary ensemble.  For qubits the choice of UEB reduces to a handful of
+angles, and each objective below is a closed form in them whose extremes
+have a short proof (in the docstrings): U(1) 5/8 and 9/32, SU(2) 1/3 and
+1/4.  The maximum is the Pauli basis up to relabelling, so no qubit UEB
+beats it.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import fourth_moment_map
-from .groups import haar_fourth_moment, quat_conj, quat_mul
-
 __all__ = [
-    "SimplexState",
-    "NelderMeadResult",
-    "nelder_mead",
     "OptimizationRow",
     "OptimizationReport",
     "u1_conventional_purity",
@@ -39,124 +24,21 @@ __all__ = [
     "optimize_conventional_ueb",
 ]
 
-# Standard Nelder-Mead coefficients: reflection, expansion, contraction,
-# shrink.
-_ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
-
-
-@dataclass
-class SimplexState:
-    """Final simplex of a Nelder-Mead run, best vertex first.
-
-    Vertices are parameter vectors (radians); values their objective values;
-    iterations and evaluations count the whole run.
-    """
-
-    vertices: np.ndarray        # (n + 1, n)
-    values: np.ndarray          # (n + 1,)
-    iterations: int = 0
-    evaluations: int = 0
-
-    def __post_init__(self):
-        if self.vertices.shape[0] != self.vertices.shape[1] + 1:
-            raise ValueError("simplex needs dimension + 1 vertices")
-
-
-@dataclass(frozen=True)
-class NelderMeadResult:
-    x: np.ndarray
-    value: float
-    trace: SimplexState
-    capped: bool = False
-
-
-def nelder_mead(objective: Callable[[np.ndarray], float],
-                x0: Sequence[float],
-                step: float = 0.25,
-                max_iter: int = 10 ** 4,
-                diameter_tol: float = 1e-6,
-                spread_tol: float = 1e-10) -> NelderMeadResult:
-    """Maximize `objective` from the initial point `x0`.
-
-    Standard reflect/expand/contract/shrink moves with coefficients
-    (1, 2, 0.5, 0.5).  Stops when the simplex diameter falls below
-    `diameter_tol`, the value spread below `spread_tol`, or after `max_iter`
-    iterations (the result is then flagged `capped`).  The simplex is kept
-    as Python floats, since numpy costs more per call than a move on a few
-    vertices; the objective receives each vertex as a float64 array.
-    """
-    x0 = np.asarray(x0, dtype=np.float64).tolist()
-    n = len(x0)
-    vertices = [list(x0) for _ in range(n + 1)]
-    for k in range(n):
-        vertices[k + 1][k] += step
-
-    def f(v):
-        return float(objective(np.array(v)))
-
-    values = [f(v) for v in vertices]
-    iterations, evaluations = 0, n + 1
-
-    def order():
-        # Descending by value, stable: index 0 is the best vertex.
-        idx = sorted(range(n + 1), key=lambda i: -values[i])
-        return [vertices[i] for i in idx], [values[i] for i in idx]
-
-    capped = True
-    for _ in range(max_iter):
-        vertices, values = order()
-        best = vertices[0]
-        diameter = max(math.dist(v, best) for v in vertices)
-        if diameter < diameter_tol or values[0] - values[-1] < spread_tol:
-            capped = False
-            break
-        iterations += 1
-        centroid = [sum(col) / n for col in zip(*vertices[:-1])]
-        worst = vertices[-1]
-        f_best, f_second, f_worst = values[0], values[-2], values[-1]
-
-        reflected = [c + _ALPHA * (c - w) for c, w in zip(centroid, worst)]
-        f_r = f(reflected)
-        evaluations += 1
-        if f_second < f_r <= f_best:
-            vertices[-1], values[-1] = reflected, f_r
-            continue
-        if f_r > f_best:
-            expanded = [c + _GAMMA * (r - c)
-                        for c, r in zip(centroid, reflected)]
-            f_e = f(expanded)
-            evaluations += 1
-            if f_e > f_r:
-                vertices[-1], values[-1] = expanded, f_e
-            else:
-                vertices[-1], values[-1] = reflected, f_r
-            continue
-        contracted = [c + _RHO * (w - c) for c, w in zip(centroid, worst)]
-        f_c = f(contracted)
-        evaluations += 1
-        if f_c > f_worst:
-            vertices[-1], values[-1] = contracted, f_c
-            continue
-        # Shrink toward the best vertex.
-        vertices[1:] = [[b + _SIGMA * (v - b) for b, v in zip(best, vertex)]
-                        for vertex in vertices[1:]]
-        values[1:] = [f(v) for v in vertices[1:]]
-        evaluations += n
-
-    vertices, values = order()
-    state = SimplexState(np.array(vertices), np.array(values), iterations,
-                         evaluations)
-    return NelderMeadResult(state.vertices[0].copy(), values[0], state,
-                            capped)
-
 
 # ---------------------------------------------------------------------------
 # Circle-group conventional objective
 # ---------------------------------------------------------------------------
 
-def u1_conventional_purity(angles: Sequence[float]) -> float:
-    """Closed-form linear map purity of the circle-group conventional channel
-    for the UEB determined by unit vectors x(psi_x, phi_x), y(psi_y, phi_y).
+def _axis(psi, phi) -> np.ndarray:
+    """Unit vectors (..., 3) of polar angle psi and azimuth phi."""
+    return np.stack([np.sin(psi) * np.cos(phi), np.sin(psi) * np.sin(phi),
+                     np.cos(psi)], axis=-1)
+
+
+def u1_conventional_purity(angles) -> np.ndarray:
+    """Linear map purities (...) of the circle-group conventional channel for
+    the UEBs of angle quadruples (..., 4) = (psi_x, psi_y, phi_x, phi_y),
+    which fix unit vectors x(psi_x, phi_x) and y(psi_y, phi_y).
 
     The channel unitaries are W_i(t) = R_x(t) R_{y_i}(-t), with t uniform on
     the circle and y_i the pi-rotation of y about axis i (y_0 = y).  The
@@ -180,20 +62,27 @@ def u1_conventional_purity(angles: Sequence[float]) -> float:
         s = sum_k d_k^2,  q = sum_k x_k^2 d_k,
         c = x_3^2 d_1 d_2 + x_1^2 d_2 d_3 + x_2^2 d_1 d_3,
 
-    exactly, which gives 0.625 at the Pauli point (x = y = e_z).
+    exactly.  For fixed d this is linear in the squared components x_k^2,
+    which lie on the simplex, so its extremes over x lie at the vertices
+    x = e_k.  There, with t = d_k and a, b the other two components of d
+    (a + b = 1 - t), s = t^2 + (1 - t)^2 - 2ab and
+
+        10 s + 20 q + 12 c = 10 t^2 + 10 (1 - t)^2 + 20 t - 8 ab.
+
+    Maximum: ab >= 0 bounds this by 20 t^2 + 10 <= 30, with equality only at
+    t = 1, i.e. x = d = e_k, the Pauli basis up to relabelling: 5/8.
+    Minimum: ab <= (1 - t)^2 / 4 bounds it below by 18 t^2 + 4 t + 8 >= 8,
+    with equality at t = 0 and a = b = 1/2, e.g. x = e_z and
+    y = (1, 1, 0)/sqrt(2), the angles (0, pi/2, 0, pi/4): 9/32.
     """
-    psi_x, psi_y, phi_x, phi_y = angles
-    # x1, x2, x3 are the squared components of x; d1, d2, d3 those of y.
-    sx, sy = math.sin(psi_x), math.sin(psi_y)
-    x1 = (sx * math.cos(phi_x)) ** 2
-    x2 = (sx * math.sin(phi_x)) ** 2
-    x3 = math.cos(psi_x) ** 2
-    d1 = (sy * math.cos(phi_y)) ** 2
-    d2 = (sy * math.sin(phi_y)) ** 2
-    d3 = math.cos(psi_y) ** 2
-    s = d1 * d1 + d2 * d2 + d3 * d3
-    q = x1 * d1 + x2 * d2 + x3 * d3
-    c = x3 * d1 * d2 + x1 * d2 * d3 + x2 * d1 * d3
+    psi_x, psi_y, phi_x, phi_y = np.moveaxis(
+        np.asarray(angles, dtype=np.float64), -1, 0)
+    x = _axis(psi_x, phi_x) ** 2
+    d = _axis(psi_y, phi_y) ** 2
+    s = np.sum(d * d, axis=-1)
+    q = np.sum(x * d, axis=-1)
+    c = np.sum(x * np.roll(d, -1, axis=-1) * np.roll(d, -2, axis=-1),
+               axis=-1)
     return (10 + 10 * s + 20 * q + 12 * c) / 64
 
 
@@ -201,40 +90,38 @@ def u1_conventional_purity(angles: Sequence[float]) -> float:
 # Rotation-group conventional objective
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _su2_objective_tensor() -> np.ndarray:
-    """K (4, 4, 4, 4) with the second moment M(u)_jk = sum_cd u_c u_d
-    K[c, j, d, k] of the quaternions of A_i(Y) = X_i Y X_i U Y+ over Haar Y
-    and uniform i, for the quaternion u of U.  With X_i the quaternion e_i
-    (a Pauli matrix up to phase), that quaternion is
-    sum y_a y_b u_c (e_i e_a e_i-bar)(e_c e_b-bar): a quadratic form in y
-    with one column per (c, j)."""
-    e = np.eye(4)
-    left = quat_mul(quat_mul(e[:, None], e), quat_conj(e)[:, None])  # (i, a)
-    right = quat_mul(e, quat_conj(e)[:, None])                       # (b, c)
-    form = quat_mul(left[:, :, None, None], right)
-    k = fourth_moment_map(form.reshape(4, 4, 4, 16), haar_fourth_moment("su2"))
-    return k.mean(axis=0).reshape(4, 4, 4, 4)
-
-
 def su2_conventional_purity(angles) -> np.ndarray:
     """Linear map purities (...) of the rotation-group conventional channel
     for the UEBs {U-tilde X_i} of angle triples (..., 3) = (psi, phi, omega),
     U-tilde = R_n(omega) = exp(-i omega/2 n.sigma) about the axis
     n = (sin psi cos phi, sin psi sin phi, cos psi).
 
-    The ensemble members are A_i(Y) = X_i Y X_i U Y+ over Haar Y and uniform
-    i; the purity is (1/4) E |Tr(A_i(Y1)+ A_j(Y2))|^2 = ||M||_F^2 for the
-    second moment M of the quaternions of A.  M is quartic in the
-    quaternion of Y, so the Haar fourth moment gives it exactly, as one
-    fixed tensor K contracted twice with the quaternion of U-tilde.
+    The ensemble members are A_i(Y) = X_i (Y V_i Y+) over Haar Y and uniform
+    i, with V_i = X_i U-tilde, and the purity is ||M||_F^2 for the second
+    moment M of their quaternions.  Let u be the quaternion of U-tilde.  The
+    quaternion v of V_i = X_i U-tilde has |v_0| = |u_i|.  Conjugating by a
+    Haar element is a twirl: it keeps the rotation angle, so v_0, and makes
+    the axis uniform on the sphere.  So the second moment of Y V_i Y+ is
+    D_i = diag(c^2, s^2/3, s^2/3, s^2/3) with c^2 = u_i^2 and
+    s^2 = 1 - u_i^2.  Left multiplication by X_i is an orthogonal map L_i
+    with L_i e_0 = e_i, so
+
+        M = (1/4) sum_i L_i D_i L_i^T
+          = (1/4) sum_i [(s_i^2/3) I + (c_i^2 - s_i^2/3) e_i e_i^T]
+          = diag((1 + 2 u_a^2) / 6),
+
+    using sum_i u_i^2 = 1.  The purity is the sum of squares of that
+    diagonal, 2/9 + (sum_a u_a^4)/9.  Since sum_a u_a^2 = 1, sum_a u_a^4
+    lies in [1/4, 1].  Maximum 1/3: u on a coordinate axis, the Pauli basis
+    up to relabelling.  Minimum 1/4: |u_a| = 1/2 for every a, e.g.
+    u = (1/2, 1/2, 1/2, 1/2), the angles (arccos(1/sqrt 3), pi/4, 2 pi/3).
     """
     psi, phi, omega = np.moveaxis(np.asarray(angles, dtype=np.float64), -1, 0)
-    c, s = np.cos(omega / 2), np.sin(omega / 2)
-    u = np.stack([c, s * (np.sin(psi) * np.cos(phi)),
-                  s * (np.sin(psi) * np.sin(phi)), s * np.cos(psi)], axis=-1)
-    m = np.einsum("...c,cjdk,...d->...jk", u, _su2_objective_tensor(), u)
-    return np.sum(m * m, axis=(-2, -1))
+    u = np.concatenate([np.cos(omega / 2)[..., None],
+                        np.sin(omega / 2)[..., None] * _axis(psi, phi)],
+                       axis=-1)
+    m = (1 + 2 * u * u) / 6            # the diagonal of M
+    return np.sum(m * m, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,29 +133,25 @@ class OptimizationRow:
     label: str
     params: tuple[float, ...]
     linear_purity: float
-    stderr: float
+    stderr: float = 0.0         # the objectives are exact
 
 
 @dataclass(frozen=True)
 class OptimizationReport:
     group: str
-    rows: tuple[OptimizationRow, ...]     # sorted by purity, descending
-    baseline: OptimizationRow             # the Pauli point
+    rows: tuple[OptimizationRow, ...]     # the Pauli maximum, the minimum
+
+    @property
+    def baseline(self) -> OptimizationRow:
+        return self.rows[0]
 
     @property
     def best(self) -> OptimizationRow:
-        return self.rows[0]
+        return max(self.rows, key=lambda r: r.linear_purity)
 
-    def pauli_is_optimal(self, slack: float = 0.0, sigmas: float = 0.0
-                         ) -> bool:
-        """True if no row beats the Pauli baseline by more than `slack` plus
-        `sigmas` combined standard errors."""
-        b = self.baseline
-        for row in self.rows:
-            margin = slack + sigmas * np.hypot(row.stderr, b.stderr)
-            if row.linear_purity > b.linear_purity + margin:
-                return False
-        return True
+    def pauli_is_optimal(self) -> bool:
+        """True if no row beats the Pauli baseline."""
+        return self.best.linear_purity <= self.baseline.linear_purity
 
     def to_json(self) -> dict:
         return {
@@ -280,39 +163,22 @@ class OptimizationReport:
         }
 
 
-_U1_BOX = np.array([np.pi, np.pi, 2 * np.pi, 2 * np.pi])
+# The proved maximiser (the Pauli basis) and a minimiser of each objective.
+_EXTREMES = {
+    "u1": (u1_conventional_purity, (0.0, 0.0, 0.0, 0.0),
+           (0.0, math.pi / 2, 0.0, math.pi / 4)),
+    "su2": (su2_conventional_purity, (0.0, 0.0, 0.0),
+            (math.acos(1 / math.sqrt(3)), math.pi / 4, 2 * math.pi / 3)),
+}
 
 
-def optimize_conventional_ueb(group: str, seed: int = 0, restarts: int = 8,
-                              scan: int = 100) -> OptimizationReport:
-    """Search the conventional-scheme UEB parameter space for linear map
-    purity beating the Pauli basis.
-
-    Circle group: Nelder-Mead over the four angles with `restarts` seeded
-    random starts.  Rotation group: evaluate `scan` seeded random angle
-    triples plus the Pauli point.  Both objectives are exact (stderr 0).
-    """
-    rng = np.random.default_rng(seed)
-    if group == "u1":
-        baseline = OptimizationRow("pauli", (0.0, 0.0, 0.0, 0.0),
-                                   u1_conventional_purity((0, 0, 0, 0)), 0.0)
-        starts = [rng.random(4) * _U1_BOX for _ in range(restarts)]
-        rows = []
-        for k, x0 in enumerate(starts):
-            res = nelder_mead(u1_conventional_purity, x0)
-            rows.append(OptimizationRow(f"restart-{k}", tuple(res.x),
-                                        res.value, 0.0))
-    elif group == "su2":
-        triples = rng.random((scan, 3)) * np.array([np.pi, 2 * np.pi,
-                                                    2 * np.pi])
-        pauli, *purities = su2_conventional_purity(
-            np.vstack([np.zeros(3), triples])).tolist()
-        baseline = OptimizationRow("pauli", (0.0, 0.0, 0.0), pauli, 0.0)
-        rows = [OptimizationRow(f"triple-{k}", tuple(x), p, 0.0)
-                for k, (x, p) in enumerate(zip(triples, purities))]
-    else:
+def optimize_conventional_ueb(group: str) -> OptimizationReport:
+    """The exact maximum (`pauli`) and minimum (`minimum`) of the
+    conventional-scheme linear map purity over the group's UEB parameters,
+    each evaluated by the objective at its proved extremiser."""
+    if group not in _EXTREMES:
         raise ValueError(f"unknown group {group!r}")
-
-    rows = sorted(rows + [baseline],
-                  key=lambda r: -r.linear_purity)
-    return OptimizationReport(group, tuple(rows), baseline)
+    objective, *points = _EXTREMES[group]
+    return OptimizationReport(group, tuple(
+        OptimizationRow(label, x, float(objective(x)))
+        for label, x in zip(("pauli", "minimum"), points)))

@@ -8,8 +8,8 @@ nearest-element search, the perfect-scheme realignment of a correction, the
 dense teleportation through a resource (measurement basis, Born
 probabilities, pre-correction unitary), the one-shot and the single-reading
 decode, uniform readings of a scheme and equal-measure bins of them, the
-per-triple and 4x4-matrix forms of the two optimize objectives, and
-Nelder-Mead on numpy arrays."""
+per-triple and 4x4-matrix forms of the two optimize objectives, and the
+Haar fourth-moment tensor of the rotation-group objective."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -17,10 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from frameport.channel import ChannelEstimate
+from frameport.channel import ChannelEstimate, fourth_moment_map
 from frameport.encoding import EncodingScheme, decode_batch
 from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
-    canonical_sign, first_lifts, haar_batch, quat_conj, quat_mul, quat_rotate
+    canonical_sign, first_lifts, haar_batch, haar_fourth_moment, quat_conj, \
+    quat_mul, quat_rotate
 from frameport.qmat import DensityMatrix, InvariantViolation, Superoperator, \
     UnitaryMatrix, _entropy, clamped_eigenvalues, spectrum_purities
 from frameport.ueb import UnitaryErrorBasis
@@ -318,51 +319,17 @@ def su2_triple_purity(angles) -> float:
     return float(np.sum(m * m))
 
 
-def array_nelder_mead(objective, x0, step=0.25, max_iter=10 ** 4,
-                      diameter_tol=1e-6, spread_tol=1e-10):
-    """`optimize.nelder_mead` with the simplex held in numpy arrays: the
-    same moves, coefficients (1, 2, 0.5, 0.5), stopping rules and stable
-    ordering.  Returns (x, value, iterations, evaluations, capped)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = x0.size
-    vertices = np.tile(x0, (n + 1, 1))
-    vertices[np.arange(n) + 1, np.arange(n)] += step
-    values = np.array([objective(v) for v in vertices])
-    iterations, evaluations, capped = 0, n + 1, True
-    for _ in range(max_iter):
-        idx = np.argsort(-values, kind="stable")
-        vertices, values = vertices[idx], values[idx]
-        diameter = np.max(np.linalg.norm(vertices - vertices[0], axis=1))
-        if diameter < diameter_tol or values[0] - values[-1] < spread_tol:
-            capped = False
-            break
-        iterations += 1
-        centroid = vertices[:-1].mean(axis=0)
-        worst = vertices[-1]
-        reflected = centroid + (centroid - worst)
-        f_r = objective(reflected)
-        evaluations += 1
-        if values[-2] < f_r <= values[0]:
-            vertices[-1], values[-1] = reflected, f_r
-            continue
-        if f_r > values[0]:
-            expanded = centroid + 2.0 * (reflected - centroid)
-            f_e = objective(expanded)
-            evaluations += 1
-            if f_e > f_r:
-                vertices[-1], values[-1] = expanded, f_e
-            else:
-                vertices[-1], values[-1] = reflected, f_r
-            continue
-        contracted = centroid + 0.5 * (worst - centroid)
-        f_c = objective(contracted)
-        evaluations += 1
-        if f_c > values[-1]:
-            vertices[-1], values[-1] = contracted, f_c
-            continue
-        vertices[1:] = vertices[0] + 0.5 * (vertices[1:] - vertices[0])
-        values[1:] = [objective(v) for v in vertices[1:]]
-        evaluations += n
-    idx = np.argsort(-values, kind="stable")
-    return (vertices[idx[0]], float(values[idx[0]]), iterations, evaluations,
-            capped)
+def su2_objective_tensor() -> np.ndarray:
+    """K (4, 4, 4, 4) with the second moment M(u)_jk = sum_cd u_c u_d
+    K[c, j, d, k] of the quaternions of A_i(Y) = X_i Y X_i U Y+ over Haar Y
+    and uniform i, for the quaternion u of U: the independent check of
+    `optimize.su2_conventional_purity`'s diagonal M.  With X_i the
+    quaternion e_i (a Pauli matrix up to phase), that quaternion is
+    sum y_a y_b u_c (e_i e_a e_i-bar)(e_c e_b-bar): a quadratic form in y
+    with one column per (c, j), averaged by the Haar fourth moment."""
+    e = np.eye(4)
+    left = quat_mul(quat_mul(e[:, None], e), quat_conj(e)[:, None])  # (i, a)
+    right = quat_mul(e, quat_conj(e)[:, None])                       # (b, c)
+    form = quat_mul(left[:, :, None, None], right)
+    k = fourth_moment_map(form.reshape(4, 4, 4, 16), haar_fourth_moment("su2"))
+    return k.mean(axis=0).reshape(4, 4, 4, 4)

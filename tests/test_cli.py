@@ -46,7 +46,7 @@ def test_verify_all_does_not_import_scipy(tmp_path):
     # scipy is a test-only dependency, and no exact integral in the package
     # needs numpy.polynomial: every one is a closed-form fourth moment.  A
     # fresh process shows what the package itself imports, here for verify,
-    # every quadrature channel path and the SU(2) basis scan.
+    # every quadrature channel path and both optimize groups.
     src = str(Path(cli.__file__).resolve().parents[1])
     out = str(tmp_path / "v.json")
     code = ("import sys\nfrom frameport import cli\n"
@@ -57,12 +57,23 @@ def test_verify_all_does_not_import_scipy(tmp_path):
                  ["channel", "--scheme", "su2-conventional"] + quadrature,
                  ["channel", "--scheme", "su2-matched-tight"] + quadrature,
                  ["channel", "--scheme", "su2-rod-tight"] + quadrature,
+                 ["optimize", "--group", "u1"],
                  ["optimize", "--group", "su2"]):
         code += f"assert cli.main({argv + ['--out', out]!r}) == 0\n"
     code += ("assert 'scipy' not in sys.modules\n"
              "assert 'numpy.polynomial' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=os.environ | {"PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+def test_verify_all_honours_seed(tmp_path, seed):
+    # The scheme checks draw from streams keyed by --seed, across its range.
+    out = tmp_path / "v.json"
+    assert run(["verify", "--all", "--seed", str(seed), "--out", str(out)]) \
+        == 0
+    payload = read_json(out)
+    assert payload["ok"] is True and payload["meta"]["seed"] == seed
 
 
 def test_verify_subgroup_and_ueb(tmp_path):
@@ -148,7 +159,8 @@ def test_channel_csv_header_and_rows(tmp_path):
     assert run(["channel", "--scheme", "u1-conventional", "--method",
                 "quadrature", "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert re.match(r"# build [0-9a-f]{12} seed 0", lines[0])
+    # A quadrature channel draws no stream, so the header has no seed.
+    assert re.fullmatch(r"# build [0-9a-f]{12} seed null", lines[0])
     assert lines[1] == CSV_HEADER
     assert lines[2].startswith("u1-conventional,result-averaged,")
     # table1 writes the same header over its 6 table rows and the 2
@@ -254,6 +266,49 @@ def test_optimize_u1(tmp_path):
     assert payload["baseline"]["linear_purity"] == pytest.approx(0.625,
                                                                  abs=1e-9)
     assert payload["pauli_is_optimal"] is True
+
+
+@pytest.mark.parametrize("group, extremes", [("u1", (5 / 8, 9 / 32)),
+                                             ("su2", (1 / 3, 1 / 4))])
+def test_optimize_reports_exact_extremes(tmp_path, group, extremes):
+    out = tmp_path / "o.json"
+    assert run(["optimize", "--group", group, "--out", str(out)]) == 0
+    rows = read_json(out)["rows"]
+    assert [r["label"] for r in rows] == ["pauli", "minimum"]
+    for row, value in zip(rows, extremes):
+        assert abs(row["linear_purity"] - value) <= 1e-15
+        assert row["stderr"] == 0.0
+    csv_out = tmp_path / "o.csv"
+    assert run(["optimize", "--group", group, "--format", "csv",
+                "--out", str(csv_out)]) == 0
+    header, columns, *lines = csv_out.read_text().splitlines()
+    assert header.endswith(" seed null")
+    assert columns == "label,params,linear_purity,stderr" and len(lines) == 2
+
+
+# ---------------------------------------------------------------------------
+# meta: the samples drawn, and the seed of their stream where one was drawn
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, samples", [
+    # Scheme checks draw 200 readings per case: u1-tight has 2 orbit
+    # indices and 8 subgroup elements.
+    (["verify", "--scheme", "u1-tight"], 3200),
+    (["verify", "--ueb", "pauli"], 0),
+    (["channel", "--scheme", "u1-conventional"], 0),
+    (["channel", "--scheme", "su2-rod-tight", "--method", "quadrature"], 0),
+    (["channel", "--scheme", "su2-rod-tight", "--method", "mc"], 40000),
+    # The two MC tight rows; the other four are exact.
+    (["table1"], 80000),
+    (["simulate", "--scheme", "u1-tight", "--shots", "300"], 300),
+    (["optimize", "--group", "su2"], 0),
+])
+def test_meta_reports_what_ran(tmp_path, argv, samples):
+    out = tmp_path / "m.json"
+    assert run(argv + SAMPLES + ["--seed", "5", "--out", str(out)]) == 0
+    meta = read_json(out)["meta"]
+    assert meta["samples"] == samples
+    assert meta["seed"] == (5 if samples else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Optimizer tests: Nelder-Mead behaviour and the conventional-scheme
-purity objectives."""
+"""Tests of the conventional-scheme purity objectives and their exact
+extremes."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,56 +9,8 @@ from frameport import optimize as opt
 from frameport.groups import sample_su2, su2_matrix
 from frameport.ueb import pauli_ueb
 from frameport import channel as ch
-from qmat_reference import array_nelder_mead, linear_map_purity, \
-    rotation_quat, su2_triple_purity, u1_matrix_purity, unit_vector
-
-
-# ---------------------------------------------------------------------------
-# Nelder-Mead
-# ---------------------------------------------------------------------------
-
-def test_nelder_mead_finds_quadratic_maximum():
-    res = opt.nelder_mead(lambda x: -np.sum((x - [1.0, -2.0]) ** 2),
-                          [0.0, 0.0])
-    assert not res.capped
-    assert np.allclose(res.x, [1.0, -2.0], atol=1e-4)
-    assert res.value == pytest.approx(0.0, abs=1e-8)
-
-
-def test_nelder_mead_rosenbrock_like_bowl():
-    def f(x):
-        return -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-    res = opt.nelder_mead(f, [-1.0, 1.0], max_iter=5 * 10 ** 4)
-    assert np.allclose(res.x, [1.0, 1.0], atol=1e-3)
-
-
-def test_nelder_mead_iteration_cap_flag():
-    res = opt.nelder_mead(lambda x: -np.sum(x ** 2), [5.0, 5.0], max_iter=3)
-    assert res.capped
-
-
-def test_nelder_mead_matches_array_reference():
-    # Same moves on Python floats as on arrays: identical trajectories.
-    rng = np.random.default_rng(0)
-    box = np.array([np.pi, np.pi, 2 * np.pi, 2 * np.pi])
-    cases = [(u1_matrix_purity, x0) for x0 in rng.random((8, 4)) * box]
-    cases += [(lambda x: -np.sum(x ** 2), [5.0, 5.0]),
-              (lambda x: float(np.cos(x[0]) + np.sin(2 * x[1])), [0.3, 0.4])]
-    for objective, x0 in cases:
-        res = opt.nelder_mead(objective, x0)
-        x, value, iterations, evaluations, capped = array_nelder_mead(
-            objective, x0)
-        assert np.array_equal(res.x, x) and res.value == value
-        assert (res.trace.iterations, res.trace.evaluations, res.capped) == \
-            (iterations, evaluations, capped)
-
-
-def test_nelder_mead_never_below_start():
-    def f(x):
-        return float(np.cos(x[0]) + np.sin(2 * x[1]))
-    x0 = [0.3, 0.4]
-    res = opt.nelder_mead(f, x0)
-    assert res.value >= f(np.asarray(x0)) - 1e-12
+from qmat_reference import linear_map_purity, rotation_quat, \
+    su2_objective_tensor, su2_triple_purity, u1_matrix_purity, unit_vector
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +55,24 @@ def test_u1_objective_closed_form_matches_matrix_reference():
 
 def test_u1_scalar_form_matches_matrix_form():
     # The isometry L reduces ||M||_F^2 to (10 + 10 s + 20 q + 12 c) / 64;
-    # only the rounding of the two evaluations differs.
+    # only the rounding of the two evaluations differs.  One call takes a
+    # (..., 4) batch.
     rng = np.random.default_rng(15)
     box = np.array([np.pi, np.pi, 2 * np.pi, 2 * np.pi])
-    for angles in rng.random((1000, 4)) * box:
-        assert abs(opt.u1_conventional_purity(angles)
-                   - u1_matrix_purity(angles)) <= 1e-15
+    angles = rng.random((10, 100, 4)) * box
+    batch = opt.u1_conventional_purity(angles)
+    assert batch.shape == (10, 100)
+    for a, value in zip(angles.reshape(-1, 4), batch.ravel()):
+        assert abs(value - u1_matrix_purity(a)) <= 1e-15
 
 
-def test_nelder_mead_reaches_pauli_value_from_offset_start():
-    res = opt.nelder_mead(opt.u1_conventional_purity, [0.3, 0.3, 0.3, 0.3])
-    assert res.value <= 0.625 + 1e-9
-    assert res.value == pytest.approx(0.625, abs=1e-4)
+def test_u1_relabelled_maximisers_reach_five_eighths():
+    # x = d = e_k for each axis k, the Pauli basis up to relabelling; the
+    # angles are (psi_x, psi_y, phi_x, phi_y).
+    half = np.pi / 2
+    for psi, phi in ((half, 0.0), (half, half), (0.0, 0.0)):
+        value = opt.u1_conventional_purity((psi, psi, phi, phi))
+        assert abs(value - 5 / 8) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +83,13 @@ def test_su2_objective_at_pauli_point():
     # The result-averaged Pauli channel has Choi spectrum (1/2, 1/6, 1/6, 1/6).
     val = opt.su2_conventional_purity((0.0, 0.0, 0.0))
     assert val == pytest.approx(1 / 3, abs=1e-14)
+    # u = e_k by a half turn about axis k: Pauli up to relabelling.
+    half = np.pi / 2
+    for psi, phi in ((half, 0.0), (half, half), (0.0, 0.0)):
+        value = opt.su2_conventional_purity((psi, phi, np.pi))
+        assert abs(value - 1 / 3) <= 1e-15
     # The objective is exact, so every report row has zero standard error.
-    report = opt.optimize_conventional_ueb("su2", scan=5)
+    report = opt.optimize_conventional_ueb("su2")
     assert all(r.stderr == 0.0 for r in report.rows)
 
 
@@ -134,6 +97,22 @@ def test_su2_objective_is_seed_deterministic():
     a = opt.su2_conventional_purity((0.5, 1.0, 2.0))
     b = opt.su2_conventional_purity((0.5, 1.0, 2.0))
     assert a == b
+
+
+def test_su2_formula_matches_objective_tensor():
+    # The twirl gives M = diag((1 + 2 u_a^2) / 6); the Haar fourth-moment
+    # tensor contracted twice with u gives the whole of M independently.
+    rng = np.random.default_rng(16)
+    triples = rng.random((10 ** 4, 3)) * [np.pi, 2 * np.pi, 2 * np.pi]
+    psi, phi, omega = triples.T
+    u = np.column_stack([np.cos(omega / 2),
+                         np.sin(omega / 2)[:, None] * unit_vector(psi, phi).T])
+    m = np.einsum("nc,cjdk,nd->njk", u, su2_objective_tensor(), u)
+    diag = np.einsum("njj->nj", m)
+    assert np.max(np.abs(m - diag[:, :, None] * np.eye(4))) <= 1e-15
+    assert np.max(np.abs(diag - (1 + 2 * u * u) / 6)) <= 1e-15
+    assert np.max(np.abs(opt.su2_conventional_purity(triples)
+                         - np.sum(m * m, axis=(1, 2)))) <= 1e-15
 
 
 def test_su2_objective_matches_monte_carlo():
@@ -154,15 +133,14 @@ def test_su2_objective_matches_monte_carlo():
 
 
 def test_su2_batch_matches_per_triple_reference():
-    # One quadrature call over the seed-0 scan and the Pauli point gives
-    # what a call per triple gives, up to rounding.
-    report = opt.optimize_conventional_ueb("su2", seed=0)
-    assert len(report.rows) == 101
+    # Both exact rows against the BTet 5-design average, and one call over
+    # a (1, 2, 3) batch of their triples against the rows.
+    report = opt.optimize_conventional_ueb("su2")
     for row in report.rows:
-        assert abs(row.linear_purity - su2_triple_purity(row.params)) <= 1e-15
+        assert abs(row.linear_purity - su2_triple_purity(row.params)) <= 1e-13
     triples = np.array([row.params for row in report.rows])
-    batch = opt.su2_conventional_purity(triples.reshape(1, 101, 3))
-    assert batch.shape == (1, 101)
+    batch = opt.su2_conventional_purity(triples.reshape(1, 2, 3))
+    assert batch.shape == (1, 2)
     assert np.max(np.abs(batch[0] - [r.linear_purity for r in report.rows])
                   ) <= 1e-15
 
@@ -172,20 +150,23 @@ def test_su2_batch_matches_per_triple_reference():
 # ---------------------------------------------------------------------------
 
 def test_u1_report_pauli_is_optimal():
-    report = opt.optimize_conventional_ueb("u1", restarts=2, seed=1)
-    assert report.baseline.linear_purity == pytest.approx(0.625, abs=1e-12)
-    assert report.best.linear_purity <= 0.625 + 1e-6
-    assert report.pauli_is_optimal(slack=1e-4)
+    report = opt.optimize_conventional_ueb("u1")
+    assert [r.label for r in report.rows] == ["pauli", "minimum"]
+    assert report.best is report.baseline and report.pauli_is_optimal()
+    for row, value in zip(report.rows, (5 / 8, 9 / 32)):
+        assert abs(row.linear_purity - value) <= 1e-15
+        assert abs(row.linear_purity
+                   - _u1_pair_purity_reference(row.params)) <= 1e-13
     js = report.to_json()
-    assert js["group"] == "u1" and len(js["rows"]) == 3
+    assert js["group"] == "u1" and len(js["rows"]) == 2
 
 
 def test_su2_report_structure():
-    report = opt.optimize_conventional_ueb("su2", seed=2, scan=5)
-    assert len(report.rows) == 6
+    report = opt.optimize_conventional_ueb("su2")
+    assert [r.label for r in report.rows] == ["pauli", "minimum"]
     purities = [r.linear_purity for r in report.rows]
     assert purities == sorted(purities, reverse=True)
-    assert report.pauli_is_optimal(sigmas=4.0)
+    assert report.pauli_is_optimal()
 
 
 def test_unknown_group_raises():
