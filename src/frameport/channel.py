@@ -121,15 +121,18 @@ _MOMENT_TO_SUPEROP = np.einsum("jab,kcd->jkacbd", _BASIS.conj(),
 @dataclass(frozen=True)
 class ChannelEstimate:
     """A qubit channel held as the second moment M = E[w w^T] of its net
-    unit quaternions (real, PSD, trace 1), with provenance: method, sample
-    count, and bootstrap replicate moments for error bars."""
+    unit quaternions (real, PSD, trace 1), with provenance: sample count
+    and, for a Monte Carlo estimate, bootstrap replicate moments for error
+    bars."""
 
     moment: np.ndarray                # (4, 4)
-    method: str                       # "quadrature" | "monte-carlo"
-    samples: int
-    seed: int | None
+    samples: int = 0
     pre_norm_deviation: float = 0.0
     replicates: np.ndarray | None = None   # (B, 4, 4) bootstrap moments
+
+    @property
+    def method(self) -> str:
+        return "quadrature" if self.replicates is None else "monte-carlo"
 
     @property
     def superop(self) -> Superoperator:
@@ -167,11 +170,6 @@ class ChannelEstimate:
         return replace(self, moment=c.T @ self.moment @ c, replicates=reps)
 
 
-def _exact_estimate(moment: np.ndarray, pre_norm_deviation: float = 0.0
-                    ) -> ChannelEstimate:
-    return ChannelEstimate(moment, "quadrature", 0, None, pre_norm_deviation)
-
-
 def mix_estimates(parts: list[ChannelEstimate]) -> ChannelEstimate:
     """Equal-weight mixture of channel estimates.
 
@@ -184,12 +182,8 @@ def mix_estimates(parts: list[ChannelEstimate]) -> ChannelEstimate:
     if any(e.replicates is not None for e in parts):
         reps = sum(w * (e.moment if e.replicates is None else e.replicates)
                    for e in parts)
-    method = "quadrature" if all(e.method == "quadrature" for e in parts) \
-        else "monte-carlo"
-    return ChannelEstimate(sum(w * e.moment for e in parts), method,
+    return ChannelEstimate(sum(w * e.moment for e in parts),
                            max(e.samples for e in parts),
-                           next((e.seed for e in parts if e.seed is not None),
-                                None),
                            max(e.pre_norm_deviation for e in parts), reps)
 
 
@@ -206,8 +200,7 @@ def _finish_mc(moments: np.ndarray, samples: int, stream: HaarStream,
     picks = rng.integers(0, n_blocks, size=(_N_BOOT, n_blocks))
     reps = moments[picks].sum(axis=1)
     reps /= np.trace(reps, axis1=1, axis2=2)[:, None, None]
-    return ChannelEstimate(total / norm, "monte-carlo", samples,
-                           stream.seed, pre_norm_deviation, reps)
+    return ChannelEstimate(total / norm, samples, pre_norm_deviation, reps)
 
 
 def _moment(w: np.ndarray) -> np.ndarray:
@@ -298,7 +291,7 @@ def conventional_channel(basis: UnitaryErrorBasis, group: str,
                               for i in range(basis.size)])
     i = int(result)
     if method == "quadrature":
-        return _exact_estimate(_exact_moment(
+        return ChannelEstimate(_exact_moment(
             basis.quats[i], groups.haar_fourth_moment(group)))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
@@ -377,7 +370,8 @@ def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
         # The trace is E|g|^4 = 1; report how far the computed integral is
         # from it before rescaling.
         tr = np.trace(moment)
-        return _exact_estimate(moment / tr, abs(tr - 1.0))
+        return ChannelEstimate(moment / tr,
+                               pre_norm_deviation=abs(tr - 1.0))
     group = scheme.subgroup.ambient
     stream = HaarStream(group, seed)
     conj_by_u = _conjugation_map(u)
@@ -407,7 +401,7 @@ def _perfect_orbit_channel(scheme: enc.EncodingScheme, result: int,
     U_result-bar)."""
     if method == "quadrature":
         # The moment of the identity quaternion.
-        return _exact_estimate(np.diag([1.0, 0.0, 0.0, 0.0]))
+        return ChannelEstimate(np.diag([1.0, 0.0, 0.0, 0.0]))
     group = scheme.subgroup.ambient
     stream = HaarStream(group, seed)
     table = _correction_table(scheme.eq.basis, scheme)
@@ -453,12 +447,11 @@ def _corrections(table: np.ndarray, decoded: np.ndarray, z: np.ndarray
 # Single-shot simulator
 # ---------------------------------------------------------------------------
 
-def single_shot_simulate(basis: UnitaryErrorBasis,
-                         scheme: enc.EncodingScheme | None,
+def single_shot_simulate(spec: UnitaryErrorBasis | enc.EncodingScheme,
                          sigma: DensityMatrix, stream: HaarStream,
                          shots: int = 1) -> tuple[DensityMatrix, dict]:
-    """End-to-end protocol simulation with the UEB basis, which must be the
-    one the scheme was built on.
+    """End-to-end protocol simulation of the conventional scheme with the
+    UEB spec, or of the encoded scheme spec with the UEB it was built on.
 
     Each shot samples a Haar misalignment on the stream's group (which must
     be the scheme's frame group), Alice's measurement result uniformly (every
@@ -473,18 +466,11 @@ def single_shot_simulate(basis: UnitaryErrorBasis,
     the transcript and adds the second moment of its net quaternions to the
     total.
     """
-    if scheme is not None:
-        # A scheme's orbit and coset conjugations hold only for its own UEB;
-        # a separate copy of it is accepted within 1e-12.
-        own = scheme.eq.basis.mats
-        if basis.mats.shape != own.shape or \
-                np.max(np.abs(basis.mats - own)) > 1e-12:
-            raise ValueError("the UEB is not the basis the scheme was built "
-                             "on")
-        group = scheme.subgroup.ambient
-        if stream.group != group:
-            raise ValueError(f"stream group {stream.group!r} is not the "
-                             f"scheme's frame group {group!r}")
+    scheme = spec if isinstance(spec, enc.EncodingScheme) else None
+    basis = spec if scheme is None else scheme.eq.basis
+    if scheme is not None and stream.group != scheme.subgroup.ambient:
+        raise ValueError(f"stream group {stream.group!r} is not the "
+                         f"scheme's frame group {scheme.subgroup.ambient!r}")
     n_res = basis.size
     # Bob's state before correction is M_x sigma M_x+ with M_x = U_x+.
     pre = quat_conj(basis.quats)

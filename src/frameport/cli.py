@@ -5,7 +5,8 @@ Subcommands
 - verify: structural suites (group axioms, UEB orthonormality, equivariance,
   scheme compatibility, finite-subgroup perfection).
 - channel: compute one scheme's effective channel and purity figures.
-- table1: the channel-purity comparison table across all builtin schemes.
+- table1: the exact channel-purity table of the conventional and tight
+  schemes, as channel --method quadrature prints it.
 - simulate: end-to-end single-shot protocol runs.
 - optimize: the exact extremes of the conventional purity over UEBs.
 
@@ -149,15 +150,6 @@ def _emit(args, payload: dict, rows: list[dict], samples: int) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _purity_row(name: str, interpretation: str, purity: float, stderr: float,
-                linear: float, samples: int, seed: int, seconds: float
-                ) -> dict:
-    return {"scheme": name, "interpretation": interpretation,
-            "purity": f"{purity:.6f}", "stderr": f"{stderr:.6f}",
-            "linear_purity": f"{linear:.6f}", "samples": samples,
-            "seed": seed, "seconds": f"{seconds:.3f}"}
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -272,15 +264,6 @@ def _channel_estimates(bundle: SchemeBundle, result, method: str,
     return ch.mix_estimates(list(per_result.values())), per_result
 
 
-def _interpretation(result) -> str:
-    return "result-averaged" if result == "averaged" else f"result-{result}"
-
-
-def _mean_linear_purity(per_result: dict[int, ch.ChannelEstimate]) -> float:
-    """Mean of the per-result linear purities."""
-    return float(np.mean([e.linear_purity() for e in per_result.values()]))
-
-
 def _default_method(bundle: SchemeBundle) -> str:
     return "quadrature" if bundle.group == "u1" else "mc"
 
@@ -295,6 +278,30 @@ def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
         raise ConfigError(f"{option} must be {alternative}an index in "
                           f"0..{size - 1}, got {text!r}")
     return value
+
+
+def _purity_rows(bundle: SchemeBundle, result, est: ch.ChannelEstimate,
+                 per_result: dict[int, ch.ChannelEstimate] | None,
+                 seed: int, seconds: float) -> tuple[list[tuple], list[dict]]:
+    """The purity figures of a channel, as (interpretation, purity, stderr,
+    linear purity), and the CSV rows formatted from them: the channel's
+    own, and for a result-averaged encoded scheme the mean of its
+    per-result purities and of their linear purities.  A row carries the
+    seed only where the estimate drew samples."""
+    label = "result-averaged" if result == "averaged" else f"result-{result}"
+    figures = [(label, *est.map_purity_with_error(), est.linear_purity())]
+    if per_result is not None:
+        figures.append(("mean-result-purity",
+                        *ch.mean_result_purity(per_result),
+                        float(np.mean([e.linear_purity()
+                                       for e in per_result.values()]))))
+    rows = [{"scheme": bundle.name, "interpretation": interpretation,
+             "purity": f"{purity:.6f}", "stderr": f"{stderr:.6f}",
+             "linear_purity": f"{linear:.6f}", "samples": est.samples,
+             "seed": seed if est.samples else None,
+             "seconds": f"{seconds:.3f}"}
+            for interpretation, purity, stderr, linear in figures]
+    return figures, rows
 
 
 def cmd_channel(args) -> int:
@@ -312,11 +319,9 @@ def cmd_channel(args) -> int:
     est, per_result = _channel_estimates(bundle, result, method, args.samples,
                                          args.seed)
     seconds = time.perf_counter() - t0
-    purity, p_err = est.map_purity_with_error()
-    linear = est.linear_purity()
-    interpretation = _interpretation(result)
-    rows = [_purity_row(bundle.name, interpretation, purity, p_err, linear,
-                        est.samples, args.seed, seconds)]
+    figures, rows = _purity_rows(bundle, result, est, per_result, args.seed,
+                                 seconds)
+    interpretation, purity, p_err, linear = figures[0]
     payload = {
         "scheme": bundle.name,
         "method": est.method,
@@ -331,12 +336,9 @@ def cmd_channel(args) -> int:
         "seconds": seconds,
     }
     if per_result is not None:
-        mean_p, mean_err = ch.mean_result_purity(per_result)
+        _, mean_p, mean_err, _ = figures[1]
         payload["mean_result_purity"] = mean_p
         payload["mean_result_purity_stderr"] = mean_err
-        rows.append(_purity_row(bundle.name, "mean-result-purity", mean_p,
-                                mean_err, _mean_linear_purity(per_result),
-                                est.samples, args.seed, seconds))
     _emit(args, payload, rows, est.samples)
     return 0
 
@@ -345,41 +347,28 @@ def cmd_channel(args) -> int:
 # table1
 # ---------------------------------------------------------------------------
 
-# (scheme, result, method): exact quadrature for the circle-group schemes
-# and for the rotation-group conventional scheme in both interpretations, MC
-# for the rotation-group tight schemes.
-_TABLE1_ROWS = (("u1-conventional", "averaged", "quadrature"),
-                ("u1-tight", "averaged", "quadrature"),
-                ("su2-conventional", 1, "quadrature"),
-                ("su2-conventional", "averaged", "quadrature"),
-                ("su2-matched-tight", "averaged", "mc"),
-                ("su2-rod-tight", "averaged", "mc"))
+# (scheme, result): the conventional and tight channels of both frame
+# groups, and the rotation-group conventional channel of one result.
+_TABLE1_ROWS = (("u1-conventional", "averaged"),
+                ("u1-tight", "averaged"),
+                ("su2-conventional", 1),
+                ("su2-conventional", "averaged"),
+                ("su2-matched-tight", "averaged"),
+                ("su2-rod-tight", "averaged"))
 
 
 def cmd_table1(args) -> int:
+    """channel --method quadrature over _TABLE1_ROWS.  Every row is exact:
+    nothing is drawn, so --samples and --seed have no effect."""
     rows: list[dict] = []
-    drawn = 0
-    for name, result, method in _TABLE1_ROWS:
+    for name, result in _TABLE1_ROWS:
+        bundle = builtin_scheme(name)
         t0 = time.perf_counter()
-        est, per_result = _channel_estimates(builtin_scheme(name), result,
-                                             method, args.samples, args.seed)
-        seconds = time.perf_counter() - t0
-        drawn += est.samples
-        # A tight MC row reports the mixed channel and the mean of the
-        # per-result purities (the latter matches the published table's
-        # averaging).
-        mc = method == "mc"
-        rows.append(_purity_row(
-            name, "mixed-channel" if mc else _interpretation(result),
-            *est.map_purity_with_error(), est.linear_purity(), est.samples,
-            args.seed, seconds))
-        if mc:
-            rows.append(_purity_row(name, "mean-result-purity",
-                                    *ch.mean_result_purity(per_result),
-                                    _mean_linear_purity(per_result),
-                                    est.samples, args.seed, seconds))
-
-    _emit(args, {"table": rows}, rows, drawn)
+        est, per_result = _channel_estimates(bundle, result, "quadrature",
+                                             args.samples, args.seed)
+        rows += _purity_rows(bundle, result, est, per_result, args.seed,
+                             time.perf_counter() - t0)[1]
+    _emit(args, {"table": rows}, rows, 0)
     return 0
 
 
@@ -396,7 +385,7 @@ def cmd_simulate(args) -> int:
     stream = groups.HaarStream(bundle.group, args.seed)
     t0 = time.perf_counter()
     out, transcript = ch.single_shot_simulate(
-        bundle.basis, bundle.scheme, DensityMatrix(sigma), stream,
+        bundle.scheme or bundle.basis, DensityMatrix(sigma), stream,
         shots=args.shots)
     seconds = time.perf_counter() - t0
     fidelity = float(out.mat[args.input, args.input].real)

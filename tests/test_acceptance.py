@@ -216,25 +216,23 @@ def test_acceptance_7_simulator_cross_validation():
     sigma = DensityMatrix(np.eye(2, dtype=np.complex128) / 2)
     configs = []
 
-    basis, eq = u1_bundle()
+    _, eq = u1_bundle()
     u1_scheme = enc.tight_matched_scheme(eq, 1)
     exact = averaged_channel(u1_scheme, "quadrature")
-    configs.append(("u1-tight", basis, u1_scheme, "u1", exact.superop.mat))
+    configs.append(("u1-tight", u1_scheme, "u1", exact.superop.mat))
 
-    basis2, eq2 = su2_bundle()
     rod = enc.rod_scheme()
     rod_est = averaged_channel(rod, "mc", samples=FULL)
-    configs.append(("su2-rod-tight", basis2, rod, "su2", rod_est.superop.mat))
+    configs.append(("su2-rod-tight", rod, "su2", rod_est.superop.mat))
 
-    basis3, eq3 = btet_bundle()
+    _, eq3 = btet_bundle()
     perfect = enc.perfect_matched_scheme(eq3, 0)
-    configs.append(("su2-btet-perfect", basis3, perfect, "su2", np.eye(4)))
+    configs.append(("su2-btet-perfect", perfect, "su2", np.eye(4)))
 
     ok = True
-    for k, (name, basis_k, scheme_k, group, target) in enumerate(configs):
+    for k, (name, scheme_k, group, target) in enumerate(configs):
         _, transcript = ch.single_shot_simulate(
-            basis_k, scheme_k, sigma, HaarStream(group, 100 + k),
-            shots=shots)
+            scheme_k, sigma, HaarStream(group, 100 + k), shots=shots)
         got = transcript["mean_superop"].mat
         # Entries are shot-averages of products of unit-modulus terms, so
         # each standard error is at most 1/sqrt(shots).

@@ -320,23 +320,6 @@ def test_btet_perfect_mc_is_identity():
     assert np.all(np.abs(est.superop.mat - np.eye(4)) <= tol)
 
 
-def test_spec_ueb_must_be_the_scheme_basis():
-    # The simulator is the one entry that takes a UEB beside a scheme, whose
-    # orbit and coset conjugations hold only for the UEB it was built on.
-    # With the Pauli UEB on BTet perfect it used to give input fidelity 0.55.
-    btet = enc.perfect_matched_scheme(
-        equivariance_analysis(tetrahedral_ueb(), groups.binary_tetrahedral()),
-        0)
-    sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
-    with pytest.raises(ValueError, match="UEB"):
-        ch.single_shot_simulate(pauli_ueb(), btet, sigma,
-                                HaarStream("su2", 3), 100)
-    # A separate instance of the scheme's own basis is accepted.
-    out, _ = ch.single_shot_simulate(tetrahedral_ueb(), btet, sigma,
-                                     HaarStream("su2", 3), 100)
-    assert np.max(np.abs(out.mat - sigma.mat)) < 1e-12
-
-
 def test_perfect_singleton_result_gets_conventional_integral():
     # Z4 on the circle fixes every Pauli label, so the perfect scheme's
     # orbit of 1 is a singleton and result 2 sends its label speakably: it
@@ -370,12 +353,11 @@ def test_unknown_method_is_rejected():
 def test_simulator_stream_must_be_the_scheme_group():
     # Drawing SU(2) misalignments for the U(1) tight scheme used to run
     # silently (input fidelity 0.666 at 20,000 shots, against 1.0).
-    basis, eq = u1_bundle()
+    _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
     sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
     with pytest.raises(ValueError, match="frame group"):
-        ch.single_shot_simulate(basis, scheme, sigma, HaarStream("su2", 0),
-                                100)
+        ch.single_shot_simulate(scheme, sigma, HaarStream("su2", 0), 100)
 
 
 def test_rod_point_encoding_is_perfectly_correctable():
@@ -589,7 +571,7 @@ def test_single_shot_conventional_matches_channel():
     sigma = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]],
                                    dtype=np.complex128))
     out, transcript = ch.single_shot_simulate(
-        basis, None, sigma, HaarStream("u1", 21), shots=120000)
+        basis, sigma, HaarStream("u1", 21), shots=120000)
     exact = ch.conventional_channel(basis, "u1", "averaged", "quadrature")
     expected = exact.superop.apply(sigma.mat)
     assert np.max(np.abs(out.mat - expected)) < 5e-3
@@ -600,8 +582,8 @@ def test_single_shot_perfect_reconstructs_exactly():
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    out, _ = ch.single_shot_simulate(basis, scheme, sigma,
-                                     HaarStream("su2", 22), shots=500)
+    out, _ = ch.single_shot_simulate(scheme, sigma, HaarStream("su2", 22),
+                                     shots=500)
     assert np.max(np.abs(out.mat - sigma.mat)) < 1e-9
 
 
@@ -609,10 +591,10 @@ def test_single_shot_u1_perfect_restores_mixed_input():
     # Results 1 and 2 are reconstructed from their readings; results 0 and
     # 3 lie outside the orbit and are corrected unaligned, which is exact as
     # I and Z commute with every U(1) misalignment.
-    basis, eq = u1_bundle()
+    _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    out, transcript = ch.single_shot_simulate(basis, scheme, sigma,
+    out, transcript = ch.single_shot_simulate(scheme, sigma,
                                               HaarStream("u1", 23), shots=500)
     assert set(transcript["result"].tolist()) == {0, 1, 2, 3}
     assert np.max(np.abs(out.mat - sigma.mat)) <= 1e-12
@@ -626,8 +608,8 @@ def test_born_draw_is_generator_choice():
     basis, _ = su2_bundle()
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     for shots in (1, 7, 1001, ch._BATCH, ch._BATCH + 3):
-        _, t = ch.single_shot_simulate(basis, None, sigma,
-                                       HaarStream("su2", 27), shots)
+        _, t = ch.single_shot_simulate(basis, sigma, HaarStream("su2", 27),
+                                       shots)
         rng = HaarStream("su2", 27).generator()
         for start in range(0, shots, ch._BATCH):
             block = slice(start, min(start + ch._BATCH, shots))
@@ -669,12 +651,12 @@ def test_correction_table_is_the_realigned_correction(case):
 def test_simulator_reads_orbit_shots_in_shot_order():
     # Each block draws the readings of its orbit shots with one sampler
     # call, in shot order; a result outside the orbit decodes to itself.
-    basis, eq = su2_bundle()
+    _, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     stream = HaarStream("su2", 29)
     shots = ch._BATCH + 100
-    _, t = ch.single_shot_simulate(basis, scheme, sigma, stream, shots)
+    _, t = ch.single_shot_simulate(scheme, sigma, stream, shots)
     rng = stream.advance(1 << 40).generator()
     for block in (slice(0, ch._BATCH), slice(ch._BATCH, shots)):
         x, g, decoded = t["result"][block], t["g"][block], t["decoded"][block]
@@ -714,7 +696,7 @@ def test_blocked_simulator_loses_and_repeats_no_shot(case):
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
 
     def run():
-        return ch.single_shot_simulate(basis, scheme, sigma,
+        return ch.single_shot_simulate(scheme or basis, sigma,
                                        HaarStream("u1", 24), shots)
 
     out, transcript = run()
@@ -769,13 +751,12 @@ def test_mc_memory_does_not_grow_with_samples(case):
 
 
 def test_simulator_memory_is_the_transcript_plus_a_block():
-    basis = tetrahedral_ueb()
-    eq = equivariance_analysis(basis, groups.binary_tetrahedral())
+    eq = equivariance_analysis(tetrahedral_ueb(), groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
     sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
-    ch.single_shot_simulate(basis, scheme, sigma, HaarStream("su2", 25), 100)
+    ch.single_shot_simulate(scheme, sigma, HaarStream("su2", 25), 100)
     peak, (_, t) = _traced_peak(lambda: ch.single_shot_simulate(
-        basis, scheme, sigma, HaarStream("su2", 25), 1 << 18))
+        scheme, sigma, HaarStream("su2", 25), 1 << 18))
     transcript = t["g"].nbytes + t["result"].nbytes + t["decoded"].nbytes
     assert peak < transcript + (4 << 20), (peak, transcript)
 

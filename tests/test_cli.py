@@ -46,7 +46,8 @@ def test_verify_all_does_not_import_scipy(tmp_path):
     # scipy is a test-only dependency, and no exact integral in the package
     # needs numpy.polynomial: every one is a closed-form fourth moment.  A
     # fresh process shows what the package itself imports, here for verify,
-    # every quadrature channel path and both optimize groups.
+    # every quadrature channel path, the exact table and both optimize
+    # groups.
     src = str(Path(cli.__file__).resolve().parents[1])
     out = str(tmp_path / "v.json")
     code = ("import sys\nfrom frameport import cli\n"
@@ -57,6 +58,7 @@ def test_verify_all_does_not_import_scipy(tmp_path):
                  ["channel", "--scheme", "su2-conventional"] + quadrature,
                  ["channel", "--scheme", "su2-matched-tight"] + quadrature,
                  ["channel", "--scheme", "su2-rod-tight"] + quadrature,
+                 ["table1"],
                  ["optimize", "--group", "u1"],
                  ["optimize", "--group", "su2"]):
         code += f"assert cli.main({argv + ['--out', out]!r}) == 0\n"
@@ -163,15 +165,33 @@ def test_channel_csv_header_and_rows(tmp_path):
     assert re.fullmatch(r"# build [0-9a-f]{12} seed null", lines[0])
     assert lines[1] == CSV_HEADER
     assert lines[2].startswith("u1-conventional,result-averaged,")
-    # table1 writes the same header over its 6 table rows and the 2
-    # mean-result rows of the SU(2) tight schemes.
-    assert run(["table1", "--samples", "20000", "--format", "csv",
-                "--out", str(out)]) == 0
+    # table1 writes the same header over its 6 table rows and the 3
+    # mean-result rows of the tight schemes.
+    assert run(["table1", "--format", "csv", "--out", str(out)]) == 0
     header, *rows = out.read_text().strip().splitlines()[1:]
     assert header == CSV_HEADER
-    assert len(rows) == 8
+    assert len(rows) == 9
     interpretations = [row.split(",")[1] for row in rows]
-    assert interpretations.count("mean-result-purity") == 2
+    assert interpretations.count("mean-result-purity") == 3
+
+
+def read_csv_rows(path):
+    header, *lines = path.read_text().strip().splitlines()[1:]
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+@pytest.mark.parametrize("method, seed", [("quadrature", ""), ("mc", "5")])
+def test_channel_csv_row_seed_is_the_drawn_stream(tmp_path, method, seed):
+    # An exact row drew nothing, so it carries no seed; an MC row carries
+    # the seed of the stream it drew.
+    out = tmp_path / "c.csv"
+    assert run(["channel", "--scheme", "su2-rod-tight", "--method", method,
+                *SAMPLES, "--seed", "5", "--format", "csv",
+                "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    assert [r["interpretation"] for r in rows] == ["result-averaged",
+                                                   "mean-result-purity"]
+    assert all(r["seed"] == seed for r in rows)
 
 
 def test_scheme_alias_matches_canonical(tmp_path):
@@ -206,44 +226,76 @@ def test_mean_result_row_reports_mean_linear_purity(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_table1_rows_and_exact_su2_conventional(tmp_path, monkeypatch):
-    # The JSON rows print six decimals; capture the full-precision values
+    # The JSON rows print six decimals; capture the full-precision figures
     # each row is formatted from.
     values = {}
-    real_row = cli._purity_row
+    real_rows = cli._purity_rows
 
-    def capture(name, interpretation, purity, stderr, linear, *rest):
-        values[(name, interpretation)] = (purity, stderr, linear)
-        return real_row(name, interpretation, purity, stderr, linear, *rest)
+    def capture(bundle, *rest):
+        figures, rows = real_rows(bundle, *rest)
+        for interpretation, *figure in figures:
+            values[(bundle.name, interpretation)] = figure
+        return figures, rows
 
-    monkeypatch.setattr(cli, "_purity_row", capture)
+    monkeypatch.setattr(cli, "_purity_rows", capture)
     out = tmp_path / "t.json"
-    assert run(["table1", "--samples", "1000", "--out", str(out)]) == 0
-    rows = [(r["scheme"], r["interpretation"])
-            for r in read_json(out)["table"]]
-    assert rows == [
+    assert run(["table1", "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert payload["meta"]["samples"] == 0 and payload["meta"]["seed"] is None
+    rows = payload["table"]
+    assert [(r["scheme"], r["interpretation"]) for r in rows] == [
         ("u1-conventional", "result-averaged"),
         ("u1-tight", "result-averaged"),
+        ("u1-tight", "mean-result-purity"),
         ("su2-conventional", "result-1"),
         ("su2-conventional", "result-averaged"),
-        ("su2-matched-tight", "mixed-channel"),
+        ("su2-matched-tight", "result-averaged"),
         ("su2-matched-tight", "mean-result-purity"),
-        ("su2-rod-tight", "mixed-channel"),
+        ("su2-rod-tight", "result-averaged"),
         ("su2-rod-tight", "mean-result-purity"),
     ]
+    # Every row is exact.
+    assert all((r["samples"], r["stderr"], r["seed"]) == (0, "0.000000", None)
+               for r in rows)
     averaged = np.array([1 / 2, 1 / 6, 1 / 6, 1 / 6])
+    u1_tight = cli.builtin_scheme("u1-tight").scheme
     expected = {
-        "result-1": 1 - np.log(3) / np.log(4),
-        "result-averaged": 1 + np.sum(averaged * np.log(averaged)) / np.log(4),
+        ("su2-conventional", "result-1"): 1 - np.log(3) / np.log(4),
+        ("su2-conventional", "result-averaged"):
+            1 + np.sum(averaged * np.log(averaged)) / np.log(4),
+        ("su2-matched-tight", "mean-result-purity"): 0.450648886777,
+        ("su2-rod-tight", "mean-result-purity"): 0.4523925057222,
+        ("u1-tight", "mean-result-purity"): ch.mean_result_purity(
+            ch.result_estimates(u1_tight, range(4), "quadrature"))[0],
     }
-    for interpretation, purity in expected.items():
-        got, err, _ = values[("su2-conventional", interpretation)]
-        assert got == pytest.approx(purity, abs=1e-12)
+    for key, purity in expected.items():
+        got, err, _ = values[key]
+        assert abs(got - purity) <= 1e-12, key
         assert err == 0.0
     # Linear purity is convex in the channel, so the mean over the distinct
     # per-result channels exceeds that of their mix.
     for name in ("su2-matched-tight", "su2-rod-tight"):
         assert (values[(name, "mean-result-purity")][2]
-                > values[(name, "mixed-channel")][2] + 0.01)
+                > values[(name, "result-averaged")][2] + 0.01)
+
+
+def test_table1_rows_are_quadrature_channel_rows(tmp_path):
+    # Each table row is the channel command's exact row, field by field
+    # apart from the wall time.
+    table = tmp_path / "t.csv"
+    assert run(["table1", "--format", "csv", "--out", str(table)]) == 0
+    rows = read_csv_rows(table)
+    channel_rows = []
+    for name, result in cli._TABLE1_ROWS:
+        out = tmp_path / "c.csv"
+        assert run(["channel", "--scheme", name, "--result", str(result),
+                    "--method", "quadrature", "--format", "csv",
+                    "--out", str(out)]) == 0
+        channel_rows += read_csv_rows(out)
+    assert len(rows) == len(channel_rows) == 9
+    for row, expected in zip(rows, channel_rows):
+        del row["seconds"], expected["seconds"]
+        assert row == expected
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +350,8 @@ def test_optimize_reports_exact_extremes(tmp_path, group, extremes):
     (["channel", "--scheme", "u1-conventional"], 0),
     (["channel", "--scheme", "su2-rod-tight", "--method", "quadrature"], 0),
     (["channel", "--scheme", "su2-rod-tight", "--method", "mc"], 40000),
-    # The two MC tight rows; the other four are exact.
-    (["table1"], 80000),
+    # Every row is exact.
+    (["table1"], 0),
     (["simulate", "--scheme", "u1-tight", "--shots", "300"], 300),
     (["optimize", "--group", "su2"], 0),
 ])
