@@ -4,7 +4,8 @@ Subcommands
 -----------
 - verify: structural suites (group axioms, UEB orthonormality, equivariance,
   scheme compatibility, finite-subgroup perfection).
-- channel: compute one scheme's effective channel and purity figures.
+- channel: compute one scheme's effective channel and purity figures,
+  exactly by default, or by seeded Monte Carlo with --method mc.
 - table1: the exact channel-purity table of the conventional and tight
   schemes, as channel --method quadrature prints it.
 - simulate: end-to-end single-shot protocol runs.
@@ -264,10 +265,6 @@ def _channel_estimates(bundle: SchemeBundle, result, method: str,
     return ch.mix_estimates(list(per_result.values())), per_result
 
 
-def _default_method(bundle: SchemeBundle) -> str:
-    return "quadrature" if bundle.group == "u1" else "mc"
-
-
 def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
     """A command-line index into a scheme bundle's range(size)."""
     try:
@@ -306,7 +303,6 @@ def _purity_rows(bundle: SchemeBundle, result, est: ch.ChannelEstimate,
 
 def cmd_channel(args) -> int:
     bundle = builtin_scheme(args.scheme)
-    method = args.method or _default_method(bundle)
     result = args.result
     if result == "averaged" and bundle.variant == "perfect":
         # A perfect scheme's channel is computed for one result; the
@@ -316,8 +312,8 @@ def cmd_channel(args) -> int:
         result = _index_arg("--result", result, bundle.basis.size,
                             "'averaged' or ")
     t0 = time.perf_counter()
-    est, per_result = _channel_estimates(bundle, result, method, args.samples,
-                                         args.seed)
+    est, per_result = _channel_estimates(bundle, result, args.method,
+                                         args.samples, args.seed)
     seconds = time.perf_counter() - t0
     figures, rows = _purity_rows(bundle, result, est, per_result, args.seed,
                                  seconds)
@@ -469,7 +465,9 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--samples", type=_bounded_int(1000),
-                       default=10 ** 6)
+                       default=10 ** 6,
+                       help="Monte Carlo samples; used by channel "
+                            "--method mc")
         p.add_argument("--seed", type=_bounded_int(0, _SEED_LIMIT),
                        default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -490,7 +488,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True)
     p.add_argument("--result", default="averaged",
                    help="UEB result index or 'averaged'")
-    p.add_argument("--method", choices=("mc", "quadrature"), default=None)
+    p.add_argument("--method", choices=("mc", "quadrature"),
+                   default="quadrature",
+                   help="quadrature (default): the exact channel; mc: "
+                        "seeded Monte Carlo over --samples draws")
     common(p)
     p.set_defaults(fn=cmd_channel)
 

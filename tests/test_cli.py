@@ -46,7 +46,8 @@ def test_verify_all_does_not_import_scipy(tmp_path):
     # scipy is a test-only dependency, and no exact integral in the package
     # needs numpy.polynomial: every one is a closed-form fourth moment.  A
     # fresh process shows what the package itself imports, here for verify,
-    # every quadrature channel path, the exact table and both optimize
+    # every quadrature channel path (the SU(2) conventional and perfect ones
+    # by channel's default method), the exact table and both optimize
     # groups.
     src = str(Path(cli.__file__).resolve().parents[1])
     out = str(tmp_path / "v.json")
@@ -55,7 +56,8 @@ def test_verify_all_does_not_import_scipy(tmp_path):
     quadrature = ["--method", "quadrature"]
     for argv in (["channel", "--scheme", "u1-conventional"],
                  ["channel", "--scheme", "u1-tight"] + quadrature,
-                 ["channel", "--scheme", "su2-conventional"] + quadrature,
+                 ["channel", "--scheme", "su2-conventional"],
+                 ["channel", "--scheme", "su2-btet-perfect"],
                  ["channel", "--scheme", "su2-matched-tight"] + quadrature,
                  ["channel", "--scheme", "su2-rod-tight"] + quadrature,
                  ["table1"],
@@ -133,6 +135,34 @@ def test_every_scheme_has_a_quadrature_channel(tmp_path):
     assert mean["su2-rod-tight"] == pytest.approx(0.4523925057222, abs=1e-12)
 
 
+def test_channel_default_is_quadrature(tmp_path):
+    # Every scheme has an exact path, and channel takes it unless --method
+    # mc asks for sampling: its default output, JSON or CSV, is the
+    # quadrature output, which draws nothing.  Both runs share one build, so
+    # they differ only in their wall times.
+    def untimed(text):
+        # The JSON seconds field, and the last (seconds) column of CSV rows.
+        return re.sub(r'"seconds": [0-9.e+-]+|,[0-9.]+$', "", text,
+                      flags=re.M)
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    for name in cli.SCHEME_NAMES:
+        for fmt in ("json", "csv"):
+            argv = ["channel", "--scheme", name, "--format", fmt]
+            assert run(argv + ["--out", str(a)]) == 0
+            assert run(argv + ["--method", "quadrature",
+                               "--out", str(b)]) == 0
+            assert untimed(a.read_text()) == untimed(b.read_text()), \
+                (name, fmt)
+            if fmt == "json":
+                payload = read_json(a)
+                assert (payload["method"], payload["samples"],
+                        payload["meta"]["seed"]) == ("quadrature", 0, None)
+            else:
+                assert all((r["samples"], r["seed"]) == ("0", "")
+                           for r in read_csv_rows(a))
+
+
 def test_channel_result_specific(tmp_path):
     out = tmp_path / "c.json"
     assert run(["channel", "--scheme", "su2-conventional", "--result", "0",
@@ -204,8 +234,8 @@ def test_scheme_alias_matches_canonical(tmp_path):
 
 def test_mean_result_row_reports_mean_linear_purity(tmp_path):
     out = tmp_path / "c.csv"
-    assert run(["channel", "--scheme", "su2-matched-tight", "--samples",
-                "20000", "--seed", "0", "--format", "csv",
+    assert run(["channel", "--scheme", "su2-matched-tight", "--method", "mc",
+                "--samples", "20000", "--seed", "0", "--format", "csv",
                 "--out", str(out)]) == 0
     header, *rows = out.read_text().strip().splitlines()[1:]
     rows = {r["interpretation"]: r
@@ -392,12 +422,16 @@ def test_tiny_sample_budget_is_config_error():
 
 def test_channel_reports_pre_norm_deviation(tmp_path):
     out = tmp_path / "c.json"
-    assert run(["channel", "--scheme", "su2-rod-tight", *SAMPLES,
-                "--out", str(out)]) == 0
+    assert run(["channel", "--scheme", "su2-rod-tight", "--method", "mc",
+                *SAMPLES, "--out", str(out)]) == 0
     # |I_k| N_acc / N of the tight estimator, before TP rescaling.
     assert 0.0 < read_json(out)["pre_norm_deviation"] < 0.05
-    assert run(["channel", "--scheme", "su2-conventional", *SAMPLES,
-                "--out", str(out)]) == 0
+    # The exact default is trace preserving up to rounding.
+    assert run(["channel", "--scheme", "su2-rod-tight", "--out", str(out)]) \
+        == 0
+    assert read_json(out)["pre_norm_deviation"] < 1e-12
+    assert run(["channel", "--scheme", "su2-conventional", "--method", "mc",
+                *SAMPLES, "--out", str(out)]) == 0
     assert read_json(out)["pre_norm_deviation"] == 0.0
 
 
