@@ -311,7 +311,7 @@ def conventional_channel(basis: UnitaryErrorBasis, group: str,
 # ---------------------------------------------------------------------------
 
 def result_estimates(scheme: enc.EncodingScheme, results: Iterable[int],
-                     method: str = "quadrature", samples: int = 10 ** 6,
+                     method: str, samples: int = 10 ** 6,
                      seed: int = 0) -> dict[int, ChannelEstimate]:
     """Channels of a tight or perfect scheme, teleported with the UEB of its
     equivariance data, for the given results, over the Haar measure of its

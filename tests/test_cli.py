@@ -118,34 +118,19 @@ def test_channel_u1_tight_quadrature_values(tmp_path):
 
 
 def test_every_scheme_has_a_quadrature_channel(tmp_path):
-    # Every builtin scheme has an exact path, so it reports no samples and
-    # no error bar; the SU(2) tight schemes give their exact mean-result
-    # purities.
-    out = tmp_path / "c.json"
-    mean = {}
-    for name in cli.SCHEME_NAMES:
-        assert run(["channel", "--scheme", name, "--method", "quadrature",
-                    "--out", str(out)]) == 0
-        payload = read_json(out)
-        assert (payload["method"], payload["samples"],
-                payload["map_purity_stderr"]) == ("quadrature", 0, 0.0)
-        mean[name] = payload.get("mean_result_purity")
-    assert mean["su2-matched-tight"] == pytest.approx(0.450648886777,
-                                                      abs=1e-12)
-    assert mean["su2-rod-tight"] == pytest.approx(0.4523925057222, abs=1e-12)
-
-
-def test_channel_default_is_quadrature(tmp_path):
-    # Every scheme has an exact path, and channel takes it unless --method
-    # mc asks for sampling: its default output, JSON or CSV, is the
-    # quadrature output, which draws nothing.  Both runs share one build, so
-    # they differ only in their wall times.
+    # Every builtin scheme has an exact path, and channel takes it unless
+    # --method mc asks for sampling: its default output, JSON or CSV, is the
+    # quadrature output, which draws nothing, so it reports no samples, no
+    # error bar and no seed.  Both runs share one build, so they differ only
+    # in their wall times.  The SU(2) tight schemes give their exact
+    # mean-result purities.
     def untimed(text):
         # The JSON seconds field, and the last (seconds) column of CSV rows.
         return re.sub(r'"seconds": [0-9.e+-]+|,[0-9.]+$', "", text,
                       flags=re.M)
 
     a, b = tmp_path / "a", tmp_path / "b"
+    mean = {}
     for name in cli.SCHEME_NAMES:
         for fmt in ("json", "csv"):
             argv = ["channel", "--scheme", name, "--format", fmt]
@@ -155,12 +140,18 @@ def test_channel_default_is_quadrature(tmp_path):
             assert untimed(a.read_text()) == untimed(b.read_text()), \
                 (name, fmt)
             if fmt == "json":
-                payload = read_json(a)
+                payload = read_json(b)
                 assert (payload["method"], payload["samples"],
-                        payload["meta"]["seed"]) == ("quadrature", 0, None)
+                        payload["map_purity_stderr"],
+                        payload["meta"]["seed"]) == ("quadrature", 0, 0.0,
+                                                     None)
+                mean[name] = payload.get("mean_result_purity")
             else:
                 assert all((r["samples"], r["seed"]) == ("0", "")
-                           for r in read_csv_rows(a))
+                           for r in read_csv_rows(b))
+    assert mean["su2-matched-tight"] == pytest.approx(0.450648886777,
+                                                      abs=1e-12)
+    assert mean["su2-rod-tight"] == pytest.approx(0.4523925057222, abs=1e-12)
 
 
 def test_channel_result_specific(tmp_path):
