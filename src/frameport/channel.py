@@ -79,6 +79,7 @@ c/16 on the 16 whose axis is +-e_b, (1 - c)/32 on the others, c = E n_b^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -159,7 +160,14 @@ class ChannelEstimate:
         return value, float(np.std(reps, ddof=1))
 
     def choi_spectrum(self) -> np.ndarray:
-        return clamped_eigenvalues(self.moment)
+        return self._choi_spectrum
+
+    @cached_property
+    def _choi_spectrum(self) -> np.ndarray:
+        # Every purity of an estimate reads this one spectrum (read-only).
+        vals = clamped_eigenvalues(self.moment)
+        vals.flags.writeable = False
+        return vals
 
     def transformed(self, r: np.ndarray) -> "ChannelEstimate":
         """Pre/post-compose with conjugation by R = su2_matrix(r):
@@ -361,12 +369,11 @@ def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
     scheme's equivariance data.  The overlap weight p(g) is realized (MC) by
     drawing g from Haar and x directly from E_b and rejecting only the
     (g, x) pairs whose transported reading leaves E_b, or (quadrature) by
-    the pair identity, as the pair contraction of the scheme's moment_fn."""
+    the pair identity, as the scheme's pair_moment."""
     b = min(scheme.indices)
     u = scheme.eq.basis.quats[b]
     if method == "quadrature":
-        moment = _exact_moment(u, groups.pair_fourth_moment(
-            scheme.moment_fn()))
+        moment = _exact_moment(u, scheme.pair_moment)
         # The trace is E|g|^4 = 1; report how far the computed integral is
         # from it before rescaling.
         tr = np.trace(moment)

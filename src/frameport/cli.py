@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -42,8 +43,10 @@ from .qmat import DensityMatrix
 __all__ = ["main", "build_id", "builtin_scheme", "SCHEME_NAMES"]
 
 
+@functools.cache
 def build_id() -> str:
-    """Short content hash of the package sources."""
+    """Short content hash of the package sources, taken once per process,
+    as the code a process runs is the code it imported."""
     pkg = Path(__file__).resolve().parent
     digest = hashlib.sha1()
     for path in sorted(pkg.rglob("*.py")):
@@ -87,10 +90,16 @@ ENCODED_SCHEMES = tuple(name for name, row in _SCHEMES.items()
 
 
 def builtin_scheme(name: str) -> SchemeBundle:
+    """The bundle of a scheme name or alias, built once per process."""
     name = _ALIASES.get(name, name)
     if name not in _SCHEMES:
         raise ConfigError(
             f"unknown scheme {name!r}; available: {', '.join(SCHEME_NAMES)}")
+    return _scheme_bundle(name)
+
+
+@functools.cache
+def _scheme_bundle(name: str) -> SchemeBundle:
     group, variant, ueb_name, sub_name, base = _SCHEMES[name]
     basis = _UEBS[ueb_name]()
     if sub_name is None:
@@ -357,14 +366,20 @@ def cmd_table1(args) -> int:
     """channel --method quadrature over _TABLE1_ROWS.  Every row is exact:
     nothing is drawn, so --samples and --seed have no effect."""
     rows: list[dict] = []
+    table: list[dict] = []
     for name, result in _TABLE1_ROWS:
         bundle = builtin_scheme(name)
         t0 = time.perf_counter()
         est, per_result = _channel_estimates(bundle, result, "quadrature",
                                              args.samples, args.seed)
-        rows += _purity_rows(bundle, result, est, per_result, args.seed,
-                             time.perf_counter() - t0)[1]
-    _emit(args, {"table": rows}, rows, 0)
+        seconds = time.perf_counter() - t0
+        part = _purity_rows(bundle, result, est, per_result, args.seed,
+                            seconds)[1]
+        rows += part
+        # JSON seconds are numbers, as in every other payload; the CSV
+        # rows keep their three-decimal text.
+        table += [row | {"seconds": seconds} for row in part]
+    _emit(args, {"table": table}, rows, 0)
     return 0
 
 
@@ -456,7 +471,10 @@ def _bounded_int(low: int, below: int | None = None) -> Callable[[str], int]:
 _SEED_LIMIT = 1 << 64
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, and an error raises ConfigError out of it."""
     parser = _Parser(
         prog="frameport",
         description="Teleportation channels under reference-frame "

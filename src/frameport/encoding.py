@@ -48,6 +48,7 @@ arithmetic and tie-break, so the labels do not depend on the batch size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -88,7 +89,8 @@ class EncodingScheme:
     readings from E_i (region schemes) or X_i (perfect schemes), for an
     index i or an (n,) array of indices, one per reading.  Each region E_i
     of a tight scheme has measure 1/len(indices); moment_fn() is the fourth
-    moment of the x whose pairs y-bar x pass its orbit base (channel).
+    moment of the x whose pairs y-bar x pass its orbit base, and
+    pair_moment that of the pairs themselves (channel).
     """
 
     eq: EquivarianceData
@@ -103,6 +105,14 @@ class EncodingScheme:
     @property
     def subgroup(self) -> FiniteSubgroup:
         return self.eq.subgroup
+
+    @cached_property
+    def pair_moment(self) -> np.ndarray:
+        """Fourth moment of y-bar x for x, y independent with the fourth
+        moment of moment_fn(), computed once per scheme (read-only)."""
+        t4 = groups.pair_fourth_moment(self.moment_fn())
+        t4.flags.writeable = False
+        return t4
 
 
 def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:

@@ -399,17 +399,22 @@ def haar_batch(group: str, rng: Generator, n: int) -> np.ndarray:
 # Fourth moments
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def haar_fourth_moment(group: str) -> np.ndarray:
     """Fourth moment E[q (x) q (x) q (x) q] (4, 4, 4, 4) of Haar quaternions:
     the isotropic (d_ab d_cd + d_ac d_bd + d_ad d_bc)/24 on "su2", and
-    circle_fourth_moment(0, 0) on "u1"."""
+    circle_fourth_moment(0, 0) on "u1".  Computed once per group
+    (read-only)."""
     if group == "u1":
-        return circle_fourth_moment(0.0, 0.0)
-    if group == "su2":
+        t4 = circle_fourth_moment(0.0, 0.0)
+    elif group == "su2":
         d = np.eye(4)
-        return (np.einsum("ab,cd->abcd", d, d) + np.einsum("ac,bd->abcd", d, d)
-                + np.einsum("ad,bc->abcd", d, d)) / 24
-    raise ValueError(f"no Haar fourth moment for group {group!r}")
+        t4 = (np.einsum("ab,cd->abcd", d, d) + np.einsum("ac,bd->abcd", d, d)
+              + np.einsum("ad,bc->abcd", d, d)) / 24
+    else:
+        raise ValueError(f"no Haar fourth moment for group {group!r}")
+    t4.flags.writeable = False
+    return t4
 
 
 def circle_fourth_moment(c2: float, c4: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from frameport import channel as ch
 from frameport import cli
+from frameport import groups
 from qmat_reference import linear_purity_with_error
 
 SAMPLES = ["--samples", "40000"]
@@ -399,6 +401,154 @@ def test_repeated_runs_are_identical_up_to_timing(tmp_path):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert strip_timing(a.read_text()) == strip_timing(b.read_text())
+
+
+def test_table1_runs_are_identical_up_to_timing(tmp_path):
+    # A table row's JSON seconds is a number, like every JSON seconds, so
+    # strip_timing removes it; the CSV rows keep three decimals.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["table1", "--out", str(a)]) == 0
+    assert run(["table1", "--out", str(b)]) == 0
+    assert all(isinstance(row["seconds"], float)
+               for row in read_json(a)["table"])
+    assert strip_timing(a.read_text()) == strip_timing(b.read_text())
+    csv_out = tmp_path / "t.csv"
+    assert run(["table1", "--format", "csv", "--out", str(csv_out)]) == 0
+    assert all(re.fullmatch(r"[0-9]+\.[0-9]{3}", row["seconds"])
+               for row in read_csv_rows(csv_out))
+
+
+# ---------------------------------------------------------------------------
+# per-process caches: parser, build id, scheme bundles, fourth moments
+# ---------------------------------------------------------------------------
+
+def test_scheme_bundles_are_built_once():
+    assert (cli.builtin_scheme("su2-boct-tight")
+            is cli.builtin_scheme("su2-matched-tight"))
+    for name in cli.SCHEME_NAMES:
+        assert cli.builtin_scheme(name) is cli.builtin_scheme(name)
+    # A failed lookup is not cached: every call raises again.
+    for _ in range(2):
+        with pytest.raises(cli.ConfigError, match="unknown scheme"):
+            cli.builtin_scheme("su3-tight")
+
+
+def test_build_id_is_the_hash_of_the_sources():
+    assert cli.build_id() == cli.build_id.__wrapped__()
+
+
+def test_cached_tight_quadrature_keeps_its_pinned_values():
+    # The first call computes each scheme's pair moment and later calls
+    # reuse it; both give the exact mean-result purities.
+    for name, mean in (("su2-matched-tight", 0.450648886777),
+                       ("su2-rod-tight", 0.4523925057222)):
+        scheme = cli.builtin_scheme(name).scheme
+        for _ in range(2):
+            ests = ch.result_estimates(scheme, range(4), "quadrature")
+            assert abs(ch.mean_result_purity(ests)[0] - mean) <= 1e-12
+        assert scheme.pair_moment is scheme.pair_moment
+
+
+def test_verify_runs_every_scheme_check_on_each_call(tmp_path, monkeypatch):
+    from frameport import encoding as enc
+    calls = []
+    real = enc.check_scheme
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "check_scheme", counted)
+    out = tmp_path / "v.json"
+    for _ in range(2):
+        assert run(["verify", "--all", "--out", str(out)]) == 0
+    assert len(calls) == 2 * len(cli.ENCODED_SCHEMES)
+
+
+# Every command, with the schemes' default paths and some MC ones.
+_EVERY_COMMAND = (
+    ["verify", "--all"],
+    ["verify", "--scheme", "su2-rod-tight"],
+    ["verify", "--ueb", "tetrahedral"],
+    ["table1"],
+    *(["channel", "--scheme", name] for name in cli.SCHEME_NAMES),
+    ["channel", "--scheme", "su2-boct-tight", "--result", "2"],
+    ["channel", "--scheme", "su2-rod-tight", "--method", "mc", *SAMPLES],
+    ["channel", "--scheme", "su2-btet-perfect", "--method", "mc", *SAMPLES],
+    *(["simulate", "--scheme", name, "--shots", "300"]
+      for name in cli.SCHEME_NAMES),
+    ["optimize", "--group", "u1"],
+    ["optimize", "--group", "su2"],
+)
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0, argv
+    return out.getvalue()
+
+
+def _arrays(obj, path: str):
+    """(path, array) of every array under obj's dataclass fields, dicts,
+    tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name),
+                               f"{path}.{field.name}")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _arrays(value, f"{path}[{key}]")
+    elif isinstance(obj, (tuple, list)):
+        for key, value in enumerate(obj):
+            yield from _arrays(value, f"{path}[{key}]")
+
+
+def _assert_same_arrays(got, want, path: str) -> None:
+    got, want = dict(_arrays(got, path)), dict(_arrays(want, path))
+    assert got.keys() == want.keys()
+    for key, array in got.items():
+        np.testing.assert_array_equal(array, want[key], err_msg=key)
+
+
+def test_cached_builds_survive_every_command():
+    # No command changes what the process built once: after every command
+    # has run, each cached bundle, subgroup and fourth moment equals a fresh
+    # build, and a second run of each command prints what the first did.
+    first = {" ".join(argv): strip_timing(_stdout(argv))
+             for argv in _EVERY_COMMAND}
+    for name in cli.SCHEME_NAMES:
+        cached = cli.builtin_scheme(name)
+        fresh = cli._scheme_bundle.__wrapped__(name)
+        _assert_same_arrays(cached, fresh, name)
+        np.testing.assert_array_equal(cached.basis.quats, fresh.basis.quats)
+        if cached.scheme is not None and cached.scheme.kind == "tight":
+            np.testing.assert_array_equal(
+                cached.scheme.pair_moment,
+                groups.pair_fourth_moment(fresh.scheme.moment_fn()))
+    for name, build in groups.SUBGROUPS.items():
+        _assert_same_arrays(build(), build.__wrapped__(), name)
+    for group in ("u1", "su2"):
+        np.testing.assert_array_equal(
+            groups.haar_fourth_moment(group),
+            groups.haar_fourth_moment.__wrapped__(group))
+    for argv in _EVERY_COMMAND:
+        assert strip_timing(_stdout(argv)) == first[" ".join(argv)], argv
+
+
+def test_shared_parser_parses_after_a_config_error():
+    assert cli._parser() is cli._parser()
+    argv = ["channel", "--scheme", "u1-tight"]
+    before = strip_timing(_stdout(argv))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        # A bad value, an unknown option and an unknown scheme.
+        for bad in (argv + ["--samples", "10"], argv + ["--bogus"],
+                    ["channel", "--scheme", "su3-tight"]):
+            assert run(bad) == 2
+            assert strip_timing(_stdout(argv)) == before
 
 
 def test_unknown_scheme_is_config_error(capsys):
