@@ -42,7 +42,11 @@ M = E[w w^T].  Conjugating the channel by U(r) maps M to Q M Q^T, with Q
 the orthogonal matrix of w -> r w r-bar.  Every estimate therefore carries
 its trace-1 moment and its bootstrap moments: spectra, purities, error
 bars, mixtures and orbit conjugates are real 4x4 array operations, and the
-superoperator is formed only for output.
+superoperator is formed only for output.  They are stacked over results:
+the exact moments of several unitaries are one contraction, a tight
+scheme's orbit results one conjugation C^T M C of its base moment and of
+its replicates, and the purity figures of several estimates one eigenvalue
+call over their moments and one over their replicates (purity_figures).
 
 Monte Carlo draws run in batches of _BATCH = 2^13 samples, each from its
 own counter of the seed's HaarStream (conventional result i from i << 48
@@ -79,7 +83,6 @@ c/16 on the 16 whose axis is +-e_b, (1 - c)/32 on the others, c = E n_b^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -97,6 +100,7 @@ __all__ = [
     "conventional_channel",
     "result_estimates",
     "mean_result_purity",
+    "purity_figures",
     "mix_estimates",
     "single_shot_simulate",
     "fourth_moment_map",
@@ -107,10 +111,14 @@ _N_BLOCKS = 64
 _N_BOOT = 64
 _BOOT_OFFSET = 1 << 44
 
+# The unit quaternions e_k as rows, and their conjugates as a (4, 1, 4)
+# column.
+_UNITS = np.eye(4)
+_UNITS_BAR = quat_conj(_UNITS)[:, None]
 # Row 4j + k is kron(conj M_j, M_k), column-stacked, with M_j the SU(2)
 # matrix of the j-th unit quaternion; contracting a second moment with it
 # gives the superoperator sum.
-_BASIS = su2_matrix(np.eye(4))
+_BASIS = su2_matrix(_UNITS)
 _MOMENT_TO_SUPEROP = np.einsum("jab,kcd->jkacbd", _BASIS.conj(),
                                _BASIS).reshape(16, 16)
 
@@ -153,29 +161,37 @@ class ChannelEstimate:
         return float(spectrum_purities(self.choi_spectrum())[1])
 
     def map_purity_with_error(self) -> tuple[float, float]:
-        value = self.map_purity()
-        if self.replicates is None:
-            return value, 0.0
-        reps = spectrum_purities(clamped_eigenvalues(self.replicates))[0]
-        return value, float(np.std(reps, ddof=1))
+        _, purity, error, _ = purity_figures([self])
+        return float(purity[0]), float(error[0])
 
     def choi_spectrum(self) -> np.ndarray:
-        return self._choi_spectrum
-
-    @cached_property
-    def _choi_spectrum(self) -> np.ndarray:
-        # Every purity of an estimate reads this one spectrum (read-only).
-        vals = clamped_eigenvalues(self.moment)
-        vals.flags.writeable = False
-        return vals
+        return clamped_eigenvalues(self.moment)
 
     def transformed(self, r: np.ndarray) -> "ChannelEstimate":
         """Pre/post-compose with conjugation by R = su2_matrix(r):
         T -> [R] o T o [R+]."""
-        c = _conjugation_map(r)
+        c = _conjugation_map(r)[None]
         reps = None if self.replicates is None else \
-            c.T @ self.replicates @ c
-        return replace(self, moment=c.T @ self.moment @ c, replicates=reps)
+            _conjugated(c, self.replicates)[0]
+        return replace(self, moment=_conjugated(c, self.moment)[0],
+                       replicates=reps)
+
+
+def purity_figures(estimates: list[ChannelEstimate]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Choi spectra (k, 4), map purities (k,), their bootstrap standard
+    errors (k,) (0 for an exact estimate) and linear purities (k,) of k
+    estimates, from one eigenvalue call over their moments and one over
+    all of their bootstrap replicates."""
+    spectra = clamped_eigenvalues(np.stack([e.moment for e in estimates]))
+    purity, linear = spectrum_purities(spectra)
+    errors = np.zeros(len(estimates))
+    sampled = [k for k, e in enumerate(estimates) if e.replicates is not None]
+    if sampled:
+        reps = np.stack([estimates[k].replicates for k in sampled])
+        errors[sampled] = np.std(
+            spectrum_purities(clamped_eigenvalues(reps))[0], axis=-1, ddof=1)
+    return spectra, purity, errors, linear
 
 
 def mix_estimates(parts: list[ChannelEstimate]) -> ChannelEstimate:
@@ -252,9 +268,18 @@ def _mc_accumulate(sample_fn: Callable[[Generator, int], tuple[np.ndarray, np.nd
 
 
 def _conjugation_map(u: np.ndarray) -> np.ndarray:
-    """The orthogonal C with w @ C = u w u-bar for quaternion rows w: row k
-    of C is u e_k u-bar."""
-    return quat_mul(quat_mul(u, np.eye(4)), quat_conj(u))
+    """The orthogonal maps C (..., 4, 4) with w @ C = u w u-bar for
+    quaternion rows w, one per quaternion u (..., 4): row k of C is
+    u e_k u-bar."""
+    u = np.asarray(u)[..., None, :]
+    return quat_mul(quat_mul(u, _UNITS), quat_conj(u))
+
+
+def _conjugated(c: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """C^T M C (k, ..., 4, 4) for conjugation maps c (k, 4, 4) and moments
+    (..., 4, 4): the moments of the channels conjugated by each map."""
+    c = c.reshape(c.shape[:1] + (1,) * (moments.ndim - 2) + c.shape[1:])
+    return np.swapaxes(c, -1, -2) @ moments @ c
 
 
 def _channel_quats(g: np.ndarray, conj_by_u: np.ndarray) -> np.ndarray:
@@ -273,11 +298,11 @@ def fourth_moment_map(form: np.ndarray, t4: np.ndarray) -> np.ndarray:
 
 
 def _exact_moment(u: np.ndarray, t4: np.ndarray) -> np.ndarray:
-    """Moment of W(g) = rho(g)+ U rho(g) U+ over misalignments with fourth
-    moment t4, for the quaternion u of U: the quaternion g-bar (g C) of W is
-    the quadratic form whose row (a, b) is e_a-bar times row b of the
-    conjugation map C of u."""
-    form = quat_mul(quat_conj(np.eye(4))[:, None], _conjugation_map(u))
+    """Moments (k, 4, 4) of W(g) = rho(g)+ U rho(g) U+ over misalignments
+    with fourth moment t4, for the quaternions u (k, 4) of k unitaries U:
+    the quaternion g-bar (g C) of W is the quadratic form whose row (a, b)
+    is e_a-bar times row b of the conjugation map C of u."""
+    form = quat_mul(_UNITS_BAR, _conjugation_map(u)[:, None])
     return fourth_moment_map(form, t4)
 
 
@@ -293,16 +318,21 @@ def conventional_channel(basis: UnitaryErrorBasis, group: str,
     """Misalignment-averaged channel of the conventional scheme with the UEB
     basis: integral over g of [rho(g)+ U_i rho(g) U_i+], or the equal mix
     over i."""
-    if result == "averaged":
-        return mix_estimates([conventional_channel(basis, group, i, method,
-                                                   samples, seed)
-                              for i in range(basis.size)])
-    i = int(result)
+    results = range(basis.size) if result == "averaged" else [int(result)]
     if method == "quadrature":
         return ChannelEstimate(_exact_moment(
-            basis.quats[i], groups.haar_fourth_moment(group)))
+            basis.quats[results], groups.haar_fourth_moment(group)
+        ).mean(axis=0))
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
+    return mix_estimates([_conventional_mc(basis, group, i, samples, seed)
+                          for i in results])
+
+
+def _conventional_mc(basis: UnitaryErrorBasis, group: str, i: int,
+                     samples: int, seed: int) -> ChannelEstimate:
+    """The conventional channel of result i by MC, on its own counter range
+    of the seed's stream."""
     stream = HaarStream(group, seed).advance(i << 48)
     conj_by_u = _conjugation_map(basis.quats[i])
 
@@ -333,22 +363,33 @@ def result_estimates(scheme: enc.EncodingScheme, results: Iterable[int],
     stabilizer of the encoded reading of [rho(s)+ U_i rho(s) U_i+]."""
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    base = None
+    results = list(results)
     out: dict[int, ChannelEstimate] = {}
-    for i in results:
-        if i not in scheme.indices:
-            out[i] = conventional_channel(scheme.eq.basis,
-                                          scheme.subgroup.ambient, i,
-                                          "quadrature")
-        elif scheme.kind == "perfect":
-            out[i] = _perfect_orbit_channel(scheme, i, method, samples, seed)
-        else:
-            if base is None:
-                base = _tight_base_channel(scheme, method, samples, seed)
-            # The base channel conjugated by i's coset representative.
-            out[i] = base if i == min(scheme.indices) else base.transformed(
-                scheme.subgroup.payloads[scheme.eq.coset_reps[i]])
-    return out
+    off = [i for i in results if i not in scheme.indices]
+    if off:
+        moments = _exact_moment(scheme.eq.basis.quats[off],
+                                groups.haar_fourth_moment(
+                                    scheme.subgroup.ambient))
+        out.update(zip(off, map(ChannelEstimate, moments)))
+    orbit = [i for i in results if i in scheme.indices]
+    if orbit and scheme.kind == "perfect":
+        out.update((i, _perfect_orbit_channel(scheme, i, method, samples,
+                                              seed)) for i in orbit)
+    elif orbit:
+        base = _tight_base_channel(scheme, method, samples, seed)
+        out[min(scheme.indices)] = base
+        # The base channel conjugated by each other result's coset
+        # representative, with its replicates.
+        moved = [i for i in orbit if i != min(scheme.indices)]
+        if moved:
+            c = _conjugation_map(scheme.subgroup.payloads[
+                [scheme.eq.coset_reps[i] for i in moved]])
+            moments = _conjugated(c, base.moment)
+            reps = [None] * len(moved) if base.replicates is None else \
+                _conjugated(c, base.replicates)
+            out.update((i, replace(base, moment=m, replicates=r))
+                       for i, m, r in zip(moved, moments, reps))
+    return {i: out[i] for i in results}
 
 
 def mean_result_purity(estimates: dict[int, ChannelEstimate]
@@ -356,9 +397,8 @@ def mean_result_purity(estimates: dict[int, ChannelEstimate]
     """Arithmetic mean of the per-result map purities with its standard
     error.  Orbit channels are conjugates sharing one sample set, so their
     purity errors add coherently."""
-    purities, errors = zip(*(e.map_purity_with_error()
-                             for e in estimates.values()))
-    return float(np.mean(purities)), float(np.sum(errors) / len(errors))
+    _, purity, errors, _ = purity_figures(list(estimates.values()))
+    return float(np.mean(purity)), float(np.mean(errors))
 
 
 def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
@@ -373,7 +413,7 @@ def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
     b = min(scheme.indices)
     u = scheme.eq.basis.quats[b]
     if method == "quadrature":
-        moment = _exact_moment(u, scheme.pair_moment)
+        moment = _exact_moment(u[None], scheme.pair_moment)[0]
         # The trace is E|g|^4 = 1; report how far the computed integral is
         # from it before rescaling.
         tr = np.trace(moment)

@@ -142,7 +142,8 @@ def _emit(args, payload: dict, rows: list[dict], samples: int) -> None:
     meta = {"seed": args.seed if samples else None, "samples": samples,
             "build": build_id()}
     if args.format == "json":
-        text = json.dumps({"meta": meta} | payload, indent=2, default=_to_json)
+        # One line: without indent, json.dumps runs the C encoder.
+        text = json.dumps({"meta": meta} | payload, default=_to_json)
     else:
         buf = io.StringIO()
         buf.write(f"# build {meta['build']} seed {json.dumps(meta['seed'])}\n")
@@ -258,20 +259,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _channel_estimates(bundle: SchemeBundle, result, method: str,
-                       samples: int, seed: int
-                       ) -> tuple[ch.ChannelEstimate,
-                                  dict[int, ch.ChannelEstimate] | None]:
-    """The bundle's channel for one result or "averaged", and for a
-    result-averaged encoded scheme also its per-result channels."""
+                       samples: int, seed: int) -> list[ch.ChannelEstimate]:
+    """The bundle's channel for one result or "averaged", followed, for a
+    result-averaged encoded scheme, by its per-result channels."""
     if bundle.scheme is None:
-        return ch.conventional_channel(bundle.basis, bundle.group, result,
-                                       method, samples, seed), None
+        return [ch.conventional_channel(bundle.basis, bundle.group, result,
+                                        method, samples, seed)]
     if result != "averaged":
-        return ch.result_estimates(bundle.scheme, [result], method, samples,
-                                   seed)[result], None
-    per_result = ch.result_estimates(bundle.scheme, range(bundle.basis.size),
-                                     method, samples, seed)
-    return ch.mix_estimates(list(per_result.values())), per_result
+        return [ch.result_estimates(bundle.scheme, [result], method, samples,
+                                    seed)[result]]
+    per_result = list(ch.result_estimates(
+        bundle.scheme, range(bundle.basis.size), method, samples,
+        seed).values())
+    return [ch.mix_estimates(per_result), *per_result]
 
 
 def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
@@ -286,27 +286,29 @@ def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
     return value
 
 
-def _purity_rows(bundle: SchemeBundle, result, est: ch.ChannelEstimate,
-                 per_result: dict[int, ch.ChannelEstimate] | None,
+def _purity_rows(bundle: SchemeBundle, result, samples: int,
+                 purities: tuple[np.ndarray, np.ndarray, np.ndarray],
                  seed: int, seconds: float) -> tuple[list[tuple], list[dict]]:
     """The purity figures of a channel, as (interpretation, purity, stderr,
-    linear purity), and the CSV rows formatted from them: the channel's
-    own, and for a result-averaged encoded scheme the mean of its
-    per-result purities and of their linear purities.  A row carries the
-    seed only where the estimate drew samples."""
+    linear purity), and the CSV rows formatted from them.  purities are the
+    map purities, their errors and the linear purities of ch.purity_figures
+    over the channel and, for a result-averaged encoded scheme, its
+    per-result channels, whose figures enter as their means.  A row carries
+    the seed only where the estimate drew samples."""
     label = "result-averaged" if result == "averaged" else f"result-{result}"
-    figures = [(label, *est.map_purity_with_error(), est.linear_purity())]
-    if per_result is not None:
-        figures.append(("mean-result-purity",
-                        *ch.mean_result_purity(per_result),
-                        float(np.mean([e.linear_purity()
-                                       for e in per_result.values()]))))
+    purity, errors, linear = purities
+    figures = [(label, float(purity[0]), float(errors[0]), float(linear[0]))]
+    if len(purity) > 1:
+        # As ch.mean_result_purity: orbit errors add coherently.
+        figures.append(("mean-result-purity", float(np.mean(purity[1:])),
+                        float(np.mean(errors[1:])),
+                        float(np.mean(linear[1:]))))
     rows = [{"scheme": bundle.name, "interpretation": interpretation,
-             "purity": f"{purity:.6f}", "stderr": f"{stderr:.6f}",
-             "linear_purity": f"{linear:.6f}", "samples": est.samples,
-             "seed": seed if est.samples else None,
+             "purity": f"{p:.6f}", "stderr": f"{stderr:.6f}",
+             "linear_purity": f"{lin:.6f}", "samples": samples,
+             "seed": seed if samples else None,
              "seconds": f"{seconds:.3f}"}
-            for interpretation, purity, stderr, linear in figures]
+            for interpretation, p, stderr, lin in figures]
     return figures, rows
 
 
@@ -321,18 +323,20 @@ def cmd_channel(args) -> int:
         result = _index_arg("--result", result, bundle.basis.size,
                             "'averaged' or ")
     t0 = time.perf_counter()
-    est, per_result = _channel_estimates(bundle, result, args.method,
-                                         args.samples, args.seed)
+    ests = _channel_estimates(bundle, result, args.method, args.samples,
+                              args.seed)
     seconds = time.perf_counter() - t0
-    figures, rows = _purity_rows(bundle, result, est, per_result, args.seed,
-                                 seconds)
+    est = ests[0]
+    spectra, *purities = ch.purity_figures(ests)
+    figures, rows = _purity_rows(bundle, result, est.samples, purities,
+                                 args.seed, seconds)
     interpretation, purity, p_err, linear = figures[0]
     payload = {
         "scheme": bundle.name,
         "method": est.method,
         "interpretation": interpretation,
         "superoperator": est.superop.mat,
-        "choi_spectrum": est.choi_spectrum(),
+        "choi_spectrum": spectra[0],
         "map_purity": purity,
         "map_purity_stderr": p_err,
         "linear_purity": linear,
@@ -340,7 +344,7 @@ def cmd_channel(args) -> int:
         "samples": est.samples,
         "seconds": seconds,
     }
-    if per_result is not None:
+    if len(figures) > 1:
         _, mean_p, mean_err, _ = figures[1]
         payload["mean_result_purity"] = mean_p
         payload["mean_result_purity_stderr"] = mean_err
@@ -370,10 +374,11 @@ def cmd_table1(args) -> int:
     for name, result in _TABLE1_ROWS:
         bundle = builtin_scheme(name)
         t0 = time.perf_counter()
-        est, per_result = _channel_estimates(bundle, result, "quadrature",
-                                             args.samples, args.seed)
+        ests = _channel_estimates(bundle, result, "quadrature", args.samples,
+                                  args.seed)
         seconds = time.perf_counter() - t0
-        part = _purity_rows(bundle, result, est, per_result, args.seed,
+        part = _purity_rows(bundle, result, ests[0].samples,
+                            ch.purity_figures(ests)[1:], args.seed,
                             seconds)[1]
         rows += part
         # JSON seconds are numbers, as in every other payload; the CSV

@@ -72,6 +72,10 @@ __all__ = [
 # Rows scored at once by a nearest-element decode: a (24, 4096) float64
 # score block is 768 KiB, which fits in L2.
 _DECODE_BLOCK = 1 << 12
+# Readings sampled, transported and decoded at once by check_scheme: the
+# rows of one Monte Carlo batch of channel (_BATCH there), so that a check's
+# (n, 4) temporaries are 256 KiB however many cases it runs.
+_CHECK_BLOCK = 1 << 13
 
 
 def _torsor_act(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -314,30 +318,35 @@ def check_scheme(scheme: EncodingScheme, stream: HaarStream,
                  samples_per_case: int = 1000
                  ) -> tuple[tuple[bool, dict], tuple[bool, dict]]:
     """Sampled checks of a scheme against its equivariance data on one
-    batch drawn from stream: for each orbit index i in turn and each element
-    h of H, samples_per_case readings x from E_i (or X_i), transported by h
-    and decoded.  compatibility: decoding inverts the index action,
-    decode(act(h, x)) = sigma(i, h^{-1}).  finite-subgroup: the protocol is
-    exact for misalignments in H, i.e. each case decodes to one index j with
-    rho(h)+ U_j rho(h) proportional to U_i.  Returns the (ok, report) pair
-    of each check; a failure reports its first counterexample.
+    generator of stream: for each orbit index i in turn and each element h
+    of H, samples_per_case readings x from E_i (or X_i), transported by h
+    and decoded, _CHECK_BLOCK readings at a time.  compatibility: decoding
+    inverts the index action, decode(act(h, x)) = sigma(i, h^{-1}).
+    finite-subgroup: the protocol is exact for misalignments in H, i.e. each
+    case decodes to one index j with rho(h)+ U_j rho(h) proportional to U_i.
+    Returns the (ok, report) pair of each check; a failure reports its first
+    counterexample.
     """
     eq, sub = scheme.eq, scheme.subgroup
     cases = sub.order * len(scheme.indices)
     hs = np.tile(np.repeat(np.arange(sub.order), samples_per_case),
                  len(scheme.indices))
     idx = np.repeat(scheme.indices, sub.order * samples_per_case)
-    x = sample_encoding(scheme, idx, stream, len(hs))
-    got = decode_batch(scheme, scheme.act_fn(
-        np.take(sub.payloads, hs, axis=0), x))
     expected = eq.sigma_inv(hs, idx)
-    bad = got != expected
+    got = np.empty_like(expected)
+    rng = stream.generator()
     compatibility = finite = None
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        compatibility = {"h": int(hs[k]), "i": int(idx[k]),
-                         "x": x[k].tolist(),
-                         "expected": int(expected[k]), "got": int(got[k])}
+    for start in range(0, len(hs), _CHECK_BLOCK):
+        rows = slice(start, start + _CHECK_BLOCK)
+        x = scheme.sample_fn(idx[rows], rng, len(idx[rows]))
+        got[rows] = decode_batch(scheme, scheme.act_fn(
+            np.take(sub.payloads, hs[rows], axis=0), x))
+        bad = np.flatnonzero(got[rows] != expected[rows])
+        if compatibility is None and bad.size:
+            k = start + bad[0]
+            compatibility = {"h": int(hs[k]), "i": int(idx[k]),
+                             "x": x[bad[0]].tolist(),
+                             "expected": int(expected[k]), "got": int(got[k])}
     for i, decoded in zip(scheme.indices,
                           got.reshape(-1, sub.order, samples_per_case)):
         finite = finite or _finite_subgroup_failure(eq, i, decoded)

@@ -10,6 +10,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from frameport import channel as ch
+from frameport import cli
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream, su2_matrix
@@ -389,6 +390,97 @@ def test_finite_group_check_passes_for_u1():
     _, eq = u1_bundle()
     _, (ok, info) = enc.check_scheme(u1_tight_scheme(eq), HaarStream("u1", 0))
     assert ok, info
+
+
+# ---------------------------------------------------------------------------
+# Batched results and purity figures
+# ---------------------------------------------------------------------------
+
+BATCH_SAMPLES = 4096
+
+
+def _batched_and_reference(name: str, method: str
+                           ) -> tuple[list[ch.ChannelEstimate],
+                                      list[ch.ChannelEstimate]]:
+    """The channels of a builtin scheme as the batched calls give them
+    (the result-averaged channel, then each result's), and the same
+    channels built from one-result calls, with a tight scheme's orbit
+    results conjugated from its base by ChannelEstimate.transformed."""
+    bundle = cli.builtin_scheme(name)
+    basis, scheme = bundle.basis, bundle.scheme
+    results = range(basis.size)
+    args = (method, BATCH_SAMPLES, 5)
+    if scheme is None:
+        single = [ch.conventional_channel(basis, bundle.group, i, *args)
+                  for i in results]
+        return ([ch.conventional_channel(basis, bundle.group, "averaged",
+                                         *args)],
+                [ch.mix_estimates(single)])
+    batched = list(ch.result_estimates(scheme, results, *args).values())
+    base = min(scheme.indices)
+    reference = []
+    for i in results:
+        if scheme.kind == "tight" and i in scheme.indices and i != base:
+            reference.append(ch.result_estimates(scheme, [base], *args)[
+                base].transformed(scheme.subgroup.payloads[
+                    scheme.eq.coset_reps[i]]))
+        else:
+            reference.append(ch.result_estimates(scheme, [i], *args)[i])
+    return ([ch.mix_estimates(batched), *batched],
+            [ch.mix_estimates(reference), *reference])
+
+
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+@pytest.mark.parametrize("name", list(cli._SCHEMES))
+def test_batched_results_match_one_result_calls(name, method):
+    batched, reference = _batched_and_reference(name, method)
+    assert len(batched) == len(reference)
+    for got, want in zip(batched, reference):
+        assert np.max(np.abs(got.moment - want.moment)) <= 1e-15
+        assert (got.samples, got.pre_norm_deviation) == \
+            (want.samples, want.pre_norm_deviation)
+        assert (got.replicates is None) == (want.replicates is None)
+        if got.replicates is not None:
+            assert np.max(np.abs(got.replicates - want.replicates)) <= 1e-15
+    # The exact conventional moments of all results in one call are those
+    # of one result at a time.
+    basis, t4 = pauli_ueb(), groups.haar_fourth_moment("su2")
+    stacked = ch._exact_moment(basis.quats, t4)
+    for i in range(basis.size):
+        one = ch._exact_moment(basis.quats[i:i + 1], t4)
+        assert np.max(np.abs(stacked[i] - one[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+@pytest.mark.parametrize("name", list(cli._SCHEMES))
+def test_stacked_purity_figures_match_each_estimate(name, method):
+    ests = _batched_and_reference(name, method)[0]
+    spectra, purity, errors, linear = ch.purity_figures(ests)
+    for k, est in enumerate(ests):
+        value, error = est.map_purity_with_error()
+        assert abs(purity[k] - value) <= 1e-15
+        assert abs(errors[k] - error) <= 1e-15
+        assert abs(linear[k] - est.linear_purity()) <= 1e-15
+        assert np.max(np.abs(spectra[k] - est.choi_spectrum())) <= 1e-15
+        # The same figures from this estimate's arrays alone.
+        own = np.linalg.eigvalsh(est.moment)
+        own = np.where(own < 1e-14, 0.0, own)
+        assert np.max(np.abs(spectra[k] - own)) <= 1e-15
+        if est.replicates is None:
+            assert errors[k] == 0.0
+        else:
+            reps = spectrum_purities(clamped_eigenvalues(est.replicates))[0]
+            assert abs(errors[k] - np.std(reps, ddof=1)) <= 1e-15
+    if len(ests) > 1:
+        # The CLI's mean-result row is mean_result_purity and the mean of
+        # the per-result linear purities.
+        figures, _ = cli._purity_rows(cli.builtin_scheme(name), "averaged",
+                                      ests[0].samples, (purity, errors,
+                                                        linear), 5, 0.0)
+        mean = ch.mean_result_purity(dict(enumerate(ests[1:])))
+        assert figures[1][1:3] == mean
+        assert figures[1][3] == pytest.approx(
+            np.mean([e.linear_purity() for e in ests[1:]]), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

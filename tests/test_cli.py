@@ -390,8 +390,13 @@ def test_meta_reports_what_ran(tmp_path, argv, samples):
 # determinism and errors
 # ---------------------------------------------------------------------------
 
+# The pattern of a JSON seconds value, which strip_timing here and the
+# determinism check of perfbench/worker.py both remove.
+SECONDS = r'"seconds": [0-9.e+-]+'
+
+
 def strip_timing(text):
-    return re.sub(r'"seconds": [0-9.e+-]+', '"seconds": 0', text)
+    return re.sub(SECONDS, '"seconds": 0', text)
 
 
 def test_repeated_runs_are_identical_up_to_timing(tmp_path):
@@ -536,6 +541,35 @@ def test_cached_builds_survive_every_command():
             groups.haar_fourth_moment.__wrapped__(group))
     for argv in _EVERY_COMMAND:
         assert strip_timing(_stdout(argv)) == first[" ".join(argv)], argv
+
+
+def _seconds_values(obj):
+    """Every value under a "seconds" key of a parsed payload."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "seconds":
+                yield value
+            else:
+                yield from _seconds_values(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _seconds_values(value)
+
+
+def test_json_output_is_one_line_with_matchable_seconds():
+    # JSON output is compact: one line, which json.loads reads back and
+    # json.dumps writes again exactly, and every seconds value in it is a
+    # number that the SECONDS pattern matches.
+    for argv in _EVERY_COMMAND:
+        text = _stdout(argv)
+        assert text.endswith("\n") and text.count("\n") == 1, argv
+        payload = json.loads(text)
+        assert json.dumps(payload) + "\n" == text, argv
+        seconds = list(_seconds_values(payload))
+        assert all(isinstance(s, float) for s in seconds), argv
+        matched = re.findall(SECONDS, text)
+        assert [float(m.split(": ")[1]) for m in matched] == seconds, argv
+    assert len(list(_seconds_values(json.loads(_stdout(["table1"]))))) == 9
 
 
 def test_shared_parser_parses_after_a_config_error():

@@ -475,6 +475,26 @@ def test_compatibility_detects_scrambled_decoder():
         assert report["expected"] == eq.sigma_inv(report["h"], report["i"])
 
 
+def test_blocked_check_reports_the_first_counterexample(monkeypatch):
+    # Readings are checked in blocks of _CHECK_BLOCK; blocks far smaller
+    # than a case give the same reports, so the first counterexample is
+    # found across block boundaries and the cases keep their layout.
+    bad, _ = _scrambled_boct_scheme(lambda x, d: (d == 3) & (x[:, 1] > 0.5))
+    schemes = (bad, enc.perfect_matched_scheme(btet_equivariance(), 0))
+    whole = [enc.check_scheme(s, HaarStream("su2", 11), samples_per_case=50)
+             for s in schemes]
+    monkeypatch.setattr(enc, "_CHECK_BLOCK", 37)
+    for scheme, (compat, finite) in zip(schemes, whole):
+        (ok, report), got_finite = enc.check_scheme(
+            scheme, HaarStream("su2", 11), samples_per_case=50)
+        assert got_finite == finite and ok == compat[0]
+        x, want_x = report.pop("x", None), compat[1].pop("x", None)
+        assert report == compat[1]
+        if want_x is not None:
+            assert np.max(np.abs(np.subtract(x, want_x))) <= 1e-15
+    assert not whole[0][0][0] and whole[0][0][1]["h"] != 0
+
+
 def test_finite_group_check_detects_scrambled_decoder():
     bad, eq = _scrambled_boct_scheme()
     _, (ok, report) = enc.check_scheme(bad, HaarStream("su2", 0))
