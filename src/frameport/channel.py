@@ -82,11 +82,9 @@ c/16 on the 16 whose axis is +-e_b, (1 - c)/32 on the others, c = E n_b^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
-from numpy.random import Generator
 
 from . import encoding as enc
 from . import groups
@@ -94,6 +92,9 @@ from .groups import HaarStream, quat_conj, quat_mul, su2_matrix
 from .qmat import DensityMatrix, Superoperator, clamped_eigenvalues, \
     spectrum_purities
 from .ueb import UnitaryErrorBasis
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "ChannelEstimate",
@@ -127,8 +128,7 @@ _MOMENT_TO_SUPEROP = np.einsum("jab,kcd->jkacbd", _BASIS.conj(),
 # Channel estimates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelEstimate:
+class ChannelEstimate(NamedTuple):
     """A qubit channel held as the second moment M = E[w w^T] of its net
     unit quaternions (real, PSD, trace 1), with provenance: sample count
     and, for a Monte Carlo estimate, bootstrap replicate moments for error
@@ -173,8 +173,8 @@ class ChannelEstimate:
         c = _conjugation_map(r)[None]
         reps = None if self.replicates is None else \
             _conjugated(c, self.replicates)[0]
-        return replace(self, moment=_conjugated(c, self.moment)[0],
-                       replicates=reps)
+        return self._replace(moment=_conjugated(c, self.moment)[0],
+                             replicates=reps)
 
 
 def purity_figures(estimates: list[ChannelEstimate]
@@ -387,7 +387,7 @@ def result_estimates(scheme: enc.EncodingScheme, results: Iterable[int],
             moments = _conjugated(c, base.moment)
             reps = [None] * len(moved) if base.replicates is None else \
                 _conjugated(c, base.replicates)
-            out.update((i, replace(base, moment=m, replicates=r))
+            out.update((i, base._replace(moment=m, replicates=r))
                        for i, m, r in zip(moved, moments, reps))
     return {i: out[i] for i in results}
 

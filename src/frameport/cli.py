@@ -20,16 +20,14 @@ wall-time column, which reports the actual run).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+import zlib
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +35,6 @@ from . import channel as ch
 from . import encoding as enc
 from . import groups
 from . import ueb as ueb_mod
-from .optimize import optimize_conventional_ueb
 from .qmat import DensityMatrix
 
 __all__ = ["main", "build_id", "builtin_scheme", "SCHEME_NAMES"]
@@ -45,22 +42,23 @@ __all__ = ["main", "build_id", "builtin_scheme", "SCHEME_NAMES"]
 
 @functools.cache
 def build_id() -> str:
-    """Short content hash of the package sources, taken once per process,
-    as the code a process runs is the code it imported."""
+    """Short content hash of the package sources (CRC-32 and Adler-32 of
+    their names and bytes), taken once per process, as the code a process
+    runs is the code it imported."""
     pkg = Path(__file__).resolve().parent
-    digest = hashlib.sha1()
+    crc, adler = 0, 1
     for path in sorted(pkg.rglob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:12]
+        for chunk in (path.name.encode(), path.read_bytes()):
+            crc = zlib.crc32(chunk, crc)
+            adler = zlib.adler32(chunk, adler)
+    return f"{crc:08x}{adler:08x}"[:12]
 
 
 # ---------------------------------------------------------------------------
 # Builtin registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchemeBundle:
+class SchemeBundle(NamedTuple):
     name: str
     group: str                  # misalignment group to integrate over
     variant: str                # conventional | tight | perfect
@@ -145,6 +143,7 @@ def _emit(args, payload: dict, rows: list[dict], samples: int) -> None:
         # One line: without indent, json.dumps runs the C encoder.
         text = json.dumps({"meta": meta} | payload, default=_to_json)
     else:
+        import csv
         buf = io.StringIO()
         buf.write(f"# build {meta['build']} seed {json.dumps(meta['seed'])}\n")
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -427,6 +426,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_optimize(args) -> int:
+    from .optimize import optimize_conventional_ueb
     t0 = time.perf_counter()
     report = optimize_conventional_ueb(args.group)
     seconds = time.perf_counter() - t0

@@ -33,7 +33,7 @@ Every sampler takes an orbit index i or an (n,) array of them, one per
 reading, and draws the same variates either way: a table row or column is
 picked per reading, so a constant array gives the readings of its scalar.
 An index off the orbit gives NaN rows (or an IndexError past a table), never
-a finite reading; sample_encoding rejects it outright.
+a finite reading.
 
 A matched decode scores the first lifts, grouped by label, with one matrix
 product per row block and takes each label's maximum score.  A reading whose
@@ -47,22 +47,22 @@ arithmetic and tie-break, so the labels do not depend on the batch size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from numpy.random import Generator
 
 from . import groups
 from .groups import FiniteSubgroup, HaarStream, canonical_sign, quat_conj, \
     quat_mul, quat_rotate
 from .ueb import EquivarianceData, equivariance_analysis, pauli_ueb
 
+if TYPE_CHECKING:
+    from numpy.random import Generator
+
 __all__ = [
     "EncodingScheme",
     "decode_batch",
-    "sample_encoding",
     "tight_matched_scheme",
     "perfect_matched_scheme",
     "rod_scheme",
@@ -83,7 +83,6 @@ def _torsor_act(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return canonical_sign(quat_mul(x, quat_conj(g)))
 
 
-@dataclass(frozen=True)
 class EncodingScheme:
     """Encoding/decoding rule for one orbit of UEB indices under the
     subgroup of its equivariance data.
@@ -97,14 +96,22 @@ class EncodingScheme:
     pair_moment that of the pairs themselves (channel).
     """
 
-    eq: EquivarianceData
-    indices: tuple[int, ...]
-    kind: str                                   # "tight" | "perfect"
-    act_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    decode_fn: Callable[[np.ndarray], np.ndarray]
-    sample_fn: Callable[[int | np.ndarray, Generator, int], np.ndarray]
-    points: dict[int, np.ndarray] | None = None  # X_i for perfect schemes
-    moment_fn: Callable[[], np.ndarray] | None = None  # tight schemes
+    def __init__(self, eq: EquivarianceData, indices: tuple[int, ...],
+                 kind: str,
+                 act_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 decode_fn: Callable[[np.ndarray], np.ndarray],
+                 sample_fn: Callable[[int | np.ndarray, Generator, int],
+                                     np.ndarray],
+                 points: dict[int, np.ndarray] | None = None,
+                 moment_fn: Callable[[], np.ndarray] | None = None):
+        self.eq = eq
+        self.indices = indices
+        self.kind = kind                # "tight" | "perfect"
+        self.act_fn = act_fn
+        self.decode_fn = decode_fn
+        self.sample_fn = sample_fn
+        self.points = points            # X_i for perfect schemes
+        self.moment_fn = moment_fn      # tight schemes
 
     @property
     def subgroup(self) -> FiniteSubgroup:
@@ -121,16 +128,6 @@ class EncodingScheme:
 
 def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:
     return scheme.decode_fn(np.asarray(x))
-
-
-def sample_encoding(scheme: EncodingScheme, i, stream: HaarStream,
-                    n: int = 1) -> np.ndarray:
-    """n uniform readings from E_i (or X_i), for an orbit index i or an (n,)
-    array of them, one per reading."""
-    outside = np.extract(~np.isin(i, scheme.indices), i)
-    if outside.size:
-        raise ValueError(f"index {outside[0]} not in orbit {scheme.indices}")
-    return scheme.sample_fn(i, stream.generator(), n)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,12 @@ Each table entry is within 1e-14 of the product it names.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from numpy.random import SFC64, Generator, SeedSequence
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "FiniteSubgroup",
@@ -206,8 +208,7 @@ def u1_quat(theta) -> np.ndarray:
 # Finite subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteSubgroup:
+class FiniteSubgroup(NamedTuple):
     """A finite subgroup of an ambient group, with exact index tables.
 
     Elements are ordered lexicographically by payload to make tie-breaking
@@ -359,8 +360,7 @@ def subgroup_by_name(name: str) -> FiniteSubgroup:
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HaarStream:
+class HaarStream(NamedTuple):
     """Counter-based random stream: identical (seed, counter) always yields
     identical draws.  advance(n) moves the counter n steps on.  The pair
     keys SFC64 by SeedSequence(seed, spawn_key=(counter,)), injective where
@@ -371,11 +371,14 @@ class HaarStream:
     counter: int = 0
 
     def generator(self) -> Generator:
+        # numpy.random is imported on the first draw, so that a command
+        # that draws nothing never loads it.
+        from numpy.random import SFC64, Generator, SeedSequence
         return Generator(SFC64(SeedSequence(self.seed,
                                             spawn_key=(self.counter,))))
 
-    def advance(self, n: int = 1) -> "HaarStream":
-        return replace(self, counter=self.counter + n)
+    def advance(self, n: int = 1) -> HaarStream:
+        return self._replace(counter=self.counter + n)
 
 
 def sample_su2(rng: Generator, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ beats it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,16 +128,14 @@ def su2_conventional_purity(angles) -> np.ndarray:
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OptimizationRow:
+class OptimizationRow(NamedTuple):
     label: str
     params: tuple[float, ...]
     linear_purity: float
     stderr: float = 0.0         # the objectives are exact
 
 
-@dataclass(frozen=True)
-class OptimizationReport:
+class OptimizationReport(NamedTuple):
     group: str
     rows: tuple[OptimizationRow, ...]     # the Pauli maximum, the minimum
 
@@ -156,9 +154,9 @@ class OptimizationReport:
     def to_json(self) -> dict:
         return {
             "group": self.group,
-            "baseline": vars(self.baseline) | {"params":
-                                               list(self.baseline.params)},
-            "rows": [vars(r) | {"params": list(r.params)}
+            "baseline": self.baseline._asdict() | {
+                "params": list(self.baseline.params)},
+            "rows": [r._asdict() | {"params": list(r.params)}
                      for r in self.rows],
         }
 

@@ -13,8 +13,6 @@ Entropies are in nats; map purity uses the ln(d^2) normalization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -43,15 +41,11 @@ def _as_complex(entries) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
 class UnitaryMatrix:
     """A d x d unitary, validated to U+ U = I within 1e-12."""
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_complex(self.mat)
-        object.__setattr__(self, "mat", mat)
+    def __init__(self, mat):
+        self.mat = mat = _as_complex(mat)
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(self.dim)))
         if dev > _ATOL_UNITARY:
             raise InvariantViolation(f"matrix is not unitary (max deviation {dev:.3e})")
@@ -61,15 +55,11 @@ class UnitaryMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD (eigenvalues >= -1e-9) matrix."""
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_complex(self.mat)
-        object.__setattr__(self, "mat", mat)
+    def __init__(self, mat):
+        self.mat = mat = _as_complex(mat)
         if np.max(np.abs(mat - mat.conj().T)) > _ATOL_HERM:
             raise InvariantViolation("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
@@ -83,16 +73,12 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
 class Superoperator:
     """A linear map on d x d matrices, stored as a d^2 x d^2 matrix acting on
     column-vectorized inputs."""
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_complex(self.mat)
-        object.__setattr__(self, "mat", mat)
+    def __init__(self, mat):
+        self.mat = mat = _as_complex(mat)
         d = self.dim
         if d * d != mat.shape[0]:
             raise InvariantViolation(f"size {mat.shape[0]} is not a perfect square")

@@ -10,8 +10,8 @@ throughout (|normalized trace overlap| = 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,15 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class UnitaryErrorBasis:
     """d^2 ordered unitaries, orthonormal under (1/d) Tr(U_i+ U_j)."""
 
-    mats: np.ndarray    # (d^2, d, d)
-
-    def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=np.complex128)
-        object.__setattr__(self, "mats", mats)
+    def __init__(self, mats):
+        self.mats = mats = np.asarray(mats, dtype=np.complex128)  # (d^2, d, d)
         ok, dev = check_ueb(mats, tol=1e-9)
         if not ok:
             raise ValueError(f"not a unitary error basis (max deviation {dev:.3e})")
@@ -69,8 +65,7 @@ class NotEquivariantError(ValueError):
             f"{best_overlap:.6f} with the basis")
 
 
-@dataclass(frozen=True)
-class EquivarianceData:
+class EquivarianceData(NamedTuple):
     """Index action of a finite subgroup on an equivariant UEB.
 
     sigma[i, h] = j and alpha[i, h] the phase with

@@ -12,7 +12,7 @@ per-triple and 4x4-matrix forms of the two optimize objectives, and the
 Haar fourth-moment tensor of the rotation-group objective."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -163,7 +163,7 @@ def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
 def child_stream(stream: HaarStream, i: int) -> HaarStream:
     """The i-th substream of the stream's seed, at counter
     (counter << 16) + i + 1."""
-    return replace(stream, counter=(stream.counter << 16) + i + 1)
+    return stream._replace(counter=(stream.counter << 16) + i + 1)
 
 
 def nearest_indices(payloads: np.ndarray, sub: FiniteSubgroup,

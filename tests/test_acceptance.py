@@ -261,7 +261,7 @@ def test_acceptance_8_transmission_uniformity():
         idx = np.asarray(sch.indices)[rng.integers(0, len(sch.indices),
                                                    size=n)]
         x = np.concatenate([
-            enc.sample_encoding(sch, i, child_stream(stream, 2 + j), int(m))
+            sch.sample_fn(i, child_stream(stream, 2 + j).generator(), int(m))
             for j, (i, m) in enumerate(zip(*np.unique(idx,
                                                       return_counts=True)))])
         g = g[:len(x)]

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import functools
 import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,32 @@ def test_verify_all_does_not_import_scipy(tmp_path):
         code += f"assert cli.main({argv + ['--out', out]!r}) == 0\n"
     code += ("assert 'scipy' not in sys.modules\n"
              "assert 'numpy.polynomial' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=os.environ | {"PYTHONPATH": src})
+
+
+def test_import_loads_only_what_every_command_needs(tmp_path):
+    # Start-up is most of a fresh command, so `import frameport.cli` loads
+    # no module that only some commands use (numpy.random for a draw, csv
+    # for CSV output, frameport.optimize), nor hashlib or dataclasses,
+    # beyond what a bare `import numpy` loads.  An exact channel draws
+    # nothing, so it does not load numpy.random; a Monte Carlo one after it
+    # loads it and runs.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = str(tmp_path / "c.json")
+    channel = ["channel", "--scheme", "su2-matched-tight", "--out", out]
+    mc = channel + ["--method", "mc", "--samples", "1000"]
+    code = (
+        "import sys\nimport numpy\nbase = set(sys.modules)\n"
+        "def loaded():\n"
+        "    return [m for m in ('numpy.random', 'csv', 'hashlib',\n"
+        "                        'dataclasses', 'frameport.optimize')\n"
+        "            if m in sys.modules and m not in base]\n"
+        "from frameport import cli\n"
+        "assert loaded() == [], loaded()\n"
+        f"assert cli.main({channel!r}) == 0\n"
+        "assert 'numpy.random' not in loaded(), loaded()\n"
+        f"assert cli.main({mc!r}) == 0\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=os.environ | {"PYTHONPATH": src})
 
@@ -442,6 +469,26 @@ def test_build_id_is_the_hash_of_the_sources():
     assert cli.build_id() == cli.build_id.__wrapped__()
 
 
+def test_build_id_follows_the_sources(tmp_path, monkeypatch):
+    # The id hashes the sources' names and bytes, wherever they are: a
+    # copy of the package has the id of the original, and one changed byte
+    # of one module changes it.
+    package = tmp_path / "frameport"
+    shutil.copytree(Path(cli.__file__).resolve().parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+    before = cli.build_id.__wrapped__()
+    module = package / "qmat.py"
+    data = bytearray(module.read_bytes())
+    data[len(data) // 2] ^= 1
+    module.write_bytes(bytes(data))
+    after = cli.build_id.__wrapped__()
+    assert before == cli.build_id()
+    assert after != before
+    for build in (before, after):
+        assert re.fullmatch("[0-9a-f]{12}", build), build
+
+
 def test_cached_tight_quadrature_keeps_its_pinned_values():
     # The first call computes each scheme's pair moment and later calls
     # reuse it; both give the exact mean-result purities.
@@ -495,14 +542,20 @@ def _stdout(argv) -> str:
 
 
 def _arrays(obj, path: str):
-    """(path, array) of every array under obj's dataclass fields, dicts,
-    tuples and lists."""
+    """(path, array) of every array under obj's record fields, dicts,
+    tuples and lists.  The fields of a record are those of a NamedTuple's
+    _asdict(), or the attributes of a frameport object less its cached
+    properties, which a fresh build has not filled yet."""
     if isinstance(obj, np.ndarray):
         yield path, obj
-    elif dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
-            yield from _arrays(getattr(obj, field.name),
-                               f"{path}.{field.name}")
+    elif hasattr(obj, "_asdict") or type(obj).__module__.startswith(
+            "frameport."):
+        fields = obj._asdict() if hasattr(obj, "_asdict") else {
+            name: value for name, value in vars(obj).items()
+            if not isinstance(getattr(type(obj), name, None),
+                              functools.cached_property)}
+        for name, value in fields.items():
+            yield from _arrays(value, f"{path}.{name}")
     elif isinstance(obj, dict):
         for key, value in obj.items():
             yield from _arrays(value, f"{path}[{key}]")
@@ -511,11 +564,14 @@ def _arrays(obj, path: str):
             yield from _arrays(value, f"{path}[{key}]")
 
 
-def _assert_same_arrays(got, want, path: str) -> None:
+def _assert_same_arrays(got, want, path: str) -> list[str]:
+    """Check that got and want hold equal arrays at the same paths, and
+    return those paths."""
     got, want = dict(_arrays(got, path)), dict(_arrays(want, path))
     assert got.keys() == want.keys()
     for key, array in got.items():
         np.testing.assert_array_equal(array, want[key], err_msg=key)
+    return list(got)
 
 
 def test_cached_builds_survive_every_command():
@@ -527,7 +583,10 @@ def test_cached_builds_survive_every_command():
     for name in cli.SCHEME_NAMES:
         cached = cli.builtin_scheme(name)
         fresh = cli._scheme_bundle.__wrapped__(name)
-        _assert_same_arrays(cached, fresh, name)
+        paths = _assert_same_arrays(cached, fresh, name)
+        if cached.scheme is not None:
+            # The walk reaches into the scheme, so the check is not empty.
+            assert any(p.startswith(f"{name}.scheme.") for p in paths), name
         np.testing.assert_array_equal(cached.basis.quats, fresh.basis.quats)
         if cached.scheme is not None and cached.scheme.kind == "tight":
             np.testing.assert_array_equal(
