@@ -20,12 +20,15 @@ aligned correction U_x restores sigma exactly.
 
 Per-result channels
 -------------------
-A tight or perfect scheme encodes only the results in the orbit of its
-base index.  A result in a singleton orbit has its label sent speakably,
-so it gets the exact conventional integral, by quadrature whatever the
-method; an orbit result gets the scheme's own twirl (Bartlett, Rudolph and
-Spekkens, Rev. Mod. Phys. 79 (2007)).  result_estimates applies this rule
-for both kinds of scheme and both methods.
+result_estimates computes the channels of chosen results for every
+scheme.  A result of the conventional scheme gets the conventional integral
+by the method asked for.  A tight or perfect scheme encodes only the
+results in the orbit of its base index.  A result in a singleton orbit has
+its label sent speakably, so it gets the exact conventional integral, by
+quadrature whatever the method, in the same stacked call; an orbit result
+gets the scheme's own twirl (Bartlett, Rudolph and Spekkens, Rev. Mod.
+Phys. 79 (2007)).  A result-averaged channel is mix_estimates of all d^2
+per-result channels, and every purity figure comes from purity_figures.
 
 Accumulation
 ------------
@@ -98,9 +101,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ChannelEstimate",
-    "conventional_channel",
     "result_estimates",
-    "mean_result_purity",
     "purity_figures",
     "mix_estimates",
     "single_shot_simulate",
@@ -153,28 +154,6 @@ class ChannelEstimate(NamedTuple):
         if self.replicates is None:
             return None
         return np.std(_moment_superop(self.replicates), axis=0, ddof=1)
-
-    def map_purity(self) -> float:
-        return float(spectrum_purities(self.choi_spectrum())[0])
-
-    def linear_purity(self) -> float:
-        return float(spectrum_purities(self.choi_spectrum())[1])
-
-    def map_purity_with_error(self) -> tuple[float, float]:
-        _, purity, error, _ = purity_figures([self])
-        return float(purity[0]), float(error[0])
-
-    def choi_spectrum(self) -> np.ndarray:
-        return clamped_eigenvalues(self.moment)
-
-    def transformed(self, r: np.ndarray) -> "ChannelEstimate":
-        """Pre/post-compose with conjugation by R = su2_matrix(r):
-        T -> [R] o T o [R+]."""
-        c = _conjugation_map(r)[None]
-        reps = None if self.replicates is None else \
-            _conjugated(c, self.replicates)[0]
-        return self._replace(moment=_conjugated(c, self.moment)[0],
-                             replicates=reps)
 
 
 def purity_figures(estimates: list[ChannelEstimate]
@@ -306,29 +285,6 @@ def _exact_moment(u: np.ndarray, t4: np.ndarray) -> np.ndarray:
     return fourth_moment_map(form, t4)
 
 
-# ---------------------------------------------------------------------------
-# Conventional channel
-# ---------------------------------------------------------------------------
-
-def conventional_channel(basis: UnitaryErrorBasis, group: str,
-                         result: int | str = "averaged",
-                         method: str = "quadrature",
-                         samples: int = 10 ** 6,
-                         seed: int = 0) -> ChannelEstimate:
-    """Misalignment-averaged channel of the conventional scheme with the UEB
-    basis: integral over g of [rho(g)+ U_i rho(g) U_i+], or the equal mix
-    over i."""
-    results = range(basis.size) if result == "averaged" else [int(result)]
-    if method == "quadrature":
-        return ChannelEstimate(_exact_moment(
-            basis.quats[results], groups.haar_fourth_moment(group)
-        ).mean(axis=0))
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    return mix_estimates([_conventional_mc(basis, group, i, samples, seed)
-                          for i in results])
-
-
 def _conventional_mc(basis: UnitaryErrorBasis, group: str, i: int,
                      samples: int, seed: int) -> ChannelEstimate:
     """The conventional channel of result i by MC, on its own counter range
@@ -345,33 +301,44 @@ def _conventional_mc(basis: UnitaryErrorBasis, group: str, i: int,
 
 
 # ---------------------------------------------------------------------------
-# Encoded schemes
+# Per-result channels
 # ---------------------------------------------------------------------------
 
-def result_estimates(scheme: enc.EncodingScheme, results: Iterable[int],
-                     method: str, samples: int = 10 ** 6,
+def result_estimates(spec: UnitaryErrorBasis | enc.EncodingScheme,
+                     group: str, results: Iterable[int], method: str,
+                     samples: int = 10 ** 6,
                      seed: int = 0) -> dict[int, ChannelEstimate]:
-    """Channels of a tight or perfect scheme, teleported with the UEB of its
-    equivariance data, for the given results, over the Haar measure of its
-    subgroup's ambient frame group, keyed in the order given; mix_estimates
+    """Channels over the Haar measure of the frame group for the given
+    results, keyed in the order given, of the conventional scheme with the
+    UEB spec or of the encoded scheme spec with the UEB it was built on,
+    whose frame group must be its subgroup's ambient group; mix_estimates
     of all d^2 of them is the result-averaged channel.
 
-    A result outside the scheme's orbit gets the exact conventional
-    integral (Per-result channels, above).  A tight scheme's orbit results
-    are conjugates of one base channel, computed only if one is asked for.
-    A perfect scheme's orbit results each get the integral over the
-    stabilizer of the encoded reading of [rho(s)+ U_i rho(s) U_i+]."""
+    A conventional result, and a result outside a scheme's orbit, gets the
+    conventional integral, always exact for a scheme (Per-result channels,
+    above).  A tight scheme's orbit results are conjugates of one base
+    channel, computed only if one is asked for.  A perfect scheme's orbit
+    results each get the integral over the stabilizer of the encoded
+    reading of [rho(s)+ U_i rho(s) U_i+]."""
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
+    scheme = spec if isinstance(spec, enc.EncodingScheme) else None
+    basis = spec if scheme is None else scheme.eq.basis
+    if scheme is not None and group != scheme.subgroup.ambient:
+        raise ValueError(f"group {group!r} is not the scheme's frame "
+                         f"group {scheme.subgroup.ambient!r}")
     results = list(results)
     out: dict[int, ChannelEstimate] = {}
-    off = [i for i in results if i not in scheme.indices]
-    if off:
-        moments = _exact_moment(scheme.eq.basis.quats[off],
-                                groups.haar_fourth_moment(
-                                    scheme.subgroup.ambient))
+    orbit = [] if scheme is None else \
+        [i for i in results if i in scheme.indices]
+    off = [i for i in results if i not in orbit]
+    if off and scheme is None and method == "mc":
+        out.update((i, _conventional_mc(basis, group, i, samples, seed))
+                   for i in off)
+    elif off:
+        moments = _exact_moment(basis.quats[off],
+                                groups.haar_fourth_moment(group))
         out.update(zip(off, map(ChannelEstimate, moments)))
-    orbit = [i for i in results if i in scheme.indices]
     if orbit and scheme.kind == "perfect":
         out.update((i, _perfect_orbit_channel(scheme, i, method, samples,
                                               seed)) for i in orbit)
@@ -390,15 +357,6 @@ def result_estimates(scheme: enc.EncodingScheme, results: Iterable[int],
             out.update((i, base._replace(moment=m, replicates=r))
                        for i, m, r in zip(moved, moments, reps))
     return {i: out[i] for i in results}
-
-
-def mean_result_purity(estimates: dict[int, ChannelEstimate]
-                       ) -> tuple[float, float]:
-    """Arithmetic mean of the per-result map purities with its standard
-    error.  Orbit channels are conjugates sharing one sample set, so their
-    purity errors add coherently."""
-    _, purity, errors, _ = purity_figures(list(estimates.values()))
-    return float(np.mean(purity)), float(np.mean(errors))
 
 
 def _tight_base_channel(scheme: enc.EncodingScheme, method: str,

@@ -233,6 +233,9 @@ def _verify_schemes(report: dict, seed: int, names=None) -> tuple[bool, int]:
 
 
 def cmd_verify(args) -> int:
+    if args.all + bool(args.scheme) + bool(args.ueb or args.subgroup) > 1:
+        raise ConfigError("give only one of --all, --scheme and "
+                          "--ueb/--subgroup")
     report: dict = {}
     ok, drawn = True, 0
     if args.scheme:
@@ -261,16 +264,15 @@ def _channel_estimates(bundle: SchemeBundle, result, method: str,
                        samples: int, seed: int) -> list[ch.ChannelEstimate]:
     """The bundle's channel for one result or "averaged", followed, for a
     result-averaged encoded scheme, by its per-result channels."""
-    if bundle.scheme is None:
-        return [ch.conventional_channel(bundle.basis, bundle.group, result,
-                                        method, samples, seed)]
-    if result != "averaged":
-        return [ch.result_estimates(bundle.scheme, [result], method, samples,
-                                    seed)[result]]
+    averaged = result == "averaged"
     per_result = list(ch.result_estimates(
-        bundle.scheme, range(bundle.basis.size), method, samples,
+        bundle.scheme or bundle.basis, bundle.group,
+        range(bundle.basis.size) if averaged else [result], method, samples,
         seed).values())
-    return [ch.mix_estimates(per_result), *per_result]
+    if not averaged:
+        return per_result
+    mixed = ch.mix_estimates(per_result)
+    return [mixed] if bundle.scheme is None else [mixed, *per_result]
 
 
 def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
@@ -292,13 +294,15 @@ def _purity_rows(bundle: SchemeBundle, result, samples: int,
     linear purity), and the CSV rows formatted from them.  purities are the
     map purities, their errors and the linear purities of ch.purity_figures
     over the channel and, for a result-averaged encoded scheme, its
-    per-result channels, whose figures enter as their means.  A row carries
-    the seed only where the estimate drew samples."""
+    per-result channels, whose figures enter as their means: the mean of
+    the map purities, with the mean of their errors as its error, since
+    orbit channels are conjugates sharing one sample set and their errors
+    add coherently.  A row carries the seed only where the estimate drew
+    samples."""
     label = "result-averaged" if result == "averaged" else f"result-{result}"
     purity, errors, linear = purities
     figures = [(label, float(purity[0]), float(errors[0]), float(linear[0]))]
     if len(purity) > 1:
-        # As ch.mean_result_purity: orbit errors add coherently.
         figures.append(("mean-result-purity", float(np.mean(purity[1:])),
                         float(np.mean(errors[1:])),
                         float(np.mean(linear[1:]))))
@@ -347,7 +351,10 @@ def cmd_channel(args) -> int:
         _, mean_p, mean_err, _ = figures[1]
         payload["mean_result_purity"] = mean_p
         payload["mean_result_purity_stderr"] = mean_err
-    _emit(args, payload, rows, est.samples)
+    # An averaged conventional MC channel draws one stream per result.
+    streams = bundle.basis.size if bundle.scheme is None and \
+        result == "averaged" else 1
+    _emit(args, payload, rows, est.samples * streams)
     return 0
 
 
@@ -428,17 +435,21 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     from .optimize import optimize_conventional_ueb
     t0 = time.perf_counter()
-    report = optimize_conventional_ueb(args.group)
+    found = optimize_conventional_ueb(args.group)
     seconds = time.perf_counter() - t0
     rows = [{"label": r.label,
              "params": " ".join(f"{p:.6f}" for p in r.params),
              "linear_purity": f"{r.linear_purity:.6f}",
-             "stderr": f"{r.stderr:.6f}"} for r in report.rows]
-    payload = report.to_json() | {
-        "best": {"label": report.best.label,
-                 "params": list(report.best.params),
-                 "linear_purity": report.best.linear_purity},
-        "pauli_is_optimal": report.pauli_is_optimal(),
+             "stderr": f"{r.stderr:.6f}"} for r in found]
+    listed = [r._asdict() | {"params": list(r.params)} for r in found]
+    pauli, best = found[0], max(found, key=lambda r: r.linear_purity)
+    payload = {
+        "group": args.group,
+        "baseline": listed[0],
+        "rows": listed,
+        "best": {"label": best.label, "params": list(best.params),
+                 "linear_purity": best.linear_purity},
+        "pauli_is_optimal": best.linear_purity <= pauli.linear_purity,
         "seconds": seconds,
     }
     # The objectives are exact: nothing is drawn, so --seed has no effect.

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "OptimizationRow",
-    "OptimizationReport",
     "u1_conventional_purity",
     "su2_conventional_purity",
     "optimize_conventional_ueb",
@@ -125,7 +124,7 @@ def su2_conventional_purity(angles) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Extremes
 # ---------------------------------------------------------------------------
 
 class OptimizationRow(NamedTuple):
@@ -133,32 +132,6 @@ class OptimizationRow(NamedTuple):
     params: tuple[float, ...]
     linear_purity: float
     stderr: float = 0.0         # the objectives are exact
-
-
-class OptimizationReport(NamedTuple):
-    group: str
-    rows: tuple[OptimizationRow, ...]     # the Pauli maximum, the minimum
-
-    @property
-    def baseline(self) -> OptimizationRow:
-        return self.rows[0]
-
-    @property
-    def best(self) -> OptimizationRow:
-        return max(self.rows, key=lambda r: r.linear_purity)
-
-    def pauli_is_optimal(self) -> bool:
-        """True if no row beats the Pauli baseline."""
-        return self.best.linear_purity <= self.baseline.linear_purity
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "baseline": self.baseline._asdict() | {
-                "params": list(self.baseline.params)},
-            "rows": [r._asdict() | {"params": list(r.params)}
-                     for r in self.rows],
-        }
 
 
 # The proved maximiser (the Pauli basis) and a minimiser of each objective.
@@ -170,13 +143,13 @@ _EXTREMES = {
 }
 
 
-def optimize_conventional_ueb(group: str) -> OptimizationReport:
+def optimize_conventional_ueb(group: str) -> tuple[OptimizationRow, ...]:
     """The exact maximum (`pauli`) and minimum (`minimum`) of the
     conventional-scheme linear map purity over the group's UEB parameters,
-    each evaluated by the objective at its proved extremiser."""
+    in that order, each evaluated by the objective at its proved
+    extremiser."""
     if group not in _EXTREMES:
         raise ValueError(f"unknown group {group!r}")
     objective, *points = _EXTREMES[group]
-    return OptimizationReport(group, tuple(
-        OptimizationRow(label, x, float(objective(x)))
-        for label, x in zip(("pauli", "minimum"), points)))
+    return tuple(OptimizationRow(label, x, float(objective(x)))
+                 for label, x in zip(("pauli", "minimum"), points))

@@ -3,7 +3,8 @@ quaternion product, the np.cross form of a rotation, the dense Choi layer
 (the Choi state of a superoperator, its TP/CP validation, mixtures and map
 purities), the conjugation superoperator of a unitary, the von Neumann
 entropy, the linear purity of a channel estimate with its bootstrap error,
-raw Haar draws and substreams of a stream, the distance-based
+the conventional channel of one result or of all, the map purity of one
+estimate and the mean-result purity of several, raw Haar draws and substreams of a stream, the distance-based
 nearest-element search, the perfect-scheme realignment of a correction, the
 dense teleportation through a resource (measurement basis, Born
 probabilities, pre-correction unitary), the one-shot and the single-reading
@@ -17,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from frameport.channel import ChannelEstimate, fourth_moment_map
+from frameport.channel import ChannelEstimate, fourth_moment_map, \
+    mix_estimates, purity_figures, result_estimates
 from frameport.encoding import EncodingScheme, decode_batch
 from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
     canonical_sign, first_lifts, haar_batch, haar_fourth_moment, quat_conj, \
@@ -148,11 +150,36 @@ def linear_map_purity(S: Superoperator) -> float:
 def linear_purity_with_error(est: ChannelEstimate) -> tuple[float, float]:
     """Linear Choi purity of an estimate and the standard deviation of its
     bootstrap replicates (0 for an exact estimate)."""
-    value = float(spectrum_purities(est.choi_spectrum())[1])
+    value = float(spectrum_purities(clamped_eigenvalues(est.moment))[1])
     if est.replicates is None:
         return value, 0.0
     reps = spectrum_purities(clamped_eigenvalues(est.replicates))[1]
     return value, float(np.std(reps, ddof=1))
+
+
+def conventional_estimate(basis: UnitaryErrorBasis, group: str, result,
+                          method: str = "quadrature", samples: int = 10 ** 6,
+                          seed: int = 0) -> ChannelEstimate:
+    """The conventional channel of one result, or for "averaged" the equal
+    mix over all results, as the CLI builds it from result_estimates."""
+    ests = list(result_estimates(
+        basis, group, range(basis.size) if result == "averaged" else [result],
+        method, samples, seed).values())
+    return mix_estimates(ests) if result == "averaged" else ests[0]
+
+
+def purity_with_error(est: ChannelEstimate) -> tuple[float, float]:
+    """Map purity of one estimate and its bootstrap standard error, from
+    purity_figures."""
+    _, purity, error, _ = purity_figures([est])
+    return float(purity[0]), float(error[0])
+
+
+def mean_result(ests: dict[int, ChannelEstimate]) -> tuple[float, float]:
+    """The CLI's mean-result figure of per-result estimates: the mean of
+    their map purities and the mean of their errors."""
+    _, purity, errors, _ = purity_figures(list(ests.values()))
+    return float(np.mean(purity)), float(np.mean(errors))
 
 
 def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:

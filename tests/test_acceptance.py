@@ -24,8 +24,8 @@ from frameport import ueb as ueb_mod
 from frameport.groups import HaarStream
 from frameport.qmat import DensityMatrix
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
-from qmat_reference import child_stream, haar_payloads, map_purity, \
-    uniform_bins
+from qmat_reference import child_stream, conventional_estimate, \
+    haar_payloads, map_purity, mean_result, purity_with_error, uniform_bins
 
 FULL = 10 ** 6
 
@@ -58,7 +58,8 @@ def btet_bundle():
 def averaged_channel(scheme, method, **kwargs):
     """The equal mix of a scheme's channels over all of its results."""
     return ch.mix_estimates(list(ch.result_estimates(
-        scheme, range(scheme.eq.basis.size), method, **kwargs).values()))
+        scheme, scheme.subgroup.ambient, range(scheme.eq.basis.size), method,
+        **kwargs).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +101,12 @@ def test_acceptance_1_structural():
 def test_acceptance_2_perfect_schemes():
     _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
-    est = ch.result_estimates(scheme, [1], "quadrature")[1]
+    est = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
     ok = np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
     _, eq2 = btet_bundle()
     scheme2 = enc.perfect_matched_scheme(eq2, 0)
-    est2 = ch.result_estimates(scheme2, [1], "mc",
+    est2 = ch.result_estimates(scheme2, "su2", [1], "mc",
                                samples=FULL)[1]
     tol = 3 * np.maximum(est2.stderr, 1e-7)
     ok = ok and bool(np.all(np.abs(est2.superop.mat - np.eye(4)) <= tol))
@@ -119,7 +120,7 @@ def test_acceptance_2_perfect_schemes():
 
 def test_acceptance_3_u1_conventional():
     basis, _ = u1_bundle()
-    est = ch.conventional_channel(basis, "u1", "averaged", "quadrature")
+    est = conventional_estimate(basis, "u1", "averaged")
     expected = np.diag([1.0, 0.5, 0.5, 1.0]).astype(np.complex128)
     purity = map_purity(est.superop)
     ok = (np.max(np.abs(est.superop.mat - expected)) < 1e-9
@@ -157,15 +158,15 @@ def test_acceptance_4_u1_tight():
 
 def test_acceptance_5_su2_conventional():
     basis, _ = su2_bundle()
-    est = ch.conventional_channel(basis, "su2", 1, "mc", samples=FULL)
-    ev = sorted(est.choi_spectrum(), reverse=True)
+    est = conventional_estimate(basis, "su2", 1, "mc", samples=FULL)
+    ev = sorted(ch.purity_figures([est])[0][0], reverse=True)
     ok = bool(np.all(np.abs(np.array(ev) - [1 / 3, 1 / 3, 1 / 3, 0])
                      <= 0.01))
-    purity, _ = est.map_purity_with_error()
+    purity, _ = purity_with_error(est)
     ok = ok and abs(purity - 0.2075) < 0.01
-    avg = ch.conventional_channel(basis, "su2", "averaged", "mc",
-                                  samples=FULL)
-    avg_purity, _ = avg.map_purity_with_error()
+    avg = conventional_estimate(basis, "su2", "averaged", "mc",
+                                samples=FULL)
+    avg_purity, _ = purity_with_error(avg)
     report(5, ok, f"per-result purity {purity:.4f}, "
                   f"result-averaged purity {avg_purity:.4f}")
     assert ok
@@ -175,26 +176,26 @@ def test_acceptance_5_su2_conventional():
 # 6. Rotation-group tight channels
 # ---------------------------------------------------------------------------
 
-def _mean_result_purity(scheme_name: str) -> tuple[float, float]:
+def _tight_mean_result(scheme_name: str) -> tuple[float, float]:
     _, eq = su2_bundle()
     if scheme_name == "rod":
         scheme = enc.rod_scheme()
     else:
         scheme = enc.tight_matched_scheme(eq, 1)
-    ests = ch.result_estimates(scheme, range(4), "mc",
+    ests = ch.result_estimates(scheme, "su2", range(4), "mc",
                                samples=FULL)
-    return ch.mean_result_purity(ests)
+    return mean_result(ests)
 
 
 def test_acceptance_6_rod_tight():
-    purity, err = _mean_result_purity("rod")
+    purity, err = _tight_mean_result("rod")
     ok = abs(purity - 0.44) <= 0.05
     report(6, ok, f"rod mean-result purity {purity:.4f} +- {err:.4f}")
     assert ok
 
 
 def test_acceptance_6_matched_tight():
-    purity, err = _mean_result_purity("matched")
+    purity, err = _tight_mean_result("matched")
     ok = abs(purity - 0.32) <= 0.04
     report(6, ok, f"matched mean-result purity {purity:.4f} +- {err:.4f}")
     assert ok, (
@@ -280,10 +281,10 @@ def test_acceptance_8_transmission_uniformity():
 # 9. Basis optimality
 # ---------------------------------------------------------------------------
 
-def test_acceptance_9_optimization():
+def test_acceptance_9_optimization(tmp_path):
     # Both objectives are exact with proved extremes: the best row is the
-    # Pauli row, and 10^5 seeded random points of each parameter space lie
-    # between the reported maximum and minimum.
+    # Pauli row, the optimize payload says so, and 10^5 seeded random points
+    # of each parameter space lie between the reported maximum and minimum.
     rng = np.random.default_rng(9)
     ok, details = True, []
     for group, objective, box, (top, bottom) in (
@@ -291,15 +292,23 @@ def test_acceptance_9_optimization():
              [np.pi, np.pi, 2 * np.pi, 2 * np.pi], (5 / 8, 9 / 32)),
             ("su2", opt.su2_conventional_purity,
              [np.pi, 2 * np.pi, 2 * np.pi], (1 / 3, 1 / 4))):
-        r = opt.optimize_conventional_ueb(group)
-        low = min(row.linear_purity for row in r.rows)
+        rows = opt.optimize_conventional_ueb(group)
+        best = max(rows, key=lambda row: row.linear_purity)
+        low = min(row.linear_purity for row in rows)
+        out = tmp_path / f"{group}.json"
+        assert cli.main(["optimize", "--group", group, "--out", str(out)]) \
+            == 0
+        payload = json.loads(out.read_text())
         values = objective(rng.random((10 ** 5, len(box))) * np.array(box))
-        ok = (ok and r.best is r.baseline and r.best.label == "pauli"
-              and abs(r.best.linear_purity - top) <= 1e-15
-              and abs(low - bottom) <= 1e-15 and r.pauli_is_optimal()
+        ok = (ok and best is rows[0] and best.label == "pauli"
+              and abs(best.linear_purity - top) <= 1e-15
+              and abs(low - bottom) <= 1e-15
+              and payload["best"]["label"] == "pauli"
+              and payload["baseline"]["linear_purity"] == best.linear_purity
+              and payload["pauli_is_optimal"] is True
               and values.min() >= low - 1e-15
-              and values.max() <= r.best.linear_purity + 1e-15)
-        details.append(f"{group} {low:.6f}..{r.best.linear_purity:.6f}, "
+              and values.max() <= best.linear_purity + 1e-15)
+        details.append(f"{group} {low:.6f}..{best.linear_purity:.6f}, "
                        f"sampled {values.min():.6f}..{values.max():.6f}")
     report(9, ok, "; ".join(details))
     assert ok

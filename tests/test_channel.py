@@ -19,8 +19,9 @@ from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
 from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
     pauli_ueb, tetrahedral_ueb
 from qmat_reference import born_probabilities, choi, choi_matrix, \
-    linear_map_purity, linear_purity_with_error, map_purity, \
-    measurement_basis, premeasurement_unitary, realigned_correction
+    conventional_estimate, linear_map_purity, linear_purity_with_error, \
+    map_purity, mean_result, measurement_basis, premeasurement_unitary, \
+    purity_with_error, realigned_correction
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
@@ -69,7 +70,7 @@ def test_resource_cancels_from_every_result():
 
 def test_u1_conventional_averaged_is_half_dephasing():
     basis, _ = u1_bundle()
-    est = ch.conventional_channel(basis, "u1", "averaged", "quadrature")
+    est = conventional_estimate(basis, "u1", "averaged")
     expected = np.diag([1.0, 0.5, 0.5, 1.0]).astype(np.complex128)
     assert np.max(np.abs(est.superop.mat - expected)) < 1e-14
     assert map_purity(est.superop) == pytest.approx(0.5943609377704335,
@@ -89,23 +90,23 @@ def test_u1_conventional_quadrature_matches_fine_grid():
         for i, m in enumerate(basis.mats):
             w = np.einsum("nba,bc,ncd,ed->nae", rho.conj(), m, rho, m.conj())
             ref = np.einsum("nab,ncd->acbd", w.conj(), w).reshape(4, 4)
-            est = ch.conventional_channel(basis, "u1", i, "quadrature")
+            est = conventional_estimate(basis, "u1", i)
             assert np.max(np.abs(est.superop.mat - ref / len(t))) <= 1e-15
 
 
 def test_su2_conventional_result0_is_identity():
     basis, _ = su2_bundle()
-    est = ch.conventional_channel(basis, "su2", 0, "mc", samples=10 ** 4)
+    est = conventional_estimate(basis, "su2", 0, "mc", samples=10 ** 4)
     assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
 def test_su2_conventional_result1_spectrum():
     basis, _ = su2_bundle()
-    est = ch.conventional_channel(basis, "su2", 1, "mc", samples=SAMPLES)
-    ev = sorted(est.choi_spectrum(), reverse=True)
+    est = conventional_estimate(basis, "su2", 1, "mc", samples=SAMPLES)
+    spectra, purity, _, _ = ch.purity_figures([est])
+    ev = sorted(spectra[0], reverse=True)
     assert np.allclose(ev, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=0.02)
-    p, err = est.map_purity_with_error()
-    assert p == pytest.approx(1 - np.log(3) / np.log(4), abs=0.01)
+    assert purity[0] == pytest.approx(1 - np.log(3) / np.log(4), abs=0.01)
 
 
 def test_conventional_mc_agrees_with_quadrature():
@@ -113,28 +114,29 @@ def test_conventional_mc_agrees_with_quadrature():
     # design against MC, within 3 sigma per entry.
     for group, (basis, _) in (("u1", u1_bundle()), ("su2", su2_bundle())):
         for i in range(4):
-            exact = ch.conventional_channel(basis, group, i, "quadrature")
-            mc = ch.conventional_channel(basis, group, i, "mc",
-                                         samples=SAMPLES)
+            exact = conventional_estimate(basis, group, i)
+            mc = conventional_estimate(basis, group, i, "mc",
+                                       samples=SAMPLES)
             tol = 3 * np.maximum(mc.stderr, 1e-4)
             assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
 
 
 def test_averaged_conventional_mc_is_the_mix_of_its_results():
     # Result i draws from the seed's own stream at counter i << 48, so the
-    # averaged estimate at a seed is the mix of that seed's result
-    # estimates, and no result shares its draws with a neighbouring seed.
+    # averaged estimate the CLI computes at a seed is the mix of that seed's
+    # one-result estimates, and no result shares its draws with a
+    # neighbouring seed.
     basis, _ = su2_bundle()
-    averaged = ch.conventional_channel(basis, "su2", "averaged", "mc",
-                                       20000, 6)
-    mixed = ch.mix_estimates([ch.conventional_channel(basis, "su2", i, "mc",
-                                                      20000, 6)
-                              for i in range(4)])
+    averaged, = cli._channel_estimates(cli.builtin_scheme("su2-conventional"),
+                                       "averaged", "mc", 20000, 6)
+    single = [ch.result_estimates(basis, "su2", [i], "mc", 20000, 6)[i]
+              for i in range(4)]
+    mixed = ch.mix_estimates(single)
     assert np.array_equal(averaged.moment, mixed.moment)
     assert np.array_equal(averaged.replicates, mixed.replicates)
-    neighbour = ch.conventional_channel(basis, "su2", 2, "mc", 20000, 7)
-    assert not any(np.array_equal(neighbour.moment, ch.conventional_channel(
-        basis, "su2", i, "mc", 20000, 6).moment) for i in range(4))
+    neighbour = ch.result_estimates(basis, "su2", [2], "mc", 20000, 7)[2]
+    assert not any(np.array_equal(neighbour.moment, est.moment)
+                   for est in single)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +150,8 @@ def u1_tight_scheme(eq):
 def averaged_channel(scheme, method, *args):
     """The equal mix of a scheme's channels over all of its results."""
     return ch.mix_estimates(list(ch.result_estimates(
-        scheme, range(scheme.eq.basis.size), method, *args).values()))
+        scheme, scheme.subgroup.ambient, range(scheme.eq.basis.size), method,
+        *args).values()))
 
 
 def test_u1_tight_quadrature_off_diagonal():
@@ -185,8 +188,8 @@ def test_u1_tight_arc_moment_matches_dense_grid():
 def test_u1_tight_mc_agrees_with_quadrature():
     _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
-    exact = ch.result_estimates(scheme, [1], "quadrature")[1]
-    mc = ch.result_estimates(scheme, [1], "mc", samples=SAMPLES)[1]
+    exact = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
+    mc = ch.result_estimates(scheme, "u1", [1], "mc", samples=SAMPLES)[1]
     tol = 3 * np.maximum(mc.stderr, 2e-3)
     assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
 
@@ -205,11 +208,11 @@ def test_su2_tight_quadrature_values():
     want = {"matched": (0.267531849036, 0.450648886777),
             "rod": (0.269856674296, 0.4523925057222)}
     for key, scheme in su2_tight_schemes().items():
-        ests = ch.result_estimates(scheme, range(4), "quadrature")
+        ests = ch.result_estimates(scheme, "su2", range(4), "quadrature")
         base, mean = want[key]
         assert ests[1].method == "quadrature" and ests[1].samples == 0
-        assert abs(ests[1].map_purity() - base) <= 1e-12
-        assert abs(ch.mean_result_purity(ests)[0] - mean) <= 1e-12
+        assert abs(purity_with_error(ests[1])[0] - base) <= 1e-12
+        assert abs(mean_result(ests)[0] - mean) <= 1e-12
         assert ests[1].pre_norm_deviation <= 1e-13
 
 
@@ -217,11 +220,11 @@ def test_su2_tight_mc_agrees_with_exact():
     # On held-out seeds the MC mean-result purity lies within 3 sigma of
     # the exact value.
     for key, scheme in su2_tight_schemes().items():
-        exact, _ = ch.mean_result_purity(ch.result_estimates(
-            scheme, range(4), "quadrature"))
+        exact, _ = mean_result(ch.result_estimates(
+            scheme, "su2", range(4), "quadrature"))
         for seed in (9001, 9002):
-            value, err = ch.mean_result_purity(ch.result_estimates(
-                scheme, range(4), "mc", SAMPLES, seed))
+            value, err = mean_result(ch.result_estimates(
+                scheme, "su2", range(4), "mc", SAMPLES, seed))
             assert abs(value - exact) <= 3 * err, (key, seed, value, err)
 
 
@@ -233,19 +236,24 @@ def test_tight_singleton_orbit_is_identity(monkeypatch):
         raise AssertionError("singleton result computed the base integral")
 
     monkeypatch.setattr(ch, "_tight_base_channel", no_base_integral)
+    conventional = ch.result_estimates(scheme.eq.basis, "u1", [0, 3],
+                                       "quadrature")
     for i in (0, 3):
         for method in ("quadrature", "mc"):
-            est = ch.result_estimates(scheme, [i], method)[i]
+            est = ch.result_estimates(scheme, "u1", [i], method)[i]
             assert est.method == "quadrature"
             assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-14
+            # The exact conventional integral, by the same stacked call.
+            assert np.array_equal(est.moment, conventional[i].moment)
 
 
 def test_su2_tight_orbit_channels_share_spectrum():
     _, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
-    ests = ch.result_estimates(scheme, range(4), "mc",
+    ests = ch.result_estimates(scheme, "su2", range(4), "mc",
                                samples=SAMPLES)
-    spectra = [sorted(ests[i].choi_spectrum()) for i in (1, 2, 3)]
+    spectra = [sorted(s) for s in ch.purity_figures(
+        [ests[i] for i in (1, 2, 3)])[0]]
     assert np.allclose(spectra[0], spectra[1], atol=1e-9)
     assert np.allclose(spectra[0], spectra[2], atol=1e-9)
     # The singleton-orbit result is the exact conventional integral.
@@ -256,12 +264,14 @@ def test_su2_tight_orbit_channels_share_spectrum():
 def test_mean_result_purity_of_some_results():
     # Any subset of results, keyed by result rather than by position.
     _, eq = u1_bundle()
-    ests = ch.result_estimates(u1_tight_scheme(eq), [1, 3],
+    ests = ch.result_estimates(u1_tight_scheme(eq), "u1", [1, 3],
                                "quadrature")
-    mean, err = ch.mean_result_purity(ests)
-    assert mean == pytest.approx((ests[1].map_purity() + 1.0) / 2,
-                                 abs=1e-12)
-    assert err == 0.0
+    assert list(ests) == [1, 3]
+    _, purity, errors, _ = ch.purity_figures(list(ests.values()))
+    assert np.mean(purity) == pytest.approx((purity[0] + 1.0) / 2,
+                                            abs=1e-12)
+    assert purity[0] == purity_with_error(ests[1])[0]
+    assert np.mean(errors) == 0.0
 
 
 def test_su2_tight_invariant_under_left_stabilizer_shift(monkeypatch):
@@ -271,17 +281,17 @@ def test_su2_tight_invariant_under_left_stabilizer_shift(monkeypatch):
     _, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
     h = eq.subgroup.payloads[eq.stabilizers[1][3]]
-    plain = ch.result_estimates(scheme, [1], "mc",
+    plain = ch.result_estimates(scheme, "su2", [1], "mc",
                                 samples=SAMPLES, seed=0)[1]
     # Pre-compose every Haar draw with h.  The readings' sampler draws
     # through haar_batch too, which leaves them uniform.
     haar_batch = groups.haar_batch
     monkeypatch.setattr(groups, "haar_batch", lambda *a: groups.quat_mul(
         h, haar_batch(*a)))
-    shifted = ch.result_estimates(scheme, [1], "mc",
+    shifted = ch.result_estimates(scheme, "su2", [1], "mc",
                                   samples=SAMPLES, seed=1)[1]
-    p1, e1 = plain.map_purity_with_error()
-    p2, e2 = shifted.map_purity_with_error()
+    p1, e1 = purity_with_error(plain)
+    p2, e2 = purity_with_error(shifted)
     assert abs(p1 - p2) < 4 * np.hypot(e1, e2) + 5e-3
 
 
@@ -292,10 +302,10 @@ def test_rod_and_matched_tight_purities_agree():
     _, eq = su2_bundle()
     matched = enc.tight_matched_scheme(eq, 1)
     rod = enc.rod_scheme()
-    pm, em = ch.result_estimates(matched, [1], "mc",
-                                 samples=SAMPLES)[1].map_purity_with_error()
-    pr, er = ch.result_estimates(rod, [1], "mc",
-                                 samples=SAMPLES)[1].map_purity_with_error()
+    pm, em = purity_with_error(ch.result_estimates(
+        matched, "su2", [1], "mc", samples=SAMPLES)[1])
+    pr, er = purity_with_error(ch.result_estimates(
+        rod, "su2", [1], "mc", samples=SAMPLES)[1])
     assert pm == pytest.approx(0.268, abs=0.01)
     assert pr == pytest.approx(0.270, abs=0.01)
 
@@ -307,7 +317,7 @@ def test_rod_and_matched_tight_purities_agree():
 def test_u1_perfect_is_identity():
     _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
-    est = ch.result_estimates(scheme, [1], "quadrature")[1]
+    est = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
     assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
@@ -315,7 +325,7 @@ def test_btet_perfect_mc_is_identity():
     basis = tetrahedral_ueb()
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
-    est = ch.result_estimates(scheme, [1], "mc",
+    est = ch.result_estimates(scheme, "su2", [1], "mc",
                               samples=SAMPLES)[1]
     tol = 3 * np.maximum(est.stderr, 1e-6)
     assert np.all(np.abs(est.superop.mat - np.eye(4)) <= tol)
@@ -332,10 +342,10 @@ def test_perfect_singleton_result_gets_conventional_integral():
     eq = equivariance_analysis(basis, z4)
     assert eq.orbits == ((0,), (1,), (2,), (3,))
     scheme = enc.perfect_matched_scheme(eq, 1)
-    exact = ch.conventional_channel(basis, "u1", 2, "quadrature")
-    assert exact.map_purity() == pytest.approx(0.5, abs=1e-12)
+    exact = ch.result_estimates(scheme.eq.basis, "u1", [2], "quadrature")[2]
+    assert purity_with_error(exact) == pytest.approx((0.5, 0.0), abs=1e-12)
     for method in ("quadrature", "mc"):
-        est = ch.result_estimates(scheme, [2], method, 20000, 0)[2]
+        est = ch.result_estimates(scheme, "u1", [2], method, 20000, 0)[2]
         assert est.method == "quadrature"
         assert np.array_equal(est.moment, exact.moment)
 
@@ -344,11 +354,17 @@ def test_unknown_method_is_rejected():
     _, eq = u1_bundle()
     tight = u1_tight_scheme(eq)
     perfect = enc.perfect_matched_scheme(eq, 1)
-    # Orbit results of both kinds, and the singleton result 0 alone.
-    for scheme, results in ((tight, [1]), (tight, [0]), (perfect, [1]),
-                            (perfect, [0])):
+    # Orbit results of both kinds, the singleton result 0 alone, and the
+    # conventional scheme.
+    for spec, results in ((tight, [1]), (tight, [0]), (perfect, [1]),
+                          (perfect, [0]), (eq.basis, [1])):
         with pytest.raises(ValueError, match="unknown method"):
-            ch.result_estimates(scheme, results, "bogus", 20000, 0)
+            ch.result_estimates(spec, "u1", results, "bogus", 20000, 0)
+    # A scheme integrates over its own frame group only.
+    for scheme in (tight, perfect):
+        for results in ([1], [0]):
+            with pytest.raises(ValueError, match="frame group"):
+                ch.result_estimates(scheme, "su2", results, "quadrature")
 
 
 def test_simulator_stream_must_be_the_scheme_group():
@@ -382,7 +398,7 @@ def test_rod_point_encoding_is_perfectly_correctable():
                                 lambda i, rng, n: np.tile(points[i][0], (n, 1)),
                                 points=points)
     for i in (1, 2, 3):
-        est = ch.result_estimates(scheme, [i], "quadrature")[i]
+        est = ch.result_estimates(scheme, "su2", [i], "quadrature")[i]
         assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
 
 
@@ -399,35 +415,41 @@ def test_finite_group_check_passes_for_u1():
 BATCH_SAMPLES = 4096
 
 
+def _conjugate(est: ch.ChannelEstimate, r: np.ndarray) -> ch.ChannelEstimate:
+    """An estimate pre/post-composed with conjugation by R = su2_matrix(r),
+    T -> [R] o T o [R+], replicates included: C^T M C for the conjugation
+    map C of r, one orbit conjugate as result_estimates forms them."""
+    c = ch._conjugation_map(r)[None]
+    reps = None if est.replicates is None else \
+        ch._conjugated(c, est.replicates)[0]
+    return est._replace(moment=ch._conjugated(c, est.moment)[0],
+                        replicates=reps)
+
+
 def _batched_and_reference(name: str, method: str
                            ) -> tuple[list[ch.ChannelEstimate],
                                       list[ch.ChannelEstimate]]:
-    """The channels of a builtin scheme as the batched calls give them
-    (the result-averaged channel, then each result's), and the same
-    channels built from one-result calls, with a tight scheme's orbit
-    results conjugated from its base by ChannelEstimate.transformed."""
+    """The channels of a builtin scheme as the CLI's batched call gives
+    them (the result-averaged channel, then, for an encoded scheme, each
+    result's), and the same channels built from one-result calls, with a
+    tight scheme's orbit results conjugated from its base one at a time."""
     bundle = cli.builtin_scheme(name)
     basis, scheme = bundle.basis, bundle.scheme
-    results = range(basis.size)
     args = (method, BATCH_SAMPLES, 5)
-    if scheme is None:
-        single = [ch.conventional_channel(basis, bundle.group, i, *args)
-                  for i in results]
-        return ([ch.conventional_channel(basis, bundle.group, "averaged",
-                                         *args)],
-                [ch.mix_estimates(single)])
-    batched = list(ch.result_estimates(scheme, results, *args).values())
-    base = min(scheme.indices)
+    batched = cli._channel_estimates(bundle, "averaged", *args)
+    base = None if scheme is None else min(scheme.indices)
     reference = []
-    for i in results:
-        if scheme.kind == "tight" and i in scheme.indices and i != base:
-            reference.append(ch.result_estimates(scheme, [base], *args)[
-                base].transformed(scheme.subgroup.payloads[
-                    scheme.eq.coset_reps[i]]))
+    for i in range(basis.size):
+        if scheme is not None and scheme.kind == "tight" and \
+                i in scheme.indices and i != base:
+            reference.append(_conjugate(ch.result_estimates(
+                scheme, bundle.group, [base], *args)[base],
+                scheme.subgroup.payloads[scheme.eq.coset_reps[i]]))
         else:
-            reference.append(ch.result_estimates(scheme, [i], *args)[i])
-    return ([ch.mix_estimates(batched), *batched],
-            [ch.mix_estimates(reference), *reference])
+            reference.append(ch.result_estimates(
+                scheme or basis, bundle.group, [i], *args)[i])
+    mixed = ch.mix_estimates(reference)
+    return batched, [mixed] if scheme is None else [mixed, *reference]
 
 
 @pytest.mark.parametrize("method", ["quadrature", "mc"])
@@ -457,12 +479,14 @@ def test_stacked_purity_figures_match_each_estimate(name, method):
     ests = _batched_and_reference(name, method)[0]
     spectra, purity, errors, linear = ch.purity_figures(ests)
     for k, est in enumerate(ests):
-        value, error = est.map_purity_with_error()
-        assert abs(purity[k] - value) <= 1e-15
-        assert abs(errors[k] - error) <= 1e-15
-        assert abs(linear[k] - est.linear_purity()) <= 1e-15
-        assert np.max(np.abs(spectra[k] - est.choi_spectrum())) <= 1e-15
-        # The same figures from this estimate's arrays alone.
+        # The same figures from this estimate alone.
+        alone = ch.purity_figures([est])
+        assert abs(purity[k] - alone[1][0]) <= 1e-15
+        assert abs(errors[k] - alone[2][0]) <= 1e-15
+        assert abs(linear[k] - alone[3][0]) <= 1e-15
+        assert np.max(np.abs(spectra[k] - alone[0][0])) <= 1e-15
+        assert abs(linear[k] - linear_purity_with_error(est)[0]) <= 1e-15
+        # And from this estimate's arrays without purity_figures.
         own = np.linalg.eigvalsh(est.moment)
         own = np.where(own < 1e-14, 0.0, own)
         assert np.max(np.abs(spectra[k] - own)) <= 1e-15
@@ -472,15 +496,16 @@ def test_stacked_purity_figures_match_each_estimate(name, method):
             reps = spectrum_purities(clamped_eigenvalues(est.replicates))[0]
             assert abs(errors[k] - np.std(reps, ddof=1)) <= 1e-15
     if len(ests) > 1:
-        # The CLI's mean-result row is mean_result_purity and the mean of
-        # the per-result linear purities.
+        # The CLI's mean-result row is the mean of the per-result map
+        # purities, with the mean of their errors, and the mean of the
+        # per-result linear purities.
         figures, _ = cli._purity_rows(cli.builtin_scheme(name), "averaged",
                                       ests[0].samples, (purity, errors,
                                                         linear), 5, 0.0)
-        mean = ch.mean_result_purity(dict(enumerate(ests[1:])))
-        assert figures[1][1:3] == mean
+        assert figures[1][1:3] == mean_result(dict(enumerate(ests[1:])))
         assert figures[1][3] == pytest.approx(
-            np.mean([e.linear_purity() for e in ests[1:]]), abs=1e-15)
+            np.mean([linear_purity_with_error(e)[0] for e in ests[1:]]),
+            abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +572,19 @@ def _moment_estimate(case):
     if case == "perfect-identity":
         _, eq = u1_bundle()
         scheme = enc.perfect_matched_scheme(eq, 1)
-        return ch.result_estimates(scheme, [1], "quadrature")[1]
+        return ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
     if case == "u1-tight-quadrature":
         _, eq = u1_bundle()
-        return ch.result_estimates(u1_tight_scheme(eq), [1], "quadrature")[1]
+        return ch.result_estimates(u1_tight_scheme(eq), "u1", [1],
+                                   "quadrature")[1]
     basis, eq = su2_bundle()
     if case == "conventional-mc":
-        return ch.conventional_channel(basis, "su2", 1, "mc", samples=1 << 14)
+        return ch.result_estimates(basis, "su2", [1], "mc",
+                                   samples=1 << 14)[1]
     scheme = enc.tight_matched_scheme(eq, 1)
     # Result 1 is the base channel; result 2 its orbit conjugate.
     result = {"tight-base-mc": 1, "tight-orbit-mc": 2}[case]
-    return ch.result_estimates(scheme, [result], "mc",
+    return ch.result_estimates(scheme, "su2", [result], "mc",
                                samples=1 << 14)[result]
 
 
@@ -569,17 +596,16 @@ def test_moment_estimator_matches_superoperator_reference(case):
     # 4x4 moments equal those of the superoperators they stand for.
     est = _moment_estimate(case)
     sup = est.superop
-    p, p_err = est.map_purity_with_error()
+    (spectrum,), (p,), (p_err,), (figure_lin,) = ch.purity_figures([est])
     lin, lin_err = linear_purity_with_error(est)
-    assert est.map_purity() == p and est.linear_purity() == lin
+    assert figure_lin == lin
     assert abs(p - map_purity(sup)) <= 1e-14
     assert abs(lin - linear_map_purity(sup)) <= 1e-14
-    assert np.max(np.abs(est.choi_spectrum()
-                         - choi(sup).eigenvalues())) <= 1e-14
+    assert np.max(np.abs(spectrum - choi(sup).eigenvalues())) <= 1e-14
     # Orbit conjugation Q M Q^T is T -> [R] o T o [R+] on superoperators.
     r = groups.axis_angle_quat([1.0, 2.0, 2.0], 0.7)
     k = np.kron(groups.su2_matrix(r).conj(), groups.su2_matrix(r))
-    moved = est.transformed(r)
+    moved = _conjugate(est, r)
     assert np.max(np.abs(moved.superop.mat
                          - k @ sup.mat @ k.conj().T)) <= 1e-14
     if est.replicates is None:
@@ -608,23 +634,22 @@ def test_bootstrap_error_bars_are_calibrated():
     _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
     exact = {
-        "su2-result-1": ch.conventional_channel(
-            basis, "su2", 1, "quadrature").map_purity_with_error()[0],
-        "su2-averaged": ch.conventional_channel(
-            basis, "su2", "averaged", "quadrature").map_purity_with_error()[0],
-        "u1-tight-mean": ch.mean_result_purity(ch.result_estimates(
-            scheme, range(4), "quadrature"))[0],
+        "su2-result-1": purity_with_error(conventional_estimate(
+            basis, "su2", 1))[0],
+        "su2-averaged": purity_with_error(conventional_estimate(
+            basis, "su2", "averaged"))[0],
+        "u1-tight-mean": mean_result(ch.result_estimates(
+            scheme, "u1", range(4), "quadrature"))[0],
     }
     inside = dict.fromkeys(exact, 0)
     for seed in seeds:
         got = {
-            "su2-result-1": ch.conventional_channel(
-                basis, "su2", 1, "mc", samples, seed).map_purity_with_error(),
-            "su2-averaged": ch.conventional_channel(
-                basis, "su2", "averaged", "mc", samples,
-                seed).map_purity_with_error(),
-            "u1-tight-mean": ch.mean_result_purity(ch.result_estimates(
-                scheme, range(4), "mc", samples, seed)),
+            "su2-result-1": purity_with_error(conventional_estimate(
+                basis, "su2", 1, "mc", samples, seed)),
+            "su2-averaged": purity_with_error(conventional_estimate(
+                basis, "su2", "averaged", "mc", samples, seed)),
+            "u1-tight-mean": mean_result(ch.result_estimates(
+                scheme, "u1", range(4), "mc", samples, seed)),
         }
         for key, (value, err) in got.items():
             inside[key] += abs(value - exact[key]) <= 2 * err
@@ -641,12 +666,12 @@ def test_tight_error_bars_are_calibrated():
     seeds = range(2000, 2040)
     samples = 1 << 14
     for key, scheme in su2_tight_schemes().items():
-        want = ch.result_estimates(scheme, [1], "quadrature")[1].map_purity()
+        want, _ = purity_with_error(ch.result_estimates(
+            scheme, "su2", [1], "quadrature")[1])
         inside = 0
         for seed in seeds:
-            value, err = ch.result_estimates(
-                scheme, [1], "mc", samples,
-                seed)[1].map_purity_with_error()
+            value, err = purity_with_error(ch.result_estimates(
+                scheme, "su2", [1], "mc", samples, seed)[1])
             inside += abs(value - want) <= 2 * err
         n = len(seeds)
         tail = sum(math.comb(n, k) * 0.95 ** k * 0.05 ** (n - k)
@@ -664,7 +689,7 @@ def test_single_shot_conventional_matches_channel():
                                    dtype=np.complex128))
     out, transcript = ch.single_shot_simulate(
         basis, sigma, HaarStream("u1", 21), shots=120000)
-    exact = ch.conventional_channel(basis, "u1", "averaged", "quadrature")
+    exact = conventional_estimate(basis, "u1", "averaged")
     expected = exact.superop.apply(sigma.mat)
     assert np.max(np.abs(out.mat - expected)) < 5e-3
 
@@ -828,13 +853,13 @@ def test_mc_memory_does_not_grow_with_samples(case):
     basis, eq = su2_bundle()
     if case == "conventional":
         def run(n):
-            ch.conventional_channel(basis, "su2", 1, "mc", n, 3)
+            ch.result_estimates(basis, "su2", [1], "mc", n, 3)
     else:
         scheme = enc.rod_scheme() if case == "rod-tight" else \
             enc.tight_matched_scheme(eq, 1)
 
         def run(n):
-            ch.result_estimates(scheme, range(4), "mc", n, 3)
+            ch.result_estimates(scheme, "su2", range(4), "mc", n, 3)
     run(1 << 13)                    # builds what the process caches
     small, _ = _traced_peak(lambda: run(1 << 15))
     large, _ = _traced_peak(lambda: run(1 << 18))
@@ -855,17 +880,17 @@ def test_simulator_memory_is_the_transcript_plus_a_block():
 
 def test_mc_channel_estimates_are_seed_deterministic():
     basis, _ = su2_bundle()
-    a = ch.conventional_channel(basis, "su2", 1, "mc", samples=2 * 10 ** 4,
-                                seed=5)
-    b = ch.conventional_channel(basis, "su2", 1, "mc", samples=2 * 10 ** 4,
-                                seed=5)
+    a = conventional_estimate(basis, "su2", 1, "mc", samples=2 * 10 ** 4,
+                              seed=5)
+    b = conventional_estimate(basis, "su2", 1, "mc", samples=2 * 10 ** 4,
+                              seed=5)
     assert np.array_equal(a.superop.mat, b.superop.mat)
     assert np.array_equal(a.replicates, b.replicates)
 
 
 def test_estimate_invariants():
     basis, _ = su2_bundle()
-    est = ch.conventional_channel(basis, "su2", 1, "mc", samples=2 * 10 ** 4)
+    est = conventional_estimate(basis, "su2", 1, "mc", samples=2 * 10 ** 4)
     mat = choi_matrix(est.superop)
     assert np.trace(mat).real == pytest.approx(1.0, abs=1e-9)
     assert np.min(np.linalg.eigvalsh(mat)) > -1e-6

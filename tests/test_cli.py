@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from frameport import channel as ch
 from frameport import cli
 from frameport import groups
-from qmat_reference import linear_purity_with_error
+from qmat_reference import linear_purity_with_error, mean_result
 
 SAMPLES = ["--samples", "40000"]
 
@@ -262,7 +262,7 @@ def test_mean_result_row_reports_mean_linear_purity(tmp_path):
             for r in (dict(zip(header.split(","), line.split(",")))
                       for line in rows)}
     bundle = cli.builtin_scheme("su2-matched-tight")
-    per_result = ch.result_estimates(bundle.scheme, range(4),
+    per_result = ch.result_estimates(bundle.scheme, "su2", range(4),
                                      "mc", 20000, 0)
     mean = np.mean([linear_purity_with_error(e)[0]
                     for e in per_result.values()])
@@ -315,8 +315,8 @@ def test_table1_rows_and_exact_su2_conventional(tmp_path, monkeypatch):
             1 + np.sum(averaged * np.log(averaged)) / np.log(4),
         ("su2-matched-tight", "mean-result-purity"): 0.450648886777,
         ("su2-rod-tight", "mean-result-purity"): 0.4523925057222,
-        ("u1-tight", "mean-result-purity"): ch.mean_result_purity(
-            ch.result_estimates(u1_tight, range(4), "quadrature"))[0],
+        ("u1-tight", "mean-result-purity"): mean_result(
+            ch.result_estimates(u1_tight, "u1", range(4), "quadrature"))[0],
     }
     for key, purity in expected.items():
         got, err, _ = values[key]
@@ -404,6 +404,8 @@ def test_optimize_reports_exact_extremes(tmp_path, group, extremes):
     (["table1"], 0),
     (["simulate", "--scheme", "u1-tight", "--shots", "300"], 300),
     (["optimize", "--group", "su2"], 0),
+    # An averaged conventional channel draws one stream per result.
+    (["channel", "--scheme", "su2-conventional", "--method", "mc"], 160000),
 ])
 def test_meta_reports_what_ran(tmp_path, argv, samples):
     out = tmp_path / "m.json"
@@ -496,8 +498,8 @@ def test_cached_tight_quadrature_keeps_its_pinned_values():
                        ("su2-rod-tight", 0.4523925057222)):
         scheme = cli.builtin_scheme(name).scheme
         for _ in range(2):
-            ests = ch.result_estimates(scheme, range(4), "quadrature")
-            assert abs(ch.mean_result_purity(ests)[0] - mean) <= 1e-12
+            ests = ch.result_estimates(scheme, "su2", range(4), "quadrature")
+            assert abs(mean_result(ests)[0] - mean) <= 1e-12
         assert scheme.pair_moment is scheme.pair_moment
 
 
@@ -730,8 +732,17 @@ def _cases():
                          ["optimize", "--group", "u1"]]),
         st.sampled_from(["mc", "quadrature"])).map(
         lambda c: c[0] + ["--method", c[1]])
+    # verify takes one selector: --all, --scheme, or --ueb with --subgroup.
+    selectors = st.sampled_from([
+        ["verify", "--all", "--scheme", "u1-tight"],
+        ["verify", "--all", "--ueb", "pauli"],
+        ["verify", "--all", "--subgroup", "z4"],
+        ["verify", "--scheme", "u1-tight", "--ueb", "pauli"],
+        ["verify", "--scheme", "u1-tight", "--ueb", "tetrahedral",
+         "--subgroup", "z4"],
+    ])
     return st.one_of(seed, result, inputs, shots, unknown_method, samples,
-                     threads, scheme, method)
+                     threads, scheme, method, selectors)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,15 +2,18 @@
 extremes."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from frameport import cli
 from frameport import optimize as opt
 from frameport.groups import sample_su2, su2_matrix
 from frameport.ueb import pauli_ueb
-from frameport import channel as ch
-from qmat_reference import linear_map_purity, rotation_quat, \
-    su2_objective_tensor, su2_triple_purity, u1_matrix_purity, unit_vector
+from qmat_reference import conventional_estimate, linear_map_purity, \
+    rotation_quat, su2_objective_tensor, su2_triple_purity, \
+    u1_matrix_purity, unit_vector
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +23,7 @@ from qmat_reference import linear_map_purity, rotation_quat, \
 def test_u1_objective_at_pauli_point():
     # Must equal the linear map purity of the averaged conventional channel.
     val = opt.u1_conventional_purity((0.0, 0.0, 0.0, 0.0))
-    est = ch.conventional_channel(pauli_ueb(), "u1", "averaged", "quadrature")
+    est = conventional_estimate(pauli_ueb(), "u1", "averaged")
     assert val == pytest.approx(linear_map_purity(est.superop), abs=1e-9)
     assert val == pytest.approx(0.625, abs=1e-12)
 
@@ -88,9 +91,8 @@ def test_su2_objective_at_pauli_point():
     for psi, phi in ((half, 0.0), (half, half), (0.0, 0.0)):
         value = opt.su2_conventional_purity((psi, phi, np.pi))
         assert abs(value - 1 / 3) <= 1e-15
-    # The objective is exact, so every report row has zero standard error.
-    report = opt.optimize_conventional_ueb("su2")
-    assert all(r.stderr == 0.0 for r in report.rows)
+    # The objective is exact, so every row has zero standard error.
+    assert all(r.stderr == 0.0 for r in opt.optimize_conventional_ueb("su2"))
 
 
 def test_su2_objective_is_seed_deterministic():
@@ -135,38 +137,54 @@ def test_su2_objective_matches_monte_carlo():
 def test_su2_batch_matches_per_triple_reference():
     # Both exact rows against the BTet 5-design average, and one call over
     # a (1, 2, 3) batch of their triples against the rows.
-    report = opt.optimize_conventional_ueb("su2")
-    for row in report.rows:
+    rows = opt.optimize_conventional_ueb("su2")
+    for row in rows:
         assert abs(row.linear_purity - su2_triple_purity(row.params)) <= 1e-13
-    triples = np.array([row.params for row in report.rows])
+    triples = np.array([row.params for row in rows])
     batch = opt.su2_conventional_purity(triples.reshape(1, 2, 3))
     assert batch.shape == (1, 2)
-    assert np.max(np.abs(batch[0] - [r.linear_purity for r in report.rows])
+    assert np.max(np.abs(batch[0] - [r.linear_purity for r in rows])
                   ) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Rows and the optimize payload
 # ---------------------------------------------------------------------------
 
-def test_u1_report_pauli_is_optimal():
-    report = opt.optimize_conventional_ueb("u1")
-    assert [r.label for r in report.rows] == ["pauli", "minimum"]
-    assert report.best is report.baseline and report.pauli_is_optimal()
-    for row, value in zip(report.rows, (5 / 8, 9 / 32)):
+def _optimize_payload(tmp_path, group: str) -> dict:
+    out = tmp_path / f"{group}.json"
+    assert cli.main(["optimize", "--group", group, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_u1_report_pauli_is_optimal(tmp_path):
+    rows = opt.optimize_conventional_ueb("u1")
+    assert [r.label for r in rows] == ["pauli", "minimum"]
+    assert max(rows, key=lambda r: r.linear_purity) is rows[0]
+    for row, value in zip(rows, (5 / 8, 9 / 32)):
         assert abs(row.linear_purity - value) <= 1e-15
         assert abs(row.linear_purity
                    - _u1_pair_purity_reference(row.params)) <= 1e-13
-    js = report.to_json()
-    assert js["group"] == "u1" and len(js["rows"]) == 2
+    payload = _optimize_payload(tmp_path, "u1")
+    pauli = rows[0]._asdict() | {"params": list(rows[0].params)}
+    assert list(payload)[1:] == ["group", "baseline", "rows", "best",
+                                 "pauli_is_optimal", "seconds"]
+    assert payload["group"] == "u1" and len(payload["rows"]) == 2
+    assert payload["baseline"] == payload["rows"][0] == pauli
+    assert payload["best"] == {"label": "pauli", "params": pauli["params"],
+                               "linear_purity": 5 / 8}
+    assert payload["pauli_is_optimal"] is True
 
 
-def test_su2_report_structure():
-    report = opt.optimize_conventional_ueb("su2")
-    assert [r.label for r in report.rows] == ["pauli", "minimum"]
-    purities = [r.linear_purity for r in report.rows]
+def test_su2_report_structure(tmp_path):
+    rows = opt.optimize_conventional_ueb("su2")
+    assert [r.label for r in rows] == ["pauli", "minimum"]
+    purities = [r.linear_purity for r in rows]
     assert purities == sorted(purities, reverse=True)
-    assert report.pauli_is_optimal()
+    payload = _optimize_payload(tmp_path, "su2")
+    assert [r["linear_purity"] for r in payload["rows"]] == purities
+    assert payload["best"]["label"] == "pauli"
+    assert payload["pauli_is_optimal"] is True
 
 
 def test_unknown_group_raises():
