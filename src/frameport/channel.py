@@ -471,6 +471,8 @@ def single_shot_simulate(spec: UnitaryErrorBasis | enc.EncodingScheme,
     the transcript and adds the second moment of its net quaternions to the
     total.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
     scheme = spec if isinstance(spec, enc.EncodingScheme) else None
     basis = spec if scheme is None else scheme.eq.basis
     if scheme is not None and stream.group != scheme.subgroup.ambient:

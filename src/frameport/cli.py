@@ -180,7 +180,7 @@ def _verify_groups(report: dict) -> bool:
 def _verify_uebs(report: dict) -> bool:
     ok = True
     for name, ctor in _UEBS.items():
-        passed, dev = ueb_mod.check_ueb(ctor().mats, tol=1e-12)
+        passed, dev = ueb_mod.check_ueb(ctor().quats, tol=1e-12)
         report[f"ueb:{name}"] = {"ok": passed, "max_deviation": dev}
         ok = ok and passed
     return ok
@@ -400,9 +400,9 @@ def cmd_table1(args) -> int:
 
 def cmd_simulate(args) -> int:
     bundle = builtin_scheme(args.scheme)
-    d = bundle.basis.dim
-    _index_arg("--input", args.input, d)
-    sigma = np.zeros((d, d), dtype=np.complex128)
+    # Qubit states: the input is a basis state |0> or |1>.
+    _index_arg("--input", args.input, 2)
+    sigma = np.zeros((2, 2), dtype=np.complex128)
     sigma[args.input, args.input] = 1.0
     stream = groups.HaarStream(bundle.group, args.seed)
     t0 = time.perf_counter()

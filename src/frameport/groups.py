@@ -56,7 +56,6 @@ __all__ = [
     "quat_rotate",
     "axis_angle_quat",
     "su2_matrix",
-    "unitary_quat",
     "u1_quat",
     "z4_reduced",
     "z8_physical",
@@ -70,10 +69,6 @@ __all__ = [
     "translated_fourth_moment",
     "pair_fourth_moment",
 ]
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 # Vertices of the reference regular tetrahedron (v0 along z).
 TET_VERTICES = np.array([
@@ -182,16 +177,6 @@ def su2_matrix(q: np.ndarray) -> np.ndarray:
     mat[..., 1, 0] = y - 1j * x
     mat[..., 1, 1] = w + 1j * z
     return mat
-
-
-def unitary_quat(mat: np.ndarray) -> np.ndarray:
-    """Unit quaternion(s) q (..., 4) with mat = exp(i phi) su2_matrix(q) for
-    2x2 unitaries (..., 2, 2); the sign of q is arbitrary."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
-    v = mat * np.exp(-0.5j * np.angle(det))[..., None, None]
-    return np.stack([v[..., 0, 0].real, -v[..., 1, 0].imag,
-                     v[..., 1, 0].real, -v[..., 0, 0].imag], axis=-1)
 
 
 def u1_quat(theta) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Dense complex matrix core: validated unitaries and density matrices, the
-superoperator a channel is output as, and the purities of a Choi spectrum.
+"""Dense complex matrix core: validated density matrices, the superoperator
+a channel is output as, and the purities of a Choi spectrum.
 
 Conventions
 -----------
@@ -17,14 +17,12 @@ import numpy as np
 
 __all__ = [
     "InvariantViolation",
-    "UnitaryMatrix",
     "DensityMatrix",
     "Superoperator",
     "clamped_eigenvalues",
     "spectrum_purities",
 ]
 
-_ATOL_UNITARY = 1e-12
 _ATOL_HERM = 1e-12
 _EIG_FLOOR = 1e-14
 _NEG_EIG_TOL = 1e-9
@@ -41,25 +39,13 @@ def _as_complex(entries) -> np.ndarray:
     return mat
 
 
-class UnitaryMatrix:
-    """A d x d unitary, validated to U+ U = I within 1e-12."""
-
-    def __init__(self, mat):
-        self.mat = mat = _as_complex(mat)
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(self.dim)))
-        if dev > _ATOL_UNITARY:
-            raise InvariantViolation(f"matrix is not unitary (max deviation {dev:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD (eigenvalues >= -1e-9) matrix."""
+    """Finite, Hermitian, unit-trace, PSD (eigenvalues >= -1e-9) matrix."""
 
     def __init__(self, mat):
         self.mat = mat = _as_complex(mat)
+        if not np.isfinite(mat).all():
+            raise InvariantViolation("density matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > _ATOL_HERM:
             raise InvariantViolation("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:

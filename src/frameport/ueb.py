@@ -1,23 +1,23 @@
 """Unitary error bases and their equivariance analysis.
 
-A UEB is a set of d^2 unitaries orthonormal under the normalized
-Hilbert-Schmidt inner product (1/d) Tr(U_i+ U_j).  A finite subgroup H of the
-frame group acts on an equivariant UEB by conjugation:
-U(h)+ U_i U(h) = alpha(i, h) U_{sigma(i, h)}, with U(h) = su2_matrix(h) (the
-frame representation up to a phase that cancels), where sigma is a right
-action on the index set.  Matching of unitaries is global-phase-insensitive
-throughout (|normalized trace overlap| = 1).
+A qubit UEB is four unitaries orthonormal under the normalized
+Hilbert-Schmidt inner product (1/2) Tr(U_i+ U_j).  Every qubit unitary is a
+phase times U(q) for a unit quaternion q (groups module docstring), and
+(1/2) Tr(U(a)+ U(b)) = a . b, so a UEB is held as the (4, 4) array of its
+unit quaternions, orthonormal rows, with the phases dropped.  A finite
+subgroup H of the frame group acts on an equivariant UEB by conjugation:
+h-bar u_i h = alpha(i, h) u_{sigma(i, h)} with alpha = +-1, where sigma is a
+right action on the index set.  Matching of unitaries is phase-insensitive
+throughout (|overlap| = 1).
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .groups import FiniteSubgroup, PAULI_X, PAULI_Y, PAULI_Z, su2_matrix, \
-    unitary_quat
-from .qmat import UnitaryMatrix
+from .groups import TET_VERTICES, FiniteSubgroup, axis_angle_quat, \
+    quat_conj, quat_mul
 
 __all__ = [
     "UnitaryErrorBasis",
@@ -33,30 +33,21 @@ __all__ = [
 
 
 class UnitaryErrorBasis:
-    """d^2 ordered unitaries, orthonormal under (1/d) Tr(U_i+ U_j)."""
+    """Four ordered qubit unitaries, held as orthonormal unit quaternions."""
 
-    def __init__(self, mats):
-        self.mats = mats = np.asarray(mats, dtype=np.complex128)  # (d^2, d, d)
-        ok, dev = check_ueb(mats, tol=1e-9)
+    def __init__(self, quats):
+        self.quats = quats = np.array(quats, dtype=np.float64)   # (4, 4)
+        ok, dev = check_ueb(quats, tol=1e-9)
         if not ok:
             raise ValueError(f"not a unitary error basis (max deviation {dev:.3e})")
 
     @property
-    def dim(self) -> int:
-        return self.mats.shape[1]
-
-    @property
     def size(self) -> int:
-        return self.mats.shape[0]
-
-    @cached_property
-    def quats(self) -> np.ndarray:
-        """(d^2, 4) quaternions of the qubit elements, up to phase."""
-        return unitary_quat(self.mats)
+        return self.quats.shape[0]
 
 
 class NotEquivariantError(ValueError):
-    """Conjugation by some U(h) left the basis (up to phase)."""
+    """Conjugation by some h left the basis (up to sign)."""
 
     def __init__(self, i: int, h: int, best_overlap: float):
         self.i, self.h, self.best_overlap = i, h, best_overlap
@@ -68,16 +59,16 @@ class NotEquivariantError(ValueError):
 class EquivarianceData(NamedTuple):
     """Index action of a finite subgroup on an equivariant UEB.
 
-    sigma[i, h] = j and alpha[i, h] the phase with
-    U(h)+ U_i U(h) = alpha U_j.  Orbits partition the index set; each
-    orbit's stabilizer L fixes the base element (lowest index in the orbit)
-    and coset_reps[i] is the lowest-index H-element carrying base -> i.
+    sigma[i, h] = j and alpha[i, h] the sign with h-bar u_i h = alpha u_j.
+    Orbits partition the index set; each orbit's stabilizer L fixes the base
+    element (lowest index in the orbit) and coset_reps[i] is the lowest-index
+    H-element carrying base -> i.
     """
 
     basis: UnitaryErrorBasis
     subgroup: FiniteSubgroup
-    sigma: np.ndarray           # (d^2, |H|) int
-    alpha: np.ndarray           # (d^2, |H|) complex, unit modulus
+    sigma: np.ndarray           # (4, |H|) int
+    alpha: np.ndarray           # (4, |H|) float, +-1
     orbits: tuple[tuple[int, ...], ...]
     stabilizers: dict[int, tuple[int, ...]]   # orbit base -> H indices
     coset_reps: dict[int, int]                # UEB index -> H index
@@ -94,80 +85,65 @@ class EquivarianceData(NamedTuple):
 
 
 def pauli_ueb() -> UnitaryErrorBasis:
-    """{I, X, Y, Z} in that order."""
-    return UnitaryErrorBasis(np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]))
+    """{I, X, Y, Z} in that order: U(e_k) = -i sigma_k."""
+    return UnitaryErrorBasis(np.eye(4))
 
 
 def tetrahedral_ueb() -> UnitaryErrorBasis:
     """The tetrahedral qubit UEB (equivariant for the binary tetrahedral
-    group)."""
-    e2, e4, e5 = (np.exp(1j * k * np.pi / 3) for k in (2, 4, 5))
-    s = np.sqrt(2.0)
-    v0 = np.diag([1.0, e2])
-    v1 = np.array([[1, s * e4], [s * e4, e5]]) / np.sqrt(3)
-    v2 = np.array([[1, s * e2], [s, e5]]) / np.sqrt(3)
-    v3 = np.array([[1, s], [s * e2, e5]]) / np.sqrt(3)
-    return UnitaryErrorBasis(np.stack([v0, v1, v2, v3]))
-
-
-def _rz(angle: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)])
+    group): the 120-degree rotations about the reference tetrahedron's
+    vertices."""
+    return UnitaryErrorBasis([axis_angle_quat(v, 2 * np.pi / 3)
+                              for v in TET_VERTICES])
 
 
 def z4_family_ueb(theta: float, phi: float) -> UnitaryErrorBasis:
-    """Two-parameter family of Z4-equivariant qubit UEBs; (pi, 0) recovers the
-    Pauli UEB up to per-element phases."""
-    rp = _rz(phi)
-    return UnitaryErrorBasis(np.stack([
-        _rz(theta - np.pi),
-        rp @ PAULI_X @ rp.conj().T,
-        rp @ PAULI_Y @ rp.conj().T,
-        _rz(theta),
-    ]))
+    """Two-parameter family of Z4-equivariant qubit UEBs: z-rotations by
+    theta - pi and theta, and X and Y turned by phi about z.  (pi, 0) gives
+    the Pauli UEB to rounding."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    cp, sp = np.cos(phi), np.sin(phi)
+    return UnitaryErrorBasis([[s, 0, 0, -c], [0, cp, sp, 0],
+                              [0, -sp, cp, 0], [c, 0, 0, s]])
 
 
-def general_qubit_ueb(U: UnitaryMatrix, V: UnitaryMatrix) -> UnitaryErrorBasis:
-    """{U X_i V} for the Pauli basis X_i; any unitary pair gives a UEB."""
-    paulis = pauli_ueb().mats
-    return UnitaryErrorBasis(np.einsum("ab,nbc,cd->nad", U.mat, paulis, V.mat))
+def general_qubit_ueb(u, v) -> UnitaryErrorBasis:
+    """{u e_k v} for the Pauli quaternions e_k; any unit quaternions u, v
+    give a UEB."""
+    return UnitaryErrorBasis(quat_mul(quat_mul(u, np.eye(4)), v))
 
 
-def check_ueb(mats, tol: float = 1e-9) -> tuple[bool, float]:
-    """Verify unitarity and Hilbert-Schmidt orthonormality.
+def check_ueb(quats, tol: float = 1e-9) -> tuple[bool, float]:
+    """Verify that quats is four finite unit quaternions, orthonormal: the
+    Gram matrix quats quats^T is the identity within tol.
 
-    Returns (ok, max deviation); does not raise on failure.
+    Returns (ok, max deviation), with deviation inf for a wrong shape or a
+    non-finite entry; does not raise on failure.
     """
-    mats = np.asarray(mats, dtype=np.complex128)
-    n, d, _ = mats.shape
-    dev = 0.0
-    for m in mats:
-        dev = max(dev, float(np.max(np.abs(m.conj().T @ m - np.eye(d)))))
-    gram = np.einsum("mab,nab->mn", mats.conj(), mats) / d
-    dev = max(dev, float(np.max(np.abs(gram - np.eye(n)))))
+    quats = np.asarray(quats, dtype=np.float64)
+    if quats.shape != (4, 4) or not np.isfinite(quats).all():
+        return False, float("inf")
+    dev = float(np.max(np.abs(quats @ quats.T - np.eye(4))))
     return dev <= tol, dev
 
 
 def equivariance_analysis(basis: UnitaryErrorBasis, sub: FiniteSubgroup
                           ) -> EquivarianceData:
-    """Extract the index action sigma, phases alpha, orbits, stabilizers,
+    """Extract the index action sigma, signs alpha, orbits, stabilizers,
     and coset representatives of H acting on the UEB by conjugation."""
-    d = basis.dim
-    mats = basis.mats
-    r = su2_matrix(sub.payloads)
-    conj = np.einsum("hba,nbc,hcd->hnad", r.conj(), mats, r)
-    # overlaps[h, i, j] = (1/d) Tr(U_j+ U(h)+ U_i U(h))
-    overlaps = np.einsum("hiab,jab->hij", conj, mats.conj()) / d
-    mags = np.abs(overlaps)
-    js = np.argmax(mags, axis=2)
-    best = np.take_along_axis(mags, js[..., None], axis=2)[..., 0]
+    u, g = basis.quats, sub.payloads[:, None]
+    # overlaps[h, i, j] = (h-bar u_i h) . u_j
+    overlaps = quat_mul(quat_mul(quat_conj(g), u), g) @ u.T
+    js = np.argmax(np.abs(overlaps), axis=2)
+    picked = np.take_along_axis(overlaps, js[..., None], axis=2)[..., 0]
+    best = np.abs(picked)
     bad = np.abs(best - 1.0) > 1e-9
     if bad.any():
         # The first failure in h-major order.
         h, i = np.argwhere(bad)[0]
         raise NotEquivariantError(int(i), int(h), float(best[h, i]))
     sigma = np.ascontiguousarray(js.T)
-    alpha = np.ascontiguousarray(
-        np.take_along_axis(overlaps, js[..., None], axis=2)[..., 0].T)
+    alpha = np.ascontiguousarray(np.sign(picked).T)
     orbits = tuple(sorted({tuple(sorted(set(row.tolist()))) for row in sigma}))
     stabilizers = {o[0]: tuple(np.flatnonzero(sigma[o[0]] == o[0]).tolist())
                    for o in orbits}

@@ -1,16 +1,18 @@
-"""Reference maps that only the tests use: the component formula of the
-quaternion product, the np.cross form of a rotation, the dense Choi layer
-(the Choi state of a superoperator, its TP/CP validation, mixtures and map
-purities), the conjugation superoperator of a unitary, the von Neumann
+"""Reference maps that only the tests use: the complex matrices of the
+built-in UEBs and their phase-insensitive comparison, the component formula
+of the quaternion product, the np.cross form of a rotation, the dense Choi
+layer (the Choi state of a superoperator, its TP/CP validation, mixtures and
+map purities), the conjugation superoperator of a unitary, the von Neumann
 entropy, the linear purity of a channel estimate with its bootstrap error,
 the conventional channel of one result or of all, the map purity of one
-estimate and the mean-result purity of several, raw Haar draws and substreams of a stream, the distance-based
-nearest-element search, the perfect-scheme realignment of a correction, the
-dense teleportation through a resource (measurement basis, Born
-probabilities, pre-correction unitary), the one-shot and the single-reading
-decode, uniform readings of a scheme and equal-measure bins of them, the
-per-triple and 4x4-matrix forms of the two optimize objectives, and the
-Haar fourth-moment tensor of the rotation-group objective."""
+estimate and the mean-result purity of several, raw Haar draws and
+substreams of a stream, the distance-based nearest-element search, the
+perfect-scheme realignment of a correction, the dense teleportation through
+a resource (measurement basis, Born probabilities, pre-correction unitary),
+the one-shot and the single-reading decode, uniform readings of a scheme and
+equal-measure bins of them, the per-triple and 4x4-matrix forms of the two
+optimize objectives, and the Haar fourth-moment tensor of the rotation-group
+objective."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -23,10 +25,35 @@ from frameport.channel import ChannelEstimate, fourth_moment_map, \
 from frameport.encoding import EncodingScheme, decode_batch
 from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
     canonical_sign, first_lifts, haar_batch, haar_fourth_moment, quat_conj, \
-    quat_mul, quat_rotate
+    quat_mul, quat_rotate, su2_matrix
 from frameport.qmat import DensityMatrix, InvariantViolation, Superoperator, \
-    UnitaryMatrix, _entropy, clamped_eigenvalues, spectrum_purities
+    _entropy, clamped_eigenvalues, spectrum_purities
 from frameport.ueb import UnitaryErrorBasis
+
+
+def _tetrahedral_matrices() -> np.ndarray:
+    e2, e4, e5 = (np.exp(1j * k * np.pi / 3) for k in (2, 4, 5))
+    s = np.sqrt(2.0)
+    return np.stack([
+        np.diag([1.0, e2]),
+        np.array([[1, s * e4], [s * e4, e5]]) / np.sqrt(3),
+        np.array([[1, s * e2], [s, e5]]) / np.sqrt(3),
+        np.array([[1, s], [s * e2, e5]]) / np.sqrt(3),
+    ])
+
+
+# The complex 2x2 matrices of the two built-in UEBs, in basis order:
+# {I, X, Y, Z}, and the tetrahedral UEB in its published matrix form.
+PAULI_MATRICES = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                           [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+TETRAHEDRAL_MATRICES = _tetrahedral_matrices()
+
+
+def phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of |a - c b| over the stacks of 2x2 unitaries a, b
+    (..., 2, 2), with c = (1/2) Tr(b+ a), the global phase per matrix."""
+    c = np.einsum("...ab,...ab->...", b.conj(), a) / 2
+    return float(np.max(np.abs(a - c[..., None, None] * b)))
 
 
 def component_quat_mul(a, b) -> np.ndarray:
@@ -131,9 +158,10 @@ def map_purity(S: Superoperator) -> float:
     return float(spectrum_purities(choi(S).eigenvalues())[0])
 
 
-def conjugation_superoperator(U: UnitaryMatrix) -> Superoperator:
-    """Superoperator of sigma -> U sigma U+."""
-    m = U.mat
+def conjugation_superoperator(m: np.ndarray) -> Superoperator:
+    """Superoperator of sigma -> M sigma M+ for a unitary M, validated as a
+    channel."""
+    m = np.asarray(m, dtype=np.complex128)
     return checked_channel(np.kron(m.conj(), m))
 
 
@@ -234,22 +262,20 @@ def realigned_correction(scheme: EncodingScheme, u_j: np.ndarray,
 
 def measurement_basis(basis: UnitaryErrorBasis, x: np.ndarray
                       ) -> np.ndarray:
-    """Columns |phi_k> = (1/sqrt d) sum_i |i> (U_k X)^T |i> of Alice's
-    measurement with the UEB basis and the resource (1 (x) X)|Phi+>."""
-    d = basis.dim
-    return np.stack([(u @ x).reshape(d * d) / np.sqrt(d)
-                     for u in basis.mats], axis=1)
+    """Columns |phi_k> = (1/sqrt 2) sum_i |i> (U_k X)^T |i> of Alice's
+    measurement with the UEB basis, U_k = su2_matrix(basis.quats[k]), and
+    the resource (1 (x) X)|Phi+>."""
+    return np.stack([(u @ x).reshape(4) / np.sqrt(2)
+                     for u in su2_matrix(basis.quats)], axis=1)
 
 
 def born_probabilities(basis: UnitaryErrorBasis, x: np.ndarray,
                        sigma: np.ndarray) -> np.ndarray:
     """Probabilities of Alice's results on sigma (x) eta, with the resource
-    state eta = (1/sqrt d) sum_k |k> X|k>, from the dense joint state:
+    state eta = (1/sqrt 2) sum_k |k> X|k>, from the dense joint state:
     the trace of <phi_k| on its first two factors."""
-    d = basis.dim
-    eta = x.T.reshape(d * d) / np.sqrt(d)
-    joint = np.kron(sigma, np.outer(eta, eta.conj())).reshape(
-        d * d, d, d * d, d)
+    eta = x.T.reshape(4) / np.sqrt(2)
+    joint = np.kron(sigma, np.outer(eta, eta.conj())).reshape(4, 2, 4, 2)
     meas = measurement_basis(basis, x)
     return np.array([np.einsum("a,abcb,c->", phi.conj(), joint, phi).real
                      for phi in meas.T])
@@ -259,7 +285,7 @@ def premeasurement_unitary(basis: UnitaryErrorBasis, x: np.ndarray, k: int
                            ) -> np.ndarray:
     """The unitary M_k = X (U_k X)+ with Bob's state M_k sigma M_k+ after
     result k, before his correction."""
-    return x @ (basis.mats[k] @ x).conj().T
+    return x @ (su2_matrix(basis.quats[k]) @ x).conj().T
 
 
 def decode(scheme: EncodingScheme, x) -> int:

@@ -75,18 +75,19 @@ def test_acceptance_1_structural():
         except Exception:
             ok = False
     for basis in (pauli_ueb(), tetrahedral_ueb()):
-        passed, dev = ueb_mod.check_ueb(basis.mats, tol=1e-12)
+        passed, dev = ueb_mod.check_ueb(basis.quats, tol=1e-12)
         ok = ok and passed
     pairs = [(pauli_ueb(), "z4"), (pauli_ueb(), "z8"),
              (pauli_ueb(), "boct"), (tetrahedral_ueb(), "btet")]
     for basis, sub_name in pairs:
         eq = equivariance_analysis(basis, groups.subgroup_by_name(sub_name))
+        mats = groups.su2_matrix(basis.quats)
         # Exhaustive table check: the conjugation identity for every (h, i).
         for h in range(eq.subgroup.order):
             r = groups.su2_matrix(eq.subgroup.payloads[h])
             for i in range(basis.size):
-                lhs = r.conj().T @ basis.mats[i] @ r
-                rhs = eq.alpha[i, h] * basis.mats[eq.sigma[i, h]]
+                lhs = r.conj().T @ mats[i] @ r
+                rhs = eq.alpha[i, h] * mats[eq.sigma[i, h]]
                 ok = ok and np.max(np.abs(lhs - rhs)) < 1e-9
     seconds = time.perf_counter() - t0
     ok = ok and seconds < 10

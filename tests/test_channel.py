@@ -14,14 +14,14 @@ from frameport import cli
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream, su2_matrix
-from frameport.qmat import DensityMatrix, Superoperator, UnitaryMatrix, \
+from frameport.qmat import DensityMatrix, Superoperator, \
     clamped_eigenvalues, spectrum_purities
 from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
     pauli_ueb, tetrahedral_ueb
-from qmat_reference import born_probabilities, choi, choi_matrix, \
-    conventional_estimate, linear_map_purity, linear_purity_with_error, \
-    map_purity, mean_result, measurement_basis, premeasurement_unitary, \
-    purity_with_error, realigned_correction
+from qmat_reference import PAULI_MATRICES, born_probabilities, choi, \
+    choi_matrix, conventional_estimate, linear_map_purity, \
+    linear_purity_with_error, map_purity, mean_result, measurement_basis, \
+    premeasurement_unitary, purity_with_error, realigned_correction
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
@@ -48,7 +48,7 @@ def test_resource_cancels_from_every_result():
     # and Bob's pre-correction unitary X (U_x X)+ is U_x+ up to phase.  The
     # simulator and every channel assume both.
     rng = np.random.default_rng(30)
-    for x in (np.eye(2), -1j * groups.PAULI_Y):
+    for x in (np.eye(2), -1j * PAULI_MATRICES[2]):
         for basis in (pauli_ueb(), tetrahedral_ueb()):
             meas = measurement_basis(basis, x)
             assert np.max(np.abs(meas.conj().T @ meas - np.eye(4))) <= 1e-15
@@ -57,7 +57,7 @@ def test_resource_cancels_from_every_result():
                 sigma = a @ a.conj().T / np.trace(a @ a.conj().T)
                 p = born_probabilities(basis, x, sigma)
                 assert np.max(np.abs(p - 0.25)) <= 1e-15, p
-            for k, u in enumerate(basis.mats):
+            for k, u in enumerate(su2_matrix(basis.quats)):
                 m = premeasurement_unitary(basis, x, k)
                 phase = np.trace(u @ m) / 2
                 assert abs(abs(phase) - 1.0) <= 1e-15
@@ -84,10 +84,9 @@ def test_u1_conventional_quadrature_matches_fine_grid():
     t = np.arange(101) * 2 * np.pi / 101
     rho = np.zeros((len(t), 2, 2), dtype=np.complex128)
     rho[:, 0, 0], rho[:, 1, 1] = 1.0, np.exp(-2j * t)
-    u, v = (UnitaryMatrix(groups.su2_matrix(q))
-            for q in groups.sample_su2(np.random.default_rng(9), 2))
+    u, v = groups.sample_su2(np.random.default_rng(9), 2)
     for basis in (pauli_ueb(), general_qubit_ueb(u, v)):
-        for i, m in enumerate(basis.mats):
+        for i, m in enumerate(su2_matrix(basis.quats)):
             w = np.einsum("nba,bc,ncd,ed->nae", rho.conj(), m, rho, m.conj())
             ref = np.einsum("nab,ncd->acbd", w.conj(), w).reshape(4, 4)
             est = conventional_estimate(basis, "u1", i)
@@ -516,7 +515,7 @@ def _direct_block_sums(basis, r, result, accept):
     """Reference: per-block sums of kron(conj W, W) for the 2x2 unitaries
     W = rho(g)+ U_i rho(g) U_i+ of the frame matrices r = rho(g), bucketed by
     sample index."""
-    u = basis.mats[result]
+    u = su2_matrix(basis.quats[result])
     w = np.einsum("nba,bc,ncd,ed->nae", r.conj(), u, r, u.conj())
     kron = np.einsum("nab,ncd->nacbd", w.conj(), w).reshape(-1, 4, 4)
     n = len(r)
@@ -694,6 +693,14 @@ def test_single_shot_conventional_matches_channel():
     assert np.max(np.abs(out.mat - expected)) < 5e-3
 
 
+@pytest.mark.parametrize("shots", [0, -1])
+def test_single_shot_needs_a_shot(shots):
+    basis, _ = u1_bundle()
+    sigma = DensityMatrix(np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="shots"):
+        ch.single_shot_simulate(basis, sigma, HaarStream("u1", 21), shots)
+
+
 def test_single_shot_perfect_reconstructs_exactly():
     basis = tetrahedral_ueb()
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
@@ -789,15 +796,14 @@ def _superop_from_transcript(basis, transcript):
     """Mean of kron(conj V, V) over all the shots of a transcript at once,
     with V = rho(g)+ U_j rho(g) M_x for each shot's misalignment g, result x
     and decoded index j (the correction of a scheme that does not
-    reconstruct the frame), composed as quaternions; M_x is the dense
-    pre-correction unitary of the resource X = I."""
+    reconstruct the frame): rho(g)+ U_j rho(g) composed as quaternions,
+    then times the dense pre-correction unitary M_x of the resource X = I."""
     g = transcript["g"]
-    pre = groups.unitary_quat(np.stack([
-        premeasurement_unitary(basis, np.eye(2), x)
-        for x in range(basis.size)]))
+    pre = np.stack([premeasurement_unitary(basis, np.eye(2), x)
+                    for x in range(basis.size)])
     corr = groups.quat_mul(groups.quat_mul(
         groups.quat_conj(g), basis.quats[transcript["decoded"]]), g)
-    v = su2_matrix(groups.quat_mul(corr, pre[transcript["result"]]))
+    v = su2_matrix(corr) @ pre[transcript["result"]]
     # Shots on the last, contiguous axis: numpy then sums them pairwise.
     terms = np.einsum("nab,ncd->nacbd", v.conj(), v).reshape(len(v), 16)
     return np.ascontiguousarray(terms.T).sum(axis=1).reshape(4, 4) / len(v)

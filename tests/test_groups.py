@@ -14,7 +14,7 @@ from frameport.groups import (
     HaarStream, axis_angle_quat, binary_octahedral, binary_tetrahedral,
     canonical_sign, quat_conj, quat_mul, quat_rotate,
     sample_su2, su2_matrix, subgroup_by_name, tetrahedral, u1_quat,
-    unitary_quat, z4_reduced, z8_physical,
+    z4_reduced, z8_physical,
 )
 
 from qmat_reference import child_stream, component_quat_conj, \
@@ -75,13 +75,6 @@ def test_quat_mul_composes_su2_matrices_to_rounding():
     a, b = random_quat(n=1000), random_quat(n=1000)
     assert np.max(np.abs(su2_matrix(quat_mul(a, b))
                          - su2_matrix(a) @ su2_matrix(b))) < 1e-15
-
-
-def test_unitary_quat_inverts_su2_matrix_up_to_phase():
-    q = random_quat(n=50)
-    phases = np.exp(1j * RNG.uniform(0, 2 * np.pi, size=50))
-    got = unitary_quat(phases[:, None, None] * su2_matrix(q))
-    assert np.allclose(np.abs(np.sum(got * q, axis=1)), 1.0, atol=1e-12)
 
 
 def test_quat_conj_is_inverse():

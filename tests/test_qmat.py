@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frameport.qmat import DensityMatrix, InvariantViolation, UnitaryMatrix
+from frameport.qmat import DensityMatrix, InvariantViolation
 from qmat_reference import checked_channel, choi, conjugation_superoperator, \
     linear_map_purity, map_purity, mix, von_neumann_entropy
 
@@ -18,19 +18,24 @@ def random_unitary(rng=RNG, d: int = 2) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_unitary_matrix_rejects_non_unitary():
-    with pytest.raises(InvariantViolation):
-        UnitaryMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(InvariantViolation):
         DensityMatrix(np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        DensityMatrix(np.full((2, 2), bad))
+    mat = np.diag([1.0, 0.0]).astype(np.complex128)
+    mat[1, 1] = bad
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        DensityMatrix(mat)
+
+
 def test_conjugation_superoperator_action():
     u = random_unitary()
-    s = conjugation_superoperator(UnitaryMatrix(u))
+    s = conjugation_superoperator(u)
     rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
     assert np.allclose(s.apply(rho), u @ rho @ u.conj().T, atol=1e-12)
 
@@ -43,7 +48,7 @@ def test_identity_channel_choi_is_maximally_entangled():
 
 
 def test_unitary_conjugation_choi_is_pure():
-    s = conjugation_superoperator(UnitaryMatrix(random_unitary()))
+    s = conjugation_superoperator(random_unitary())
     ev = choi(s).eigenvalues()
     assert np.max(ev) == pytest.approx(1.0, abs=1e-10)
     assert map_purity(s) == pytest.approx(1.0, abs=1e-10)
@@ -77,7 +82,7 @@ def test_mix_of_pauli_conjugations_is_depolarizing():
               np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]),
               np.array([[1, 0], [0, -1]])]
-    parts = [(0.25, conjugation_superoperator(UnitaryMatrix(p)))
+    parts = [(0.25, conjugation_superoperator(p))
              for p in paulis]
     s = mix(parts)
     rho = np.array([[0.9, 0.2], [0.2, 0.1]], dtype=np.complex128)
@@ -101,7 +106,7 @@ def test_random_unitary_mixture_invariants(seed):
     w = rng.random(k)
     w /= w.sum()
     parts = [(float(wi),
-              conjugation_superoperator(UnitaryMatrix(random_unitary(rng))))
+              conjugation_superoperator(random_unitary(rng)))
              for wi in w]
     s = mix(parts)
     c = choi(s)
