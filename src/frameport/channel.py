@@ -1,6 +1,7 @@
 """Assembly of the effective teleportation channels (conventional, tight,
-perfect) by quadrature or seeded Monte Carlo, plus an end-to-end single-shot
-protocol simulator for cross-validation.
+perfect) by quadrature or seeded Monte Carlo, their purity figures, and an
+end-to-end single-shot protocol simulator for cross-validation, which takes
+and returns validated density matrices.
 
 Frame conventions
 -----------------
@@ -45,10 +46,13 @@ M = E[w w^T].  Conjugating the channel by U(r) maps M to Q M Q^T, with Q
 the orthogonal matrix of w -> r w r-bar.  Every estimate therefore carries
 its trace-1 moment and its bootstrap moments: spectra, purities, error
 bars, mixtures and orbit conjugates are real 4x4 array operations, and the
-superoperator is formed only for output.  They are stacked over results:
-the exact moments of several unitaries are one contraction, a tight
-scheme's orbit results one conjugation C^T M C of its base moment and of
-its replicates, and the purity figures of several estimates one eigenvalue
+superoperator, a complex d^2 x d^2 array acting on column-stacked inputs
+vec(sigma) = sigma.flatten(order='F'), is formed only for output (the
+conjugation by U is kron(conj U, U)).  Entropies are in nats, and the map
+purity is 1 - S/ln(d^2).  These operations are stacked over results: the
+exact moments of several unitaries are one contraction, a tight scheme's
+orbit results one conjugation C^T M C of its base moment and of its
+replicates, and the purity figures of several estimates one eigenvalue
 call over their moments and one over their replicates (purity_figures).
 
 Monte Carlo draws run in batches of _BATCH = 2^13 samples, each from its
@@ -92,17 +96,19 @@ import numpy as np
 from . import encoding as enc
 from . import groups
 from .groups import HaarStream, quat_conj, quat_mul, su2_matrix
-from .qmat import DensityMatrix, Superoperator, clamped_eigenvalues, \
-    spectrum_purities
 from .ueb import UnitaryErrorBasis
 
 if TYPE_CHECKING:
     from numpy.random import Generator
 
 __all__ = [
+    "InvariantViolation",
+    "DensityMatrix",
     "ChannelEstimate",
     "result_estimates",
     "purity_figures",
+    "clamped_eigenvalues",
+    "spectrum_purities",
     "mix_estimates",
     "single_shot_simulate",
     "fourth_moment_map",
@@ -145,8 +151,9 @@ class ChannelEstimate(NamedTuple):
         return "quadrature" if self.replicates is None else "monte-carlo"
 
     @property
-    def superop(self) -> Superoperator:
-        return Superoperator(_moment_superop(self.moment))
+    def superop(self) -> np.ndarray:
+        """(d^2, d^2) complex superoperator, for output."""
+        return _moment_superop(self.moment)
 
     @property
     def stderr(self) -> np.ndarray | None:
@@ -171,6 +178,25 @@ def purity_figures(estimates: list[ChannelEstimate]
         errors[sampled] = np.std(
             spectrum_purities(clamped_eigenvalues(reps))[0], axis=-1, ddof=1)
     return spectra, purity, errors, linear
+
+
+def _entropy(vals: np.ndarray) -> np.ndarray:
+    """-sum lambda ln lambda over the last axis in nats, with 0 ln 0 := 0."""
+    return -np.sum(vals * np.log(np.where(vals > 0, vals, 1.0)), axis=-1)
+
+
+def clamped_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Ascending spectra of Hermitian matrices (..., n, n), with eigenvalues
+    below 1e-14 read as 0."""
+    vals = np.linalg.eigvalsh(mats)
+    return np.where(vals < 1e-14, 0.0, vals)
+
+
+def spectrum_purities(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized purity 1 - S/ln(n) and linear purity sum lambda^2 of
+    unit-trace clamped spectra (..., n), such as Choi spectra (n = d^2)."""
+    return (1.0 - _entropy(vals) / np.log(vals.shape[-1]),
+            np.sum(vals * vals, axis=-1))
 
 
 def mix_estimates(parts: list[ChannelEstimate]) -> ChannelEstimate:
@@ -452,6 +478,27 @@ def _corrections(table: np.ndarray, decoded: np.ndarray, z: np.ndarray
 # Single-shot simulator
 # ---------------------------------------------------------------------------
 
+class InvariantViolation(ValueError):
+    """Raised when a matrix is not a density matrix."""
+
+
+class DensityMatrix:
+    """Finite, Hermitian, unit-trace, PSD (eigenvalues >= -1e-9) matrix."""
+
+    def __init__(self, mat):
+        self.mat = mat = np.asarray(mat, dtype=np.complex128)
+        if not np.isfinite(mat).all():
+            raise InvariantViolation("density matrix has a non-finite entry")
+        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+            raise InvariantViolation("density matrix is not Hermitian")
+        tr = np.trace(mat)
+        if abs(tr.real - 1.0) > 1e-12 or abs(tr.imag) > 1e-12:
+            raise InvariantViolation(f"trace is {tr}, expected 1")
+        lo = float(np.min(np.linalg.eigvalsh(mat)))
+        if lo < -1e-9:
+            raise InvariantViolation(f"negative eigenvalue {lo:.3e}")
+
+
 def single_shot_simulate(spec: UnitaryErrorBasis | enc.EncodingScheme,
                          sigma: DensityMatrix, stream: HaarStream,
                          shots: int = 1) -> tuple[DensityMatrix, dict]:
@@ -516,8 +563,9 @@ def single_shot_simulate(spec: UnitaryErrorBasis | enc.EncodingScheme,
         corr = _corrections(table, decoded[block], z)
         moment += _moment(quat_mul(corr, np.take(pre, res, axis=0)))
 
-    mean_superop = Superoperator(_moment_superop(moment) / shots)
-    out = mean_superop.apply(sigma.mat)
+    mean_superop = _moment_superop(moment) / shots
+    out = (mean_superop @ sigma.mat.flatten(order="F")).reshape(
+        2, 2, order="F")
     out = 0.5 * (out + out.conj().T)
     out = out / np.trace(out).real
     transcript = {

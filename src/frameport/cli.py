@@ -35,7 +35,6 @@ from . import channel as ch
 from . import encoding as enc
 from . import groups
 from . import ueb as ueb_mod
-from .qmat import DensityMatrix
 
 __all__ = ["main", "build_id", "builtin_scheme", "SCHEME_NAMES"]
 
@@ -167,8 +166,8 @@ def _emit(args, payload: dict, rows: list[dict], samples: int) -> None:
 def _verify_groups(report: dict) -> bool:
     ok = True
     for name in ("z4", "z8", "tet", "btet", "boct"):
-        sub = groups.subgroup_by_name(name)
         try:
+            sub = groups.subgroup_by_name(name)
             sub.check_axioms()
             report[f"group:{name}"] = {"ok": True, "order": sub.order}
         except Exception as exc:            # noqa: BLE001 - report and fail
@@ -180,8 +179,12 @@ def _verify_groups(report: dict) -> bool:
 def _verify_uebs(report: dict) -> bool:
     ok = True
     for name, ctor in _UEBS.items():
-        passed, dev = ueb_mod.check_ueb(ctor().quats, tol=1e-12)
-        report[f"ueb:{name}"] = {"ok": passed, "max_deviation": dev}
+        try:
+            passed, dev = ueb_mod.check_ueb(ctor().quats, tol=1e-12)
+            report[f"ueb:{name}"] = {"ok": passed, "max_deviation": dev}
+        except ValueError as exc:
+            passed = False
+            report[f"ueb:{name}"] = {"ok": False, "error": str(exc)}
         ok = ok and passed
     return ok
 
@@ -205,7 +208,7 @@ def _verify_equivariance(report: dict, pairs=_EQ_PAIRS) -> bool:
                            "stabilizer_orders": {
                                str(b): len(s)
                                for b, s in eq.stabilizers.items()}}
-        except ueb_mod.NotEquivariantError as exc:
+        except ValueError as exc:
             ok = False
             report[key] = {"ok": False, "error": str(exc)}
     return ok
@@ -220,7 +223,13 @@ def _verify_schemes(report: dict, seed: int, names=None) -> tuple[bool, int]:
     passed and how many readings they drew."""
     ok, drawn = True, 0
     for name in names or ENCODED_SCHEMES:
-        bundle = builtin_scheme(name)
+        try:
+            bundle = builtin_scheme(name)
+        except ValueError as exc:
+            ok = False
+            for key in ("compatibility", "finite-subgroup"):
+                report[f"{key}:{name}"] = {"ok": False, "error": str(exc)}
+            continue
         scheme, stream = bundle.scheme, groups.HaarStream(bundle.group, seed)
         checks = enc.check_scheme(scheme, stream,
                                   samples_per_case=_CHECK_SAMPLES)
@@ -338,7 +347,7 @@ def cmd_channel(args) -> int:
         "scheme": bundle.name,
         "method": est.method,
         "interpretation": interpretation,
-        "superoperator": est.superop.mat,
+        "superoperator": est.superop,
         "choi_spectrum": spectra[0],
         "map_purity": purity,
         "map_purity_stderr": p_err,
@@ -407,7 +416,7 @@ def cmd_simulate(args) -> int:
     stream = groups.HaarStream(bundle.group, args.seed)
     t0 = time.perf_counter()
     out, transcript = ch.single_shot_simulate(
-        bundle.scheme or bundle.basis, DensityMatrix(sigma), stream,
+        bundle.scheme or bundle.basis, ch.DensityMatrix(sigma), stream,
         shots=args.shots)
     seconds = time.perf_counter() - t0
     fidelity = float(out.mat[args.input, args.input].real)

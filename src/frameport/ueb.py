@@ -6,8 +6,9 @@ phase times U(q) for a unit quaternion q (groups module docstring), and
 (1/2) Tr(U(a)+ U(b)) = a . b, so a UEB is held as the (4, 4) array of its
 unit quaternions, orthonormal rows, with the phases dropped.  A finite
 subgroup H of the frame group acts on an equivariant UEB by conjugation:
-h-bar u_i h = alpha(i, h) u_{sigma(i, h)} with alpha = +-1, where sigma is a
-right action on the index set.  Matching of unitaries is phase-insensitive
+h-bar u_i h = alpha(i, h) u_{sigma(i, h)} with a sign alpha = +-1, a
+property of the basis that nothing here stores, where sigma is a right
+action on the index set.  Matching of unitaries is phase-insensitive
 throughout (|overlap| = 1).
 """
 from __future__ import annotations
@@ -59,7 +60,7 @@ class NotEquivariantError(ValueError):
 class EquivarianceData(NamedTuple):
     """Index action of a finite subgroup on an equivariant UEB.
 
-    sigma[i, h] = j and alpha[i, h] the sign with h-bar u_i h = alpha u_j.
+    sigma[i, h] = j with h-bar u_i h = +-u_j.
     Orbits partition the index set; each orbit's stabilizer L fixes the base
     element (lowest index in the orbit) and coset_reps[i] is the lowest-index
     H-element carrying base -> i.
@@ -68,7 +69,6 @@ class EquivarianceData(NamedTuple):
     basis: UnitaryErrorBasis
     subgroup: FiniteSubgroup
     sigma: np.ndarray           # (4, |H|) int
-    alpha: np.ndarray           # (4, |H|) float, +-1
     orbits: tuple[tuple[int, ...], ...]
     stabilizers: dict[int, tuple[int, ...]]   # orbit base -> H indices
     coset_reps: dict[int, int]                # UEB index -> H index
@@ -129,25 +129,23 @@ def check_ueb(quats, tol: float = 1e-9) -> tuple[bool, float]:
 
 def equivariance_analysis(basis: UnitaryErrorBasis, sub: FiniteSubgroup
                           ) -> EquivarianceData:
-    """Extract the index action sigma, signs alpha, orbits, stabilizers,
-    and coset representatives of H acting on the UEB by conjugation."""
+    """Extract the index action sigma, orbits, stabilizers, and coset
+    representatives of H acting on the UEB by conjugation."""
     u, g = basis.quats, sub.payloads[:, None]
-    # overlaps[h, i, j] = (h-bar u_i h) . u_j
-    overlaps = quat_mul(quat_mul(quat_conj(g), u), g) @ u.T
-    js = np.argmax(np.abs(overlaps), axis=2)
-    picked = np.take_along_axis(overlaps, js[..., None], axis=2)[..., 0]
-    best = np.abs(picked)
+    # overlaps[h, i, j] = |(h-bar u_i h) . u_j|
+    overlaps = np.abs(quat_mul(quat_mul(quat_conj(g), u), g) @ u.T)
+    js = np.argmax(overlaps, axis=2)
+    best = np.max(overlaps, axis=2)
     bad = np.abs(best - 1.0) > 1e-9
     if bad.any():
         # The first failure in h-major order.
         h, i = np.argwhere(bad)[0]
         raise NotEquivariantError(int(i), int(h), float(best[h, i]))
     sigma = np.ascontiguousarray(js.T)
-    alpha = np.ascontiguousarray(np.sign(picked).T)
     orbits = tuple(sorted({tuple(sorted(set(row.tolist()))) for row in sigma}))
     stabilizers = {o[0]: tuple(np.flatnonzero(sigma[o[0]] == o[0]).tolist())
                    for o in orbits}
     coset_reps = {i: int(np.argmax(sigma[o[0]] == i))
                   for o in orbits for i in o}
-    return EquivarianceData(basis, sub, sigma, alpha, orbits,
-                            stabilizers, coset_reps)
+    return EquivarianceData(basis, sub, sigma, orbits, stabilizers,
+                            coset_reps)

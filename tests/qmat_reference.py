@@ -1,7 +1,9 @@
 """Reference maps that only the tests use: the complex matrices of the
-built-in UEBs and their phase-insensitive comparison, the component formula
-of the quaternion product, the np.cross form of a rotation, the dense Choi
-layer (the Choi state of a superoperator, its TP/CP validation, mixtures and
+built-in UEBs and their phase-insensitive comparison, the signs of the
+index action of an equivariant UEB, the component formula of the quaternion
+product, the np.cross form of a rotation, the dense Choi layer on
+superoperators held as (d^2, d^2) complex arrays on column-stacked inputs
+(their action on a state, the Choi state, its TP/CP validation, mixtures and
 map purities), the conjugation superoperator of a unitary, the von Neumann
 entropy, the linear purity of a channel estimate with its bootstrap error,
 the conventional channel of one result or of all, the map purity of one
@@ -20,15 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from frameport.channel import ChannelEstimate, fourth_moment_map, \
-    mix_estimates, purity_figures, result_estimates
+from frameport.channel import ChannelEstimate, DensityMatrix, \
+    InvariantViolation, _entropy, clamped_eigenvalues, fourth_moment_map, \
+    mix_estimates, purity_figures, result_estimates, spectrum_purities
 from frameport.encoding import EncodingScheme, decode_batch
 from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
     canonical_sign, first_lifts, haar_batch, haar_fourth_moment, quat_conj, \
     quat_mul, quat_rotate, su2_matrix
-from frameport.qmat import DensityMatrix, InvariantViolation, Superoperator, \
-    _entropy, clamped_eigenvalues, spectrum_purities
-from frameport.ueb import UnitaryErrorBasis
+from frameport.ueb import EquivarianceData, UnitaryErrorBasis
 
 
 def _tetrahedral_matrices() -> np.ndarray:
@@ -54,6 +55,14 @@ def phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     (..., 2, 2), with c = (1/2) Tr(b+ a), the global phase per matrix."""
     c = np.einsum("...ab,...ab->...", b.conj(), a) / 2
     return float(np.max(np.abs(a - c[..., None, None] * b)))
+
+
+def equivariance_signs(eq: EquivarianceData) -> np.ndarray:
+    """alpha (4, |H|) with h-bar u_i h = alpha[i, h] u_sigma(i, h): the sign
+    of the overlap (h-bar u_i h) . u_sigma(i, h) of the quaternions."""
+    u, h = eq.basis.quats, eq.subgroup.payloads[:, None]
+    conj = quat_mul(quat_mul(quat_conj(h), u), h)       # (|H|, 4, 4)
+    return np.sign(np.sum(conj * u[eq.sigma.T], axis=-1)).T
 
 
 def component_quat_mul(a, b) -> np.ndarray:
@@ -85,26 +94,38 @@ def cross_quat_rotate(q, v) -> np.ndarray:
     return v + 2.0 * w * cross + 2.0 * np.cross(u, cross)
 
 
-def choi_matrix(S: Superoperator) -> np.ndarray:
+def _dim(S: np.ndarray) -> int:
+    """d of a (d^2, d^2) superoperator."""
+    return int(round(np.sqrt(len(S))))
+
+
+def apply_superop(S: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """S applied to a d x d matrix: S vec(sigma), reshaped column-first."""
+    d = _dim(S)
+    vec = np.asarray(sigma, dtype=np.complex128).flatten(order="F")
+    return (S @ vec).reshape(d, d, order="F")
+
+
+def choi_matrix(S: np.ndarray) -> np.ndarray:
     """Choi matrix C[(i,k),(j,l)] = (1/d) S[(l,k),(j,i)] in the
     column-stacking convention."""
-    d = S.dim
-    s4 = S.mat.reshape(d, d, d, d)
+    d = _dim(S)
+    s4 = np.asarray(S).reshape(d, d, d, d)
     return s4.transpose(3, 1, 2, 0).reshape(d * d, d * d) / d
 
 
-def tp_deviation(S: Superoperator) -> float:
+def tp_deviation(S: np.ndarray) -> float:
     """Largest deviation of the Choi matrix's partial trace over the output
     factor from I/d."""
-    d = S.dim
+    d = _dim(S)
     c4 = choi_matrix(S).reshape(d, d, d, d)
     return float(np.max(np.abs(np.einsum("ikjk->ij", c4) - np.eye(d) / d)))
 
 
-def checked_channel(mat) -> Superoperator:
-    """A superoperator validated as trace preserving (within 1e-9) and
-    completely positive (Choi eigenvalues >= -1e-9)."""
-    s = Superoperator(mat)
+def checked_channel(mat) -> np.ndarray:
+    """A (d^2, d^2) complex superoperator validated as trace preserving
+    (within 1e-9) and completely positive (Choi eigenvalues >= -1e-9)."""
+    s = np.asarray(mat, dtype=np.complex128)
     if tp_deviation(s) > 1e-9:
         raise InvariantViolation(f"not TP: deviates by {tp_deviation(s):.3e}")
     lo = float(np.min(np.linalg.eigvalsh(choi_matrix(s))))
@@ -122,7 +143,7 @@ class ChoiState:
 
     def __post_init__(self):
         p = float(np.trace(self.rho.mat @ self.rho.mat).real)
-        if not (1.0 / self.rho.dim - 1e-9 <= p <= 1.0 + 1e-9):
+        if not (1.0 / len(self.rho.mat) - 1e-9 <= p <= 1.0 + 1e-9):
             raise InvariantViolation(f"Choi purity {p} outside [1/d^2, 1]")
 
     def eigenvalues(self) -> np.ndarray:
@@ -130,7 +151,7 @@ class ChoiState:
         return clamped_eigenvalues(self.rho.mat)
 
 
-def choi(S: Superoperator) -> ChoiState:
+def choi(S: np.ndarray) -> ChoiState:
     """Choi state rho_T = (1/d) sum_ij |i><j| (x) T(|i><j|).
 
     MC-estimated superoperators are only approximately Hermitian and PSD, so
@@ -142,7 +163,7 @@ def choi(S: Superoperator) -> ChoiState:
     return ChoiState(DensityMatrix(c))
 
 
-def mix(channels: Sequence[tuple[float, Superoperator]]) -> Superoperator:
+def mix(channels: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
     """Convex combination of channels, validated as a channel; weights must
     sum to 1."""
     if not channels:
@@ -150,17 +171,17 @@ def mix(channels: Sequence[tuple[float, Superoperator]]) -> Superoperator:
     total = sum(w for w, _ in channels)
     if abs(total - 1.0) > 1e-12:
         raise InvariantViolation(f"weights sum to {total}, expected 1")
-    return checked_channel(sum(w * s.mat for w, s in channels))
+    return checked_channel(sum(w * s for w, s in channels))
 
 
-def map_purity(S: Superoperator) -> float:
+def map_purity(S: np.ndarray) -> float:
     """Normalized Choi purity 1 - S(rho_T)/ln(d^2)."""
     return float(spectrum_purities(choi(S).eigenvalues())[0])
 
 
-def conjugation_superoperator(m: np.ndarray) -> Superoperator:
-    """Superoperator of sigma -> M sigma M+ for a unitary M, validated as a
-    channel."""
+def conjugation_superoperator(m: np.ndarray) -> np.ndarray:
+    """The superoperator of sigma -> M sigma M+ for a unitary M, validated
+    as a channel."""
     m = np.asarray(m, dtype=np.complex128)
     return checked_channel(np.kron(m.conj(), m))
 
@@ -170,7 +191,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(_entropy(clamped_eigenvalues(rho.mat)))
 
 
-def linear_map_purity(S: Superoperator) -> float:
+def linear_map_purity(S: np.ndarray) -> float:
     """Linear Choi purity Tr(rho_T^2)."""
     return float(spectrum_purities(choi(S).eigenvalues())[1])
 

@@ -21,11 +21,12 @@ from frameport import encoding as enc
 from frameport import groups
 from frameport import optimize as opt
 from frameport import ueb as ueb_mod
+from frameport.channel import DensityMatrix
 from frameport.groups import HaarStream
-from frameport.qmat import DensityMatrix
 from frameport.ueb import equivariance_analysis, pauli_ueb, tetrahedral_ueb
 from qmat_reference import child_stream, conventional_estimate, \
-    haar_payloads, map_purity, mean_result, purity_with_error, uniform_bins
+    equivariance_signs, haar_payloads, map_purity, mean_result, \
+    purity_with_error, uniform_bins
 
 FULL = 10 ** 6
 
@@ -82,12 +83,13 @@ def test_acceptance_1_structural():
     for basis, sub_name in pairs:
         eq = equivariance_analysis(basis, groups.subgroup_by_name(sub_name))
         mats = groups.su2_matrix(basis.quats)
+        alpha = equivariance_signs(eq)
         # Exhaustive table check: the conjugation identity for every (h, i).
         for h in range(eq.subgroup.order):
             r = groups.su2_matrix(eq.subgroup.payloads[h])
             for i in range(basis.size):
                 lhs = r.conj().T @ mats[i] @ r
-                rhs = eq.alpha[i, h] * mats[eq.sigma[i, h]]
+                rhs = alpha[i, h] * mats[eq.sigma[i, h]]
                 ok = ok and np.max(np.abs(lhs - rhs)) < 1e-9
     seconds = time.perf_counter() - t0
     ok = ok and seconds < 10
@@ -103,14 +105,14 @@ def test_acceptance_2_perfect_schemes():
     _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
     est = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
-    ok = np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
+    ok = np.max(np.abs(est.superop - np.eye(4))) < 1e-9
 
     _, eq2 = btet_bundle()
     scheme2 = enc.perfect_matched_scheme(eq2, 0)
     est2 = ch.result_estimates(scheme2, "su2", [1], "mc",
                                samples=FULL)[1]
     tol = 3 * np.maximum(est2.stderr, 1e-7)
-    ok = ok and bool(np.all(np.abs(est2.superop.mat - np.eye(4)) <= tol))
+    ok = ok and bool(np.all(np.abs(est2.superop - np.eye(4)) <= tol))
     report(2, ok)
     assert ok
 
@@ -124,7 +126,7 @@ def test_acceptance_3_u1_conventional():
     est = conventional_estimate(basis, "u1", "averaged")
     expected = np.diag([1.0, 0.5, 0.5, 1.0]).astype(np.complex128)
     purity = map_purity(est.superop)
-    ok = (np.max(np.abs(est.superop.mat - expected)) < 1e-9
+    ok = (np.max(np.abs(est.superop - expected)) < 1e-9
           and abs(purity - 0.594) < 0.005)
     report(3, ok, f"purity {purity:.4f}")
     assert ok
@@ -139,10 +141,10 @@ def test_acceptance_4_u1_tight():
     scheme = enc.tight_matched_scheme(eq, 1)
     exact = averaged_channel(scheme, "quadrature")
     target = 2 / np.pi ** 2 + 0.5
-    ok = abs(exact.superop.mat[1, 1].real - target) < 1e-6
+    ok = abs(exact.superop[1, 1].real - target) < 1e-6
     mc = averaged_channel(scheme, "mc", samples=FULL)
     tol = 3 * np.maximum(mc.stderr, 1e-4)
-    ok = ok and bool(np.all(np.abs(mc.superop.mat - exact.superop.mat)
+    ok = ok and bool(np.all(np.abs(mc.superop - exact.superop)
                             <= tol))
     purity = map_purity(exact.superop)
     # The Choi-derived map purity of the averaged tight channel is 0.697.
@@ -221,11 +223,11 @@ def test_acceptance_7_simulator_cross_validation():
     _, eq = u1_bundle()
     u1_scheme = enc.tight_matched_scheme(eq, 1)
     exact = averaged_channel(u1_scheme, "quadrature")
-    configs.append(("u1-tight", u1_scheme, "u1", exact.superop.mat))
+    configs.append(("u1-tight", u1_scheme, "u1", exact.superop))
 
     rod = enc.rod_scheme()
     rod_est = averaged_channel(rod, "mc", samples=FULL)
-    configs.append(("su2-rod-tight", rod, "su2", rod_est.superop.mat))
+    configs.append(("su2-rod-tight", rod, "su2", rod_est.superop))
 
     _, eq3 = btet_bundle()
     perfect = enc.perfect_matched_scheme(eq3, 0)
@@ -235,7 +237,7 @@ def test_acceptance_7_simulator_cross_validation():
     for k, (name, scheme_k, group, target) in enumerate(configs):
         _, transcript = ch.single_shot_simulate(
             scheme_k, sigma, HaarStream(group, 100 + k), shots=shots)
-        got = transcript["mean_superop"].mat
+        got = transcript["mean_superop"]
         # Entries are shot-averages of products of unit-modulus terms, so
         # each standard error is at most 1/sqrt(shots).
         tol = 3.0 / np.sqrt(shots) + 1e-6

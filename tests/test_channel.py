@@ -14,14 +14,15 @@ from frameport import cli
 from frameport import encoding as enc
 from frameport import groups
 from frameport.groups import HaarStream, su2_matrix
-from frameport.qmat import DensityMatrix, Superoperator, \
-    clamped_eigenvalues, spectrum_purities
+from frameport.channel import DensityMatrix, clamped_eigenvalues, \
+    spectrum_purities
 from frameport.ueb import equivariance_analysis, general_qubit_ueb, \
     pauli_ueb, tetrahedral_ueb
-from qmat_reference import PAULI_MATRICES, born_probabilities, choi, \
-    choi_matrix, conventional_estimate, linear_map_purity, \
-    linear_purity_with_error, map_purity, mean_result, measurement_basis, \
-    premeasurement_unitary, purity_with_error, realigned_correction
+from qmat_reference import PAULI_MATRICES, apply_superop, \
+    born_probabilities, choi, choi_matrix, conventional_estimate, \
+    linear_map_purity, linear_purity_with_error, map_purity, mean_result, \
+    measurement_basis, premeasurement_unitary, purity_with_error, \
+    realigned_correction
 
 SAMPLES = 2 * 10 ** 5     # unit-test budget; acceptance uses 1e6
 
@@ -72,7 +73,7 @@ def test_u1_conventional_averaged_is_half_dephasing():
     basis, _ = u1_bundle()
     est = conventional_estimate(basis, "u1", "averaged")
     expected = np.diag([1.0, 0.5, 0.5, 1.0]).astype(np.complex128)
-    assert np.max(np.abs(est.superop.mat - expected)) < 1e-14
+    assert np.max(np.abs(est.superop - expected)) < 1e-14
     assert map_purity(est.superop) == pytest.approx(0.5943609377704335,
                                                     abs=1e-9)
 
@@ -90,13 +91,13 @@ def test_u1_conventional_quadrature_matches_fine_grid():
             w = np.einsum("nba,bc,ncd,ed->nae", rho.conj(), m, rho, m.conj())
             ref = np.einsum("nab,ncd->acbd", w.conj(), w).reshape(4, 4)
             est = conventional_estimate(basis, "u1", i)
-            assert np.max(np.abs(est.superop.mat - ref / len(t))) <= 1e-15
+            assert np.max(np.abs(est.superop - ref / len(t))) <= 1e-15
 
 
 def test_su2_conventional_result0_is_identity():
     basis, _ = su2_bundle()
     est = conventional_estimate(basis, "su2", 0, "mc", samples=10 ** 4)
-    assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
+    assert np.max(np.abs(est.superop - np.eye(4))) < 1e-9
 
 
 def test_su2_conventional_result1_spectrum():
@@ -117,7 +118,7 @@ def test_conventional_mc_agrees_with_quadrature():
             mc = conventional_estimate(basis, group, i, "mc",
                                        samples=SAMPLES)
             tol = 3 * np.maximum(mc.stderr, 1e-4)
-            assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
+            assert np.all(np.abs(mc.superop - exact.superop) <= tol)
 
 
 def test_averaged_conventional_mc_is_the_mix_of_its_results():
@@ -158,8 +159,8 @@ def test_u1_tight_quadrature_off_diagonal():
     scheme = u1_tight_scheme(eq)
     est = averaged_channel(scheme, "quadrature")
     target = 2 / np.pi ** 2 + 0.5
-    assert est.superop.mat[1, 1].real == pytest.approx(target, abs=1e-12)
-    assert est.superop.mat[2, 2].real == pytest.approx(target, abs=1e-12)
+    assert est.superop[1, 1].real == pytest.approx(target, abs=1e-12)
+    assert est.superop[2, 2].real == pytest.approx(target, abs=1e-12)
     assert est.pre_norm_deviation <= 1e-12
 
 
@@ -190,7 +191,7 @@ def test_u1_tight_mc_agrees_with_quadrature():
     exact = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
     mc = ch.result_estimates(scheme, "u1", [1], "mc", samples=SAMPLES)[1]
     tol = 3 * np.maximum(mc.stderr, 2e-3)
-    assert np.all(np.abs(mc.superop.mat - exact.superop.mat) <= tol)
+    assert np.all(np.abs(mc.superop - exact.superop) <= tol)
 
 
 def su2_tight_schemes():
@@ -241,7 +242,7 @@ def test_tight_singleton_orbit_is_identity(monkeypatch):
         for method in ("quadrature", "mc"):
             est = ch.result_estimates(scheme, "u1", [i], method)[i]
             assert est.method == "quadrature"
-            assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-14
+            assert np.max(np.abs(est.superop - np.eye(4))) < 1e-14
             # The exact conventional integral, by the same stacked call.
             assert np.array_equal(est.moment, conventional[i].moment)
 
@@ -257,7 +258,7 @@ def test_su2_tight_orbit_channels_share_spectrum():
     assert np.allclose(spectra[0], spectra[2], atol=1e-9)
     # The singleton-orbit result is the exact conventional integral.
     assert ests[0].method == "quadrature"
-    assert np.max(np.abs(ests[0].superop.mat - np.eye(4))) < 1e-14
+    assert np.max(np.abs(ests[0].superop - np.eye(4))) < 1e-14
 
 
 def test_mean_result_purity_of_some_results():
@@ -317,7 +318,7 @@ def test_u1_perfect_is_identity():
     _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
     est = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
-    assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
+    assert np.max(np.abs(est.superop - np.eye(4))) < 1e-9
 
 
 def test_btet_perfect_mc_is_identity():
@@ -327,7 +328,7 @@ def test_btet_perfect_mc_is_identity():
     est = ch.result_estimates(scheme, "su2", [1], "mc",
                               samples=SAMPLES)[1]
     tol = 3 * np.maximum(est.stderr, 1e-6)
-    assert np.all(np.abs(est.superop.mat - np.eye(4)) <= tol)
+    assert np.all(np.abs(est.superop - np.eye(4)) <= tol)
 
 
 def test_perfect_singleton_result_gets_conventional_integral():
@@ -398,7 +399,7 @@ def test_rod_point_encoding_is_perfectly_correctable():
                                 points=points)
     for i in (1, 2, 3):
         est = ch.result_estimates(scheme, "su2", [i], "quadrature")[i]
-        assert np.max(np.abs(est.superop.mat - np.eye(4))) < 1e-9
+        assert np.max(np.abs(est.superop - np.eye(4))) < 1e-9
 
 
 def test_finite_group_check_passes_for_u1():
@@ -605,12 +606,12 @@ def test_moment_estimator_matches_superoperator_reference(case):
     r = groups.axis_angle_quat([1.0, 2.0, 2.0], 0.7)
     k = np.kron(groups.su2_matrix(r).conj(), groups.su2_matrix(r))
     moved = _conjugate(est, r)
-    assert np.max(np.abs(moved.superop.mat
-                         - k @ sup.mat @ k.conj().T)) <= 1e-14
+    assert np.max(np.abs(moved.superop
+                         - k @ sup @ k.conj().T)) <= 1e-14
     if est.replicates is None:
         assert p_err == lin_err == 0.0
         return
-    rep_sups = [Superoperator(ch._moment_superop(m)) for m in est.replicates]
+    rep_sups = ch._moment_superop(est.replicates)
     ref_p = np.array([map_purity(s) for s in rep_sups])
     ref_lin = np.array([linear_map_purity(s) for s in rep_sups])
     got_p, got_lin = spectrum_purities(clamped_eigenvalues(est.replicates))
@@ -618,7 +619,7 @@ def test_moment_estimator_matches_superoperator_reference(case):
     assert np.max(np.abs(got_lin - ref_lin)) <= 1e-14
     assert abs(p_err - np.std(ref_p, ddof=1)) <= 1e-14
     assert abs(lin_err - np.std(ref_lin, ddof=1)) <= 1e-14
-    moved_reps = [k @ s.mat @ k.conj().T for s in rep_sups]
+    moved_reps = k @ rep_sups @ k.conj().T
     assert np.max(np.abs(moved.stderr
                          - np.std(moved_reps, axis=0, ddof=1))) <= 1e-14
 
@@ -689,7 +690,7 @@ def test_single_shot_conventional_matches_channel():
     out, transcript = ch.single_shot_simulate(
         basis, sigma, HaarStream("u1", 21), shots=120000)
     exact = conventional_estimate(basis, "u1", "averaged")
-    expected = exact.superop.apply(sigma.mat)
+    expected = apply_superop(exact.superop, sigma.mat)
     assert np.max(np.abs(out.mat - expected)) < 5e-3
 
 
@@ -831,15 +832,15 @@ def test_blocked_simulator_loses_and_repeats_no_shot(case):
     assert len(np.unique(transcript["g"], axis=0)) == shots
     if scheme is not None:
         assert np.any(transcript["decoded"] != transcript["result"])
-    dev = np.max(np.abs(transcript["mean_superop"].mat
+    dev = np.max(np.abs(transcript["mean_superop"]
                         - _superop_from_transcript(basis, transcript)))
     assert dev <= 1e-15
     out2, transcript2 = run()
     assert np.array_equal(out.mat, out2.mat)
     for key in ("g", "result", "decoded"):
         assert np.array_equal(transcript[key], transcript2[key])
-    assert np.array_equal(transcript["mean_superop"].mat,
-                          transcript2["mean_superop"].mat)
+    assert np.array_equal(transcript["mean_superop"],
+                          transcript2["mean_superop"])
 
 
 def _traced_peak(fn):
@@ -890,7 +891,7 @@ def test_mc_channel_estimates_are_seed_deterministic():
                               seed=5)
     b = conventional_estimate(basis, "su2", 1, "mc", samples=2 * 10 ** 4,
                               seed=5)
-    assert np.array_equal(a.superop.mat, b.superop.mat)
+    assert np.array_equal(a.superop, b.superop)
     assert np.array_equal(a.replicates, b.replicates)
 
 

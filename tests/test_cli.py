@@ -128,6 +128,68 @@ def test_verify_ueb_defaults_to_its_own_subgroup(tmp_path):
         assert f"equivariance:{ueb}/{sub}" in payload["checks"]
 
 
+def _verify_json(capsys, argv) -> tuple[int, dict]:
+    """Exit code of verify and the one JSON line it prints."""
+    code = run(["verify", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1, lines
+    return code, json.loads(lines[0])
+
+
+def test_verify_reports_a_subgroup_that_fails_to_build(capsys, monkeypatch):
+    # An open subset of Tet fails its closure check when it is built.
+    def broken():
+        return groups._build_subgroup("tet", "so3",
+                                      groups.tetrahedral().payloads[:5])
+
+    monkeypatch.setitem(groups.SUBGROUPS, "tet", broken)
+    code, payload = _verify_json(capsys, ["--all"])
+    assert code == 1 and payload["ok"] is False
+    row = payload["checks"]["group:tet"]
+    assert row["ok"] is False and "not in element list" in row["error"]
+    assert payload["checks"]["group:boct"]["ok"] is True
+
+
+def test_verify_reports_a_ueb_that_fails_to_build(capsys, monkeypatch):
+    from frameport import ueb as ueb_mod
+    monkeypatch.setitem(cli._UEBS, "tetrahedral",
+                        lambda: ueb_mod.UnitaryErrorBasis(2 * np.eye(4)))
+    code, payload = _verify_json(capsys, ["--all"])
+    assert code == 1 and payload["ok"] is False
+    row = payload["checks"]["ueb:tetrahedral"]
+    assert row["ok"] is False and "not a unitary error basis" in row["error"]
+    assert payload["checks"]["ueb:pauli"]["ok"] is True
+
+
+def test_verify_reports_an_equivariance_pair_that_fails_to_build(
+        capsys, monkeypatch):
+    def broken():
+        return groups._build_subgroup("z4", "so3",
+                                      groups.z4_reduced().payloads[:3])
+
+    monkeypatch.setitem(groups.SUBGROUPS, "z4", broken)
+    code, payload = _verify_json(capsys, ["--ueb", "pauli", "--subgroup",
+                                          "z4"])
+    assert code == 1 and payload["ok"] is False
+    row = payload["checks"]["equivariance:pauli/z4"]
+    assert row["ok"] is False and "not in element list" in row["error"]
+
+
+def test_verify_reports_a_scheme_that_fails_to_build(capsys, monkeypatch):
+    # Bundles are cached per process, so this one is built afresh.
+    def broken():
+        return groups._build_subgroup("btet", "su2",
+                                      groups.binary_tetrahedral().payloads[:5])
+
+    monkeypatch.setattr(cli, "_scheme_bundle", cli._scheme_bundle.__wrapped__)
+    monkeypatch.setitem(groups.SUBGROUPS, "btet", broken)
+    code, payload = _verify_json(capsys, ["--scheme", "su2-btet-perfect"])
+    assert code == 1 and payload["ok"] is False
+    for key in ("compatibility", "finite-subgroup"):
+        row = payload["checks"][f"{key}:su2-btet-perfect"]
+        assert row["ok"] is False and "not in element list" in row["error"]
+
+
 # ---------------------------------------------------------------------------
 # channel
 # ---------------------------------------------------------------------------
@@ -480,7 +542,7 @@ def test_build_id_follows_the_sources(tmp_path, monkeypatch):
                     ignore=shutil.ignore_patterns("__pycache__"))
     monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
     before = cli.build_id.__wrapped__()
-    module = package / "qmat.py"
+    module = package / "channel.py"
     data = bytearray(module.read_bytes())
     data[len(data) // 2] ^= 1
     module.write_bytes(bytes(data))

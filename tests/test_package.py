@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -57,3 +58,13 @@ def test_every_module_name_is_read():
     unread = [f"{module}.{n}" for module, names in defined.items()
               for n in names if tokens[n] <= definitions[n]]
     assert not unread, f"module-level names never read: {unread}"
+
+
+def test_readme_layout_lists_every_module():
+    # The Layout table of README.md has one `frameport.<name>` row per
+    # module of the package, and no other, so adding or deleting a module
+    # means changing its row.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(frameport\.\w+)` \|", layout, re.M)
+    assert sorted(rows) == sorted(MODULES)
