@@ -3,7 +3,7 @@
 Subcommands
 -----------
 - verify: structural suites (group axioms, UEB orthonormality, equivariance,
-  scheme compatibility, finite-subgroup perfection).
+  scheme compatibility, finite-subgroup perfection), all exact.
 - channel: compute one scheme's effective channel and purity figures,
   exactly by default, or by seeded Monte Carlo with --method mc.
 - table1: the exact channel-purity table of the conventional and tight
@@ -214,15 +214,10 @@ def _verify_equivariance(report: dict, pairs=_EQ_PAIRS) -> bool:
     return ok
 
 
-# Readings drawn per (orbit index, subgroup element) case of a scheme check.
-_CHECK_SAMPLES = 200
-
-
-def _verify_schemes(report: dict, seed: int, names=None) -> tuple[bool, int]:
-    """Run the scheme checks on streams keyed by seed; returns whether all
-    passed and how many readings they drew."""
-    ok, drawn = True, 0
-    for name in names or ENCODED_SCHEMES:
+def _verify_schemes(report: dict, names=ENCODED_SCHEMES) -> bool:
+    """Run the exact scheme checks of names; returns whether all passed."""
+    ok = True
+    for name in names:
         try:
             bundle = builtin_scheme(name)
         except ValueError as exc:
@@ -230,15 +225,11 @@ def _verify_schemes(report: dict, seed: int, names=None) -> tuple[bool, int]:
             for key in ("compatibility", "finite-subgroup"):
                 report[f"{key}:{name}"] = {"ok": False, "error": str(exc)}
             continue
-        scheme, stream = bundle.scheme, groups.HaarStream(bundle.group, seed)
-        checks = enc.check_scheme(scheme, stream,
-                                  samples_per_case=_CHECK_SAMPLES)
-        drawn += _CHECK_SAMPLES * scheme.subgroup.order * len(scheme.indices)
         for key, (passed, info) in zip(("compatibility", "finite-subgroup"),
-                                       checks):
+                                       enc.check_scheme(bundle.scheme)):
             report[f"{key}:{name}"] = {"ok": passed} | info
             ok = ok and passed
-    return ok, drawn
+    return ok
 
 
 def cmd_verify(args) -> int:
@@ -246,22 +237,21 @@ def cmd_verify(args) -> int:
         raise ConfigError("give only one of --all, --scheme and "
                           "--ueb/--subgroup")
     report: dict = {}
-    ok, drawn = True, 0
     if args.scheme:
-        ok, drawn = _verify_schemes(report, args.seed, [args.scheme])
+        ok = _verify_schemes(report, [args.scheme])
     elif args.ueb or args.subgroup:
         ueb_name = args.ueb or "pauli"
         sub_name = args.subgroup or _DEFAULT_SUBGROUP[ueb_name]
-        ok = _verify_uebs(report) and ok
+        ok = _verify_uebs(report)
         ok = _verify_equivariance(report, [(ueb_name, sub_name)]) and ok
     else:
-        ok = _verify_groups(report) and ok
+        ok = _verify_groups(report)
         ok = _verify_uebs(report) and ok
         ok = _verify_equivariance(report) and ok
-        schemes_ok, drawn = _verify_schemes(report, args.seed)
-        ok = schemes_ok and ok
+        ok = _verify_schemes(report) and ok
+    # Every check is exact: nothing is drawn, so --seed has no effect.
     _emit(args, {"ok": ok, "checks": report},
-          [{"check": k, "ok": v.get("ok")} for k, v in report.items()], drawn)
+          [{"check": k, "ok": v.get("ok")} for k, v in report.items()], 0)
     return 0 if ok else 1
 
 

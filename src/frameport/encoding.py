@@ -1,5 +1,5 @@
 """Encoding/decoding schemes with the action of the frame group on their
-readings, the tight/perfect matched-scheme constructors, and the sampled
+readings, the tight/perfect matched-scheme constructors, and the exact
 scheme checks.
 
 Reading actions
@@ -24,7 +24,7 @@ regions R_h are the Voronoi cells of the elements h, the right translates of
 the identity's cell, and E_i is the union of R_{l c_i} over the stabilizer L
 of the orbit base.  The kernel +-1 of the action on readings lies in L and is
 folded only where readings are compared or produced: the two elements of a
-kernel pair give one reading, so the decoder scores, and the perfect points
+kernel pair give one reading, so the decoder scores, and the cell centres
 list, only the first of each pair, and the element nearest to a reading x is
 the one maximising |x . h|.  A tight sampler draws a uniform reading, decodes
 it to its region E_j and carries E_j isometrically onto E_i: by the right
@@ -53,8 +53,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import groups
-from .groups import FiniteSubgroup, HaarStream, canonical_sign, quat_conj, \
-    quat_mul, quat_rotate
+from .groups import FiniteSubgroup, canonical_sign, quat_conj, quat_mul, \
+    quat_rotate
 from .ueb import EquivarianceData, equivariance_analysis, pauli_ueb
 
 if TYPE_CHECKING:
@@ -72,10 +72,6 @@ __all__ = [
 # Rows scored at once by a nearest-element decode: a (24, 4096) float64
 # score block is 768 KiB, which fits in L2.
 _DECODE_BLOCK = 1 << 12
-# Readings sampled, transported and decoded at once by check_scheme: the
-# rows of one Monte Carlo batch of channel (_BATCH there), so that a check's
-# (n, 4) temporaries are 256 KiB however many cases it runs.
-_CHECK_BLOCK = 1 << 13
 
 
 def _torsor_act(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -87,11 +83,13 @@ class EncodingScheme:
     """Encoding/decoding rule for one orbit of UEB indices under the
     subgroup of its equivariance data.
 
-    act_fn(g, x) moves readings x by frame quaternions g; decode_fn maps a
-    batch of readings to UEB indices; sample_fn(i, rng, n) draws n uniform
-    readings from E_i (region schemes) or X_i (perfect schemes), for an
-    index i or an (n,) array of indices, one per reading.  Each region E_i
-    of a tight scheme has measure 1/len(indices); moment_fn() is the fourth
+    act_fn(g, x) moves readings x by frame quaternions g, broadcasting their
+    leading axes; decode_fn maps readings (..., m) to UEB indices (...);
+    sample_fn(i, rng, n) draws n uniform readings from E_i (region schemes)
+    or X_i (perfect schemes), for an index i or an (n,) array of indices,
+    one per reading.  points[i] holds the centres of the cells of E_i, as
+    many for every i (on a perfect scheme, X_i itself).  Each region E_i of
+    a tight scheme has measure 1/len(indices); moment_fn() is the fourth
     moment of the x whose pairs y-bar x pass its orbit base, and
     pair_moment that of the pairs themselves (channel).
     """
@@ -102,7 +100,7 @@ class EncodingScheme:
                  decode_fn: Callable[[np.ndarray], np.ndarray],
                  sample_fn: Callable[[int | np.ndarray, Generator, int],
                                      np.ndarray],
-                 points: dict[int, np.ndarray] | None = None,
+                 points: dict[int, np.ndarray],
                  moment_fn: Callable[[], np.ndarray] | None = None):
         self.eq = eq
         self.indices = indices
@@ -110,7 +108,7 @@ class EncodingScheme:
         self.act_fn = act_fn
         self.decode_fn = decode_fn
         self.sample_fn = sample_fn
-        self.points = points            # X_i for perfect schemes
+        self.points = points
         self.moment_fn = moment_fn      # tight schemes
 
     @property
@@ -137,23 +135,27 @@ def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:
 def _matched_cosets(eq: EquivarianceData, orbit_base: int
                     ) -> tuple[tuple[int, ...], dict[int, np.ndarray],
                                np.ndarray]:
-    """The orbit I_k containing orbit_base, the coset {l c_i : l in L} of
-    each of its indices i (element indices of H, in the order of the
-    stabilizer L), and the UEB index of each H element's coset."""
+    """The orbit I_k containing orbit_base, the cell centres of each E_i
+    (the canonical first lifts of its coset {l c_i : l in L}, sorted), and
+    the UEB index of each H element's coset."""
     sub = eq.subgroup
     orbit = eq.orbit_of(orbit_base)
     stabilizer = list(eq.stabilizers[min(orbit)])
     if len(stabilizer) * len(orbit) != sub.order:
         raise ValueError("|L| * |I_k| != |H|")
-    cosets = {i: sub.table[stabilizer, eq.coset_reps[i]] for i in orbit}
+    points: dict[int, np.ndarray] = {}
     labels = np.full(sub.order, -1, dtype=np.int64)
-    for i, cell in cosets.items():
+    for i in orbit:
+        cell = sub.table[stabilizer, eq.coset_reps[i]]
         if np.any(labels[cell] != -1):
             raise ValueError("coset decomposition is not disjoint")
         labels[cell] = i
+        payloads = sub.payloads[cell]
+        q = canonical_sign(payloads[groups.first_lifts(payloads)])
+        points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
     if np.any(labels < 0):
         raise ValueError("cosets do not cover the subgroup")
-    return orbit, cosets, labels
+    return orbit, points, labels
 
 
 def _nearest_lookup(sub: FiniteSubgroup, labels: np.ndarray
@@ -203,7 +205,7 @@ def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
     """Tight matched scheme on the subgroup H of eq for the orbit of
     orbit_base: D_i = E_i = union of R_{l c_i} over l in L, each of measure
     1/|I_k|."""
-    orbit, _, labels = _matched_cosets(eq, orbit_base)
+    orbit, points, labels = _matched_cosets(eq, orbit_base)
     sub = eq.subgroup
     decode_fn = _nearest_lookup(sub, labels)
     # Row i * width + j is c_j^{-1} c_i for the coset representatives c,
@@ -229,22 +231,16 @@ def tight_matched_scheme(eq: EquivarianceData, orbit_base: int
             f, np.take(shifts, np.multiply(i, width) + decode_fn(f), axis=0)))
 
     return EncodingScheme(eq, orbit, "tight", _torsor_act, decode_fn,
-                          sample_fn, moment_fn=moment_fn)
+                          sample_fn, points, moment_fn)
 
 
 def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
                            ) -> EncodingScheme:
     """Perfect matched scheme on the subgroup H of eq for the orbit of
     orbit_base: E_i is the finite set X_i of the distinct readings of
-    {l c_i}; decoding subsets are the same Voronoi regions as the tight
-    scheme."""
-    orbit, cosets, labels = _matched_cosets(eq, orbit_base)
-    sub = eq.subgroup
-    points: dict[int, np.ndarray] = {}
-    for i in orbit:
-        payloads = sub.payloads[cosets[i]]
-        q = canonical_sign(payloads[groups.first_lifts(payloads)])
-        points[i] = q[np.lexsort(np.round(q.T, 12)[::-1])]
+    {l c_i}, the centres of the tight scheme's cells; decoding subsets are
+    the same Voronoi regions as the tight scheme."""
+    orbit, points, labels = _matched_cosets(eq, orbit_base)
     # Row i * size + k is point k of X_i (each has |L|/2), NaN off the orbit.
     size = len(points[orbit[0]])
     table = np.full((max(orbit) + 1, size, 4), np.nan)
@@ -256,8 +252,8 @@ def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
                        + rng.integers(0, size, size=n), axis=0)
 
     return EncodingScheme(eq, orbit, "perfect", _torsor_act,
-                          _nearest_lookup(sub, labels), sample_fn,
-                          points=points)
+                          _nearest_lookup(eq.subgroup, labels), sample_fn,
+                          points)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,8 @@ def perfect_matched_scheme(eq: EquivarianceData, orbit_base: int
 
 def rod_scheme() -> EncodingScheme:
     """Rod-orientation scheme: axes sorted by dominant |component|; the axis
-    through the a-faces of the axis-aligned cube decodes to UEB index a."""
+    through the a-faces of the axis-aligned cube decodes to UEB index a, and
+    the cell E_a has the centre e_{a-1}."""
 
     def decode_fn(x: np.ndarray) -> np.ndarray:
         # argmax |x_a| + 1 by column comparisons, lowest index on ties.
@@ -303,52 +300,50 @@ def rod_scheme() -> EncodingScheme:
             groups.circle_fourth_moment(1.0, 1.0), quat_conj(h), w)
 
     eq = equivariance_analysis(pauli_ueb(), groups.binary_octahedral())
+    centres = {a: np.eye(3)[a - 1:a] for a in (1, 2, 3)}
     return EncodingScheme(eq, eq.orbit_of(1), "tight", quat_rotate, decode_fn,
-                          sample_fn, moment_fn=moment_fn)
+                          sample_fn, centres, moment_fn)
 
 
 # ---------------------------------------------------------------------------
 # Scheme checks
 # ---------------------------------------------------------------------------
 
-def check_scheme(scheme: EncodingScheme, stream: HaarStream,
-                 samples_per_case: int = 1000
+def check_scheme(scheme: EncodingScheme
                  ) -> tuple[tuple[bool, dict], tuple[bool, dict]]:
-    """Sampled checks of a scheme against its equivariance data on one
-    generator of stream: for each orbit index i in turn and each element h
-    of H, samples_per_case readings x from E_i (or X_i), transported by h
-    and decoded, _CHECK_BLOCK readings at a time.  compatibility: decoding
-    inverts the index action, decode(act(h, x)) = sigma(i, h^{-1}).
-    finite-subgroup: the protocol is exact for misalignments in H, i.e. each
-    case decodes to one index j with rho(h)+ U_j rho(h) proportional to U_i.
-    Returns the (ok, report) pair of each check; a failure reports its first
-    counterexample.
+    """Exact checks of a scheme against its equivariance data: each cell
+    centre x of E_i, for each orbit index i, moved by each element h of H
+    and decoded in one call.  compatibility: decoding inverts the index
+    action, decode(act(h, x)) = sigma(i, h^{-1}).  finite-subgroup: the
+    protocol is exact for misalignments in H, i.e. each case (i, h) decodes
+    to one index j with rho(h)+ U_j rho(h) proportional to U_i.  Returns
+    the (ok, report) pair of each check; a failure reports its first
+    counterexample, in the order of i, then h, then x.
+
+    The centres decide every reading off the cell boundaries (measure
+    zero): the decoder is the nearest-centre map and each h is an isometry
+    permuting the cells (a right translation of labels, a signed
+    permutation of rod axes), so decode(act(h, .)) is constant on a cell.
     """
     eq, sub = scheme.eq, scheme.subgroup
-    cases = sub.order * len(scheme.indices)
-    hs = np.tile(np.repeat(np.arange(sub.order), samples_per_case),
-                 len(scheme.indices))
-    idx = np.repeat(scheme.indices, sub.order * samples_per_case)
-    expected = eq.sigma_inv(hs, idx)
-    got = np.empty_like(expected)
-    rng = stream.generator()
+    x = np.stack([scheme.points[i] for i in scheme.indices])
+    # got[k, h, p]: centre p of E_i, i = indices[k], moved by element h.
+    got = decode_batch(scheme, scheme.act_fn(sub.payloads[:, None, None],
+                                             x)).swapaxes(0, 1)
+    expected = eq.sigma_inv(np.arange(sub.order)[:, None],
+                            np.array(scheme.indices)[:, None, None])
     compatibility = finite = None
-    for start in range(0, len(hs), _CHECK_BLOCK):
-        rows = slice(start, start + _CHECK_BLOCK)
-        x = scheme.sample_fn(idx[rows], rng, len(idx[rows]))
-        got[rows] = decode_batch(scheme, scheme.act_fn(
-            np.take(sub.payloads, hs[rows], axis=0), x))
-        bad = np.flatnonzero(got[rows] != expected[rows])
-        if compatibility is None and bad.size:
-            k = start + bad[0]
-            compatibility = {"h": int(hs[k]), "i": int(idx[k]),
-                             "x": x[bad[0]].tolist(),
-                             "expected": int(expected[k]), "got": int(got[k])}
-    for i, decoded in zip(scheme.indices,
-                          got.reshape(-1, sub.order, samples_per_case)):
+    bad = np.argwhere(got != expected)
+    if len(bad):
+        k, h, p = bad[0]
+        compatibility = {"h": int(h), "i": int(scheme.indices[k]),
+                         "x": x[k, p].tolist(),
+                         "expected": int(expected[k, h, 0]),
+                         "got": int(got[k, h, p])}
+    for i, decoded in zip(scheme.indices, got):
         finite = finite or _finite_subgroup_failure(eq, i, decoded)
-    return ((compatibility is None, compatibility
-             or {"cases": cases, "samples_per_case": samples_per_case}),
+    cases = sub.order * len(scheme.indices)
+    return ((compatibility is None, compatibility or {"cases": cases}),
             (finite is None, finite or {"cases": cases}))
 
 

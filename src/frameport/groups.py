@@ -153,7 +153,7 @@ def canonical_sign(q: np.ndarray) -> np.ndarray:
     """Flip quaternion signs so the first component larger than 1e-9 in
     absolute value is positive (antipodal representative for SO(3))."""
     q = np.asarray(q, dtype=np.float64)
-    flat = np.atleast_2d(q)
+    flat = q.reshape(-1, 4)
     w = flat[:, 0]
     first = np.sign(w)
     # Only rows whose w is not the leading component need the search; they

@@ -404,7 +404,7 @@ def test_rod_point_encoding_is_perfectly_correctable():
 
 def test_finite_group_check_passes_for_u1():
     _, eq = u1_bundle()
-    _, (ok, info) = enc.check_scheme(u1_tight_scheme(eq), HaarStream("u1", 0))
+    _, (ok, info) = enc.check_scheme(u1_tight_scheme(eq))
     assert ok, info
 
 

@@ -78,11 +78,13 @@ def test_import_loads_only_what_every_command_needs(tmp_path):
     # no module that only some commands use (numpy.random for a draw, csv
     # for CSV output, frameport.optimize), nor hashlib or dataclasses,
     # beyond what a bare `import numpy` loads.  An exact channel draws
-    # nothing, so it does not load numpy.random; a Monte Carlo one after it
-    # loads it and runs.
+    # nothing, so it does not load numpy.random, and neither does verify,
+    # whose checks are exact; a Monte Carlo channel after them loads it and
+    # runs.
     src = str(Path(cli.__file__).resolve().parents[1])
     out = str(tmp_path / "c.json")
     channel = ["channel", "--scheme", "su2-matched-tight", "--out", out]
+    verify = ["verify", "--all", "--out", out]
     mc = channel + ["--method", "mc", "--samples", "1000"]
     code = (
         "import sys\nimport numpy\nbase = set(sys.modules)\n"
@@ -94,6 +96,8 @@ def test_import_loads_only_what_every_command_needs(tmp_path):
         "assert loaded() == [], loaded()\n"
         f"assert cli.main({channel!r}) == 0\n"
         "assert 'numpy.random' not in loaded(), loaded()\n"
+        f"assert cli.main({verify!r}) == 0\n"
+        "assert 'numpy.random' not in loaded(), loaded()\n"
         f"assert cli.main({mc!r}) == 0\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=os.environ | {"PYTHONPATH": src})
@@ -101,12 +105,16 @@ def test_import_loads_only_what_every_command_needs(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
 def test_verify_all_honours_seed(tmp_path, seed):
-    # The scheme checks draw from streams keyed by --seed, across its range.
-    out = tmp_path / "v.json"
+    # --seed is accepted across its range, and has no effect: the scheme
+    # checks are exact and draw nothing.
+    out, default = tmp_path / "v.json", tmp_path / "d.json"
     assert run(["verify", "--all", "--seed", str(seed), "--out", str(out)]) \
         == 0
+    assert run(["verify", "--all", "--out", str(default)]) == 0
     payload = read_json(out)
-    assert payload["ok"] is True and payload["meta"]["seed"] == seed
+    assert payload["ok"] is True and payload["meta"]["seed"] is None
+    assert payload["meta"]["samples"] == 0
+    assert strip_timing(out.read_text()) == strip_timing(default.read_text())
 
 
 def test_verify_subgroup_and_ueb(tmp_path):
@@ -455,9 +463,8 @@ def test_optimize_reports_exact_extremes(tmp_path, group, extremes):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv, samples", [
-    # Scheme checks draw 200 readings per case: u1-tight has 2 orbit
-    # indices and 8 subgroup elements.
-    (["verify", "--scheme", "u1-tight"], 3200),
+    # Scheme checks are exact.
+    (["verify", "--scheme", "u1-tight"], 0),
     (["verify", "--ueb", "pauli"], 0),
     (["channel", "--scheme", "u1-conventional"], 0),
     (["channel", "--scheme", "su2-rod-tight", "--method", "quadrature"], 0),

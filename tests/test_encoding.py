@@ -428,74 +428,108 @@ def test_direct_sampler_is_uniform_on_region(name, make, n_cells):
     lambda: (enc.perfect_matched_scheme(btet_equivariance(), 0), "su2"),
 ])
 def test_compatibility(maker):
-    scheme, group = maker()
-    (ok, report), (finite_ok, finite_report) = enc.check_scheme(
-        scheme, HaarStream(group, 11), samples_per_case=100)
+    scheme, _ = maker()
+    (ok, report), (finite_ok, finite_report) = enc.check_scheme(scheme)
     assert ok, report
     assert finite_ok, finite_report
+    cases = {"cases": scheme.subgroup.order * len(scheme.indices)}
+    assert report == finite_report == cases
+
+
+@pytest.mark.parametrize("name", cli.ENCODED_SCHEMES)
+def test_cell_centres_cover_the_orbit(name):
+    # points[i] lists the centres of the cells of E_i, as many for every
+    # orbit index, and each centre decodes to its own index.  A matched
+    # tight scheme shares its centres with the perfect scheme on its data;
+    # the rod's centre of E_a is the axis e_{a-1}.
+    scheme = cli.builtin_scheme(name).scheme
+    assert sorted(scheme.points) == sorted(scheme.indices)
+    assert len({len(p) for p in scheme.points.values()}) == 1
+    for i, centres in scheme.points.items():
+        assert np.all(enc.decode_batch(scheme, centres) == i)
+    if is_rod(scheme):
+        assert all(np.array_equal(scheme.points[a], [np.eye(3)[a - 1]])
+                   for a in scheme.indices)
+    elif scheme.kind == "tight":
+        perfect = enc.perfect_matched_scheme(scheme.eq, scheme.indices[0])
+        assert all(np.array_equal(perfect.points[i], scheme.points[i])
+                   for i in scheme.indices)
+
+
+def _scrambled_scheme(good, where=lambda x, decoded: True):
+    """good with its decoded indices cycled along its orbit where
+    where(readings, decoded) holds (everywhere by default), on readings
+    taken as rows."""
+    cycle = np.arange(max(good.indices) + 1)
+    cycle[list(good.indices)] = good.indices[1:] + good.indices[:1]
+
+    def bad_decode(x):
+        rows = x.reshape(-1, x.shape[-1])
+        decoded = good.decode_fn(rows)
+        return np.where(where(rows, decoded), cycle[decoded],
+                        decoded).reshape(x.shape[:-1])
+
+    return enc.EncodingScheme(good.eq, good.indices, good.kind, good.act_fn,
+                              bad_decode, good.sample_fn, points=good.points)
 
 
 def _scrambled_boct_scheme(where=lambda x, decoded: True):
-    """The BOct tight matched scheme with its decoded indices cycled where
-    where(readings, decoded) holds (everywhere by default)."""
+    """The BOct tight matched scheme, scrambled by _scrambled_scheme."""
     eq = boct_equivariance()
-    good = enc.tight_matched_scheme(eq, 1)
-    swap = {1: 2, 2: 3, 3: 1}
+    return _scrambled_scheme(enc.tight_matched_scheme(eq, 1), where), eq
 
-    def bad_decode(x):
-        decoded = good.decode_fn(x)
-        return np.where(where(x, decoded), np.vectorize(swap.get)(decoded),
-                        decoded)
 
-    bad = enc.EncodingScheme(good.eq, good.indices, "tight", good.act_fn,
-                             bad_decode, good.sample_fn)
-    return bad, eq
+def _assert_real_counterexample(bad, report):
+    # The counterexample is a cell centre of E_i; its transported reading
+    # decodes to `got`, and `expected` is sigma(i, h^-1).
+    eq = bad.eq
+    assert np.any(np.all(bad.points[report["i"]] == report["x"], axis=1))
+    received = bad.act_fn(eq.subgroup.payloads[report["h"]],
+                          np.asarray(report["x"]))
+    assert decode(bad, received) == report["got"] != report["expected"]
+    assert report["expected"] == eq.sigma_inv(report["h"], report["i"])
+
+
+@pytest.mark.parametrize("name", cli.ENCODED_SCHEMES)
+def test_scrambled_decoder_fails_both_checks(name):
+    bad = _scrambled_scheme(cli.builtin_scheme(name).scheme)
+    (ok, report), (finite_ok, finite_report) = enc.check_scheme(bad)
+    assert not ok and not finite_ok
+    _assert_real_counterexample(bad, report)
+    assert 0 <= finite_report["h"] < bad.subgroup.order
+    assert finite_report["i"] in bad.indices
 
 
 def test_compatibility_detects_scrambled_decoder():
-    # Cycling only some readings decoded to 3 puts the first counterexample
-    # at a case with h != identity, inside its run of readings.
-    for bad, eq in (_scrambled_boct_scheme(), _scrambled_boct_scheme(
-            lambda x, d: (d == 3) & (x[:, 1] > 0.5))):
-        (ok, report), _ = enc.check_scheme(bad, HaarStream("su2", 11),
-                                           samples_per_case=50)
-        assert not ok and "expected" in report
-        # The counterexample is real: its transported reading decodes to
-        # `got`, and `expected` is sigma(i, h^-1).
-        received = bad.act_fn(eq.subgroup.payloads[report["h"]],
-                              np.asarray(report["x"]))
-        assert decode(bad, received) == report["got"] != report["expected"]
-        assert report["expected"] == eq.sigma_inv(report["h"], report["i"])
-
-
-def test_blocked_check_reports_the_first_counterexample(monkeypatch):
-    # Readings are checked in blocks of _CHECK_BLOCK; blocks far smaller
-    # than a case give the same reports, so the first counterexample is
-    # found across block boundaries and the cases keep their layout.
-    bad, _ = _scrambled_boct_scheme(lambda x, d: (d == 3) & (x[:, 1] > 0.5))
-    schemes = (bad, enc.perfect_matched_scheme(btet_equivariance(), 0))
-    whole = [enc.check_scheme(s, HaarStream("su2", 11), samples_per_case=50)
-             for s in schemes]
-    monkeypatch.setattr(enc, "_CHECK_BLOCK", 37)
-    for scheme, (compat, finite) in zip(schemes, whole):
-        (ok, report), got_finite = enc.check_scheme(
-            scheme, HaarStream("su2", 11), samples_per_case=50)
-        assert got_finite == finite and ok == compat[0]
-        x, want_x = report.pop("x", None), compat[1].pop("x", None)
-        assert report == compat[1]
-        if want_x is not None:
-            assert np.max(np.abs(np.subtract(x, want_x))) <= 1e-15
-    assert not whole[0][0][0] and whole[0][0][1]["h"] != 0
+    # Decoders wrong on some readings only: those decoded to 3 with
+    # x_1 > 0.5, or those at the first cell centre c of E_2.  Each report is
+    # the first counterexample in the order of i, then h, then the centres
+    # of E_i.
+    c = enc.tight_matched_scheme(boct_equivariance(), 1).points[2][0]
+    for where in (lambda x, d: (d == 3) & (x[:, 1] > 0.5),
+                  lambda x, d: np.abs(x @ c) > 1 - 1e-9):
+        bad, eq = _scrambled_boct_scheme(where)
+        (ok, report), _ = enc.check_scheme(bad)
+        assert not ok
+        _assert_real_counterexample(bad, report)
+        for i, h in itertools.product(bad.indices, range(eq.subgroup.order)):
+            got = enc.decode_batch(bad, bad.act_fn(eq.subgroup.payloads[h],
+                                                   bad.points[i]))
+            wrong = np.flatnonzero(got != eq.sigma_inv(h, i))
+            if wrong.size:
+                break
+        assert (report["i"], report["h"]) == (i, h)
+        assert report["x"] == bad.points[i][wrong[0]].tolist()
 
 
 def test_finite_group_check_detects_scrambled_decoder():
     bad, eq = _scrambled_boct_scheme()
-    _, (ok, report) = enc.check_scheme(bad, HaarStream("su2", 0))
+    _, (ok, report) = enc.check_scheme(bad)
     assert not ok
     assert 0 <= report["h"] < eq.subgroup.order and report["i"] in bad.indices
     assert report["j"] in bad.indices and report["overlap"] < 1.0 - 1e-9
     # Cycling some readings of a case makes its decode ambiguous.
     bad, eq = _scrambled_boct_scheme(lambda x, d: x[:, 1] > 0.5)
-    _, (ok, report) = enc.check_scheme(bad, HaarStream("su2", 0))
+    _, (ok, report) = enc.check_scheme(bad)
     assert not ok and report["reason"] == "ambiguous decode"
     assert 0 <= report["h"] < eq.subgroup.order and report["i"] in bad.indices

@@ -130,6 +130,18 @@ def test_canonical_sign_fixes_antipodes():
     assert np.array_equal(canonical_sign(q[3]), canonical_sign(q[3:4])[0])
 
 
+def test_canonical_sign_is_vectorized_over_leading_axes():
+    # A (2, 3, 4) stack, with rows whose w is 0 and all-zero rows, gives the
+    # row-by-row result.
+    q = np.random.default_rng(3).standard_normal((2, 3, 4))
+    q[0, 1] = [0.0, 0.0, -0.6, 0.8]
+    q[1, 0, 0] = 0.0
+    q[1, 2] = 0.0
+    rows = np.array([canonical_sign(row) for row in q.reshape(-1, 4)])
+    assert np.array_equal(canonical_sign(q), rows.reshape(q.shape))
+    assert np.array_equal(canonical_sign(q[1, 2]), np.zeros(4))
+
+
 def test_u1_matrix_physical_rep():
     # The physical matrix is exp(-i theta) U(u1_quat(theta)).
     m = np.exp(-1j * np.pi / 3) * su2_matrix(u1_quat(np.pi / 3))
