@@ -21,15 +21,16 @@ aligned correction U_x restores sigma exactly.
 
 Per-result channels
 -------------------
-result_estimates computes the channels of chosen results for every
-scheme.  A result of the conventional scheme gets the conventional integral
-by the method asked for.  A tight or perfect scheme encodes only the
-results in the orbit of its base index.  A result in a singleton orbit has
-its label sent speakably, so it gets the exact conventional integral, by
-quadrature whatever the method, in the same stacked call; an orbit result
-gets the scheme's own twirl (Bartlett, Rudolph and Spekkens, Rev. Mod.
-Phys. 79 (2007)).  A result-averaged channel is mix_estimates of all d^2
-per-result channels, and every purity figure comes from purity_figures.
+result_estimates computes the channels of chosen results of one scheme,
+which carries its UEB and frame group and encodes only the results in its
+orbit.  The conventional scheme's orbit is empty, and its results get the
+conventional integral by the method asked for.  A result outside the orbit
+of a tight or perfect scheme has its label sent speakably, so it gets the
+exact conventional integral, by quadrature whatever the method, in the same
+stacked call; an orbit result gets the scheme's own twirl (Bartlett,
+Rudolph and Spekkens, Rev. Mod. Phys. 79 (2007)).  A result-averaged
+channel is mix_estimates of all d^2 per-result channels, and every purity
+figure comes from purity_figures.
 
 Accumulation
 ------------
@@ -96,7 +97,6 @@ import numpy as np
 from . import encoding as enc
 from . import groups
 from .groups import HaarStream, quat_conj, quat_mul, su2_matrix
-from .ueb import UnitaryErrorBasis
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -311,15 +311,15 @@ def _exact_moment(u: np.ndarray, t4: np.ndarray) -> np.ndarray:
     return fourth_moment_map(form, t4)
 
 
-def _conventional_mc(basis: UnitaryErrorBasis, group: str, i: int,
-                     samples: int, seed: int) -> ChannelEstimate:
+def _conventional_mc(scheme: enc.EncodingScheme, i: int, samples: int,
+                     seed: int) -> ChannelEstimate:
     """The conventional channel of result i by MC, on its own counter range
     of the seed's stream."""
-    stream = HaarStream(group, seed).advance(i << 48)
-    conj_by_u = _conjugation_map(basis.quats[i])
+    stream = HaarStream(scheme.group, seed).advance(i << 48)
+    conj_by_u = _conjugation_map(scheme.basis.quats[i])
 
     def sample_fn(rng, m):
-        return _channel_quats(groups.haar_batch(group, rng, m),
+        return _channel_quats(groups.haar_batch(scheme.group, rng, m),
                               conj_by_u), None
 
     moments, _ = _mc_accumulate(sample_fn, samples, stream)
@@ -330,40 +330,31 @@ def _conventional_mc(basis: UnitaryErrorBasis, group: str, i: int,
 # Per-result channels
 # ---------------------------------------------------------------------------
 
-def result_estimates(spec: UnitaryErrorBasis | enc.EncodingScheme,
-                     group: str, results: Iterable[int], method: str,
-                     samples: int = 10 ** 6,
+def result_estimates(scheme: enc.EncodingScheme, results: Iterable[int],
+                     method: str, samples: int = 10 ** 6,
                      seed: int = 0) -> dict[int, ChannelEstimate]:
-    """Channels over the Haar measure of the frame group for the given
-    results, keyed in the order given, of the conventional scheme with the
-    UEB spec or of the encoded scheme spec with the UEB it was built on,
-    whose frame group must be its subgroup's ambient group; mix_estimates
-    of all d^2 of them is the result-averaged channel.
+    """Channels of scheme over the Haar measure of its frame group for the
+    given results, keyed in the order given; mix_estimates of all d^2 of
+    them is the result-averaged channel.
 
-    A conventional result, and a result outside a scheme's orbit, gets the
-    conventional integral, always exact for a scheme (Per-result channels,
-    above).  A tight scheme's orbit results are conjugates of one base
-    channel, computed only if one is asked for.  A perfect scheme's orbit
-    results each get the integral over the stabilizer of the encoded
-    reading of [rho(s)+ U_i rho(s) U_i+]."""
+    A result outside the scheme's orbit gets the conventional integral,
+    always exact unless the orbit is empty (Per-result channels, above).  A
+    tight scheme's orbit results are conjugates of one base channel,
+    computed only if one is asked for.  A perfect scheme's orbit results
+    each get the integral over the stabilizer of the encoded reading of
+    [rho(s)+ U_i rho(s) U_i+]."""
     if method not in ("quadrature", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    scheme = spec if isinstance(spec, enc.EncodingScheme) else None
-    basis = spec if scheme is None else scheme.eq.basis
-    if scheme is not None and group != scheme.subgroup.ambient:
-        raise ValueError(f"group {group!r} is not the scheme's frame "
-                         f"group {scheme.subgroup.ambient!r}")
     results = list(results)
     out: dict[int, ChannelEstimate] = {}
-    orbit = [] if scheme is None else \
-        [i for i in results if i in scheme.indices]
+    orbit = [i for i in results if i in scheme.indices]
     off = [i for i in results if i not in orbit]
-    if off and scheme is None and method == "mc":
-        out.update((i, _conventional_mc(basis, group, i, samples, seed))
+    if off and not scheme.indices and method == "mc":
+        out.update((i, _conventional_mc(scheme, i, samples, seed))
                    for i in off)
     elif off:
-        moments = _exact_moment(basis.quats[off],
-                                groups.haar_fourth_moment(group))
+        moments = _exact_moment(scheme.basis.quats[off],
+                                groups.haar_fourth_moment(scheme.group))
         out.update(zip(off, map(ChannelEstimate, moments)))
     if orbit and scheme.kind == "perfect":
         out.update((i, _perfect_orbit_channel(scheme, i, method, samples,
@@ -395,7 +386,7 @@ def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
     (g, x) pairs whose transported reading leaves E_b, or (quadrature) by
     the pair identity, as the scheme's pair_moment."""
     b = min(scheme.indices)
-    u = scheme.eq.basis.quats[b]
+    u = scheme.basis.quats[b]
     if method == "quadrature":
         moment = _exact_moment(u[None], scheme.pair_moment)[0]
         # The trace is E|g|^4 = 1; report how far the computed integral is
@@ -403,12 +394,11 @@ def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
         tr = np.trace(moment)
         return ChannelEstimate(moment / tr,
                                pre_norm_deviation=abs(tr - 1.0))
-    group = scheme.subgroup.ambient
-    stream = HaarStream(group, seed)
+    stream = HaarStream(scheme.group, seed)
     conj_by_u = _conjugation_map(u)
 
     def sample_fn(rng, m):
-        payloads = groups.haar_batch(group, rng, m)
+        payloads = groups.haar_batch(scheme.group, rng, m)
         x = scheme.sample_fn(b, rng, m)
         y = scheme.act_fn(payloads, x)
         accept = enc.decode_batch(scheme, y) == b
@@ -433,13 +423,12 @@ def _perfect_orbit_channel(scheme: enc.EncodingScheme, result: int,
     if method == "quadrature":
         # The moment of the identity quaternion.
         return ChannelEstimate(np.diag([1.0, 0.0, 0.0, 0.0]))
-    group = scheme.subgroup.ambient
-    stream = HaarStream(group, seed)
-    table = _correction_table(scheme.eq.basis, scheme)
-    u_bar = quat_conj(scheme.eq.basis.quats[result])
+    stream = HaarStream(scheme.group, seed)
+    table = _correction_table(scheme)
+    u_bar = quat_conj(scheme.basis.quats[result])
 
     def sample_fn(rng, m):
-        payloads = groups.haar_batch(group, rng, m)
+        payloads = groups.haar_batch(scheme.group, rng, m)
         y = scheme.act_fn(payloads, scheme.sample_fn(result, rng, m))
         corr = _corrections(table, enc.decode_batch(scheme, y),
                             quat_mul(y, payloads))
@@ -449,15 +438,14 @@ def _perfect_orbit_channel(scheme: enc.EncodingScheme, result: int,
     return _finish_mc(moments, samples, stream, 0.0)
 
 
-def _correction_table(basis: UnitaryErrorBasis,
-                      scheme: enc.EncodingScheme | None) -> np.ndarray:
+def _correction_table(scheme: enc.EncodingScheme) -> np.ndarray:
     """Quaternions W_j (d^2, 4) by decoded label j of Alice's corrections
     C_A = z-bar W_j z.  Bob's U_j is g-bar U_j g in her frame: W_j = U_j,
     z = g.  On a perfect scheme's orbit he corrects with ghat U_j ghat-bar,
     realigned by ghat = y-bar xhat_j for the first point xhat_j of X_j and
     the reading y = x g-bar: W_j = xhat_j U_j xhat_j-bar and z = y g."""
-    u = basis.quats
-    if scheme is None or scheme.kind != "perfect":
+    u = scheme.basis.quats
+    if scheme.kind != "perfect":
         return u
     orbit = list(scheme.indices)
     xhat = np.array([scheme.points[j][0] for j in orbit])
@@ -499,39 +487,33 @@ class DensityMatrix:
             raise InvariantViolation(f"negative eigenvalue {lo:.3e}")
 
 
-def single_shot_simulate(spec: UnitaryErrorBasis | enc.EncodingScheme,
-                         sigma: DensityMatrix, stream: HaarStream,
-                         shots: int = 1) -> tuple[DensityMatrix, dict]:
-    """End-to-end protocol simulation of the conventional scheme with the
-    UEB spec, or of the encoded scheme spec with the UEB it was built on.
+def single_shot_simulate(scheme: enc.EncodingScheme, sigma: DensityMatrix,
+                         seed: int, shots: int = 1
+                         ) -> tuple[DensityMatrix, dict]:
+    """End-to-end protocol simulation of scheme, drawing from the seed's
+    HaarStream on the scheme's frame group.
 
-    Each shot samples a Haar misalignment on the stream's group (which must
-    be the scheme's frame group), Alice's measurement result uniformly (every
-    result is equiprobable), the transmitted reading, Bob's decode and
-    correction, and returns the ensemble-mean output in Alice's frame
-    together with a transcript.  Shots run in blocks of _BATCH: each block
-    draws its results and misalignments from one results generator, and the
-    readings of its orbit shots, in shot order, from one readings generator
-    with one sample, act and decode call (a result outside the orbit is sent
-    speakably).  Alice's correction is one conjugation z-bar W_j z by the
-    decoded label's row of _correction_table.  Each block writes its part of
-    the transcript and adds the second moment of its net quaternions to the
-    total.
+    Each shot samples a Haar misalignment, Alice's measurement result
+    uniformly (every result is equiprobable), the transmitted reading, Bob's
+    decode and correction, and returns the ensemble-mean output in Alice's
+    frame together with a transcript.  Shots run in blocks of _BATCH: each
+    block draws its results and misalignments from one results generator,
+    and the readings of its orbit shots, in shot order, from one readings
+    generator with one sample, act and decode call (a result outside the
+    orbit is sent speakably).  Alice's correction is one conjugation
+    z-bar W_j z by the decoded label's row of _correction_table.  Each
+    block writes its part of the transcript and adds the second moment of
+    its net quaternions to the total.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
-    scheme = spec if isinstance(spec, enc.EncodingScheme) else None
-    basis = spec if scheme is None else scheme.eq.basis
-    if scheme is not None and stream.group != scheme.subgroup.ambient:
-        raise ValueError(f"stream group {stream.group!r} is not the "
-                         f"scheme's frame group {scheme.subgroup.ambient!r}")
-    n_res = basis.size
+    n_res = scheme.basis.size
     # Bob's state before correction is M_x sigma M_x+ with M_x = U_x+.
-    pre = quat_conj(basis.quats)
-    table = _correction_table(basis, scheme)
-    in_orbit = np.isin(np.arange(n_res), () if scheme is None
-                       else scheme.indices)
+    pre = quat_conj(scheme.basis.quats)
+    table = _correction_table(scheme)
+    in_orbit = np.isin(np.arange(n_res), scheme.indices)
 
+    stream = HaarStream(scheme.group, seed)
     rng_results = stream.generator()
     rng_read = stream.advance(1 << 40).generator()
     g = np.empty((shots, 4))
@@ -547,7 +529,7 @@ def single_shot_simulate(spec: UnitaryErrorBasis | enc.EncodingScheme,
             np.int64)
         # z is a copy of the block's misalignments g, and y g on the orbit
         # of a perfect scheme.
-        z = g[block] = groups.haar_batch(stream.group, rng_results, m)
+        z = g[block] = groups.haar_batch(scheme.group, rng_results, m)
         decoded[block] = res
         orbit = np.flatnonzero(in_orbit[res])
         if orbit.size:

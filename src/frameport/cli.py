@@ -27,7 +27,7 @@ import sys
 import time
 import zlib
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -57,57 +57,52 @@ def build_id() -> str:
 # Builtin registry
 # ---------------------------------------------------------------------------
 
-class SchemeBundle(NamedTuple):
-    name: str
-    group: str                  # misalignment group to integrate over
-    variant: str                # conventional | tight | perfect
-    basis: ueb_mod.UnitaryErrorBasis
-    scheme: enc.EncodingScheme | None
-
-
-# name: (misalignment group, variant, UEB, frame subgroup, orbit base).  An
-# encoded scheme is built on its subgroup for the orbit of its base index;
-# an orbit base of None there means the rod scheme, which builds its own
-# Pauli x BOct data.
+# name: (kind, UEB, frame group or subgroup, orbit base).  A conventional
+# scheme names its frame group.  An encoded scheme is built on its subgroup
+# (whose ambient group is its frame group) for the orbit of its base index;
+# a base of None means the rod scheme, which builds its own Pauli x BOct data.
 _SCHEMES = {
-    "u1-conventional": ("u1", "conventional", "pauli", None, None),
-    "u1-tight": ("u1", "tight", "pauli", "z8", 1),
-    "u1-perfect": ("u1", "perfect", "pauli", "z8", 1),
-    "su2-conventional": ("su2", "conventional", "pauli", None, None),
-    "su2-matched-tight": ("su2", "tight", "pauli", "boct", 1),
-    "su2-rod-tight": ("su2", "tight", "pauli", "boct", None),
-    "su2-btet-perfect": ("su2", "perfect", "tetrahedral", "btet", 0),
+    "u1-conventional": ("conventional", "pauli", "u1", None),
+    "u1-tight": ("tight", "pauli", "z8", 1),
+    "u1-perfect": ("perfect", "pauli", "z8", 1),
+    "su2-conventional": ("conventional", "pauli", "su2", None),
+    "su2-matched-tight": ("tight", "pauli", "boct", 1),
+    "su2-rod-tight": ("tight", "pauli", "boct", None),
+    "su2-btet-perfect": ("perfect", "tetrahedral", "btet", 0),
 }
 _ALIASES = {"su2-boct-tight": "su2-matched-tight"}
 
 SCHEME_NAMES = tuple(_SCHEMES)
 # The schemes that carry an encoding, and so have scheme-level checks.
 ENCODED_SCHEMES = tuple(name for name, row in _SCHEMES.items()
-                        if row[3] is not None)
+                        if row[0] != "conventional")
 
 
-def builtin_scheme(name: str) -> SchemeBundle:
-    """The bundle of a scheme name or alias, built once per process."""
+def _canonical_name(name: str) -> str:
     name = _ALIASES.get(name, name)
     if name not in _SCHEMES:
         raise ConfigError(
             f"unknown scheme {name!r}; available: {', '.join(SCHEME_NAMES)}")
-    return _scheme_bundle(name)
+    return name
+
+
+def builtin_scheme(name: str) -> enc.EncodingScheme:
+    """The scheme of a name or alias, built once per process."""
+    return _build_scheme(_canonical_name(name))
 
 
 @functools.cache
-def _scheme_bundle(name: str) -> SchemeBundle:
-    group, variant, ueb_name, sub_name, base = _SCHEMES[name]
+def _build_scheme(name: str) -> enc.EncodingScheme:
+    kind, ueb_name, where, base = _SCHEMES[name]
     basis = _UEBS[ueb_name]()
-    if sub_name is None:
-        return SchemeBundle(name, group, variant, basis, None)
+    if kind == "conventional":
+        return enc.conventional_scheme(basis, where)
     if base is None:
-        return SchemeBundle(name, group, variant, basis, enc.rod_scheme())
-    eq = ueb_mod.equivariance_analysis(basis,
-                                       groups.subgroup_by_name(sub_name))
-    matched = (enc.tight_matched_scheme if variant == "tight"
+        return enc.rod_scheme()
+    eq = ueb_mod.equivariance_analysis(basis, groups.subgroup_by_name(where))
+    matched = (enc.tight_matched_scheme if kind == "tight"
                else enc.perfect_matched_scheme)
-    return SchemeBundle(name, group, variant, basis, matched(eq, base))
+    return matched(eq, base)
 
 
 _UEBS: dict[str, Callable[[], ueb_mod.UnitaryErrorBasis]] = {
@@ -219,14 +214,14 @@ def _verify_schemes(report: dict, names=ENCODED_SCHEMES) -> bool:
     ok = True
     for name in names:
         try:
-            bundle = builtin_scheme(name)
+            scheme = builtin_scheme(name)
         except ValueError as exc:
             ok = False
             for key in ("compatibility", "finite-subgroup"):
                 report[f"{key}:{name}"] = {"ok": False, "error": str(exc)}
             continue
         for key, (passed, info) in zip(("compatibility", "finite-subgroup"),
-                                       enc.check_scheme(bundle.scheme)):
+                                       enc.check_scheme(scheme)):
             report[f"{key}:{name}"] = {"ok": passed} | info
             ok = ok and passed
     return ok
@@ -238,7 +233,10 @@ def cmd_verify(args) -> int:
                           "--ueb/--subgroup")
     report: dict = {}
     if args.scheme:
-        ok = _verify_schemes(report, [args.scheme])
+        if (name := _canonical_name(args.scheme)) not in ENCODED_SCHEMES:
+            raise ConfigError(f"--scheme {args.scheme!r} has no encoding; "
+                              f"use one of {', '.join(ENCODED_SCHEMES)}")
+        ok = _verify_schemes(report, [name])
     elif args.ueb or args.subgroup:
         ueb_name = args.ueb or "pauli"
         sub_name = args.subgroup or _DEFAULT_SUBGROUP[ueb_name]
@@ -259,23 +257,22 @@ def cmd_verify(args) -> int:
 # channel
 # ---------------------------------------------------------------------------
 
-def _channel_estimates(bundle: SchemeBundle, result, method: str,
+def _channel_estimates(scheme: enc.EncodingScheme, result, method: str,
                        samples: int, seed: int) -> list[ch.ChannelEstimate]:
-    """The bundle's channel for one result or "averaged", followed, for a
+    """The scheme's channel for one result or "averaged", followed, for a
     result-averaged encoded scheme, by its per-result channels."""
     averaged = result == "averaged"
     per_result = list(ch.result_estimates(
-        bundle.scheme or bundle.basis, bundle.group,
-        range(bundle.basis.size) if averaged else [result], method, samples,
-        seed).values())
+        scheme, range(scheme.basis.size) if averaged else [result], method,
+        samples, seed).values())
     if not averaged:
         return per_result
     mixed = ch.mix_estimates(per_result)
-    return [mixed] if bundle.scheme is None else [mixed, *per_result]
+    return [mixed, *per_result] if scheme.indices else [mixed]
 
 
 def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
-    """A command-line index into a scheme bundle's range(size)."""
+    """A command-line index into range(size)."""
     try:
         value = int(text)
     except ValueError:
@@ -286,11 +283,12 @@ def _index_arg(option: str, text, size: int, alternative: str = "") -> int:
     return value
 
 
-def _purity_rows(bundle: SchemeBundle, result, samples: int,
+def _purity_rows(name: str, result, samples: int,
                  purities: tuple[np.ndarray, np.ndarray, np.ndarray],
                  seed: int, seconds: float) -> tuple[list[tuple], list[dict]]:
     """The purity figures of a channel, as (interpretation, purity, stderr,
-    linear purity), and the CSV rows formatted from them.  purities are the
+    linear purity), and the CSV rows of the scheme name formatted from
+    them.  purities are the
     map purities, their errors and the linear purities of ch.purity_figures
     over the channel and, for a result-averaged encoded scheme, its
     per-result channels, whose figures enter as their means: the mean of
@@ -305,7 +303,7 @@ def _purity_rows(bundle: SchemeBundle, result, samples: int,
         figures.append(("mean-result-purity", float(np.mean(purity[1:])),
                         float(np.mean(errors[1:])),
                         float(np.mean(linear[1:]))))
-    rows = [{"scheme": bundle.name, "interpretation": interpretation,
+    rows = [{"scheme": name, "interpretation": interpretation,
              "purity": f"{p:.6f}", "stderr": f"{stderr:.6f}",
              "linear_purity": f"{lin:.6f}", "samples": samples,
              "seed": seed if samples else None,
@@ -315,26 +313,27 @@ def _purity_rows(bundle: SchemeBundle, result, samples: int,
 
 
 def cmd_channel(args) -> int:
-    bundle = builtin_scheme(args.scheme)
+    name = _canonical_name(args.scheme)
+    scheme = builtin_scheme(name)
     result = args.result
-    if result == "averaged" and bundle.variant == "perfect":
+    if result == "averaged" and scheme.kind == "perfect":
         # A perfect scheme's channel is computed for one result; the
         # default is result 0, and it is labelled so.
         result = 0
     elif result != "averaged":
-        result = _index_arg("--result", result, bundle.basis.size,
+        result = _index_arg("--result", result, scheme.basis.size,
                             "'averaged' or ")
     t0 = time.perf_counter()
-    ests = _channel_estimates(bundle, result, args.method, args.samples,
+    ests = _channel_estimates(scheme, result, args.method, args.samples,
                               args.seed)
     seconds = time.perf_counter() - t0
     est = ests[0]
     spectra, *purities = ch.purity_figures(ests)
-    figures, rows = _purity_rows(bundle, result, est.samples, purities,
+    figures, rows = _purity_rows(name, result, est.samples, purities,
                                  args.seed, seconds)
     interpretation, purity, p_err, linear = figures[0]
     payload = {
-        "scheme": bundle.name,
+        "scheme": name,
         "method": est.method,
         "interpretation": interpretation,
         "superoperator": est.superop,
@@ -351,7 +350,7 @@ def cmd_channel(args) -> int:
         payload["mean_result_purity"] = mean_p
         payload["mean_result_purity_stderr"] = mean_err
     # An averaged conventional MC channel draws one stream per result.
-    streams = bundle.basis.size if bundle.scheme is None and \
+    streams = scheme.basis.size if not scheme.indices and \
         result == "averaged" else 1
     _emit(args, payload, rows, est.samples * streams)
     return 0
@@ -377,12 +376,11 @@ def cmd_table1(args) -> int:
     rows: list[dict] = []
     table: list[dict] = []
     for name, result in _TABLE1_ROWS:
-        bundle = builtin_scheme(name)
         t0 = time.perf_counter()
-        ests = _channel_estimates(bundle, result, "quadrature", args.samples,
-                                  args.seed)
+        ests = _channel_estimates(builtin_scheme(name), result, "quadrature",
+                                  args.samples, args.seed)
         seconds = time.perf_counter() - t0
-        part = _purity_rows(bundle, result, ests[0].samples,
+        part = _purity_rows(name, result, ests[0].samples,
                             ch.purity_figures(ests)[1:], args.seed,
                             seconds)[1]
         rows += part
@@ -398,21 +396,20 @@ def cmd_table1(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    bundle = builtin_scheme(args.scheme)
+    name = _canonical_name(args.scheme)
+    scheme = builtin_scheme(name)
     # Qubit states: the input is a basis state |0> or |1>.
     _index_arg("--input", args.input, 2)
     sigma = np.zeros((2, 2), dtype=np.complex128)
     sigma[args.input, args.input] = 1.0
-    stream = groups.HaarStream(bundle.group, args.seed)
     t0 = time.perf_counter()
     out, transcript = ch.single_shot_simulate(
-        bundle.scheme or bundle.basis, ch.DensityMatrix(sigma), stream,
-        shots=args.shots)
+        scheme, ch.DensityMatrix(sigma), args.seed, shots=args.shots)
     seconds = time.perf_counter() - t0
     fidelity = float(out.mat[args.input, args.input].real)
     results, counts = np.unique(transcript["result"], return_counts=True)
     payload = {
-        "scheme": bundle.name,
+        "scheme": name,
         "shots": args.shots,
         "input": args.input,
         "output_state": out.mat,
@@ -421,7 +418,7 @@ def cmd_simulate(args) -> int:
         "seconds": seconds,
     }
     _emit(args, payload,
-          [{"scheme": bundle.name, "shots": args.shots,
+          [{"scheme": name, "shots": args.shots,
             "input": args.input, "input_fidelity": f"{fidelity:.6f}",
             "seed": args.seed, "seconds": f"{seconds:.3f}"}], args.shots)
     return 0
@@ -510,7 +507,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="structural verification suites")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--scheme", choices=ENCODED_SCHEMES, default=None)
+    p.add_argument("--scheme", default=None,
+                   help="an encoded scheme: " + ", ".join(ENCODED_SCHEMES))
     p.add_argument("--ueb", choices=tuple(_UEBS), default=None)
     p.add_argument("--subgroup", choices=tuple(groups.SUBGROUPS),
                    default=None)

@@ -1,11 +1,11 @@
-"""Encoding/decoding schemes with the action of the frame group on their
-readings, the tight/perfect matched-scheme constructors, and the exact
-scheme checks.
+"""The scheme record: the conventional scheme, which sends no reading, and
+encoding/decoding schemes with the action of the frame group on their
+readings; the tight/perfect matched-scheme constructors; scheme checks.
 
 Reading actions
 ---------------
-Each scheme carries act_fn(g, x), the action of frame quaternions g on its
-readings x, vectorized over readings (and over g if its leading shape
+Each encoded scheme carries act_fn(g, x), the action of frame quaternions g
+on its readings x, vectorized over readings (and over g if its leading shape
 matches x).  Its frame group is the ambient group of its subgroup.
 - A matched scheme reads frame labels, canonical-signed unit quaternions.  A
   physical g sends the label f to f g^{-1} (a left action on labels, matching
@@ -55,13 +55,15 @@ import numpy as np
 from . import groups
 from .groups import FiniteSubgroup, canonical_sign, quat_conj, quat_mul, \
     quat_rotate
-from .ueb import EquivarianceData, equivariance_analysis, pauli_ueb
+from .ueb import EquivarianceData, UnitaryErrorBasis, \
+    equivariance_analysis, pauli_ueb
 
 if TYPE_CHECKING:
     from numpy.random import Generator
 
 __all__ = [
     "EncodingScheme",
+    "conventional_scheme",
     "decode_batch",
     "tight_matched_scheme",
     "perfect_matched_scheme",
@@ -80,8 +82,12 @@ def _torsor_act(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class EncodingScheme:
-    """Encoding/decoding rule for one orbit of UEB indices under the
-    subgroup of its equivariance data.
+    """A teleportation scheme: the UEB basis, the frame group of the
+    misalignment, the kind ("conventional" | "tight" | "perfect": no
+    reading sent, a region or a point) and the orbit indices of the results
+    whose label is encoded.  The conventional scheme (conventional_scheme)
+    has no orbit, eq, points or functions.  An encoded scheme takes its
+    basis and frame group (its subgroup's ambient group) from eq.
 
     act_fn(g, x) moves readings x by frame quaternions g, broadcasting their
     leading axes; decode_fn maps readings (..., m) to UEB indices (...);
@@ -102,9 +108,11 @@ class EncodingScheme:
                                      np.ndarray],
                  points: dict[int, np.ndarray],
                  moment_fn: Callable[[], np.ndarray] | None = None):
-        self.eq = eq
-        self.indices = indices
+        self.basis = eq.basis
+        self.group = eq.subgroup.ambient
         self.kind = kind                # "tight" | "perfect"
+        self.indices = indices
+        self.eq = eq
         self.act_fn = act_fn
         self.decode_fn = decode_fn
         self.sample_fn = sample_fn
@@ -122,6 +130,17 @@ class EncodingScheme:
         t4 = groups.pair_fourth_moment(self.moment_fn())
         t4.flags.writeable = False
         return t4
+
+
+def conventional_scheme(basis: UnitaryErrorBasis, group: str
+                        ) -> EncodingScheme:
+    """The conventional scheme of basis on a frame group: no reading, so
+    no equivariance data for the constructor to read."""
+    scheme = object.__new__(EncodingScheme)
+    vars(scheme).update(basis=basis, group=group, kind="conventional",
+                        indices=(), eq=None, act_fn=None, decode_fn=None,
+                        sample_fn=None, points={}, moment_fn=None)
+    return scheme
 
 
 def decode_batch(scheme: EncodingScheme, x: np.ndarray) -> np.ndarray:

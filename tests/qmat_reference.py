@@ -25,7 +25,8 @@ import numpy as np
 from frameport.channel import ChannelEstimate, DensityMatrix, \
     InvariantViolation, _entropy, clamped_eigenvalues, fourth_moment_map, \
     mix_estimates, purity_figures, result_estimates, spectrum_purities
-from frameport.encoding import EncodingScheme, decode_batch
+from frameport.encoding import EncodingScheme, conventional_scheme, \
+    decode_batch
 from frameport.groups import FiniteSubgroup, HaarStream, binary_tetrahedral, \
     canonical_sign, first_lifts, haar_batch, haar_fourth_moment, quat_conj, \
     quat_mul, quat_rotate, su2_matrix
@@ -212,8 +213,9 @@ def conventional_estimate(basis: UnitaryErrorBasis, group: str, result,
     """The conventional channel of one result, or for "averaged" the equal
     mix over all results, as the CLI builds it from result_estimates."""
     ests = list(result_estimates(
-        basis, group, range(basis.size) if result == "averaged" else [result],
-        method, samples, seed).values())
+        conventional_scheme(basis, group),
+        range(basis.size) if result == "averaged" else [result], method,
+        samples, seed).values())
     return mix_estimates(ests) if result == "averaged" else ests[0]
 
 

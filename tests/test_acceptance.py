@@ -59,8 +59,7 @@ def btet_bundle():
 def averaged_channel(scheme, method, **kwargs):
     """The equal mix of a scheme's channels over all of its results."""
     return ch.mix_estimates(list(ch.result_estimates(
-        scheme, scheme.subgroup.ambient, range(scheme.eq.basis.size), method,
-        **kwargs).values()))
+        scheme, range(scheme.basis.size), method, **kwargs).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +103,12 @@ def test_acceptance_1_structural():
 def test_acceptance_2_perfect_schemes():
     _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
-    est = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
+    est = ch.result_estimates(scheme, [1], "quadrature")[1]
     ok = np.max(np.abs(est.superop - np.eye(4))) < 1e-9
 
     _, eq2 = btet_bundle()
     scheme2 = enc.perfect_matched_scheme(eq2, 0)
-    est2 = ch.result_estimates(scheme2, "su2", [1], "mc",
-                               samples=FULL)[1]
+    est2 = ch.result_estimates(scheme2, [1], "mc", samples=FULL)[1]
     tol = 3 * np.maximum(est2.stderr, 1e-7)
     ok = ok and bool(np.all(np.abs(est2.superop - np.eye(4)) <= tol))
     report(2, ok)
@@ -185,8 +183,7 @@ def _tight_mean_result(scheme_name: str) -> tuple[float, float]:
         scheme = enc.rod_scheme()
     else:
         scheme = enc.tight_matched_scheme(eq, 1)
-    ests = ch.result_estimates(scheme, "su2", range(4), "mc",
-                               samples=FULL)
+    ests = ch.result_estimates(scheme, range(4), "mc", samples=FULL)
     return mean_result(ests)
 
 
@@ -223,20 +220,20 @@ def test_acceptance_7_simulator_cross_validation():
     _, eq = u1_bundle()
     u1_scheme = enc.tight_matched_scheme(eq, 1)
     exact = averaged_channel(u1_scheme, "quadrature")
-    configs.append(("u1-tight", u1_scheme, "u1", exact.superop))
+    configs.append(("u1-tight", u1_scheme, exact.superop))
 
     rod = enc.rod_scheme()
     rod_est = averaged_channel(rod, "mc", samples=FULL)
-    configs.append(("su2-rod-tight", rod, "su2", rod_est.superop))
+    configs.append(("su2-rod-tight", rod, rod_est.superop))
 
     _, eq3 = btet_bundle()
     perfect = enc.perfect_matched_scheme(eq3, 0)
-    configs.append(("su2-btet-perfect", perfect, "su2", np.eye(4)))
+    configs.append(("su2-btet-perfect", perfect, np.eye(4)))
 
     ok = True
-    for k, (name, scheme_k, group, target) in enumerate(configs):
-        _, transcript = ch.single_shot_simulate(
-            scheme_k, sigma, HaarStream(group, 100 + k), shots=shots)
+    for k, (name, scheme_k, target) in enumerate(configs):
+        _, transcript = ch.single_shot_simulate(scheme_k, sigma, 100 + k,
+                                                shots=shots)
         got = transcript["mean_superop"]
         # Entries are shot-averages of products of unit-modulus terms, so
         # each standard error is at most 1/sqrt(shots).

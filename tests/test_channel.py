@@ -129,12 +129,13 @@ def test_averaged_conventional_mc_is_the_mix_of_its_results():
     basis, _ = su2_bundle()
     averaged, = cli._channel_estimates(cli.builtin_scheme("su2-conventional"),
                                        "averaged", "mc", 20000, 6)
-    single = [ch.result_estimates(basis, "su2", [i], "mc", 20000, 6)[i]
+    conventional = enc.conventional_scheme(basis, "su2")
+    single = [ch.result_estimates(conventional, [i], "mc", 20000, 6)[i]
               for i in range(4)]
     mixed = ch.mix_estimates(single)
     assert np.array_equal(averaged.moment, mixed.moment)
     assert np.array_equal(averaged.replicates, mixed.replicates)
-    neighbour = ch.result_estimates(basis, "su2", [2], "mc", 20000, 7)[2]
+    neighbour = ch.result_estimates(conventional, [2], "mc", 20000, 7)[2]
     assert not any(np.array_equal(neighbour.moment, est.moment)
                    for est in single)
 
@@ -150,8 +151,7 @@ def u1_tight_scheme(eq):
 def averaged_channel(scheme, method, *args):
     """The equal mix of a scheme's channels over all of its results."""
     return ch.mix_estimates(list(ch.result_estimates(
-        scheme, scheme.subgroup.ambient, range(scheme.eq.basis.size), method,
-        *args).values()))
+        scheme, range(scheme.basis.size), method, *args).values()))
 
 
 def test_u1_tight_quadrature_off_diagonal():
@@ -188,8 +188,8 @@ def test_u1_tight_arc_moment_matches_dense_grid():
 def test_u1_tight_mc_agrees_with_quadrature():
     _, eq = u1_bundle()
     scheme = u1_tight_scheme(eq)
-    exact = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
-    mc = ch.result_estimates(scheme, "u1", [1], "mc", samples=SAMPLES)[1]
+    exact = ch.result_estimates(scheme, [1], "quadrature")[1]
+    mc = ch.result_estimates(scheme, [1], "mc", samples=SAMPLES)[1]
     tol = 3 * np.maximum(mc.stderr, 2e-3)
     assert np.all(np.abs(mc.superop - exact.superop) <= tol)
 
@@ -208,7 +208,7 @@ def test_su2_tight_quadrature_values():
     want = {"matched": (0.267531849036, 0.450648886777),
             "rod": (0.269856674296, 0.4523925057222)}
     for key, scheme in su2_tight_schemes().items():
-        ests = ch.result_estimates(scheme, "su2", range(4), "quadrature")
+        ests = ch.result_estimates(scheme, range(4), "quadrature")
         base, mean = want[key]
         assert ests[1].method == "quadrature" and ests[1].samples == 0
         assert abs(purity_with_error(ests[1])[0] - base) <= 1e-12
@@ -221,10 +221,10 @@ def test_su2_tight_mc_agrees_with_exact():
     # the exact value.
     for key, scheme in su2_tight_schemes().items():
         exact, _ = mean_result(ch.result_estimates(
-            scheme, "su2", range(4), "quadrature"))
+            scheme, range(4), "quadrature"))
         for seed in (9001, 9002):
             value, err = mean_result(ch.result_estimates(
-                scheme, "su2", range(4), "mc", SAMPLES, seed))
+                scheme, range(4), "mc", SAMPLES, seed))
             assert abs(value - exact) <= 3 * err, (key, seed, value, err)
 
 
@@ -236,11 +236,11 @@ def test_tight_singleton_orbit_is_identity(monkeypatch):
         raise AssertionError("singleton result computed the base integral")
 
     monkeypatch.setattr(ch, "_tight_base_channel", no_base_integral)
-    conventional = ch.result_estimates(scheme.eq.basis, "u1", [0, 3],
-                                       "quadrature")
+    conventional = ch.result_estimates(
+        enc.conventional_scheme(scheme.basis, "u1"), [0, 3], "quadrature")
     for i in (0, 3):
         for method in ("quadrature", "mc"):
-            est = ch.result_estimates(scheme, "u1", [i], method)[i]
+            est = ch.result_estimates(scheme, [i], method)[i]
             assert est.method == "quadrature"
             assert np.max(np.abs(est.superop - np.eye(4))) < 1e-14
             # The exact conventional integral, by the same stacked call.
@@ -250,8 +250,7 @@ def test_tight_singleton_orbit_is_identity(monkeypatch):
 def test_su2_tight_orbit_channels_share_spectrum():
     _, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
-    ests = ch.result_estimates(scheme, "su2", range(4), "mc",
-                               samples=SAMPLES)
+    ests = ch.result_estimates(scheme, range(4), "mc", samples=SAMPLES)
     spectra = [sorted(s) for s in ch.purity_figures(
         [ests[i] for i in (1, 2, 3)])[0]]
     assert np.allclose(spectra[0], spectra[1], atol=1e-9)
@@ -264,8 +263,7 @@ def test_su2_tight_orbit_channels_share_spectrum():
 def test_mean_result_purity_of_some_results():
     # Any subset of results, keyed by result rather than by position.
     _, eq = u1_bundle()
-    ests = ch.result_estimates(u1_tight_scheme(eq), "u1", [1, 3],
-                               "quadrature")
+    ests = ch.result_estimates(u1_tight_scheme(eq), [1, 3], "quadrature")
     assert list(ests) == [1, 3]
     _, purity, errors, _ = ch.purity_figures(list(ests.values()))
     assert np.mean(purity) == pytest.approx((purity[0] + 1.0) / 2,
@@ -281,15 +279,15 @@ def test_su2_tight_invariant_under_left_stabilizer_shift(monkeypatch):
     _, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
     h = eq.subgroup.payloads[eq.stabilizers[1][3]]
-    plain = ch.result_estimates(scheme, "su2", [1], "mc",
-                                samples=SAMPLES, seed=0)[1]
+    plain = ch.result_estimates(scheme, [1], "mc", samples=SAMPLES,
+                                seed=0)[1]
     # Pre-compose every Haar draw with h.  The readings' sampler draws
     # through haar_batch too, which leaves them uniform.
     haar_batch = groups.haar_batch
     monkeypatch.setattr(groups, "haar_batch", lambda *a: groups.quat_mul(
         h, haar_batch(*a)))
-    shifted = ch.result_estimates(scheme, "su2", [1], "mc",
-                                  samples=SAMPLES, seed=1)[1]
+    shifted = ch.result_estimates(scheme, [1], "mc", samples=SAMPLES,
+                                  seed=1)[1]
     p1, e1 = purity_with_error(plain)
     p2, e2 = purity_with_error(shifted)
     assert abs(p1 - p2) < 4 * np.hypot(e1, e2) + 5e-3
@@ -303,9 +301,9 @@ def test_rod_and_matched_tight_purities_agree():
     matched = enc.tight_matched_scheme(eq, 1)
     rod = enc.rod_scheme()
     pm, em = purity_with_error(ch.result_estimates(
-        matched, "su2", [1], "mc", samples=SAMPLES)[1])
+        matched, [1], "mc", samples=SAMPLES)[1])
     pr, er = purity_with_error(ch.result_estimates(
-        rod, "su2", [1], "mc", samples=SAMPLES)[1])
+        rod, [1], "mc", samples=SAMPLES)[1])
     assert pm == pytest.approx(0.268, abs=0.01)
     assert pr == pytest.approx(0.270, abs=0.01)
 
@@ -317,7 +315,7 @@ def test_rod_and_matched_tight_purities_agree():
 def test_u1_perfect_is_identity():
     _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
-    est = ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
+    est = ch.result_estimates(scheme, [1], "quadrature")[1]
     assert np.max(np.abs(est.superop - np.eye(4))) < 1e-9
 
 
@@ -325,8 +323,7 @@ def test_btet_perfect_mc_is_identity():
     basis = tetrahedral_ueb()
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
-    est = ch.result_estimates(scheme, "su2", [1], "mc",
-                              samples=SAMPLES)[1]
+    est = ch.result_estimates(scheme, [1], "mc", samples=SAMPLES)[1]
     tol = 3 * np.maximum(est.stderr, 1e-6)
     assert np.all(np.abs(est.superop - np.eye(4)) <= tol)
 
@@ -342,10 +339,11 @@ def test_perfect_singleton_result_gets_conventional_integral():
     eq = equivariance_analysis(basis, z4)
     assert eq.orbits == ((0,), (1,), (2,), (3,))
     scheme = enc.perfect_matched_scheme(eq, 1)
-    exact = ch.result_estimates(scheme.eq.basis, "u1", [2], "quadrature")[2]
+    exact = ch.result_estimates(enc.conventional_scheme(scheme.basis, "u1"),
+                                [2], "quadrature")[2]
     assert purity_with_error(exact) == pytest.approx((0.5, 0.0), abs=1e-12)
     for method in ("quadrature", "mc"):
-        est = ch.result_estimates(scheme, "u1", [2], method, 20000, 0)[2]
+        est = ch.result_estimates(scheme, [2], method, 20000, 0)[2]
         assert est.method == "quadrature"
         assert np.array_equal(est.moment, exact.moment)
 
@@ -354,27 +352,13 @@ def test_unknown_method_is_rejected():
     _, eq = u1_bundle()
     tight = u1_tight_scheme(eq)
     perfect = enc.perfect_matched_scheme(eq, 1)
+    conventional = enc.conventional_scheme(eq.basis, "u1")
     # Orbit results of both kinds, the singleton result 0 alone, and the
     # conventional scheme.
-    for spec, results in ((tight, [1]), (tight, [0]), (perfect, [1]),
-                          (perfect, [0]), (eq.basis, [1])):
+    for scheme, results in ((tight, [1]), (tight, [0]), (perfect, [1]),
+                            (perfect, [0]), (conventional, [1])):
         with pytest.raises(ValueError, match="unknown method"):
-            ch.result_estimates(spec, "u1", results, "bogus", 20000, 0)
-    # A scheme integrates over its own frame group only.
-    for scheme in (tight, perfect):
-        for results in ([1], [0]):
-            with pytest.raises(ValueError, match="frame group"):
-                ch.result_estimates(scheme, "su2", results, "quadrature")
-
-
-def test_simulator_stream_must_be_the_scheme_group():
-    # Drawing SU(2) misalignments for the U(1) tight scheme used to run
-    # silently (input fidelity 0.666 at 20,000 shots, against 1.0).
-    _, eq = u1_bundle()
-    scheme = u1_tight_scheme(eq)
-    sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
-    with pytest.raises(ValueError, match="frame group"):
-        ch.single_shot_simulate(scheme, sigma, HaarStream("su2", 0), 100)
+            ch.result_estimates(scheme, results, "bogus", 20000, 0)
 
 
 def test_rod_point_encoding_is_perfectly_correctable():
@@ -398,7 +382,7 @@ def test_rod_point_encoding_is_perfectly_correctable():
                                 lambda i, rng, n: np.tile(points[i][0], (n, 1)),
                                 points=points)
     for i in (1, 2, 3):
-        est = ch.result_estimates(scheme, "su2", [i], "quadrature")[i]
+        est = ch.result_estimates(scheme, [i], "quadrature")[i]
         assert np.max(np.abs(est.superop - np.eye(4))) < 1e-9
 
 
@@ -433,23 +417,20 @@ def _batched_and_reference(name: str, method: str
     them (the result-averaged channel, then, for an encoded scheme, each
     result's), and the same channels built from one-result calls, with a
     tight scheme's orbit results conjugated from its base one at a time."""
-    bundle = cli.builtin_scheme(name)
-    basis, scheme = bundle.basis, bundle.scheme
+    scheme = cli.builtin_scheme(name)
     args = (method, BATCH_SAMPLES, 5)
-    batched = cli._channel_estimates(bundle, "averaged", *args)
-    base = None if scheme is None else min(scheme.indices)
+    batched = cli._channel_estimates(scheme, "averaged", *args)
+    base = min(scheme.indices, default=None)
     reference = []
-    for i in range(basis.size):
-        if scheme is not None and scheme.kind == "tight" and \
-                i in scheme.indices and i != base:
+    for i in range(scheme.basis.size):
+        if scheme.kind == "tight" and i in scheme.indices and i != base:
             reference.append(_conjugate(ch.result_estimates(
-                scheme, bundle.group, [base], *args)[base],
+                scheme, [base], *args)[base],
                 scheme.subgroup.payloads[scheme.eq.coset_reps[i]]))
         else:
-            reference.append(ch.result_estimates(
-                scheme or basis, bundle.group, [i], *args)[i])
+            reference.append(ch.result_estimates(scheme, [i], *args)[i])
     mixed = ch.mix_estimates(reference)
-    return batched, [mixed] if scheme is None else [mixed, *reference]
+    return batched, [mixed, *reference] if scheme.indices else [mixed]
 
 
 @pytest.mark.parametrize("method", ["quadrature", "mc"])
@@ -499,9 +480,8 @@ def test_stacked_purity_figures_match_each_estimate(name, method):
         # The CLI's mean-result row is the mean of the per-result map
         # purities, with the mean of their errors, and the mean of the
         # per-result linear purities.
-        figures, _ = cli._purity_rows(cli.builtin_scheme(name), "averaged",
-                                      ests[0].samples, (purity, errors,
-                                                        linear), 5, 0.0)
+        figures, _ = cli._purity_rows(name, "averaged", ests[0].samples,
+                                      (purity, errors, linear), 5, 0.0)
         assert figures[1][1:3] == mean_result(dict(enumerate(ests[1:])))
         assert figures[1][3] == pytest.approx(
             np.mean([linear_purity_with_error(e)[0] for e in ests[1:]]),
@@ -572,19 +552,18 @@ def _moment_estimate(case):
     if case == "perfect-identity":
         _, eq = u1_bundle()
         scheme = enc.perfect_matched_scheme(eq, 1)
-        return ch.result_estimates(scheme, "u1", [1], "quadrature")[1]
+        return ch.result_estimates(scheme, [1], "quadrature")[1]
     if case == "u1-tight-quadrature":
         _, eq = u1_bundle()
-        return ch.result_estimates(u1_tight_scheme(eq), "u1", [1],
-                                   "quadrature")[1]
+        return ch.result_estimates(u1_tight_scheme(eq), [1], "quadrature")[1]
     basis, eq = su2_bundle()
     if case == "conventional-mc":
-        return ch.result_estimates(basis, "su2", [1], "mc",
-                                   samples=1 << 14)[1]
+        return ch.result_estimates(enc.conventional_scheme(basis, "su2"), [1],
+                                   "mc", samples=1 << 14)[1]
     scheme = enc.tight_matched_scheme(eq, 1)
     # Result 1 is the base channel; result 2 its orbit conjugate.
     result = {"tight-base-mc": 1, "tight-orbit-mc": 2}[case]
-    return ch.result_estimates(scheme, "su2", [result], "mc",
+    return ch.result_estimates(scheme, [result], "mc",
                                samples=1 << 14)[result]
 
 
@@ -639,7 +618,7 @@ def test_bootstrap_error_bars_are_calibrated():
         "su2-averaged": purity_with_error(conventional_estimate(
             basis, "su2", "averaged"))[0],
         "u1-tight-mean": mean_result(ch.result_estimates(
-            scheme, "u1", range(4), "quadrature"))[0],
+            scheme, range(4), "quadrature"))[0],
     }
     inside = dict.fromkeys(exact, 0)
     for seed in seeds:
@@ -649,7 +628,7 @@ def test_bootstrap_error_bars_are_calibrated():
             "su2-averaged": purity_with_error(conventional_estimate(
                 basis, "su2", "averaged", "mc", samples, seed)),
             "u1-tight-mean": mean_result(ch.result_estimates(
-                scheme, "u1", range(4), "mc", samples, seed)),
+                scheme, range(4), "mc", samples, seed)),
         }
         for key, (value, err) in got.items():
             inside[key] += abs(value - exact[key]) <= 2 * err
@@ -667,11 +646,11 @@ def test_tight_error_bars_are_calibrated():
     samples = 1 << 14
     for key, scheme in su2_tight_schemes().items():
         want, _ = purity_with_error(ch.result_estimates(
-            scheme, "su2", [1], "quadrature")[1])
+            scheme, [1], "quadrature")[1])
         inside = 0
         for seed in seeds:
             value, err = purity_with_error(ch.result_estimates(
-                scheme, "su2", [1], "mc", samples, seed)[1])
+                scheme, [1], "mc", samples, seed)[1])
             inside += abs(value - want) <= 2 * err
         n = len(seeds)
         tail = sum(math.comb(n, k) * 0.95 ** k * 0.05 ** (n - k)
@@ -688,7 +667,7 @@ def test_single_shot_conventional_matches_channel():
     sigma = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]],
                                    dtype=np.complex128))
     out, transcript = ch.single_shot_simulate(
-        basis, sigma, HaarStream("u1", 21), shots=120000)
+        enc.conventional_scheme(basis, "u1"), sigma, 21, shots=120000)
     exact = conventional_estimate(basis, "u1", "averaged")
     expected = apply_superop(exact.superop, sigma.mat)
     assert np.max(np.abs(out.mat - expected)) < 5e-3
@@ -699,7 +678,8 @@ def test_single_shot_needs_a_shot(shots):
     basis, _ = u1_bundle()
     sigma = DensityMatrix(np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="shots"):
-        ch.single_shot_simulate(basis, sigma, HaarStream("u1", 21), shots)
+        ch.single_shot_simulate(enc.conventional_scheme(basis, "u1"), sigma,
+                                21, shots)
 
 
 def test_single_shot_perfect_reconstructs_exactly():
@@ -707,8 +687,7 @@ def test_single_shot_perfect_reconstructs_exactly():
     eq = equivariance_analysis(basis, groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    out, _ = ch.single_shot_simulate(scheme, sigma, HaarStream("su2", 22),
-                                     shots=500)
+    out, _ = ch.single_shot_simulate(scheme, sigma, 22, shots=500)
     assert np.max(np.abs(out.mat - sigma.mat)) < 1e-9
 
 
@@ -719,8 +698,7 @@ def test_single_shot_u1_perfect_restores_mixed_input():
     _, eq = u1_bundle()
     scheme = enc.perfect_matched_scheme(eq, 1)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    out, transcript = ch.single_shot_simulate(scheme, sigma,
-                                              HaarStream("u1", 23), shots=500)
+    out, transcript = ch.single_shot_simulate(scheme, sigma, 23, shots=500)
     assert set(transcript["result"].tolist()) == {0, 1, 2, 3}
     assert np.max(np.abs(out.mat - sigma.mat)) <= 1e-12
 
@@ -731,10 +709,10 @@ def test_born_draw_is_generator_choice():
     # generator in the same state: the block's misalignments, drawn next
     # from it, match too.
     basis, _ = su2_bundle()
+    scheme = enc.conventional_scheme(basis, "su2")
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     for shots in (1, 7, 1001, ch._BATCH, ch._BATCH + 3):
-        _, t = ch.single_shot_simulate(basis, sigma, HaarStream("su2", 27),
-                                       shots)
+        _, t = ch.single_shot_simulate(scheme, sigma, 27, shots)
         rng = HaarStream("su2", 27).generator()
         for start in range(0, shots, ch._BATCH):
             block = slice(start, min(start + ch._BATCH, shots))
@@ -755,11 +733,11 @@ def test_correction_table_is_the_realigned_correction(case):
         basis = tetrahedral_ueb()
         scheme = enc.perfect_matched_scheme(equivariance_analysis(
             basis, groups.binary_tetrahedral()), 0)
-    table = ch._correction_table(basis, scheme)
+    table = ch._correction_table(scheme)
     rng = np.random.default_rng(28)
     n = 4000
     idx = rng.choice(scheme.indices, size=n)
-    y = scheme.act_fn(groups.haar_batch(scheme.subgroup.ambient, rng, n),
+    y = scheme.act_fn(groups.haar_batch(scheme.group, rng, n),
                       scheme.sample_fn(idx, rng, n))
     # Every orbit label, not only the one each reading decodes to.
     for j in scheme.indices:
@@ -779,10 +757,9 @@ def test_simulator_reads_orbit_shots_in_shot_order():
     _, eq = su2_bundle()
     scheme = enc.tight_matched_scheme(eq, 1)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
-    stream = HaarStream("su2", 29)
     shots = ch._BATCH + 100
-    _, t = ch.single_shot_simulate(scheme, sigma, stream, shots)
-    rng = stream.advance(1 << 40).generator()
+    _, t = ch.single_shot_simulate(scheme, sigma, 29, shots)
+    rng = HaarStream("su2", 29).advance(1 << 40).generator()
     for block in (slice(0, ch._BATCH), slice(ch._BATCH, shots)):
         x, g, decoded = t["result"][block], t["g"][block], t["decoded"][block]
         orbit = np.isin(x, scheme.indices)
@@ -815,13 +792,12 @@ def test_blocked_simulator_loses_and_repeats_no_shot(case):
     # Two full blocks and a ragged one.
     shots = 2 * ch._BATCH + 17
     basis, eq = u1_bundle()
-    scheme = None if case == "u1-conventional" else \
-        enc.tight_matched_scheme(eq, 1)
+    scheme = enc.conventional_scheme(basis, "u1") \
+        if case == "u1-conventional" else enc.tight_matched_scheme(eq, 1)
     sigma = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
 
     def run():
-        return ch.single_shot_simulate(scheme or basis, sigma,
-                                       HaarStream("u1", 24), shots)
+        return ch.single_shot_simulate(scheme, sigma, 24, shots)
 
     out, transcript = run()
     assert transcript["g"].shape == (shots, 4)
@@ -830,7 +806,7 @@ def test_blocked_simulator_loses_and_repeats_no_shot(case):
     assert np.bincount(transcript["result"], minlength=4).sum() == shots
     # Every shot has its own misalignment: no block was drawn twice.
     assert len(np.unique(transcript["g"], axis=0)) == shots
-    if scheme is not None:
+    if scheme.indices:
         assert np.any(transcript["decoded"] != transcript["result"])
     dev = np.max(np.abs(transcript["mean_superop"]
                         - _superop_from_transcript(basis, transcript)))
@@ -859,14 +835,16 @@ def _traced_peak(fn):
 def test_mc_memory_does_not_grow_with_samples(case):
     basis, eq = su2_bundle()
     if case == "conventional":
+        scheme = enc.conventional_scheme(basis, "su2")
+
         def run(n):
-            ch.result_estimates(basis, "su2", [1], "mc", n, 3)
+            ch.result_estimates(scheme, [1], "mc", n, 3)
     else:
         scheme = enc.rod_scheme() if case == "rod-tight" else \
             enc.tight_matched_scheme(eq, 1)
 
         def run(n):
-            ch.result_estimates(scheme, "su2", range(4), "mc", n, 3)
+            ch.result_estimates(scheme, range(4), "mc", n, 3)
     run(1 << 13)                    # builds what the process caches
     small, _ = _traced_peak(lambda: run(1 << 15))
     large, _ = _traced_peak(lambda: run(1 << 18))
@@ -878,9 +856,9 @@ def test_simulator_memory_is_the_transcript_plus_a_block():
     eq = equivariance_analysis(tetrahedral_ueb(), groups.binary_tetrahedral())
     scheme = enc.perfect_matched_scheme(eq, 0)
     sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128))
-    ch.single_shot_simulate(scheme, sigma, HaarStream("su2", 25), 100)
+    ch.single_shot_simulate(scheme, sigma, 25, 100)
     peak, (_, t) = _traced_peak(lambda: ch.single_shot_simulate(
-        scheme, sigma, HaarStream("su2", 25), 1 << 18))
+        scheme, sigma, 25, 1 << 18))
     transcript = t["g"].nbytes + t["result"].nbytes + t["decoded"].nbytes
     assert peak < transcript + (4 << 20), (peak, transcript)
 

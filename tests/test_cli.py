@@ -45,6 +45,25 @@ def test_verify_single_scheme(tmp_path):
     assert all(c["ok"] for c in payload["checks"].values())
 
 
+def test_verify_scheme_takes_an_alias_and_rejects_the_conventional(capsys):
+    # An alias is checked, and reported, under its canonical name, as
+    # channel and simulate accept it.
+    assert run(["verify", "--scheme", "su2-boct-tight"]) == 0
+    alias = json.loads(capsys.readouterr().out)
+    assert run(["verify", "--scheme", "su2-matched-tight"]) == 0
+    assert json.loads(capsys.readouterr().out) == alias
+    assert list(alias["checks"]) == ["compatibility:su2-matched-tight",
+                                     "finite-subgroup:su2-matched-tight"]
+    # A scheme with no encoding has no scheme checks.
+    for name in ("su2-conventional", "u1-conventional", "su3-tight"):
+        assert run(["verify", "--scheme", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert name in lines[0]
+
+
 def test_verify_all_does_not_import_scipy(tmp_path):
     # scipy is a test-only dependency, and no exact integral in the package
     # needs numpy.polynomial: every one is a closed-form fourth moment.  A
@@ -184,12 +203,12 @@ def test_verify_reports_an_equivariance_pair_that_fails_to_build(
 
 
 def test_verify_reports_a_scheme_that_fails_to_build(capsys, monkeypatch):
-    # Bundles are cached per process, so this one is built afresh.
+    # Schemes are cached per process, so this one is built afresh.
     def broken():
         return groups._build_subgroup("btet", "su2",
                                       groups.binary_tetrahedral().payloads[:5])
 
-    monkeypatch.setattr(cli, "_scheme_bundle", cli._scheme_bundle.__wrapped__)
+    monkeypatch.setattr(cli, "_build_scheme", cli._build_scheme.__wrapped__)
     monkeypatch.setitem(groups.SUBGROUPS, "btet", broken)
     code, payload = _verify_json(capsys, ["--scheme", "su2-btet-perfect"])
     assert code == 1 and payload["ok"] is False
@@ -331,9 +350,8 @@ def test_mean_result_row_reports_mean_linear_purity(tmp_path):
     rows = {r["interpretation"]: r
             for r in (dict(zip(header.split(","), line.split(",")))
                       for line in rows)}
-    bundle = cli.builtin_scheme("su2-matched-tight")
-    per_result = ch.result_estimates(bundle.scheme, "su2", range(4),
-                                     "mc", 20000, 0)
+    per_result = ch.result_estimates(cli.builtin_scheme("su2-matched-tight"),
+                                     range(4), "mc", 20000, 0)
     mean = np.mean([linear_purity_with_error(e)[0]
                     for e in per_result.values()])
     linear = float(rows["mean-result-purity"]["linear_purity"])
@@ -351,10 +369,10 @@ def test_table1_rows_and_exact_su2_conventional(tmp_path, monkeypatch):
     values = {}
     real_rows = cli._purity_rows
 
-    def capture(bundle, *rest):
-        figures, rows = real_rows(bundle, *rest)
+    def capture(name, *rest):
+        figures, rows = real_rows(name, *rest)
         for interpretation, *figure in figures:
-            values[(bundle.name, interpretation)] = figure
+            values[(name, interpretation)] = figure
         return figures, rows
 
     monkeypatch.setattr(cli, "_purity_rows", capture)
@@ -378,7 +396,7 @@ def test_table1_rows_and_exact_su2_conventional(tmp_path, monkeypatch):
     assert all((r["samples"], r["stderr"], r["seed"]) == (0, "0.000000", None)
                for r in rows)
     averaged = np.array([1 / 2, 1 / 6, 1 / 6, 1 / 6])
-    u1_tight = cli.builtin_scheme("u1-tight").scheme
+    u1_tight = cli.builtin_scheme("u1-tight")
     expected = {
         ("su2-conventional", "result-1"): 1 - np.log(3) / np.log(4),
         ("su2-conventional", "result-averaged"):
@@ -386,7 +404,7 @@ def test_table1_rows_and_exact_su2_conventional(tmp_path, monkeypatch):
         ("su2-matched-tight", "mean-result-purity"): 0.450648886777,
         ("su2-rod-tight", "mean-result-purity"): 0.4523925057222,
         ("u1-tight", "mean-result-purity"): mean_result(
-            ch.result_estimates(u1_tight, "u1", range(4), "quadrature"))[0],
+            ch.result_estimates(u1_tight, range(4), "quadrature"))[0],
     }
     for key, purity in expected.items():
         got, err, _ = values[key]
@@ -522,10 +540,10 @@ def test_table1_runs_are_identical_up_to_timing(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# per-process caches: parser, build id, scheme bundles, fourth moments
+# per-process caches: parser, build id, schemes, fourth moments
 # ---------------------------------------------------------------------------
 
-def test_scheme_bundles_are_built_once():
+def test_schemes_are_built_once():
     assert (cli.builtin_scheme("su2-boct-tight")
             is cli.builtin_scheme("su2-matched-tight"))
     for name in cli.SCHEME_NAMES:
@@ -565,9 +583,9 @@ def test_cached_tight_quadrature_keeps_its_pinned_values():
     # reuse it; both give the exact mean-result purities.
     for name, mean in (("su2-matched-tight", 0.450648886777),
                        ("su2-rod-tight", 0.4523925057222)):
-        scheme = cli.builtin_scheme(name).scheme
+        scheme = cli.builtin_scheme(name)
         for _ in range(2):
-            ests = ch.result_estimates(scheme, "su2", range(4), "quadrature")
+            ests = ch.result_estimates(scheme, range(4), "quadrature")
             assert abs(mean_result(ests)[0] - mean) <= 1e-12
         assert scheme.pair_moment is scheme.pair_moment
 
@@ -647,22 +665,22 @@ def _assert_same_arrays(got, want, path: str) -> list[str]:
 
 def test_cached_builds_survive_every_command():
     # No command changes what the process built once: after every command
-    # has run, each cached bundle, subgroup and fourth moment equals a fresh
+    # has run, each cached scheme, subgroup and fourth moment equals a fresh
     # build, and a second run of each command prints what the first did.
     first = {" ".join(argv): strip_timing(_stdout(argv))
              for argv in _EVERY_COMMAND}
     for name in cli.SCHEME_NAMES:
         cached = cli.builtin_scheme(name)
-        fresh = cli._scheme_bundle.__wrapped__(name)
+        fresh = cli._build_scheme.__wrapped__(name)
         paths = _assert_same_arrays(cached, fresh, name)
-        if cached.scheme is not None:
-            # The walk reaches into the scheme, so the check is not empty.
-            assert any(p.startswith(f"{name}.scheme.") for p in paths), name
-        np.testing.assert_array_equal(cached.basis.quats, fresh.basis.quats)
-        if cached.scheme is not None and cached.scheme.kind == "tight":
+        # The walk reaches into the scheme, so the check is not empty.
+        assert f"{name}.basis.quats" in paths, name
+        if cached.indices:
+            assert any(p.startswith(f"{name}.eq.") for p in paths), name
+        if cached.kind == "tight":
             np.testing.assert_array_equal(
-                cached.scheme.pair_moment,
-                groups.pair_fourth_moment(fresh.scheme.moment_fn()))
+                cached.pair_moment,
+                groups.pair_fourth_moment(fresh.moment_fn()))
     for name, build in groups.SUBGROUPS.items():
         _assert_same_arrays(build(), build.__wrapped__(), name)
     for group in ("u1", "su2"):

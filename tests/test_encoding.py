@@ -42,11 +42,28 @@ def test_rod_axis_action_is_rotation():
     assert np.allclose(act(q, np.array([1.0, 0, 0])), [0, 1, 0], atol=1e-12)
 
 
+@pytest.mark.parametrize("name", cli.SCHEME_NAMES)
+def test_every_scheme_is_one_record(name):
+    # The conventional scheme is exactly the one with an empty orbit and no
+    # encoding; an encoded scheme takes its UEB and frame group from its
+    # equivariance data.
+    scheme = cli.builtin_scheme(name)
+    assert (scheme.kind == "conventional") == (scheme.indices == ())
+    assert name.startswith(f"{scheme.group}-")
+    if scheme.indices:
+        assert scheme.group == scheme.subgroup.ambient
+        assert scheme.basis is scheme.eq.basis
+        assert scheme.kind in ("tight", "perfect")
+    else:
+        assert (scheme.eq, scheme.act_fn, scheme.decode_fn, scheme.sample_fn,
+                scheme.moment_fn, scheme.points) == (None,) * 5 + ({},)
+
+
 @pytest.mark.parametrize("name", cli.ENCODED_SCHEMES)
 def test_torsor_action_composition(name):
     # act(g2, act(g1, x)) == act(g2 g1, x): labels transform contravariantly
     # and axes covariantly, and both are actions of the frame group.
-    scheme = cli.builtin_scheme(name).scheme
+    scheme = cli.builtin_scheme(name)
     act = scheme.act_fn
     rng = np.random.default_rng(0)
     x = uniform_readings(scheme, rng, 1)[0]
@@ -162,7 +179,7 @@ def test_sample_encoding_lands_in_region():
 
 @pytest.mark.parametrize("name", cli.ENCODED_SCHEMES)
 def test_samplers_take_an_index_array(name):
-    scheme = cli.builtin_scheme(name).scheme
+    scheme = cli.builtin_scheme(name)
     n = 3000
     for i in scheme.indices:
         # From equal generator states a constant array draws, bit for bit,
@@ -172,8 +189,7 @@ def test_samplers_take_an_index_array(name):
                                 n)
         assert x.tobytes() == same.tobytes()
     idx = np.random.default_rng(41).choice(scheme.indices, size=n)
-    x = scheme.sample_fn(idx, HaarStream(scheme.subgroup.ambient,
-                                         42).generator(), n)
+    x = scheme.sample_fn(idx, HaarStream(scheme.group, 42).generator(), n)
     if scheme.kind == "perfect":
         for i in scheme.indices:
             rows = x[idx == i]
@@ -181,7 +197,7 @@ def test_samplers_take_an_index_array(name):
                 rows[:, None] == scheme.points[i][None], axis=-1), axis=1))
     else:
         assert np.array_equal(enc.decode_batch(scheme, x), idx)
-    size = scheme.eq.basis.size
+    size = scheme.basis.size
     for i in sorted(set(range(size + 1)) - set(scheme.indices)):
         # A sampler call off the orbit, for a scalar index or inside an
         # array, gives NaN rows or fails on a table's range: never a finite
@@ -442,7 +458,7 @@ def test_cell_centres_cover_the_orbit(name):
     # orbit index, and each centre decodes to its own index.  A matched
     # tight scheme shares its centres with the perfect scheme on its data;
     # the rod's centre of E_a is the axis e_{a-1}.
-    scheme = cli.builtin_scheme(name).scheme
+    scheme = cli.builtin_scheme(name)
     assert sorted(scheme.points) == sorted(scheme.indices)
     assert len({len(p) for p in scheme.points.values()}) == 1
     for i, centres in scheme.points.items():
@@ -492,7 +508,7 @@ def _assert_real_counterexample(bad, report):
 
 @pytest.mark.parametrize("name", cli.ENCODED_SCHEMES)
 def test_scrambled_decoder_fails_both_checks(name):
-    bad = _scrambled_scheme(cli.builtin_scheme(name).scheme)
+    bad = _scrambled_scheme(cli.builtin_scheme(name))
     (ok, report), (finite_ok, finite_report) = enc.check_scheme(bad)
     assert not ok and not finite_ok
     _assert_real_counterexample(bad, report)
