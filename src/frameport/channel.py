@@ -56,21 +56,22 @@ orbit results one conjugation C^T M C of its base moment and of its
 replicates, and the purity figures of several estimates one eigenvalue
 call over their moments and one over their replicates (purity_figures).
 
-Monte Carlo draws run in batches of _BATCH = 2^13 samples, each from its
-own counter of the seed's HaarStream (conventional result i from i << 48
-on), with bootstrap picks _BOOT_OFFSET counters past the first batch; the
-simulator runs its shots in blocks of the same size, draws the readings of
-each block's orbit shots, in shot order, in one batch from counter 1 << 40,
-and corrects each shot by one conjugation z-bar W_j z by a per-label table.
-An estimate is therefore bit-exact per seed for a fixed _BATCH.  A batch's
-(n, 4) float64 temporaries are 256 KiB each, all of its live ones under
-2 MiB for an MC channel (3 MiB for a simulated block), and the heap reuses
-their pages from batch to batch.  At 2^17 samples they were 4 MiB each and
-were mapped and page-faulted afresh on most batches, which cost more than
-the arithmetic on them.  In a sweep of the benchmark, 2^12 was slower on the
-MC and exact-path workloads alike (the fixed Python cost of a batch) and
-2^15 faulted again on the exact paths; 2^14 was as fast as 2^13 there and
-about 4% faster on MC channels, but doubles those working sets.
+Monte Carlo
+-----------
+Every sampled channel and the simulator run one protocol kernel,
+_protocol_quats, which draws, transports and decodes Alice's reading on each
+orbit run and returns Bob's labels j and net quaternions z-bar W_j z U_x-bar.
+A per-result channel (_protocol_mc) fixes the result, and a tight base
+channel keeps the runs decoded to the base; the simulator draws the
+results.  Draws run in batches of _BATCH = 2^13, each from its own counter
+of the seed's HaarStream (an orbit result from 0, any other result i from
+i << 48, simulator readings from 1 << 40, bootstrap picks _BOOT_OFFSET past
+the first batch), so an estimate is bit-exact per seed for a fixed _BATCH.
+A batch's (n, 4) float64 temporaries are 256 KiB each, under 2 MiB live
+for an MC channel (3 MiB for a simulated block), and the heap reuses their
+pages.  In a sweep of the benchmark, 2^17 and 2^15 page-faulted theirs in
+afresh, 2^12 was slower (the fixed Python cost of a batch), and 2^14 was
+about 4% faster on MC channels but doubles the working sets.
 
 Exact integrals
 ---------------
@@ -287,12 +288,6 @@ def _conjugated(c: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return np.swapaxes(c, -1, -2) @ moments @ c
 
 
-def _channel_quats(g: np.ndarray, conj_by_u: np.ndarray) -> np.ndarray:
-    """Quaternions of W(g) = rho(g)+ U_i rho(g) U_i+ for a batch of group
-    quaternions g (n, 4), given the conjugation map of U_i's quaternion."""
-    return quat_mul(quat_conj(g), g @ conj_by_u)
-
-
 def fourth_moment_map(form: np.ndarray, t4: np.ndarray) -> np.ndarray:
     """Second moments E[w w^T] (..., n, n) of the quadratic forms
     w_j = sum_ab g_a g_b form[..., a, b, j] (..., 4, 4, n) of a random
@@ -309,21 +304,6 @@ def _exact_moment(u: np.ndarray, t4: np.ndarray) -> np.ndarray:
     is e_a-bar times row b of the conjugation map C of u."""
     form = quat_mul(_UNITS_BAR, _conjugation_map(u)[:, None])
     return fourth_moment_map(form, t4)
-
-
-def _conventional_mc(scheme: enc.EncodingScheme, i: int, samples: int,
-                     seed: int) -> ChannelEstimate:
-    """The conventional channel of result i by MC, on its own counter range
-    of the seed's stream."""
-    stream = HaarStream(scheme.group, seed).advance(i << 48)
-    conj_by_u = _conjugation_map(scheme.basis.quats[i])
-
-    def sample_fn(rng, m):
-        return _channel_quats(groups.haar_batch(scheme.group, rng, m),
-                              conj_by_u), None
-
-    moments, _ = _mc_accumulate(sample_fn, samples, stream)
-    return _finish_mc(moments, samples, stream, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +330,20 @@ def result_estimates(scheme: enc.EncodingScheme, results: Iterable[int],
     orbit = [i for i in results if i in scheme.indices]
     off = [i for i in results if i not in orbit]
     if off and not scheme.indices and method == "mc":
-        out.update((i, _conventional_mc(scheme, i, samples, seed))
+        out.update((i, _protocol_mc(scheme, i, samples, seed))
                    for i in off)
     elif off:
         moments = _exact_moment(scheme.basis.quats[off],
                                 groups.haar_fourth_moment(scheme.group))
         out.update(zip(off, map(ChannelEstimate, moments)))
-    if orbit and scheme.kind == "perfect":
-        out.update((i, _perfect_orbit_channel(scheme, i, method, samples,
-                                              seed)) for i in orbit)
+    if orbit and scheme.kind == "perfect" and method == "mc":
+        out.update((i, _protocol_mc(scheme, i, samples, seed))
+                   for i in orbit)
+    elif orbit and scheme.kind == "perfect":
+        # A matched scheme acts freely: the stabilizer is trivial, and the
+        # channel is the identity.
+        out.update((i, ChannelEstimate(np.diag([1.0, 0.0, 0.0, 0.0])))
+                   for i in orbit)
     elif orbit:
         base = _tight_base_channel(scheme, method, samples, seed)
         out[min(scheme.indices)] = base
@@ -382,61 +367,23 @@ def _tight_base_channel(scheme: enc.EncodingScheme, method: str,
     (|I_k| / mu(E_b)) integral of p(g) [rho(g)+ U_b rho(g) U_b+]; the orbit
     result i is its conjugate by the coset representative c_i of the
     scheme's equivariance data.  The overlap weight p(g) is realized (MC) by
-    drawing g from Haar and x directly from E_b and rejecting only the
-    (g, x) pairs whose transported reading leaves E_b, or (quadrature) by
-    the pair identity, as the scheme's pair_moment."""
+    the protocol runs at b that Bob decodes to b, whose reading, drawn from
+    E_b, stays in E_b, or (quadrature) by the pair identity, as the
+    scheme's pair_moment."""
     b = min(scheme.indices)
-    u = scheme.basis.quats[b]
-    if method == "quadrature":
-        moment = _exact_moment(u[None], scheme.pair_moment)[0]
-        # The trace is E|g|^4 = 1; report how far the computed integral is
-        # from it before rescaling.
-        tr = np.trace(moment)
-        return ChannelEstimate(moment / tr,
-                               pre_norm_deviation=abs(tr - 1.0))
-    stream = HaarStream(scheme.group, seed)
-    conj_by_u = _conjugation_map(u)
-
-    def sample_fn(rng, m):
-        payloads = groups.haar_batch(scheme.group, rng, m)
-        x = scheme.sample_fn(b, rng, m)
-        y = scheme.act_fn(payloads, x)
-        accept = enc.decode_batch(scheme, y) == b
-        return _channel_quats(np.compress(accept, payloads, axis=0),
-                              conj_by_u), accept
-
-    moments, accepted = _mc_accumulate(sample_fn, samples, stream)
-    # The un-normalized theorem estimator has Choi trace |I_k| N_acc / N,
-    # which should be 1; report its deviation before exact TP rescaling.
-    dev = abs(len(scheme.indices) * accepted / samples - 1.0)
-    return _finish_mc(moments, samples, stream, dev)
+    if method == "mc":
+        return _protocol_mc(scheme, b, samples, seed, keep=True)
+    moment = _exact_moment(scheme.basis.quats[b][None],
+                           scheme.pair_moment)[0]
+    # The trace is E|g|^4 = 1; report how far the computed integral is from
+    # it before rescaling.
+    tr = np.trace(moment)
+    return ChannelEstimate(moment / tr, pre_norm_deviation=abs(tr - 1.0))
 
 
-def _perfect_orbit_channel(scheme: enc.EncodingScheme, result: int,
-                           method: str, samples: int, seed: int
-                           ) -> ChannelEstimate:
-    """On a matched scheme (a free action) the stabilizer is trivial and
-    the channel is the identity: quadrature returns it exactly, while MC
-    simulates the reconstruction honestly (sample g and x, decode y = x g-bar
-    to j, accumulate the correction z-bar W_j z with z = y g, times
-    U_result-bar)."""
-    if method == "quadrature":
-        # The moment of the identity quaternion.
-        return ChannelEstimate(np.diag([1.0, 0.0, 0.0, 0.0]))
-    stream = HaarStream(scheme.group, seed)
-    table = _correction_table(scheme)
-    u_bar = quat_conj(scheme.basis.quats[result])
-
-    def sample_fn(rng, m):
-        payloads = groups.haar_batch(scheme.group, rng, m)
-        y = scheme.act_fn(payloads, scheme.sample_fn(result, rng, m))
-        corr = _corrections(table, enc.decode_batch(scheme, y),
-                            quat_mul(y, payloads))
-        return quat_mul(corr, u_bar), None
-
-    moments, _ = _mc_accumulate(sample_fn, samples, stream)
-    return _finish_mc(moments, samples, stream, 0.0)
-
+# ---------------------------------------------------------------------------
+# Protocol runs
+# ---------------------------------------------------------------------------
 
 def _correction_table(scheme: enc.EncodingScheme) -> np.ndarray:
     """Quaternions W_j (d^2, 4) by decoded label j of Alice's corrections
@@ -454,12 +401,81 @@ def _correction_table(scheme: enc.EncodingScheme) -> np.ndarray:
     return w
 
 
-def _corrections(table: np.ndarray, decoded: np.ndarray, z: np.ndarray
-                 ) -> np.ndarray:
-    """Alice's corrections z-bar W_j z for decoded labels j (n,) and
-    conjugating quaternions z (n, 4), with W the _correction_table."""
-    return quat_mul(quat_mul(quat_conj(z), np.take(table, decoded, axis=0)),
-                    z)
+class _Protocol(NamedTuple):
+    """A scheme with its corrections W_j (_correction_table), U_x-bar by
+    result x, the maps L_x with z @ L_x = W_x z U_x-bar, and which results
+    are in its orbit, computed once."""
+
+    scheme: enc.EncodingScheme
+    table: np.ndarray
+    u_bar: np.ndarray
+    maps: np.ndarray
+    in_orbit: np.ndarray
+
+
+def _protocol(scheme: enc.EncodingScheme) -> _Protocol:
+    table = _correction_table(scheme)
+    u_bar = quat_conj(scheme.basis.quats)
+    maps = quat_mul(quat_mul(table[:, None], _UNITS), u_bar[:, None])
+    return _Protocol(scheme, table, u_bar, maps,
+                     np.isin(np.arange(len(table)), scheme.indices))
+
+
+def _protocol_quats(proto: _Protocol, results: int | np.ndarray,
+                    g: np.ndarray, rng: Generator | None, keep: bool = False
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's labels j (n,) and the net quaternions V = C_A M_x =
+    z-bar W_j z U_x-bar (M_x = U_x+) of n protocol runs with Alice's results
+    x (one, or (n,)) and misalignments g (n, 4); with keep (one x), V of the
+    runs decoded to x only.  An orbit run draws its reading from rng (one
+    sample_fn call, in run order), moves it by g and decodes it; on a
+    perfect scheme z = y g, which may be written over g.  Any other run is
+    its own label, and z = g.  Where every V has j = x (one x off the orbit,
+    or keep) V is z-bar (z @ L_x); elsewhere it is composed row by row."""
+    scheme, fixed = proto.scheme, np.ndim(results) == 0
+    if fixed:
+        # Every run is in the orbit, or none is.
+        orbit = slice(None) if proto.in_orbit[results] else slice(0)
+        decoded, idx, gs = np.full(len(g), results), results, g[orbit]
+    else:
+        orbit = np.flatnonzero(proto.in_orbit[results])
+        decoded, idx = results.copy(), np.take(results, orbit)
+        gs = np.take(g, orbit, axis=0)
+    z = g
+    if len(gs):
+        y = scheme.act_fn(gs, scheme.sample_fn(idx, rng, len(gs)))
+        decoded[orbit] = enc.decode_batch(scheme, y)
+        if scheme.kind == "perfect" and fixed:
+            z = quat_mul(y, gs)
+        elif scheme.kind == "perfect":
+            # np.put copies whole 32-byte rows, unlike g[orbit] = ...
+            np.put(g.view("V32")[:, 0], orbit, quat_mul(y, gs).view("V32"))
+    if fixed and (keep or not proto.in_orbit[results]):
+        if keep:
+            z = np.compress(decoded == results, z, axis=0)
+        return decoded, quat_mul(quat_conj(z), z @ proto.maps[results])
+    corr = quat_mul(quat_mul(quat_conj(z), np.take(proto.table, decoded,
+                                                   axis=0)), z)
+    return decoded, quat_mul(corr, np.take(proto.u_bar, results, axis=0))
+
+
+def _protocol_mc(scheme: enc.EncodingScheme, result: int, samples: int,
+                 seed: int, keep: bool = False) -> ChannelEstimate:
+    """The channel of one result by MC over Haar protocol runs at it, with
+    keep over the runs decoded to it (counters as in Monte Carlo, above)."""
+    stream = HaarStream(seed, 0 if result in scheme.indices else result << 48)
+    proto = _protocol(scheme)
+
+    def sample_fn(rng, m):
+        decoded, w = _protocol_quats(
+            proto, result, groups.haar_batch(scheme.group, rng, m), rng, keep)
+        return w, (decoded == result if keep else None)
+
+    moments, accepted = _mc_accumulate(sample_fn, samples, stream)
+    # The un-normalized rejection estimator has Choi trace |I_k| N_acc / N,
+    # which should be 1; report its deviation before exact TP rescaling.
+    dev = abs(len(scheme.indices) * accepted / samples - 1.0) if keep else 0.0
+    return _finish_mc(moments, samples, stream, dev)
 
 
 # ---------------------------------------------------------------------------
@@ -491,29 +507,20 @@ def single_shot_simulate(scheme: enc.EncodingScheme, sigma: DensityMatrix,
                          seed: int, shots: int = 1
                          ) -> tuple[DensityMatrix, dict]:
     """End-to-end protocol simulation of scheme, drawing from the seed's
-    HaarStream on the scheme's frame group.
+    HaarStream: the ensemble-mean output in Alice's frame, and a transcript.
 
-    Each shot samples a Haar misalignment, Alice's measurement result
-    uniformly (every result is equiprobable), the transmitted reading, Bob's
-    decode and correction, and returns the ensemble-mean output in Alice's
-    frame together with a transcript.  Shots run in blocks of _BATCH: each
-    block draws its results and misalignments from one results generator,
-    and the readings of its orbit shots, in shot order, from one readings
-    generator with one sample, act and decode call (a result outside the
-    orbit is sent speakably).  Alice's correction is one conjugation
-    z-bar W_j z by the decoded label's row of _correction_table.  Each
-    block writes its part of the transcript and adds the second moment of
-    its net quaternions to the total.
-    """
+    Each shot draws a Haar misalignment and Alice's result uniformly (every
+    result is equiprobable), and _protocol_quats runs the rest: the reading,
+    Bob's decode and correction.  Shots run in blocks of _BATCH, each with
+    its results and misalignments from one results generator and its orbit
+    shots' readings from one readings generator.  Each block writes its
+    part of the transcript and adds the second moment of its net
+    quaternions to the total."""
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
     n_res = scheme.basis.size
-    # Bob's state before correction is M_x sigma M_x+ with M_x = U_x+.
-    pre = quat_conj(scheme.basis.quats)
-    table = _correction_table(scheme)
-    in_orbit = np.isin(np.arange(n_res), scheme.indices)
-
-    stream = HaarStream(scheme.group, seed)
+    proto = _protocol(scheme)
+    stream = HaarStream(seed)
     rng_results = stream.generator()
     rng_read = stream.advance(1 << 40).generator()
     g = np.empty((shots, 4))
@@ -527,23 +534,14 @@ def single_shot_simulate(scheme: enc.EncodingScheme, sigma: DensityMatrix,
         # inverse-CDF draw of Generator.choice(4, p=[1/4] * 4), bit for bit.
         res = results[block] = (rng_results.random(m) * n_res).astype(
             np.int64)
-        # z is a copy of the block's misalignments g, and y g on the orbit
-        # of a perfect scheme.
-        z = g[block] = groups.haar_batch(scheme.group, rng_results, m)
-        decoded[block] = res
-        orbit = np.flatnonzero(in_orbit[res])
-        if orbit.size:
-            gs = np.take(z, orbit, axis=0)
-            y = scheme.act_fn(gs, scheme.sample_fn(np.take(res, orbit),
-                                                   rng_read, len(orbit)))
-            decoded[block][orbit] = enc.decode_batch(scheme, y)
-            if scheme.kind == "perfect":
-                # np.put copies whole 32-byte rows, unlike z[orbit] = ...
-                np.put(z.view("V32")[:, 0], orbit,
-                       quat_mul(y, gs).view("V32"))
-        # Net shot unitaries V = C_A M_x.
-        corr = _corrections(table, decoded[block], z)
-        moment += _moment(quat_mul(corr, np.take(pre, res, axis=0)))
+        # The kernel may write over the draw; the transcript keeps a copy.
+        draw = g[block] = groups.haar_batch(scheme.group, rng_results, m)
+        decoded[block], w = _protocol_quats(proto, res, draw, rng_read)
+        moment += _moment(w)
+        # Free the nets before the next block draws: held across blocks,
+        # they changed the heap's page reuse (a warm 10^5-shot simulate of
+        # su2-conventional took 1,524 minor page faults a run, against 85).
+        del w
 
     mean_superop = _moment_superop(moment) / shots
     out = (mean_superop @ sigma.mat.flatten(order="F")).reshape(

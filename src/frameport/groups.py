@@ -351,7 +351,6 @@ class HaarStream(NamedTuple):
     keys SFC64 by SeedSequence(seed, spawn_key=(counter,)), injective where
     an entropy list is not ([0, 1] and [2**32, 0] give one stream)."""
 
-    group: str
     seed: int
     counter: int = 0
 

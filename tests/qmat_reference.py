@@ -233,9 +233,9 @@ def mean_result(ests: dict[int, ChannelEstimate]) -> tuple[float, float]:
     return float(np.mean(purity)), float(np.mean(errors))
 
 
-def haar_payloads(stream: HaarStream, n: int) -> np.ndarray:
-    """Raw i.i.d. Haar payload array of the stream's group and counter."""
-    return haar_batch(stream.group, stream.generator(), n)
+def haar_payloads(group: str, stream: HaarStream, n: int) -> np.ndarray:
+    """Raw i.i.d. Haar payload array of a group at the stream's counter."""
+    return haar_batch(group, stream.generator(), n)
 
 
 def child_stream(stream: HaarStream, i: int) -> HaarStream:

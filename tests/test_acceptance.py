@@ -256,8 +256,8 @@ def test_acceptance_8_transmission_uniformity():
     scheme = enc.tight_matched_scheme(eq, 1)
     rod = enc.rod_scheme()
     for group, sch, seed in (("u1", scheme, 31), ("su2", rod, 32)):
-        stream = HaarStream(group, seed)
-        g = haar_payloads(stream, n)
+        stream = HaarStream(seed)
+        g = haar_payloads(group, stream, n)
         rng = child_stream(stream, 1).generator()
         idx = np.asarray(sch.indices)[rng.integers(0, len(sch.indices),
                                                    size=n)]

@@ -173,7 +173,7 @@ def test_u1_perfect_points_are_exact_group_elements():
 def test_sample_encoding_lands_in_region():
     scheme = enc.tight_matched_scheme(u1_equivariance(), 1)
     for i in (1, 2):
-        x = scheme.sample_fn(i, HaarStream("u1", 9).generator(), 500)
+        x = scheme.sample_fn(i, HaarStream(9).generator(), 500)
         assert np.all(enc.decode_batch(scheme, x) == i)
 
 
@@ -189,7 +189,7 @@ def test_samplers_take_an_index_array(name):
                                 n)
         assert x.tobytes() == same.tobytes()
     idx = np.random.default_rng(41).choice(scheme.indices, size=n)
-    x = scheme.sample_fn(idx, HaarStream(scheme.group, 42).generator(), n)
+    x = scheme.sample_fn(idx, HaarStream(42).generator(), n)
     if scheme.kind == "perfect":
         for i in scheme.indices:
             rows = x[idx == i]

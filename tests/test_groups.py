@@ -227,30 +227,31 @@ def test_multiplication_table_closure_indices():
 # ---------------------------------------------------------------------------
 
 def test_haar_stream_is_deterministic():
-    a = haar_payloads(HaarStream("su2", 3), 100)
-    b = haar_payloads(HaarStream("su2", 3), 100)
+    a = haar_payloads("su2", HaarStream(3), 100)
+    b = haar_payloads("su2", HaarStream(3), 100)
     assert np.array_equal(a, b)
 
 
 def test_haar_stream_advance_changes_draws():
-    s = HaarStream("su2", 3)
-    assert not np.array_equal(haar_payloads(s, 10), haar_payloads(s.advance(), 10))
+    s = HaarStream(3)
+    assert not np.array_equal(haar_payloads("su2", s, 10),
+                              haar_payloads("su2", s.advance(), 10))
 
 
 def test_haar_stream_child_streams_differ():
-    s = HaarStream("su2", 3)
-    assert not np.array_equal(haar_payloads(child_stream(s, 0), 10),
-                              haar_payloads(child_stream(s, 1), 10))
+    s = HaarStream(3)
+    assert not np.array_equal(haar_payloads("su2", child_stream(s, 0), 10),
+                              haar_payloads("su2", child_stream(s, 1), 10))
     # Each (seed, counter) pair keys its own stream.  The pair (0, 1) vs
     # (2^32, 0) tells a spawn-key key from an entropy-list key, under which
     # both pairs read as the words [0, 1].
     key_pairs = [((0, 1), (2 ** 32, 0)), ((3, 0), (3, 1 << 40)),
                  ((3, 0), (4, 0)), ((2 ** 64 - 2, 5), (2 ** 64 - 1, 5))]
     for a, b in key_pairs:
-        assert np.array_equal(haar_payloads(HaarStream("su2", *a), 10),
-                              haar_payloads(HaarStream("su2", *a), 10))
-        assert not np.array_equal(haar_payloads(HaarStream("su2", *a), 10),
-                                  haar_payloads(HaarStream("su2", *b), 10))
+        assert np.array_equal(haar_payloads("su2", HaarStream(*a), 10),
+                              haar_payloads("su2", HaarStream(*a), 10))
+        assert not np.array_equal(haar_payloads("su2", HaarStream(*a), 10),
+                                  haar_payloads("su2", HaarStream(*b), 10))
 
 
 def test_sample_su2_moments():
@@ -269,7 +270,7 @@ def fourth_power_mean(q):
 
 HAAR_SOURCES = {
     "default_rng": np.random.default_rng,
-    "stream": lambda seed: HaarStream("su2", seed).generator(),
+    "stream": lambda seed: HaarStream(seed).generator(),
 }
 
 
